@@ -81,7 +81,7 @@ from .optimizer import (
     opt_gauss_newton,
     residual,
 )
-from .series import SeriesError, TruncSeries, series_add, series_compose, series_mul
+from .series import SeriesError, TruncSeries
 from .targets import exp_target, get_target, sqrt1p_target
 
 __all__ = [name for name in dir() if not name.startswith("_")]

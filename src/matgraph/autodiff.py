@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 from mpmath import mp
 
-from .evaluation import _eval_nodes, _ops_for, _precision_context
+from .evaluation import _eval_nodes, _ops_for, _precision_context, lincomb
 from .graph import CoeffRef, ComputationGraph, GraphError, OpKind, get_topo_order
 
 
@@ -70,48 +69,27 @@ def eval_jac(g: ComputationGraph, points, refs, input: str | None = None,
         pos = {nid: i for i, nid in enumerate(order)}
         ops = _ops_for(pts)
         slots = _eval_nodes(g, pts, input_id, order, keep_all=True)
-        if "I" not in slots:
-            slots["I"] = ops.identity(pts)
-        slots.setdefault(input_id, pts)
-        N, K = len(pts), len(refs)
-        J = np.empty((N, K), dtype=object if pts.dtype == object else np.complex128)
+        J = np.empty((len(pts), len(refs)), dtype=object if pts.dtype == object else np.complex128)
         zero = _zeros_like_points(pts)
         for col, ref in enumerate(refs):
-            seed_node = ref.node
-            if seed_node not in pos:
+            if ref.node not in pos:
                 J[:, col] = zero  # coefficient not reachable from the output
                 continue
-            seed_parent = g.parents[seed_node][ref.slot - 1]
-            if seed_parent not in slots:
-                slots[seed_parent] = ops.identity(pts) if seed_parent == "I" else pts
-            deriv = {seed_node: slots[seed_parent]}
-            if out != seed_node:
-                for nid in order[pos[seed_node] + 1:]:
-                    p1, p2 = g.parents[nid]
-                    d1, d2 = deriv.get(p1), deriv.get(p2)
-                    if d1 is None and d2 is None:
-                        continue
-                    kind = g.operations[nid]
-                    if kind == OpKind.LINCOMB:
-                        c1, c2 = g.coeffs[nid]
-                        acc = None
-                        if d1 is not None:
-                            acc = c1 * d1
-                        if d2 is not None:
-                            acc = c2 * d2 if acc is None else acc + c2 * d2
-                        deriv[nid] = acc
-                    elif kind == OpKind.MULT:
-                        if d1 is not None and d2 is not None:
-                            deriv[nid] = d1 * slots[p2] + slots[p1] * d2
-                        elif d1 is not None:
-                            deriv[nid] = d1 * slots[p2]
-                        else:
-                            deriv[nid] = slots[p1] * d2
-                    else:  # ldiv: v = p1^{-1} p2
-                        acc = d2 if d2 is not None else zero
-                        if d1 is not None:
-                            acc = acc - slots[nid] * d1
-                        deriv[nid] = ops.ldiv(slots[p1], acc)
+            # d/dc of c1*v1 + c2*v2 is the parent value the slot multiplies
+            deriv = {ref.node: slots[g.parents[ref.node][ref.slot - 1]]}
+            for nid in order[pos[ref.node] + 1:]:
+                p1, p2 = g.parents[nid]
+                d1, d2 = deriv.get(p1, zero), deriv.get(p2, zero)
+                if d1 is zero and d2 is zero:
+                    continue
+                kind = g.operations[nid]
+                if kind == OpKind.LINCOMB:
+                    c1, c2 = g.coeffs[nid]
+                    deriv[nid] = lincomb(c1, d1, c2, d2)
+                elif kind == OpKind.MULT:
+                    deriv[nid] = ops.mult(d1, slots[p2]) + ops.mult(slots[p1], d2)
+                else:  # v = p1 \ p2, so dv = p1 \ (d2 - d1 v)
+                    deriv[nid] = ops.ldiv(slots[p1], d2 - ops.mult(d1, slots[nid]))
             J[:, col] = deriv.get(out, zero)
     return JacobianMatrix(J, pts, refs)
 

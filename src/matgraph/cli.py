@@ -17,9 +17,11 @@ default precision in bits.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,13 +44,12 @@ from .generators import (
     graph_newton_schulz,
 )
 from .graph import ComputationGraph, GraphError, OpKind, compress_graph, convert_precision
-from .numerics import CoeffType, SingularMatrixError
+from .numerics import CoeffType, convert_scalar
 from .optimizer import (
     Discretization,
     ErrType,
     GNConfig,
     LinLsqr,
-    OptimizeError,
     opt_gauss_newton,
 )
 from .targets import get_target
@@ -62,6 +63,14 @@ class CliError(Exception):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
+
+
+def _parse(conv, text, what: str):
+    """``conv(text)`` for a value the user typed; a rejected value is a usage error."""
+    try:
+        return conv(text)
+    except (ValueError, ArithmeticError) as exc:
+        raise CliError(f"bad {what} {text!r}: {exc}", USAGE_ERROR) from exc
 
 
 def _parse_complex(text: str) -> complex:
@@ -85,8 +94,6 @@ def read_matrix_csv(path: str) -> np.ndarray:
                 if not line or line.startswith("#"):
                     continue
                 rows.append([_parse_complex(tok) for tok in line.split(",")])
-    except OSError as exc:
-        raise CliError(str(exc), IO_ERROR) from exc
     except ValueError as exc:
         raise CliError(f"bad matrix entry in {path}: {exc}", IO_ERROR) from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
@@ -106,33 +113,19 @@ def write_matrix_csv(M: np.ndarray, fh):
 def _load_graph(path: str) -> ComputationGraph:
     try:
         return import_compgraph(path)
-    except OSError as exc:
-        raise CliError(str(exc), IO_ERROR) from exc
     except (CgrError, GraphError) as exc:
         raise CliError(f"{path}: {exc}", IO_ERROR) from exc
 
 
-def _save_graph(g: ComputationGraph, path: str):
-    try:
-        export_compgraph(g, path)
-    except OSError as exc:
-        raise CliError(str(exc), IO_ERROR) from exc
-
-
 def _default_prec() -> int | None:
     env = os.environ.get("MATGRAPH_PRECISION")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise CliError(f"bad MATGRAPH_PRECISION {env!r}", USAGE_ERROR) from exc
-    return None
+    return _parse(int, env, "MATGRAPH_PRECISION") if env else None
 
 
 def _coeff_type(bits: int | None) -> CoeffType:
     if bits is None or bits == 53:
         return CoeffType()
-    return CoeffType(bits)
+    return _parse(CoeffType, bits, "precision")
 
 
 # -- commands -----------------------------------------------------------------
@@ -152,7 +145,9 @@ def cmd_generate(args) -> int:
     if scheme in needs_coeffs:
         if not args.coeffs:
             raise CliError(f"--coeffs is required for scheme {scheme}", USAGE_ERROR)
-        coeffs = [float(c) for c in args.coeffs.split(",")]
+        # exact decimal parse, then one rounding to the coefficient kind
+        coeffs = [_parse(lambda t: convert_scalar(Fraction(t), ct), tok, "coefficient")
+                  for tok in args.coeffs.split(",")]
         g, _ = needs_coeffs[scheme](coeffs, ct)
     elif scheme == "denman-beavers":
         g, _ = graph_denman_beavers(args.iters, ct)
@@ -164,7 +159,7 @@ def cmd_generate(args) -> int:
         raise CliError(f"unknown scheme {scheme!r}", USAGE_ERROR)
     if args.compress:
         compress_graph(g)
-    _save_graph(g, args.out)
+    export_compgraph(g, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -172,19 +167,20 @@ def cmd_generate(args) -> int:
 def cmd_eval(args) -> int:
     g = _load_graph(args.graph)
     if args.point is not None:
-        z = _parse_complex(args.point)
+        z = _parse(_parse_complex, args.point, "point")
+        if not cmath.isfinite(z):
+            raise CliError(f"non-finite point {args.point}", NUMERICAL_ERROR)
         value = eval_graph(g, z, input=args.input)
         values = value if isinstance(value, list) else [value]
+        if not all(cmath.isfinite(complex(v)) for v in values):
+            raise CliError(f"non-finite value at {args.point}", NUMERICAL_ERROR)
         for v in values:
             print(_format_entry(v))
         return 0
     if not args.matrix:
         raise CliError("provide --matrix FILE or --point VALUE", USAGE_ERROR)
     A = read_matrix_csv(args.matrix)
-    try:
-        value = eval_graph(g, A, input=args.input)
-    except (SingularMatrixError, ArithmeticError) as exc:
-        raise CliError(str(exc), NUMERICAL_ERROR) from exc
+    value = eval_graph(g, A, input=args.input)
     values = value if isinstance(value, list) else [value]
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -205,7 +201,7 @@ def cmd_optimize(args) -> int:
     if prec > 53:
         g = convert_precision(g, CoeffType(prec, g.coeff_type.is_complex))
     try:
-        f, _ = get_target(args.target)
+        f, _ = get_target(args.target, CoeffType(g.coeff_type.prec))
     except (ValueError, OSError) as exc:
         raise CliError(str(exc), USAGE_ERROR) from exc
     if args.target == "sqrt1p" and args.errtype == "rel" and abs(args.center + 1.0) <= args.radius:
@@ -231,11 +227,8 @@ def cmd_optimize(args) -> int:
     refs = g.all_coeff_refs()
     if not refs:
         raise CliError("graph has no tunable coefficients", NUMERICAL_ERROR)
-    try:
-        report = opt_gauss_newton(g, f, discr, refs, config)
-    except (OptimizeError, SingularMatrixError, ArithmeticError) as exc:
-        raise CliError(str(exc), NUMERICAL_ERROR) from exc
-    _save_graph(g, args.out)
+    report = opt_gauss_newton(g, f, discr, refs, config)
+    export_compgraph(g, args.out)
     if args.report:
         payload = {
             "iterations": report.iterations,
@@ -243,17 +236,14 @@ def cmd_optimize(args) -> int:
             "best_residual": report.best_residual,
             "residual_history": report.residual_history,
         }
-        try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                if args.report.endswith(".json"):
-                    json.dump(payload, fh, indent=2)
-                    fh.write("\n")
-                else:
-                    fh.write("iteration,max_residual\n")
-                    for i, rv in enumerate(report.residual_history):
-                        fh.write(f"{i},{rv!r}\n")
-        except OSError as exc:
-            raise CliError(str(exc), IO_ERROR) from exc
+        with open(args.report, "w", encoding="utf-8") as fh:
+            if args.report.endswith(".json"):
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+            else:
+                fh.write("iteration,max_residual\n")
+                for i, rv in enumerate(report.residual_history):
+                    fh.write(f"{i},{rv!r}\n")
     status = "converged" if report.converged else "not converged"
     best = report.best_residual
     print(f"wrote {args.out} ({status}, {report.iterations} iterations"
@@ -273,17 +263,12 @@ def cmd_certify(args) -> int:
         # no certifiable radius: report zero and say why
         theta = 0.0
         flag = str(exc)
-    except ArithmeticError as exc:
-        raise CliError(str(exc), NUMERICAL_ERROR) from exc
     mults = sum(1 for op in g.operations.values() if op != OpKind.LINCOMB)
     name = os.path.splitext(os.path.basename(args.graph))[0]
     csv = theta_table_csv([(name, mults, theta, args.u, args.nterms)])
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(csv)
-        except OSError as exc:
-            raise CliError(str(exc), IO_ERROR) from exc
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(csv)
     sys.stdout.write(csv)
     if flag:
         print(f"# warning: {flag}", file=sys.stderr)
@@ -294,7 +279,7 @@ def cmd_compress(args) -> int:
     g = _load_graph(args.graph)
     before = len(g.operations)
     compress_graph(g)
-    _save_graph(g, args.out)
+    export_compgraph(g, args.out)
     print(f"wrote {args.out} ({before} -> {len(g.operations)} nodes)")
     return 0
 
@@ -310,8 +295,6 @@ def cmd_codegen(args) -> int:
         gen_code(g, target, args.out)
     except GraphError as exc:
         raise CliError(str(exc), USAGE_ERROR) from exc
-    except OSError as exc:
-        raise CliError(str(exc), IO_ERROR) from exc
     print(f"wrote {args.out}")
     return 0
 
@@ -323,7 +306,7 @@ def cmd_convert(args) -> int:
         g2 = convert_precision(g, ct)
     except ValueError as exc:
         raise CliError(str(exc), NUMERICAL_ERROR) from exc
-    _save_graph(g2, args.out)
+    export_compgraph(g2, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -410,33 +393,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(args, parser):
+    """Override flags of the chosen command from ``key=value`` lines.
+
+    Each value goes through its flag's own ``type`` and ``choices``.
+    """
     if not args.config:
         return args
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            pairs = {}
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise CliError(f"bad config line {line!r}", USAGE_ERROR)
-                key, _, value = line.partition("=")
-                pairs[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise CliError(str(exc), IO_ERROR) from exc
-    for key, value in pairs.items():
-        if not hasattr(args, key):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
+    with open(args.config, "r", encoding="utf-8") as fh:
+        lines = [raw.strip() for raw in fh]
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(f"bad config line {line!r}", USAGE_ERROR)
+        key, _, value = line.partition("=")
+        key, value = key.strip().replace("-", "_"), value.strip()
+        action = actions.get(key)
+        if action is None or not hasattr(args, key):
             raise CliError(f"unknown config key {key!r}", USAGE_ERROR)
-        current = getattr(args, key)
-        if isinstance(current, bool):
+        if action.nargs == 0:
             setattr(args, key, value.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, key, int(value))
-        elif isinstance(current, float):
-            setattr(args, key, float(value))
-        else:
-            setattr(args, key, value)
+            continue
+        v = _parse(action.type or str, value, f"config value for {key}")
+        if action.choices is not None and v not in action.choices:
+            raise CliError(f"config value for {key} must be one of {list(action.choices)}",
+                           USAGE_ERROR)
+        setattr(args, key, v)
     return args
 
 
@@ -449,10 +433,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"matgraph: {exc}", file=sys.stderr)
         return exc.code
-    except (GraphError, CgrError) as exc:
+    except (GraphError, CgrError, OSError) as exc:
         print(f"matgraph: {exc}", file=sys.stderr)
         return IO_ERROR
-    except (SingularMatrixError, OptimizeError, CertificationError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"matgraph: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 

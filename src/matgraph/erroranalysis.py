@@ -228,9 +228,7 @@ def eval_runerr(g: ComputationGraph, x, input: str | None = None,
         kind = g.operations[nid]
         if kind == OpKind.LINCOMB:
             c1, c2 = g.coeffs[nid]
-            z1 = slots.get(p1, 1 if p1 == "I" else x)
-            z2 = slots.get(p2, 1 if p2 == "I" else x)
-            zi = slots[nid]
+            z1, z2, zi = slots[p1], slots[p2], slots[nid]
             if zi == 0:
                 acc[nid] = math.inf
                 inf_hit = True

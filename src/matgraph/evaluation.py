@@ -14,12 +14,14 @@ Supported argument kinds, selected by the type of ``x``:
   becomes series division and needs a nonzero denominator constant term).
 
 The identity input ``"I"`` binds to the multiplicative identity of the
-matching kind and is materialized lazily.
+matching kind.
 """
 
 from __future__ import annotations
 
 import numbers
+import operator
+from typing import Callable, NamedTuple
 
 import mpmath
 import numpy as np
@@ -54,164 +56,113 @@ def _precision_context(g: ComputationGraph, prec: int | None):
     return working_precision(g.coeff_type.prec)
 
 
-class _ScalarOps:
-    @staticmethod
-    def identity(x):
-        return 1 if not isinstance(x, (mpmath.mpf, mpmath.mpc)) else mp.mpf(1)
+def lincomb(c1, v1, c2, v2):
+    """``c1*v1 + c2*v2`` for every argument kind.
 
-    @staticmethod
-    def lincomb(c1, v1, c2, v2):
-        return c1 * v1 + c2 * v2
-
-    @staticmethod
-    def mult(v1, v2):
-        return v1 * v2
-
-    @staticmethod
-    def ldiv(v1, v2):
-        if v1 == 0:
-            raise SingularMatrixError("scalar left-division by zero")
-        return v2 / v1
+    The coefficients go on the right: each kind scales by a scalar from
+    the right, and an ``mpf`` on the left of an object array first tries
+    (and fails, expensively) to convert the whole array.  Correctly rounded
+    scalar products commute, so the order does not change any result.
+    """
+    return v1 * c1 + v2 * c2
 
 
-class _VectorOps:
-    """Element-wise scalar semantics over a 1-d array of points."""
+class _Ops(NamedTuple):
+    """Identity, product and left-division ``v1 \\ v2`` for one argument kind."""
 
-    @staticmethod
-    def identity(x):
-        if x.dtype == object:
-            return np.array([mp.mpf(1)] * len(x), dtype=object)
-        return np.ones(len(x), dtype=x.dtype)
-
-    @staticmethod
-    def lincomb(c1, v1, c2, v2):
-        return c1 * v1 + c2 * v2
-
-    @staticmethod
-    def mult(v1, v2):
-        return v1 * v2
-
-    @staticmethod
-    def ldiv(v1, v2):
-        if v1.dtype == object:
-            out = np.empty(len(v1), dtype=object)
-            for i in range(len(v1)):
-                if v1[i] == 0:
-                    raise SingularMatrixError(f"left-division by zero at point index {i}")
-                out[i] = v2[i] / v1[i]
-            return out
-        zero = np.flatnonzero(v1 == 0)
-        if zero.size:
-            raise SingularMatrixError(f"left-division by zero at point index {int(zero[0])}")
-        return v2 / v1
+    identity: Callable
+    mult: Callable
+    ldiv: Callable
 
 
-class _NpMatrixOps:
-    @staticmethod
-    def identity(x):
-        return np.eye(x.shape[0], dtype=x.dtype)
-
-    @staticmethod
-    def lincomb(c1, v1, c2, v2):
-        return c1 * v1 + c2 * v2
-
-    @staticmethod
-    def mult(v1, v2):
-        return v1 @ v2
-
-    @staticmethod
-    def ldiv(v1, v2):
-        return mat_lu_solve(v1, v2)
+def _scalar_ldiv(v1, v2):
+    if v1 == 0:
+        raise SingularMatrixError("scalar left-division by zero")
+    return v2 / v1
 
 
-class _MpMatrixOps:
-    @staticmethod
-    def identity(x):
-        return mp.eye(x.rows)
-
-    @staticmethod
-    def lincomb(c1, v1, c2, v2):
-        return v1 * c1 + v2 * c2
-
-    @staticmethod
-    def mult(v1, v2):
-        return v1 * v2
-
-    @staticmethod
-    def ldiv(v1, v2):
-        return mat_lu_solve(v1, v2)
+def _points_identity(x):
+    if x.dtype == object:
+        return np.array([mp.mpf(1)] * len(x), dtype=object)
+    return np.ones(len(x), dtype=x.dtype)
 
 
-class _SeriesOps:
-    @staticmethod
-    def identity(x):
-        return TruncSeries.constant(1, x.nterms)
-
-    @staticmethod
-    def lincomb(c1, v1, c2, v2):
-        return v1.scale(c1) + v2.scale(c2)
-
-    @staticmethod
-    def mult(v1, v2):
-        return v1 * v2
-
-    @staticmethod
-    def ldiv(v1, v2):
-        return v2.divide(v1)
+def _points_ldiv(v1, v2):
+    if v1.dtype == object:
+        out = np.empty(len(v1), dtype=object)
+        for i in range(len(v1)):
+            if v1[i] == 0:
+                raise SingularMatrixError(f"left-division by zero at point index {i}")
+            out[i] = v2[i] / v1[i]
+        return out
+    zero = np.flatnonzero(v1 == 0)
+    if zero.size:
+        raise SingularMatrixError(f"left-division by zero at point index {int(zero[0])}")
+    return v2 / v1
 
 
-def _ops_for(x):
+def _matrix_ldiv(v1, v2):
+    return mat_lu_solve(v1, v2)
+
+
+# Entries look module attributes up at call time (``mat_lu_solve``,
+# ``TruncSeries.__mul__``), so a wrapper installed on them is seen.
+_SCALAR = _Ops(lambda x: mp.mpf(1) if isinstance(x, (mpmath.mpf, mpmath.mpc)) else 1,
+               operator.mul, _scalar_ldiv)
+_POINTS = _Ops(_points_identity, operator.mul, _points_ldiv)
+_NP_MATRIX = _Ops(lambda x: np.eye(x.shape[0], dtype=x.dtype), operator.matmul, _matrix_ldiv)
+_MP_MATRIX = _Ops(lambda x: mp.eye(x.rows), operator.mul, _matrix_ldiv)
+_SERIES = _Ops(lambda x: TruncSeries.constant(1, x.nterms), operator.mul,
+               lambda v1, v2: v2.divide(v1))
+
+
+def _ops_for(x) -> _Ops:
     if is_scalar(x) or isinstance(x, numbers.Number):
-        return _ScalarOps
+        return _SCALAR
     if isinstance(x, np.ndarray):
         if x.ndim == 1:
-            return _VectorOps
+            return _POINTS
         if x.ndim == 2:
             if x.shape[0] != x.shape[1]:
                 raise EvalError("matrix argument must be square")
-            return _NpMatrixOps
+            return _NP_MATRIX
         raise EvalError(f"unsupported array rank {x.ndim}")
     if is_mp_matrix(x):
         if x.rows != x.cols:
             raise EvalError("matrix argument must be square")
-        return _MpMatrixOps
+        return _MP_MATRIX
     if isinstance(x, TruncSeries):
-        return _SeriesOps
+        return _SERIES
     raise EvalError(f"cannot evaluate a graph at a {type(x).__name__}")
 
 
 def _eval_nodes(g, x, input_id, order, keep_all=False):
     """Run the forward pass, returning the slot map.
 
-    With ``keep_all`` false, slots are freed after their last use (the
-    outputs are always retained); results are unaffected.
+    The map holds ``x`` under ``input_id``, the identity under ``"I"``,
+    every output, and, with ``keep_all``, every node of ``order``.  Without
+    ``keep_all``, other slots are freed after their last use; results are
+    unaffected.
     """
     ops = _ops_for(x)
-    slots = {input_id: x}
+    slots = {"I": ops.identity(x), input_id: x}
     last_use: dict[str, int] = {}
     if not keep_all:
         for idx, nid in enumerate(order):
             for p in g.parents[nid]:
                 last_use[p] = idx
-    needed = set(g.outputs) | {input_id}
+    needed = set(g.outputs) | {input_id, "I"}
     for idx, nid in enumerate(order):
         p1, p2 = g.parents[nid]
-        vals = []
-        for p in (p1, p2):
-            if p not in slots:
-                if p == "I":
-                    slots[p] = ops.identity(x)
-                elif p == input_id:
-                    slots[p] = x
-                else:
-                    raise GraphError(f"unresolved parent {p!r} during evaluation")
-            vals.append(slots[p])
-        v1, v2 = vals
+        try:
+            v1, v2 = slots[p1], slots[p2]
+        except KeyError as exc:
+            raise GraphError(f"unresolved parent {exc.args[0]!r} during evaluation") from None
         kind = g.operations[nid]
         try:
             if kind == OpKind.LINCOMB:
                 c1, c2 = g.coeffs[nid]
-                slots[nid] = ops.lincomb(c1, v1, c2, v2)
+                slots[nid] = lincomb(c1, v1, c2, v2)
             elif kind == OpKind.MULT:
                 slots[nid] = ops.mult(v1, v2)
             else:
@@ -220,7 +171,7 @@ def _eval_nodes(g, x, input_id, order, keep_all=False):
             raise SingularMatrixError(str(exc)) from exc
         if not keep_all:
             for p in (p1, p2):
-                if last_use.get(p) == idx and p not in needed and p != "I":
+                if last_use.get(p) == idx and p not in needed:
                     slots.pop(p, None)
     return slots
 
@@ -236,19 +187,11 @@ def eval_graph(g: ComputationGraph, x, input: str | None = None, prec: int | Non
         raise GraphError("graph has no output nodes")
     input_id = input if input is not None else g.input_id
     with _precision_context(g, prec):
-        order = get_topo_order(g)
-        ops = _ops_for(x)
-        slots = _eval_nodes(g, x, input_id, order, keep_all=keep_all)
-        results = []
-        for o in g.outputs:
-            if o in slots:
-                results.append(slots[o])
-            elif o == "I":
-                results.append(ops.identity(x))
-            elif o == input_id:
-                results.append(x)
-            else:
-                raise GraphError(f"output {o!r} was not computed")
+        slots = _eval_nodes(g, x, input_id, get_topo_order(g), keep_all=keep_all)
+    missing = [o for o in g.outputs if o not in slots]
+    if missing:
+        raise GraphError(f"output {missing[0]!r} was not computed")
+    results = [slots[o] for o in g.outputs]
     return results[0] if len(results) == 1 else results
 
 

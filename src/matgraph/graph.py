@@ -225,11 +225,7 @@ class ComputationGraph:
             self.parents[new] = self.parents.pop(old)
             if old in self.coeffs:
                 self.coeffs[new] = self.coeffs.pop(old)
-        self.parents = {
-            nid: (new if p1 == old else p1, new if p2 == old else p2)
-            for nid, (p1, p2) in self.parents.items()
-        }
-        self.outputs = [new if o == old else o for o in self.outputs]
+        _retarget(self, old, new)
         if crefs is not None:
             for i, ref in enumerate(crefs):
                 if ref.node == old:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from mpmath import mp
+from mpmath import libmp, mp
 
 
 class SingularMatrixError(ArithmeticError):
@@ -109,7 +109,7 @@ def _imag_of(x):
 
 
 def convert_scalar(x, ct: CoeffType):
-    """Round a scalar to the given kind (exact rationals round correctly).
+    """Round a scalar to the given kind (exact rationals round to nearest).
 
     Complex-to-real conversion requires an exactly zero imaginary part.
     """
@@ -117,7 +117,8 @@ def convert_scalar(x, ct: CoeffType):
         if ct.prec is None:
             return complex(x) if ct.is_complex else float(x)
         with mp.workprec(ct.prec):
-            v = mp.convert(x)
+            v = mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, ct.prec,
+                                                libmp.round_nearest))
             return mp.mpc(v) if ct.is_complex else v
     if not is_scalar(x):
         raise TypeError(f"not a scalar: {x!r}")

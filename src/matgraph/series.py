@@ -158,14 +158,3 @@ class TruncSeries:
                 return j
         return 0
 
-
-def series_add(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a + b
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a * b
-
-
-def series_compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
-    return outer.compose(inner)

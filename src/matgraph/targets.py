@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from mpmath import mp
 
+from .numerics import FLOAT64, CoeffType, convert_scalar
 from .series import TruncSeries
 
 
@@ -15,48 +18,40 @@ def sqrt1p_target(z):
     return mp.sqrt(1 + z)
 
 
-def series_target(coeffs):
-    """Polynomial target from Taylor coefficients (valid inside their radius)."""
-    coeffs = list(coeffs)
-
-    def f(z):
-        acc = 0 * z
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
-    return f
-
-
 def exp_series(nterms: int) -> TruncSeries:
     return TruncSeries.exp(nterms)
 
 
-def load_series_file(path: str) -> list[float]:
-    """Taylor coefficients, one per line; blank lines and # comments ignored."""
+def load_series_file(path: str) -> list[Fraction]:
+    """Taylor coefficients, one exact decimal per line; blank lines and # comments ignored."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            out.append(float(line))
+            out.append(Fraction(line))
     if not out:
         raise ValueError(f"no coefficients found in {path}")
     return out
 
 
-def get_target(name: str):
-    """Resolve a CLI target name to (callable, series factory or None)."""
+def get_target(name: str, coeff_type: CoeffType = FLOAT64):
+    """Resolve a CLI target name to (callable, series factory or None).
+
+    The coefficients of a ``series:<file>`` target are rounded once to
+    ``coeff_type``; the callable is their truncated Taylor polynomial.
+    """
     if name == "exp":
         return exp_target, exp_series
     if name == "sqrt1p":
         return sqrt1p_target, None
     if name.startswith("series:"):
-        coeffs = load_series_file(name[len("series:"):])
+        coeffs = [convert_scalar(c, coeff_type)
+                  for c in load_series_file(name[len("series:"):])]
 
         def factory(nterms):
             return TruncSeries(coeffs, nterms)
 
-        return series_target(coeffs), factory
+        return TruncSeries(coeffs), factory
     raise ValueError(f"unknown target {name!r}; use exp, sqrt1p, or series:<file>")

@@ -10,7 +10,7 @@ import tempfile
 import numpy as np
 from mpmath import mp
 
-from matgraph import CoeffType, ComputationGraph
+from matgraph import CoeffType, ComputationGraph, get_topo_order
 from matgraph.numerics import as_mp_matrix
 
 
@@ -92,6 +92,47 @@ def random_graph(rng: np.random.Generator, n_nodes: int = 8, allow_ldiv: bool = 
 
 
 _ML_ASSIGN = re.compile(r"^\s*([A-Za-z_]\w*)\s*=\s*(.+);$")
+
+
+def min_peak_exhaustive(g: ComputationGraph) -> int:
+    """Exhaustive minimum peak-buffer count over all topological orders.
+
+    Exponential; intended as a test oracle for small graphs.
+    """
+    wanted = set(get_topo_order(g))
+    parents = {nid: [p for p in g.parents[nid]] for nid in wanted}
+    uses: dict[str, int] = {}
+    for nid, ps in parents.items():
+        for p in set(ps):
+            if p in parents:
+                uses[p] = uses.get(p, 0) + 1
+    keep = set(g.outputs)
+    best = [len(wanted) + 1]
+
+    def rec(scheduled: frozenset, live: frozenset, remaining: dict, peak: int):
+        if peak >= best[0]:
+            return
+        if len(scheduled) == len(wanted):
+            best[0] = peak
+            return
+        for nid in wanted:
+            if nid in scheduled:
+                continue
+            if any(p in parents and p not in scheduled for p in parents[nid]):
+                continue
+            new_live = set(live)
+            new_live.add(nid)
+            new_peak = max(peak, len(new_live))
+            new_rem = dict(remaining)
+            for p in set(parents[nid]):
+                if p in parents:
+                    new_rem[p] -= 1
+                    if new_rem[p] == 0 and p not in keep:
+                        new_live.discard(p)
+            rec(scheduled | {nid}, frozenset(new_live), new_rem, new_peak)
+
+    rec(frozenset(), frozenset(), uses, 0)
+    return best[0]
 
 
 def _ml_factor(tok: str, env):

@@ -1,10 +1,21 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 
-from matgraph import eval_graph, import_compgraph
+from matgraph import (
+    bigfloat,
+    convert_scalar,
+    eval_graph,
+    get_target,
+    import_compgraph,
+    working_precision,
+)
 from matgraph.cli import main
 
 
@@ -260,3 +271,134 @@ class TestConfigAndDeterminism:
                     "--points", "20", "--stoptol", "1e-8", "--maxiter", "6",
                     "--out", str(out)]) == 0
         assert import_compgraph(str(out)).coeff_type.prec == 128
+
+
+class TestUserInput:
+    """Bad values typed by the user end in a usage error, not a traceback."""
+
+    def test_config_precision_takes_flag_type(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("precision=256\n")
+        out = tmp_path / "g.cgr"
+        assert run(["--config", str(cfg), "generate", "--scheme", "monomial",
+                    "--coeffs", "1,1", "--out", str(out)]) == 0
+        assert import_compgraph(str(out)).coeff_type.prec == 256
+
+    def test_config_bad_int_usage_error(self, tmp_path):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("maxiter=abc\n")
+        assert run(["--config", str(cfg), "optimize", str(gfile), "--target", "exp",
+                    "--radius", "0.1", "--out", str(tmp_path / "o.cgr")]) == 2
+
+    def test_bad_coefficient_usage_error(self, tmp_path):
+        assert run(["generate", "--scheme", "monomial", "--coeffs", "1,abc",
+                    "--out", str(tmp_path / "g.cgr")]) == 2
+
+    def test_bad_point_usage_error(self, tmp_path):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])
+        assert run(["eval", str(gfile), "--point", "abc"]) == 2
+
+    @pytest.mark.parametrize("point", ["1e400", "1e200"])
+    def test_non_finite_point_or_value_numerical_error(self, tmp_path, capsys, point):
+        # 1e400 is not finite as a point; 1e200 is, but its square is not
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1,1", "--out", str(gfile)])
+        capsys.readouterr()
+        assert run(["eval", str(gfile), "--point", point]) == 3
+        assert capsys.readouterr().out == ""
+
+
+class TestExactCoefficients:
+    def test_coeffs_rounded_once_at_precision(self, tmp_path):
+        out = tmp_path / "g.cgr"
+        assert run(["generate", "--scheme", "monomial", "--coeffs", "1,0.1",
+                    "--precision", "256", "--out", str(out)]) == 0
+        g = import_compgraph(str(out))
+        assert g.coeffs["P2"][1] == convert_scalar(Fraction(1, 10), bigfloat(256))
+
+    def test_series_target_rounded_once_at_precision(self, tmp_path):
+        sfile = tmp_path / "t.txt"
+        sfile.write_text("# 1 + z/10\n1\n0.1\n")
+        f, factory = get_target(f"series:{sfile}", bigfloat(256))
+        tenth = convert_scalar(Fraction(1, 10), bigfloat(256))
+        assert factory(3).coeffs == [1, tenth, 0, 0]
+        with working_precision(256):
+            assert f(mp.mpf(2)) == 1 + 2 * tenth
+
+
+# -- fuzzing: every argv and config line ends in a documented exit code ---------
+
+_TEXT = st.text(alphabet="0123456789.,-+eEij/ nafxI=#", max_size=10)
+_INT = st.one_of(st.integers(-2, 14).map(str), _TEXT)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["generate", "eval", "convert"]))
+    if command == "generate":
+        argv = ["generate", "--scheme", draw(st.sampled_from(
+            ["monomial", "horner", "ps", "monomial-degopt", "horner-degopt", "ps-degopt",
+             "denman-beavers", "newton-schulz", "exp-pade"]))]
+        if draw(st.booleans()):
+            argv += ["--coeffs", draw(st.one_of(
+                _TEXT, st.lists(st.sampled_from(["1", "0.1", "-2.5e-3", "0", "1/3", "1e400"]),
+                                min_size=1, max_size=6).map(",".join)))]
+        for flag in ("--iters", "--degree", "--squarings"):
+            if draw(st.booleans()):
+                argv += [flag, draw(st.integers(-2, 14).map(str))]
+        if draw(st.booleans()):
+            argv += ["--precision", draw(st.sampled_from(["10", "53", "64", "256"]))]
+        if draw(st.booleans()):
+            argv.append("--compress")
+        argv += ["--out", draw(st.sampled_from(["out.cgr", "missing/out.cgr"]))]
+    elif command == "eval":
+        argv = ["eval", draw(st.sampled_from(["g.cgr", "g256.cgr", "db.cgr", "bad.cgr",
+                                              "none.cgr"]))]
+        if draw(st.booleans()):
+            argv += ["--point", draw(st.one_of(
+                _TEXT, st.sampled_from(["0.5", "1e400", "1e200", "-1", "nan", "inf", "1+2i"])))]
+        else:
+            argv += ["--matrix", draw(st.sampled_from(["A.csv", "Z.csv", "bad.csv", "none.csv"]))]
+        if draw(st.booleans()):
+            argv += ["--input", draw(st.sampled_from(["A", "B", "I"]))]
+    else:
+        argv = ["convert", draw(st.sampled_from(["g.cgr", "bad.cgr", "none.cgr"])), "--type",
+                draw(st.one_of(_TEXT, st.sampled_from(
+                    ["Float64", "ComplexF64", "BigFloat256", "BigFloat10", "Bogus"]))),
+                "--out", draw(st.sampled_from(["out.cgr", "missing/out.cgr"]))]
+    config = draw(st.one_of(st.none(), st.lists(st.one_of(
+        _TEXT,
+        st.tuples(st.sampled_from(["precision", "iters", "degree", "scheme", "point",
+                                   "compress", "type", "bogus", "config", "func"]),
+                  _INT).map("=".join)), max_size=3)))
+    return argv, config
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_argv())
+def test_fuzz_exit_codes(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    if not (tmp_path / "g.cgr").exists():
+        for name, scheme, extra in (("g.cgr", "monomial", ["--coeffs", "1,1,1"]),
+                                    ("g256.cgr", "monomial",
+                                     ["--coeffs", "1,0.1", "--precision", "256"]),
+                                    ("db.cgr", "denman-beavers", ["--iters", "2"])):
+            assert main(["generate", "--scheme", scheme, *extra, "--out", name]) == 0
+        (tmp_path / "bad.cgr").write_text("not a graph\n")
+        (tmp_path / "A.csv").write_text("0.5,0.2\n0.3,0.5\n")
+        (tmp_path / "Z.csv").write_text("0,0\n0,0\n")
+        (tmp_path / "bad.csv").write_text("1,2\n3\n")
+    argv, config = case
+    if config is not None:
+        (tmp_path / "run.cfg").write_text("\n".join(config) + "\n")
+        argv = ["--config", "run.cfg", *argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argv itself
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 2, 3, 4), argv

@@ -18,9 +18,7 @@ from matgraph import (
     graph_ps,
     plan_schedule,
 )
-from matgraph.codegen import _min_peak_exhaustive
-
-from support import compile_and_run_c, random_graph, run_matlab_like
+from support import compile_and_run_c, min_peak_exhaustive, random_graph, run_matlab_like
 
 HAVE_CC = shutil.which("cc") is not None
 
@@ -40,7 +38,7 @@ class TestSchedule:
         compress_graph(g)
         s = plan_schedule(g)
         assert s.peak_buffers <= 2
-        assert s.peak_buffers == _min_peak_exhaustive(g)
+        assert s.peak_buffers == min_peak_exhaustive(g)
 
     def test_squaring_chain_peak_two(self):
         g = ComputationGraph()
@@ -77,12 +75,12 @@ class TestSchedule:
         for _ in range(12):
             g = random_graph(rng, n_nodes=7)
             s = plan_schedule(g)
-            assert s.peak_buffers <= _min_peak_exhaustive(g) + 1
+            assert s.peak_buffers <= min_peak_exhaustive(g) + 1
 
     def test_denman_beavers_vs_exhaustive(self):
         g, _ = graph_denman_beavers(4)
         s = plan_schedule(g)
-        assert s.peak_buffers <= _min_peak_exhaustive(g) + 1
+        assert s.peak_buffers <= min_peak_exhaustive(g) + 1
 
     def test_compress_does_not_increase_peak(self):
         rng = np.random.default_rng(63)

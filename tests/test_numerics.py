@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,10 +47,17 @@ class TestConvertScalar:
             convert_scalar(2 + 1j, CoeffType())
 
     def test_fraction_exact(self):
-        from fractions import Fraction
-
         v = convert_scalar(Fraction(1, 2), bigfloat(64))
         assert v == mp.mpf("0.5")
+
+    @pytest.mark.parametrize("prec", [64, 256, 1024])
+    @pytest.mark.parametrize("frac", [Fraction(1, 10), Fraction(-1, 10), Fraction(2, 3),
+                                      Fraction(-7, 3), Fraction(10 ** 400 + 1, 3 ** 500)])
+    def test_fraction_rounds_to_nearest(self, prec, frac):
+        # exact check: |v - frac| is at most half a unit in the last place of v
+        sign, man, exp, bc = convert_scalar(frac, bigfloat(prec))._mpf_
+        ulp = Fraction(2) ** (exp + bc - prec)
+        assert abs((-1) ** sign * man * Fraction(2) ** exp - frac) <= ulp / 2
 
 
 @settings(max_examples=60, deadline=None)

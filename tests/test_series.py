@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from matgraph.numerics import working_precision
-from matgraph.series import SeriesError, TruncSeries, series_add, series_compose, series_mul
+from matgraph.series import SeriesError, TruncSeries
 
 
 def coeffs_of(s):
@@ -15,40 +15,40 @@ class TestAdd:
     def test_cancellation(self):
         a = TruncSeries([1, 1], 2)
         b = TruncSeries([1, -1], 2)
-        assert coeffs_of(series_add(a, b)) == [2, 0, 0]
+        assert coeffs_of(a + b) == [2, 0, 0]
 
     def test_identity(self):
         e = TruncSeries.exp(5)
         z = TruncSeries.constant(0, 5)
-        assert series_add(e, z) == e
+        assert e + z == e
 
     def test_hand_sum(self):
         # (1 + x + x^2) + (x + x^2) = 1 + 2x + 2x^2
         a = TruncSeries([1, 1, 1])
         b = TruncSeries([0, 1, 1])
-        assert coeffs_of(series_add(a, b)) == [1, 2, 2]
+        assert coeffs_of(a + b) == [1, 2, 2]
 
     def test_padding(self):
         a = TruncSeries([1, 1])
         b = TruncSeries([1, 0, 0, 3])
-        assert coeffs_of(series_add(a, b)) == [2, 1, 0, 3]
+        assert coeffs_of(a + b) == [2, 1, 0, 3]
 
 
 class TestMul:
     def test_difference_of_squares(self):
         a = TruncSeries([1, 1], 2)
         b = TruncSeries([1, -1], 2)
-        assert coeffs_of(series_mul(a, b)) == [1, 0, -1]
+        assert coeffs_of(a * b) == [1, 0, -1]
 
     def test_exp_times_expneg(self):
         with working_precision(256):
-            p = series_mul(TruncSeries.exp(20), TruncSeries.exp_neg(20))
+            p = TruncSeries.exp(20) * TruncSeries.exp_neg(20)
             assert abs(p.coeffs[0] - 1) < mp.mpf("1e-60")
             assert all(abs(c) < mp.mpf("1e-18") for c in p.coeffs[1:])
 
     def test_truncation(self):
         x = TruncSeries.identity(1)
-        assert coeffs_of(series_mul(x, x)) == [0, 0]
+        assert coeffs_of(x * x) == [0, 0]
 
 
 class TestCompose:
@@ -59,9 +59,9 @@ class TestCompose:
             n = 30
             d = 5
             p = TruncSeries([1 / mp.factorial(j) if j <= d else mp.mpf(0) for j in range(n + 1)])
-            r = series_mul(TruncSeries.exp_neg(n), p) - 1
+            r = TruncSeries.exp_neg(n) * p - 1
             r.coeffs[0] = mp.mpf(0)
-            phi = series_compose(TruncSeries.log1p(n), r)
+            phi = TruncSeries.log1p(n).compose(r)
             assert all(abs(c) < mp.mpf("1e-70") for c in phi.coeffs[: d + 1])
             lead = -1 / mp.factorial(d + 1)
             assert abs(phi.coeffs[d + 1] - lead) < abs(lead) * mp.mpf("1e-10")
@@ -69,16 +69,16 @@ class TestCompose:
     def test_identity_composition(self):
         s = TruncSeries([0, 2, 3, 4])
         outer = TruncSeries.identity(3)
-        assert series_compose(outer, s) == s
+        assert outer.compose(s) == s
 
     def test_square_of_x_plus_x2(self):
         outer = TruncSeries([0, 0, 1], 4)
         inner = TruncSeries([0, 1, 1], 4)
-        assert coeffs_of(series_compose(outer, inner)) == [0, 0, 1, 2, 1]
+        assert coeffs_of(outer.compose(inner)) == [0, 0, 1, 2, 1]
 
     def test_nonzero_constant_rejected(self):
         with pytest.raises(SeriesError):
-            series_compose(TruncSeries.identity(3), TruncSeries([1, 1], 3))
+            TruncSeries.identity(3).compose(TruncSeries([1, 1], 3))
 
 
 class TestDivide:
@@ -106,7 +106,7 @@ def test_mul_commutative_exact(a, b):
     n = 6
     sa = TruncSeries([int(x * 8) / 8 for x in a], n)
     sb = TruncSeries([int(x * 8) / 8 for x in b], n)
-    assert series_mul(sa, sb) == series_mul(sb, sa)
+    assert sa * sb == sb * sa
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,8 +117,8 @@ def test_mul_associative_exact(a, b, c):
     sa = TruncSeries([int(x * 4) for x in a], n)
     sb = TruncSeries([int(x * 4) for x in b], n)
     sc = TruncSeries([int(x * 4) for x in c], n)
-    left = series_mul(series_mul(sa, sb), sc)
-    right = series_mul(sa, series_mul(sb, sc))
+    left = (sa * sb) * sc
+    right = sa * (sb * sc)
     assert left == right
 
 
