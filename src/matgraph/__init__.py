@@ -17,8 +17,8 @@ from .degopt import (
     Degopt,
     DegoptError,
     YksCoeffs,
-    degopt_coeffs,
     degopt_degree,
+    degopt_from_graph,
     embed_degopt,
     graph_degopt,
     graph_horner,
@@ -27,7 +27,6 @@ from .degopt import (
     graph_monomial_degopt,
     graph_ps,
     graph_ps_degopt,
-    pade_exp_coeffs,
     ps_block_size,
     yks_to_degopt,
 )
@@ -49,6 +48,7 @@ from .generators import (
     graph_newton_schulz,
     graph_newton_schulz_degopt,
     graph_rational,
+    pade_exp_coeffs,
     pade_squarings_for_norm,
 )
 from .graph import (

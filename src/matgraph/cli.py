@@ -21,7 +21,6 @@ import cmath
 import json
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .generators import (
     graph_newton_schulz,
 )
 from .graph import ComputationGraph, GraphError, OpKind, compress_graph, convert_precision
-from .numerics import CoeffType, convert_scalar
+from .numerics import CoeffType, convert_scalar, exact_decimal
 from .optimizer import (
     Discretization,
     ErrType,
@@ -142,21 +141,23 @@ def cmd_generate(args) -> int:
         "horner-degopt": graph_horner_degopt,
         "ps-degopt": graph_ps_degopt,
     }
-    if scheme in needs_coeffs:
-        if not args.coeffs:
-            raise CliError(f"--coeffs is required for scheme {scheme}", USAGE_ERROR)
-        # exact decimal parse, then one rounding to the coefficient kind
-        coeffs = [_parse(lambda t: convert_scalar(Fraction(t), ct), tok, "coefficient")
-                  for tok in args.coeffs.split(",")]
-        g, _ = needs_coeffs[scheme](coeffs, ct)
-    elif scheme == "denman-beavers":
-        g, _ = graph_denman_beavers(args.iters, ct)
-    elif scheme == "newton-schulz":
-        g, _ = graph_newton_schulz(args.iters, ct)
-    elif scheme == "exp-pade":
-        g, _ = graph_exp_pade_ss(args.degree, args.squarings, ct)
-    else:
-        raise CliError(f"unknown scheme {scheme!r}", USAGE_ERROR)
+    if scheme in needs_coeffs and not args.coeffs:
+        raise CliError(f"--coeffs is required for scheme {scheme}", USAGE_ERROR)
+    try:
+        if scheme in needs_coeffs:
+            # exact decimal parse, then one rounding to the coefficient kind
+            coeffs = [_parse(lambda t: convert_scalar(exact_decimal(t), ct), tok, "coefficient")
+                      for tok in args.coeffs.split(",")]
+            g, _ = needs_coeffs[scheme](coeffs, ct)
+        elif scheme == "denman-beavers":
+            g, _ = graph_denman_beavers(args.iters, ct)
+        elif scheme == "newton-schulz":
+            g, _ = graph_newton_schulz(args.iters, ct)
+        else:
+            g, _ = graph_exp_pade_ss(args.degree, args.squarings, ct)
+    except GraphError as exc:
+        # the generators refuse degrees, squarings and iteration counts they lack
+        raise CliError(str(exc), USAGE_ERROR) from exc
     if args.compress:
         compress_graph(g)
     export_compgraph(g, args.out)
@@ -301,8 +302,8 @@ def cmd_codegen(args) -> int:
 
 def cmd_convert(args) -> int:
     g = _load_graph(args.graph)
+    ct = _parse(CoeffType.from_tag, args.type, "coefficient type")
     try:
-        ct = CoeffType.from_tag(args.type)
         g2 = convert_precision(g, ct)
     except ValueError as exc:
         raise CliError(str(exc), NUMERICAL_ERROR) from exc

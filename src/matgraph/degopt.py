@@ -18,12 +18,11 @@ parameters.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .evaluation import eval_graph_poly
-from .graph import CoeffRef, ComputationGraph, OpKind
-from .numerics import CoeffType, is_scalar
+from .graph import IDENTITY_ID, CoeffRef, ComputationGraph, OpKind, get_topo_order
+from .numerics import CoeffType, convert_scalar, is_scalar, working_precision
 
 
 class DegoptError(ValueError):
@@ -127,20 +126,43 @@ def graph_degopt(d: Degopt, coeff_type: CoeffType = CoeffType(),
     return g, refs_a + refs_b + refs_y
 
 
-def degopt_coeffs(g: ComputationGraph, refs: list[CoeffRef], m: int) -> Degopt:
-    """Read a Degopt back out of a graph built by :func:`graph_degopt`."""
-    vals = g.get_coeffs(refs)
-    HA, HB = [], []
-    i = 0
-    for k in range(1, m + 1):
-        HA.append(vals[i:i + k + 1])
-        i += k + 1
-    for k in range(1, m + 1):
-        HB.append(vals[i:i + k + 1])
-        i += k + 1
-    y = vals[i:]
-    row_ops = [g.operations[f"B{k + 2}"] for k in range(1, m + 1)]
-    return Degopt(HA, HB, y, row_ops=row_ops)
+def degopt_from_graph(g: ComputationGraph) -> Degopt:
+    """Read a single-output graph as a degree-optimal form.
+
+    Each product (mult or ldiv), in :func:`get_topo_order`, becomes one row:
+    its operands written as linear combinations of I, A and the earlier
+    products.  y is the output written the same way.  Coefficient products
+    are formed at the graph's coefficient precision.
+    """
+    if len(g.outputs) != 1:
+        raise DegoptError("need a graph with exactly one output")
+    one = convert_scalar(1, g.coeff_type)
+    zero = convert_scalar(0, g.coeff_type)
+    # node -> {basis index: coefficient}; basis is I, A, then the products
+    expansion = {IDENTITY_ID: {0: one}, g.input_id: {1: one}}
+    HA, HB, row_ops = [], [], []
+
+    def row(nid, n):
+        return [expansion[nid].get(j, zero) for j in range(n)]
+
+    with working_precision(g.coeff_type.prec):
+        for nid in get_topo_order(g):
+            p1, p2 = g.parents[nid]
+            if g.operations[nid] == OpKind.LINCOMB:
+                c1, c2 = g.coeffs[nid]
+                e = {j: v * c1 for j, v in expansion[p1].items()}
+                for j, v in expansion[p2].items():
+                    e[j] = e[j] + v * c2 if j in e else v * c2
+                expansion[nid] = e
+            else:
+                n = len(HA) + 2
+                HA.append(row(p1, n))
+                HB.append(row(p2, n))
+                row_ops.append(g.operations[nid])
+                expansion[nid] = {n: one}
+    if not HA:
+        raise DegoptError("graph has no product")
+    return Degopt(HA, HB, row(g.outputs[0], len(HA) + 2), row_ops=row_ops)
 
 
 def degopt_degree(d: Degopt, prec: int = 256) -> int:
@@ -309,236 +331,26 @@ def graph_ps(coeffs, coeff_type: CoeffType = CoeffType(),
 
 
 # ---------------------------------------------------------------------------
-# embeddings into degree-optimal form
+# embeddings into degree-optimal form: each scheme's own graph, read back
 
 
-def _zeros(n):
-    return [0.0] * n
+def _scheme_graph(scheme: str, coeffs, params, coeff_type: CoeffType) -> ComputationGraph:
+    # generators imports this module, so its schemes are looked up here
+    from .generators import graph_exp_pade_ss, graph_newton_schulz
 
-
-def _embed_monomial(c):
-    d = len(c) - 1
-    m = max(d - 1, 1)
-    HA, HB = [], []
-    for k in range(1, m + 1):
-        ra = _zeros(k + 1)
-        ra[k] = 1.0
-        rb = _zeros(k + 1)
-        rb[1] = 1.0
-        HA.append(ra)
-        HB.append(rb)
-    y = list(c) + _zeros(m + 2 - len(c))
-    return Degopt(HA, HB, y)
-
-
-def _embed_horner(c):
-    d = len(c) - 1
-    if d < 2:
-        return _embed_monomial(c)
-    m = d - 1
-    HA, HB = [], []
-    for k in range(1, m + 1):
-        ra = _zeros(k + 1)
-        ra[0] = c[d - k]
-        if k == 1:
-            ra[1] = c[d]
-        else:
-            ra[k] = 1.0
-        rb = _zeros(k + 1)
-        rb[1] = 1.0
-        HA.append(ra)
-        HB.append(rb)
-    y = _zeros(m + 2)
-    y[0] = c[0]
-    y[m + 1] = 1.0
-    return Degopt(HA, HB, y)
-
-
-def _embed_ps(c):
-    d = len(c) - 1
-    if d < 2:
-        return _embed_monomial(c)
-    s = ps_block_size(d)
-    blocks = _ps_blocks(c, s)
-    K = len(blocks) - 1
-    if K == 0:
-        return _embed_monomial(c)
-    m = (s - 1) + K
-    HA, HB = [], []
-    for k in range(1, s):
-        ra = _zeros(k + 1)
-        ra[k] = 1.0
-        rb = _zeros(k + 1)
-        rb[1] = 1.0
-        HA.append(ra)
-        HB.append(rb)
-    # product rows, top block first; B_{s+1} holds x^s
-    for i, k in enumerate(range(K, 0, -1)):
-        row = s + i
-        ra = _zeros(row + 1)
-        ra[s] = 1.0
-        rb = _zeros(row + 1)
-        blk = blocks[k]
-        for j, cj in enumerate(blk):
-            rb[j] = cj
-        if i > 0:
-            rb[row] = 1.0  # accumulated tail from the previous product
-        HA.append(ra)
-        HB.append(rb)
-    y = _zeros(m + 2)
-    for j, cj in enumerate(blocks[0]):
-        y[j] = cj
-    y[m + 1] = 1.0
-    return Degopt(HA, HB, y)
-
-
-def _embed_newton_schulz(iters):
-    if iters < 1:
-        raise DegoptError("need at least one iteration")
-    m = 2 * iters
-    HA, HB = [], []
-    # A*X0 with X0 = A
-    HA.append([0.0, 1.0])
-    HB.append([0.0, 1.0])
-    HA.append([0.0, 1.0, 0.0])
-    HB.append([2.0, 0.0, -1.0])
-    for i in range(2, iters + 1):
-        k = 2 * i - 1  # row computing A*X_{i-1}; X_{i-1} sits in B_{2i}
-        ra = _zeros(k + 1)
-        ra[1] = 1.0
-        rb = _zeros(k + 1)
-        rb[k] = 1.0
-        HA.append(ra)
-        HB.append(rb)
-        ra = _zeros(k + 2)
-        ra[k] = 1.0
-        rb = _zeros(k + 2)
-        rb[0] = 2.0
-        rb[k + 1] = -1.0
-        HA.append(ra)
-        HB.append(rb)
-    y = _zeros(m + 2)
-    y[m + 1] = 1.0
-    return Degopt(HA, HB, y)
-
-
-def pade_exp_coeffs(degree: int, exact: bool = False):
-    """Numerator coefficients of the diagonal Pade approximant to exp.
-
-    b_j = (2m-j)! m! / ((2m)! j! (m-j)!); the denominator has the same
-    coefficients with alternating signs.
-    """
-    from fractions import Fraction
-
-    mdeg = degree
-    out = []
-    for j in range(mdeg + 1):
-        v = Fraction(
-            math.factorial(2 * mdeg - j) * math.factorial(mdeg),
-            math.factorial(2 * mdeg) * math.factorial(j) * math.factorial(mdeg - j),
-        )
-        out.append(v if exact else float(v))
-    return out
-
-
-_PADE_POWER_PLAN = {
-    # degree -> (power rows, U row composition); powers are x^2, x^4, ...
-    3: 1,
-    5: 2,
-    7: 3,
-    9: 4,
-    13: 3,
-}
-
-
-def _embed_exp_pade(degree: int, squarings: int):
-    if degree not in _PADE_POWER_PLAN:
-        raise DegoptError(f"unsupported diagonal degree {degree}; pick one of 3, 5, 7, 9, 13")
-    if squarings < 0:
-        raise DegoptError("squarings must be nonnegative")
-    b = pade_exp_coeffs(degree, exact=True)
-    HA, HB = [], []
-    rows_ops = []
-
-    def add_row(ra, rb, op=OpKind.MULT):
-        HA.append(ra)
-        HB.append(rb)
-        rows_ops.append(op)
-
-    npow = _PADE_POWER_PLAN[degree]
-    # B3 = x^2, B4 = x^4, ..., even powers by repeated multiplication with B3
-    add_row([0.0, 1.0], [0.0, 1.0])
-    for k in range(2, npow + 1):
-        ra = _zeros(k + 1)
-        ra[2] = 1.0
-        rb = _zeros(k + 1)
-        rb[k] = 1.0
-        add_row(ra, rb)
-    # power j lives in B_{j+2}: x^{2j} = B_{j+2}
-    pw = {2 * j: j + 1 for j in range(1, npow + 1)}  # power -> B index (0-based in B list)
-    if degree != 13:
-        row = npow + 1
-        rb = _zeros(row + 1)
-        rb[0] = b[1]
-        for j in range(1, (degree - 1) // 2 + 1):
-            rb[pw[2 * j]] = b[2 * j + 1]
-        ra = _zeros(row + 1)
-        ra[1] = 1.0
-        add_row(ra, rb)  # U = x * (odd part)
-        u_idx = row + 1
-        vvec = _zeros(row + 2)
-        vvec[0] = b[0]
-        for j in range(1, degree // 2 + 1):
-            vvec[pw[2 * j]] = b[2 * j]
-        ra = list(vvec)
-        ra[u_idx] = -1.0
-        rb = list(vvec)
-        rb[u_idx] = 1.0
-        add_row(ra, rb, OpKind.LDIV)  # (V-U) \ (V+U)
-        m_core = row + 1
-    else:
-        # W1 = x^6*(b9 x^2 + b11 x^4 + b13 x^6), U = x*(b1 + b3 x^2 + b5 x^4 + b7 x^6 + W1)
-        ra = _zeros(5)
-        ra[4] = 1.0
-        rb = _zeros(5)
-        rb[2], rb[3], rb[4] = b[9], b[11], b[13]
-        add_row(ra, rb)
-        ra = _zeros(6)
-        ra[1] = 1.0
-        rb = _zeros(6)
-        rb[0], rb[2], rb[3], rb[4], rb[5] = b[1], b[3], b[5], b[7], 1.0
-        add_row(ra, rb)
-        ra = _zeros(7)
-        ra[4] = 1.0
-        rb = _zeros(7)
-        rb[2], rb[3], rb[4] = b[8], b[10], b[12]
-        add_row(ra, rb)  # W2
-        vvec = _zeros(8)
-        vvec[0], vvec[2], vvec[3], vvec[4], vvec[7] = b[0], b[2], b[4], b[6], 1.0
-        ra = list(vvec)
-        ra[6] = -1.0
-        rb = list(vvec)
-        rb[6] = 1.0
-        add_row(ra, rb, OpKind.LDIV)
-        m_core = 7
-    for k in range(squarings):
-        row = m_core + k
-        ra = _zeros(row + 2)
-        ra[row + 1] = 1.0
-        add_row(ra, list(ra))
-    m = m_core + squarings
-    y = _zeros(m + 2)
-    y[m + 1] = 1.0
-    if squarings:
-        # the recursion starts from B2 = A, so r(A/2^s) enters through the
-        # input-column coefficients
-        scale = Fraction(1, 2 ** squarings)
-        for row in HA:
-            row[1] = row[1] * scale
-        for row in HB:
-            row[1] = row[1] * scale
-    d = Degopt(HA, HB, y, row_ops=rows_ops)
-    return d
+    if scheme in ("monomial", "horner", "ps"):
+        c = _as_coeff_list(coeffs)
+        if len(c) < 3:
+            # below degree 2 every scheme embeds as one A*A row, y = [c0, c1, 0]
+            scheme, c = "monomial", c + [0.0] * (3 - len(c))
+        build = {"monomial": graph_monomial, "horner": graph_horner, "ps": graph_ps}[scheme]
+        return build(c, coeff_type)[0]
+    if scheme == "newton_schulz":
+        return graph_newton_schulz(int(params.get("iters", coeffs)), coeff_type)[0]
+    if scheme == "native_exp":
+        degree = params.get("degree", 13 if coeffs is None else coeffs)
+        return graph_exp_pade_ss(int(degree), int(params.get("squarings", 0)), coeff_type)[0]
+    raise DegoptError(f"unknown scheme {scheme!r}")
 
 
 def embed_degopt(scheme: str, coeffs=None, **params) -> Degopt:
@@ -546,30 +358,27 @@ def embed_degopt(scheme: str, coeffs=None, **params) -> Degopt:
 
     Schemes: ``monomial``, ``horner``, ``ps`` (each takes the monomial
     coefficient list), ``newton_schulz`` (``iters=``), and ``native_exp``
-    (``degree=``, ``squarings=``; uses left-division rows).
+    (``degree=``, ``squarings=``; uses left-division rows).  The scheme's
+    graph is built with binary64 coefficients and read by
+    :func:`degopt_from_graph`; the ``graph_*_degopt`` builders take any
+    coefficient kind.
     """
-    if scheme in ("monomial", "horner", "ps"):
-        c = _as_coeff_list(coeffs)
-        return {"monomial": _embed_monomial, "horner": _embed_horner, "ps": _embed_ps}[scheme](c)
-    if scheme == "newton_schulz":
-        iters = params.get("iters", coeffs)
-        return _embed_newton_schulz(int(iters))
-    if scheme == "native_exp":
-        degree = params.get("degree", 13 if coeffs is None else coeffs)
-        return _embed_exp_pade(int(degree), int(params.get("squarings", 0)))
-    raise DegoptError(f"unknown scheme {scheme!r}")
+    return degopt_from_graph(_scheme_graph(scheme, coeffs, params, CoeffType()))
 
 
 def graph_monomial_degopt(coeffs, coeff_type: CoeffType = CoeffType()):
-    return graph_degopt(embed_degopt("monomial", coeffs), coeff_type)
+    g = _scheme_graph("monomial", coeffs, {}, coeff_type)
+    return graph_degopt(degopt_from_graph(g), coeff_type)
 
 
 def graph_horner_degopt(coeffs, coeff_type: CoeffType = CoeffType()):
-    return graph_degopt(embed_degopt("horner", coeffs), coeff_type)
+    g = _scheme_graph("horner", coeffs, {}, coeff_type)
+    return graph_degopt(degopt_from_graph(g), coeff_type)
 
 
 def graph_ps_degopt(coeffs, coeff_type: CoeffType = CoeffType()):
-    return graph_degopt(embed_degopt("ps", coeffs), coeff_type)
+    g = _scheme_graph("ps", coeffs, {}, coeff_type)
+    return graph_degopt(degopt_from_graph(g), coeff_type)
 
 
 # ---------------------------------------------------------------------------
@@ -602,46 +411,39 @@ class YksCoeffs:
         if len(self.f) != s + 1:
             raise DegoptError(f"f must have length s+1 = {s + 1}")
 
-    def eval_direct(self, x):
-        """Reference evaluation of the recursion, for oracle checks."""
-        w = x ** self.s * sum(self.c[j] * x ** (j + 1) for j in range(self.s))
-        left = sum(self.d[j] * x ** (j + 1) for j in range(self.s)) + w
-        right = sum(self.e[j] * x ** (j + 2) for j in range(self.s - 1)) + w
-        return left * right + self.e0 * w + sum(self.f[j] * x ** j for j in range(self.s + 1))
-
 
 def yks_to_degopt(spec: YksCoeffs) -> Degopt:
     """Convert a y_ks coefficient bundle to degree-optimal form."""
     s = spec.s
     HA, HB = [], []
     for k in range(1, s):
-        ra = _zeros(k + 1)
+        ra = [0.0] * (k + 1)
         ra[k] = 1.0
-        rb = _zeros(k + 1)
+        rb = [0.0] * (k + 1)
         rb[1] = 1.0
         HA.append(ra)
         HB.append(rb)
     # row s: w = x^s * (c[0] x + ... + c[s-1] x^s); B_{j+1} holds x^j
-    ra = _zeros(s + 1)
+    ra = [0.0] * (s + 1)
     ra[s] = 1.0
-    rb = _zeros(s + 1)
+    rb = [0.0] * (s + 1)
     for j in range(s):
         rb[j + 1] = spec.c[j]
     HA.append(ra)
     HB.append(rb)
     # row s+1: (d-part + w) * (e-part + w)
-    ra = _zeros(s + 2)
+    ra = [0.0] * (s + 2)
     for j in range(s):
         ra[j + 1] = spec.d[j]
     ra[s + 1] = 1.0
-    rb = _zeros(s + 2)
+    rb = [0.0] * (s + 2)
     for j in range(s - 1):
         rb[j + 2] = spec.e[j]
     rb[s + 1] = 1.0
     HA.append(ra)
     HB.append(rb)
     m = s + 1
-    y = _zeros(m + 2)
+    y = [0.0] * (m + 2)
     for j in range(s + 1):
         y[j] = spec.f[j]
     y[s + 1] = spec.e0

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from .degopt import embed_degopt, graph_degopt, pade_exp_coeffs
+import math
+from fractions import Fraction
+
+from .degopt import degopt_from_graph, graph_degopt
 from .graph import CoeffRef, ComputationGraph, GraphError, OpKind, merge_graph
 from .numerics import CoeffType
 
@@ -57,7 +60,24 @@ def graph_newton_schulz(iters: int, coeff_type: CoeffType = CoeffType()):
 
 
 def graph_newton_schulz_degopt(iters: int, coeff_type: CoeffType = CoeffType()):
-    return graph_degopt(embed_degopt("newton_schulz", iters=iters), coeff_type)
+    g, _ = graph_newton_schulz(iters, coeff_type)
+    return graph_degopt(degopt_from_graph(g), coeff_type)
+
+
+def pade_exp_coeffs(degree: int, exact: bool = False):
+    """Numerator coefficients of the diagonal Pade approximant to exp.
+
+    b_j = (2m-j)! m! / ((2m)! j! (m-j)!) for m = ``degree``; the denominator
+    has the same coefficients with alternating signs.
+    """
+    out = []
+    for j in range(degree + 1):
+        v = Fraction(
+            math.factorial(2 * degree - j) * math.factorial(degree),
+            math.factorial(2 * degree) * math.factorial(j) * math.factorial(degree - j),
+        )
+        out.append(v if exact else float(v))
+    return out
 
 
 def graph_exp_pade_ss(degree: int, squarings: int = 0,
@@ -129,8 +149,8 @@ def graph_exp_pade_ss(degree: int, squarings: int = 0,
 
 def graph_exp_pade_ss_degopt(degree: int, squarings: int = 0,
                              coeff_type: CoeffType = CoeffType()):
-    return graph_degopt(embed_degopt("native_exp", degree=degree, squarings=squarings),
-                        coeff_type)
+    g, _ = graph_exp_pade_ss(degree, squarings, coeff_type)
+    return graph_degopt(degopt_from_graph(g), coeff_type)
 
 
 def pade_squarings_for_norm(norm_bound: float, degree: int = 13) -> int:

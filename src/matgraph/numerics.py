@@ -100,6 +100,19 @@ def working_precision(prec: int | None):
     return mp.workprec(prec)
 
 
+#: bound on the decimal exponent of :func:`exact_decimal`, far outside any
+#: coefficient this package uses; the exact value of 1e<n> costs time in n
+MAX_DECIMAL_EXPONENT = 10_000
+
+
+def exact_decimal(text: str) -> Fraction:
+    """Exact value of a decimal or ``p/q`` literal (``ValueError`` if malformed)."""
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
+    return Fraction(text)
+
+
 def is_scalar(x) -> bool:
     return isinstance(x, SCALAR_TYPES)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .numerics import FLOAT64, CoeffType, convert_scalar
+from .numerics import FLOAT64, CoeffType, convert_scalar, exact_decimal
 from .series import TruncSeries
 
 
@@ -30,7 +30,7 @@ def load_series_file(path: str) -> list[Fraction]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            out.append(Fraction(line))
+            out.append(exact_decimal(line))
     if not out:
         raise ValueError(f"no coefficients found in {path}")
     return out

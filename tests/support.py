@@ -87,6 +87,14 @@ def random_graph(rng: np.random.Generator, n_nodes: int = 8, allow_ldiv: bool = 
     return g
 
 
+def yks_eval_direct(spec, x):
+    """Reference evaluation of the y_ks recursion of a ``YksCoeffs`` bundle at ``x``."""
+    w = x ** spec.s * sum(spec.c[j] * x ** (j + 1) for j in range(spec.s))
+    left = sum(spec.d[j] * x ** (j + 1) for j in range(spec.s)) + w
+    right = sum(spec.e[j] * x ** (j + 2) for j in range(spec.s - 1)) + w
+    return left * right + spec.e0 * w + sum(spec.f[j] * x ** j for j in range(spec.s + 1))
+
+
 # ---------------------------------------------------------------------------
 # replay interpreter for emitted MATLAB sources
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -301,6 +302,29 @@ class TestUserInput:
         run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])
         assert run(["eval", str(gfile), "--point", "abc"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--scheme", "exp-pade", "--degree", "4"],
+        ["--scheme", "exp-pade", "--degree", "0"],
+        ["--scheme", "exp-pade", "--squarings", "-1"],
+        ["--scheme", "denman-beavers", "--iters", "0"],
+        ["--scheme", "newton-schulz", "--iters", "0"],
+    ])
+    def test_generator_argument_usage_error(self, tmp_path, args):
+        assert run(["generate", *args, "--out", str(tmp_path / "g.cgr")]) == 2
+
+    def test_unknown_type_tag_usage_error(self, tmp_path):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])
+        assert run(["convert", str(gfile), "--type", "Bogus",
+                    "--out", str(tmp_path / "o.cgr")]) == 2
+
+    def test_huge_decimal_exponent_rejected_quickly(self, tmp_path):
+        # building the exact value of 1e3000000 would take seconds
+        t0 = time.perf_counter()
+        assert run(["generate", "--scheme", "monomial", "--coeffs", "1,1e3000000",
+                    "--out", str(tmp_path / "g.cgr")]) == 2
+        assert time.perf_counter() - t0 < 0.2
+
     @pytest.mark.parametrize("point", ["1e400", "1e200"])
     def test_non_finite_point_or_value_numerical_error(self, tmp_path, capsys, point):
         # 1e400 is not finite as a point; 1e200 is, but its square is not
@@ -327,6 +351,16 @@ class TestExactCoefficients:
         assert factory(3).coeffs == [1, tenth, 0, 0]
         with working_precision(256):
             assert f(mp.mpf(2)) == 1 + 2 * tenth
+
+    def test_series_target_huge_exponent_usage_error(self, tmp_path):
+        sfile = tmp_path / "t.txt"
+        sfile.write_text("1\n1e-3000000\n")
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])
+        t0 = time.perf_counter()
+        assert run(["optimize", str(gfile), "--target", f"series:{sfile}", "--radius", "0.5",
+                    "--precision", "53", "--out", str(tmp_path / "o.cgr")]) == 2
+        assert time.perf_counter() - t0 < 0.2
 
 
 # -- fuzzing: every argv and config line ends in a documented exit code ---------

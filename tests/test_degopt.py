@@ -5,22 +5,29 @@ import pytest
 from mpmath import mp
 
 from matgraph import (
+    ComputationGraph,
     Degopt,
     DegoptError,
     OpKind,
     YksCoeffs,
-    degopt_coeffs,
+    bigfloat,
+    convert_scalar,
     degopt_degree,
+    degopt_from_graph,
     embed_degopt,
     eval_graph,
     graph_degopt,
+    graph_exp_pade_ss_degopt,
     graph_horner,
     graph_monomial,
     graph_ps,
+    pade_exp_coeffs,
     yks_to_degopt,
 )
 from matgraph.degopt import ps_block_size
 from matgraph.numerics import working_precision
+
+from support import yks_eval_direct
 
 
 def unit_circle(n, rng=None):
@@ -71,9 +78,8 @@ class TestGraphDegopt:
         HB = [list(rng.uniform(-1, 1, k + 2)) for k in range(m)]
         y = list(rng.uniform(-1, 1, m + 2))
         d = Degopt(HA, HB, y)
-        g, cref = graph_degopt(d)
-        back = degopt_coeffs(g, cref, m)
-        assert back == d
+        g, _ = graph_degopt(d)
+        assert degopt_from_graph(g) == d
 
     def test_set_coeffs_then_eval(self):
         c = [1.0, 2.0, 3.0]
@@ -196,8 +202,10 @@ class TestEmbeddings:
         c = [1.0 / math.factorial(j) for j in range(12)]
         d = embed_degopt("ps", c)
         assert d.m == 5
-        assert d.HB[3][:5] == [c[8], c[9], c[10], c[11], 0.0]
-        assert d.HB[4][:6] == [c[4], c[5], c[6], c[7], 0.0, 1.0]
+        # graph_ps multiplies block-on-the-left, C_k = acc * x^4, so the blocks sit in HA
+        assert d.HA[3][:5] == [c[8], c[9], c[10], c[11], 0.0]
+        assert d.HA[4][:6] == [c[4], c[5], c[6], c[7], 0.0, 1.0]
+        assert d.HB[3][:5] == d.HB[4][:5] == [0.0, 0.0, 0.0, 0.0, 1.0]
         assert d.y == [c[0], c[1], c[2], c[3], 0.0, 0.0, 1.0]
 
     @pytest.mark.parametrize("scheme", ["monomial", "horner", "ps"])
@@ -216,6 +224,67 @@ class TestEmbeddings:
         # embedding fixes row 1 to [0 1 | 0 1] by construction
         d = embed_degopt("monomial", [1.0, 2.0, 3.0, 4.0])
         assert d.HA[0][:2] == [0.0, 1.0] and d.HB[0][:2] == [0.0, 1.0]
+
+
+class TestDegoptFromGraph:
+    def test_native_exp_layout_degree13_one_squaring(self):
+        b = pade_exp_coeffs(13)
+        d = embed_degopt("native_exp", degree=13, squarings=1)
+        # A2, A4, A6, W1, U, W2, then (V-U) \ (V+U), then one squaring
+        assert d.m == 8
+        assert d.row_ops == [OpKind.MULT] * 6 + [OpKind.LDIV, OpKind.MULT]
+        # basis: I, A, A2, A4, A6, W1, U, W2, R0; V = b0 I + b2 A2 + b4 A4 + b6 A6 + W2
+        v = [b[0], 0.0, b[2], b[4], b[6], 0.0, 0.0, 1.0, 0.0]
+        assert d.HA[6] == v[:6] + [-1.0] + v[7:]
+        assert d.HB[6] == v[:6] + [1.0] + v[7:]
+        # A/2 enters only through the input column of A2 = (A/2)^2 and U = (A/2) * Us
+        assert [row[1] for row in d.HA] == [0.5, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0]
+        assert [row[1] for row in d.HB] == [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert d.HB[4][:6] == [b[1], 0.0, b[3], b[5], b[7], 1.0]
+        assert d.HA[7] == d.HB[7] == [0.0] * 8 + [1.0]
+        assert d.y == [0.0] * 9 + [1.0]
+
+    def test_newton_schulz_layout_two_iterations(self):
+        d = embed_degopt("newton_schulz", iters=2)
+        # W1 = A*A, X1 = A*(2I - W1), W2 = A*X1, X2 = X1*(2I - W2)
+        assert d.HA == [[0, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0]]
+        assert d.HB == [[0, 1, 0, 0, 0], [2, 0, -1, 0, 0], [0, 0, 0, 1, 0], [2, 0, 0, 0, -1]]
+        assert d.y == [0, 0, 0, 0, 0, 1]
+        assert d.variant == "mult"
+
+    def test_products_formed_at_coefficient_precision(self):
+        # row 3 is U = A * (b1 I + b3 A^2 + b5 A^4); b1 = 1/2 is exact at any
+        # precision, b3 = 1/72 and b5 = 1/30240 are not
+        b = pade_exp_coeffs(5, exact=True)
+        ct = bigfloat(256)
+        g, _ = graph_exp_pade_ss_degopt(5, 0, ct)
+        got = g.get_coeffs([("Bb3_sum1", 1), ("Bb3_sum2", 2), ("Bb3", 2)])
+        assert got == [convert_scalar(b[j], ct) for j in (1, 3, 5)]
+
+    def test_two_outputs_rejected(self):
+        g = ComputationGraph()
+        g.add_mult("P", "A", "A")
+        g.add_lincomb("Q", 1.0, "P", 1.0, "I")
+        g.set_outputs(["P", "Q"])
+        with pytest.raises(DegoptError):
+            degopt_from_graph(g)
+
+    def test_no_product_rejected(self):
+        g = ComputationGraph()
+        g.add_lincomb("P", 1.0, "I", 2.0, "A")
+        g.set_outputs(["P"])
+        with pytest.raises(DegoptError):
+            degopt_from_graph(g)
+
+    def test_round_trip_mixed_rows(self):
+        rng = np.random.default_rng(17)
+        for m in (1, 2, 3, 5):
+            HA = [list(rng.uniform(-1, 1, k + 2)) for k in range(m)]
+            HB = [list(rng.uniform(-1, 1, k + 2)) for k in range(m)]
+            y = list(rng.uniform(-1, 1, m + 2))
+            ops = [OpKind.MULT if k % 2 == 0 else OpKind.LDIV for k in range(m)]
+            d = Degopt(HA, HB, y, row_ops=ops)
+            assert degopt_from_graph(graph_degopt(d)[0]) == d
 
 
 class TestDegree:
@@ -256,7 +325,7 @@ class TestYks:
             u = 2.0 ** -53
             for z in rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50):
                 a = eval_graph(g, complex(z))
-                b = spec.eval_direct(complex(z))
+                b = yks_eval_direct(spec, complex(z))
                 assert abs(a - b) <= 100 * u * (1 + abs(b))
 
     def test_s3_layout_mask(self):

@@ -18,9 +18,9 @@ from matgraph import (
     graph_newton_schulz_degopt,
     graph_ps,
     graph_rational,
+    pade_exp_coeffs,
     pade_squarings_for_norm,
 )
-from matgraph.degopt import pade_exp_coeffs
 
 from support import taylor_exp_mp
 
