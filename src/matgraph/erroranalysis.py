@@ -78,11 +78,28 @@ def _bisect_max_below(bound, u, lo, hi, prec):
     return lo
 
 
-def _certify(bound, theta, u):
+def _radius(bound, u, kind: ThetaKind, nterms: int, prec: int) -> ThetaResult:
+    """Largest theta with bound(theta) <= u for an increasing bound, certified.
+
+    Halves from 2^-20 until the bound passes, doubles until it fails (or
+    saturates past the search cap), bisects, and checks the bracketing
+    pair: theta passes and theta*(1+1e-6) fails.
+    """
+    lo = _BRACKET_LO
+    while bound(lo) > u:
+        lo /= 2
+        if lo < mp.mpf(2) ** -(prec - 8):
+            raise CertificationError("no sign change: bound above u on the whole bracket")
+    hi = lo
+    while bound(hi) <= u:
+        hi *= 2
+        if hi > _SEARCH_CAP:
+            return ThetaResult(hi, kind, nterms, u, saturated=True)
+    theta = _bisect_max_below(bound, u, hi / 2, hi, prec)
     margin = theta * (1 + mp.mpf("1e-6"))
     if not (bound(theta) <= u and bound(margin) > u):
         raise CertificationError("bracketing certificate failed to verify")
-    return (theta, margin)
+    return ThetaResult(theta, kind, nterms, u, bracket=(theta, margin))
 
 
 def _graph_series(g: ComputationGraph, nterms: int, input: str | None = None):
@@ -109,24 +126,9 @@ def compute_fwd_theta(g: ComputationGraph, f_series: TruncSeries, u=2.0 ** -53,
             raise CertificationError("target series truncated below the graph degree")
         gs = _graph_series(g, f_series.nterms, input=input)
         E = (gs - f_series).abs_coeffs()
-        nterms = E.nterms
-
-        def bound(t):
-            return E(t)
-
         if E.coeffs[0] > u:
-            return ThetaResult(mp.mpf(0), ThetaKind.FORWARD, nterms, u, saturated=False,
-                               bracket=None)
-        hi = mp.mpf(1)
-        while bound(hi) <= u:
-            hi *= 2
-            if hi > _SEARCH_CAP:
-                return ThetaResult(hi, ThetaKind.FORWARD, nterms, u, saturated=True,
-                                   bracket=None)
-        theta = _bisect_max_below(bound, u, hi / 2 if bound(hi / 2) <= u else mp.mpf(0),
-                                  hi, prec)
-        bracket = _certify(bound, theta, u)
-        return ThetaResult(theta, ThetaKind.FORWARD, nterms, u, bracket=bracket)
+            return ThetaResult(mp.mpf(0), ThetaKind.FORWARD, E.nterms, u)
+        return _radius(E, u, ThetaKind.FORWARD, E.nterms, prec)
 
 
 def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
@@ -141,39 +143,15 @@ def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
     with working_precision(prec):
         u = mp.mpf(u)
         gs = _graph_series(g, nterms, input=input)
-        R = TruncSeries.exp_neg(nterms) * gs - 1
-        if abs(R.coeffs[0]) > u * nterms:
+        h = TruncSeries.exp_neg(nterms) * gs
+        if abs(h.coeffs[0] - 1) > u * nterms:
             raise CertificationError(
                 "graph does not match exp at the origin; backward-error series undefined"
             )
-        R.coeffs[0] = mp.mpf(0)
-        phi = TruncSeries.log1p(nterms).compose(R)
-        F = phi.abs_coeffs()
-
-        def bound(t):
-            # sum_j |delta_j| t^(j-1); the j=0 coefficient is exactly zero
-            acc = mp.mpf(0)
-            tp = 1 / t
-            for c in F.coeffs:
-                acc += c * tp
-                tp *= t
-            return acc
-
-        if all(c == 0 for c in F.coeffs):
-            return ThetaResult(_SEARCH_CAP, ThetaKind.BACKWARD, nterms, u, saturated=True)
-        lo = _BRACKET_LO
-        while bound(lo) > u:
-            lo /= 2
-            if lo < mp.mpf(2) ** -(prec - 8):
-                raise CertificationError("no sign change: bound above u on the whole bracket")
-        hi = lo
-        while bound(hi) <= u:
-            hi *= 2
-            if hi > _SEARCH_CAP:
-                return ThetaResult(hi, ThetaKind.BACKWARD, nterms, u, saturated=True)
-        theta = _bisect_max_below(bound, u, hi / 2, hi, prec)
-        bracket = _certify(bound, theta, u)
-        return ThetaResult(theta, ThetaKind.BACKWARD, nterms, u, bracket=bracket)
+        h.coeffs[0] = mp.mpf(1)
+        F = h.log().abs_coeffs()
+        # sum_j |delta_j| t^(j-1); the j=0 coefficient is exactly zero
+        return _radius(lambda t: F(t) / t, u, ThetaKind.BACKWARD, nterms, prec)
 
 
 def theta_table_csv(rows) -> str:

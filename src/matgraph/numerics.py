@@ -184,10 +184,15 @@ def mat_lu_solve(A, B):
     """Solve A X = B by partially pivoted LU; raise on a zero pivot.
 
     Accepts either two numpy 2-d arrays or two ``mpmath.matrix`` operands.
+    Object arrays (mpmath entries) are solved by mpmath at the working
+    precision.
     """
     if is_np_matrix(A):
         if A.shape[0] != A.shape[1]:
             raise ValueError("coefficient matrix must be square")
+        if A.dtype == object or B.dtype == object:
+            X = mat_lu_solve(mp.matrix(A.tolist()), mp.matrix(B.tolist()))
+            return np.array(X.tolist(), dtype=object)
         try:
             return np.linalg.solve(A, B)
         except np.linalg.LinAlgError as exc:

@@ -15,6 +15,7 @@ precision).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -121,18 +122,22 @@ def _target_values(f, pts: np.ndarray) -> np.ndarray:
 
 def residual(g: ComputationGraph, f, discr: Discretization,
              errtype: ErrType = ErrType.ABS, input: str | None = None) -> np.ndarray:
-    """r_i = g(z_i) - f(z_i), divided by f(z_i) under relative error."""
+    """r_i = g(z_i) - f(z_i), divided by f(z_i) under relative error.
+
+    The target is evaluated at the graph's coefficient precision.
+    """
     pts = discr.points
-    gv = eval_graph(g, pts, input=input)
-    fv = _target_values(f, pts)
-    r = gv - fv
-    if ErrType(errtype) == ErrType.REL:
-        bad = [i for i, v in enumerate(fv) if v == 0]
-        if bad:
-            raise OptimizeError(
-                f"relative error undefined: target vanishes at point index {bad[0]}"
-            )
-        r = r / fv
+    with _precision_context(g, g.coeff_type.prec):
+        gv = eval_graph(g, pts, input=input)
+        fv = _target_values(f, pts)
+        r = gv - fv
+        if ErrType(errtype) == ErrType.REL:
+            bad = [i for i, v in enumerate(fv) if v == 0]
+            if bad:
+                raise OptimizeError(
+                    f"relative error undefined: target vanishes at point index {bad[0]}"
+                )
+            r = r / fv
     return r
 
 
@@ -223,7 +228,9 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
     declared when it falls below ``stoptol``.  On stagnation (residual
     above ``divergence_factor`` times the best seen for
     ``divergence_patience`` consecutive iterations) the best coefficients
-    are restored and the report is flagged unconverged.
+    are restored and the report is flagged unconverged.  A residual with a
+    non-finite entry ends the iteration the same way; at the starting
+    coefficients it raises :class:`OptimizeError`.
     """
     config = config or GNConfig()
     refs = [CoeffRef(*ref) for ref in refs]
@@ -271,23 +278,37 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
         def rnorm2(r):
             return float(sum(abs(x) ** 2 for x in r)) ** 0.5
 
+        def finite_rmax(r):
+            """max |r_i|, or None if an entry is not finite (raising at the start)."""
+            mags = [float(abs(x)) for x in r]
+            if all(map(math.isfinite, mags)):
+                return max(mags, default=0.0)
+            if best_coeffs is None:
+                raise OptimizeError("residual is not finite at the starting coefficients")
+            return None
+
         for _ in range(config.maxiter):
             r = current_residual()
-            rmax = max((float(abs(x)) for x in r), default=0.0)
-            if best_rmax is None or rmax < best_rmax:
+            rmax = finite_rmax(r)
+            stop = None
+            if rmax is None:
+                stop = "residual not finite"
+            elif best_rmax is None or rmax < best_rmax:
                 best_rmax = rmax
                 best_coeffs = g.get_coeffs(refs)
                 above_best = 0
             elif rmax > config.divergence_factor * best_rmax:
                 above_best += 1
                 if above_best >= config.divergence_patience:
-                    g.set_coeffs(refs, best_coeffs)
-                    report.best_residual = best_rmax
-                    if config.logger:
-                        print(f"gauss-newton: stagnated at residual {rmax:.3e}; stopping")
-                    return report
+                    stop = f"stagnated at residual {rmax:.3e}"
             else:
                 above_best = 0
+            if stop:
+                g.set_coeffs(refs, best_coeffs)
+                report.best_residual = best_rmax
+                if config.logger:
+                    print(f"gauss-newton: {stop}; stopping")
+                return report
             if config.logger:
                 print(f"gauss-newton iter {report.iterations}: max residual {rmax:.3e}")
             if rmax <= config.stoptol:
@@ -312,12 +333,11 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
             report.residual_history.append(rmax)
             report.iterations += 1
         # out of iterations: keep the best coefficients seen
-        r = current_residual()
-        rmax = max((float(abs(x)) for x in r), default=0.0)
-        if rmax <= config.stoptol:
+        rmax = finite_rmax(current_residual())
+        if rmax is not None and rmax <= config.stoptol:
             report.converged = True
             report.best_residual = rmax
-        elif best_rmax is not None and best_rmax < rmax:
+        elif best_rmax is not None and (rmax is None or best_rmax < rmax):
             g.set_coeffs(refs, best_coeffs)
             report.best_residual = best_rmax
         else:

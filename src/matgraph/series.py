@@ -2,8 +2,9 @@
 
 A :class:`TruncSeries` holds coefficients for z^0 .. z^nterms and supports
 the ring operations needed to extract the series expansion of the function
-underlying a graph: addition, Cauchy product, composition, and division by
-a series with nonzero constant term (the scalar shadow of a linear solve).
+underlying a graph: addition, Cauchy product, division by a series with
+nonzero constant term (the scalar shadow of a linear solve), and the
+logarithm of a series with constant term one.
 
 Coefficients follow the ambient mpmath precision; construct and combine
 series inside :func:`matgraph.numerics.working_precision` when extended
@@ -58,11 +59,6 @@ class TruncSeries:
     def exp_neg(cls, nterms: int) -> "TruncSeries":
         return cls([(-1) ** j / mp.factorial(j) for j in range(nterms + 1)])
 
-    @classmethod
-    def log1p(cls, nterms: int) -> "TruncSeries":
-        """Series of log(1+w)."""
-        return cls([0] + [(-1) ** (j - 1) / mp.mpf(j) for j in range(1, nterms + 1)])
-
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:4])
         return f"TruncSeries([{head}{', ...' if self.nterms > 3 else ''}], nterms={self.nterms})"
@@ -86,8 +82,6 @@ class TruncSeries:
         return TruncSeries([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if is_scalar(other):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -130,16 +124,18 @@ class TruncSeries:
             c[k] = s / den.coeffs[0]
         return TruncSeries(c)
 
-    def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner(z)), truncated; inner must have zero constant term."""
-        if inner.coeffs[0] != 0:
-            raise SeriesError("composition requires inner series with zero constant term")
-        n = min(self.nterms, inner.nterms)
-        acc = TruncSeries.constant(0, n)
-        for c in reversed(self.coeffs[: self.nterms + 1]):
-            acc = acc * inner
-            acc = acc + c
-        return TruncSeries(acc.coeffs, n)
+    def log(self) -> "TruncSeries":
+        """log(self) for a constant term of exactly 1, from phi' self = self'."""
+        h = self.coeffs
+        if h[0] != 1:
+            raise SeriesError("series logarithm requires constant term 1")
+        phi = [0] * len(h)
+        for k in range(1, len(h)):
+            s = k * h[k]
+            for j in range(1, k):
+                s = s - j * phi[j] * h[k - j]
+            phi[k] = s / k
+        return TruncSeries(phi)
 
     def abs_coeffs(self) -> "TruncSeries":
         return TruncSeries([abs(c) for c in self.coeffs])

@@ -18,10 +18,6 @@ def sqrt1p_target(z):
     return mp.sqrt(1 + z)
 
 
-def exp_series(nterms: int) -> TruncSeries:
-    return TruncSeries.exp(nterms)
-
-
 def load_series_file(path: str) -> list[Fraction]:
     """Taylor coefficients, one exact decimal per line; blank lines and # comments ignored."""
     out = []
@@ -43,7 +39,7 @@ def get_target(name: str, coeff_type: CoeffType = FLOAT64):
     ``coeff_type``; the callable is their truncated Taylor polynomial.
     """
     if name == "exp":
-        return exp_target, exp_series
+        return exp_target, TruncSeries.exp
     if name == "sqrt1p":
         return sqrt1p_target, None
     if name.startswith("series:"):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from matgraph import (
     convert_scalar,
     eval_graph,
     get_target,
+    graph_exp_pade_ss,
     import_compgraph,
     working_precision,
 )
@@ -114,6 +116,24 @@ class TestEval:
         mfile.write_text("0,0\n0,0\n")
         assert run(["eval", str(gfile), "--matrix", str(mfile)]) == 3
 
+    def test_high_precision_solve(self, tmp_path, capsys):
+        # a linear solve on mpmath entries of a numpy matrix
+        gfile = tmp_path / "p.cgr"
+        run(["generate", "--scheme", "exp-pade", "--degree", "3", "--precision", "128",
+             "--out", str(gfile)])
+        mfile = tmp_path / "A.csv"
+        mfile.write_text("0.5,0.2\n0.3,0.5\n")
+        capsys.readouterr()
+        assert run(["eval", str(gfile), "--matrix", str(mfile)]) == 0
+        outlines = capsys.readouterr().out.strip().splitlines()
+        got = np.array([[float(t) for t in line.split(",")] for line in outlines])
+        want = eval_graph(graph_exp_pade_ss(3, 0)[0], np.array([[0.5, 0.2], [0.3, 0.5]]))
+        assert np.max(np.abs(got - want)) <= 1e-14
+        run(["generate", "--scheme", "denman-beavers", "--iters", "1", "--precision", "256",
+             "--out", str(gfile)])
+        mfile.write_text("0,0\n0,0\n")
+        assert run(["eval", str(gfile), "--matrix", str(mfile)]) == 3
+
 
 class TestOptimize:
     def test_small_fit_writes_report(self, tmp_path):
@@ -165,6 +185,17 @@ class TestOptimize:
                     "--errtype", "rel", "--out", str(tmp_path / "o.cgr")])
         assert code == 3
         assert "root" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("precision", [["--precision", "53"], []])
+    def test_nan_coefficient_numerical_error(self, tmp_path, capsys, precision):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1,0.5", "--out", str(gfile)])
+        text = gfile.read_text()
+        gfile.write_text(text.replace("coeff1=1.0;", "coeff1=nan;", 1))
+        code = run(["optimize", str(gfile), "--target", "exp", "--radius", "0.5", *precision,
+                    "--out", str(tmp_path / "o.cgr")])
+        assert code == 3
+        assert "not finite" in capsys.readouterr().err
 
 
 class TestCertify:
@@ -363,15 +394,54 @@ class TestExactCoefficients:
         assert time.perf_counter() - t0 < 0.2
 
 
-# -- fuzzing: every argv and config line ends in a documented exit code ---------
+# -- fuzzing: every argv, config line and CGR text ends in a documented exit code --
 
 _TEXT = st.text(alphabet="0123456789.,-+eEij/ nafxI=#", max_size=10)
 _INT = st.one_of(st.integers(-2, 14).map(str), _TEXT)
 
+# CGR mutations, applied to one of the files the test writes: ("delete", i),
+# ("insert", i, token), ("coeff", i, value) and ("header", line)
+_CGR_TOKENS = ["=", ";", "*", "+", "\\", "(", "A", "I", "A2", "coeff1", "coeff2", "0x1p0",
+               "-1.5", "nan", "inf", "\n", "#", '"', "graph_coeff_type", "# outputs:", "P3"]
+_CGR_VALUES = ["nan", "-nan", "inf", "-inf", "1e400", "0x1p99999", "nani", "1+nani", "0x1.8p-1",
+               "", "1/0", "1.0.0"]
+_CGR_HEADERS = ['graph_coeff_type="Bogus";', 'graph_coeff_type="BigFloat1";',
+                'graph_coeff_type="BigFloat128";', 'graph_coeff_type="ComplexF64";',
+                'graph_coeff_type=Float64;', 'graph_coeff_type="Float64"', "", "coeff1=1.0;"]
+_CGR_MUTATION = st.one_of(
+    st.tuples(st.just("delete"), st.integers(0, 400)),
+    st.tuples(st.just("insert"), st.integers(0, 400), st.sampled_from(_CGR_TOKENS)),
+    st.tuples(st.just("coeff"), st.integers(0, 40), st.sampled_from(_CGR_VALUES)),
+    st.tuples(st.just("header"), st.sampled_from(_CGR_HEADERS)),
+)
+
+
+def _mutate_cgr(text, mutations):
+    for kind, *arg in mutations:
+        lines = text.split("\n")
+        if kind == "header":
+            lines[0] = arg[0]
+            text = "\n".join(lines)
+        elif kind == "coeff":
+            slots = [k for k, line in enumerate(lines) if line.startswith("coeff")]
+            if slots:
+                k = slots[arg[0] % len(slots)]
+                lines[k] = f"{lines[k].partition('=')[0]}={arg[1]};"
+            text = "\n".join(lines)
+        else:
+            tokens = [t for t in re.split(r"(\W)", text) if t]
+            if kind == "delete" and tokens:
+                del tokens[arg[0] % len(tokens)]
+            elif kind == "insert":
+                tokens.insert(arg[0] % (len(tokens) + 1), arg[1])
+            text = "".join(tokens)
+    return text
+
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(["generate", "eval", "convert"]))
+    command = draw(st.sampled_from(["generate", "eval", "convert", "cgr"]))
+    mutation = None
     if command == "generate":
         argv = ["generate", "--scheme", draw(st.sampled_from(
             ["monomial", "horner", "ps", "monomial-degopt", "horner-degopt", "ps-degopt",
@@ -398,20 +468,35 @@ def _argv(draw):
             argv += ["--matrix", draw(st.sampled_from(["A.csv", "Z.csv", "bad.csv", "none.csv"]))]
         if draw(st.booleans()):
             argv += ["--input", draw(st.sampled_from(["A", "B", "I"]))]
-    else:
+    elif command == "convert":
         argv = ["convert", draw(st.sampled_from(["g.cgr", "bad.cgr", "none.cgr"])), "--type",
                 draw(st.one_of(_TEXT, st.sampled_from(
                     ["Float64", "ComplexF64", "BigFloat256", "BigFloat10", "Bogus"]))),
                 "--out", draw(st.sampled_from(["out.cgr", "missing/out.cgr"]))]
+    else:
+        mutation = (draw(st.sampled_from(["g.cgr", "g256.cgr", "db.cgr", "pade.cgr"])),
+                    draw(st.lists(_CGR_MUTATION, min_size=1, max_size=3)))
+        argv = draw(st.sampled_from([
+            ["eval", "mut.cgr", "--point", "0.5"],
+            ["eval", "mut.cgr", "--matrix", "A.csv"],
+            ["convert", "mut.cgr", "--type", "BigFloat128", "--out", "out.cgr"],
+            ["compress", "mut.cgr", "--out", "out.cgr"],
+            ["codegen", "mut.cgr", "--lang", "c", "--out", "out.c"],
+            ["certify", "mut.cgr", "--nterms", "8", "--precision", "64"],
+            ["optimize", "mut.cgr", "--target", "exp", "--radius", "0.5", "--points", "8",
+             "--maxiter", "2", "--out", "out.cgr"],
+            ["optimize", "mut.cgr", "--target", "exp", "--radius", "0.5", "--points", "8",
+             "--maxiter", "2", "--precision", "53", "--out", "out.cgr"],
+        ]))
     config = draw(st.one_of(st.none(), st.lists(st.one_of(
         _TEXT,
         st.tuples(st.sampled_from(["precision", "iters", "degree", "scheme", "point",
                                    "compress", "type", "bogus", "config", "func"]),
                   _INT).map("=".join)), max_size=3)))
-    return argv, config
+    return argv, config, mutation
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_argv())
 def test_fuzz_exit_codes(tmp_path, monkeypatch, capsys, case):
@@ -420,13 +505,18 @@ def test_fuzz_exit_codes(tmp_path, monkeypatch, capsys, case):
         for name, scheme, extra in (("g.cgr", "monomial", ["--coeffs", "1,1,1"]),
                                     ("g256.cgr", "monomial",
                                      ["--coeffs", "1,0.1", "--precision", "256"]),
-                                    ("db.cgr", "denman-beavers", ["--iters", "2"])):
+                                    ("db.cgr", "denman-beavers", ["--iters", "2"]),
+                                    ("pade.cgr", "exp-pade",
+                                     ["--degree", "3", "--precision", "128"])):
             assert main(["generate", "--scheme", scheme, *extra, "--out", name]) == 0
         (tmp_path / "bad.cgr").write_text("not a graph\n")
         (tmp_path / "A.csv").write_text("0.5,0.2\n0.3,0.5\n")
         (tmp_path / "Z.csv").write_text("0,0\n0,0\n")
         (tmp_path / "bad.csv").write_text("1,2\n3\n")
-    argv, config = case
+    argv, config, mutation = case
+    if mutation is not None:
+        base, mutations = mutation
+        (tmp_path / "mut.cgr").write_text(_mutate_cgr((tmp_path / base).read_text(), mutations))
     if config is not None:
         (tmp_path / "run.cfg").write_text("\n".join(config) + "\n")
         argv = ["--config", "run.cfg", *argv]

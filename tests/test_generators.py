@@ -145,12 +145,12 @@ class TestExpPade:
             graph_exp_pade_ss(11, 0)
 
     def test_high_precision_coefficients_exact(self):
+        # b1 = 1/2 is exact in binary64; b3 = 1/72 and b5 = 1/30240 are not
         g, _ = graph_exp_pade_ss(5, 0, coeff_type=bigfloat(256))
         with mp.workprec(256):
-            got = g.get_coeffs([("Us_sum1", 1)])[0]  # the b_1 slot of the odd part
-            b1 = mp.mpf(math.factorial(9)) * mp.mpf(math.factorial(5)) / (
-                mp.mpf(math.factorial(10)) * mp.mpf(math.factorial(4)))
-            assert abs(got - b1) <= abs(b1) * mp.mpf(2) ** -250
+            for ref, den in ((("Us_sum1", 1), 2), (("Us_sum1", 2), 72), (("Us", 2), 30240)):
+                got = g.get_coeffs([ref])[0]
+                assert abs(got - mp.mpf(1) / den) <= mp.mpf(2) ** -250 / den, ref
 
 
 class TestRational:

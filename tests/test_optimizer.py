@@ -19,6 +19,7 @@ from matgraph import (
     opt_gauss_newton,
     residual,
 )
+from matgraph import optimizer
 from matgraph.targets import exp_target, sqrt1p_target
 
 
@@ -80,6 +81,14 @@ class TestResidual:
         d = Discretization.from_points([0.0, 1.0, -1.0])
         with pytest.raises(OptimizeError):
             residual(g, lambda z: z, d, errtype=ErrType.REL)
+
+    def test_target_at_graph_precision(self):
+        # 1/3 is not a binary64 number: a target evaluated at 53 bits leaves ~1e-17
+        with mp.workprec(256):
+            g, _ = graph_monomial([mp.mpf(1), mp.mpf(1) / 3], bigfloat(256))
+        d = Discretization.disk(0, 0.5, 16, prec=256)
+        r = residual(g, lambda z: 1 + z / 3, d)
+        assert max(abs(x) for x in r) < mp.mpf("1e-70")
 
 
 class TestGnStep:
@@ -147,6 +156,30 @@ class TestGnStep:
 
 
 class TestOptGaussNewton:
+    @pytest.mark.parametrize("prec", [None, 256])
+    def test_non_finite_residual_restores_best(self, monkeypatch, prec):
+        g, cref = graph_monomial([1.0, 0.9, 0.4])
+        if prec:
+            g = convert_precision(g, bigfloat(prec))
+        start = g.get_coeffs(cref)
+        d = Discretization.disk(0, 0.5, 12, prec=prec)
+        monkeypatch.setattr(optimizer, "gn_step",
+                            lambda J, r, config: np.array([math.nan] * len(cref)))
+        report = opt_gauss_newton(g, exp_target, d, cref,
+                                  GNConfig(maxiter=5, linlsqr=LinLsqr.REAL_SVD))
+        assert not report.converged
+        assert report.iterations == 1
+        assert g.get_coeffs(cref) == start
+        assert math.isfinite(report.best_residual)
+
+    def test_non_finite_start_raises(self):
+        g, cref = graph_monomial([1.0, 1.0, 0.5])
+        d = Discretization.disk(0, 0.5, 12)
+        # a NaN that is not the first residual entry
+        for f in (lambda z: math.nan if z.imag > 0 else np.exp(z), lambda z: math.inf):
+            with pytest.raises(OptimizeError):
+                opt_gauss_newton(g, f, d, cref, GNConfig(maxiter=3, linlsqr=LinLsqr.REAL_SVD))
+
     def test_linear_problem_one_exact_step(self):
         # with a linear-in-coefficients graph a single full step reaches the
         # least-squares optimum; the next step is numerically zero

@@ -53,32 +53,41 @@ class TestMul:
 
 class TestCompose:
     def test_backward_error_series_shape(self):
-        # log(1+w) composed with e^{-z} p(z) - 1 for p = truncated exp:
+        # log of the composite e^{-z} p(z) for p = truncated exp:
         # the leading backward-error coefficient is -z^{d+1}/(d+1)! + O(z^{d+2})
         with working_precision(256):
             n = 30
             d = 5
             p = TruncSeries([1 / mp.factorial(j) if j <= d else mp.mpf(0) for j in range(n + 1)])
-            r = TruncSeries.exp_neg(n) * p - 1
-            r.coeffs[0] = mp.mpf(0)
-            phi = TruncSeries.log1p(n).compose(r)
+            h = TruncSeries.exp_neg(n) * p
+            h.coeffs[0] = mp.mpf(1)
+            phi = h.log()
             assert all(abs(c) < mp.mpf("1e-70") for c in phi.coeffs[: d + 1])
             lead = -1 / mp.factorial(d + 1)
             assert abs(phi.coeffs[d + 1] - lead) < abs(lead) * mp.mpf("1e-10")
 
-    def test_identity_composition(self):
-        s = TruncSeries([0, 2, 3, 4])
-        outer = TruncSeries.identity(3)
-        assert outer.compose(s) == s
 
-    def test_square_of_x_plus_x2(self):
-        outer = TruncSeries([0, 0, 1], 4)
-        inner = TruncSeries([0, 1, 1], 4)
-        assert coeffs_of(outer.compose(inner)) == [0, 0, 1, 2, 1]
+class TestLog:
+    def test_log_of_exp_is_identity(self):
+        with working_precision(256):
+            phi = TruncSeries.exp(40).log()
+            assert abs(phi.coeffs[1] - 1) < mp.mpf("1e-70")
+            assert phi.coeffs[0] == 0
+            assert all(abs(c) < mp.mpf("1e-70") for c in phi.coeffs[2:])
 
-    def test_nonzero_constant_rejected(self):
+    def test_log_one_plus_z(self):
+        # log(1+z) = sum_k (-1)^(k+1) z^k / k
+        with working_precision(128):
+            phi = TruncSeries([mp.mpf(1), mp.mpf(1)], 12).log()
+            assert phi.coeffs[0] == 0
+            for k in range(1, 13):
+                want = mp.mpf((-1) ** (k + 1)) / k
+                assert abs(phi.coeffs[k] - want) < mp.mpf("1e-35")
+
+    @pytest.mark.parametrize("c0", [0, 2, mp.mpf(1) + mp.mpf(2) ** -40])
+    def test_constant_term_not_one_rejected(self, c0):
         with pytest.raises(SeriesError):
-            TruncSeries.identity(3).compose(TruncSeries([1, 1], 3))
+            TruncSeries([c0, 1], 3).log()
 
 
 class TestDivide:
