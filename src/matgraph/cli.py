@@ -183,6 +183,8 @@ def cmd_eval(args) -> int:
     A = read_matrix_csv(args.matrix)
     value = eval_graph(g, A, input=args.input)
     values = value if isinstance(value, list) else [value]
+    if not all(cmath.isfinite(complex(x)) for v in values for x in np.asarray(v).flat):
+        raise CliError(f"non-finite value at {args.matrix}", NUMERICAL_ERROR)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for i, v in enumerate(values):

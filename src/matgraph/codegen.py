@@ -14,6 +14,7 @@ combinations are emitted as plain loops.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -48,56 +49,61 @@ class Schedule:
 
 def _schedule_kary(node_parents: dict[str, tuple], inputs: set[str],
                    outputs: list[str]) -> Schedule:
-    """Greedy list scheduling over nodes with arbitrary parent arity."""
-    remaining_uses: dict[str, int] = {}
+    """Greedy list scheduling over nodes with arbitrary parent arity.
+
+    Picks the ready node that frees the most buffers, the smallest id on a
+    tie.  A ready node's count only grows (when a parent gets down to its
+    last use), so a heap on ``(-frees, id)`` that skips stale entries makes
+    the same picks as rescanning the ready set, in O(E log V).
+    """
+    keep = set(outputs)
+    frees: dict[str, int] = {}  # ready node -> its parents' buffers that die with it
+    heap: list[tuple[int, str]] = []
+
+    def push(nid, n):
+        frees[nid] = n
+        heapq.heappush(heap, (-n, nid))
+
+    uses: dict[str, int] = {}  # unscheduled distinct children
+    pending: dict[str, int] = {}  # unscheduled distinct parents in the graph
+    children: dict[str, list[str]] = {}
     for nid, ps in node_parents.items():
-        for p in set(ps):
-            if p in node_parents:
-                remaining_uses[p] = remaining_uses.get(p, 0) + 1
-    ready = {nid for nid, ps in node_parents.items()
-             if all(p not in node_parents for p in ps)}
-    scheduled: set[str] = set()
+        deps = {p for p in ps if p in node_parents}
+        pending[nid] = len(deps)
+        for p in deps:
+            uses[p] = uses.get(p, 0) + 1
+            children.setdefault(p, []).append(nid)
+        if not deps:
+            push(nid, 0)
+    # every slot handed out is either held by a live node or free
     live: dict[str, int] = {}
     free: list[int] = []
-    next_slot = 0
     order: list[str] = []
     slots: dict[str, int] = {}
-    keep = set(outputs)
-
-    def frees(nid):
-        # buffers that die once nid is scheduled (a repeated parent is one buffer)
-        return sum(
-            1
-            for p in set(node_parents[nid])
-            if p in live and p not in keep and remaining_uses.get(p, 0) == 1
-        )
-
-    peak = 0
-    while ready:
-        nid = max(sorted(ready), key=frees)
-        ready.discard(nid)
-        if free:
-            slot = free.pop()
-        else:
-            slot = next_slot
-            next_slot += 1
-        slots[nid] = slot
-        live[nid] = slot
-        scheduled.add(nid)
+    while heap:
+        neg, nid = heapq.heappop(heap)
+        if frees.get(nid) != -neg:
+            continue  # scheduled already, or pushed again with a larger count
+        del frees[nid]
+        slots[nid] = live[nid] = free.pop() if free else len(live)
         order.append(nid)
-        peak = max(peak, len(live))
+        # the set's iteration order decides which freed slot is reused first
         for p in set(node_parents[nid]):
-            if p in node_parents:
-                remaining_uses[p] -= 1
-                if remaining_uses[p] == 0 and p not in keep:
+            if p in uses:
+                uses[p] -= 1
+                if p not in keep and uses[p] == 0:
                     free.append(live.pop(p))
-        for other, ps in node_parents.items():
-            if other not in scheduled and other not in ready:
-                if all(p not in node_parents or p in scheduled for p in ps):
-                    ready.add(other)
+                elif p not in keep and uses[p] == 1:
+                    for c in children[p]:
+                        if c in frees:
+                            push(c, frees[c] + 1)
+        for c in children.get(nid, ()):
+            pending[c] -= 1
+            if pending[c] == 0:
+                push(c, sum(p not in keep and uses.get(p) == 1 for p in set(node_parents[c])))
     if len(order) != len(node_parents):
         raise GraphError("cycle detected while scheduling")
-    return Schedule(order, slots, peak)
+    return Schedule(order, slots, len(live) + len(free))
 
 
 def plan_schedule(g: ComputationGraph) -> Schedule:

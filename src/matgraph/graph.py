@@ -61,6 +61,8 @@ class ComputationGraph:
         self.coeff_type = coeff_type
         self.input_id = input_id
         self.metadata: dict[str, str] = {}
+        # ids referenced as parents but not defined: left by renaming an input
+        self._dangling: set[str] = set()
 
     # -- basic queries ------------------------------------------------------
 
@@ -70,12 +72,6 @@ class ComputationGraph:
 
     def is_input(self, nid: str) -> bool:
         return nid in self.input_ids and nid not in self.operations
-
-    def has_node(self, nid: str) -> bool:
-        return nid in self.operations
-
-    def node_ids(self) -> list[str]:
-        return list(self.operations)
 
     def children_of(self) -> dict[str, list[str]]:
         ch: dict[str, list[str]] = {}
@@ -104,6 +100,7 @@ class ComputationGraph:
         g.coeffs = dict(self.coeffs)
         g.outputs = list(self.outputs)
         g.metadata = dict(self.metadata)
+        g._dangling = set(self._dangling)
         return g
 
     # -- node insertion -----------------------------------------------------
@@ -121,17 +118,6 @@ class ComputationGraph:
             return
         raise GraphError(f"unknown parent {p!r} for node {nid!r}")
 
-    def _ancestors(self, nid: str) -> set[str]:
-        seen: set[str] = set()
-        stack = [nid]
-        while stack:
-            v = stack.pop()
-            if v in seen or v not in self.parents:
-                continue
-            seen.add(v)
-            stack.extend(self.parents[v])
-        return seen
-
     def _insert(self, nid: str, kind: OpKind, p1: str, p2: str, c1=None, c2=None):
         self._check_new_id(nid)
         self._check_parent(nid, p1)
@@ -139,19 +125,24 @@ class ComputationGraph:
         if kind == OpKind.LINCOMB:
             if c1 is None or c2 is None:
                 raise GraphError("linear combination requires two coefficients")
+            coeffs = (convert_scalar(c1, self.coeff_type), convert_scalar(c2, self.coeff_type))
         elif c1 is not None or c2 is not None:
             raise GraphError(f"{kind.value} node takes no coefficients")
-        # A new id may already be referenced by earlier nodes (grafting after a
-        # rename); inserting must then not close a cycle through them.
-        if nid in self._ancestors(p1) or nid in self._ancestors(p2) or nid in (p1, p2):
-            raise GraphError(f"inserting {nid!r} would create a cycle")
+        if nid in self._dangling:
+            # grafting closes a cycle if an ancestor already lists nid as a parent
+            seen, stack = set(), [p1, p2]
+            while stack:
+                v = stack.pop()
+                if v in self.parents and v not in seen:
+                    if nid in self.parents[v]:
+                        raise GraphError(f"inserting {nid!r} would create a cycle")
+                    seen.add(v)
+                    stack.extend(self.parents[v])
+            self._dangling.discard(nid)
         self.operations[nid] = kind
         self.parents[nid] = (p1, p2)
         if kind == OpKind.LINCOMB:
-            self.coeffs[nid] = (
-                convert_scalar(c1, self.coeff_type),
-                convert_scalar(c2, self.coeff_type),
-            )
+            self.coeffs[nid] = coeffs
 
     def add_lincomb(self, nid: str, c1, p1: str, c2, p2: str):
         """Add the node ``nid = c1*p1 + c2*p2``."""
@@ -225,6 +216,8 @@ class ComputationGraph:
             self.parents[new] = self.parents.pop(old)
             if old in self.coeffs:
                 self.coeffs[new] = self.coeffs.pop(old)
+        else:
+            self._dangling.add(new)
         _retarget(self, old, new)
         if crefs is not None:
             for i, ref in enumerate(crefs):
@@ -447,6 +440,7 @@ def merge_graph(g1: ComputationGraph, g2: ComputationGraph) -> ComputationGraph:
             c1, c2 = g1.coeffs[nid]
             out.coeffs[nid] = (convert_scalar(c1, ct), convert_scalar(c2, ct))
     out.outputs = list(g1.outputs)
+    out._dangling = g1._dangling | g2._dangling
     # deterministic renaming for colliding ids of g2
     mapping: dict[str, str] = {}
     for nid in g2.operations:
@@ -473,6 +467,7 @@ def convert_precision(g: ComputationGraph, ct: CoeffType) -> ComputationGraph:
     out.parents = dict(g.parents)
     out.outputs = list(g.outputs)
     out.metadata = dict(g.metadata)
+    out._dangling = set(g._dangling)
     out.coeffs = {
         nid: (convert_scalar(c1, ct), convert_scalar(c2, ct))
         for nid, (c1, c2) in g.coeffs.items()

@@ -202,15 +202,14 @@ def mat_lu_solve(A, B):
             raise ValueError("coefficient matrix must be square")
         if B.rows != A.rows:
             raise ValueError("dimension mismatch in linear solve")
-        X = mp.matrix(A.rows, B.cols)
+        cols = [mp.matrix([B[i, j] for i in range(B.rows)]) for j in range(B.cols)]
         try:
-            for j in range(B.cols):
-                col = mp.matrix([B[i, j] for i in range(B.rows)])
-                sol = mp.lu_solve(A, col)
-                for i in range(A.rows):
-                    X[i, j] = sol[i]
+            # factor once; mp.lu_solve's 10 guard bits keep the result bit-identical
+            with mp.workprec(mp.prec + 10):
+                LU, perm = mp.LU_decomp(A.copy(), overwrite=True)
+                sols = [mp.U_solve(LU, mp.L_solve(LU, col, perm)) for col in cols]
         except ZeroDivisionError as exc:
             raise SingularMatrixError("singular matrix in LU solve") from exc
-        return X
+        return mp.matrix([[sol[i] for sol in sols] for i in range(A.rows)])
     raise TypeError(f"unsupported matrix type {type(A).__name__}")
 

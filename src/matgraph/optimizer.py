@@ -108,10 +108,6 @@ class GNReport:
     converged: bool = False
     best_residual: float | None = None
 
-    @property
-    def final_residual(self):
-        return self.residual_history[-1] if self.residual_history else None
-
 
 def _target_values(f, pts: np.ndarray) -> np.ndarray:
     vals = [f(z) for z in pts]

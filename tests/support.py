@@ -10,7 +10,8 @@ import tempfile
 import numpy as np
 from mpmath import mp
 
-from matgraph import CoeffType, ComputationGraph, get_topo_order
+from matgraph import CoeffType, ComputationGraph, GraphError, get_topo_order
+from matgraph.codegen import Schedule
 from matgraph.numerics import as_mp_matrix
 
 
@@ -141,6 +142,83 @@ def min_peak_exhaustive(g: ComputationGraph) -> int:
 
     rec(frozenset(), frozenset(), uses, 0)
     return best[0]
+
+
+def schedule_kary_scan(node_parents: dict[str, tuple], inputs: set[str],
+                       outputs: list[str]) -> Schedule:
+    """Reference list scheduler: rescans every node after each pick, O(n^2).
+
+    Picks ``max(sorted(ready), key=frees)``: the ready node freeing the most
+    buffers, the smallest id on a tie.  Oracle for ``codegen._schedule_kary``.
+    """
+    remaining_uses: dict[str, int] = {}
+    for nid, ps in node_parents.items():
+        for p in set(ps):
+            if p in node_parents:
+                remaining_uses[p] = remaining_uses.get(p, 0) + 1
+    ready = {nid for nid, ps in node_parents.items()
+             if all(p not in node_parents for p in ps)}
+    scheduled: set[str] = set()
+    live: dict[str, int] = {}
+    free: list[int] = []
+    next_slot = 0
+    order: list[str] = []
+    slots: dict[str, int] = {}
+    keep = set(outputs)
+
+    def frees(nid):
+        # buffers that die once nid is scheduled (a repeated parent is one buffer)
+        return sum(
+            1
+            for p in set(node_parents[nid])
+            if p in live and p not in keep and remaining_uses.get(p, 0) == 1
+        )
+
+    peak = 0
+    while ready:
+        nid = max(sorted(ready), key=frees)
+        ready.discard(nid)
+        if free:
+            slot = free.pop()
+        else:
+            slot = next_slot
+            next_slot += 1
+        slots[nid] = slot
+        live[nid] = slot
+        scheduled.add(nid)
+        order.append(nid)
+        peak = max(peak, len(live))
+        for p in set(node_parents[nid]):
+            if p in node_parents:
+                remaining_uses[p] -= 1
+                if remaining_uses[p] == 0 and p not in keep:
+                    free.append(live.pop(p))
+        for other, ps in node_parents.items():
+            if other not in scheduled and other not in ready:
+                if all(p not in node_parents or p in scheduled for p in ps):
+                    ready.add(other)
+    if len(order) != len(node_parents):
+        raise GraphError("cycle detected while scheduling")
+    return Schedule(order, slots, peak)
+
+
+def random_kary_dag(rng: np.random.Generator, n_nodes: int) -> tuple[dict, list[str]]:
+    """Random ``(node_parents, outputs)`` for a k-ary list scheduler.
+
+    Parents are drawn from "I", "A" and earlier nodes, 1 to 4 per node with
+    repeats; ids are shuffled so that id order and insertion order differ,
+    and 1 to 3 random nodes are outputs.
+    """
+    ids = [f"n{k}" for k in rng.permutation(n_nodes)]
+    avail = ["I", "A"]
+    node_parents: dict[str, tuple] = {}
+    for nid in ids:
+        k = int(rng.integers(1, 5))
+        node_parents[nid] = tuple(avail[int(rng.integers(len(avail)))] for _ in range(k))
+        avail.append(nid)
+    outputs = [ids[int(i)] for i in rng.choice(n_nodes, size=min(n_nodes, int(rng.integers(1, 4))),
+                                               replace=False)]
+    return node_parents, outputs
 
 
 def _ml_factor(tok: str, env):

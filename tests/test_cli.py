@@ -134,6 +134,20 @@ class TestEval:
         mfile.write_text("0,0\n0,0\n")
         assert run(["eval", str(gfile), "--matrix", str(mfile)]) == 3
 
+    def test_nan_coefficient_matrix_numerical_error(self, tmp_path):
+        # --matrix refuses a non-finite result as --point does, writing nothing
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,2", "--out", str(gfile)])
+        text = gfile.read_text()
+        first = next(l for l in text.splitlines() if l.startswith("coeff1="))
+        gfile.write_text(text.replace(first, "coeff1=nan;", 1))
+        assert run(["eval", str(gfile), "--point", "0.5"]) == 3
+        mfile = tmp_path / "A.csv"
+        mfile.write_text("0.5,0\n0,0.5\n")
+        out = tmp_path / "out.csv"
+        assert run(["eval", str(gfile), "--matrix", str(mfile), "--out", str(out)]) == 3
+        assert not out.exists()
+
 
 class TestOptimize:
     def test_small_fit_writes_report(self, tmp_path):

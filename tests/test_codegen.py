@@ -1,5 +1,8 @@
 import math
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from matgraph import (
     compress_graph,
     eval_graph,
     gen_code,
+    get_topo_order,
     graph_denman_beavers,
     graph_exp_pade_ss,
     graph_monomial,
@@ -18,7 +22,15 @@ from matgraph import (
     graph_ps,
     plan_schedule,
 )
-from support import compile_and_run_c, min_peak_exhaustive, random_graph, run_matlab_like
+from matgraph.codegen import _emission_plan, _schedule_kary
+from support import (
+    compile_and_run_c,
+    min_peak_exhaustive,
+    random_graph,
+    random_kary_dag,
+    run_matlab_like,
+    schedule_kary_scan,
+)
 
 HAVE_CC = shutil.which("cc") is not None
 
@@ -91,6 +103,38 @@ class TestSchedule:
             compress_graph(gc)
             assert plan_schedule(gc).peak_buffers <= p0
 
+    def test_heap_scheduler_matches_scan_on_random_dags(self):
+        # repeated parents, several outputs, ids out of insertion order
+        rng = np.random.default_rng(64)
+        for trial in range(300):
+            node_parents, outputs = random_kary_dag(rng, int(rng.integers(1, 40)))
+            args = (node_parents, {"I", "A"}, outputs)
+            assert _schedule_kary(*args) == schedule_kary_scan(*args), trial
+
+    def test_heap_scheduler_matches_scan_on_emission_plans(self):
+        rng = np.random.default_rng(65)
+        graphs = [random_graph(rng, n_nodes=int(rng.integers(2, 30))) for _ in range(40)]
+        graphs += [cosine_ps_graph(), graph_exp_pade_ss(13, 2)[0], graph_newton_schulz(4)[0]]
+        for g in graphs:
+            for fuse in (False, True):
+                _, node_parents = _emission_plan(g, fuse)
+                args = (node_parents, g.input_ids, g.outputs)
+                assert _schedule_kary(*args) == schedule_kary_scan(*args)
+
+    def test_heap_scheduler_matches_scan_on_denman_beavers_400(self):
+        g, _ = graph_denman_beavers(400)
+        node_parents = {nid: g.parents[nid] for nid in get_topo_order(g)}
+        assert plan_schedule(g) == schedule_kary_scan(node_parents, g.input_ids, g.outputs)
+        compress_graph(g)
+        _, node_parents = _emission_plan(g, True)
+        args = (node_parents, g.input_ids, g.outputs)
+        assert _schedule_kary(*args) == schedule_kary_scan(*args)
+
+    def test_cycle_raises(self):
+        node_parents = {"X": ("A", "Y"), "Y": ("X", "I"), "Z": ("A", "A")}
+        with pytest.raises(GraphError, match="cycle"):
+            _schedule_kary(node_parents, {"I", "A"}, ["Y"])
+
 
 class TestMatlab:
     def test_cosine_graph_against_evaluator(self):
@@ -135,6 +179,28 @@ class TestMatlab:
             want = fh.read()
         src = gen_code(cosine_ps_graph(), EmitTarget("matlab", "mycosm"))
         assert src == want
+
+    def test_frozen_denman_beavers_400_digests(self):
+        # The reuse order of freed C buffers follows the iteration order of a
+        # set of node ids, which depends on the string hash seed, so the
+        # emission runs in a child process with the seed pinned.
+        script = (
+            "import hashlib\n"
+            "from matgraph import EmitTarget, compress_graph, gen_code, graph_denman_beavers\n"
+            "g, _ = graph_denman_beavers(400)\n"
+            "compress_graph(g)\n"
+            "for d in ('c', 'matlab'):\n"
+            "    print(hashlib.sha256(gen_code(g, EmitTarget(d)).encode()).hexdigest())\n"
+        )
+        src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONHASHSEED="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=300).stdout.split()
+        assert out == [
+            "4537da6f8f492c1c6afec77b22eeb168bd03da3974dd84d3edd19fa7fb8a5b3d",
+            "c0e324b0bd0fd26985e85365826f75a16597f5fa6dd33acb01f6cd31f8b01d1e",
+        ]
 
     def test_fusion_reduces_statements(self):
         g = ComputationGraph()

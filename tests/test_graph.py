@@ -68,6 +68,26 @@ class TestAddNode:
             # D is referenced nowhere, but a self-cycle is still a cycle
             g.add_mult("G", "G", "A")
 
+    def test_bad_coefficient_leaves_graph_unchanged(self):
+        g = ComputationGraph()
+        with pytest.raises(TypeError):
+            g.add_lincomb("X", object(), "A", 1.0, "I")
+        assert g == ComputationGraph()
+        g.validate()
+
+    def test_graft_closing_a_cycle_rejected_at_insert(self):
+        g = ComputationGraph()
+        g.add_mult("X", "A", "A")
+        g.rename_node("A", "B")  # X = B*B, B not yet defined
+        # copies, conversions and merges keep the pending graft
+        for h in (g, g.copy(), convert_precision(g, bigfloat(256)),
+                  merge_graph(g, ComputationGraph())):
+            with pytest.raises(GraphError, match="cycle"):
+                h.add_mult("B", "X", "I")
+        g.add_lincomb("B", 1.0, "I", 1.0, "I")
+        g.set_outputs(["X"])
+        g.validate()
+
 
 class TestAddSum:
     def test_three_terms_matches_scalar_arithmetic(self):

@@ -103,6 +103,30 @@ class TestLuSolve:
         with pytest.raises(SingularMatrixError):
             mat_lu_solve(A, B)
 
+    def test_mp_rank_deficient_raises(self):
+        A = as_mp_matrix(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]), 256)
+        with working_precision(256), pytest.raises(SingularMatrixError):
+            mat_lu_solve(A, as_mp_matrix(np.eye(3), 256))
+
+    @pytest.mark.parametrize("prec,n,is_complex", [(256, 12, False), (113, 5, True)])
+    def test_mp_factors_once_and_matches_per_column_lu_solve(self, monkeypatch, prec, n,
+                                                             is_complex):
+        rng = np.random.default_rng(prec + n)
+
+        def rand():
+            M = rng.standard_normal((n, n))
+            return M + 1j * rng.standard_normal((n, n)) if is_complex else M
+
+        A, B = as_mp_matrix(rand(), prec), as_mp_matrix(rand(), prec)
+        with working_precision(prec):
+            want = [mp.lu_solve(A, B.column(j)) for j in range(n)]
+            calls = []
+            decomp = mp.LU_decomp
+            monkeypatch.setattr(mp, "LU_decomp", lambda *a, **k: calls.append(1) or decomp(*a, **k))
+            X = mat_lu_solve(A, B)
+        assert len(calls) == 1
+        assert all(X[i, j] == want[j][i] for i in range(n) for j in range(n))
+
     def test_residual_well_conditioned(self):
         rng = np.random.default_rng(5)
         A = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
