@@ -1,10 +1,12 @@
 """Jacobian of a graph's scalar evaluation with respect to selected coefficients.
 
-Derivatives are propagated forward: the column for a coefficient is seeded
-at its owning linear-combination node with the value of the parent the
-slot multiplies, then pushed along the topological order with the product
-and quotient rules.  Nodes not downstream of the seed carry an implicit
-zero, and all evaluation points are processed in one vectorized pass.
+One reverse (adjoint) sweep gives every column: after a forward pass that
+keeps all node values, the adjoint of the output (1) is pulled back along
+the reversed topological order, so each node ends with d g / d v_node
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 3-4).  The
+column for a coefficient is its node's adjoint times the parent value the
+slot multiplies.  All evaluation points are processed in one vectorized
+pass, and :func:`finite_diff_jac` is the independent check.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .evaluation import _eval_nodes, _ops_for, _precision_context, lincomb
+from .evaluation import _eval_nodes, _ops_for, _precision_context
 from .graph import CoeffRef, ComputationGraph, GraphError, OpKind, get_topo_order
 
 
@@ -51,7 +53,7 @@ def _zeros_like_points(pts):
 
 def eval_jac(g: ComputationGraph, points, refs, input: str | None = None,
              prec: int | None = None) -> JacobianMatrix:
-    """Forward-mode Jacobian over all points at once.
+    """Reverse-mode Jacobian over all points at once.
 
     Requires a single-output graph; an evaluation singularity at some
     point aborts with an error naming the point.
@@ -63,34 +65,48 @@ def eval_jac(g: ComputationGraph, points, refs, input: str | None = None,
         g._check_ref(ref)
     input_id = input if input is not None else g.input_id
     pts = as_point_array(points)
-    out = g.outputs[0]
     with _precision_context(g, prec):
         order = get_topo_order(g)
-        pos = {nid: i for i, nid in enumerate(order)}
         ops = _ops_for(pts)
         slots = _eval_nodes(g, pts, input_id, order, keep_all=True)
         J = np.empty((len(pts), len(refs)), dtype=object if pts.dtype == object else np.complex128)
-        zero = _zeros_like_points(pts)
+        J[:] = _zeros_like_points(pts)[:, None]  # columns of coefficients the output does not use
+        cols: dict[str, list] = {}
         for col, ref in enumerate(refs):
-            if ref.node not in pos:
-                J[:, col] = zero  # coefficient not reachable from the output
-                continue
-            # d/dc of c1*v1 + c2*v2 is the parent value the slot multiplies
-            deriv = {ref.node: slots[g.parents[ref.node][ref.slot - 1]]}
-            for nid in order[pos[ref.node] + 1:]:
-                p1, p2 = g.parents[nid]
-                d1, d2 = deriv.get(p1, zero), deriv.get(p2, zero)
-                if d1 is zero and d2 is zero:
-                    continue
-                kind = g.operations[nid]
-                if kind == OpKind.LINCOMB:
-                    c1, c2 = g.coeffs[nid]
-                    deriv[nid] = lincomb(c1, d1, c2, d2)
-                elif kind == OpKind.MULT:
-                    deriv[nid] = ops.mult(d1, slots[p2]) + ops.mult(slots[p1], d2)
-                else:  # v = p1 \ p2, so dv = p1 \ (d2 - d1 v)
-                    deriv[nid] = ops.ldiv(slots[p1], d2 - ops.mult(d1, slots[nid]))
-            J[:, col] = deriv.get(out, zero)
+            cols.setdefault(ref.node, []).append((col, ref.slot))
+        # adjoints d g / d v_n, summed over every use of n (both slots of a node
+        # count when p1 == p2); points are scalars, so nothing is transposed.
+        # A node's adjoint and value are dropped once the sweep has passed it.
+        bar = {g.outputs[0]: ops.identity(pts)}
+        nodes = g.operations  # the inputs need no adjoint
+
+        def add(p, v):
+            bar[p] = bar[p] + v if p in bar else v
+
+        for nid in reversed(order):
+            vbar, v = bar.pop(nid), slots.pop(nid)
+            p1, p2 = g.parents[nid]
+            for col, slot in cols.get(nid, ()):
+                # d/dc of c1*v1 + c2*v2 is the parent value the slot multiplies
+                J[:, col] = ops.mult(vbar, slots[(p1, p2)[slot - 1]])
+            kind = nodes[nid]
+            if kind == OpKind.LINCOMB:
+                c1, c2 = g.coeffs[nid]
+                if p1 in nodes:
+                    add(p1, vbar * c1)
+                if p2 in nodes:
+                    add(p2, vbar * c2)
+            elif kind == OpKind.MULT:
+                if p1 in nodes:
+                    add(p1, ops.mult(vbar, slots[p2]))
+                if p2 in nodes:
+                    add(p2, ops.mult(slots[p1], vbar))
+            else:  # v = p1 \ p2: p2 gets t = p1 \ vbar, p1 gets -t v
+                t = ops.ldiv(slots[p1], vbar)
+                if p2 in nodes:
+                    add(p2, t)
+                if p1 in nodes:
+                    add(p1, -ops.mult(t, v))
     return JacobianMatrix(J, pts, refs)
 
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
+import logging
 import os
 import sys
 
@@ -197,6 +199,24 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _progress_to_stderr(enabled: bool):
+    """Send the package's INFO log records (Gauss-Newton progress) to stderr."""
+    if not enabled:
+        yield
+        return
+    logger = logging.getLogger("matgraph")
+    handler = logging.StreamHandler(sys.stderr)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def cmd_optimize(args) -> int:
     g = _load_graph(args.graph)
     # default: optimize in 256-bit arithmetic (override via flag or env)
@@ -222,7 +242,6 @@ def cmd_optimize(args) -> int:
         gamma=args.gamma,
         droptol=args.droptol,
         linlsqr=LinLsqr.REAL_SVD if args.linlsqr == "real" else LinLsqr.COMPLEX_SVD,
-        logger=1 if args.verbose else 0,
         perturbation=args.perturb,
         seed=args.seed,
         adaptive_gamma=args.adaptive_gamma,
@@ -230,7 +249,8 @@ def cmd_optimize(args) -> int:
     refs = g.all_coeff_refs()
     if not refs:
         raise CliError("graph has no tunable coefficients", NUMERICAL_ERROR)
-    report = opt_gauss_newton(g, f, discr, refs, config)
+    with _progress_to_stderr(args.verbose):
+        report = opt_gauss_newton(g, f, discr, refs, config)
     export_compgraph(g, args.out)
     if args.report:
         payload = {
@@ -361,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--perturb", type=float, default=None)
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--adaptive-gamma", action="store_true")
-    opt.add_argument("--verbose", action="store_true")
+    opt.add_argument("--verbose", action="store_true",
+                     help="log each iteration's residual and the stop reason to stderr")
     opt.add_argument("--report", default=None, help="JSON or CSV residual history")
     opt.add_argument("--out", required=True)
     opt.set_defaults(func=cmd_optimize)

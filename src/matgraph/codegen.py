@@ -87,8 +87,9 @@ def _schedule_kary(node_parents: dict[str, tuple], inputs: set[str],
         del frees[nid]
         slots[nid] = live[nid] = free.pop() if free else len(live)
         order.append(nid)
-        # the set's iteration order decides which freed slot is reused first
-        for p in set(node_parents[nid]):
+        # release in parent order (a repeated parent once): the last slot
+        # released is the first reused, so the order fixes the emitted code
+        for p in dict.fromkeys(node_parents[nid]):
             if p in uses:
                 uses[p] -= 1
                 if p not in keep and uses[p] == 0:

@@ -17,6 +17,7 @@ kernels numpy binds to.
 from __future__ import annotations
 
 import contextlib
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -213,3 +214,194 @@ def mat_lu_solve(A, B):
         return mp.matrix([[sol[i] for sol in sols] for i in range(A.rows)])
     raise TypeError(f"unsupported matrix type {type(A).__name__}")
 
+
+# ---------------------------------------------------------------------------
+# truncated least squares
+
+
+def _fixed_point(xs):
+    """``(ms, e)`` with ``xs[i] == ms[i] * 2**e`` exactly, in Python integers."""
+    raw = [x._mpf_ if isinstance(x, mpmath.mpf) else mp.mpf(x)._mpf_ for x in xs]
+    if any(exp and not man for _, man, exp, _ in raw):
+        raise ArithmeticError("least-squares data is not finite")
+    e = min((exp for _, man, exp, _ in raw if man), default=0)
+    return [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in raw], e
+
+
+def _rounded_dot(x, y):
+    """Dot product of two fixed-point vectors, exact and then rounded once."""
+    (mx, ex), (my, ey) = x, y
+    return mp.make_mpf(libmp.from_man_exp(sum(map(operator.mul, mx, my)), ex + ey,
+                                          mp.prec, libmp.round_nearest))
+
+
+def _normal_equations(cols, b):
+    """``(A^T A, A^T b)`` as lists, each entry an exact integer sum rounded once."""
+    fixed = [_fixed_point(c) for c in cols]
+    rhs = _fixed_point(b)
+    K = len(fixed)
+    G = [[None] * K for _ in range(K)]
+    for a in range(K):
+        for c in range(a, K):
+            G[a][c] = G[c][a] = _rounded_dot(fixed[a], fixed[c])
+    return G, [_rounded_dot(fa, rhs) for fa in fixed]
+
+
+def _tridiagonalize(A):
+    """Householder reduction of the symmetric ``A`` (overwritten) to ``(d, e, reflectors)``.
+
+    A port of mpmath 1.3's ``r_sy_tridiag`` (EISPACK tred2) to nested lists
+    that does not accumulate Q: the same operations in the same order, so the
+    diagonal ``d`` and off-diagonal ``e`` are bit-identical to the ones
+    mpmath's ``eigsy`` iterates on.  A reflector ``(i, u, H)`` maps the leading
+    ``i`` entries of a vector v to ``v - u (u.v) / H``; Q^T v applies them
+    in list order.
+    """
+    n = len(A)
+    e = [0] * n
+    reflectors = []
+    for i in range(n - 1, 0, -1):
+        scale = 0
+        for k in range(i):
+            scale += abs(A[k][i])
+        if i == 1 or scale == 0:  # mpmath also skips an infinite 1/scale, which mpf never gives
+            e[i] = A[i - 1][i]
+            continue
+        scale_inv = 1 / scale
+        H = 0
+        for k in range(i):
+            A[k][i] *= scale_inv
+            H += A[k][i] * A[k][i]
+        F = A[i - 1][i]
+        G = mp.sqrt(H)
+        if F > 0:
+            G = -G
+        e[i] = scale * G
+        H -= F * G
+        A[i - 1][i] = F - G
+        F = 0
+        for j in range(i):
+            G = 0
+            for k in range(j + 1):
+                G += A[k][j] * A[k][i]
+            for k in range(j + 1, i):
+                G += A[j][k] * A[k][i]
+            e[j] = G / H
+            F += e[j] * A[j][i]
+        HH = F / (2 * H)
+        for j in range(i):
+            F = A[j][i]
+            G = e[j] - HH * F
+            e[j] = G
+            for k in range(j + 1):
+                A[k][j] -= F * e[k] + G * A[k][i]
+        reflectors.append((i, [A[k][i] for k in range(i)], H))
+    return [A[i][i] for i in range(n)], e[1:] + [0], reflectors
+
+
+def _tridiagonal_eigenvalues(d, e):
+    """Eigenvalues of the symmetric tridiagonal ``(d, e)``, ascending, into ``d``.
+
+    A port of mpmath 1.3's ``tridiag_eigen`` (EISPACK imtql2, implicit QL)
+    with the same arithmetic, so ``d`` ends bit-identical to the eigenvalues
+    of mpmath's ``eigsy``.  Instead of updating an eigenvector matrix Z it returns the
+    plane rotations ``(i, c, s)`` in the order applied and the swaps
+    ``(i, k)`` of the final sort; replayed on a row vector z they give z Z.
+    """
+    n = len(d)
+    e[n - 1] = 0
+    eps = +mp.eps
+    iterlim = 2 * mp.dps
+    rotations, swaps = [], []
+    for l in range(n):
+        j = 0
+        while True:
+            m = l
+            while m + 1 != n and not abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            if j >= iterlim:
+                raise ArithmeticError(f"no convergence to an eigenvalue after {iterlim} iterations")
+            j += 1
+            p = d[l]
+            g = (d[l + 1] - p) / (2 * e[l])
+            r = mp.hypot(g, 1)
+            s = g - r if g < 0 else g + r
+            g = d[m] - p + e[l] / s
+            s, c, p = 1, 1, 0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                if abs(f) > abs(g):
+                    c = g / f
+                    r = mp.hypot(c, 1)
+                    e[i + 1] = f * r
+                    s = 1 / r
+                    c = c * s
+                else:
+                    s = f / g
+                    r = mp.hypot(s, 1)
+                    e[i + 1] = g * r
+                    c = 1 / r
+                    s = s * c
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                rotations.append((i, c, s))
+            d[l] = d[l] - p
+            e[l] = g
+            e[m] = 0
+    for i in range(n - 1):
+        k = min(range(i, n), key=d.__getitem__)  # the first smallest, as mpmath picks
+        if k != i:
+            d[i], d[k] = d[k], d[i]
+            swaps.append((i, k))
+    return rotations, swaps
+
+
+def _reflect(v, reflectors):
+    """Apply each reflector ``(i, u, H)`` in turn: ``v[:i] -= u (u.v[:i]) / H``."""
+    for i, u, H in reflectors:
+        t = mp.fdot(u, v[:i]) / H
+        for k in range(i):
+            v[k] -= t * u[k]
+
+
+def truncated_lstsq(cols, b, droptol):
+    """Minimum-norm least-squares solution of ``A x = b`` over the kept singular values.
+
+    ``cols`` are the columns of the real ``A``, each an iterable read once
+    (so a caller can produce the entries as they are read).  With A^T A = Q diag(E) Q^T,
+    ``x = sum_j q_j (q_j^T A^T b) / E_j`` over the eigenvalues E_j > 0 with
+    E_j > droptol^2 max|E|, i.e. the singular values of A above ``droptol``
+    times the largest.  The Gram matrix and A^T b are exact integer sums
+    rounded once; E is what mpmath's ``eigsy`` returns for that Gram matrix, and
+    Q is never formed: Q^T A^T b and the map back go through the reflectors
+    and rotations that produced E.  Returns ``(x, kept)``.
+    """
+    G, y = _normal_equations(cols, b)
+    K = len(y)
+    E, e, reflectors = _tridiagonalize(G)
+    rotations, swaps = _tridiagonal_eigenvalues(E, e)
+    emax = max(map(abs, E), default=mp.mpf(0))
+    if emax == 0:
+        return [mp.mpf(0)] * K, 0
+    drop2 = (mp.mpf(droptol) ** 2) * emax
+    # y <- Q^T y, replaying Z's updates on a row vector
+    _reflect(y, reflectors)
+    for i, c, s in rotations:
+        y[i], y[i + 1] = c * y[i] - s * y[i + 1], s * y[i] + c * y[i + 1]
+    for i, k in swaps:
+        y[i], y[k] = y[k], y[i]
+    keep = [not (Ej <= 0 or Ej <= drop2) for Ej in E]
+    y = [yj / Ej if kj else mp.mpf(0) for yj, Ej, kj in zip(y, E, keep)]
+    # x <- Q y
+    for i, k in reversed(swaps):
+        y[i], y[k] = y[k], y[i]
+    for i, c, s in reversed(rotations):
+        y[i], y[i + 1] = c * y[i] + s * y[i + 1], c * y[i + 1] - s * y[i]
+    _reflect(y, reversed(reflectors))
+    return y, sum(keep)

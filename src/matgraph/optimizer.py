@@ -7,18 +7,23 @@ pseudoinverse whose small singular values are dropped; the coefficient
 parameterizations in use here are redundant, so the Jacobian is typically
 rank-deficient and the drop tolerance is what keeps the steps sane.
 
-Extended-precision least squares goes through the Gram matrix and a
-symmetric eigendecomposition (the squared conditioning is harmless at 256
-bits, and it is far cheaper than a dense bidiagonalization at that
-precision).
+Extended-precision least squares goes through the Gram matrix J^T J and
+its eigenvalues (:func:`~matgraph.numerics.truncated_lstsq`): the squared
+conditioning is harmless at 256 bits, and this is far cheaper than a dense
+bidiagonalization at that precision.  A complex step solves the real
+embedding [[Re J, -Im J], [Im J, Re J]], whose singular values are those of
+J, each twice.  Progress (each iteration's max residual and the stop
+reason) goes to the ``logging`` logger of this module at INFO level.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 from mpmath import mp
@@ -26,6 +31,10 @@ from mpmath import mp
 from .autodiff import as_point_array, eval_jac
 from .evaluation import eval_graph, _precision_context
 from .graph import CoeffRef, ComputationGraph, GraphError
+from .numerics import truncated_lstsq
+
+
+log = logging.getLogger(__name__)
 
 
 class ErrType(str, Enum):
@@ -80,13 +89,21 @@ class Discretization:
 
 @dataclass
 class GNConfig:
+    """Gauss-Newton settings.
+
+    ``droptol`` compares singular values at every precision: a step keeps
+    the singular values of J above ``droptol`` times the largest.  At
+    extended precision the step works on the Gram matrix J^T J, so it drops
+    the Gram eigenvalues at or below ``droptol**2`` times the largest, and
+    any that are not positive.
+    """
+
     errtype: ErrType = ErrType.ABS
     stoptol: float = 1e-12
     maxiter: int = 200
     gamma: float = 1.0
     droptol: float = 0.0
     linlsqr: LinLsqr = LinLsqr.COMPLEX_SVD
-    logger: int = 0
     perturbation: float | None = None
     seed: int = 0
     adaptive_gamma: bool = False
@@ -149,35 +166,6 @@ def _svd_pinv_numpy(A: np.ndarray, b: np.ndarray, droptol: float):
     return vh[keep].conj().T @ coeff, kept
 
 
-def _gram_pinv_mp(J, b, droptol, hermitian: bool):
-    """Pseudoinverse solve via G = J^H J = Q diag(E) Q^H at working precision."""
-    N, K = len(J), len(J[0])
-    G = mp.matrix(K, K)
-    w = [mp.mpf(0)] * K
-    for a in range(K):
-        cola = [J[i][a] for i in range(N)]
-        for c in range(a, K):
-            s = mp.fdot(cola, (J[i][c] for i in range(N)), conjugate=hermitian)
-            G[c, a] = s  # fdot conjugates its second argument, so s = (J^H J)[c, a]
-            G[a, c] = mp.conj(s) if hermitian else s
-        w[a] = mp.fdot(b, cola, conjugate=hermitian)
-    E, Q = mp.eighe(G) if hermitian else mp.eigsy(G)
-    emax = max((abs(E[j]) for j in range(K)), default=mp.mpf(0))
-    if emax == 0:
-        return [mp.mpf(0)] * K, 0
-    drop2 = (mp.mpf(droptol) ** 2) * emax
-    delta = [mp.mpf(0)] * K
-    kept = 0
-    for j in range(K):
-        if E[j] <= 0 or E[j] <= drop2:
-            continue
-        kept += 1
-        proj = mp.fdot(w, (Q[t, j] for t in range(K)), conjugate=hermitian) / E[j]
-        for t in range(K):
-            delta[t] = delta[t] + Q[t, j] * proj
-    return delta, kept
-
-
 def gn_step(J, r, config: GNConfig) -> np.ndarray:
     """Least-squares update direction delta = pinv(J) r with drop tolerance.
 
@@ -190,17 +178,17 @@ def gn_step(J, r, config: GNConfig) -> np.ndarray:
     r = np.asarray(r)
     real_mode = LinLsqr(config.linlsqr) == LinLsqr.REAL_SVD
     if entries.dtype == object:
-        N, K = entries.shape
-        if real_mode:
-            Jl = [[entries[i, k].real for k in range(K)] for i in range(N)]
-            Jl += [[entries[i, k].imag for k in range(K)] for i in range(N)]
-            bl = [r[i].real for i in range(N)] + [r[i].imag for i in range(N)]
-            delta, kept = _gram_pinv_mp(Jl, bl, config.droptol, hermitian=False)
-        else:
-            Jl = [[mp.mpc(entries[i, k]) for k in range(K)] for i in range(N)]
-            bl = [mp.mpc(r[i]) for i in range(N)]
-            delta, kept = _gram_pinv_mp(Jl, bl, config.droptol, hermitian=True)
-        out = np.array(delta, dtype=object)
+        # one real problem: [Re J; Im J], and for a complex step the real
+        # embedding [[Re J, -Im J], [Im J, Re J]] acting on [Re d; Im d];
+        # the columns are read lazily, so their entries are never all alive
+        K = entries.shape[1]
+        cols = [chain((v.real for v in col), (v.imag for v in col)) for col in entries.T]
+        if not real_mode:
+            cols += [chain((-v.imag for v in col), (v.real for v in col)) for col in entries.T]
+        x, kept = truncated_lstsq(cols, [v.real for v in r] + [v.imag for v in r],
+                                  config.droptol)
+        out = np.array(x if real_mode else [mp.mpc(a, b) for a, b in zip(x[:K], x[K:])],
+                       dtype=object)
     else:
         if real_mode:
             A = np.vstack([entries.real, entries.imag])
@@ -302,14 +290,13 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
             if stop:
                 g.set_coeffs(refs, best_coeffs)
                 report.best_residual = best_rmax
-                if config.logger:
-                    print(f"gauss-newton: {stop}; stopping")
+                log.info("gauss-newton: %s; stopping", stop)
                 return report
-            if config.logger:
-                print(f"gauss-newton iter {report.iterations}: max residual {rmax:.3e}")
+            log.info("gauss-newton iter %d: max residual %.3e", report.iterations, rmax)
             if rmax <= config.stoptol:
                 report.converged = True
                 report.best_residual = rmax
+                log.info("gauss-newton: converged; stopping")
                 return report
             J = eval_jac(g, pts, refs, input=input).entries
             if errtype == ErrType.REL:
@@ -329,6 +316,7 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
             report.residual_history.append(rmax)
             report.iterations += 1
         # out of iterations: keep the best coefficients seen
+        log.info("gauss-newton: %d iterations done; stopping", config.maxiter)
         rmax = finite_rmax(current_residual())
         if rmax is not None and rmax <= config.stoptol:
             report.converged = True

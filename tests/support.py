@@ -10,8 +10,10 @@ import tempfile
 import numpy as np
 from mpmath import mp
 
-from matgraph import CoeffType, ComputationGraph, GraphError, get_topo_order
+from matgraph import CoeffRef, CoeffType, ComputationGraph, GraphError, OpKind, get_topo_order
+from matgraph.autodiff import _zeros_like_points, as_point_array
 from matgraph.codegen import Schedule
+from matgraph.evaluation import _eval_nodes, _ops_for, _precision_context, lincomb
 from matgraph.numerics import as_mp_matrix
 
 
@@ -39,6 +41,78 @@ def taylor_exp_mp(A: np.ndarray, prec: int = 512) -> np.ndarray:
 def taylor_exp_scalar(z, prec: int = 256):
     with mp.workprec(prec):
         return mp.exp(mp.mpc(z) if isinstance(z, complex) else mp.mpf(z))
+
+
+def forward_jac(g: ComputationGraph, points, refs, prec: int | None = None) -> np.ndarray:
+    """Forward-mode Jacobian of a single-output graph at points, one tangent sweep per column.
+
+    Oracle for the adjoint ``matgraph.eval_jac``: the column of a coefficient
+    is seeded at its node with the parent value the slot multiplies and
+    pushed along the topological order with the product and quotient rules.
+    """
+    refs = [CoeffRef(*r) for r in refs]
+    pts = as_point_array(points)
+    out = g.outputs[0]
+    with _precision_context(g, prec):
+        order = get_topo_order(g)
+        pos = {nid: i for i, nid in enumerate(order)}
+        ops = _ops_for(pts)
+        slots = _eval_nodes(g, pts, g.input_id, order, keep_all=True)
+        J = np.empty((len(pts), len(refs)), dtype=object if pts.dtype == object else np.complex128)
+        zero = _zeros_like_points(pts)
+        for col, ref in enumerate(refs):
+            if ref.node not in pos:
+                J[:, col] = zero  # coefficient not reachable from the output
+                continue
+            deriv = {ref.node: slots[g.parents[ref.node][ref.slot - 1]]}
+            for nid in order[pos[ref.node] + 1:]:
+                p1, p2 = g.parents[nid]
+                d1, d2 = deriv.get(p1, zero), deriv.get(p2, zero)
+                if d1 is zero and d2 is zero:
+                    continue
+                kind = g.operations[nid]
+                if kind == OpKind.LINCOMB:
+                    c1, c2 = g.coeffs[nid]
+                    deriv[nid] = lincomb(c1, d1, c2, d2)
+                elif kind == OpKind.MULT:
+                    deriv[nid] = ops.mult(d1, slots[p2]) + ops.mult(slots[p1], d2)
+                else:  # v = p1 \ p2, so dv = p1 \ (d2 - d1 v)
+                    deriv[nid] = ops.ldiv(slots[p1], d2 - ops.mult(d1, slots[nid]))
+            J[:, col] = deriv.get(out, zero)
+    return J
+
+
+def gram_eig_lstsq(J, b, droptol, hermitian: bool):
+    """Truncated least squares through ``mp.eigsy``/``mp.eighe`` of G = J^H J.
+
+    Oracle for ``matgraph.numerics.truncated_lstsq``: ``J`` is a list of rows,
+    G and J^H b are formed with ``mp.fdot``, and each kept eigenpair
+    (E_j > 0 and E_j > droptol^2 max|E|) is projected out explicitly.
+    Returns ``(delta, kept, E)``.
+    """
+    N, K = len(J), len(J[0])
+    G = mp.matrix(K, K)
+    w = [mp.mpf(0)] * K
+    for a in range(K):
+        cola = [J[i][a] for i in range(N)]
+        for c in range(a, K):
+            s = mp.fdot(cola, (J[i][c] for i in range(N)), conjugate=hermitian)
+            G[c, a] = s  # fdot conjugates its second argument, so s = (J^H J)[c, a]
+            G[a, c] = mp.conj(s) if hermitian else s
+        w[a] = mp.fdot(b, cola, conjugate=hermitian)
+    E, Q = mp.eighe(G) if hermitian else mp.eigsy(G)
+    emax = max((abs(E[j]) for j in range(K)), default=mp.mpf(0))
+    drop2 = (mp.mpf(droptol) ** 2) * emax
+    delta = [mp.mpf(0)] * K
+    kept = 0
+    for j in range(K):
+        if emax == 0 or E[j] <= 0 or E[j] <= drop2:
+            continue
+        kept += 1
+        proj = mp.fdot(w, (Q[t, j] for t in range(K)), conjugate=hermitian) / E[j]
+        for t in range(K):
+            delta[t] = delta[t] + Q[t, j] * proj
+    return delta, kept, [E[j] for j in range(K)]
 
 
 def random_graph(rng: np.random.Generator, n_nodes: int = 8, allow_ldiv: bool = True,
@@ -188,7 +262,7 @@ def schedule_kary_scan(node_parents: dict[str, tuple], inputs: set[str],
         scheduled.add(nid)
         order.append(nid)
         peak = max(peak, len(live))
-        for p in set(node_parents[nid]):
+        for p in dict.fromkeys(node_parents[nid]):
             if p in node_parents:
                 remaining_uses[p] -= 1
                 if remaining_uses[p] == 0 and p not in keep:

@@ -16,7 +16,7 @@ from matgraph import (
 )
 from matgraph.optimizer import Discretization
 
-from support import random_graph
+from support import forward_jac, random_graph
 
 
 def circle_discr(n=200, r=0.45):
@@ -134,6 +134,72 @@ class TestFiniteDifferenceAgreement:
             mask = np.abs(J1) > 1e-10
             if mask.any():
                 assert np.max(np.abs((J1 - J2)[mask] / J1[mask])) <= 1e-6
+
+
+def _rel_diff(J1, J2):
+    scale = max(abs(v) for v in J2.reshape(-1))
+    return max(abs(a - b) for a, b in zip(J1.reshape(-1), J2.reshape(-1))) / scale
+
+
+class TestAdjointAgainstForwardMode:
+    """eval_jac against the forward-mode oracle at 256 bits."""
+
+    @staticmethod
+    def points(n=9):
+        with mp.workprec(256):
+            return np.array([mp.mpf(3) / 5 * mp.expjpi(mp.mpf(2 * k + 1) / n) for k in range(n)],
+                            dtype=object)
+
+    def check(self, g, refs):
+        g = convert_precision(g, bigfloat(256))
+        pts = self.points()
+        J = eval_jac(g, pts, refs).entries
+        with mp.workprec(256):
+            assert _rel_diff(J, forward_jac(g, pts, refs)) <= mp.mpf(10) ** -70
+        return J
+
+    def test_node_as_both_parents(self):
+        g = ComputationGraph()
+        g.add_lincomb("L", 0.5, "I", -0.75, "A")
+        g.add_mult("S", "L", "L")  # S = L*L
+        g.add_lincomb("D", 0.3, "S", -1.25, "S")  # p1 = p2
+        g.add_lincomb("O", 1.0, "D", 0.5, "L")
+        g.set_outputs(["O"])
+        J = self.check(g, g.all_coeff_refs())
+        # dO/dL1 (the coefficient on I) = (2 (0.3 - 1.25) L + 0.5) * 1
+        with mp.workprec(256):
+            z = self.points()[2]
+            L = mp.mpf(0.5) - mp.mpf(0.75) * z
+            want = 2 * (mp.mpf(0.3) - mp.mpf(1.25)) * L + mp.mpf(0.5)
+            assert abs(J[2, 2] - want) <= mp.mpf(10) ** -70
+
+    def test_ldiv_chain(self):
+        g = ComputationGraph()
+        g.add_lincomb("D1", 2.0, "I", 0.5, "A")
+        g.add_lincomb("N1", 1.0, "I", -0.25, "A")
+        g.add_ldiv("X1", "D1", "N1")
+        g.add_lincomb("D2", 1.5, "I", 0.3, "X1")
+        g.add_ldiv("X2", "D2", "X1")  # X1 on both sides of a solve
+        g.add_ldiv("X3", "X1", "X2")
+        g.add_lincomb("O", 0.7, "X3", -0.2, "X1")
+        g.set_outputs(["O"])
+        self.check(g, g.all_coeff_refs())
+
+    def test_refs_on_both_slots_and_an_unreached_coefficient(self):
+        g, cref = graph_monomial_degopt([1.0, 1.0, 0.5, 1 / 6, 1 / 24])
+        g.add_lincomb("dead", 3.0, "A", 4.0, "I")
+        refs = g.all_coeff_refs()
+        assert {r.slot for r in refs} == {1, 2}
+        J = self.check(g, refs)
+        dead = [k for k, r in enumerate(refs) if r.node == "dead"]
+        assert dead and all(v == 0 for k in dead for v in J[:, k])
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(33)
+        for _ in range(12):
+            g = random_graph(rng, n_nodes=12)
+            if g.all_coeff_refs():
+                self.check(g, g.all_coeff_refs())
 
 
 class TestErrors:

@@ -167,6 +167,23 @@ class TestOptimize:
         z = 0.25
         assert abs(eval_graph(g, z) - math.exp(z)) <= 5e-5 * math.exp(z)
 
+    def test_verbose_logs_progress_to_stderr(self, tmp_path, capsys):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1,0.5", "--out", str(gfile)])
+        args = ["optimize", str(gfile), "--target", "exp", "--radius", "0.3", "--points", "20",
+                "--precision", "53", "--maxiter", "3", "--stoptol", "1e-30",
+                "--out", str(tmp_path / "o.cgr")]
+        capsys.readouterr()
+        assert run(args + ["--verbose"]) == 0
+        out = capsys.readouterr()
+        lines = out.err.strip().splitlines()
+        assert [l.split(":")[0] for l in lines[:3]] == [f"gauss-newton iter {k}" for k in range(3)]
+        assert lines[-1] == "gauss-newton: 3 iterations done; stopping"
+        assert "gauss-newton" not in out.out
+        # the handler is gone afterwards
+        assert run(args) == 0
+        assert capsys.readouterr().err == ""
+
     def test_zero_iterations_when_converged(self, tmp_path):
         gfile = tmp_path / "g.cgr"
         run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])

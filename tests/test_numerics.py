@@ -13,8 +13,12 @@ from matgraph.numerics import (
     bigfloat,
     convert_scalar,
     mat_lu_solve,
+    truncated_lstsq,
     working_precision,
 )
+from matgraph.numerics import _fixed_point, _rounded_dot, _tridiagonal_eigenvalues, _tridiagonalize
+
+from support import gram_eig_lstsq
 
 
 class TestCoeffType:
@@ -151,3 +155,63 @@ class TestLuSolve:
 
             u = mp.mpf(2) ** -prec
             assert fro(R) <= 100 * 10 * u * fro(A) * fro(X)
+
+
+def _bits(x):
+    return x._mpf_
+
+
+class TestTruncatedLstsq:
+    @pytest.mark.parametrize("n, zero_col", [(34, None), (12, 5), (2, None), (1, None)])
+    def test_eigenvalues_bit_identical_to_eigsy(self, n, zero_col):
+        rng = np.random.default_rng(71 + n)
+        with mp.workprec(256):
+            M = [[mp.mpf(v) * mp.mpf(2) ** int(e) for v, e in zip(row, rng.integers(-20, 20, n))]
+                 for row in rng.standard_normal((n, n))]
+            A = [[M[i][j] + M[j][i] for j in range(n)] for i in range(n)]
+            if zero_col is not None:  # block diagonal: column zero_col needs no reflector
+                for k in range(zero_col):
+                    for j in range(zero_col, n):
+                        A[k][j] = A[j][k] = mp.mpf(0)
+            E, _ = mp.eigsy(mp.matrix(A))
+            d, e, reflectors = _tridiagonalize([row[:] for row in A])
+            assert zero_col not in [i for i, _, _ in reflectors]
+            _tridiagonal_eigenvalues(d, e)
+            assert [_bits(x) for x in d] == [_bits(E[j]) for j in range(n)]
+
+    def test_integer_gram_equals_fdot(self):
+        rng = np.random.default_rng(72)
+        with mp.workprec(256):
+            cols = [[mp.mpf(v) * mp.mpf(2) ** int(e) / 3 if k % 7 else mp.mpf(0)
+                     for k, (v, e) in enumerate(zip(rng.standard_normal(60),
+                                                    rng.integers(-150, 150, 60)))]
+                    for _ in range(6)]
+            cols.append([mp.mpf(0)] * 60)
+            fixed = [_fixed_point(c) for c in cols]
+            for a in range(len(cols)):
+                for c in range(len(cols)):
+                    assert _bits(_rounded_dot(fixed[a], fixed[c])) == _bits(mp.fdot(cols[a], cols[c]))
+
+    def test_non_finite_data_raises(self):
+        with mp.workprec(256):
+            for bad in (mp.nan, mp.inf, -mp.inf):
+                with pytest.raises(ArithmeticError, match="not finite"):
+                    truncated_lstsq([[mp.mpf(1), bad]], [mp.mpf(1), mp.mpf(2)], 0.0)
+
+    def test_matches_eigsy_projection(self):
+        rng = np.random.default_rng(73)
+        with mp.workprec(256):
+            J = [[mp.mpf(v) for v in row] for row in rng.standard_normal((30, 8))]
+            for row in J:
+                row[5] = row[1]  # a duplicate column
+            b = [mp.mpf(v) for v in rng.standard_normal(30)]
+            want, want_kept, _ = gram_eig_lstsq(J, b, 1e-30, hermitian=False)
+            got, kept = truncated_lstsq([list(c) for c in zip(*J)], b, 1e-30)
+            assert kept == want_kept == 7
+            scale = max(abs(x) for x in want)
+            assert max(abs(x - y) for x, y in zip(got, want)) <= mp.mpf(10) ** -70 * scale
+
+    def test_zero_matrix_zero_step(self):
+        with mp.workprec(128):
+            x, kept = truncated_lstsq([[mp.mpf(0)] * 3] * 2, [mp.mpf(1)] * 3, 0.0)
+        assert kept == 0 and x == [0, 0]

@@ -22,6 +22,8 @@ from matgraph import (
 from matgraph import optimizer
 from matgraph.targets import exp_target, sqrt1p_target
 
+from support import gram_eig_lstsq
+
 
 class TestDiscretization:
     def test_closed_circle_sampling(self):
@@ -153,6 +155,58 @@ class TestGnStep:
             delta = gn_step(Aob, bob, GNConfig(droptol=1e-20))
         got = np.array([complex(x) for x in delta])
         assert np.allclose(got, want, rtol=1e-9)
+
+
+class TestGnStepAgainstEigsy:
+    """gn_step at 256 bits against the projection through mp.eigsy / mp.eighe."""
+
+    @staticmethod
+    def problem(rng, complex_):
+        # column scales spread over 12 decades, and two duplicated columns
+        A = rng.standard_normal((40, 8)) * np.logspace(0, -12, 8)
+        b = rng.standard_normal(40)
+        if complex_:
+            A = A + 1j * rng.standard_normal((40, 8)) * np.logspace(0, -12, 8)
+            b = b + 1j * rng.standard_normal(40)
+        A = np.hstack([A, A[:, [0, 3]]])
+        kind = mp.mpc if complex_ else mp.mpf
+        return (np.array([[kind(v) for v in row] for row in A], dtype=object),
+                np.array([kind(v) for v in b], dtype=object))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_rank_and_step_near_the_drop_threshold(self, monkeypatch, complex_):
+        rng = np.random.default_rng(47 + complex_)
+        J, r = self.problem(rng, complex_)
+        linlsqr = LinLsqr.COMPLEX_SVD if complex_ else LinLsqr.REAL_SVD
+        kept = []
+        kernel = optimizer.truncated_lstsq
+
+        def spy(cols, b, droptol):
+            x, k = kernel(cols, b, droptol)
+            kept.append(k)
+            return x, k
+
+        monkeypatch.setattr(optimizer, "truncated_lstsq", spy)
+        with mp.workprec(256):
+            if complex_:
+                rows = [list(row) for row in J]
+                rhs = list(r)
+            else:
+                rows = [[v.real for v in row] for row in J] + [[v.imag for v in row] for row in J]
+                rhs = [v.real for v in r] + [v.imag for v in r]
+            _, _, E = gram_eig_lstsq(rows, rhs, 0.0, hermitian=complex_)
+            assert sum(abs(e) < 1e-60 * E[-1] for e in E) == 2  # the duplicates
+            # put the threshold just above and just below the 4th-smallest
+            # nonzero eigenvalue
+            ratio = mp.sqrt(E[5] / E[-1])
+            for droptol, want_rank in ((float(ratio * (1 - mp.mpf(1e-9))), 5),
+                                       (float(ratio * (1 + mp.mpf(1e-9))), 4)):
+                want, want_kept, _ = gram_eig_lstsq(rows, rhs, droptol, hermitian=complex_)
+                assert want_kept == want_rank
+                got = gn_step(J, r, GNConfig(droptol=droptol, linlsqr=linlsqr))
+                assert kept.pop() == (2 if complex_ else 1) * want_kept
+                scale = max(abs(x) for x in want)
+                assert max(abs(x - y) for x, y in zip(got, want)) <= mp.mpf(10) ** -45 * scale
 
 
 class TestOptGaussNewton:
