@@ -1,12 +1,15 @@
 """Jacobian of a graph's scalar evaluation with respect to selected coefficients.
 
 One reverse (adjoint) sweep gives every column: after a forward pass that
-keeps all node values, the adjoint of the output (1) is pulled back along
-the reversed topological order, so each node ends with d g / d v_node
-(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 3-4).  The
-column for a coefficient is its node's adjoint times the parent value the
-slot multiplies.  All evaluation points are processed in one vectorized
-pass, and :func:`finite_diff_jac` is the independent check.
+keeps all node values, the adjoint of the output (1, or a weight w_i per
+point) is pulled back along the reversed topological order, so each node
+ends with w_i d g / d v_node (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 3-4).  The adjoint is linear in its seed, so
+seeding with w_i = 1/f(z_i) gives the Jacobian of a relative residual
+without dividing every entry.  The column for a coefficient is its node's
+adjoint times the parent value the slot multiplies.  All evaluation points
+are processed in one vectorized pass, whose output values are returned
+with the Jacobian, and :func:`finite_diff_jac` is the independent check.
 """
 
 from __future__ import annotations
@@ -22,11 +25,15 @@ from .graph import CoeffRef, ComputationGraph, GraphError, OpKind, get_topo_orde
 
 @dataclass
 class JacobianMatrix:
-    """N x K matrix of derivatives d g(z_i) / d c_k."""
+    """N x K matrix of derivatives d g(z_i) / d c_k (times w_i if weighted).
+
+    ``values`` holds g(z_i) when the Jacobian came from a forward pass.
+    """
 
     entries: np.ndarray
     points: np.ndarray
     refs: list[CoeffRef]
+    values: np.ndarray | None = None
 
     @property
     def shape(self):
@@ -52,11 +59,12 @@ def _zeros_like_points(pts):
 
 
 def eval_jac(g: ComputationGraph, points, refs, input: str | None = None,
-             prec: int | None = None) -> JacobianMatrix:
-    """Reverse-mode Jacobian over all points at once.
+             prec: int | None = None, weights=None) -> JacobianMatrix:
+    """Reverse-mode Jacobian over all points at once, with the values g(z_i).
 
-    Requires a single-output graph; an evaluation singularity at some
-    point aborts with an error naming the point.
+    ``weights`` (one per point) seed the output adjoint, so row i comes out
+    scaled by w_i.  Requires a single-output graph; an evaluation
+    singularity at some point aborts with an error naming the point.
     """
     if len(g.outputs) != 1:
         raise GraphError("Jacobian needs a single-output graph")
@@ -65,10 +73,13 @@ def eval_jac(g: ComputationGraph, points, refs, input: str | None = None,
         g._check_ref(ref)
     input_id = input if input is not None else g.input_id
     pts = as_point_array(points)
+    if weights is not None and np.shape(weights) != pts.shape:
+        raise ValueError("need one weight per point")
     with _precision_context(g, prec):
         order = get_topo_order(g)
         ops = _ops_for(pts)
         slots = _eval_nodes(g, pts, input_id, order, keep_all=True)
+        values = slots[g.outputs[0]]
         J = np.empty((len(pts), len(refs)), dtype=object if pts.dtype == object else np.complex128)
         J[:] = _zeros_like_points(pts)[:, None]  # columns of coefficients the output does not use
         cols: dict[str, list] = {}
@@ -77,7 +88,7 @@ def eval_jac(g: ComputationGraph, points, refs, input: str | None = None,
         # adjoints d g / d v_n, summed over every use of n (both slots of a node
         # count when p1 == p2); points are scalars, so nothing is transposed.
         # A node's adjoint and value are dropped once the sweep has passed it.
-        bar = {g.outputs[0]: ops.identity(pts)}
+        bar = {g.outputs[0]: ops.identity(pts) if weights is None else np.asarray(weights)}
         nodes = g.operations  # the inputs need no adjoint
 
         def add(p, v):
@@ -107,7 +118,7 @@ def eval_jac(g: ComputationGraph, points, refs, input: str | None = None,
                     add(p2, t)
                 if p1 in nodes:
                     add(p1, -ops.mult(t, v))
-    return JacobianMatrix(J, pts, refs)
+    return JacobianMatrix(J, pts, refs, values)
 
 
 def finite_diff_jac(g: ComputationGraph, points, refs, h=1e-7,

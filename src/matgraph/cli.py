@@ -256,6 +256,7 @@ def cmd_optimize(args) -> int:
         payload = {
             "iterations": report.iterations,
             "converged": report.converged,
+            "stop_reason": report.stop_reason,
             "best_residual": report.best_residual,
             "residual_history": report.residual_history,
         }

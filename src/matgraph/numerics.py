@@ -12,6 +12,13 @@ so all public entry points of this package wrap their numerical work in
 ``mpmath.matrix`` instances (classical O(n^3) multiply, partially pivoted
 LU); binary64 matrices are numpy arrays and delegate to the optimized
 kernels numpy binds to.
+
+The extended-precision least-squares step (:func:`truncated_lstsq`) forms
+its Gram matrix from exact Python integers rounded once, setting aside the
+few entries far below their column's largest so that they do not widen
+every integer, and reduces it with ports of mpmath's symmetric eigensolver
+that run on raw libmp tuples: the same roundings as ``mpmath.eigsy``
+without an ``mpf`` object per operation.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from mpmath import libmp, mp
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_hypot, mpf_le,
+                          mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, mpf_sum,
+                          round_nearest as RND)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -217,22 +227,52 @@ def mat_lu_solve(A, B):
 
 # ---------------------------------------------------------------------------
 # truncated least squares
+#
+# The kernels work on raw libmp tuples at (mp.prec, round nearest): they read
+# ``_mpf_`` once and call libmp's ``mpf_*`` in the order the ``mpf``
+# operators would, each rounding as its operator does, so the results are
+# bit-identical to object code.  2*x is written ``mpf_shift(x, 1)``, which is
+# exact, as ``2 * x`` is.
+
+#: an entry more than this many bits below its vector's largest is set aside
+OUTLIER_BITS = 64
 
 
 def _fixed_point(xs):
-    """``(ms, e)`` with ``xs[i] == ms[i] * 2**e`` exactly, in Python integers."""
+    """``(ms, e, outliers)`` with ``xs[i] == ms[i] * 2**e`` exactly, in Python integers.
+
+    An entry whose top bit is more than :data:`OUTLIER_BITS` below the
+    largest would widen every integer of the vector; it is set aside
+    instead: ``ms[i]`` is 0 and ``outliers[i]`` holds its exact ``(man, exp)``.
+    """
     raw = [x._mpf_ if isinstance(x, mpmath.mpf) else mp.mpf(x)._mpf_ for x in xs]
     if any(exp and not man for _, man, exp, _ in raw):
         raise ArithmeticError("least-squares data is not finite")
-    e = min((exp for _, man, exp, _ in raw if man), default=0)
-    return [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in raw], e
+    cut = max((exp + bc for _, man, exp, bc in raw if man), default=0) - OUTLIER_BITS
+    e = min((exp for _, man, exp, bc in raw if man and exp + bc >= cut), default=0)
+    ms, outliers = [], {}
+    for i, (sign, man, exp, bc) in enumerate(raw):
+        if man and exp + bc < cut:
+            outliers[i], man = (-man if sign else man, exp), 0
+        ms.append((-man if sign else man) << (exp - e) if man else 0)
+    return ms, e, outliers
 
 
 def _rounded_dot(x, y):
-    """Dot product of two fixed-point vectors, exact and then rounded once."""
-    (mx, ex), (my, ey) = x, y
-    return mp.make_mpf(libmp.from_man_exp(sum(map(operator.mul, mx, my)), ex + ey,
-                                          mp.prec, libmp.round_nearest))
+    """Dot product of two fixed-point vectors, exact and then rounded once.
+
+    The rows either vector set aside add their exact products, shifted with
+    the integer sum to the lowest exponent among them.
+    """
+    (mx, ex, ox), (my, ey, oy) = x, y
+    man, exp = sum(map(operator.mul, mx, my)), ex + ey
+    if ox or oy:
+        rows = [(ox.get(i) or (mx[i], ex), oy.get(i) or (my[i], ey)) for i in ox.keys() | oy.keys()]
+        terms = [(a * b, ea + eb) for (a, ea), (b, eb) in rows]
+        low = min(exp, *(t for _, t in terms))
+        man = (man << (exp - low)) + sum(m << (t - low) for m, t in terms)
+        exp = low
+    return mp.make_mpf(libmp.from_man_exp(man, exp, mp.prec, RND))
 
 
 def _normal_equations(cols, b):
@@ -248,112 +288,122 @@ def _normal_equations(cols, b):
 
 
 def _tridiagonalize(A):
-    """Householder reduction of the symmetric ``A`` (overwritten) to ``(d, e, reflectors)``.
+    """Householder reduction of the symmetric ``A`` to ``(d, e, reflectors)``.
 
-    A port of mpmath 1.3's ``r_sy_tridiag`` (EISPACK tred2) to nested lists
+    A port of mpmath 1.3's ``r_sy_tridiag`` (EISPACK tred2) to raw tuples
     that does not accumulate Q: the same operations in the same order, so the
-    diagonal ``d`` and off-diagonal ``e`` are bit-identical to the ones
-    mpmath's ``eigsy`` iterates on.  A reflector ``(i, u, H)`` maps the leading
-    ``i`` entries of a vector v to ``v - u (u.v) / H``; Q^T v applies them
-    in list order.
+    diagonal ``d`` and off-diagonal ``e`` (``mpf`` lists) are bit-identical to
+    the ones mpmath's ``eigsy`` iterates on.  Only the upper triangle is read,
+    as columns ``a[j][k] = A[k][j]``, k <= j.  A reflector ``(i, u, H)``
+    (tuples) maps the leading ``i`` entries of a vector v to
+    ``v - u (u.v) / H``; Q^T v applies them in list order.
     """
+    p = mp.prec
     n = len(A)
-    e = [0] * n
+    a = [[A[k][j]._mpf_ for k in range(j + 1)] for j in range(n)]
+    e = [fzero] * n
     reflectors = []
     for i in range(n - 1, 0, -1):
-        scale = 0
+        u = a[i][:i]
+        scale = fzero
         for k in range(i):
-            scale += abs(A[k][i])
-        if i == 1 or scale == 0:  # mpmath also skips an infinite 1/scale, which mpf never gives
-            e[i] = A[i - 1][i]
+            scale = mpf_add(scale, mpf_abs(u[k], p, RND), p, RND)
+        if i == 1 or scale == fzero:  # mpmath also skips an infinite 1/scale, which mpf never gives
+            e[i] = u[i - 1]
             continue
-        scale_inv = 1 / scale
-        H = 0
+        scale_inv = mpf_div(fone, scale, p, RND)
+        H = fzero
         for k in range(i):
-            A[k][i] *= scale_inv
-            H += A[k][i] * A[k][i]
-        F = A[i - 1][i]
-        G = mp.sqrt(H)
-        if F > 0:
-            G = -G
-        e[i] = scale * G
-        H -= F * G
-        A[i - 1][i] = F - G
-        F = 0
+            u[k] = uk = mpf_mul(u[k], scale_inv, p, RND)
+            H = mpf_add(H, mpf_mul(uk, uk, p, RND), p, RND)
+        F = u[i - 1]
+        G = mpf_sqrt(H, p, RND)
+        if mpf_gt(F, fzero):
+            G = mpf_neg(G)
+        e[i] = mpf_mul(scale, G, p, RND)
+        H = mpf_sub(H, mpf_mul(F, G, p, RND), p, RND)
+        u[i - 1] = mpf_sub(F, G, p, RND)
+        F = fzero
         for j in range(i):
-            G = 0
+            aj, G = a[j], fzero
             for k in range(j + 1):
-                G += A[k][j] * A[k][i]
+                G = mpf_add(G, mpf_mul(aj[k], u[k], p, RND), p, RND)
             for k in range(j + 1, i):
-                G += A[j][k] * A[k][i]
-            e[j] = G / H
-            F += e[j] * A[j][i]
-        HH = F / (2 * H)
+                G = mpf_add(G, mpf_mul(a[k][j], u[k], p, RND), p, RND)
+            e[j] = mpf_div(G, H, p, RND)
+            F = mpf_add(F, mpf_mul(e[j], u[j], p, RND), p, RND)
+        HH = mpf_div(F, mpf_shift(H, 1), p, RND)
         for j in range(i):
-            F = A[j][i]
-            G = e[j] - HH * F
-            e[j] = G
+            F, aj = u[j], a[j]
+            e[j] = G = mpf_sub(e[j], mpf_mul(HH, F, p, RND), p, RND)
             for k in range(j + 1):
-                A[k][j] -= F * e[k] + G * A[k][i]
-        reflectors.append((i, [A[k][i] for k in range(i)], H))
-    return [A[i][i] for i in range(n)], e[1:] + [0], reflectors
+                aj[k] = mpf_sub(aj[k], mpf_add(mpf_mul(F, e[k], p, RND),
+                                               mpf_mul(G, u[k], p, RND), p, RND), p, RND)
+        reflectors.append((i, u, H))
+    d = [mp.make_mpf(a[i][i]) for i in range(n)]
+    return d, list(map(mp.make_mpf, e[1:] + [fzero])), reflectors
 
 
 def _tridiagonal_eigenvalues(d, e):
     """Eigenvalues of the symmetric tridiagonal ``(d, e)``, ascending, into ``d``.
 
     A port of mpmath 1.3's ``tridiag_eigen`` (EISPACK imtql2, implicit QL)
-    with the same arithmetic, so ``d`` ends bit-identical to the eigenvalues
-    of mpmath's ``eigsy``.  Instead of updating an eigenvector matrix Z it returns the
-    plane rotations ``(i, c, s)`` in the order applied and the swaps
-    ``(i, k)`` of the final sort; replayed on a row vector z they give z Z.
+    to raw tuples with the same arithmetic, so ``d`` ends bit-identical to
+    the eigenvalues of mpmath's ``eigsy``.  Instead of updating an
+    eigenvector matrix Z it returns the plane rotations ``(i, c, s)``
+    (tuples) in the order applied and the swaps ``(i, k)`` of the final
+    sort; replayed on a row vector z they give z Z.
     """
+    p = mp.prec
     n = len(d)
-    e[n - 1] = 0
-    eps = +mp.eps
+    D, E = [x._mpf_ for x in d], [x._mpf_ for x in e[:n - 1]] + [fzero]
+    eps = (+mp.eps)._mpf_
     iterlim = 2 * mp.dps
     rotations, swaps = [], []
     for l in range(n):
         j = 0
         while True:
             m = l
-            while m + 1 != n and not abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
+            while m + 1 != n and not mpf_le(mpf_abs(E[m]), mpf_mul(
+                    eps, mpf_add(mpf_abs(D[m]), mpf_abs(D[m + 1]), p, RND), p, RND)):
                 m += 1
             if m == l:
                 break
             if j >= iterlim:
                 raise ArithmeticError(f"no convergence to an eigenvalue after {iterlim} iterations")
             j += 1
-            p = d[l]
-            g = (d[l + 1] - p) / (2 * e[l])
-            r = mp.hypot(g, 1)
-            s = g - r if g < 0 else g + r
-            g = d[m] - p + e[l] / s
-            s, c, p = 1, 1, 0
+            q = D[l]
+            g = mpf_div(mpf_sub(D[l + 1], q, p, RND), mpf_shift(E[l], 1), p, RND)
+            r = mpf_hypot(g, fone, p, RND)
+            s = mpf_sub(g, r, p, RND) if mpf_lt(g, fzero) else mpf_add(g, r, p, RND)
+            g = mpf_add(mpf_sub(D[m], q, p, RND), mpf_div(E[l], s, p, RND), p, RND)
+            s, c, q = fone, fone, fzero
             for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                if abs(f) > abs(g):
-                    c = g / f
-                    r = mp.hypot(c, 1)
-                    e[i + 1] = f * r
-                    s = 1 / r
-                    c = c * s
+                f = mpf_mul(s, E[i], p, RND)
+                b = mpf_mul(c, E[i], p, RND)
+                if mpf_gt(mpf_abs(f), mpf_abs(g)):
+                    c = mpf_div(g, f, p, RND)
+                    r = mpf_hypot(c, fone, p, RND)
+                    E[i + 1] = mpf_mul(f, r, p, RND)
+                    s = mpf_div(fone, r, p, RND)
+                    c = mpf_mul(c, s, p, RND)
                 else:
-                    s = f / g
-                    r = mp.hypot(s, 1)
-                    e[i + 1] = g * r
-                    c = 1 / r
-                    s = s * c
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
+                    s = mpf_div(f, g, p, RND)
+                    r = mpf_hypot(s, fone, p, RND)
+                    E[i + 1] = mpf_mul(g, r, p, RND)
+                    c = mpf_div(fone, r, p, RND)
+                    s = mpf_mul(s, c, p, RND)
+                g = mpf_sub(D[i + 1], q, p, RND)
+                r = mpf_add(mpf_mul(mpf_sub(D[i], g, p, RND), s, p, RND),
+                            mpf_mul(mpf_shift(c, 1), b, p, RND), p, RND)
+                q = mpf_mul(s, r, p, RND)
+                D[i + 1] = mpf_add(g, q, p, RND)
+                g = mpf_sub(mpf_mul(c, r, p, RND), b, p, RND)
                 rotations.append((i, c, s))
-            d[l] = d[l] - p
-            e[l] = g
-            e[m] = 0
+            D[l] = mpf_sub(D[l], q, p, RND)
+            E[l] = g
+            E[m] = fzero
+    d[:] = map(mp.make_mpf, D)
     for i in range(n - 1):
         k = min(range(i, n), key=d.__getitem__)  # the first smallest, as mpmath picks
         if k != i:
@@ -363,11 +413,27 @@ def _tridiagonal_eigenvalues(d, e):
 
 
 def _reflect(v, reflectors):
-    """Apply each reflector ``(i, u, H)`` in turn: ``v[:i] -= u (u.v[:i]) / H``."""
+    """Apply each reflector ``(i, u, H)`` in turn: ``v[:i] -= u (u.v[:i]) / H``.
+
+    ``u.v`` is an exact sum rounded once, as ``mp.fdot`` forms it.
+    """
+    p = mp.prec
     for i, u, H in reflectors:
-        t = mp.fdot(u, v[:i]) / H
+        t = mpf_div(mpf_sum(list(map(mpf_mul, u, v[:i])), p, RND), H, p, RND)
         for k in range(i):
-            v[k] -= t * u[k]
+            v[k] = mpf_sub(v[k], mpf_mul(t, u[k], p, RND), p, RND)
+
+
+def _rotate(v, rotations):
+    """Apply each rotation ``(i, c, s)`` in turn to the row vector ``v``.
+
+    Rounding is symmetric, so ``(i, c, -s)`` in reverse order undoes them.
+    """
+    p = mp.prec
+    for i, c, s in rotations:
+        a, b = v[i], v[i + 1]
+        v[i] = mpf_sub(mpf_mul(c, a, p, RND), mpf_mul(s, b, p, RND), p, RND)
+        v[i + 1] = mpf_add(mpf_mul(s, a, p, RND), mpf_mul(c, b, p, RND), p, RND)
 
 
 def truncated_lstsq(cols, b, droptol):
@@ -391,17 +457,16 @@ def truncated_lstsq(cols, b, droptol):
         return [mp.mpf(0)] * K, 0
     drop2 = (mp.mpf(droptol) ** 2) * emax
     # y <- Q^T y, replaying Z's updates on a row vector
+    y = [v._mpf_ for v in y]
     _reflect(y, reflectors)
-    for i, c, s in rotations:
-        y[i], y[i + 1] = c * y[i] - s * y[i + 1], s * y[i] + c * y[i + 1]
+    _rotate(y, rotations)
     for i, k in swaps:
         y[i], y[k] = y[k], y[i]
     keep = [not (Ej <= 0 or Ej <= drop2) for Ej in E]
-    y = [yj / Ej if kj else mp.mpf(0) for yj, Ej, kj in zip(y, E, keep)]
+    y = [mpf_div(yj, Ej._mpf_, mp.prec, RND) if kj else fzero for yj, Ej, kj in zip(y, E, keep)]
     # x <- Q y
     for i, k in reversed(swaps):
         y[i], y[k] = y[k], y[i]
-    for i, c, s in reversed(rotations):
-        y[i], y[i + 1] = c * y[i] + s * y[i + 1], c * y[i + 1] - s * y[i]
+    _rotate(y, [(i, c, mpf_neg(s)) for i, c, s in reversed(rotations)])
     _reflect(y, reversed(reflectors))
-    return y, sum(keep)
+    return list(map(mp.make_mpf, y)), sum(keep)

@@ -7,13 +7,19 @@ pseudoinverse whose small singular values are dropped; the coefficient
 parameterizations in use here are redundant, so the Jacobian is typically
 rank-deficient and the drop tolerance is what keeps the steps sane.
 
+One forward pass per iteration serves both the residual and the Jacobian:
+:func:`~matgraph.autodiff.eval_jac` returns the values g(z_i) it computed.
+Under relative error its adjoint is seeded with 1/f(z_i), which scales
+every Jacobian row by 1/f(z_i) for N reciprocals instead of N*K divisions.
+
 Extended-precision least squares goes through the Gram matrix J^T J and
 its eigenvalues (:func:`~matgraph.numerics.truncated_lstsq`): the squared
 conditioning is harmless at 256 bits, and this is far cheaper than a dense
 bidiagonalization at that precision.  A complex step solves the real
 embedding [[Re J, -Im J], [Im J, Re J]], whose singular values are those of
 J, each twice.  Progress (each iteration's max residual and the stop
-reason) goes to the ``logging`` logger of this module at INFO level.
+reason) goes to the ``logging`` logger of this module at INFO level, and
+:attr:`GNReport.stop_reason` keeps why the iteration ended.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -120,10 +127,17 @@ class GNConfig:
 
 @dataclass
 class GNReport:
+    """Outcome of :func:`opt_gauss_newton`.
+
+    ``stop_reason`` is "converged", "maxiter", "non-finite" or "stagnated";
+    it is "converged" exactly when ``converged`` is true.
+    """
+
     iterations: int
     residual_history: list = field(default_factory=list)
     converged: bool = False
     best_residual: float | None = None
+    stop_reason: str | None = None
 
 
 def _target_values(f, pts: np.ndarray) -> np.ndarray:
@@ -133,6 +147,12 @@ def _target_values(f, pts: np.ndarray) -> np.ndarray:
     return np.asarray(vals, dtype=np.complex128)
 
 
+def _residual(gv, fv, errtype: ErrType):
+    """g(z_i) - f(z_i), divided by f(z_i) under relative error."""
+    r = gv - fv
+    return r / fv if errtype == ErrType.REL else r
+
+
 def residual(g: ComputationGraph, f, discr: Discretization,
              errtype: ErrType = ErrType.ABS, input: str | None = None) -> np.ndarray:
     """r_i = g(z_i) - f(z_i), divided by f(z_i) under relative error.
@@ -140,18 +160,17 @@ def residual(g: ComputationGraph, f, discr: Discretization,
     The target is evaluated at the graph's coefficient precision.
     """
     pts = discr.points
+    errtype = ErrType(errtype)
     with _precision_context(g, g.coeff_type.prec):
         gv = eval_graph(g, pts, input=input)
         fv = _target_values(f, pts)
-        r = gv - fv
-        if ErrType(errtype) == ErrType.REL:
+        if errtype == ErrType.REL:
             bad = [i for i, v in enumerate(fv) if v == 0]
             if bad:
                 raise OptimizeError(
                     f"relative error undefined: target vanishes at point index {bad[0]}"
                 )
-            r = r / fv
-    return r
+        return _residual(gv, fv, errtype)
 
 
 def _svd_pinv_numpy(A: np.ndarray, b: np.ndarray, droptol: float):
@@ -214,12 +233,17 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
     ``divergence_patience`` consecutive iterations) the best coefficients
     are restored and the report is flagged unconverged.  A residual with a
     non-finite entry ends the iteration the same way; at the starting
-    coefficients it raises :class:`OptimizeError`.
+    coefficients it raises :class:`OptimizeError`.  A ref listed twice is
+    refused: the minimum-norm step would split its update between the
+    copies, and only the last copy's share would be applied.
     """
     config = config or GNConfig()
     refs = [CoeffRef(*ref) for ref in refs]
     if not refs:
         raise GraphError("need a nonempty coefficient selection")
+    repeated = [ref for ref, n in Counter(refs).items() if n > 1]
+    if repeated:
+        raise GraphError(f"coefficient {tuple(repeated[0])} is selected more than once")
     errtype = ErrType(config.errtype)
     real_mode = LinLsqr(config.linlsqr) == LinLsqr.REAL_SVD
     prec = g.coeff_type.prec
@@ -251,13 +275,10 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
         best_rmax = None
         best_coeffs = None
         above_best = 0
+        weights = 1 / fv if errtype == ErrType.REL else None
 
         def current_residual():
-            gv = eval_graph(g, pts, input=input)
-            r = gv - fv
-            if errtype == ErrType.REL:
-                r = r / fv
-            return r
+            return _residual(eval_graph(g, pts, input=input), fv, errtype)
 
         def rnorm2(r):
             return float(sum(abs(x) ** 2 for x in r)) ** 0.5
@@ -272,11 +293,12 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
             return None
 
         for _ in range(config.maxiter):
-            r = current_residual()
+            jac = eval_jac(g, pts, refs, input=input, weights=weights)
+            r = _residual(jac.values, fv, errtype)
             rmax = finite_rmax(r)
             stop = None
             if rmax is None:
-                stop = "residual not finite"
+                stop, why = "non-finite", "residual not finite"
             elif best_rmax is None or rmax < best_rmax:
                 best_rmax = rmax
                 best_coeffs = g.get_coeffs(refs)
@@ -284,24 +306,23 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
             elif rmax > config.divergence_factor * best_rmax:
                 above_best += 1
                 if above_best >= config.divergence_patience:
-                    stop = f"stagnated at residual {rmax:.3e}"
+                    stop, why = "stagnated", f"stagnated at residual {rmax:.3e}"
             else:
                 above_best = 0
             if stop:
                 g.set_coeffs(refs, best_coeffs)
                 report.best_residual = best_rmax
-                log.info("gauss-newton: %s; stopping", stop)
+                report.stop_reason = stop
+                log.info("gauss-newton: %s; stopping", why)
                 return report
             log.info("gauss-newton iter %d: max residual %.3e", report.iterations, rmax)
             if rmax <= config.stoptol:
                 report.converged = True
                 report.best_residual = rmax
+                report.stop_reason = "converged"
                 log.info("gauss-newton: converged; stopping")
                 return report
-            J = eval_jac(g, pts, refs, input=input).entries
-            if errtype == ErrType.REL:
-                J = J / fv[:, None]
-            delta = gn_step(J, r, config)
+            delta = gn_step(jac.entries, r, config)
             c = g.get_coeffs(refs)
             if config.adaptive_gamma:
                 rn = rnorm2(r)
@@ -317,10 +338,12 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
             report.iterations += 1
         # out of iterations: keep the best coefficients seen
         log.info("gauss-newton: %d iterations done; stopping", config.maxiter)
+        report.stop_reason = "maxiter"
         rmax = finite_rmax(current_residual())
         if rmax is not None and rmax <= config.stoptol:
             report.converged = True
             report.best_residual = rmax
+            report.stop_reason = "converged"
         elif best_rmax is not None and (rmax is None or best_rmax < rmax):
             g.set_coeffs(refs, best_coeffs)
             report.best_residual = best_rmax

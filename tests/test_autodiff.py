@@ -202,6 +202,47 @@ class TestAdjointAgainstForwardMode:
                 self.check(g, g.all_coeff_refs())
 
 
+class TestWeightsAndValues:
+    """The weighted adjoint seed and the values of the forward pass."""
+
+    @pytest.mark.parametrize("prec, tol", [(256, mp.mpf(10) ** -70), (None, 1e-14)])
+    def test_weights_scale_rows(self, prec, tol):
+        rng = np.random.default_rng(34)
+        pts = TestAdjointAgainstForwardMode.points() if prec else circle_discr(9, 0.6)
+        for _ in range(6):
+            g = random_graph(rng, n_nodes=12)
+            refs = g.all_coeff_refs()
+            if not refs:
+                continue
+            if prec:
+                g = convert_precision(g, bigfloat(prec))
+            with mp.workprec(prec or 53):
+                w = 1 / eval_jac(g, pts, refs).values if prec else \
+                    rng.standard_normal(9) + 1j * rng.standard_normal(9)
+                J = eval_jac(g, pts, refs, weights=w).entries
+                want = w[:, None] * eval_jac(g, pts, refs).entries
+                assert _rel_diff(J, want) <= tol
+
+    @pytest.mark.parametrize("prec", [256, None])
+    def test_values_equal_eval_graph(self, prec):
+        from matgraph import eval_graph
+
+        rng = np.random.default_rng(35)
+        pts = TestAdjointAgainstForwardMode.points() if prec else circle_discr(9, 0.6)
+        for _ in range(6):
+            g = random_graph(rng, n_nodes=12)
+            if prec:
+                g = convert_precision(g, bigfloat(prec))
+            # weights scale the adjoint, never the values
+            jac = eval_jac(g, pts, g.all_coeff_refs(), weights=rng.uniform(0.5, 2, 9))
+            assert all(jac.values == eval_graph(g, pts))
+
+    def test_weights_need_one_per_point(self):
+        g, cref = graph_monomial([1.0, 2.0])
+        with pytest.raises(ValueError, match="one weight per point"):
+            eval_jac(g, circle_discr(5), cref, weights=np.ones(4))
+
+
 class TestErrors:
     def test_singularity_names_point(self):
         g = ComputationGraph()

@@ -162,7 +162,7 @@ class TestOptimize:
                     "--maxiter", "12", "--out", str(out), "--report", str(rep)])
         assert code == 0
         payload = json.loads(rep.read_text())
-        assert payload["converged"]
+        assert payload["converged"] and payload["stop_reason"] == "converged"
         g = import_compgraph(str(out))
         z = 0.25
         assert abs(eval_graph(g, z) - math.exp(z)) <= 5e-5 * math.exp(z)

@@ -16,7 +16,13 @@ from matgraph.numerics import (
     truncated_lstsq,
     working_precision,
 )
-from matgraph.numerics import _fixed_point, _rounded_dot, _tridiagonal_eigenvalues, _tridiagonalize
+from matgraph.numerics import (
+    _fixed_point,
+    _normal_equations,
+    _rounded_dot,
+    _tridiagonal_eigenvalues,
+    _tridiagonalize,
+)
 
 from support import gram_eig_lstsq
 
@@ -191,6 +197,40 @@ class TestTruncatedLstsq:
             for a in range(len(cols)):
                 for c in range(len(cols)):
                     assert _bits(_rounded_dot(fixed[a], fixed[c])) == _bits(mp.fdot(cols[a], cols[c]))
+
+    def test_normal_equations_with_outliers_equal_fdot(self):
+        # entries far below their column's largest are set aside and added
+        # back exactly; each column's outlier rows meet the large entries of
+        # another column, so a row left out changes the rounded sums
+        rng = np.random.default_rng(74)
+        with mp.workprec(256):
+            def col(scales):
+                """Full 256-bit entries +-(1 + u/3) 2^s: top bit at s + 1."""
+                return [rng.choice([-1, 1]) * (1 + mp.mpf(rng.uniform()) / 3) * mp.mpf(2) ** s
+                        if s is not None else mp.mpf(0) for s in scales]
+
+            cols = [
+                col([0, -300, -2, -1, 0, -1, -5, 0]),          # one entry 2^-300 below
+                col([-300, 0, 0, -1, -2, 0, -1, 0]),
+                col([0, -3, -64, -65, 0, -1, 0, -2]),          # 64 and 65 bits below
+                col([-70, -80, 0, -90, -100, -200, -65, -66]),  # all but the top set aside
+                col([None] * 8),                                # all zeros
+                col([-400, -405, -410, -420, -430, -440, -450, -463]),  # small, none set aside
+            ]
+            # the 64/65 boundary: exactly 64 bits below the top stays in
+            # the integers, 65 bits below is set aside
+            top = max(x._mpf_[2] + x._mpf_[3] for x in cols[2])
+            below = {i: top - (x._mpf_[2] + x._mpf_[3]) for i, x in enumerate(cols[2])}
+            assert {i for i in below if below[i] > 64} == set(_fixed_point(cols[2])[2])
+            assert 64 in below.values() and 65 in below.values()
+            assert len(_fixed_point(cols[3])[2]) == 7
+            assert not _fixed_point(cols[4])[2] and not _fixed_point(cols[5])[2]
+            b = col([-2, -90, 0, -1, -300, 0, -1, -70])        # outliers in b
+            G, y = _normal_equations(cols, b)
+            for a in range(len(cols)):
+                assert _bits(y[a]) == _bits(mp.fdot(cols[a], b))
+                for c in range(len(cols)):
+                    assert _bits(G[a][c]) == _bits(mp.fdot(cols[a], cols[c]))
 
     def test_non_finite_data_raises(self):
         with mp.workprec(256):

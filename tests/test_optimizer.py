@@ -9,6 +9,7 @@ from matgraph import (
     Discretization,
     ErrType,
     GNConfig,
+    GraphError,
     LinLsqr,
     OptimizeError,
     bigfloat,
@@ -222,9 +223,33 @@ class TestOptGaussNewton:
         report = opt_gauss_newton(g, exp_target, d, cref,
                                   GNConfig(maxiter=5, linlsqr=LinLsqr.REAL_SVD))
         assert not report.converged
+        assert report.stop_reason == "non-finite"
         assert report.iterations == 1
         assert g.get_coeffs(cref) == start
         assert math.isfinite(report.best_residual)
+
+    def test_stagnation_restores_best(self, monkeypatch):
+        g, cref = graph_monomial([1.0, 0.9, 0.4])
+        start = g.get_coeffs(cref)
+        d = Discretization.disk(0, 0.5, 12)
+        # every step moves away from the optimum
+        monkeypatch.setattr(optimizer, "gn_step",
+                            lambda J, r, config: np.array([-10.0] * len(cref)))
+        report = opt_gauss_newton(g, exp_target, d, cref,
+                                  GNConfig(maxiter=9, linlsqr=LinLsqr.REAL_SVD,
+                                           divergence_patience=2))
+        assert not report.converged
+        assert report.stop_reason == "stagnated"
+        assert report.iterations == 2
+        assert g.get_coeffs(cref) == start
+
+    def test_repeated_ref_refused(self):
+        # a repeated ref would split its update between the copies
+        g, cref = graph_monomial([1.0, 0.9, 0.4])
+        d = Discretization.disk(0, 0.5, 12)
+        with pytest.raises(GraphError, match=rf"\('{cref[1].node}', {cref[1].slot}\)"):
+            opt_gauss_newton(g, exp_target, d, cref + [cref[1]],
+                             GNConfig(maxiter=1, linlsqr=LinLsqr.REAL_SVD))
 
     def test_non_finite_start_raises(self):
         g, cref = graph_monomial([1.0, 1.0, 0.5])
@@ -275,6 +300,7 @@ class TestOptGaussNewton:
         report = opt_gauss_newton(g, lambda z: 1 + z, d, cref,
                                   GNConfig(stoptol=1e-12, linlsqr=LinLsqr.REAL_SVD))
         assert report.converged and report.iterations == 0
+        assert report.stop_reason == "converged"
         assert report.residual_history == []
 
     def test_gamma_zero_runs_to_maxiter(self):
@@ -284,6 +310,7 @@ class TestOptGaussNewton:
         config = GNConfig(stoptol=1e-30, maxiter=5, gamma=0.0, linlsqr=LinLsqr.REAL_SVD)
         report = opt_gauss_newton(g, lambda z: np.exp(z), d, cref, config)
         assert not report.converged
+        assert report.stop_reason == "maxiter"
         assert report.iterations == 5
         assert g.get_coeffs(cref) == before
 
@@ -331,6 +358,24 @@ class TestOptGaussNewton:
         # accepted steps never increase the 2-norm; the max-norm history
         # should be close to monotone as well for this smooth problem
         assert all(b <= a * (1 + 1e-9) for a, b in zip(hist, hist[1:]))
+
+
+def test_relative_design_iterates_pinned():
+    # 256-bit relative-error design, degree-3 degree-optimal form.  The
+    # history was recorded with an mpf-object eigen-solve and an explicit
+    # division of the Jacobian by f(z_i); the tuple kernels and the 1/f(z_i)
+    # adjoint seed must give the same iterates
+    c = [1.0 / math.factorial(j) for j in range(4)]
+    g, cref = graph_monomial_degopt(c)
+    g = convert_precision(g, bigfloat(256))
+    d = Discretization.disk(0, 0.45, 20, prec=256)
+    config = GNConfig(errtype=ErrType.REL, stoptol=1e-40, maxiter=5, droptol=1e-15,
+                      linlsqr=LinLsqr.REAL_SVD)
+    report = opt_gauss_newton(g, exp_target, d, cref, config)
+    assert report.iterations == 5 and report.stop_reason == "maxiter"
+    assert report.residual_history == [0.002443066629881052, 0.0001663980953458161,
+                                       0.00016605966382012138, 0.00016605967344946642,
+                                       0.00016605967344946636]
 
 
 @pytest.mark.slow
