@@ -8,8 +8,10 @@ Derivatives*, 2nd ed., ch. 3-4).  The adjoint is linear in its seed, so
 seeding with w_i = 1/f(z_i) gives the Jacobian of a relative residual
 without dividing every entry.  The column for a coefficient is its node's
 adjoint times the parent value the slot multiplies.  All evaluation points
-are processed in one vectorized pass, whose output values are returned
-with the Jacobian, and :func:`finite_diff_jac` is the independent check.
+are processed in one vectorized pass (:func:`forward_pass`), whose output
+values are returned with the Jacobian; a caller that already made that pass
+hands it to :func:`eval_jac` instead of paying for it twice.
+:func:`finite_diff_jac` is the independent check.
 """
 
 from __future__ import annotations
@@ -58,27 +60,43 @@ def _zeros_like_points(pts):
     return np.zeros(len(pts), dtype=pts.dtype)
 
 
+def forward_pass(g: ComputationGraph, points, input: str | None = None) -> dict:
+    """Every node value of ``g`` at the points, keyed by node id.
+
+    The output's entry holds g(z_i); the whole map is what one adjoint
+    sweep of :func:`eval_jac` reads.  Requires a single-output graph.
+    """
+    if len(g.outputs) != 1:
+        raise GraphError("forward pass needs a single-output graph")
+    input_id = input if input is not None else g.input_id
+    with _precision_context(g, None):
+        return _eval_nodes(g, as_point_array(points), input_id, get_topo_order(g),
+                           keep_all=True)
+
+
 def eval_jac(g: ComputationGraph, points, refs, input: str | None = None,
-             prec: int | None = None, weights=None) -> JacobianMatrix:
+             prec: int | None = None, weights=None, slots: dict | None = None) -> JacobianMatrix:
     """Reverse-mode Jacobian over all points at once, with the values g(z_i).
 
     ``weights`` (one per point) seed the output adjoint, so row i comes out
-    scaled by w_i.  Requires a single-output graph; an evaluation
-    singularity at some point aborts with an error naming the point.
+    scaled by w_i.  ``slots``, the :func:`forward_pass` of ``g`` at these
+    points, spares the forward pass; the sweep consumes it.  Requires a
+    single-output graph; an evaluation singularity at some point aborts
+    with an error naming the point.
     """
     if len(g.outputs) != 1:
         raise GraphError("Jacobian needs a single-output graph")
     refs = [CoeffRef(*r) for r in refs]
     for ref in refs:
         g._check_ref(ref)
-    input_id = input if input is not None else g.input_id
     pts = as_point_array(points)
     if weights is not None and np.shape(weights) != pts.shape:
         raise ValueError("need one weight per point")
     with _precision_context(g, prec):
         order = get_topo_order(g)
         ops = _ops_for(pts)
-        slots = _eval_nodes(g, pts, input_id, order, keep_all=True)
+        if slots is None:
+            slots = forward_pass(g, pts, input)
         values = slots[g.outputs[0]]
         J = np.empty((len(pts), len(refs)), dtype=object if pts.dtype == object else np.complex128)
         J[:] = _zeros_like_points(pts)[:, None]  # columns of coefficients the output does not use

@@ -233,19 +233,22 @@ def cmd_optimize(args) -> int:
             "error is unusable there (use --errtype abs)",
             NUMERICAL_ERROR,
         )
-    discr = Discretization.disk(args.center, args.radius, args.points,
-                                prec=g.coeff_type.prec)
-    config = GNConfig(
-        errtype=ErrType.REL if args.errtype == "rel" else ErrType.ABS,
-        stoptol=args.stoptol,
-        maxiter=args.maxiter,
-        gamma=args.gamma,
-        droptol=args.droptol,
-        linlsqr=LinLsqr.REAL_SVD if args.linlsqr == "real" else LinLsqr.COMPLEX_SVD,
-        perturbation=args.perturb,
-        seed=args.seed,
-        adaptive_gamma=args.adaptive_gamma,
-    )
+    try:
+        discr = Discretization.disk(args.center, args.radius, args.points,
+                                    prec=g.coeff_type.prec)
+        config = GNConfig(
+            errtype=ErrType.REL if args.errtype == "rel" else ErrType.ABS,
+            stoptol=args.stoptol,
+            maxiter=args.maxiter,
+            gamma=args.gamma,
+            droptol=args.droptol,
+            linlsqr=LinLsqr.REAL_SVD if args.linlsqr == "real" else LinLsqr.COMPLEX_SVD,
+            perturbation=args.perturb,
+            seed=args.seed,
+            adaptive_gamma=args.adaptive_gamma,
+        )
+    except ValueError as exc:
+        raise CliError(f"bad optimize option: {exc}", USAGE_ERROR) from exc
     refs = g.all_coeff_refs()
     if not refs:
         raise CliError("graph has no tunable coefficients", NUMERICAL_ERROR)
@@ -276,6 +279,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.nterms < 1:
+        raise CliError("--nterms must be at least 1", USAGE_ERROR)
     g = _load_graph(args.graph)
     flag = None
     try:

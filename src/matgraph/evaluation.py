@@ -176,8 +176,7 @@ def _eval_nodes(g, x, input_id, order, keep_all=False):
     return slots
 
 
-def eval_graph(g: ComputationGraph, x, input: str | None = None, prec: int | None = None,
-               keep_all: bool = False):
+def eval_graph(g: ComputationGraph, x, input: str | None = None, prec: int | None = None):
     """Evaluate the graph at ``x``; returns one value per output node.
 
     A single output is returned bare, several as a list.  ``input``
@@ -187,7 +186,7 @@ def eval_graph(g: ComputationGraph, x, input: str | None = None, prec: int | Non
         raise GraphError("graph has no output nodes")
     input_id = input if input is not None else g.input_id
     with _precision_context(g, prec):
-        slots = _eval_nodes(g, x, input_id, get_topo_order(g), keep_all=keep_all)
+        slots = _eval_nodes(g, x, input_id, get_topo_order(g))
     missing = [o for o in g.outputs if o not in slots]
     if missing:
         raise GraphError(f"output {missing[0]!r} was not computed")

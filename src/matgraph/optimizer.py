@@ -7,10 +7,12 @@ pseudoinverse whose small singular values are dropped; the coefficient
 parameterizations in use here are redundant, so the Jacobian is typically
 rank-deficient and the drop tolerance is what keeps the steps sane.
 
-One forward pass per iteration serves both the residual and the Jacobian:
-:func:`~matgraph.autodiff.eval_jac` returns the values g(z_i) it computed.
-Under relative error its adjoint is seeded with 1/f(z_i), which scales
-every Jacobian row by 1/f(z_i) for N reciprocals instead of N*K divisions.
+The loop makes one forward pass (:func:`~matgraph.autodiff.forward_pass`)
+per trial point.  Its residual serves every stop test, and only when a
+step follows does the adjoint sweep of :func:`~matgraph.autodiff.eval_jac`
+run, on the node values that pass kept.  Under relative error the adjoint
+is seeded with 1/f(z_i), which scales every Jacobian row by 1/f(z_i) for
+N reciprocals instead of N*K divisions.
 
 Extended-precision least squares goes through the Gram matrix J^T J and
 its eigenvalues (:func:`~matgraph.numerics.truncated_lstsq`): the squared
@@ -35,13 +37,21 @@ from itertools import chain
 import numpy as np
 from mpmath import mp
 
-from .autodiff import as_point_array, eval_jac
-from .evaluation import eval_graph, _precision_context
+from .autodiff import as_point_array, eval_jac, forward_pass
+from .evaluation import _precision_context
 from .graph import CoeffRef, ComputationGraph, GraphError
 from .numerics import truncated_lstsq
 
 
 log = logging.getLogger(__name__)
+
+# Adaptive step length: gamma is halved while a trial point raises the
+# residual 2-norm, down to GAMMA_MIN.  Stagnation: DIVERGENCE_PATIENCE
+# points in a row whose max residual exceeds DIVERGENCE_FACTOR times the
+# best seen end the iteration.
+GAMMA_MIN = 2.0 ** -30
+DIVERGENCE_FACTOR = 10.0
+DIVERGENCE_PATIENCE = 30
 
 
 class ErrType(str, Enum):
@@ -114,15 +124,14 @@ class GNConfig:
     perturbation: float | None = None
     seed: int = 0
     adaptive_gamma: bool = False
-    gamma_min: float = 2.0 ** -30
-    divergence_factor: float = 10.0
-    divergence_patience: int = 30
 
     def __post_init__(self):
         if not (0 <= self.gamma <= 1):
             raise ValueError("step length must lie in [0, 1]")
-        if self.droptol < 0:
+        if not self.droptol >= 0:
             raise ValueError("drop tolerance must be nonnegative")
+        if self.maxiter < 0:
+            raise ValueError("iteration limit must be nonnegative")
 
 
 @dataclass
@@ -130,7 +139,8 @@ class GNReport:
     """Outcome of :func:`opt_gauss_newton`.
 
     ``stop_reason`` is "converged", "maxiter", "non-finite" or "stagnated";
-    it is "converged" exactly when ``converged`` is true.
+    it is "converged" exactly when ``converged`` is true.  A non-finite
+    residual ends the run as "non-finite", even after ``maxiter`` steps.
     """
 
     iterations: int
@@ -140,17 +150,23 @@ class GNReport:
     stop_reason: str | None = None
 
 
-def _target_values(f, pts: np.ndarray) -> np.ndarray:
-    vals = [f(z) for z in pts]
-    if pts.dtype == object:
-        return np.array(vals, dtype=object)
-    return np.asarray(vals, dtype=np.complex128)
+def _target_values(f, pts: np.ndarray, errtype: ErrType) -> np.ndarray:
+    """f(z_i) at every point; under relative error none may vanish."""
+    fv = np.array([f(z) for z in pts], dtype=object if pts.dtype == object else np.complex128)
+    bad = [i for i, v in enumerate(fv) if v == 0] if errtype == ErrType.REL else []
+    if bad:
+        raise OptimizeError(f"relative error undefined: target vanishes at point index {bad[0]}")
+    return fv
 
 
 def _residual(gv, fv, errtype: ErrType):
     """g(z_i) - f(z_i), divided by f(z_i) under relative error."""
     r = gv - fv
     return r / fv if errtype == ErrType.REL else r
+
+
+def _norm2(r) -> float:
+    return float(sum(abs(x) ** 2 for x in r)) ** 0.5
 
 
 def residual(g: ComputationGraph, f, discr: Discretization,
@@ -162,15 +178,8 @@ def residual(g: ComputationGraph, f, discr: Discretization,
     pts = discr.points
     errtype = ErrType(errtype)
     with _precision_context(g, g.coeff_type.prec):
-        gv = eval_graph(g, pts, input=input)
-        fv = _target_values(f, pts)
-        if errtype == ErrType.REL:
-            bad = [i for i, v in enumerate(fv) if v == 0]
-            if bad:
-                raise OptimizeError(
-                    f"relative error undefined: target vanishes at point index {bad[0]}"
-                )
-        return _residual(gv, fv, errtype)
+        fv = _target_values(f, pts, errtype)
+        return _residual(forward_pass(g, pts, input)[g.outputs[0]], fv, errtype)
 
 
 def _svd_pinv_numpy(A: np.ndarray, b: np.ndarray, droptol: float):
@@ -228,14 +237,15 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
 
     The graph is modified in place.  ``residual_history`` records the
     max-magnitude residual seen before each applied update; convergence is
-    declared when it falls below ``stoptol``.  On stagnation (residual
-    above ``divergence_factor`` times the best seen for
-    ``divergence_patience`` consecutive iterations) the best coefficients
-    are restored and the report is flagged unconverged.  A residual with a
-    non-finite entry ends the iteration the same way; at the starting
-    coefficients it raises :class:`OptimizeError`.  A ref listed twice is
-    refused: the minimum-norm step would split its update between the
-    copies, and only the last copy's share would be applied.
+    declared when it falls below ``stoptol``.  The run also ends after
+    ``maxiter`` updates, on stagnation (a residual above
+    :data:`DIVERGENCE_FACTOR` times the best seen at
+    :data:`DIVERGENCE_PATIENCE` points in a row) and at a residual with a
+    non-finite entry.  Every end leaves the best coefficients seen in the
+    graph; a non-finite residual at the starting coefficients raises
+    :class:`OptimizeError` instead.  A ref listed twice is refused: the
+    minimum-norm step would split its update between the copies, and only
+    the last copy's share would be applied.
     """
     config = config or GNConfig()
     refs = [CoeffRef(*ref) for ref in refs]
@@ -250,9 +260,7 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
     report = GNReport(iterations=0)
     with _precision_context(g, prec):
         pts = discr.points
-        fv = _target_values(f, pts)
-        if errtype == ErrType.REL and any(v == 0 for v in fv):
-            raise OptimizeError("relative error undefined: target vanishes on the discretization")
+        fv = _target_values(f, pts, errtype)
         if real_mode:
             base = g.get_coeffs(refs)
             if any(getattr(c, "imag", 0) != 0 for c in base):
@@ -272,81 +280,51 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
             g.set_coeffs(refs, [ci + config.perturbation * ni for ci, ni in zip(c, noise)])
 
         gamma = config.gamma
-        best_rmax = None
-        best_coeffs = None
+        best_rmax = best_coeffs = delta = None
         above_best = 0
         weights = 1 / fv if errtype == ErrType.REL else None
-
-        def current_residual():
-            return _residual(eval_graph(g, pts, input=input), fv, errtype)
-
-        def rnorm2(r):
-            return float(sum(abs(x) ** 2 for x in r)) ** 0.5
-
-        def finite_rmax(r):
-            """max |r_i|, or None if an entry is not finite (raising at the start)."""
-            mags = [float(abs(x)) for x in r]
-            if all(map(math.isfinite, mags)):
-                return max(mags, default=0.0)
-            if best_coeffs is None:
-                raise OptimizeError("residual is not finite at the starting coefficients")
-            return None
-
-        for _ in range(config.maxiter):
-            jac = eval_jac(g, pts, refs, input=input, weights=weights)
-            r = _residual(jac.values, fv, errtype)
-            rmax = finite_rmax(r)
-            stop = None
-            if rmax is None:
-                stop, why = "non-finite", "residual not finite"
-            elif best_rmax is None or rmax < best_rmax:
-                best_rmax = rmax
-                best_coeffs = g.get_coeffs(refs)
-                above_best = 0
-            elif rmax > config.divergence_factor * best_rmax:
-                above_best += 1
-                if above_best >= config.divergence_patience:
-                    stop, why = "stagnated", f"stagnated at residual {rmax:.3e}"
-            else:
-                above_best = 0
-            if stop:
-                g.set_coeffs(refs, best_coeffs)
-                report.best_residual = best_rmax
-                report.stop_reason = stop
-                log.info("gauss-newton: %s; stopping", why)
-                return report
-            log.info("gauss-newton iter %d: max residual %.3e", report.iterations, rmax)
-            if rmax <= config.stoptol:
-                report.converged = True
-                report.best_residual = rmax
-                report.stop_reason = "converged"
-                log.info("gauss-newton: converged; stopping")
-                return report
-            delta = gn_step(jac.entries, r, config)
-            c = g.get_coeffs(refs)
-            if config.adaptive_gamma:
-                rn = rnorm2(r)
-                while True:
+        while True:
+            # one forward pass per trial point; a step's sweep reads its node values
+            slots = forward_pass(g, pts, input)
+            r = _residual(slots[g.outputs[0]], fv, errtype)
+            if config.adaptive_gamma and delta is not None:
+                if not _norm2(r) <= rn and gamma > GAMMA_MIN:
+                    gamma /= 2  # the trial point raised the residual: try a shorter step
                     g.set_coeffs(refs, [ci - gamma * di for ci, di in zip(c, delta)])
-                    if rnorm2(current_residual()) <= rn or gamma <= config.gamma_min:
-                        break
-                    gamma /= 2
+                    continue
                 gamma = min(config.gamma, 2 * gamma)
+            mags = [float(abs(x)) for x in r]
+            rmax = max(mags, default=0.0)
+            stop = None
+            if not all(map(math.isfinite, mags)):
+                if best_coeffs is None:
+                    raise OptimizeError("residual is not finite at the starting coefficients")
+                stop, why = "non-finite", "residual not finite"
             else:
-                g.set_coeffs(refs, [ci - gamma * di for ci, di in zip(c, delta)])
+                log.info("gauss-newton iter %d: max residual %.3e", report.iterations, rmax)
+                if best_rmax is None or rmax < best_rmax:
+                    best_rmax, best_coeffs, above_best = rmax, g.get_coeffs(refs), 0
+                else:
+                    above_best = above_best + 1 if rmax > DIVERGENCE_FACTOR * best_rmax else 0
+                if rmax <= config.stoptol:
+                    stop = why = "converged"
+                elif report.iterations == config.maxiter:
+                    stop, why = "maxiter", f"{config.maxiter} iterations done"
+                elif above_best >= DIVERGENCE_PATIENCE:
+                    stop, why = "stagnated", f"stagnated at residual {rmax:.3e}"
+            if stop:
+                break
+            delta = gn_step(eval_jac(g, pts, refs, input=input, weights=weights,
+                                     slots=slots).entries, r, config)
+            c = g.get_coeffs(refs)
+            rn = _norm2(r) if config.adaptive_gamma else None
+            g.set_coeffs(refs, [ci - gamma * di for ci, di in zip(c, delta)])
             report.residual_history.append(rmax)
             report.iterations += 1
-        # out of iterations: keep the best coefficients seen
-        log.info("gauss-newton: %d iterations done; stopping", config.maxiter)
-        report.stop_reason = "maxiter"
-        rmax = finite_rmax(current_residual())
-        if rmax is not None and rmax <= config.stoptol:
-            report.converged = True
-            report.best_residual = rmax
-            report.stop_reason = "converged"
-        elif best_rmax is not None and (rmax is None or best_rmax < rmax):
-            g.set_coeffs(refs, best_coeffs)
-            report.best_residual = best_rmax
-        else:
-            report.best_residual = rmax
+        # the one exit: the best point seen is the one kept
+        g.set_coeffs(refs, best_coeffs)
+        report.converged = stop == "converged"
+        report.best_residual = best_rmax
+        report.stop_reason = stop
+        log.info("gauss-newton: %s; stopping", why)
     return report

@@ -147,10 +147,3 @@ class TruncSeries:
             acc = acc * z + c
         return acc
 
-    def degree(self, zero_tol=0) -> int:
-        """Index of the last coefficient with magnitude above zero_tol."""
-        for j in range(self.nterms, -1, -1):
-            if abs(self.coeffs[j]) > zero_tol:
-                return j
-        return 0
-

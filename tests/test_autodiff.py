@@ -237,6 +237,22 @@ class TestWeightsAndValues:
             jac = eval_jac(g, pts, g.all_coeff_refs(), weights=rng.uniform(0.5, 2, 9))
             assert all(jac.values == eval_graph(g, pts))
 
+    @pytest.mark.parametrize("prec", [256, None])
+    def test_given_forward_pass_same_jacobian(self, prec):
+        from matgraph.autodiff import forward_pass
+
+        rng = np.random.default_rng(36)
+        pts = TestAdjointAgainstForwardMode.points() if prec else circle_discr(9, 0.6)
+        for _ in range(6):
+            g = random_graph(rng, n_nodes=12)
+            if prec:
+                g = convert_precision(g, bigfloat(prec))
+            refs = g.all_coeff_refs()
+            want = eval_jac(g, pts, refs)
+            got = eval_jac(g, pts, refs, slots=forward_pass(g, pts))
+            assert np.array_equal(got.entries, want.entries)
+            assert np.array_equal(got.values, want.values)
+
     def test_weights_need_one_per_point(self):
         g, cref = graph_monomial([1.0, 2.0])
         with pytest.raises(ValueError, match="one weight per point"):

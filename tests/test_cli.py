@@ -387,6 +387,23 @@ class TestUserInput:
                     "--out", str(tmp_path / "g.cgr")]) == 2
         assert time.perf_counter() - t0 < 0.2
 
+    @pytest.mark.parametrize("command, args", [
+        ("optimize", ["--gamma", "2"]),
+        ("optimize", ["--gamma", "nan"]),
+        ("optimize", ["--droptol", "-1"]),
+        ("optimize", ["--droptol", "nan"]),
+        ("optimize", ["--maxiter", "-1"]),
+        ("optimize", ["--points", "1"]),
+        ("certify", ["--nterms", "0"]),
+    ])
+    def test_bad_numeric_option_usage_error(self, tmp_path, command, args):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])
+        if command == "optimize":
+            args = ["--target", "exp", "--radius", "0.3", "--precision", "53",
+                    "--maxiter", "1", *args, "--out", str(tmp_path / "o.cgr")]
+        assert run([command, str(gfile), *args]) == 2
+
     @pytest.mark.parametrize("point", ["1e400", "1e200"])
     def test_non_finite_point_or_value_numerical_error(self, tmp_path, capsys, point):
         # 1e400 is not finite as a point; 1e200 is, but its square is not

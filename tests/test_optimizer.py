@@ -235,13 +235,44 @@ class TestOptGaussNewton:
         # every step moves away from the optimum
         monkeypatch.setattr(optimizer, "gn_step",
                             lambda J, r, config: np.array([-10.0] * len(cref)))
+        monkeypatch.setattr(optimizer, "DIVERGENCE_PATIENCE", 2)
         report = opt_gauss_newton(g, exp_target, d, cref,
-                                  GNConfig(maxiter=9, linlsqr=LinLsqr.REAL_SVD,
-                                           divergence_patience=2))
+                                  GNConfig(maxiter=9, linlsqr=LinLsqr.REAL_SVD))
         assert not report.converged
         assert report.stop_reason == "stagnated"
         assert report.iterations == 2
         assert g.get_coeffs(cref) == start
+
+    @pytest.mark.parametrize("stoptol, maxiter, steps, reason",
+                             [(1e-13, 50, 4, "converged"), (0.0, 3, 3, "maxiter")])
+    def test_one_forward_pass_per_point(self, monkeypatch, stoptol, maxiter, steps, reason):
+        # k steps visit k + 1 points: each gets one forward pass, and only the
+        # k points a step leaves from get an adjoint sweep
+        calls = {"forward_pass": 0, "eval_jac": 0}
+
+        def counted(name):
+            inner = getattr(optimizer, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(optimizer, name, counted(name))
+        g, cref = graph_monomial_degopt([1.0, 0.9, 0.4, 0.2])
+        d = Discretization.disk(0, 0.5, 16)
+        report = opt_gauss_newton(g, lambda z: 1 + z + z ** 2 / 2 + z ** 3 / 6, d, cref,
+                                  GNConfig(stoptol=stoptol, maxiter=maxiter, droptol=1e-12,
+                                           linlsqr=LinLsqr.REAL_SVD))
+        assert report.iterations == steps and report.stop_reason == reason
+        assert calls == {"forward_pass": steps + 1, "eval_jac": steps}
+
+    def test_config_refuses_negative_maxiter_and_nan_droptol(self):
+        with pytest.raises(ValueError):
+            GNConfig(maxiter=-1)
+        with pytest.raises(ValueError):
+            GNConfig(droptol=math.nan)
 
     def test_repeated_ref_refused(self):
         # a repeated ref would split its update between the copies
@@ -358,6 +389,12 @@ class TestOptGaussNewton:
         # accepted steps never increase the 2-norm; the max-norm history
         # should be close to monotone as well for this smooth problem
         assert all(b <= a * (1 + 1e-9) for a, b in zip(hist, hist[1:]))
+        # step halving rejects trial points on this problem; the iterates
+        # were recorded when a trial point was evaluated twice, once to
+        # judge it and once more for the next step
+        assert hist == [0.020518800390508796] + [0.006059026937221076] * 7
+        assert g.get_coeffs(cref) == [1.0001422976835002, 1.0002371628058337,
+                                      0.5003952713430561, 0.16732545223842693]
 
 
 def test_relative_design_iterates_pinned():
