@@ -281,6 +281,10 @@ def cmd_optimize(args) -> int:
 def cmd_certify(args) -> int:
     if args.nterms < 1:
         raise CliError("--nterms must be at least 1", USAGE_ERROR)
+    if not 0 < args.u < 1:
+        raise CliError(f"--u must lie in (0, 1), got {args.u!r}", USAGE_ERROR)
+    if args.precision < 53:
+        raise CliError("--precision must be at least 53 bits", USAGE_ERROR)
     g = _load_graph(args.graph)
     flag = None
     try:

@@ -14,17 +14,19 @@ LU); binary64 matrices are numpy arrays and delegate to the optimized
 kernels numpy binds to.
 
 The extended-precision least-squares step (:func:`truncated_lstsq`) forms
-its Gram matrix from exact Python integers rounded once, setting aside the
-few entries far below their column's largest so that they do not widen
-every integer, and reduces it with ports of mpmath's symmetric eigensolver
-that run on raw libmp tuples: the same roundings as ``mpmath.eigsy``
-without an ``mpf`` object per operation.
+its Gram matrix from exact integer dot products rounded once, setting aside
+the few entries far below their column's largest so that they do not widen
+every integer.  The dot products are float64 BLAS products of 16-bit limbs
+of the integers, small enough that no sum rounds (the error-free splitting
+of Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  The Gram
+matrix is reduced with ports of mpmath's symmetric eigensolver that run on
+raw libmp tuples: the same roundings as ``mpmath.eigsy`` without an ``mpf``
+object per operation.
 """
 
 from __future__ import annotations
 
 import contextlib
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -237,15 +239,25 @@ def mat_lu_solve(A, B):
 #: an entry more than this many bits below its vector's largest is set aside
 OUTLIER_BITS = 64
 
+#: the Gram product writes each integer in limbs of this many bits
+LIMB_BITS = 16
+#: a product of two limbs is below 2**32 in magnitude, so a float64 sum of
+#: fewer than this many of them is exact: rows times limbs of one chunk
+EXACT_TERMS = 2 ** 21
+#: rows times limbs of one block of the float64 limb array, 4 KiB a column
+BLOCK_TERMS = 2 ** 9
+
 
 def _fixed_point(xs):
     """``(ms, e, outliers)`` with ``xs[i] == ms[i] * 2**e`` exactly, in Python integers.
 
-    An entry whose top bit is more than :data:`OUTLIER_BITS` below the
-    largest would widen every integer of the vector; it is set aside
-    instead: ``ms[i]`` is 0 and ``outliers[i]`` holds its exact ``(man, exp)``.
+    ``xs`` holds ``mpf`` values or raw libmp tuples.  An entry whose top bit
+    is more than :data:`OUTLIER_BITS` below the largest would widen every
+    integer of the vector; it is set aside instead: ``ms[i]`` is 0 and
+    ``outliers[i]`` holds its exact ``(man, exp)``.
     """
-    raw = [x._mpf_ if isinstance(x, mpmath.mpf) else mp.mpf(x)._mpf_ for x in xs]
+    raw = [x if type(x) is tuple else x._mpf_ if isinstance(x, mpmath.mpf) else mp.mpf(x)._mpf_
+           for x in xs]
     if any(exp and not man for _, man, exp, _ in raw):
         raise ArithmeticError("least-squares data is not finite")
     cut = max((exp + bc for _, man, exp, bc in raw if man), default=0) - OUTLIER_BITS
@@ -258,33 +270,81 @@ def _fixed_point(xs):
     return ms, e, outliers
 
 
-def _rounded_dot(x, y):
-    """Dot product of two fixed-point vectors, exact and then rounded once.
+def _limb_products(mss):
+    """``S[a][c]``, the exact dot product of the integer vectors ``mss[a]`` and ``mss[c]``.
 
-    The rows either vector set aside add their exact products, shifted with
-    the integer sum to the lowest exponent among them.
+    Each integer is written as L limbs of :data:`LIMB_BITS` bits with
+    ``int.to_bytes``, the top one signed, and read into a float64 block
+    ``A`` of rows by (limb, vector).  For each limb i, the BLAS product of
+    ``A`` with the K columns of limb i holds the products of limb i with
+    every limb j, summed over the block's rows, and float64 adds them into
+    the sums of limb diagonal i + j.  Those stay exact integers while the
+    rows times limbs stay below :data:`EXACT_TERMS`; longer vectors are
+    split into chunks that do.  Propagating the carries in int64 gives each
+    sum as base-2**16 digits, which ``int.from_bytes`` reads back.  Nothing
+    is rounded.
     """
-    (mx, ex, ox), (my, ey, oy) = x, y
-    man, exp = sum(map(operator.mul, mx, my)), ex + ey
-    if ox or oy:
-        rows = [(ox.get(i) or (mx[i], ex), oy.get(i) or (my[i], ey)) for i in ox.keys() | oy.keys()]
-        terms = [(a * b, ea + eb) for (a, ea), (b, eb) in rows]
-        low = min(exp, *(t for _, t in terms))
-        man = (man << (exp - low)) + sum(m << (t - low) for m, t in terms)
-        exp = low
-    return mp.make_mpf(libmp.from_man_exp(man, exp, mp.prec, RND))
+    K, N = len(mss), len(mss[0])
+    L = max((m.bit_length() for ms in mss for m in ms), default=0) // LIMB_BITS + 1
+    chunk = max(1, (EXACT_TERMS - 1) // L)
+    if N > chunk:
+        parts = [_limb_products([ms[s:s + chunk] for ms in mss]) for s in range(0, N, chunk)]
+        return [[sum(p[a][c] for p in parts) for c in range(K)] for a in range(K)]
+    size = LIMB_BITS // 8 * L
+    diag = np.zeros((2 * L - 1, K, K))
+    block = max(1, BLOCK_TERMS // L)
+    for start in range(0, N, block):
+        buf = b"".join(m.to_bytes(size, "little", signed=True)
+                       for row in zip(*(ms[start:start + block] for ms in mss)) for m in row)
+        limbs = np.frombuffer(buf, "<u2").reshape(-1, K, L).transpose(0, 2, 1)
+        A = limbs.astype(np.float64, order="C")
+        A[:, -1] = np.frombuffer(buf, "<i2").reshape(-1, K, L)[:, :, -1]
+        A = A.reshape(-1, L * K)
+        for i in range(L):
+            diag[i:i + L] += (A.T @ A[:, i * K:(i + 1) * K]).reshape(L, K, K)
+    diag = diag.astype(np.int64)
+    for d in range(2 * L - 2):
+        diag[d + 1] += diag[d] >> LIMB_BITS
+        diag[d] &= (1 << LIMB_BITS) - 1
+    low, top = diag[:-1].transpose(1, 2, 0).astype("<u2").tobytes(), diag[-1].tolist()
+    width, shift = 2 * (2 * L - 2), LIMB_BITS * (2 * L - 2)
+    return [[int.from_bytes(low[(a * K + c) * width:(a * K + c + 1) * width], "little")
+             + (top[a][c] << shift) for c in range(K)] for a in range(K)]
 
 
 def _normal_equations(cols, b):
-    """``(A^T A, A^T b)`` as lists, each entry an exact integer sum rounded once."""
+    """``(A^T A, A^T b)`` as lists, each entry an exact integer sum rounded once.
+
+    A row that some vector set aside (see :func:`_fixed_point`) leaves the
+    limb product: every vector's exact entry there is kept instead, and each
+    sum adds those rows' products, shifted with the integer sum to the
+    lowest exponent among them.
+    """
     fixed = [_fixed_point(c) for c in cols]
-    rhs = _fixed_point(b)
-    K = len(fixed)
+    fixed.append(_fixed_point(b))
+    aside = sorted(set().union(*(outliers for _, _, outliers in fixed)))
+    exact = []
+    for ms, e, outliers in fixed:
+        exact.append([outliers.get(i) or (ms[i], e) for i in aside])
+        for i in aside:
+            ms[i] = 0
+    S = _limb_products([ms for ms, _, _ in fixed])
+
+    def dot(a, c):
+        man, exp = S[a][c], fixed[a][1] + fixed[c][1]
+        if aside:
+            terms = [(p * q, ep + eq) for (p, ep), (q, eq) in zip(exact[a], exact[c])]
+            low = min(exp, *(t for _, t in terms))
+            man = (man << (exp - low)) + sum(m << (t - low) for m, t in terms)
+            exp = low
+        return mp.make_mpf(libmp.from_man_exp(man, exp, mp.prec, RND))
+
+    K = len(cols)
     G = [[None] * K for _ in range(K)]
     for a in range(K):
         for c in range(a, K):
-            G[a][c] = G[c][a] = _rounded_dot(fixed[a], fixed[c])
-    return G, [_rounded_dot(fa, rhs) for fa in fixed]
+            G[a][c] = G[c][a] = dot(a, c)
+    return G, [dot(a, K) for a in range(K)]
 
 
 def _tridiagonalize(A):
@@ -439,14 +499,17 @@ def _rotate(v, rotations):
 def truncated_lstsq(cols, b, droptol):
     """Minimum-norm least-squares solution of ``A x = b`` over the kept singular values.
 
-    ``cols`` are the columns of the real ``A``, each an iterable read once
+    ``cols`` are the columns of the real ``A`` and ``b`` its right-hand
+    side, each an iterable of ``mpf`` values or raw libmp tuples read once
     (so a caller can produce the entries as they are read).  With A^T A = Q diag(E) Q^T,
     ``x = sum_j q_j (q_j^T A^T b) / E_j`` over the eigenvalues E_j > 0 with
     E_j > droptol^2 max|E|, i.e. the singular values of A above ``droptol``
     times the largest.  The Gram matrix and A^T b are exact integer sums
-    rounded once; E is what mpmath's ``eigsy`` returns for that Gram matrix, and
-    Q is never formed: Q^T A^T b and the map back go through the reflectors
-    and rotations that produced E.  Returns ``(x, kept)``.
+    rounded once (bit-equal to ``mp.fdot``), which one blocked float64
+    product of 16-bit limbs computes for all of them at once; E is what
+    mpmath's ``eigsy`` returns for that Gram matrix, and Q is never formed:
+    Q^T A^T b and the map back go through the reflectors and rotations that
+    produced E.  Returns ``(x, kept)``.
     """
     G, y = _normal_equations(cols, b)
     K = len(y)

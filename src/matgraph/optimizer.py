@@ -34,8 +34,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 
+import mpmath
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import fzero, mpf_neg
 
 from .autodiff import as_point_array, eval_jac, forward_pass
 from .evaluation import _precision_context
@@ -128,6 +130,8 @@ class GNConfig:
     def __post_init__(self):
         if not (0 <= self.gamma <= 1):
             raise ValueError("step length must lie in [0, 1]")
+        if not self.stoptol >= 0:
+            raise ValueError("stop tolerance must be nonnegative")
         if not self.droptol >= 0:
             raise ValueError("drop tolerance must be nonnegative")
         if self.maxiter < 0:
@@ -194,6 +198,15 @@ def _svd_pinv_numpy(A: np.ndarray, b: np.ndarray, droptol: float):
     return vh[keep].conj().T @ coeff, kept
 
 
+def _parts(v):
+    """``(Re v, Im v)`` of an extended-precision scalar as raw libmp tuples, unrounded."""
+    if isinstance(v, mpmath.mpc):
+        return v._mpc_
+    if isinstance(v, mpmath.mpf):
+        return v._mpf_, fzero
+    return mp.mpc(v)._mpc_
+
+
 def gn_step(J, r, config: GNConfig) -> np.ndarray:
     """Least-squares update direction delta = pinv(J) r with drop tolerance.
 
@@ -208,13 +221,17 @@ def gn_step(J, r, config: GNConfig) -> np.ndarray:
     if entries.dtype == object:
         # one real problem: [Re J; Im J], and for a complex step the real
         # embedding [[Re J, -Im J], [Im J, Re J]] acting on [Re d; Im d];
-        # the columns are read lazily, so their entries are never all alive
+        # the columns are read lazily, so their entries are never all alive,
+        # and they hold the raw libmp parts, so no mpf object is made for them
         K = entries.shape[1]
-        cols = [chain((v.real for v in col), (v.imag for v in col)) for col in entries.T]
+
+        def part(col, k):
+            return (_parts(v)[k] for v in col)
+
+        cols = [chain(part(col, 0), part(col, 1)) for col in entries.T]
         if not real_mode:
-            cols += [chain((-v.imag for v in col), (v.real for v in col)) for col in entries.T]
-        x, kept = truncated_lstsq(cols, [v.real for v in r] + [v.imag for v in r],
-                                  config.droptol)
+            cols += [chain(map(mpf_neg, part(col, 1)), part(col, 0)) for col in entries.T]
+        x, kept = truncated_lstsq(cols, chain(part(r, 0), part(r, 1)), config.droptol)
         out = np.array(x if real_mode else [mp.mpc(a, b) for a, b in zip(x[:K], x[K:])],
                        dtype=object)
     else:

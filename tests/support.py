@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 import subprocess
 import tempfile
 
 import numpy as np
-from mpmath import mp
+from mpmath import libmp, mp
 
 from matgraph import CoeffRef, CoeffType, ComputationGraph, GraphError, OpKind, get_topo_order
 from matgraph.autodiff import _zeros_like_points, as_point_array
 from matgraph.codegen import Schedule
 from matgraph.evaluation import _eval_nodes, _ops_for, _precision_context, lincomb
-from matgraph.numerics import as_mp_matrix
+from matgraph.numerics import _fixed_point, as_mp_matrix
 
 
 def taylor_exp_mp(A: np.ndarray, prec: int = 512) -> np.ndarray:
@@ -113,6 +114,30 @@ def gram_eig_lstsq(J, b, droptol, hermitian: bool):
         for t in range(K):
             delta[t] = delta[t] + Q[t, j] * proj
     return delta, kept, [E[j] for j in range(K)]
+
+
+def pairwise_normal_equations(cols, b):
+    """``(A^T A, A^T b)`` with each entry's integer dot product summed pair by pair.
+
+    Oracle for ``matgraph.numerics._normal_equations``: the same fixed-point
+    integers (``_fixed_point``), each dot product a Python sum of integer
+    products plus the exact products of the rows set aside, rounded once.
+    """
+    def dot(x, y):
+        (mx, ex, ox), (my, ey, oy) = x, y
+        man, exp = sum(map(operator.mul, mx, my)), ex + ey
+        if ox or oy:
+            rows = [(ox.get(i) or (mx[i], ex), oy.get(i) or (my[i], ey))
+                    for i in ox.keys() | oy.keys()]
+            terms = [(a * b, ea + eb) for (a, ea), (b, eb) in rows]
+            low = min(exp, *(t for _, t in terms))
+            man = (man << (exp - low)) + sum(m << (t - low) for m, t in terms)
+            exp = low
+        return mp.make_mpf(libmp.from_man_exp(man, exp, mp.prec, libmp.round_nearest))
+
+    fixed = [_fixed_point(c) for c in cols]
+    rhs = _fixed_point(b)
+    return [[dot(fa, fc) for fc in fixed] for fa in fixed], [dot(fa, rhs) for fa in fixed]
 
 
 def random_graph(rng: np.random.Generator, n_nodes: int = 8, allow_ldiv: bool = True,

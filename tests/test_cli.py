@@ -395,6 +395,16 @@ class TestUserInput:
         ("optimize", ["--maxiter", "-1"]),
         ("optimize", ["--points", "1"]),
         ("certify", ["--nterms", "0"]),
+        ("optimize", ["--stoptol", "nan"]),
+        ("optimize", ["--stoptol", "-1"]),
+        ("certify", ["--nterms", "20", "--u", "-1"]),
+        ("certify", ["--nterms", "20", "--u", "nan"]),
+        ("certify", ["--nterms", "20", "--u", "0"]),
+        ("certify", ["--nterms", "20", "--u", "1"]),
+        ("certify", ["--nterms", "20", "--u", "inf"]),
+        ("certify", ["--nterms", "20", "--precision", "0"]),
+        ("certify", ["--nterms", "20", "--precision", "-5"]),
+        ("certify", ["--nterms", "20", "--precision", "52"]),
     ])
     def test_bad_numeric_option_usage_error(self, tmp_path, command, args):
         gfile = tmp_path / "g.cgr"

@@ -16,15 +16,17 @@ from matgraph.numerics import (
     truncated_lstsq,
     working_precision,
 )
+from matgraph import numerics
 from matgraph.numerics import (
+    LIMB_BITS,
     _fixed_point,
+    _limb_products,
     _normal_equations,
-    _rounded_dot,
     _tridiagonal_eigenvalues,
     _tridiagonalize,
 )
 
-from support import gram_eig_lstsq
+from support import gram_eig_lstsq, pairwise_normal_equations
 
 
 class TestCoeffType:
@@ -193,10 +195,12 @@ class TestTruncatedLstsq:
                                                     rng.integers(-150, 150, 60)))]
                     for _ in range(6)]
             cols.append([mp.mpf(0)] * 60)
-            fixed = [_fixed_point(c) for c in cols]
+            G, _ = _normal_equations(cols, cols[0])
+            G0, _ = pairwise_normal_equations(cols, cols[0])
             for a in range(len(cols)):
                 for c in range(len(cols)):
-                    assert _bits(_rounded_dot(fixed[a], fixed[c])) == _bits(mp.fdot(cols[a], cols[c]))
+                    assert _bits(G[a][c]) == _bits(mp.fdot(cols[a], cols[c]))
+                    assert _bits(G[a][c]) == _bits(G0[a][c])
 
     def test_normal_equations_with_outliers_equal_fdot(self):
         # entries far below their column's largest are set aside and added
@@ -227,10 +231,85 @@ class TestTruncatedLstsq:
             assert not _fixed_point(cols[4])[2] and not _fixed_point(cols[5])[2]
             b = col([-2, -90, 0, -1, -300, 0, -1, -70])        # outliers in b
             G, y = _normal_equations(cols, b)
+            G0, y0 = pairwise_normal_equations(cols, b)
             for a in range(len(cols)):
-                assert _bits(y[a]) == _bits(mp.fdot(cols[a], b))
+                assert _bits(y[a]) == _bits(mp.fdot(cols[a], b)) == _bits(y0[a])
                 for c in range(len(cols)):
-                    assert _bits(G[a][c]) == _bits(mp.fdot(cols[a], cols[c]))
+                    assert _bits(G[a][c]) == _bits(mp.fdot(cols[a], cols[c])) == _bits(G0[a][c])
+
+    @staticmethod
+    def gram_case(name, rng):
+        """``(prec, cols, b)`` of one named least-squares data set."""
+        def rand(n, prec, lo=-10, hi=10):
+            with mp.workprec(prec):
+                return [mp.mpf(v) * mp.mpf(2) ** int(e) / 3
+                        for v, e in zip(rng.standard_normal(n), rng.integers(lo, hi, n))]
+
+        if name == "short-outliers":
+            # set-aside entries 2^-70 and -3 * 2^-90 have short mantissas, so their
+            # products sit above the lowest bits of the full-width integers
+            cols = [rand(10, 256, 0, 2) for _ in range(3)]
+            cols[0][4], cols[1][4], cols[2][7] = (mp.mpf(2) ** -70, -3 * mp.mpf(2) ** -90,
+                                                  mp.mpf(2) ** -70)
+            return 256, cols, rand(10, 256, 0, 2)
+        if name in ("random-256", "random-1024"):
+            prec = int(name[7:])
+            return prec, [rand(40, prec) for _ in range(8)], rand(40, prec)
+        if name == "limb-edges":
+            # integers +-2^16k, 2^16k - 1 and -2^(16k-1), k = k0..k0+3 in one
+            # column (within 64 bits, so none is set aside): limbs of 0, 0xffff
+            # and 0x8000, and a full carry chain in the sums
+            def col(k0):
+                vals = [v for k in range(k0, k0 + 4)
+                        for v in (2 ** (16 * k), -2 ** (16 * k), 2 ** (16 * k) - 1, -2 ** (16 * k - 1))]
+                return [mp.mpf(v) for v in rng.permutation(np.array(vals, dtype=object))]
+
+            with mp.workprec(256):
+                return 256, [col(k0) for k0 in (1, 2, 4, 10, 13) for _ in range(2)], col(3)
+        if name == "many-blocks":  # far more rows than one block holds
+            return 256, [rand(300, 256) for _ in range(5)], rand(300, 256)
+        assert name == "zeros"
+        with mp.workprec(128):
+            zero = [mp.mpf(0)] * 12
+            part = rand(12, 128)
+            part[::3] = zero[::3]
+            return 128, [zero, part, zero, rand(12, 128)], zero
+
+    @pytest.mark.parametrize("bound", [None, ("BLOCK_TERMS", 1), ("EXACT_TERMS", 64)],
+                             ids=["default", "row-blocks", "row-chunks"])
+    @pytest.mark.parametrize("name", ["short-outliers", "random-256", "random-1024",
+                                      "limb-edges", "many-blocks", "zeros"])
+    def test_limb_gram_equals_pairwise_and_fdot(self, monkeypatch, name, bound):
+        # row-blocks: one row a block; row-chunks: a few rows an exactness
+        # chunk, as vectors longer than 2**21 / L rows are split
+        if bound is not None:
+            monkeypatch.setattr(numerics, *bound)
+        prec, cols, b = self.gram_case(name, np.random.default_rng(75))
+        with mp.workprec(prec):
+            if name == "many-blocks":
+                width = max(m.bit_length() for c in cols + [b] for m in _fixed_point(c)[0])
+                assert len(b) > numerics.BLOCK_TERMS // (width // LIMB_BITS + 1)
+            G, y = _normal_equations(cols, b)
+            G0, y0 = pairwise_normal_equations(cols, b)
+            for a in range(len(cols)):
+                assert _bits(y[a]) == _bits(y0[a]) == _bits(mp.fdot(cols[a], b))
+                for c in range(len(cols)):
+                    assert _bits(G[a][c]) == _bits(G0[a][c]) == _bits(mp.fdot(cols[a], cols[c]))
+
+    def test_limb_products_exact_integers(self):
+        # vectors of one integer each at every limb edge up to 20 limbs, and
+        # sign-extended narrow vectors next to wide ones
+        edges = [v for k in range(1, 21)
+                 for v in (2 ** (16 * k), -2 ** (16 * k), 2 ** (16 * k) - 1, -2 ** (16 * k - 1))]
+        rng = np.random.default_rng(76)
+        mss = [[v] for v in edges] + [[int(v) for v in rng.integers(-2 ** 62, 2 ** 62, 5)]
+                                       + [0, -1, 1, 2 ** 300 - 1, -2 ** 299] for _ in range(2)]
+        width = max(len(ms) for ms in mss)
+        mss = [ms * (width // len(ms)) for ms in mss]  # one length: repeat the singletons
+        S = _limb_products(mss)
+        for a, x in enumerate(mss):
+            for c, z in enumerate(mss):
+                assert S[a][c] == sum(p * q for p, q in zip(x, z))
 
     def test_non_finite_data_raises(self):
         with mp.workprec(256):

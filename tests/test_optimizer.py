@@ -274,6 +274,12 @@ class TestOptGaussNewton:
         with pytest.raises(ValueError):
             GNConfig(droptol=math.nan)
 
+    @pytest.mark.parametrize("stoptol", [math.nan, -1e-12])
+    def test_config_refuses_nan_or_negative_stoptol(self, stoptol):
+        # no residual meets it, so every iteration would run before the run ends
+        with pytest.raises(ValueError):
+            GNConfig(stoptol=stoptol)
+
     def test_repeated_ref_refused(self):
         # a repeated ref would split its update between the copies
         g, cref = graph_monomial([1.0, 0.9, 0.4])
