@@ -8,10 +8,10 @@
     matgraph codegen   g.cgr --lang c --funname expm13 --out expm13.c
     matgraph convert   g.cgr --type BigFloat256 --out big.cgr
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O or
-format error.  A ``--config`` file of ``key=value`` lines overrides the
-corresponding flags; the MATGRAPH_PRECISION environment variable sets the
-default precision in bits.
+Exit codes: 0 success, 2 usage error, 3 numerical failure or out of memory,
+4 I/O or format error.  A ``--config`` file of ``key=value`` lines
+overrides the corresponding flags; the MATGRAPH_PRECISION environment
+variable sets the default precision in bits.
 """
 
 from __future__ import annotations
@@ -245,7 +245,6 @@ def cmd_optimize(args) -> int:
             linlsqr=LinLsqr.REAL_SVD if args.linlsqr == "real" else LinLsqr.COMPLEX_SVD,
             perturbation=args.perturb,
             seed=args.seed,
-            adaptive_gamma=args.adaptive_gamma,
         )
     except ValueError as exc:
         raise CliError(f"bad optimize option: {exc}", USAGE_ERROR) from exc
@@ -279,12 +278,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.nterms < 1:
-        raise CliError("--nterms must be at least 1", USAGE_ERROR)
-    if not 0 < args.u < 1:
-        raise CliError(f"--u must lie in (0, 1), got {args.u!r}", USAGE_ERROR)
-    if args.precision < 53:
-        raise CliError("--precision must be at least 53 bits", USAGE_ERROR)
     g = _load_graph(args.graph)
     flag = None
     try:
@@ -296,6 +289,10 @@ def cmd_certify(args) -> int:
         # no certifiable radius: report zero and say why
         theta = 0.0
         flag = str(exc)
+    except GraphError:
+        raise  # a multi-output graph is a format error, not a bad option
+    except ValueError as exc:
+        raise CliError(f"bad certify option: {exc}", USAGE_ERROR) from exc
     mults = sum(1 for op in g.operations.values() if op != OpKind.LINCOMB)
     name = os.path.splitext(os.path.basename(args.graph))[0]
     csv = theta_table_csv([(name, mults, theta, args.u, args.nterms)])
@@ -390,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--linlsqr", choices=["real", "complex"], default="real")
     opt.add_argument("--perturb", type=float, default=None)
     opt.add_argument("--seed", type=int, default=0)
-    opt.add_argument("--adaptive-gamma", action="store_true")
     opt.add_argument("--verbose", action="store_true",
                      help="log each iteration's residual and the stop reason to stderr")
     opt.add_argument("--report", default=None, help="JSON or CSV residual history")
@@ -472,6 +468,9 @@ def main(argv=None) -> int:
         return IO_ERROR
     except ArithmeticError as exc:
         print(f"matgraph: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
+    except MemoryError as exc:  # e.g. numpy refusing the points of a huge --points
+        print("matgraph: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return NUMERICAL_ERROR
 
 

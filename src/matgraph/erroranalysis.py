@@ -102,6 +102,11 @@ def _radius(bound, u, kind: ThetaKind, nterms: int, prec: int) -> ThetaResult:
     return ThetaResult(theta, kind, nterms, u, bracket=(theta, margin))
 
 
+def _check_u_prec(u, prec: int):
+    if not (0 < u < 1 and prec >= 53):
+        raise ValueError(f"need u in (0, 1) and prec >= 53, got u={u!r}, prec={prec!r}")
+
+
 def _graph_series(g: ComputationGraph, nterms: int, input: str | None = None):
     from .evaluation import eval_graph
 
@@ -117,7 +122,9 @@ def compute_fwd_theta(g: ComputationGraph, f_series: TruncSeries, u=2.0 ** -53,
 
     The graph must be solve-free and the target series must dominate the
     graph's polynomial degree, so the coefficient differences are exact.
+    A ``u`` outside (0, 1) or a ``prec`` below 53 raises ``ValueError``.
     """
+    _check_u_prec(u, prec)
     if any(op == OpKind.LDIV for op in g.operations.values()):
         raise CertificationError("forward certification requires a solve-free graph")
     with working_precision(prec):
@@ -138,8 +145,10 @@ def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
     Builds the truncated series of log(e^{-z} g(z)), takes coefficient
     magnitudes, and bisects sum |delta_j| theta^{j-1} = u at ``prec`` bits.
     Graphs with linear solves are fine as long as every denominator series
-    has a nonzero constant term.
+    has a nonzero constant term.  A ``u`` outside (0, 1), a ``prec`` below 53
+    or an ``nterms`` below 1 raises ``ValueError``.
     """
+    _check_u_prec(u, prec)
     with working_precision(prec):
         u = mp.mpf(u)
         gs = _graph_series(g, nterms, input=input)

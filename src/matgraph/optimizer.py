@@ -5,7 +5,8 @@ minimize sum_i |g(z_i; c) - f(z_i)|^2 (optionally scaled by 1/f(z_i) for
 relative error).  Each step solves the linearized problem with an SVD
 pseudoinverse whose small singular values are dropped; the coefficient
 parameterizations in use here are redundant, so the Jacobian is typically
-rank-deficient and the drop tolerance is what keeps the steps sane.
+rank-deficient and the drop tolerance is what keeps the steps sane.  Every
+step has the fixed length gamma and is taken even when it raises the residual.
 
 The loop makes one forward pass (:func:`~matgraph.autodiff.forward_pass`)
 per trial point.  Its residual serves every stop test, and only when a
@@ -26,6 +27,7 @@ reason) goes to the ``logging`` logger of this module at INFO level, and
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 import warnings
@@ -47,11 +49,8 @@ from .numerics import truncated_lstsq
 
 log = logging.getLogger(__name__)
 
-# Adaptive step length: gamma is halved while a trial point raises the
-# residual 2-norm, down to GAMMA_MIN.  Stagnation: DIVERGENCE_PATIENCE
-# points in a row whose max residual exceeds DIVERGENCE_FACTOR times the
-# best seen end the iteration.
-GAMMA_MIN = 2.0 ** -30
+# Stagnation: DIVERGENCE_PATIENCE points in a row whose max residual
+# exceeds DIVERGENCE_FACTOR times the best seen end the iteration.
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_PATIENCE = 30
 
@@ -75,7 +74,6 @@ class Discretization:
     """Ordered complex sample points on a domain boundary."""
 
     points: np.ndarray
-    descriptor: dict | None = None
 
     @classmethod
     def disk(cls, center, radius, count: int = 200, prec: int | None = None):
@@ -86,6 +84,8 @@ class Discretization:
         """
         if count < 2:
             raise ValueError("need at least two points")
+        if not (cmath.isfinite(center) and math.isfinite(radius)):
+            raise ValueError("center and radius must be finite")
         if prec is None:
             k = np.arange(count)
             pts = center + radius * np.exp(2j * np.pi * k / (count - 1))
@@ -96,11 +96,11 @@ class Discretization:
                      for k in range(count)],
                     dtype=object,
                 )
-        return cls(as_point_array(pts), {"center": center, "radius": radius, "count": count})
+        return cls(as_point_array(pts))
 
     @classmethod
     def from_points(cls, pts):
-        return cls(as_point_array(pts), None)
+        return cls(as_point_array(pts))
 
     def __len__(self):
         return len(self.points)
@@ -125,7 +125,6 @@ class GNConfig:
     linlsqr: LinLsqr = LinLsqr.COMPLEX_SVD
     perturbation: float | None = None
     seed: int = 0
-    adaptive_gamma: bool = False
 
     def __post_init__(self):
         if not (0 <= self.gamma <= 1):
@@ -136,6 +135,8 @@ class GNConfig:
             raise ValueError("drop tolerance must be nonnegative")
         if self.maxiter < 0:
             raise ValueError("iteration limit must be nonnegative")
+        if self.perturbation is not None and not math.isfinite(self.perturbation):
+            raise ValueError("perturbation must be finite")
 
 
 @dataclass
@@ -167,10 +168,6 @@ def _residual(gv, fv, errtype: ErrType):
     """g(z_i) - f(z_i), divided by f(z_i) under relative error."""
     r = gv - fv
     return r / fv if errtype == ErrType.REL else r
-
-
-def _norm2(r) -> float:
-    return float(sum(abs(x) ** 2 for x in r)) ** 0.5
 
 
 def residual(g: ComputationGraph, f, discr: Discretization,
@@ -252,7 +249,9 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
                      input: str | None = None) -> GNReport:
     """Iterate Gauss-Newton updates c <- c - gamma*delta on the graph's coefficients.
 
-    The graph is modified in place.  ``residual_history`` records the
+    Each trial point is evaluated once and never retried: a design's residual
+    can rise for many steps on its way to convergence, and a rule that
+    accepts only descent stalls there.  The graph is modified in place.  ``residual_history`` records the
     max-magnitude residual seen before each applied update; convergence is
     declared when it falls below ``stoptol``.  The run also ends after
     ``maxiter`` updates, on stagnation (a residual above
@@ -296,20 +295,13 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
                 noise = noise + 1j * rng.standard_normal(len(refs))
             g.set_coeffs(refs, [ci + config.perturbation * ni for ci, ni in zip(c, noise)])
 
-        gamma = config.gamma
-        best_rmax = best_coeffs = delta = None
+        best_rmax = best_coeffs = None
         above_best = 0
         weights = 1 / fv if errtype == ErrType.REL else None
         while True:
             # one forward pass per trial point; a step's sweep reads its node values
             slots = forward_pass(g, pts, input)
             r = _residual(slots[g.outputs[0]], fv, errtype)
-            if config.adaptive_gamma and delta is not None:
-                if not _norm2(r) <= rn and gamma > GAMMA_MIN:
-                    gamma /= 2  # the trial point raised the residual: try a shorter step
-                    g.set_coeffs(refs, [ci - gamma * di for ci, di in zip(c, delta)])
-                    continue
-                gamma = min(config.gamma, 2 * gamma)
             mags = [float(abs(x)) for x in r]
             rmax = max(mags, default=0.0)
             stop = None
@@ -333,9 +325,8 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
                 break
             delta = gn_step(eval_jac(g, pts, refs, input=input, weights=weights,
                                      slots=slots).entries, r, config)
-            c = g.get_coeffs(refs)
-            rn = _norm2(r) if config.adaptive_gamma else None
-            g.set_coeffs(refs, [ci - gamma * di for ci, di in zip(c, delta)])
+            g.set_coeffs(refs, [ci - config.gamma * di
+                                for ci, di in zip(g.get_coeffs(refs), delta)])
             report.residual_history.append(rmax)
             report.iterations += 1
         # the one exit: the best point seen is the one kept

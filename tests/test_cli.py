@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from matgraph import (
+    Discretization,
     bigfloat,
     convert_scalar,
     eval_graph,
+    export_compgraph,
     get_target,
     graph_exp_pade_ss,
+    graph_monomial,
     import_compgraph,
     working_precision,
 )
@@ -405,6 +408,11 @@ class TestUserInput:
         ("certify", ["--nterms", "20", "--precision", "0"]),
         ("certify", ["--nterms", "20", "--precision", "-5"]),
         ("certify", ["--nterms", "20", "--precision", "52"]),
+        ("optimize", ["--radius", "nan"]),
+        ("optimize", ["--radius", "inf"]),
+        ("optimize", ["--center", "nan"]),
+        ("optimize", ["--perturb", "nan"]),
+        ("optimize", ["--perturb", "inf"]),
     ])
     def test_bad_numeric_option_usage_error(self, tmp_path, command, args):
         gfile = tmp_path / "g.cgr"
@@ -413,6 +421,42 @@ class TestUserInput:
             args = ["--target", "exp", "--radius", "0.3", "--precision", "53",
                     "--maxiter", "1", *args, "--out", str(tmp_path / "o.cgr")]
         assert run([command, str(gfile), *args]) == 2
+
+    def test_certify_multi_output_graph_format_error(self, tmp_path):
+        # GraphError is a ValueError, but a graph certify cannot read is not a bad option
+        g, _ = graph_monomial([1.0, 0.0, 3.0])
+        g.add_output("A2")
+        gfile = tmp_path / "g.cgr"
+        export_compgraph(g, str(gfile))
+        assert run(["certify", str(gfile), "--nterms", "20"]) == 4
+
+    def test_removed_adaptive_gamma_usage_error(self, tmp_path):
+        # the step-halving mode is gone: its flag and its config key are refused
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])
+        argv = ["optimize", str(gfile), "--target", "exp", "--radius", "0.3",
+                "--precision", "53", "--maxiter", "1", "--out", str(tmp_path / "o.cgr")]
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--adaptive-gamma"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("adaptive_gamma=1\n")
+        assert run(["--config", str(cfg), *argv]) == 2
+
+    def test_out_of_memory_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # a huge --points makes numpy refuse the point array; nothing is allocated here
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(Discretization, "disk", refuse)
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])
+        capsys.readouterr()
+        assert run(["optimize", str(gfile), "--target", "exp", "--radius", "0.3",
+                    "--precision", "53", "--points", "100000000000",
+                    "--out", str(tmp_path / "o.cgr")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("matgraph: out of memory") and err.count("\n") == 1
 
     @pytest.mark.parametrize("point", ["1e400", "1e200"])
     def test_non_finite_point_or_value_numerical_error(self, tmp_path, capsys, point):

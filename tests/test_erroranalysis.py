@@ -69,6 +69,14 @@ class TestForwardTheta:
         res = compute_fwd_theta(g, f, u=2.0 ** -53)
         assert float(res.theta) == 0.0
 
+    @pytest.mark.parametrize("kwargs", [dict(u=-1.0), dict(u=math.nan), dict(u=1.0),
+                                        dict(prec=52)])
+    def test_bad_argument_is_value_error(self, kwargs):
+        # a bad argument, not an uncertifiable graph
+        g, _ = taylor_graph(5)
+        with pytest.raises(ValueError):
+            compute_fwd_theta(g, TruncSeries.exp(20), **kwargs)
+
     def test_ldiv_rejected(self):
         g, _ = graph_exp_pade_ss(5, 0)
         with pytest.raises(CertificationError):
@@ -127,6 +135,15 @@ class TestBackwardTheta:
         g, _ = graph_monomial([2.0, 1.0])  # value 2 at the origin
         with pytest.raises(CertificationError):
             compute_bwd_theta_exp(g)
+
+    @pytest.mark.parametrize("kwargs", [dict(u=-1.0), dict(u=math.nan), dict(u=0.0),
+                                        dict(u=1.0), dict(u=math.inf), dict(prec=0),
+                                        dict(prec=52), dict(nterms=0)])
+    def test_bad_argument_is_value_error(self, kwargs):
+        # a bad argument, not an uncertifiable graph: Pade-5 certifies at the defaults
+        g, _ = graph_exp_pade_ss(5, 0)
+        with pytest.raises(ValueError):
+            compute_bwd_theta_exp(g, **{"nterms": 20, **kwargs})
 
     def test_csv_export(self):
         text = theta_table_csv([("pade13", 7, 5.371920351148152, 2.0 ** -53, 100)])
