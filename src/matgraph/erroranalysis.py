@@ -10,7 +10,10 @@ Two a priori certificates for a graph g approximating a target f:
   keeping that below u.
 
 Both use truncated series arithmetic at high precision and certify the
-result by a bracketing pair (theta passes, theta*(1+1e-6) fails).
+result by a bracketing pair (theta passes, theta*(1+1e-6) fails).  The
+bound polynomial is evaluated exactly at each dyadic trial radius, so
+every comparison with u in the search and the bracket check is decided
+without rounding.
 
 The a posteriori running error propagates per-node first-order round-off
 through a scalar evaluation, either as a worst-case bound or as a
@@ -26,6 +29,7 @@ from enum import Enum
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import from_float, from_int, from_man_exp
 
 from .evaluation import _eval_nodes, graph_degree_bound
 from .graph import ComputationGraph, GraphError, OpKind, get_topo_order
@@ -78,13 +82,48 @@ def _bisect_max_below(bound, u, lo, hi, prec):
     return lo
 
 
-def _radius(bound, u, kind: ThetaKind, nterms: int, prec: int) -> ThetaResult:
-    """Largest theta with bound(theta) <= u for an increasing bound, certified.
+def _poly_bound(coeffs):
+    """Exact evaluator t -> sum_j c_j t^j for finite nonnegative c_j at a dyadic mpf t.
 
-    Halves from 2^-20 until the bound passes, doubles until it fails (or
-    saturates past the search cap), bisects, and checks the bracketing
-    pair: theta passes and theta*(1+1e-6) fails.
+    The coefficients become integers C_j at a common exponent once; an
+    evaluation at t = m 2^e is then an integer Horner and returns the sum
+    as an exact mpf, so a test bound(t) <= u is decided without rounding.
     """
+    parts = [c._mpf_ if isinstance(c, mp.mpf) else
+             from_float(c) if isinstance(c, float) else from_int(c) for c in coeffs]
+    nz = [k for k, (_, man, _, _) in enumerate(parts) if man]
+    if not nz:
+        return lambda t: mp.zero
+    n = nz[-1]
+    e0 = min(parts[k][2] for k in nz)
+    C = [man << (exp - e0) if man else 0 for _, man, exp, _ in parts[: n + 1]]
+
+    def bound(t):
+        _, m, e, _ = t._mpf_
+        if e > 0:
+            m, e = m << e, 0
+        # 2^(-e n) sum_j C_j t^j, with every term an integer
+        acc = C[n]
+        for k in range(n - 1, -1, -1):
+            acc = acc * m + (C[k] << (-e * (n - k)))
+        return mp.make_mpf(from_man_exp(acc, e0 + e * n))
+
+    return bound
+
+
+def _radius(coeffs, u, kind: ThetaKind, nterms: int, prec: int) -> ThetaResult:
+    """Largest theta with sum_j coeffs[j] theta^j <= u, certified.
+
+    The coefficients are finite and nonnegative, so the bound increases
+    and is evaluated exactly (:func:`_poly_bound`).  A constant term above
+    u fails everywhere.  Otherwise halves from 2^-20 until the bound
+    passes, doubles until it fails (or saturates past the search cap),
+    bisects, and checks the bracketing pair: theta passes and
+    theta*(1+1e-6) fails.
+    """
+    if coeffs[0] > u:
+        raise CertificationError("no sign change: bound above u on the whole bracket")
+    bound = _poly_bound(coeffs)
     lo = _BRACKET_LO
     while bound(lo) > u:
         lo /= 2
@@ -100,6 +139,14 @@ def _radius(bound, u, kind: ThetaKind, nterms: int, prec: int) -> ThetaResult:
     if not (bound(theta) <= u and bound(margin) > u):
         raise CertificationError("bracketing certificate failed to verify")
     return ThetaResult(theta, kind, nterms, u, bracket=(theta, margin))
+
+
+def _finite(s: TruncSeries) -> TruncSeries:
+    """s itself, refusing a NaN or infinite coefficient (an exact bound would read it as 0)."""
+    for j, c in enumerate(s.coeffs):
+        if not mp.isfinite(c):
+            raise CertificationError(f"non-finite series coefficient of z^{j}: {c}")
+    return s
 
 
 def _check_u_prec(u, prec: int):
@@ -132,10 +179,10 @@ def compute_fwd_theta(g: ComputationGraph, f_series: TruncSeries, u=2.0 ** -53,
         if f_series.nterms < graph_degree_bound(g):
             raise CertificationError("target series truncated below the graph degree")
         gs = _graph_series(g, f_series.nterms, input=input)
-        E = (gs - f_series).abs_coeffs()
+        E = _finite(gs - f_series).abs_coeffs()
         if E.coeffs[0] > u:
             return ThetaResult(mp.mpf(0), ThetaKind.FORWARD, E.nterms, u)
-        return _radius(E, u, ThetaKind.FORWARD, E.nterms, prec)
+        return _radius(E.coeffs, u, ThetaKind.FORWARD, E.nterms, prec)
 
 
 def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
@@ -152,7 +199,7 @@ def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
     with working_precision(prec):
         u = mp.mpf(u)
         gs = _graph_series(g, nterms, input=input)
-        h = TruncSeries.exp_neg(nterms) * gs
+        h = _finite(TruncSeries.exp_neg(nterms) * gs)
         if abs(h.coeffs[0] - 1) > u * nterms:
             raise CertificationError(
                 "graph does not match exp at the origin; backward-error series undefined"
@@ -160,7 +207,7 @@ def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
         h.coeffs[0] = mp.mpf(1)
         F = h.log().abs_coeffs()
         # sum_j |delta_j| t^(j-1); the j=0 coefficient is exactly zero
-        return _radius(lambda t: F(t) / t, u, ThetaKind.BACKWARD, nterms, prec)
+        return _radius(F.coeffs[1:], u, ThetaKind.BACKWARD, nterms, prec)
 
 
 def theta_table_csv(rows) -> str:

@@ -137,6 +137,8 @@ class GNConfig:
             raise ValueError("iteration limit must be nonnegative")
         if self.perturbation is not None and not math.isfinite(self.perturbation):
             raise ValueError("perturbation must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass

@@ -95,13 +95,14 @@ class TruncSeries:
             return self.scale(other)
         n = min(self.nterms, other.nterms)
         out = [0] * (n + 1)
+        b = [(j, bj) for j, bj in enumerate(other.coeffs[: n + 1]) if bj != 0]
         for i, ai in enumerate(self.coeffs[: n + 1]):
             if ai == 0:
                 continue
-            for j in range(0, n + 1 - i):
-                bj = other.coeffs[j]
-                if bj != 0:
-                    out[i + j] = out[i + j] + ai * bj
+            for j, bj in b:
+                if j > n - i:
+                    break
+                out[i + j] = out[i + j] + ai * bj
         return TruncSeries(out)
 
     def __rmul__(self, other):
@@ -116,11 +117,13 @@ class TruncSeries:
         n = min(self.nterms, den.nterms)
         c = [0] * (n + 1)
         c[0] = self.coeffs[0] / den.coeffs[0]
+        d = [(j, dj) for j, dj in enumerate(den.coeffs[1 : n + 1], 1) if dj != 0]
         for k in range(1, n + 1):
             s = self.coeffs[k]
-            for j in range(1, k + 1):
-                if den.coeffs[j] != 0:
-                    s = s - den.coeffs[j] * c[k - j]
+            for j, dj in d:
+                if j > k:
+                    break
+                s = s - dj * c[k - j]
             c[k] = s / den.coeffs[0]
         return TruncSeries(c)
 
@@ -130,11 +133,13 @@ class TruncSeries:
         if h[0] != 1:
             raise SeriesError("series logarithm requires constant term 1")
         phi = [0] * len(h)
+        jphi = [0] * len(h)  # j * phi_j, rounded once
         for k in range(1, len(h)):
             s = k * h[k]
             for j in range(1, k):
-                s = s - j * phi[j] * h[k - j]
+                s = s - jphi[j] * h[k - j]
             phi[k] = s / k
+            jphi[k] = k * phi[k]
         return TruncSeries(phi)
 
     def abs_coeffs(self) -> "TruncSeries":

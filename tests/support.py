@@ -196,6 +196,50 @@ def yks_eval_direct(spec, x):
 
 
 # ---------------------------------------------------------------------------
+# truncated series: the plain loops, as bit-exact references
+
+
+def series_mul_loop(a, b):
+    """Cauchy product of two TruncSeries, testing every coefficient for zero in the loop."""
+    n = min(a.nterms, b.nterms)
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a.coeffs[: n + 1]):
+        if ai == 0:
+            continue
+        for j in range(0, n + 1 - i):
+            bj = b.coeffs[j]
+            if bj != 0:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def series_divide_loop(num, den):
+    """num / den by the recurrence, testing every denominator coefficient in the loop."""
+    n = min(num.nterms, den.nterms)
+    c = [0] * (n + 1)
+    c[0] = num.coeffs[0] / den.coeffs[0]
+    for k in range(1, n + 1):
+        s = num.coeffs[k]
+        for j in range(1, k + 1):
+            if den.coeffs[j] != 0:
+                s = s - den.coeffs[j] * c[k - j]
+        c[k] = s / den.coeffs[0]
+    return c
+
+
+def series_log_loop(h):
+    """log of a series with constant term 1, forming j * phi_j afresh in the inner loop."""
+    h = h.coeffs
+    phi = [0] * len(h)
+    for k in range(1, len(h)):
+        s = k * h[k]
+        for j in range(1, k):
+            s = s - j * phi[j] * h[k - j]
+        phi[k] = s / k
+    return phi
+
+
+# ---------------------------------------------------------------------------
 # replay interpreter for emitted MATLAB sources
 
 

@@ -255,6 +255,15 @@ class TestCertify:
         assert captured.out.splitlines()[1].split(",")[2] == "0.0"
         assert "warning" in captured.err
 
+    def test_non_finite_graph_reports_zero_radius(self, tmp_path, capsys):
+        g, _ = graph_monomial([1.0, 1.0, 0.5, math.nan])
+        gfile = tmp_path / "g.cgr"
+        export_compgraph(g, str(gfile))
+        assert run(["certify", str(gfile), "--nterms", "20"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].split(",")[2] == "0.0"
+        assert "warning: non-finite series coefficient" in captured.err
+
 
 class TestCompressCodegenConvert:
     def test_compress_removes_passthrough(self, tmp_path, capsys):
@@ -413,6 +422,7 @@ class TestUserInput:
         ("optimize", ["--center", "nan"]),
         ("optimize", ["--perturb", "nan"]),
         ("optimize", ["--perturb", "inf"]),
+        ("optimize", ["--perturb", "0.1", "--seed", "-1"]),
     ])
     def test_bad_numeric_option_usage_error(self, tmp_path, command, args):
         gfile = tmp_path / "g.cgr"

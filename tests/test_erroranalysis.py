@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from matgraph import (
     graph_monomial,
     theta_table_csv,
 )
+from matgraph import erroranalysis
 
 from support import random_graph
 
@@ -150,6 +152,119 @@ class TestBackwardTheta:
         lines = text.strip().splitlines()
         assert lines[0] == "graph,multiplications,theta,u,nterms"
         assert lines[1].startswith("pade13,7,5.371920351148152,")
+
+
+def as_fraction(x):
+    if isinstance(x, mp.mpf):
+        _, man, exp, _ = x._mpf_
+        return Fraction(man) * Fraction(2) ** exp
+    return Fraction(x)
+
+
+@pytest.fixture
+def bound_evals(monkeypatch):
+    """Counts the evaluations of every bound the radius search builds."""
+    calls = []
+    build = erroranalysis._poly_bound
+
+    def counting(coeffs):
+        bound = build(coeffs)
+
+        def counted(t):
+            calls.append(t)
+            return bound(t)
+
+        return counted
+
+    monkeypatch.setattr(erroranalysis, "_poly_bound", counting)
+    return calls
+
+
+class TestExactBound:
+    """_poly_bound against a Fraction Horner: every evaluation is exact."""
+
+    @staticmethod
+    def check(coeffs, ts):
+        bound = erroranalysis._poly_bound(coeffs)
+        cf = [as_fraction(c) for c in coeffs]
+        for t in ts:
+            want = Fraction(0)
+            for c in reversed(cf):
+                want = want * as_fraction(t) + c
+            got = bound(t)
+            assert isinstance(got, mp.mpf)
+            assert as_fraction(got) == want
+
+    def long_ts(self):
+        with mp.workprec(1024):
+            return [mp.mpf(2) ** k for k in (0, 1, 7, 64)] + [
+                mp.mpf(1) / 3, mp.sqrt(2) / 1000, mp.mpf(2) ** -700 * mp.pi,
+                +mp.pi, 12345 + mp.e, mp.mpf(2) ** 80 / 7]
+
+    def test_mixed_coefficient_types(self):
+        with mp.workprec(1024):
+            coeffs = [0, 3, 0.1, mp.mpf(1) / 7, 0, mp.mpf(2) ** -900 / 3, 1e-300, 0, 0]
+        self.check(coeffs, self.long_ts())
+
+    def test_all_mpf_long_mantissas(self):
+        with mp.workprec(1024):
+            coeffs = [mp.mpf(1) / mp.factorial(j + 1) ** 3 for j in range(40)]
+        self.check(coeffs, self.long_ts())
+
+    def test_constant_and_single_terms(self):
+        self.check([5], self.long_ts())
+        self.check([0, 0, 0.25], self.long_ts())
+
+    def test_all_zero_is_zero(self):
+        bound = erroranalysis._poly_bound([0, mp.mpf(0), 0.0])
+        assert all(bound(t) == 0 for t in self.long_ts())
+
+    def test_all_zero_series_saturates(self):
+        res = erroranalysis._radius([mp.mpf(0)] * 5, mp.mpf(2) ** -53, ThetaKind.FORWARD, 4, 1024)
+        assert res.saturated and res.theta > erroranalysis._SEARCH_CAP
+
+
+class TestRadiusSearch:
+    # theta of the five theta-table Pade graphs at nterms 40, 1024 bits: (mantissa, exponent)
+    PINNED = {
+        (5, 0): (0x820466dbd3e565c1e0727e70f, -101),
+        (7, 0): (0xf34e9664628eb78230370b863, -100),
+        (9, 0): (0x10c864830ca291dd66baee499f, -99),
+        (13, 0): (0xabe6c582e8f9c9c3709761d95, -97),
+        (13, 1): (0xabe6c582e8f9c9c3709761d95, -96),
+    }
+
+    @pytest.mark.parametrize("row", sorted(PINNED))
+    def test_theta_table_radii_pinned(self, row):
+        g, _ = graph_exp_pade_ss(*row, coeff_type=bigfloat(256))
+        res = compute_bwd_theta_exp(g, nterms=40)
+        assert (res.theta.man, res.theta.exp) == self.PINNED[row]
+        with mp.workprec(1024):
+            assert res.bracket == (res.theta, res.theta * (1 + mp.mpf("1e-6")))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("kind", list(ThetaKind))
+    def test_non_finite_coefficient_refused(self, bad, kind, bound_evals):
+        # NaN and inf have mantissa 0: an exact bound would read them as 0
+        g, _ = graph_monomial([1, 1, 0.5, bad])
+        with pytest.raises(CertificationError, match="non-finite series coefficient"):
+            if kind == ThetaKind.FORWARD:
+                compute_fwd_theta(g, TruncSeries.exp(20))
+            else:
+                compute_bwd_theta_exp(g, nterms=20)
+        assert bound_evals == []
+
+    def test_constant_term_above_u_refused_at_once(self, bound_evals):
+        # e^{-z}(1 + 1.5z + z^2/2) = 1 + z/2 + ...: the bound starts at 1/2 > u
+        g, _ = graph_monomial([1, 1.5, 0.5])
+        with pytest.raises(CertificationError, match="no sign change"):
+            compute_bwd_theta_exp(g, nterms=100)
+        assert bound_evals == []
+
+    def test_search_evaluation_count(self, bound_evals):
+        g, _ = graph_exp_pade_ss(5, 0, coeff_type=bigfloat(256))
+        compute_bwd_theta_exp(g, nterms=40)
+        assert 90 <= len(bound_evals) <= 140
 
 
 def goldberg_graph():

@@ -6,6 +6,8 @@ from mpmath import mp
 from matgraph.numerics import working_precision
 from matgraph.series import SeriesError, TruncSeries
 
+from support import series_divide_loop, series_log_loop, series_mul_loop
+
 
 def coeffs_of(s):
     return [float(c) for c in s.coeffs]
@@ -101,6 +103,58 @@ class TestDivide:
     def test_zero_constant_term_rejected(self):
         with pytest.raises(SeriesError):
             TruncSeries.constant(1, 3).divide(TruncSeries.identity(3))
+
+
+def _dense(seed, n):
+    # 200-bit values with no exact zeros, so every product and sum rounds
+    return TruncSeries([mp.mpf(1)] + [mp.sqrt(k + seed) / (k + 3) for k in range(1, n + 1)])
+
+
+def _sparse(seed, n):
+    # zeros among the coefficients, plain ints and floats next to mpf
+    return TruncSeries([mp.mpf(1), 0, 0.5, 0, mp.sqrt(seed + 2), 0, 0, 3]
+                       + [mp.mpf(1) / (k + seed) if k % 3 == 0 else 0 for k in range(8, n + 1)])
+
+
+def _complex(seed, n):
+    return TruncSeries([mp.mpc(1, 0)] + [mp.mpc(mp.sqrt(k + seed), 0 if k % 4 else -1) / (k + 1)
+                                         for k in range(1, n + 1)])
+
+
+class TestAgainstPlainLoops:
+    """Nonzero lists and the hoisted j * phi_j keep every rounding of the plain loops."""
+
+    KINDS = [_dense, _sparse, _complex]
+
+    @pytest.mark.parametrize("make", KINDS)
+    @pytest.mark.parametrize("na, nb", [(30, 30), (30, 17), (9, 30)])
+    def test_mul_bit_exact(self, make, na, nb):
+        with working_precision(200):
+            a, b = make(1, na), make(2, nb)
+            for x, y in [(a, b), (b, a), (a, _sparse(3, nb)), (_sparse(3, na), b)]:
+                assert (x * y).coeffs == series_mul_loop(x, y)
+
+    @pytest.mark.parametrize("make", KINDS)
+    def test_divide_bit_exact(self, make):
+        with working_precision(200):
+            num, den = make(1, 30), make(2, 30)
+            for x, y in [(num, den), (num, _sparse(3, 30)), (_sparse(3, 30), den),
+                         (num, TruncSeries([2, 0, 0, 0, mp.mpf(1) / 3], 12))]:
+                assert x.divide(y).coeffs == series_divide_loop(x, y)
+
+    @pytest.mark.parametrize("make", KINDS)
+    def test_log_bit_exact(self, make):
+        with working_precision(200):
+            for h in [make(1, 40), make(5, 3), TruncSeries([1], 0)]:
+                assert h.log().coeffs == series_log_loop(h)
+
+    def test_log_of_backward_error_product_bit_exact(self):
+        # the certification path: log(e^{-z} p(z)) at 1024 bits
+        with working_precision(1024):
+            p = TruncSeries([1 / mp.factorial(j) for j in range(6)], 60)
+            h = TruncSeries.exp_neg(60) * p
+            h.coeffs[0] = mp.mpf(1)
+            assert h.log().coeffs == series_log_loop(h)
 
 
 coeff_lists = st.lists(
