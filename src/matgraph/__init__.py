@@ -19,14 +19,11 @@ from .degopt import (
     YksCoeffs,
     degopt_degree,
     degopt_from_graph,
-    embed_degopt,
     graph_degopt,
     graph_horner,
-    graph_horner_degopt,
     graph_monomial,
     graph_monomial_degopt,
     graph_ps,
-    graph_ps_degopt,
     ps_block_size,
     yks_to_degopt,
 )
@@ -44,9 +41,7 @@ from .evaluation import EvalError, eval_graph, eval_graph_poly, graph_degree_bou
 from .generators import (
     graph_denman_beavers,
     graph_exp_pade_ss,
-    graph_exp_pade_ss_degopt,
     graph_newton_schulz,
-    graph_newton_schulz_degopt,
     graph_rational,
     pade_exp_coeffs,
     pade_squarings_for_norm,

@@ -30,12 +30,12 @@ from . import __version__
 from .cgr import CgrError, export_compgraph, import_compgraph
 from .codegen import EmitTarget, gen_code
 from .degopt import (
+    degopt_from_graph,
+    graph_degopt,
     graph_horner,
-    graph_horner_degopt,
     graph_monomial,
     graph_monomial_degopt,
     graph_ps,
-    graph_ps_degopt,
 )
 from .erroranalysis import CertificationError, compute_bwd_theta_exp, theta_table_csv
 from .evaluation import eval_graph
@@ -58,6 +58,11 @@ from .targets import get_target
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 IO_ERROR = 4
+
+# schemes built from --coeffs; "<name>-degopt" gives the same scheme in degree-optimal form
+POLY_SCHEMES = {"monomial": graph_monomial, "horner": graph_horner, "ps": graph_ps}
+CONFIG_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+                   "0": False, "false": False, "no": False, "off": False}
 
 
 class CliError(Exception):
@@ -135,22 +140,21 @@ def _coeff_type(bits: int | None) -> CoeffType:
 def cmd_generate(args) -> int:
     scheme = args.scheme
     ct = _coeff_type(args.precision)
-    needs_coeffs = {
-        "monomial": graph_monomial,
-        "horner": graph_horner,
-        "ps": graph_ps,
-        "monomial-degopt": graph_monomial_degopt,
-        "horner-degopt": graph_horner_degopt,
-        "ps-degopt": graph_ps_degopt,
-    }
-    if scheme in needs_coeffs and not args.coeffs:
+    build = POLY_SCHEMES.get(scheme.removesuffix("-degopt"))
+    if build and not args.coeffs:
         raise CliError(f"--coeffs is required for scheme {scheme}", USAGE_ERROR)
     try:
-        if scheme in needs_coeffs:
+        if build:
             # exact decimal parse, then one rounding to the coefficient kind
             coeffs = [_parse(lambda t: convert_scalar(exact_decimal(t), ct), tok, "coefficient")
                       for tok in args.coeffs.split(",")]
-            g, _ = needs_coeffs[scheme](coeffs, ct)
+            if not scheme.endswith("-degopt"):
+                g, _ = build(coeffs, ct)
+            elif len(coeffs) < 3:
+                # below degree 2 every scheme has the same form, one A*A row
+                g, _ = graph_monomial_degopt(coeffs, ct)
+            else:
+                g, _ = graph_degopt(degopt_from_graph(build(coeffs, ct)[0]), ct)
         elif scheme == "denman-beavers":
             g, _ = graph_denman_beavers(args.iters, ct)
         elif scheme == "newton-schulz":
@@ -220,9 +224,9 @@ def _progress_to_stderr(enabled: bool):
 def cmd_optimize(args) -> int:
     g = _load_graph(args.graph)
     # default: optimize in 256-bit arithmetic (override via flag or env)
-    prec = args.precision or _default_prec() or 256
-    if prec > 53:
-        g = convert_precision(g, CoeffType(prec, g.coeff_type.is_complex))
+    bits = args.precision if args.precision is not None else _default_prec()
+    ct = _coeff_type(256 if bits is None else bits)
+    g = convert_precision(g, CoeffType(ct.prec, g.coeff_type.is_complex))
     try:
         f, _ = get_target(args.target, CoeffType(g.coeff_type.prec))
     except (ValueError, OSError) as exc:
@@ -352,9 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="construct a named graph and save it")
     gen.add_argument("--scheme", required=True,
-                     choices=["monomial", "horner", "ps", "monomial-degopt",
-                              "horner-degopt", "ps-degopt", "denman-beavers",
-                              "newton-schulz", "exp-pade"])
+                     choices=[*POLY_SCHEMES, *(f"{s}-degopt" for s in POLY_SCHEMES),
+                              "denman-beavers", "newton-schulz", "exp-pade"])
     gen.add_argument("--coeffs", help="comma-separated polynomial coefficients")
     gen.add_argument("--iters", type=int, default=4)
     gen.add_argument("--degree", type=int, default=13)
@@ -444,7 +447,10 @@ def _apply_config(args, parser):
         if action is None or not hasattr(args, key):
             raise CliError(f"unknown config key {key!r}", USAGE_ERROR)
         if action.nargs == 0:
-            setattr(args, key, value.lower() in ("1", "true", "yes", "on"))
+            if value.lower() not in CONFIG_BOOLEANS:
+                raise CliError(f"config value for {key} must be one of "
+                               f"{list(CONFIG_BOOLEANS)}", USAGE_ERROR)
+            setattr(args, key, CONFIG_BOOLEANS[value.lower()])
             continue
         v = _parse(action.type or str, value, f"config value for {key}")
         if action.choices is not None and v not in action.choices:

@@ -13,6 +13,10 @@ are supported internally so that solve-based schemes embed too.
 The row-k coefficient vectors use only their first k+1 entries; with the
 final combination vector y of length m+2 this gives (m+2)^2 - 2 free
 parameters.
+
+Every scheme reaches this form one way: :func:`degopt_from_graph` reads the
+scheme's own graph, and :func:`graph_degopt` builds the form's graph, e.g.
+``graph_degopt(degopt_from_graph(graph_ps(c, ct)[0]), ct)``.
 """
 
 from __future__ import annotations
@@ -330,54 +334,14 @@ def graph_ps(coeffs, coeff_type: CoeffType = CoeffType(),
     return g, refs
 
 
-# ---------------------------------------------------------------------------
-# embeddings into degree-optimal form: each scheme's own graph, read back
-
-
-def _scheme_graph(scheme: str, coeffs, params, coeff_type: CoeffType) -> ComputationGraph:
-    # generators imports this module, so its schemes are looked up here
-    from .generators import graph_exp_pade_ss, graph_newton_schulz
-
-    if scheme in ("monomial", "horner", "ps"):
-        c = _as_coeff_list(coeffs)
-        if len(c) < 3:
-            # below degree 2 every scheme embeds as one A*A row, y = [c0, c1, 0]
-            scheme, c = "monomial", c + [0.0] * (3 - len(c))
-        build = {"monomial": graph_monomial, "horner": graph_horner, "ps": graph_ps}[scheme]
-        return build(c, coeff_type)[0]
-    if scheme == "newton_schulz":
-        return graph_newton_schulz(int(params.get("iters", coeffs)), coeff_type)[0]
-    if scheme == "native_exp":
-        degree = params.get("degree", 13 if coeffs is None else coeffs)
-        return graph_exp_pade_ss(int(degree), int(params.get("squarings", 0)), coeff_type)[0]
-    raise DegoptError(f"unknown scheme {scheme!r}")
-
-
-def embed_degopt(scheme: str, coeffs=None, **params) -> Degopt:
-    """Express a named evaluation scheme in degree-optimal form.
-
-    Schemes: ``monomial``, ``horner``, ``ps`` (each takes the monomial
-    coefficient list), ``newton_schulz`` (``iters=``), and ``native_exp``
-    (``degree=``, ``squarings=``; uses left-division rows).  The scheme's
-    graph is built with binary64 coefficients and read by
-    :func:`degopt_from_graph`; the ``graph_*_degopt`` builders take any
-    coefficient kind.
-    """
-    return degopt_from_graph(_scheme_graph(scheme, coeffs, params, CoeffType()))
-
-
 def graph_monomial_degopt(coeffs, coeff_type: CoeffType = CoeffType()):
-    g = _scheme_graph("monomial", coeffs, {}, coeff_type)
-    return graph_degopt(degopt_from_graph(g), coeff_type)
+    """The monomial scheme in degree-optimal form, the optimizer's usual start.
 
-
-def graph_horner_degopt(coeffs, coeff_type: CoeffType = CoeffType()):
-    g = _scheme_graph("horner", coeffs, {}, coeff_type)
-    return graph_degopt(degopt_from_graph(g), coeff_type)
-
-
-def graph_ps_degopt(coeffs, coeff_type: CoeffType = CoeffType()):
-    g = _scheme_graph("ps", coeffs, {}, coeff_type)
+    Below degree 2 the coefficients are padded with zeros, so the form has
+    one A*A row and y = [c0, c1, 0].
+    """
+    c = _as_coeff_list(coeffs)
+    g, _ = graph_monomial(c + [0.0] * (3 - len(c)), coeff_type)
     return graph_degopt(degopt_from_graph(g), coeff_type)
 
 

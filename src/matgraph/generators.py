@@ -5,14 +5,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .degopt import degopt_from_graph, graph_degopt
 from .graph import CoeffRef, ComputationGraph, GraphError, OpKind, merge_graph
 from .numerics import CoeffType
 
 
-def _lincomb_refs(g: ComputationGraph, created: list[str]) -> list[CoeffRef]:
-    """Both coefficient slots of every created linear combination, in creation order."""
-    return [CoeffRef(n, s) for n in created if n in g.coeffs for s in (1, 2)]
+def _lincomb_refs(g: ComputationGraph) -> list[CoeffRef]:
+    """Both coefficient slots of every linear combination, in creation order."""
+    return [CoeffRef(n, s) for n in g.coeffs for s in (1, 2)]
 
 
 def graph_denman_beavers(iters: int, coeff_type: CoeffType = CoeffType()):
@@ -25,21 +24,16 @@ def graph_denman_beavers(iters: int, coeff_type: CoeffType = CoeffType()):
     if iters < 1:
         raise GraphError("need at least one iteration")
     g = ComputationGraph(coeff_type)
-    created = []
     g.add_ldiv("Xinv0", "A", "I")
     g.add_lincomb("X1", 0.5, "A", 0.5, "I")
-    created.append("X1")
     g.add_lincomb("Y1", 0.5, "I", 0.5, "Xinv0")
-    created.append("Y1")
     for k in range(1, iters + 1):
         g.add_ldiv(f"Yinv{k}", f"Y{k}", "I")
         g.add_lincomb(f"X{k + 1}", 0.5, f"X{k}", 0.5, f"Yinv{k}")
-        created.append(f"X{k + 1}")
         g.add_ldiv(f"Xinv{k}", f"X{k}", "I")
         g.add_lincomb(f"Y{k + 1}", 0.5, f"Y{k}", 0.5, f"Xinv{k}")
-        created.append(f"Y{k + 1}")
     g.set_outputs([f"X{iters + 1}"])
-    return g, _lincomb_refs(g, created)
+    return g, _lincomb_refs(g)
 
 
 def graph_newton_schulz(iters: int, coeff_type: CoeffType = CoeffType()):
@@ -47,21 +41,14 @@ def graph_newton_schulz(iters: int, coeff_type: CoeffType = CoeffType()):
     if iters < 1:
         raise GraphError("need at least one iteration")
     g = ComputationGraph(coeff_type)
-    created = []
     prev = "A"
     for k in range(1, iters + 1):
         g.add_mult(f"W{k}", "A", prev)
         g.add_lincomb(f"T{k}", 2.0, "I", -1.0, f"W{k}")
-        created.append(f"T{k}")
         g.add_mult(f"X{k}", prev, f"T{k}")
         prev = f"X{k}"
     g.set_outputs([prev])
-    return g, _lincomb_refs(g, created)
-
-
-def graph_newton_schulz_degopt(iters: int, coeff_type: CoeffType = CoeffType()):
-    g, _ = graph_newton_schulz(iters, coeff_type)
-    return graph_degopt(degopt_from_graph(g), coeff_type)
+    return g, _lincomb_refs(g)
 
 
 def pade_exp_coeffs(degree: int, exact: bool = False):
@@ -95,22 +82,8 @@ def graph_exp_pade_ss(degree: int, squarings: int = 0,
     # exact rationals: they round correctly at any coefficient precision
     b = pade_exp_coeffs(degree, exact=True)
     g = ComputationGraph(coeff_type)
-    created = []
-
-    def sum_node(nid, terms):
-        if len(terms) == 1:
-            c0, p0 = terms[0]
-            g.add_lincomb(nid, c0, p0, 0.0, "I")
-            created.append(nid)
-            return
-        g.add_sum(nid, terms)
-        for k in range(1, len(terms) - 1):
-            created.append(f"{nid}_sum{k}")
-        created.append(nid)
-
     if squarings > 0:
         g.add_lincomb("As", 2.0 ** -squarings, "A", 0.0, "I")
-        created.append("As")
         x = "As"
     else:
         x = "A"
@@ -121,36 +94,28 @@ def graph_exp_pade_ss(degree: int, squarings: int = 0,
         g.add_mult(f"A{2 * j}", "A2", f"A{2 * (j - 1)}")
         powers[2 * j] = f"A{2 * j}"
     if degree == 13:
-        sum_node("W1s", [(b[9], "A2"), (b[11], "A4"), (b[13], "A6")])
+        g.add_sum("W1s", [(b[9], "A2"), (b[11], "A4"), (b[13], "A6")])
         g.add_mult("W1", "A6", "W1s")
-        sum_node("Us", [(b[1], "I"), (b[3], "A2"), (b[5], "A4"), (b[7], "A6"), (1.0, "W1")])
+        g.add_sum("Us", [(b[1], "I"), (b[3], "A2"), (b[5], "A4"), (b[7], "A6"), (1.0, "W1")])
         g.add_mult("U", x, "Us")
-        sum_node("W2s", [(b[8], "A2"), (b[10], "A4"), (b[12], "A6")])
+        g.add_sum("W2s", [(b[8], "A2"), (b[10], "A4"), (b[12], "A6")])
         g.add_mult("W2", "A6", "W2s")
-        sum_node("V", [(b[0], "I"), (b[2], "A2"), (b[4], "A4"), (b[6], "A6"), (1.0, "W2")])
+        g.add_sum("V", [(b[0], "I"), (b[2], "A2"), (b[4], "A4"), (b[6], "A6"), (1.0, "W2")])
     else:
         odd = [(b[1], "I")] + [(b[2 * j + 1], powers[2 * j]) for j in range(1, (degree - 1) // 2 + 1)]
-        sum_node("Us", odd)
+        g.add_sum("Us", odd)
         g.add_mult("U", x, "Us")
         even = [(b[0], "I")] + [(b[2 * j], powers[2 * j]) for j in range(1, degree // 2 + 1)]
-        sum_node("V", even)
+        g.add_sum("V", even)
     g.add_lincomb("VmU", 1.0, "V", -1.0, "U")
-    created.append("VmU")
     g.add_lincomb("VpU", 1.0, "V", 1.0, "U")
-    created.append("VpU")
     g.add_ldiv("R0", "VmU", "VpU")
     prev = "R0"
     for k in range(1, squarings + 1):
         g.add_mult(f"S{k}", prev, prev)
         prev = f"S{k}"
     g.set_outputs([prev])
-    return g, _lincomb_refs(g, created)
-
-
-def graph_exp_pade_ss_degopt(degree: int, squarings: int = 0,
-                             coeff_type: CoeffType = CoeffType()):
-    g, _ = graph_exp_pade_ss(degree, squarings, coeff_type)
-    return graph_degopt(degopt_from_graph(g), coeff_type)
+    return g, _lincomb_refs(g)
 
 
 def pade_squarings_for_norm(norm_bound: float, degree: int = 13) -> int:

@@ -146,7 +146,11 @@ class TruncSeries:
         return TruncSeries([abs(c) for c in self.coeffs])
 
     def __call__(self, z):
-        """Horner evaluation of the truncated polynomial."""
+        """Horner evaluation of the truncated polynomial.
+
+        ``targets.get_target("series:FILE")`` returns a series as the target
+        callable, which ``opt_gauss_newton`` evaluates at every point.
+        """
         acc = 0 * z
         for c in reversed(self.coeffs):
             acc = acc * z + c

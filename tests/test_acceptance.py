@@ -240,12 +240,15 @@ def test_08c_cgr_round_trip_all_generators():
             "horner": lambda: mg.graph_horner([0.5, -1.0, 2.0, 0.25])[0],
             "ps": lambda: mg.graph_ps([1.0 / math.factorial(j) for j in range(12)])[0],
             "monomial_degopt": lambda: mg.graph_monomial_degopt([1.0, 1.0, 0.5, 1 / 6])[0],
-            "ps_degopt": lambda: mg.graph_ps_degopt([1.0 / math.factorial(j) for j in range(10)])[0],
+            "ps_degopt": lambda: mg.graph_degopt(mg.degopt_from_graph(
+                mg.graph_ps([1.0 / math.factorial(j) for j in range(10)])[0]))[0],
             "denman_beavers": lambda: mg.graph_denman_beavers(4)[0],
             "newton_schulz": lambda: mg.graph_newton_schulz(3)[0],
-            "newton_schulz_degopt": lambda: mg.graph_newton_schulz_degopt(2)[0],
+            "newton_schulz_degopt": lambda: mg.graph_degopt(
+                mg.degopt_from_graph(mg.graph_newton_schulz(2)[0]))[0],
             "exp_pade": lambda: mg.graph_exp_pade_ss(13, 2)[0],
-            "exp_pade_degopt": lambda: mg.graph_exp_pade_ss_degopt(9, 1)[0],
+            "exp_pade_degopt": lambda: mg.graph_degopt(
+                mg.degopt_from_graph(mg.graph_exp_pade_ss(9, 1)[0]))[0],
             "rational": lambda: mg.graph_rational(mg.graph_ps([1.0, 0.5, 1 / 12])[0],
                                                   mg.graph_ps([1.0, -0.5, 1 / 12])[0]),
             "bigfloat_monomial": lambda: mg.convert_precision(

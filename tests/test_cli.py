@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from matgraph import (
+    CoeffType,
     Discretization,
     bigfloat,
     convert_scalar,
@@ -211,6 +212,17 @@ class TestOptimize:
                     "--points", "20", "--stoptol", "1e-8", "--maxiter", "6",
                     "--out", str(out)]) == 0
         assert import_compgraph(str(out)).coeff_type.prec == 256
+
+    def test_precision_53_converts_extended_graph(self, tmp_path):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1,0.5", "--precision", "256",
+             "--out", str(gfile)])
+        out = tmp_path / "o.cgr"
+        assert run(["optimize", str(gfile), "--target", "exp", "--radius", "0.2",
+                    "--points", "20", "--precision", "53", "--maxiter", "1",
+                    "--out", str(out)]) == 0
+        assert out.read_text().startswith('graph_coeff_type="Float64";')
+        assert import_compgraph(str(out)).coeff_type == CoeffType()
 
     def test_rel_with_root_in_domain_numerical_error(self, tmp_path, capsys):
         gfile = tmp_path / "g.cgr"
@@ -423,6 +435,9 @@ class TestUserInput:
         ("optimize", ["--perturb", "nan"]),
         ("optimize", ["--perturb", "inf"]),
         ("optimize", ["--perturb", "0.1", "--seed", "-1"]),
+        ("optimize", ["--precision", "0"]),
+        ("optimize", ["--precision", "30"]),
+        ("optimize", ["--precision", "-5"]),
     ])
     def test_bad_numeric_option_usage_error(self, tmp_path, command, args):
         gfile = tmp_path / "g.cgr"
@@ -431,6 +446,30 @@ class TestUserInput:
             args = ["--target", "exp", "--radius", "0.3", "--precision", "53",
                     "--maxiter", "1", *args, "--out", str(tmp_path / "o.cgr")]
         assert run([command, str(gfile), *args]) == 2
+
+    def test_precision_env_below_53_usage_error(self, tmp_path, monkeypatch):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])
+        monkeypatch.setenv("MATGRAPH_PRECISION", "30")
+        assert run(["optimize", str(gfile), "--target", "exp", "--radius", "0.3",
+                    "--maxiter", "1", "--out", str(tmp_path / "o.cgr")]) == 2
+
+    @pytest.mark.parametrize("word, nodes", [
+        ("1", 2), ("TRUE", 2), ("Yes", 2), ("on", 2),
+        ("0", 3), ("false", 3), ("NO", 3), ("Off", 3),
+        ("ture", None), ("", None), ("2", None), ("y", None),
+    ])
+    def test_config_boolean_words(self, tmp_path, word, nodes):
+        # compress removes the pass-through node; an unknown word is a usage error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"compress={word}\n")
+        out = tmp_path / "m.cgr"
+        code = run(["--config", str(cfg), "generate", "--scheme", "monomial",
+                    "--coeffs", "1,0,3", "--out", str(out)])
+        if nodes is None:
+            assert code == 2 and not out.exists()
+        else:
+            assert code == 0 and len(import_compgraph(str(out)).operations) == nodes
 
     def test_certify_multi_output_graph_format_error(self, tmp_path):
         # GraphError is a ValueError, but a graph certify cannot read is not a bad option

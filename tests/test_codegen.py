@@ -288,10 +288,10 @@ class TestC:
         import math as _math
 
         from matgraph import (
+            degopt_from_graph,
+            graph_degopt,
             graph_horner,
             graph_monomial_degopt,
-            graph_newton_schulz_degopt,
-            graph_ps_degopt,
             graph_rational,
         )
         from matgraph.codegen import _gen_c
@@ -301,10 +301,11 @@ class TestC:
             lambda: graph_horner([1.0, -0.5, 0.25, 0.125])[0],
             lambda: graph_ps([1.0 / _math.factorial(j) for j in range(10)])[0],
             lambda: graph_monomial_degopt([1.0, 1.0, 0.5, 1 / 6])[0],
-            lambda: graph_ps_degopt([1.0 / _math.factorial(j) for j in range(10)])[0],
+            lambda: graph_degopt(degopt_from_graph(
+                graph_ps([1.0 / _math.factorial(j) for j in range(10)])[0]))[0],
             lambda: graph_denman_beavers(3)[0],
             lambda: graph_newton_schulz(3)[0],
-            lambda: graph_newton_schulz_degopt(2)[0],
+            lambda: graph_degopt(degopt_from_graph(graph_newton_schulz(2)[0]))[0],
             lambda: graph_exp_pade_ss(9, 1)[0],
             lambda: graph_rational(graph_ps([1.0, 0.5, 1 / 12])[0],
                                    graph_ps([1.0, -0.5, 1 / 12])[0]),

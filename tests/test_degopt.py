@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from mpmath import mp
 
 from matgraph import (
+    CoeffType,
     ComputationGraph,
     Degopt,
     DegoptError,
@@ -14,14 +16,15 @@ from matgraph import (
     convert_scalar,
     degopt_degree,
     degopt_from_graph,
-    embed_degopt,
     eval_graph,
     graph_degopt,
-    graph_exp_pade_ss_degopt,
+    graph_exp_pade_ss,
     graph_horner,
     graph_monomial,
+    graph_newton_schulz,
     graph_ps,
     pade_exp_coeffs,
+    render_cgr,
     yks_to_degopt,
 )
 from matgraph.degopt import ps_block_size
@@ -55,7 +58,7 @@ class TestDegoptContainer:
 class TestGraphDegopt:
     def test_cref_count_m4(self):
         c = [1.0 / math.factorial(j) for j in range(6)]
-        g, cref = graph_degopt(embed_degopt("monomial", c))
+        g, cref = graph_degopt(degopt_from_graph(graph_monomial(c)[0]))
         assert len(cref) == 34
 
     def test_square_via_m1(self):
@@ -83,7 +86,7 @@ class TestGraphDegopt:
 
     def test_set_coeffs_then_eval(self):
         c = [1.0, 2.0, 3.0]
-        g, cref = graph_degopt(embed_degopt("monomial", c))
+        g, cref = graph_degopt(degopt_from_graph(graph_monomial(c)[0]))
         vals = g.get_coeffs(cref)
         g.set_coeffs(cref, vals)
         assert eval_graph(g, 0.5) == pytest.approx(1 + 1 + 0.75)
@@ -178,7 +181,7 @@ class TestSchemeAccuracyVsCompensated:
 class TestEmbeddings:
     def test_monomial_pattern_degree6(self):
         c = [float(j + 1) for j in range(7)]
-        d = embed_degopt("monomial", c)
+        d = degopt_from_graph(graph_monomial(c)[0])
         assert d.m == 5
         for k in range(5):
             row = [0.0] * 6
@@ -191,7 +194,7 @@ class TestEmbeddings:
 
     def test_horner_pattern_degree6(self):
         c = [float(j + 1) for j in range(7)]
-        d = embed_degopt("horner", c)
+        d = degopt_from_graph(graph_horner(c)[0])
         assert d.HA[0][:2] == [c[5], c[6]]
         for k in range(1, 5):
             assert d.HA[k][0] == c[5 - k]
@@ -200,7 +203,7 @@ class TestEmbeddings:
 
     def test_ps_pattern_degree11(self):
         c = [1.0 / math.factorial(j) for j in range(12)]
-        d = embed_degopt("ps", c)
+        d = degopt_from_graph(graph_ps(c)[0])
         assert d.m == 5
         # graph_ps multiplies block-on-the-left, C_k = acc * x^4, so the blocks sit in HA
         assert d.HA[3][:5] == [c[8], c[9], c[10], c[11], 0.0]
@@ -215,21 +218,21 @@ class TestEmbeddings:
         c = list(rng.uniform(-1, 1, 12))
         direct = {"monomial": graph_monomial, "horner": graph_horner, "ps": graph_ps}[scheme]
         g1, _ = direct(c)
-        g2, _ = graph_degopt(embed_degopt(scheme, c))
+        g2, _ = graph_degopt(degopt_from_graph(g1))
         for z in rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50):
             a, b = eval_graph(g1, z), eval_graph(g2, z)
             assert abs(a - b) <= 10 * u * (1 + abs(a))
 
     def test_first_row_normalized_monomial(self):
         # embedding fixes row 1 to [0 1 | 0 1] by construction
-        d = embed_degopt("monomial", [1.0, 2.0, 3.0, 4.0])
+        d = degopt_from_graph(graph_monomial([1.0, 2.0, 3.0, 4.0])[0])
         assert d.HA[0][:2] == [0.0, 1.0] and d.HB[0][:2] == [0.0, 1.0]
 
 
 class TestDegoptFromGraph:
     def test_native_exp_layout_degree13_one_squaring(self):
         b = pade_exp_coeffs(13)
-        d = embed_degopt("native_exp", degree=13, squarings=1)
+        d = degopt_from_graph(graph_exp_pade_ss(13, 1)[0])
         # A2, A4, A6, W1, U, W2, then (V-U) \ (V+U), then one squaring
         assert d.m == 8
         assert d.row_ops == [OpKind.MULT] * 6 + [OpKind.LDIV, OpKind.MULT]
@@ -245,7 +248,7 @@ class TestDegoptFromGraph:
         assert d.y == [0.0] * 9 + [1.0]
 
     def test_newton_schulz_layout_two_iterations(self):
-        d = embed_degopt("newton_schulz", iters=2)
+        d = degopt_from_graph(graph_newton_schulz(2)[0])
         # W1 = A*A, X1 = A*(2I - W1), W2 = A*X1, X2 = X1*(2I - W2)
         assert d.HA == [[0, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0]]
         assert d.HB == [[0, 1, 0, 0, 0], [2, 0, -1, 0, 0], [0, 0, 0, 1, 0], [2, 0, 0, 0, -1]]
@@ -257,7 +260,7 @@ class TestDegoptFromGraph:
         # precision, b3 = 1/72 and b5 = 1/30240 are not
         b = pade_exp_coeffs(5, exact=True)
         ct = bigfloat(256)
-        g, _ = graph_exp_pade_ss_degopt(5, 0, ct)
+        g, _ = graph_degopt(degopt_from_graph(graph_exp_pade_ss(5, 0, ct)[0]), ct)
         got = g.get_coeffs([("Bb3_sum1", 1), ("Bb3_sum2", 2), ("Bb3", 2)])
         assert got == [convert_scalar(b[j], ct) for j in (1, 3, 5)]
 
@@ -287,6 +290,60 @@ class TestDegoptFromGraph:
             assert degopt_from_graph(graph_degopt(d)[0]) == d
 
 
+# sha256 of render_cgr for embeddings made by the former graph_horner_degopt,
+# graph_ps_degopt, graph_newton_schulz_degopt and graph_exp_pade_ss_degopt;
+# the two-call form graph_degopt(degopt_from_graph(g), ct) must reproduce them
+PINNED_POLY = {
+    ("horner", 53): "1168d0b65c071a958e8b166ef5a90920c9963f3f0d62099336e5f74c9ac63797",
+    ("horner", 256): "2ca61cb77abc29649c57b1b86c55b1fb28480896da196041bd654239259f0c6c",
+    ("ps", 53): "3cd80b20a645739d29edaff83fc66309aef2d8854516f5dfa7fe2f43d96f75af",
+    ("ps", 256): "384ec532eeefc4337638d8017ecce5f943bc21be4ad0e278f184defbc5fa88e8",
+}
+PINNED_NEWTON_SCHULZ = {
+    2: "c6b83fcbcd746bcd5f3e405c02b55e5043e1712c3bce40f40923e948ac1af4fe",
+    3: "eda413e9e5aa2fb780ca9272b7e873484e57b2724a411961cfde4dd18d559db6",
+}
+PINNED_PADE = {
+    (3, 0): "29ba5cf36a21bee5924fce447427a7ec18ece383efcbcee025065bce9adec817",
+    (3, 1): "d924788aca07683f16987d0a824d242515bdadad03a7f7edcb659e565eb6ec8c",
+    (5, 0): "f58204898178909e34597e10a2ec6cc54bd3ae1b17f094f617620b95c38dd2e3",
+    (5, 1): "8988a908c28fae62404fbcbd4f75109cc22a4ab6e330fb1ba6d5d0c9b7c9ec99",
+    (7, 0): "e0e1d9b5559996ce64b8d237301edb858fb9788573c7a4792284592ea937ccf3",
+    (7, 1): "6178fed995a76bd3db223e7e4eb309a6e06915f2c51b7223cbb85be981d7fec6",
+    (9, 0): "d757207e54dbc899ff8275a437ed79dd187b44ad4068bccda7e76ac97185d86a",
+    (9, 1): "119d27abb0aba18bd5eb7ca24bb18102f0a097bf69503f12201eac2df5e25863",
+    (13, 0): "7e24a688b3c3485ea04ea4b1a645313e50f5861c60b8dfbe9bfa7336dc8a8047",
+    (13, 1): "6858e6ff2faa546f1683bb58470a2d01e096389902fb24b19698e139b8cb9bf3",
+}
+PINNED_COEFFS = [1.0, 0.5, 1 / 6, 1 / 24, 1 / 120, 1 / 720, 0.3, -0.7, 1 / 3, 2.5]
+
+
+def _embedded_digest(g, ct):
+    text = render_cgr(graph_degopt(degopt_from_graph(g), ct)[0])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedEmbeddings:
+    @pytest.mark.parametrize("scheme, bits", sorted(PINNED_POLY))
+    def test_polynomial_scheme(self, scheme, bits):
+        ct = bigfloat(bits) if bits > 53 else CoeffType()
+        c = [convert_scalar(x, ct) for x in PINNED_COEFFS]
+        build = {"horner": graph_horner, "ps": graph_ps}[scheme]
+        assert _embedded_digest(build(c, ct)[0], ct) == PINNED_POLY[scheme, bits]
+
+    @pytest.mark.parametrize("iters", sorted(PINNED_NEWTON_SCHULZ))
+    def test_newton_schulz_256(self, iters):
+        ct = bigfloat(256)
+        g, _ = graph_newton_schulz(iters, ct)
+        assert _embedded_digest(g, ct) == PINNED_NEWTON_SCHULZ[iters]
+
+    @pytest.mark.parametrize("degree, squarings", sorted(PINNED_PADE))
+    def test_exp_pade_256(self, degree, squarings):
+        ct = bigfloat(256)
+        g, _ = graph_exp_pade_ss(degree, squarings, ct)
+        assert _embedded_digest(g, ct) == PINNED_PADE[degree, squarings]
+
+
 class TestDegree:
     def test_generic_m3_is_8(self):
         rng = np.random.default_rng(15)
@@ -296,7 +353,7 @@ class TestDegree:
         assert degopt_degree(Degopt(HA, HB, y)) == 8
 
     def test_monomial_embedding_degree6(self):
-        d = embed_degopt("monomial", [1.0] * 7)
+        d = degopt_from_graph(graph_monomial([1.0] * 7)[0])
         assert degopt_degree(d) == 6
 
     def test_constant(self):

@@ -5,17 +5,18 @@ import pytest
 from mpmath import mp
 
 from matgraph import (
+    CoeffType,
     GraphError,
     OpKind,
     bigfloat,
+    degopt_from_graph,
     eval_graph,
     get_topo_order,
     graph_denman_beavers,
+    graph_degopt,
     graph_exp_pade_ss,
-    graph_exp_pade_ss_degopt,
     graph_monomial,
     graph_newton_schulz,
-    graph_newton_schulz_degopt,
     graph_ps,
     graph_rational,
     pade_exp_coeffs,
@@ -65,6 +66,27 @@ class TestDenmanBeavers:
         assert len(cref) == 2 * len(g.coeffs)
         g.set_coeffs(cref, g.get_coeffs(cref))
         assert eval_graph(g, 1.2) == pytest.approx(np.sqrt(1.2))
+        # both slots of each linear combination, in the order the generator creates them
+        def both(*nodes):
+            return [(n, s) for n in nodes for s in (1, 2)]
+
+        expected = {
+            (graph_denman_beavers, 2): both("X1", "Y1", "X2", "Y2", "X3", "Y3"),
+            (graph_newton_schulz, 3): both("T1", "T2", "T3"),
+            (graph_exp_pade_ss, 3, 0): both("Us", "V", "VmU", "VpU"),
+            (graph_exp_pade_ss, 5, 1): both("As", "Us_sum1", "Us", "V_sum1", "V", "VmU", "VpU"),
+            (graph_exp_pade_ss, 9, 2): both("As", "Us_sum1", "Us_sum2", "Us_sum3", "Us",
+                                            "V_sum1", "V_sum2", "V_sum3", "V", "VmU", "VpU"),
+            (graph_exp_pade_ss, 13, 0): both("W1s_sum1", "W1s", "Us_sum1", "Us_sum2",
+                                             "Us_sum3", "Us", "W2s_sum1", "W2s", "V_sum1",
+                                             "V_sum2", "V_sum3", "V", "VmU", "VpU"),
+            (graph_exp_pade_ss, 13, 1): both("As", "W1s_sum1", "W1s", "Us_sum1", "Us_sum2",
+                                             "Us_sum3", "Us", "W2s_sum1", "W2s", "V_sum1",
+                                             "V_sum2", "V_sum3", "V", "VmU", "VpU"),
+        }
+        for (build, *args), refs in expected.items():
+            for ct in (CoeffType(), bigfloat(256)):
+                assert build(*args, ct)[1] == refs, (build.__name__, args)
 
 
 class TestNewtonSchulz:
@@ -92,7 +114,7 @@ class TestNewtonSchulz:
 
     def test_degopt_embedding_agrees(self):
         g1, _ = graph_newton_schulz(3)
-        g2, _ = graph_newton_schulz_degopt(3)
+        g2, _ = graph_degopt(degopt_from_graph(g1))
         for z in (0.9, 1.3, 0.5 + 0.1j):
             assert eval_graph(g2, z) == pytest.approx(eval_graph(g1, z), rel=1e-14)
 
@@ -136,7 +158,7 @@ class TestExpPade:
     def test_degopt_embedding_agrees(self):
         for deg, s in ((5, 0), (13, 1)):
             g1, _ = graph_exp_pade_ss(deg, s)
-            g2, _ = graph_exp_pade_ss_degopt(deg, s)
+            g2, _ = graph_degopt(degopt_from_graph(g1))
             for z in (0.2, -0.4 + 0.3j):
                 assert eval_graph(g2, z) == pytest.approx(eval_graph(g1, z), rel=1e-13)
 

@@ -10,12 +10,14 @@ from matgraph import (
     bigfloat,
     compress_graph,
     convert_precision,
+    degopt_from_graph,
     eval_graph,
     get_topo_order,
+    graph_degopt,
     graph_monomial,
+    graph_ps,
     merge_graph,
 )
-from matgraph.degopt import graph_ps_degopt
 
 from support import random_graph
 
@@ -234,7 +236,7 @@ class TestCompress:
         import math
 
         c = [1.0 / math.factorial(j) for j in range(12)]
-        g, _ = graph_ps_degopt(c)
+        g, _ = graph_degopt(degopt_from_graph(graph_ps(c)[0]))
         gc = g.copy()
         compress_graph(gc)
         rng = np.random.default_rng(1)
