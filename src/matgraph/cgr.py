@@ -20,7 +20,8 @@ exported file reproduces the graph coefficient-exactly.  Comment lines of
 the form ``# key: value`` are preserved as opaque metadata; the
 ``outputs`` (and, for non-standard graphs, ``input``) keys are written by
 the exporter and honored on import, defaulting to the last assigned node
-when absent.
+when absent.  Node ids follow the graph's grammar ``[A-Za-z_][A-Za-z0-9_]*``,
+and every malformed file raises :class:`CgrError`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import re
 import mpmath
 from mpmath import mp
 
-from .graph import ComputationGraph, get_topo_order, OpKind
+from .graph import ComputationGraph, GraphError, get_topo_order, OpKind
 from .numerics import CoeffType, working_precision
 
 
@@ -160,38 +161,30 @@ def export_compgraph(g: ComputationGraph, path: str):
 
 _HEADER_RE = re.compile(r'^graph_coeff_type\s*=\s*"([^"]+)"\s*;$')
 _COEFF_RE = re.compile(r"^coeff([12])\s*=\s*([^;]+?)\s*;$")
-_MULT_RE = re.compile(r"^(\w+)\s*=\s*(\w+)\s*\*\s*(\w+)\s*;$")
-_LDIV_RE = re.compile(r"^(\w+)\s*=\s*(\w+)\s*\\\s*(\w+)\s*;$")
+_PRODUCT_RE = re.compile(r"^(\w+)\s*=\s*(\w+)\s*([*\\])\s*(\w+)\s*;$")
 _LINCOMB_RE = re.compile(
     r"^(\w+)\s*=\s*coeff1\s*\*\s*(\w+)\s*\+\s*coeff2\s*\*\s*(\w+)\s*;$"
 )
 
 
 def parse_cgr(text: str) -> ComputationGraph:
-    ct = None
-    g = None
-    declared: set[str] = set()
     pending: dict[int, object] = {}
     metadata: dict[str, str] = {}
-    outputs: list[str] | None = None
-    input_id = "A"
-    last_assigned = None
+    outputs = None  # (line, ids) of the "# outputs" comment
+    input_line, input_id = None, "A"
     statements = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                key, value = key.strip(), value.strip()
-                if key == "outputs":
-                    outputs = [o.strip() for o in value.split(",") if o.strip()]
-                elif key == "input":
-                    input_id = value
-                else:
-                    metadata[key] = value
+            key, sep, value = (part.strip() for part in line[1:].partition(":"))
+            if sep and key == "outputs":
+                outputs = (lineno, [o.strip() for o in value.split(",") if o.strip()])
+            elif sep and key == "input":
+                input_line, input_id = lineno, value
+            elif sep:
+                metadata[key] = value
             continue
         statements.append((lineno, line))
     if not statements:
@@ -204,69 +197,44 @@ def parse_cgr(text: str) -> ComputationGraph:
         ct = CoeffType.from_tag(mobj.group(1))
     except ValueError as exc:
         raise CgrError(str(exc), lineno) from exc
-    g = ComputationGraph(ct, input_id)
-    declared |= g.input_ids
-
-    def check_operand(name, lineno):
-        if name not in declared:
-            raise CgrError(f"undeclared identifier {name!r}", lineno)
-
-    def check_target(name, lineno):
-        if name in declared:
-            raise CgrError(f"duplicate assignment to {name!r}", lineno)
-
-    with working_precision(ct.prec):
-        for lineno, line in statements[1:]:
-            mobj = _COEFF_RE.match(line)
-            if mobj:
-                slot = int(mobj.group(1))
-                if slot in pending:
-                    raise CgrError(f"coeff{slot} bound twice before use", lineno)
-                pending[slot] = _parse_number(mobj.group(2), ct, lineno)
-                continue
-            mobj = _LINCOMB_RE.match(line)
-            if mobj:
-                target, p1, p2 = mobj.groups()
-                check_target(target, lineno)
-                check_operand(p1, lineno)
-                check_operand(p2, lineno)
-                if 1 not in pending or 2 not in pending:
-                    raise CgrError(
-                        "linear combination without preceding coeff1/coeff2 bindings", lineno
-                    )
-                g.add_lincomb(target, pending.pop(1), p1, pending.pop(2), p2)
-                declared.add(target)
-                last_assigned = target
-                continue
-            if pending:
-                raise CgrError("dangling coeff bindings before a non-lincomb statement", lineno)
-            mobj = _MULT_RE.match(line)
-            if mobj:
-                target, p1, p2 = mobj.groups()
-                check_target(target, lineno)
-                check_operand(p1, lineno)
-                check_operand(p2, lineno)
-                g.add_mult(target, p1, p2)
-                declared.add(target)
-                last_assigned = target
-                continue
-            mobj = _LDIV_RE.match(line)
-            if mobj:
-                target, p1, p2 = mobj.groups()
-                check_target(target, lineno)
-                check_operand(p1, lineno)
-                check_operand(p2, lineno)
-                g.add_ldiv(target, p1, p2)
-                declared.add(target)
-                last_assigned = target
-                continue
-            raise CgrError(f"unrecognized statement {line!r}", lineno)
-    if pending:
-        raise CgrError("file ends with dangling coeff bindings")
-    g.metadata = metadata
-    if outputs is None:
-        outputs = [last_assigned] if last_assigned else []
-    g.set_outputs(outputs)
+    # the graph enforces the id, parent and duplicate rules; its GraphError
+    # is reported against the line being read
+    lineno = input_line
+    try:
+        g = ComputationGraph(ct, input_id)
+        with working_precision(ct.prec):
+            for lineno, line in statements[1:]:
+                mobj = _COEFF_RE.match(line)
+                if mobj:
+                    slot = int(mobj.group(1))
+                    if slot in pending:
+                        raise CgrError(f"coeff{slot} bound twice before use", lineno)
+                    pending[slot] = _parse_number(mobj.group(2), ct, lineno)
+                    continue
+                mobj = _LINCOMB_RE.match(line)
+                if mobj:
+                    target, p1, p2 = mobj.groups()
+                    if 1 not in pending or 2 not in pending:
+                        raise CgrError(
+                            "linear combination without preceding coeff1/coeff2 bindings", lineno
+                        )
+                    g.add_lincomb(target, pending.pop(1), p1, pending.pop(2), p2)
+                    continue
+                if pending:
+                    raise CgrError("dangling coeff bindings before a non-lincomb statement", lineno)
+                mobj = _PRODUCT_RE.match(line)
+                if not mobj:
+                    raise CgrError(f"unrecognized statement {line!r}", lineno)
+                target, p1, op, p2 = mobj.groups()
+                (g.add_mult if op == "*" else g.add_ldiv)(target, p1, p2)
+        if pending:
+            raise CgrError("file ends with dangling coeff bindings", lineno)
+        g.metadata = metadata
+        # without an outputs comment the output is the last node assigned
+        lineno, ids = outputs or (None, list(g.operations)[-1:])
+        g.set_outputs(ids)
+    except GraphError as exc:
+        raise CgrError(str(exc), lineno) from exc
     return g
 
 

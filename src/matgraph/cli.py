@@ -11,7 +11,9 @@
 Exit codes: 0 success, 2 usage error, 3 numerical failure or out of memory,
 4 I/O or format error.  A ``--config`` file of ``key=value`` lines
 overrides the corresponding flags; the MATGRAPH_PRECISION environment
-variable sets the default precision in bits.
+variable sets the default coefficient precision in bits of ``generate`` and
+``optimize``.  ``certify --precision`` does not read it: that flag is the
+certificate's working precision, 1024 bits by default.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def write_matrix_csv(M: np.ndarray, fh):
 def _load_graph(path: str) -> ComputationGraph:
     try:
         return import_compgraph(path)
-    except (CgrError, GraphError) as exc:
+    except CgrError as exc:
         raise CliError(f"{path}: {exc}", IO_ERROR) from exc
 
 
@@ -139,7 +141,7 @@ def _coeff_type(bits: int | None) -> CoeffType:
 
 def cmd_generate(args) -> int:
     scheme = args.scheme
-    ct = _coeff_type(args.precision)
+    ct = _coeff_type(args.precision if args.precision is not None else _default_prec())
     build = POLY_SCHEMES.get(scheme.removesuffix("-degopt"))
     if build and not args.coeffs:
         raise CliError(f"--coeffs is required for scheme {scheme}", USAGE_ERROR)

@@ -70,17 +70,6 @@ class ComputationGraph:
     def input_ids(self) -> set[str]:
         return {IDENTITY_ID, self.input_id}
 
-    def is_input(self, nid: str) -> bool:
-        return nid in self.input_ids and nid not in self.operations
-
-    def children_of(self) -> dict[str, list[str]]:
-        ch: dict[str, list[str]] = {}
-        for nid, (p1, p2) in self.parents.items():
-            ch.setdefault(p1, []).append(nid)
-            if p2 != p1:
-                ch.setdefault(p2, []).append(nid)
-        return ch
-
     def __eq__(self, other):
         if not isinstance(other, ComputationGraph):
             return NotImplemented
@@ -94,14 +83,7 @@ class ComputationGraph:
         )
 
     def copy(self) -> "ComputationGraph":
-        g = ComputationGraph(self.coeff_type, self.input_id)
-        g.operations = dict(self.operations)
-        g.parents = dict(self.parents)
-        g.coeffs = dict(self.coeffs)
-        g.outputs = list(self.outputs)
-        g.metadata = dict(self.metadata)
-        g._dangling = set(self._dangling)
-        return g
+        return convert_precision(self, self.coeff_type)
 
     # -- node insertion -----------------------------------------------------
 
@@ -190,9 +172,7 @@ class ComputationGraph:
                 raise GraphError(f"cannot delete {nid!r}: node {other!r} references it")
         if nid in self.outputs:
             raise GraphError(f"cannot delete output node {nid!r}")
-        del self.operations[nid]
-        del self.parents[nid]
-        self.coeffs.pop(nid, None)
+        _drop(self, nid)
 
     def rename_node(self, old: str, new: str, crefs: list[CoeffRef] | None = None):
         """Rewrite every occurrence of ``old`` to ``new``.
@@ -204,10 +184,7 @@ class ComputationGraph:
         known = old in self.operations or old in self.input_ids
         if not known:
             raise GraphError(f"unknown node {old!r}")
-        if not _ID_RE.match(new):
-            raise GraphError(f"invalid node id {new!r}")
-        if new in self.operations or new in self.input_ids:
-            raise GraphError(f"id {new!r} already in use")
+        self._check_new_id(new)
         for (p1, p2) in self.parents.values():
             if new in (p1, p2):
                 raise GraphError(f"id {new!r} already referenced in the graph")
@@ -307,17 +284,7 @@ def get_topo_order(g: ComputationGraph, all_nodes: bool = False) -> list[str]:
     taken first.  With ``all_nodes=True`` unreachable nodes are included
     (used for validation).
     """
-    if all_nodes:
-        wanted = set(g.operations)
-    else:
-        wanted = set()
-        stack = [o for o in g.outputs]
-        while stack:
-            v = stack.pop()
-            if v in wanted or v not in g.operations:
-                continue
-            wanted.add(v)
-            stack.extend(g.parents[v])
+    wanted = set(g.operations) if all_nodes else _live(g)
     remaining: dict[str, int] = {}
     dependents: dict[str, list[str]] = {}
     ready: list[str] = []
@@ -340,6 +307,18 @@ def get_topo_order(g: ComputationGraph, all_nodes: bool = False) -> list[str]:
     if len(order) != len(wanted):
         raise GraphError("graph contains a cycle")
     return order
+
+
+def _live(g: ComputationGraph) -> set[str]:
+    """The nodes the outputs transitively depend on, outputs included."""
+    live: set[str] = set()
+    stack = list(g.outputs)
+    while stack:
+        v = stack.pop()
+        if v not in live and v in g.operations:
+            live.add(v)
+            stack.extend(g.parents[v])
+    return live
 
 
 def _retarget(g: ComputationGraph, old: str, new: str):
@@ -369,27 +348,20 @@ def compress_graph(g: ComputationGraph):
     zero = convert_scalar(0, g.coeff_type)
     changed = True
     while changed:
-        changed = False
-        # dangling: non-output nodes without children
-        while True:
-            ch = g.children_of()
-            dead = [n for n in sorted(g.operations) if not ch.get(n) and n not in g.outputs]
-            if not dead:
-                break
-            for n in dead:
-                _drop(g, n)
-            changed = True
+        # dangling: nodes no output depends on
+        dead = set(g.operations) - _live(g)
+        for n in dead:
+            _drop(g, n)
+        changed = bool(dead)
         # trivial: identity operand of mult/ldiv
         for nid in sorted(g.operations):
             op = g.operations[nid]
             p1, p2 = g.parents[nid]
             alias = None
-            if op == OpKind.MULT and g.is_input(p1) and p1 == IDENTITY_ID:
+            if op != OpKind.LINCOMB and p1 == IDENTITY_ID:
                 alias = p2
-            elif op == OpKind.MULT and g.is_input(p2) and p2 == IDENTITY_ID:
+            elif op == OpKind.MULT and p2 == IDENTITY_ID:
                 alias = p1
-            elif op == OpKind.LDIV and g.is_input(p1) and p1 == IDENTITY_ID:
-                alias = p2
             if alias is not None and nid not in g.outputs:
                 _retarget(g, nid, alias)
                 _drop(g, nid)
@@ -423,7 +395,12 @@ def compress_graph(g: ComputationGraph):
 
 
 def merge_graph(g1: ComputationGraph, g2: ComputationGraph) -> ComputationGraph:
-    """Disjoint union over the shared inputs; colliding ids of g2 get suffixed."""
+    """Disjoint union over the shared inputs; colliding ids of g2 get suffixed.
+
+    A g2 id collides when it names a g1 node, an input or one of g1's
+    pending grafts; its new id avoids those, every g2 id and every new id
+    already handed out.
+    """
     if g1.input_id != g2.input_id:
         raise GraphError("cannot merge graphs with different input ids")
     prec = None
@@ -431,44 +408,42 @@ def merge_graph(g1: ComputationGraph, g2: ComputationGraph) -> ComputationGraph:
         if p is not None:
             prec = p if prec is None else max(prec, p)
     ct = CoeffType(prec, g1.coeff_type.is_complex or g2.coeff_type.is_complex)
-    out = ComputationGraph(ct, g1.input_id)
-    out.metadata = dict(g1.metadata)
-    for nid in g1.operations:
-        out.operations[nid] = g1.operations[nid]
-        out.parents[nid] = g1.parents[nid]
-        if nid in g1.coeffs:
-            c1, c2 = g1.coeffs[nid]
-            out.coeffs[nid] = (convert_scalar(c1, ct), convert_scalar(c2, ct))
-    out.outputs = list(g1.outputs)
-    out._dangling = g1._dangling | g2._dangling
-    # deterministic renaming for colliding ids of g2
+    out, g2 = convert_precision(g1, ct), convert_precision(g2, ct)
+    colliding = set(g1.operations) | g1.input_ids | g1._dangling
+    taken = colliding | set(g2.operations) | g2._dangling
     mapping: dict[str, str] = {}
     for nid in g2.operations:
         new = nid
-        while new in out.operations or new in out.input_ids:
-            new = new + "_b"
+        if nid in colliding:
+            while new in taken:
+                new = new + "_b"
+            taken.add(new)
         mapping[nid] = new
+    out._dangling |= g2._dangling
     for nid in g2.operations:
         new = mapping[nid]
         p1, p2 = g2.parents[nid]
         out.operations[new] = g2.operations[nid]
         out.parents[new] = (mapping.get(p1, p1), mapping.get(p2, p2))
         if nid in g2.coeffs:
-            c1, c2 = g2.coeffs[nid]
-            out.coeffs[new] = (convert_scalar(c1, ct), convert_scalar(c2, ct))
+            out.coeffs[new] = g2.coeffs[nid]
     out.outputs.extend(mapping.get(o, o) for o in g2.outputs)
     return out
 
 
 def convert_precision(g: ComputationGraph, ct: CoeffType) -> ComputationGraph:
-    """Copy of ``g`` with all coefficients rounded to the target kind."""
+    """Copy of ``g`` with all coefficients rounded to the target kind.
+
+    This is the one place that lists a graph's fields: ``copy`` and
+    ``merge_graph`` start from it.
+    """
     out = ComputationGraph(ct, g.input_id)
     out.operations = dict(g.operations)
     out.parents = dict(g.parents)
     out.outputs = list(g.outputs)
     out.metadata = dict(g.metadata)
     out._dangling = set(g._dangling)
-    out.coeffs = {
+    out.coeffs = dict(g.coeffs) if ct == g.coeff_type else {
         nid: (convert_scalar(c1, ct), convert_scalar(c2, ct))
         for nid, (c1, c2) in g.coeffs.items()
     }

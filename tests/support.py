@@ -12,10 +12,11 @@ import numpy as np
 from mpmath import libmp, mp
 
 from matgraph import CoeffRef, CoeffType, ComputationGraph, GraphError, OpKind, get_topo_order
+from matgraph.graph import IDENTITY_ID, _drop, _retarget
 from matgraph.autodiff import _zeros_like_points, as_point_array
 from matgraph.codegen import Schedule
 from matgraph.evaluation import _eval_nodes, _ops_for, _precision_context, lincomb
-from matgraph.numerics import _fixed_point, as_mp_matrix
+from matgraph.numerics import _fixed_point, as_mp_matrix, convert_scalar
 
 
 def taylor_exp_mp(A: np.ndarray, prec: int = 512) -> np.ndarray:
@@ -184,6 +185,119 @@ def random_graph(rng: np.random.Generator, n_nodes: int = 8, allow_ldiv: bool = 
             bound[nid] = bound[p2] / 1.5
         avail.append(nid)
     g.set_outputs([avail[-1]])
+    return g
+
+
+def _children_of(g: ComputationGraph) -> dict[str, list[str]]:
+    ch: dict[str, list[str]] = {}
+    for nid, (p1, p2) in g.parents.items():
+        ch.setdefault(p1, []).append(nid)
+        if p2 != p1:
+            ch.setdefault(p2, []).append(nid)
+    return ch
+
+
+def _is_input(g: ComputationGraph, nid: str) -> bool:
+    return nid in g.input_ids and nid not in g.operations
+
+
+def compress_graph_fixpoint(g: ComputationGraph):
+    """Reference ``compress_graph``: finds dead nodes by removing sinks until none is left.
+
+    The package finds them as the complement of one walk from the outputs.
+    """
+    one = convert_scalar(1, g.coeff_type)
+    zero = convert_scalar(0, g.coeff_type)
+    changed = True
+    while changed:
+        changed = False
+        # dangling: non-output nodes without children
+        while True:
+            ch = _children_of(g)
+            dead = [n for n in sorted(g.operations) if not ch.get(n) and n not in g.outputs]
+            if not dead:
+                break
+            for n in dead:
+                _drop(g, n)
+            changed = True
+        # trivial: identity operand of mult/ldiv
+        for nid in sorted(g.operations):
+            op = g.operations[nid]
+            p1, p2 = g.parents[nid]
+            alias = None
+            if op == OpKind.MULT and _is_input(g, p1) and p1 == IDENTITY_ID:
+                alias = p2
+            elif op == OpKind.MULT and _is_input(g, p2) and p2 == IDENTITY_ID:
+                alias = p1
+            elif op == OpKind.LDIV and _is_input(g, p1) and p1 == IDENTITY_ID:
+                alias = p2
+            if alias is not None and nid not in g.outputs:
+                _retarget(g, nid, alias)
+                _drop(g, nid)
+                changed = True
+        # redundant: structurally identical nodes
+        seen: dict[tuple, str] = {}
+        for nid in sorted(g.operations):
+            key = (g.operations[nid], g.parents[nid], g.coeffs.get(nid))
+            survivor = seen.get(key)
+            if survivor is None:
+                seen[key] = nid
+            elif nid not in g.outputs:
+                _retarget(g, nid, survivor)
+                _drop(g, nid)
+                changed = True
+        # pass-through: unit/zero coefficient pairs
+        for nid in sorted(g.operations):
+            if g.operations.get(nid) != OpKind.LINCOMB or nid in g.outputs:
+                continue
+            c1, c2 = g.coeffs[nid]
+            p1, p2 = g.parents[nid]
+            alias = None
+            if c1 == one and c2 == zero:
+                alias = p1
+            elif c1 == zero and c2 == one:
+                alias = p2
+            if alias is not None:
+                _retarget(g, nid, alias)
+                _drop(g, nid)
+                changed = True
+
+
+def random_messy_graph(rng: np.random.Generator) -> ComputationGraph:
+    """``random_graph`` plus what compression removes.
+
+    Adds pass-throughs, identity products and solves, structural duplicates
+    and chains no output reaches; sometimes leaves a pending graft of the
+    input, and picks 1-3 outputs, repeats allowed.
+    """
+    ct = CoeffType(is_complex=bool(rng.integers(2)))
+    g = random_graph(rng, n_nodes=int(rng.integers(2, 10)), coeff_type=ct)
+    g.metadata = {"seed": str(rng.integers(1000))}
+    if rng.integers(4) == 0:
+        g.rename_node("A", "Ashift")
+    for k in range(int(rng.integers(0, 12))):
+        avail = ["I", "A", *g.operations]
+        p, q = (avail[rng.integers(len(avail))] for _ in range(2))
+        nid = f"X{k}"
+        kind = rng.integers(6)
+        if kind == 0:
+            g.add_lincomb(nid, *((1.0, p, 0.0, q) if rng.integers(2) else (0.0, p, 1.0, q)))
+        elif kind == 1:
+            g.add_mult(nid, *(("I", p) if rng.integers(2) else (p, "I")))
+        elif kind == 2:
+            g.add_ldiv(nid, "I", p)
+        elif kind == 3 and g.operations:
+            src = avail[rng.integers(2, len(avail))]
+            if not set(g.parents[src]) & g._dangling:
+                g._insert(nid, g.operations[src], *g.parents[src], *g.coeffs.get(src, ()))
+        elif kind == 4:
+            g.add_mult(nid, p, q)
+        else:
+            g.add_lincomb(nid, float(rng.uniform(-1, 1)), p, float(rng.uniform(-1, 1)), q)
+    if "Ashift" in g._dangling and rng.integers(2):
+        g.add_lincomb("Ashift", 1.0, "A", 0.5, "I")
+    nodes = list(g.operations)
+    g.set_outputs(nodes[i] for i in rng.integers(len(nodes), size=int(rng.integers(1, 4))))
     return g
 
 

@@ -194,6 +194,20 @@ class TestParse:
         with pytest.raises(CgrError, match="line 2"):
             parse_cgr(text)
 
+    @pytest.mark.parametrize("text, line", [
+        ('graph_coeff_type="Float64";\n# input: 2X\nY=A*A;\n', 2),
+        ('graph_coeff_type="Float64";\nY=A*A;\n# outputs: nope\n', 3),
+        ('graph_coeff_type="Float64";\n2Y=A*A;\n', 2),
+        ('graph_coeff_type="Float64";\nA=A*A;\n', 2),
+        ('graph_coeff_type="Float64";\ncoeff1=1.0;\ncoeff2=2.0;\nI=coeff1*A+coeff2*A;\n', 4),
+        ('graph_coeff_type="Float64";\nX=A*A;\ncoeff1=1.0;\n', 3),
+    ], ids=["input-id", "unknown-output", "bad-target-id", "assign-input", "assign-identity",
+            "trailing-coeff"])
+    def test_malformed_file_names_line(self, text, line):
+        with pytest.raises(CgrError, match=f"^line {line}: ") as exc:
+            parse_cgr(text)
+        assert exc.value.line == line
+
     def test_lincomb_without_coeffs(self):
         text = 'graph_coeff_type="Float64";\nX=coeff1*I+coeff2*A;\n'
         with pytest.raises(CgrError, match="coeff"):

@@ -454,6 +454,11 @@ class TestUserInput:
         assert run(["optimize", str(gfile), "--target", "exp", "--radius", "0.3",
                     "--maxiter", "1", "--out", str(tmp_path / "o.cgr")]) == 2
 
+    def test_generate_precision_env_below_53_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MATGRAPH_PRECISION", "30")
+        assert run(["generate", "--scheme", "monomial", "--coeffs", "1,0.1",
+                    "--out", str(tmp_path / "g.cgr")]) == 2
+
     @pytest.mark.parametrize("word, nodes", [
         ("1", 2), ("TRUE", 2), ("Yes", 2), ("on", 2),
         ("0", 3), ("false", 3), ("NO", 3), ("Off", 3),
@@ -470,6 +475,11 @@ class TestUserInput:
             assert code == 2 and not out.exists()
         else:
             assert code == 0 and len(import_compgraph(str(out)).operations) == nodes
+
+    def test_graph_rule_broken_in_file_format_error(self, tmp_path):
+        gfile = tmp_path / "g.cgr"
+        gfile.write_text('graph_coeff_type="Float64";\n# input: 2X\nY=A*A;\n')
+        assert run(["eval", str(gfile), "--point", "0.5"]) == 4
 
     def test_certify_multi_output_graph_format_error(self, tmp_path):
         # GraphError is a ValueError, but a graph certify cannot read is not a bad option
@@ -523,6 +533,15 @@ class TestExactCoefficients:
         assert run(["generate", "--scheme", "monomial", "--coeffs", "1,0.1",
                     "--precision", "256", "--out", str(out)]) == 0
         g = import_compgraph(str(out))
+        assert g.coeffs["P2"][1] == convert_scalar(Fraction(1, 10), bigfloat(256))
+
+    def test_precision_env_sets_generate_precision(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MATGRAPH_PRECISION", "256")
+        out = tmp_path / "g.cgr"
+        assert run(["generate", "--scheme", "monomial", "--coeffs", "1,0.1",
+                    "--out", str(out)]) == 0
+        g = import_compgraph(str(out))
+        assert g.coeff_type.tag == "BigFloat256"
         assert g.coeffs["P2"][1] == convert_scalar(Fraction(1, 10), bigfloat(256))
 
     def test_series_target_rounded_once_at_precision(self, tmp_path):

@@ -19,7 +19,7 @@ from matgraph import (
     merge_graph,
 )
 
-from support import random_graph
+from support import compress_graph_fixpoint, random_graph, random_messy_graph
 
 
 def monomial_103():
@@ -275,6 +275,17 @@ class TestCompress:
         compress_graph(g)
         assert g.outputs == ["X"] and "X" in g.operations
 
+    def test_matches_sink_removal_fixpoint(self):
+        rng = np.random.default_rng(14)
+        for _ in range(1000):
+            g = random_messy_graph(rng)
+            got, want = g.copy(), g.copy()
+            compress_graph(got)
+            compress_graph_fixpoint(want)
+            assert got == want
+            assert list(got.operations) == list(want.operations)
+            assert (got.metadata, got._dangling) == (want.metadata, want._dangling)
+
 
 class TestMerge:
     def test_merge_with_empty(self):
@@ -297,6 +308,33 @@ class TestMerge:
         g, _ = monomial_103()
         merged = merge_graph(g, g.copy())
         assert "P2_b" in merged.operations
+
+    def test_suffixed_id_avoids_g2_ids(self):
+        g1 = ComputationGraph()
+        g1.add_mult("X", "A", "A")
+        g1.set_outputs(["X"])
+        g2 = ComputationGraph()
+        g2.add_lincomb("X", 2.0, "A", 1.0, "I")
+        g2.add_mult("X_b", "X", "A")
+        g2.set_outputs(["X_b"])
+        merged = merge_graph(g1, g2)
+        assert len(merged.operations) == 3
+        merged.validate()
+        assert eval_graph(merged, 0.5) == [0.25, (2 * 0.5 + 1) * 0.5]
+
+    def test_g2_id_naming_a_pending_graft_renamed(self):
+        g1 = ComputationGraph()
+        g1.add_mult("X", "A", "A")
+        g1.rename_node("A", "B")  # X = B*B, B still to be grafted
+        g1.set_outputs(["X"])
+        g2 = ComputationGraph()
+        g2.add_mult("B", "A", "A")
+        g2.set_outputs(["B"])
+        merged = merge_graph(g1, g2)
+        assert "B" not in merged.operations and merged._dangling == {"B"}
+        merged.add_lincomb("B", 1.0, "A", 1.0, "I")
+        merged.validate()
+        assert eval_graph(merged, 0.5) == [1.5 ** 2, 0.25]
 
     def test_merge_preserves_outputs_exactly(self):
         rng = np.random.default_rng(77)
@@ -352,6 +390,27 @@ class TestConvertPrecision:
         g.set_coeffs([CoeffRef("X", 1)], [1 + 2j])
         with pytest.raises(ValueError):
             convert_precision(g, CoeffType())
+
+
+def test_copy_convert_merge_keep_every_field():
+    ct = CoeffType(is_complex=True)
+    g = ComputationGraph(ct, input_id="x")
+    g.add_lincomb("Y", 1 + 2j, "I", -3.0, "x")
+    g.add_mult("Z", "Y", "x")
+    g.rename_node("x", "x0")  # leaves a pending graft
+    g.set_outputs(["Z", "Y"])
+    g.metadata = {"designed_for": "exp"}
+    empty = ComputationGraph()
+    unset = [k for k in vars(empty) if getattr(g, k) == getattr(empty, k)]
+    assert not unset, f"give {unset} a non-default value here"
+    big = bigfloat(256, True)
+    for h, kind in ((g.copy(), ct), (convert_precision(g, big), big),
+                    (merge_graph(g, ComputationGraph(ct, input_id="x")), ct)):
+        assert vars(h).keys() == vars(g).keys()
+        for k, v in vars(g).items():
+            assert getattr(h, k) == (kind if k == "coeff_type" else v), k
+            if isinstance(v, (dict, list, set)):
+                assert getattr(h, k) is not v, k
 
 
 def test_invariants_after_random_mutations():
