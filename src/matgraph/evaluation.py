@@ -33,6 +33,8 @@ from .numerics import (
     is_mp_matrix,
     is_scalar,
     mat_lu_solve,
+    mp_lincomb,
+    mp_matmul,
     working_precision,
 )
 from .series import TruncSeries
@@ -57,7 +59,7 @@ def _precision_context(g: ComputationGraph, prec: int | None):
 
 
 def lincomb(c1, v1, c2, v2):
-    """``c1*v1 + c2*v2`` for every argument kind.
+    """``c1*v1 + c2*v2`` for every argument kind but ``mpmath.matrix``.
 
     The coefficients go on the right: each kind scales by a scalar from
     the right, and an ``mpf`` on the left of an object array first tries
@@ -68,11 +70,12 @@ def lincomb(c1, v1, c2, v2):
 
 
 class _Ops(NamedTuple):
-    """Identity, product and left-division ``v1 \\ v2`` for one argument kind."""
+    """Identity, product, left-division ``v1 \\ v2`` and ``lincomb`` for one argument kind."""
 
     identity: Callable
     mult: Callable
     ldiv: Callable
+    lincomb: Callable = lincomb
 
 
 def _scalar_ldiv(v1, v2):
@@ -111,7 +114,7 @@ _SCALAR = _Ops(lambda x: mp.mpf(1) if isinstance(x, (mpmath.mpf, mpmath.mpc)) el
                operator.mul, _scalar_ldiv)
 _POINTS = _Ops(_points_identity, operator.mul, _points_ldiv)
 _NP_MATRIX = _Ops(lambda x: np.eye(x.shape[0], dtype=x.dtype), operator.matmul, _matrix_ldiv)
-_MP_MATRIX = _Ops(lambda x: mp.eye(x.rows), operator.mul, _matrix_ldiv)
+_MP_MATRIX = _Ops(lambda x: mp.eye(x.rows), mp_matmul, _matrix_ldiv, mp_lincomb)
 _SERIES = _Ops(lambda x: TruncSeries.constant(1, x.nterms), operator.mul,
                lambda v1, v2: v2.divide(v1))
 
@@ -162,7 +165,7 @@ def _eval_nodes(g, x, input_id, order, keep_all=False):
         try:
             if kind == OpKind.LINCOMB:
                 c1, c2 = g.coeffs[nid]
-                slots[nid] = lincomb(c1, v1, c2, v2)
+                slots[nid] = ops.lincomb(c1, v1, c2, v2)
             elif kind == OpKind.MULT:
                 slots[nid] = ops.mult(v1, v2)
             else:

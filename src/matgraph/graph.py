@@ -37,7 +37,7 @@ class GraphError(ValueError):
     pass
 
 
-_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 IDENTITY_ID = "I"
 DEFAULT_INPUT_ID = "A"
@@ -52,7 +52,7 @@ class ComputationGraph:
     """
 
     def __init__(self, coeff_type: CoeffType = CoeffType(), input_id: str = DEFAULT_INPUT_ID):
-        if not _ID_RE.match(input_id) or input_id == IDENTITY_ID:
+        if not _ID_RE.fullmatch(input_id) or input_id == IDENTITY_ID:
             raise GraphError(f"invalid input id {input_id!r}")
         self.operations: dict[str, OpKind] = {}
         self.parents: dict[str, tuple[str, str]] = {}
@@ -88,7 +88,7 @@ class ComputationGraph:
     # -- node insertion -----------------------------------------------------
 
     def _check_new_id(self, nid: str):
-        if not isinstance(nid, str) or not _ID_RE.match(nid):
+        if not isinstance(nid, str) or not _ID_RE.fullmatch(nid):
             raise GraphError(f"invalid node id {nid!r}")
         if nid in self.operations:
             raise GraphError(f"duplicate node id {nid!r}")
@@ -397,9 +397,9 @@ def compress_graph(g: ComputationGraph):
 def merge_graph(g1: ComputationGraph, g2: ComputationGraph) -> ComputationGraph:
     """Disjoint union over the shared inputs; colliding ids of g2 get suffixed.
 
-    A g2 id collides when it names a g1 node, an input or one of g1's
-    pending grafts; its new id avoids those, every g2 id and every new id
-    already handed out.
+    A g2 id (a node or a pending graft) collides when it names a g1 node, an
+    input or one of g1's pending grafts; its new id avoids those, every g2
+    id and every new id already handed out.
     """
     if g1.input_id != g2.input_id:
         raise GraphError("cannot merge graphs with different input ids")
@@ -412,14 +412,14 @@ def merge_graph(g1: ComputationGraph, g2: ComputationGraph) -> ComputationGraph:
     colliding = set(g1.operations) | g1.input_ids | g1._dangling
     taken = colliding | set(g2.operations) | g2._dangling
     mapping: dict[str, str] = {}
-    for nid in g2.operations:
+    for nid in [*g2.operations, *sorted(g2._dangling)]:
         new = nid
         if nid in colliding:
             while new in taken:
                 new = new + "_b"
             taken.add(new)
         mapping[nid] = new
-    out._dangling |= g2._dangling
+    out._dangling |= {mapping[d] for d in g2._dangling}
     for nid in g2.operations:
         new = mapping[nid]
         p1, p2 = g2.parents[nid]

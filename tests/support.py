@@ -666,3 +666,60 @@ def compile_and_run_c(src: str, header: str, fn: str, A: np.ndarray) -> np.ndarr
         proc = subprocess.run([exe], input=feed, capture_output=True, text=True, check=True)
         vals = [float(tok) for tok in proc.stdout.split()]
     return np.array(vals).reshape(n, n)
+
+
+# ---------------------------------------------------------------------------
+# mpmath.matrix oracles: the dense extended-precision path through mpmath's
+# own matrix operators, which the raw-tuple kernels of matgraph.numerics
+# must reproduce bit for bit
+
+
+def oracle_mp_matmul(A, B):
+    """``A * B`` by ``mpmath.matrix.__mul__`` (``mp.fdot`` per entry)."""
+    return A * B
+
+
+def oracle_mp_lincomb(c1, A, c2, B):
+    """``A * c1 + B * c2`` by mpmath's scalar product and matrix sum."""
+    return A * c1 + B * c2
+
+
+def oracle_mp_lu_solve(A, B):
+    """mpmath's ``LU_decomp``, ``L_solve`` and ``U_solve`` at ``mp.prec + 10``, factoring once.
+
+    Raises what mpmath raises: ``ZeroDivisionError`` on a numerically
+    singular A.
+    """
+    cols = [mp.matrix([B[i, j] for i in range(B.rows)]) for j in range(B.cols)]
+    with mp.workprec(mp.prec + 10):
+        LU, perm = mp.LU_decomp(A.copy(), overwrite=True)
+        sols = [mp.U_solve(LU, mp.L_solve(LU, col, perm)) for col in cols]
+    return mp.matrix([[sol[i] for sol in sols] for i in range(A.rows)])
+
+
+def oracle_eval_mp_matrix(g: ComputationGraph, A, prec: int | None = None):
+    """``eval_graph(g, A, prec=prec)`` on an ``mpmath.matrix`` through the oracles above."""
+    with _precision_context(g, prec):
+        slots = {IDENTITY_ID: mp.eye(A.rows), g.input_id: A}
+        for nid in get_topo_order(g):
+            v1, v2 = (slots[p] for p in g.parents[nid])
+            kind = g.operations[nid]
+            if kind == OpKind.LINCOMB:
+                c1, c2 = g.coeffs[nid]
+                slots[nid] = oracle_mp_lincomb(c1, v1, c2, v2)
+            elif kind == OpKind.MULT:
+                slots[nid] = oracle_mp_matmul(v1, v2)
+            else:
+                slots[nid] = oracle_mp_lu_solve(v1, v2)
+    outs = [slots[o] for o in g.outputs]
+    return outs[0] if len(outs) == 1 else outs
+
+
+def mp_bits(M):
+    """The shape and stored entries of an ``mpmath.matrix``: ``(i, j)`` -> ``(type, raw value)``.
+
+    mpmath stores only nonzero entries and reads a missing one as ``mp.zero``,
+    so this tells apart a stored zero and a missing entry as well.
+    """
+    return M.rows, M.cols, {k: (type(x).__name__, x._mpc_ if hasattr(x, "_mpc_") else x._mpf_)
+                            for k, x in M._matrix__data.items()}

@@ -13,6 +13,8 @@ from matgraph import (
     convert_precision,
     eval_graph,
     eval_graph_poly,
+    graph_denman_beavers,
+    graph_exp_pade_ss,
     graph_monomial,
     graph_ps,
 )
@@ -20,7 +22,7 @@ from matgraph.evaluation import _eval_nodes, graph_degree_bound
 from matgraph.graph import get_topo_order
 from matgraph.numerics import as_mp_matrix
 
-from support import random_graph
+from support import mp_bits, oracle_eval_mp_matrix, random_graph
 
 
 class TestScalarAndMatrix:
@@ -66,6 +68,30 @@ class TestScalarAndMatrix:
         with mp.workprec(128):
             M = eval_graph(g, A)
             assert M[0, 0] == 88 and M[1, 1] == 169
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("graph", ["denman-beavers-4", "pade-13-3"])
+    def test_mp_matrix_bits_equal_mpmath_operators(self, graph, is_complex):
+        rng = np.random.default_rng(7 + is_complex)
+        n = 16
+        M = np.eye(n) + 0.2 * rng.standard_normal((n, n))
+        if is_complex:
+            M = M + 0.2j * rng.standard_normal((n, n))
+        ct = bigfloat(256, is_complex)
+        g = (graph_denman_beavers(4, ct) if graph == "denman-beavers-4"
+             else graph_exp_pade_ss(13, 3, ct))[0]
+        A = as_mp_matrix(M, 256)
+        out, want = eval_graph(g, A), oracle_eval_mp_matrix(g, A)
+        for X, Y in zip(out, want) if isinstance(out, list) else [(out, want)]:
+            assert mp_bits(X) == mp_bits(Y)
+
+    def test_mp_matrix_coefficients_read_unrounded(self):
+        # a 256-bit graph at 128 bits: each product c*x rounds once, from the
+        # stored 256-bit c, as mpmath's operators do
+        rng = np.random.default_rng(8)
+        g = graph_exp_pade_ss(13, 1, bigfloat(256))[0]
+        A = as_mp_matrix(rng.standard_normal((6, 6)) / 4, 256)
+        assert mp_bits(eval_graph(g, A, prec=128)) == mp_bits(oracle_eval_mp_matrix(g, A, 128))
 
     def test_square_output_node_workflow(self):
         g, _ = graph_monomial([1.0, 0.0, 3.0])

@@ -45,6 +45,20 @@ class TestAddNode:
         with pytest.raises(GraphError):
             g.add_mult("A2", "A", "A")
 
+    @pytest.mark.parametrize("bad", ["X\n", "X\nY", "\nX", "X "])
+    def test_id_with_trailing_or_inner_newline_rejected(self, bad):
+        g = ComputationGraph()
+        g.add_mult("X0", "A", "A")
+        for insert in (lambda: g.add_mult(bad, "A", "A"),
+                       lambda: g.add_lincomb(bad, 1.0, "A", 1.0, "I"),
+                       lambda: g.add_ldiv(bad, "X0", "A"),
+                       lambda: g.rename_node("X0", bad)):
+            with pytest.raises(GraphError, match="invalid node id"):
+                insert()
+        with pytest.raises(GraphError, match="invalid input id"):
+            ComputationGraph(input_id=bad)
+        assert list(g.operations) == ["X0"]
+
     def test_unknown_parent_rejected(self):
         g = ComputationGraph()
         with pytest.raises(GraphError):
@@ -335,6 +349,24 @@ class TestMerge:
         merged.add_lincomb("B", 1.0, "A", 1.0, "I")
         merged.validate()
         assert eval_graph(merged, 0.5) == [1.5 ** 2, 0.25]
+
+    def test_g2_pending_graft_naming_a_g1_node_renamed(self):
+        g1 = ComputationGraph()
+        g1.add_mult("B", "A", "A")
+        g1.set_outputs(["B"])
+        g2 = ComputationGraph()
+        g2.add_mult("Y", "A", "A")
+        g2.set_outputs(["Y"])
+        g2.rename_node("A", "B")  # Y = B*B, B still to be grafted
+        merged = merge_graph(g1, g2)
+        assert merged.parents["Y"] == ("B_b", "B_b") and merged._dangling == {"B_b"}
+        with pytest.raises(GraphError):
+            merged.validate()
+        with pytest.raises(GraphError, match="unresolved parent 'B_b'"):
+            eval_graph(merged, 0.5)
+        merged.add_lincomb("B_b", 1.0, "A", 1.0, "I")
+        merged.validate()
+        assert eval_graph(merged, 0.5) == [0.25, 1.5 ** 2]
 
     def test_merge_preserves_outputs_exactly(self):
         rng = np.random.default_rng(77)

@@ -13,6 +13,8 @@ from matgraph.numerics import (
     bigfloat,
     convert_scalar,
     mat_lu_solve,
+    mp_lincomb,
+    mp_matmul,
     truncated_lstsq,
     working_precision,
 )
@@ -26,7 +28,8 @@ from matgraph.numerics import (
     _tridiagonalize,
 )
 
-from support import gram_eig_lstsq, pairwise_normal_equations
+from support import (gram_eig_lstsq, mp_bits, oracle_mp_lincomb, oracle_mp_lu_solve,
+                     oracle_mp_matmul, pairwise_normal_equations)
 
 
 class TestCoeffType:
@@ -132,12 +135,15 @@ class TestLuSolve:
         A, B = as_mp_matrix(rand(), prec), as_mp_matrix(rand(), prec)
         with working_precision(prec):
             want = [mp.lu_solve(A, B.column(j)) for j in range(n)]
-            calls = []
-            decomp = mp.LU_decomp
-            monkeypatch.setattr(mp, "LU_decomp", lambda *a, **k: calls.append(1) or decomp(*a, **k))
+            # the pivot search takes one reciprocal row sum per candidate row:
+            # n + (n - 1) + ... + 2 for the one factorisation of A
+            reciprocals = []
+            rdiv = numerics.mpf_rdiv_int
+            monkeypatch.setattr(numerics, "mpf_rdiv_int",
+                                lambda *a: reciprocals.append(1) or rdiv(*a))
             X = mat_lu_solve(A, B)
-        assert len(calls) == 1
-        assert all(X[i, j] == want[j][i] for i in range(n) for j in range(n))
+        assert len(reciprocals) == n * (n + 1) // 2 - 1
+        assert all(mp_bits(X.column(j)) == mp_bits(want[j]) for j in range(n))
 
     def test_residual_well_conditioned(self):
         rng = np.random.default_rng(5)
@@ -163,6 +169,130 @@ class TestLuSolve:
 
             u = mp.mpf(2) ** -prec
             assert fro(R) <= 100 * 10 * u * fro(A) * fro(X)
+
+
+def _mp_rand(rng, rows, cols, prec, is_complex):
+    """Entries over 2^-40..2^40 held to ``prec + 20`` bits, a fifth of them zero;
+    complex matrices mix real and complex entries."""
+    M = rng.standard_normal((rows, cols)) * 2.0 ** rng.integers(-40, 40, (rows, cols))
+    if is_complex:
+        M = M + 1j * np.where(rng.random((rows, cols)) < 0.7, rng.standard_normal((rows, cols)), 0)
+    M[rng.random((rows, cols)) < 0.2] = 0
+    with mp.workprec(prec + 20):
+        return mp.matrix([[mp.mpf(1) / 3 * (x.real if x.imag == 0 else x) for x in row]
+                          for row in M.tolist()])
+
+
+class TestDenseKernelsMatchMpmath:
+    """The raw-tuple kernels give every ``mpmath.matrix`` result bit for bit."""
+
+    @pytest.mark.parametrize("prec", [113, 256])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_product_and_lincomb(self, n, is_complex, prec):
+        rng = np.random.default_rng(1000 * n + prec + is_complex)
+        A, B = (_mp_rand(rng, n, n, prec, is_complex) for _ in range(2))
+        with working_precision(prec + 20):
+            c1 = mp.mpf(2) / 7
+            c2 = mp.mpc(-3, 1) / 11 if is_complex else mp.mpf(-3) / 11
+        with working_precision(prec):
+            assert mp_bits(mp_matmul(A, B)) == mp_bits(oracle_mp_matmul(A, B))
+            assert mp_bits(mp_lincomb(c1, A, c2, B)) == mp_bits(oracle_mp_lincomb(c1, A, c2, B))
+            I = mp.eye(n)
+            assert mp_bits(mp_lincomb(c1, I, c2, A)) == mp_bits(oracle_mp_lincomb(c1, I, c2, A))
+
+    @pytest.mark.parametrize("prec", [113, 256])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("n,ncols", [(1, 1), (1, 3), (2, 1), (2, 3), (2, 2), (5, 1),
+                                         (5, 3), (5, 5), (16, 1), (16, 3), (16, 16)])
+    def test_solve(self, n, ncols, is_complex, prec):
+        rng = np.random.default_rng(100 * n + ncols + prec + is_complex)
+        A = _mp_rand(rng, n, n, prec, is_complex)
+        with mp.workprec(prec + 20):
+            for i in range(n):  # a nonzero diagonal keeps A regular
+                A[i, i] += 1
+        B = _mp_rand(rng, n, ncols, prec, is_complex)
+        with working_precision(prec):
+            assert mp_bits(mat_lu_solve(A, B)) == mp_bits(oracle_mp_lu_solve(A, B))
+
+    def test_real_matrix_complex_right_hand_side(self):
+        rng = np.random.default_rng(5)
+        A = _mp_rand(rng, 5, 5, 256, False)
+        with mp.workprec(276):
+            A += mp.eye(5)
+        B = _mp_rand(rng, 5, 3, 256, True)
+        with working_precision(256):
+            assert mp_bits(mat_lu_solve(A, B)) == mp_bits(oracle_mp_lu_solve(A, B))
+
+    # at 256 bits the factorisation runs at 266, where tol = |A|_1 2^-265; the
+    # last pivot of [[1, 1], [1, 1 + d]] is d and |A|_1 = 2 + d
+    @pytest.mark.parametrize("case,singular", [
+        ("zero", True), ("rank-deficient", True), ("zero-row", True),
+        ("pivot-far-below-tol", True),  # d = 2^-300
+        ("pivot-just-below-tol", True),  # d = 2^-264 < tol = 2^-264 + 2^-529
+        ("pivot-above-tol", False)])  # d = 2^-263
+    def test_singular_exactly_where_mpmath_divides_by_zero(self, case, singular):
+        with mp.workprec(600):
+            A = {"zero": mp.zeros(3, 3),
+                 "rank-deficient": mp.matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]]),
+                 "zero-row": mp.matrix([[1, 2, 3], [0, 0, 0], [4, 5, 7]]),
+                 "pivot-far-below-tol": mp.matrix([[1, 1], [1, 1 + mp.mpf(2) ** -300]]),
+                 "pivot-just-below-tol": mp.matrix([[1, 1], [1, 1 + mp.mpf(2) ** -264]]),
+                 "pivot-above-tol": mp.matrix([[1, 1], [1, 1 + mp.mpf(2) ** -263]])}[case]
+        B = mp.eye(A.rows)
+        with working_precision(256):
+            try:
+                want = oracle_mp_lu_solve(A, B)
+            except ZeroDivisionError:
+                assert singular
+                with pytest.raises(SingularMatrixError):
+                    mat_lu_solve(A, B)
+            else:
+                assert not singular
+                assert mp_bits(mat_lu_solve(A, B)) == mp_bits(want)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_small_integer_entries_cancel_exactly(self, seed):
+        # exact zeros, stored as nothing and read back as the real mp.zero,
+        # meet real entries and complex ones, some with a zero imaginary part
+        rng = np.random.default_rng(seed)
+        n = 4 + seed % 3
+
+        def rand(cols):
+            return mp.matrix([[mp.mpc(int(rng.integers(-2, 3)), int(rng.integers(-1, 2)))
+                               if rng.random() < 0.15 else mp.mpf(int(rng.integers(-2, 3)))
+                               for _ in range(cols)] for _ in range(n)])
+
+        A, B = rand(n), rand(n)
+        c1, c2 = mp.mpf(3), mp.mpc(0, -1) if seed % 2 else mp.mpf(-2)
+        with working_precision(113):
+            assert mp_bits(mp_matmul(A, B)) == mp_bits(oracle_mp_matmul(A, B))
+            assert mp_bits(mp_lincomb(c1, A, c2, B)) == mp_bits(oracle_mp_lincomb(c1, A, c2, B))
+            try:
+                want = oracle_mp_lu_solve(A, B)
+            except (ZeroDivisionError, TypeError):
+                with pytest.raises(SingularMatrixError):
+                    mat_lu_solve(A, B)
+            else:
+                assert mp_bits(mat_lu_solve(A, B)) == mp_bits(want)
+
+    def test_cancelled_complex_entry_reads_back_real(self):
+        # a[2][2] = mpc(1, 0) - 1*1 cancels to a stored nothing, which reads back
+        # as the real mp.zero: after the row swap, 1 - 1*a[2][2] stays real
+        A = mp.matrix([[1, 0, 1], [0, 1, 1], [1, 1, mp.mpc(1, 0)]])
+        with working_precision(113):
+            X, want = mat_lu_solve(A, mp.eye(3)), oracle_mp_lu_solve(A, mp.eye(3))
+        assert mp_bits(X) == mp_bits(want)
+        assert {t for t, _ in mp_bits(X)[2].values()} == {"mpf"}
+
+    def test_zero_column_is_singular(self):
+        # mpmath 1.3 finds no pivot row and fails on its index None
+        A = mp.matrix([[0, 1, 2], [0, 3, 4], [0, 5, 7]])
+        with working_precision(256):
+            with pytest.raises(TypeError):
+                oracle_mp_lu_solve(A, mp.eye(3))
+            with pytest.raises(SingularMatrixError, match="column 0"):
+                mat_lu_solve(A, mp.eye(3))
 
 
 def _bits(x):
