@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .evaluation import _eval_nodes, _ops_for, _precision_context
-from .graph import CoeffRef, ComputationGraph, GraphError, OpKind, get_topo_order
+from .evaluation import _eval_nodes, _ops_for, _precision_context, eval_graph
+from .graph import (CoeffRef, ComputationGraph, GraphError, OpKind, convert_precision,
+                    get_topo_order)
 
 
 @dataclass
@@ -60,7 +61,7 @@ def _zeros_like_points(pts):
     return np.zeros(len(pts), dtype=pts.dtype)
 
 
-def forward_pass(g: ComputationGraph, points, input: str | None = None) -> dict:
+def forward_pass(g: ComputationGraph, points) -> dict:
     """Every node value of ``g`` at the points, keyed by node id.
 
     The output's entry holds g(z_i); the whole map is what one adjoint
@@ -68,14 +69,12 @@ def forward_pass(g: ComputationGraph, points, input: str | None = None) -> dict:
     """
     if len(g.outputs) != 1:
         raise GraphError("forward pass needs a single-output graph")
-    input_id = input if input is not None else g.input_id
     with _precision_context(g, None):
-        return _eval_nodes(g, as_point_array(points), input_id, get_topo_order(g),
-                           keep_all=True)
+        return _eval_nodes(g, as_point_array(points), get_topo_order(g), keep_all=True)
 
 
-def eval_jac(g: ComputationGraph, points, refs, input: str | None = None,
-             prec: int | None = None, weights=None, slots: dict | None = None) -> JacobianMatrix:
+def eval_jac(g: ComputationGraph, points, refs, weights=None,
+             slots: dict | None = None) -> JacobianMatrix:
     """Reverse-mode Jacobian over all points at once, with the values g(z_i).
 
     ``weights`` (one per point) seed the output adjoint, so row i comes out
@@ -92,11 +91,11 @@ def eval_jac(g: ComputationGraph, points, refs, input: str | None = None,
     pts = as_point_array(points)
     if weights is not None and np.shape(weights) != pts.shape:
         raise ValueError("need one weight per point")
-    with _precision_context(g, prec):
+    with _precision_context(g, None):
         order = get_topo_order(g)
         ops = _ops_for(pts)
         if slots is None:
-            slots = forward_pass(g, pts, input)
+            slots = forward_pass(g, pts)
         values = slots[g.outputs[0]]
         J = np.empty((len(pts), len(refs)), dtype=object if pts.dtype == object else np.complex128)
         J[:] = _zeros_like_points(pts)[:, None]  # columns of coefficients the output does not use
@@ -140,8 +139,7 @@ def eval_jac(g: ComputationGraph, points, refs, input: str | None = None,
 
 
 def finite_diff_jac(g: ComputationGraph, points, refs, h=1e-7,
-                    complex_step: bool = False, input: str | None = None,
-                    prec: int | None = None) -> JacobianMatrix:
+                    complex_step: bool = False) -> JacobianMatrix:
     """Difference-quotient Jacobian, the independent check for :func:`eval_jac`.
 
     Central differences by default; ``complex_step`` instead perturbs each
@@ -152,16 +150,13 @@ def finite_diff_jac(g: ComputationGraph, points, refs, h=1e-7,
         raise ValueError("step size must be positive")
     refs = [CoeffRef(*r) for r in refs]
     pts = as_point_array(points)
-    from .evaluation import eval_graph
-    from .graph import convert_precision
-
     work = g
     if complex_step and not g.coeff_type.is_complex:
         work = convert_precision(g, g.coeff_type.complexified())
     base = work.get_coeffs(refs)
     N, K = len(pts), len(refs)
     J = np.empty((N, K), dtype=object if pts.dtype == object else np.complex128)
-    with _precision_context(work, prec):
+    with _precision_context(work, None):
         if complex_step:
             step = mp.mpc(0, h) if work.coeff_type.prec else complex(0, h)
         else:
@@ -169,9 +164,9 @@ def finite_diff_jac(g: ComputationGraph, points, refs, h=1e-7,
         for col, ref in enumerate(refs):
             c0 = base[col]
             work.set_coeffs([ref], [c0 + step])
-            up = eval_graph(work, pts, input=input)
+            up = eval_graph(work, pts)
             work.set_coeffs([ref], [c0 - step])
-            dn = eval_graph(work, pts, input=input)
+            dn = eval_graph(work, pts)
             work.set_coeffs([ref], [c0])
             J[:, col] = (up - dn) / (2 * step)
     return JacobianMatrix(J, pts, refs)

@@ -1,12 +1,15 @@
 """Command-line front end.
 
     matgraph generate  --scheme ps --coeffs 1,1,0.5 --out g.cgr
-    matgraph eval      g.cgr --matrix A.csv
+    matgraph eval      g.cgr --matrix A.csv      (or --point 0.5)
     matgraph optimize  g.cgr --target exp --radius 0.45 --out opt.cgr
     matgraph certify   g.cgr
     matgraph compress  g.cgr --out small.cgr
     matgraph codegen   g.cgr --lang c --funname expm13 --out expm13.c
     matgraph convert   g.cgr --type BigFloat256 --out big.cgr
+
+``eval`` binds its argument to the graph's input id: ``A``, or the one
+the file's ``# input:`` key names.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure or out of memory,
 4 I/O or format error.  A ``--config`` file of ``key=value`` lines
@@ -179,7 +182,7 @@ def cmd_eval(args) -> int:
         z = _parse(_parse_complex, args.point, "point")
         if not cmath.isfinite(z):
             raise CliError(f"non-finite point {args.point}", NUMERICAL_ERROR)
-        value = eval_graph(g, z, input=args.input)
+        value = eval_graph(g, z)
         values = value if isinstance(value, list) else [value]
         if not all(cmath.isfinite(complex(v)) for v in values):
             raise CliError(f"non-finite value at {args.point}", NUMERICAL_ERROR)
@@ -189,7 +192,7 @@ def cmd_eval(args) -> int:
     if not args.matrix:
         raise CliError("provide --matrix FILE or --point VALUE", USAGE_ERROR)
     A = read_matrix_csv(args.matrix)
-    value = eval_graph(g, A, input=args.input)
+    value = eval_graph(g, A)
     values = value if isinstance(value, list) else [value]
     if not all(cmath.isfinite(complex(x)) for v in values for x in np.asarray(v).flat):
         raise CliError(f"non-finite value at {args.matrix}", NUMERICAL_ERROR)
@@ -230,7 +233,7 @@ def cmd_optimize(args) -> int:
     ct = _coeff_type(256 if bits is None else bits)
     g = convert_precision(g, CoeffType(ct.prec, g.coeff_type.is_complex))
     try:
-        f, _ = get_target(args.target, CoeffType(g.coeff_type.prec))
+        f = get_target(args.target, CoeffType(g.coeff_type.prec))
     except (ValueError, OSError) as exc:
         raise CliError(str(exc), USAGE_ERROR) from exc
     if args.target == "sqrt1p" and args.errtype == "rel" and abs(args.center + 1.0) <= args.radius:
@@ -373,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("graph")
     ev.add_argument("--matrix", help="CSV file, complex entries as a+bi")
     ev.add_argument("--point", help="scalar evaluation point")
-    ev.add_argument("--input", default=None, help="input node id override")
     ev.add_argument("--out", default=None)
     ev.set_defaults(func=cmd_eval)
 

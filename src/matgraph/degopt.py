@@ -49,10 +49,10 @@ def _pad_rows(rows, m):
 
 
 class Degopt:
-    """Compact (HA, HB, y) coefficient container for the degree-optimal form."""
+    """Compact (HA, HB, y) container for the degree-optimal form; ``row_ops`` defaults to mult."""
 
     def __init__(self, HA: Sequence[Sequence], HB: Sequence[Sequence], y: Sequence,
-                 variant: str = "mult", row_ops: Sequence[OpKind] | None = None):
+                 row_ops: Sequence[OpKind] | None = None):
         m = len(HA)
         if m < 1:
             raise DegoptError("need at least one product row")
@@ -63,17 +63,12 @@ class Degopt:
         self.y = list(y)
         if len(self.y) != m + 2:
             raise DegoptError(f"y must have length {m + 2}")
-        if row_ops is not None:
-            row_ops = [OpKind(o) for o in row_ops]
-            if len(row_ops) != m:
-                raise DegoptError("row_ops must have one entry per row")
-            if any(o == OpKind.LINCOMB for o in row_ops):
-                raise DegoptError("row operations must be mult or ldiv")
-            self.row_ops = row_ops
-        else:
-            if variant not in ("mult", "ldiv"):
-                raise DegoptError(f"unknown variant {variant!r}")
-            self.row_ops = [OpKind.MULT if variant == "mult" else OpKind.LDIV] * m
+        row_ops = [OpKind.MULT] * m if row_ops is None else [OpKind(o) for o in row_ops]
+        if len(row_ops) != m:
+            raise DegoptError("row_ops must have one entry per row")
+        if any(o == OpKind.LINCOMB for o in row_ops):
+            raise DegoptError("row operations must be mult or ldiv")
+        self.row_ops = row_ops
 
     @property
     def m(self) -> int:
@@ -102,16 +97,16 @@ class Degopt:
         )
 
 
-def graph_degopt(d: Degopt, coeff_type: CoeffType = CoeffType(),
-                 input_id: str = "A") -> tuple[ComputationGraph, list[CoeffRef]]:
+def graph_degopt(d: Degopt,
+                 coeff_type: CoeffType = CoeffType()) -> tuple[ComputationGraph, list[CoeffRef]]:
     """Build the graph of a degree-optimal form.
 
     Returns the graph together with refs for all (m+2)^2 - 2 tunable
     coefficients, ordered HA row-major, then HB row-major, then y.
     """
-    g = ComputationGraph(coeff_type, input_id)
+    g = ComputationGraph(coeff_type)
     m = d.m
-    B = ["I", input_id]
+    B = ["I", "A"]
     refs_a: list[CoeffRef] = []
     refs_b: list[CoeffRef] = []
     for k in range(1, m + 1):
@@ -200,15 +195,15 @@ def _as_coeff_list(coeffs):
     return coeffs
 
 
-def _constant_graph(c0, coeff_type, input_id):
-    g = ComputationGraph(coeff_type, input_id)
-    g.add_lincomb("P0", c0, "I", 0.0, input_id)
+def _constant_graph(c0, coeff_type):
+    g = ComputationGraph(coeff_type)
+    g.add_lincomb("P0", c0, "I", 0.0, "A")
     g.set_outputs(["P0"])
     return g, [CoeffRef("P0", 1)]
 
 
-def graph_monomial(coeffs, coeff_type: CoeffType = CoeffType(),
-                   input_id: str = "A") -> tuple[ComputationGraph, list[CoeffRef]]:
+def graph_monomial(coeffs,
+                   coeff_type: CoeffType = CoeffType()) -> tuple[ComputationGraph, list[CoeffRef]]:
     """Evaluate sum c_i x^i with explicitly computed powers.
 
     Powers are the nodes A2..Ad; partial sums are P2..P{d+1}, so the refs
@@ -217,14 +212,14 @@ def graph_monomial(coeffs, coeff_type: CoeffType = CoeffType(),
     c = _as_coeff_list(coeffs)
     d = len(c) - 1
     if d == 0:
-        return _constant_graph(c[0], coeff_type, input_id)
-    g = ComputationGraph(coeff_type, input_id)
-    powers = {1: input_id}
+        return _constant_graph(c[0], coeff_type)
+    g = ComputationGraph(coeff_type)
+    powers = {1: "A"}
     for j in range(2, d + 1):
         pid = f"A{j}"
-        g.add_mult(pid, powers[j - 1], input_id)
+        g.add_mult(pid, powers[j - 1], "A")
         powers[j] = pid
-    g.add_lincomb("P2", c[0], "I", c[1], input_id)
+    g.add_lincomb("P2", c[0], "I", c[1], "A")
     refs = [CoeffRef("P2", 1), CoeffRef("P2", 2)]
     prev = "P2"
     for j in range(2, d + 1):
@@ -236,19 +231,19 @@ def graph_monomial(coeffs, coeff_type: CoeffType = CoeffType(),
     return g, refs
 
 
-def graph_horner(coeffs, coeff_type: CoeffType = CoeffType(),
-                 input_id: str = "A") -> tuple[ComputationGraph, list[CoeffRef]]:
+def graph_horner(coeffs,
+                 coeff_type: CoeffType = CoeffType()) -> tuple[ComputationGraph, list[CoeffRef]]:
     """Evaluate sum c_i x^i by the Horner scheme."""
     c = _as_coeff_list(coeffs)
     d = len(c) - 1
     if d == 0:
-        return _constant_graph(c[0], coeff_type, input_id)
-    g = ComputationGraph(coeff_type, input_id)
-    g.add_lincomb(f"H{d - 1}", c[d - 1], "I", c[d], input_id)
+        return _constant_graph(c[0], coeff_type)
+    g = ComputationGraph(coeff_type)
+    g.add_lincomb(f"H{d - 1}", c[d - 1], "I", c[d], "A")
     refs = [CoeffRef(f"H{d - 1}", 1), CoeffRef(f"H{d - 1}", 2)]
     prev = f"H{d - 1}"
     for j in range(d - 2, -1, -1):
-        g.add_mult(f"HM{j}", prev, input_id)
+        g.add_mult(f"HM{j}", prev, "A")
         g.add_lincomb(f"H{j}", c[j], "I", 1.0, f"HM{j}")
         refs.insert(0, CoeffRef(f"H{j}", 1))
         prev = f"H{j}"
@@ -286,8 +281,8 @@ def _ps_blocks(c, s):
     return blocks
 
 
-def graph_ps(coeffs, coeff_type: CoeffType = CoeffType(),
-             input_id: str = "A") -> tuple[ComputationGraph, list[CoeffRef]]:
+def graph_ps(coeffs,
+             coeff_type: CoeffType = CoeffType()) -> tuple[ComputationGraph, list[CoeffRef]]:
     """Paterson-Stockmeyer evaluation of sum c_i x^i.
 
     Block k is accumulated through nodes B_k_1, B_k_2, ...; the outer
@@ -297,25 +292,25 @@ def graph_ps(coeffs, coeff_type: CoeffType = CoeffType(),
     c = _as_coeff_list(coeffs)
     d = len(c) - 1
     if d == 0:
-        return _constant_graph(c[0], coeff_type, input_id)
+        return _constant_graph(c[0], coeff_type)
     s = ps_block_size(d)
     blocks = _ps_blocks(c, s)
     K = len(blocks) - 1
-    g = ComputationGraph(coeff_type, input_id)
+    g = ComputationGraph(coeff_type)
     max_power = s if K >= 1 else d
-    powers = {1: input_id}
+    powers = {1: "A"}
     for j in range(2, max_power + 1):
-        g.add_mult(f"A{j}", powers[j - 1], input_id)
+        g.add_mult(f"A{j}", powers[j - 1], "A")
         powers[j] = f"A{j}"
     refs: list[CoeffRef] = []
     block_tail = {}
     for k, blk in enumerate(blocks):
         nid = f"B_{k}_1"
         if len(blk) == 1:
-            g.add_lincomb(nid, blk[0], "I", 0.0, input_id)
+            g.add_lincomb(nid, blk[0], "I", 0.0, "A")
             refs.append(CoeffRef(nid, 1))
         else:
-            g.add_lincomb(nid, blk[0], "I", blk[1], input_id)
+            g.add_lincomb(nid, blk[0], "I", blk[1], "A")
             refs.append(CoeffRef(nid, 1))
             refs.append(CoeffRef(nid, 2))
         prev = nid

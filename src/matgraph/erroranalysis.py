@@ -31,7 +31,7 @@ import numpy as np
 from mpmath import mp
 from mpmath.libmp import from_float, from_int, from_man_exp
 
-from .evaluation import _eval_nodes, graph_degree_bound
+from .evaluation import _eval_nodes, _precision_context, eval_graph, graph_degree_bound
 from .graph import ComputationGraph, GraphError, OpKind, get_topo_order
 from .numerics import EPS64, is_scalar, working_precision
 from .series import TruncSeries
@@ -154,17 +154,15 @@ def _check_u_prec(u, prec: int):
         raise ValueError(f"need u in (0, 1) and prec >= 53, got u={u!r}, prec={prec!r}")
 
 
-def _graph_series(g: ComputationGraph, nterms: int, input: str | None = None):
-    from .evaluation import eval_graph
-
-    s = eval_graph(g, TruncSeries.identity(nterms), input=input)
+def _graph_series(g: ComputationGraph, nterms: int):
+    s = eval_graph(g, TruncSeries.identity(nterms))
     if isinstance(s, list):
         raise GraphError("certification expects a single-output graph")
     return s
 
 
 def compute_fwd_theta(g: ComputationGraph, f_series: TruncSeries, u=2.0 ** -53,
-                      prec: int = 1024, input: str | None = None) -> ThetaResult:
+                      prec: int = 1024) -> ThetaResult:
     """Largest radius at which the absolute forward-error series stays below u.
 
     The graph must be solve-free and the target series must dominate the
@@ -178,7 +176,7 @@ def compute_fwd_theta(g: ComputationGraph, f_series: TruncSeries, u=2.0 ** -53,
         u = mp.mpf(u)
         if f_series.nterms < graph_degree_bound(g):
             raise CertificationError("target series truncated below the graph degree")
-        gs = _graph_series(g, f_series.nterms, input=input)
+        gs = _graph_series(g, f_series.nterms)
         E = _finite(gs - f_series).abs_coeffs()
         if E.coeffs[0] > u:
             return ThetaResult(mp.mpf(0), ThetaKind.FORWARD, E.nterms, u)
@@ -186,7 +184,7 @@ def compute_fwd_theta(g: ComputationGraph, f_series: TruncSeries, u=2.0 ** -53,
 
 
 def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
-                          prec: int = 1024, input: str | None = None) -> ThetaResult:
+                          prec: int = 1024) -> ThetaResult:
     """Largest radius with certified relative backward error below u, target exp.
 
     Builds the truncated series of log(e^{-z} g(z)), takes coefficient
@@ -198,7 +196,7 @@ def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
     _check_u_prec(u, prec)
     with working_precision(prec):
         u = mp.mpf(u)
-        gs = _graph_series(g, nterms, input=input)
+        gs = _graph_series(g, nterms)
         h = _finite(TruncSeries.exp_neg(nterms) * gs)
         if abs(h.coeffs[0] - 1) > u * nterms:
             raise CertificationError(
@@ -222,9 +220,8 @@ def theta_table_csv(rows) -> str:
 # running round-off error
 
 
-def eval_runerr(g: ComputationGraph, x, input: str | None = None,
-                mode: RunErrMode = RunErrMode.BOUND, u: float = EPS64,
-                seed: int | None = None):
+def eval_runerr(g: ComputationGraph, x, mode: RunErrMode = RunErrMode.BOUND,
+                u: float = EPS64, seed: int | None = None):
     """First-order round-off estimate for a scalar evaluation of the graph.
 
     BOUND accumulates the worst-case relative bound: a product or solve
@@ -235,7 +232,7 @@ def eval_runerr(g: ComputationGraph, x, input: str | None = None,
     giving a stochastic estimate of the same quantity.
 
     ``u`` is the machine epsilon of the arithmetic being modeled
-    (binary64 by default).  A vanishing computed value at a linear
+    (binary64 by default); the values are those ``eval_graph`` computes.  A vanishing computed value at a linear
     combination makes the relative error undefined; infinity is returned
     with a warning.
     """
@@ -244,9 +241,9 @@ def eval_runerr(g: ComputationGraph, x, input: str | None = None,
     if len(g.outputs) != 1:
         raise GraphError("running error analysis expects a single-output graph")
     mode = RunErrMode(mode)
-    input_id = input if input is not None else g.input_id
     order = get_topo_order(g)
-    slots = _eval_nodes(g, x, input_id, order, keep_all=True)
+    with _precision_context(g, None):
+        slots = _eval_nodes(g, x, order, keep_all=True)
     out = g.outputs[0]
     rng = np.random.default_rng(seed)
 

@@ -139,22 +139,22 @@ def _ops_for(x) -> _Ops:
     raise EvalError(f"cannot evaluate a graph at a {type(x).__name__}")
 
 
-def _eval_nodes(g, x, input_id, order, keep_all=False):
+def _eval_nodes(g, x, order, keep_all=False):
     """Run the forward pass, returning the slot map.
 
-    The map holds ``x`` under ``input_id``, the identity under ``"I"``,
+    The map holds ``x`` under ``g.input_id``, the identity under ``"I"``,
     every output, and, with ``keep_all``, every node of ``order``.  Without
     ``keep_all``, other slots are freed after their last use; results are
     unaffected.
     """
     ops = _ops_for(x)
-    slots = {"I": ops.identity(x), input_id: x}
+    slots = {"I": ops.identity(x), g.input_id: x}
     last_use: dict[str, int] = {}
     if not keep_all:
         for idx, nid in enumerate(order):
             for p in g.parents[nid]:
                 last_use[p] = idx
-    needed = set(g.outputs) | {input_id, "I"}
+    needed = set(g.outputs) | {g.input_id, "I"}
     for idx, nid in enumerate(order):
         p1, p2 = g.parents[nid]
         try:
@@ -179,17 +179,16 @@ def _eval_nodes(g, x, input_id, order, keep_all=False):
     return slots
 
 
-def eval_graph(g: ComputationGraph, x, input: str | None = None, prec: int | None = None):
+def eval_graph(g: ComputationGraph, x, prec: int | None = None):
     """Evaluate the graph at ``x``; returns one value per output node.
 
-    A single output is returned bare, several as a list.  ``input``
-    overrides the id the argument binds to (default: the graph's input id).
+    ``x`` binds to the graph's input id, ``g.input_id``.  A single output
+    is returned bare, several as a list.
     """
     if not g.outputs:
         raise GraphError("graph has no output nodes")
-    input_id = input if input is not None else g.input_id
     with _precision_context(g, prec):
-        slots = _eval_nodes(g, x, input_id, get_topo_order(g))
+        slots = _eval_nodes(g, x, get_topo_order(g))
     missing = [o for o in g.outputs if o not in slots]
     if missing:
         raise GraphError(f"output {missing[0]!r} was not computed")
@@ -210,8 +209,7 @@ def graph_degree_bound(g: ComputationGraph) -> int:
     return max(deg.get(o, 0) for o in g.outputs) if g.outputs else 0
 
 
-def eval_graph_poly(g: ComputationGraph, input: str | None = None,
-                    prec: int | None = None) -> list:
+def eval_graph_poly(g: ComputationGraph, prec: int | None = None) -> list:
     """Monomial coefficients of the polynomial the graph evaluates.
 
     Exact up to arithmetic rounding at the working precision: the graph is
@@ -224,7 +222,7 @@ def eval_graph_poly(g: ComputationGraph, input: str | None = None,
         raise GraphError("polynomial extraction expects a single output")
     with _precision_context(g, prec):
         n = max(graph_degree_bound(g), 1)
-        s = eval_graph(g, TruncSeries.identity(n), input=input)
+        s = eval_graph(g, TruncSeries.identity(n))
         coeffs = list(s.coeffs)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()

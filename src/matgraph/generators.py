@@ -120,11 +120,21 @@ def graph_exp_pade_ss(degree: int, squarings: int = 0,
 
 def pade_squarings_for_norm(norm_bound: float, degree: int = 13) -> int:
     """Squaring count so that the scaled norm is within the approximant's
-    backward-stable radius (the classical per-degree thresholds)."""
-    theta = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-             7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}[degree]
+    backward-stable radius (the classical per-degree thresholds).
+
+    A norm bound that is negative or not finite, or a degree other than 3,
+    5, 7, 9 or 13, raises ``ValueError``.
+    """
+    thetas = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+              7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}
+    if degree not in thetas:
+        raise ValueError(f"no Pade radius for degree {degree!r}; use one of {list(thetas)}")
+    if not (math.isfinite(norm_bound) and norm_bound >= 0):
+        raise ValueError(f"norm bound must be finite and nonnegative, got {norm_bound!r}")
+    # halving is exact, so this is norm_bound > theta * 2^s without overflow
     s = 0
-    while norm_bound > theta * 2 ** s:
+    while norm_bound > thetas[degree]:
+        norm_bound /= 2
         s += 1
     return s
 

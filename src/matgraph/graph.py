@@ -178,8 +178,9 @@ class ComputationGraph:
         """Rewrite every occurrence of ``old`` to ``new``.
 
         Renaming the input id re-points all references to it, leaving them
-        dangling until a node named ``new`` is added (grafting).  A cref
-        list passed in is rewritten in place.
+        dangling until a node named ``new`` is added (grafting); until then
+        evaluation, which binds the input id, raises "unresolved parent".
+        A cref list passed in is rewritten in place.
         """
         known = old in self.operations or old in self.input_ids
         if not known:

@@ -173,7 +173,7 @@ def _residual(gv, fv, errtype: ErrType):
 
 
 def residual(g: ComputationGraph, f, discr: Discretization,
-             errtype: ErrType = ErrType.ABS, input: str | None = None) -> np.ndarray:
+             errtype: ErrType = ErrType.ABS) -> np.ndarray:
     """r_i = g(z_i) - f(z_i), divided by f(z_i) under relative error.
 
     The target is evaluated at the graph's coefficient precision.
@@ -182,7 +182,7 @@ def residual(g: ComputationGraph, f, discr: Discretization,
     errtype = ErrType(errtype)
     with _precision_context(g, g.coeff_type.prec):
         fv = _target_values(f, pts, errtype)
-        return _residual(forward_pass(g, pts, input)[g.outputs[0]], fv, errtype)
+        return _residual(forward_pass(g, pts)[g.outputs[0]], fv, errtype)
 
 
 def _svd_pinv_numpy(A: np.ndarray, b: np.ndarray, droptol: float):
@@ -247,8 +247,7 @@ def gn_step(J, r, config: GNConfig) -> np.ndarray:
 
 
 def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
-                     config: GNConfig | None = None,
-                     input: str | None = None) -> GNReport:
+                     config: GNConfig | None = None) -> GNReport:
     """Iterate Gauss-Newton updates c <- c - gamma*delta on the graph's coefficients.
 
     Each trial point is evaluated once and never retried: a design's residual
@@ -302,7 +301,7 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
         weights = 1 / fv if errtype == ErrType.REL else None
         while True:
             # one forward pass per trial point; a step's sweep reads its node values
-            slots = forward_pass(g, pts, input)
+            slots = forward_pass(g, pts)
             r = _residual(slots[g.outputs[0]], fv, errtype)
             mags = [float(abs(x)) for x in r]
             rmax = max(mags, default=0.0)
@@ -325,8 +324,8 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
                     stop, why = "stagnated", f"stagnated at residual {rmax:.3e}"
             if stop:
                 break
-            delta = gn_step(eval_jac(g, pts, refs, input=input, weights=weights,
-                                     slots=slots).entries, r, config)
+            delta = gn_step(eval_jac(g, pts, refs, weights=weights, slots=slots).entries,
+                            r, config)
             g.set_coeffs(refs, [ci - config.gamma * di
                                 for ci, di in zip(g.get_coeffs(refs), delta)])
             report.residual_history.append(rmax)

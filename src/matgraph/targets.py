@@ -33,21 +33,17 @@ def load_series_file(path: str) -> list[Fraction]:
 
 
 def get_target(name: str, coeff_type: CoeffType = FLOAT64):
-    """Resolve a CLI target name to (callable, series factory or None).
+    """Resolve a CLI target name to its callable.
 
     The coefficients of a ``series:<file>`` target are rounded once to
-    ``coeff_type``; the callable is their truncated Taylor polynomial.
+    ``coeff_type``; the callable is their truncated Taylor polynomial, a
+    :class:`~matgraph.series.TruncSeries`.
     """
     if name == "exp":
-        return exp_target, TruncSeries.exp
+        return exp_target
     if name == "sqrt1p":
-        return sqrt1p_target, None
+        return sqrt1p_target
     if name.startswith("series:"):
-        coeffs = [convert_scalar(c, coeff_type)
-                  for c in load_series_file(name[len("series:"):])]
-
-        def factory(nterms):
-            return TruncSeries(coeffs, nterms)
-
-        return TruncSeries(coeffs), factory
+        return TruncSeries([convert_scalar(c, coeff_type)
+                            for c in load_series_file(name[len("series:"):])])
     raise ValueError(f"unknown target {name!r}; use exp, sqrt1p, or series:<file>")

@@ -59,7 +59,7 @@ def forward_jac(g: ComputationGraph, points, refs, prec: int | None = None) -> n
         order = get_topo_order(g)
         pos = {nid: i for i, nid in enumerate(order)}
         ops = _ops_for(pts)
-        slots = _eval_nodes(g, pts, g.input_id, order, keep_all=True)
+        slots = _eval_nodes(g, pts, order, keep_all=True)
         J = np.empty((len(pts), len(refs)), dtype=object if pts.dtype == object else np.complex128)
         zero = _zeros_like_points(pts)
         for col, ref in enumerate(refs):

@@ -12,7 +12,9 @@ from mpmath import mp
 
 from matgraph import (
     CoeffType,
+    ComputationGraph,
     Discretization,
+    TruncSeries,
     bigfloat,
     convert_scalar,
     eval_graph,
@@ -92,6 +94,23 @@ class TestEval:
         capsys.readouterr()
         assert run(["eval", str(gfile), "--point", "0.1"]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(1.03)
+
+    def test_input_flag_is_a_usage_error(self, tmp_path, capsys):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "ps", "--coeffs", "1,1,0.5", "--out", str(gfile)])
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", str(gfile), "--point", "0.5", "--input", "A"])
+        assert exc.value.code == 2
+
+    def test_point_binds_the_files_input_id(self, tmp_path, capsys):
+        g = ComputationGraph(input_id="x")
+        g.add_lincomb("y", 1.0, "I", 2.0, "x")
+        g.set_outputs(["y"])
+        gfile = tmp_path / "x.cgr"
+        export_compgraph(g, str(gfile))
+        assert "# input: x" in gfile.read_text()
+        assert run(["eval", str(gfile), "--point", "3"]) == 0
+        assert capsys.readouterr().out.strip() == "7.0"
 
     def test_complex_entries(self, tmp_path, capsys):
         gfile = tmp_path / "g.cgr"
@@ -547,9 +566,9 @@ class TestExactCoefficients:
     def test_series_target_rounded_once_at_precision(self, tmp_path):
         sfile = tmp_path / "t.txt"
         sfile.write_text("# 1 + z/10\n1\n0.1\n")
-        f, factory = get_target(f"series:{sfile}", bigfloat(256))
+        f = get_target(f"series:{sfile}", bigfloat(256))
         tenth = convert_scalar(Fraction(1, 10), bigfloat(256))
-        assert factory(3).coeffs == [1, tenth, 0, 0]
+        assert isinstance(f, TruncSeries) and f.coeffs == [1, tenth]
         with working_precision(256):
             assert f(mp.mpf(2)) == 1 + 2 * tenth
 
@@ -636,8 +655,6 @@ def _argv(draw):
                 _TEXT, st.sampled_from(["0.5", "1e400", "1e200", "-1", "nan", "inf", "1+2i"])))]
         else:
             argv += ["--matrix", draw(st.sampled_from(["A.csv", "Z.csv", "bad.csv", "none.csv"]))]
-        if draw(st.booleans()):
-            argv += ["--input", draw(st.sampled_from(["A", "B", "I"]))]
     elif command == "convert":
         argv = ["convert", draw(st.sampled_from(["g.cgr", "bad.cgr", "none.cgr"])), "--type",
                 draw(st.one_of(_TEXT, st.sampled_from(

@@ -108,7 +108,7 @@ class TestGraphDegopt:
             [1.0, 0.0, 0.0, 0.0, 0.0],
         ]
         y = [0.25, 0.125, 0.0, 0.25, 0.0, 0.5]
-        d = Degopt(HA, HB, y, variant="ldiv")
+        d = Degopt(HA, HB, y, row_ops=[OpKind.LDIV] * 4)
         g, _ = graph_degopt(d)
         z = 0.4j
         err = abs(eval_graph(g, z) - np.sqrt(1 + z))
@@ -361,7 +361,7 @@ class TestDegree:
         assert degopt_degree(d) == 0
 
     def test_ldiv_variant_rejected(self):
-        d = Degopt([[1.0, 1.0]], [[1.0, 0.0]], [0.0, 0.0, 1.0], variant="ldiv")
+        d = Degopt([[1.0, 1.0]], [[1.0, 0.0]], [0.0, 0.0, 1.0], row_ops=[OpKind.LDIV])
         with pytest.raises(DegoptError):
             degopt_degree(d)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from mpmath import mp
 
 from matgraph import (
+    EPS64,
     CertificationError,
     ComputationGraph,
     RunErrMode,
@@ -312,6 +314,19 @@ class TestRunningError:
         g.set_outputs(["X"])
         with pytest.warns(UserWarning):
             assert math.isinf(eval_runerr(g, 0.7))
+
+    def test_extended_graph_evaluated_at_its_precision(self):
+        # X = 1*I - 1*A at x = 1 + 2^-80 vanishes at 53 bits, not at 256
+        g = ComputationGraph(bigfloat(256))
+        g.add_lincomb("X", 1, "I", -1, "A")
+        g.set_outputs(["X"])
+        with mp.workprec(256):
+            x = 1 + mp.mpf(2) ** -80
+        assert eval_graph(g, x) == -mp.mpf(2) ** -80
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eval_runerr(g, x) == 2 * EPS64
+            assert math.isfinite(eval_runerr(g, x, mode=RunErrMode.RAND, seed=0))
 
     def test_bound_scales_with_u(self):
         g = goldberg_graph()

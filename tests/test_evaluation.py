@@ -35,12 +35,13 @@ class TestScalarAndMatrix:
         A = np.array([[3.0, 4.0], [5.0, 6.0]])
         assert np.array_equal(eval_graph(g, A), np.array([[88.0, 108.0], [135.0, 169.0]]))
 
-    def test_input_override(self):
+    def test_argument_binds_the_graphs_input_id(self):
         g = ComputationGraph(input_id="x")
         g.add_lincomb("y", 1.0, "I", 2.0, "x")
         g.set_outputs(["y"])
         assert eval_graph(g, 3.0) == 7.0
-        assert eval_graph(g, 3.0, input="x") == 7.0
+        assert eval_graph_poly(g) == [1.0, 2.0]
+        assert eval_graph(g, np.array([3.0, 0.5])).tolist() == [7.0, 2.0]
 
     def test_scalar_ldiv_is_division(self):
         g = ComputationGraph()
@@ -112,8 +113,8 @@ class TestScalarAndMatrix:
             g = random_graph(rng, n_nodes=9)
             z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             order = get_topo_order(g)
-            kept = _eval_nodes(g, z, g.input_id, order, keep_all=True)
-            freed = _eval_nodes(g, z, g.input_id, order, keep_all=False)
+            kept = _eval_nodes(g, z, order, keep_all=True)
+            freed = _eval_nodes(g, z, order, keep_all=False)
             assert [kept[o] for o in g.outputs] == [freed[o] for o in g.outputs]
 
     def test_vector_is_pointwise_scalar(self):
@@ -217,6 +218,6 @@ class TestSeriesArgument:
 def test_eval_nodes_frees_intermediates():
     g, _ = graph_monomial([1.0, 0.0, 3.0, 2.0])
     order = get_topo_order(g)
-    slots = _eval_nodes(g, 0.5, "A", order, keep_all=False)
+    slots = _eval_nodes(g, 0.5, order, keep_all=False)
     assert set(g.outputs) <= set(slots)
     assert len(slots) < len(order) + 2

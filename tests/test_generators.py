@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,6 +140,24 @@ class TestExpPade:
         E = taylor_exp_mp(A, 512)
         rel = np.linalg.norm(eval_graph(g, A) - E) / np.linalg.norm(E)
         assert rel <= 1e-14
+
+    @pytest.mark.parametrize("norm, degree", [(math.nan, 13), (-1.0, 13), (math.inf, 13),
+                                              (-math.inf, 13), (1.0, 4), (1.0, 0), (1.0, 15),
+                                              (1.0, 13.5)])
+    def test_squarings_reject_bad_input(self, norm, degree):
+        with pytest.raises(ValueError):
+            pade_squarings_for_norm(norm, degree)
+
+    def test_squarings_smallest_passing_count(self):
+        thetas = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+                  7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 5.371920351148152}
+        for degree, theta in thetas.items():
+            for norm in (0.0, 5e-324, theta, math.nextafter(theta, 1e9), 2 * theta,
+                         3.7, 1e300, sys.float_info.max):
+                s = 0
+                while Fraction(norm) > Fraction(theta) * 2 ** s:
+                    s += 1
+                assert pade_squarings_for_norm(norm, degree) == s, (norm, degree)
 
     def test_scaling_and_squaring_consistency(self):
         g0, _ = graph_exp_pade_ss(9, 0)
