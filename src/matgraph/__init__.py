@@ -17,7 +17,6 @@ from .degopt import (
     Degopt,
     DegoptError,
     YksCoeffs,
-    degopt_degree,
     degopt_from_graph,
     graph_degopt,
     graph_horner,

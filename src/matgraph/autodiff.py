@@ -22,8 +22,7 @@ import numpy as np
 from mpmath import mp
 
 from .evaluation import _eval_nodes, _ops_for, _precision_context, eval_graph
-from .graph import (CoeffRef, ComputationGraph, GraphError, OpKind, convert_precision,
-                    get_topo_order)
+from .graph import CoeffRef, ComputationGraph, GraphError, OpKind, get_topo_order
 
 
 @dataclass
@@ -69,7 +68,7 @@ def forward_pass(g: ComputationGraph, points) -> dict:
     """
     if len(g.outputs) != 1:
         raise GraphError("forward pass needs a single-output graph")
-    with _precision_context(g, None):
+    with _precision_context(g):
         return _eval_nodes(g, as_point_array(points), get_topo_order(g), keep_all=True)
 
 
@@ -91,7 +90,7 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
     pts = as_point_array(points)
     if weights is not None and np.shape(weights) != pts.shape:
         raise ValueError("need one weight per point")
-    with _precision_context(g, None):
+    with _precision_context(g):
         order = get_topo_order(g)
         ops = _ops_for(pts)
         if slots is None:
@@ -138,35 +137,22 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
     return JacobianMatrix(J, pts, refs, values)
 
 
-def finite_diff_jac(g: ComputationGraph, points, refs, h=1e-7,
-                    complex_step: bool = False) -> JacobianMatrix:
-    """Difference-quotient Jacobian, the independent check for :func:`eval_jac`.
-
-    Central differences by default; ``complex_step`` instead perturbs each
-    coefficient along the imaginary axis (the dependence on a coefficient
-    is polynomial, hence analytic, so the complex derivative matches).
-    """
+def finite_diff_jac(g: ComputationGraph, points, refs, h=1e-7) -> JacobianMatrix:
+    """Central-difference Jacobian, the independent check for :func:`eval_jac`."""
     if h <= 0:
         raise ValueError("step size must be positive")
     refs = [CoeffRef(*r) for r in refs]
     pts = as_point_array(points)
-    work = g
-    if complex_step and not g.coeff_type.is_complex:
-        work = convert_precision(g, g.coeff_type.complexified())
-    base = work.get_coeffs(refs)
+    base = g.get_coeffs(refs)
     N, K = len(pts), len(refs)
     J = np.empty((N, K), dtype=object if pts.dtype == object else np.complex128)
-    with _precision_context(work, None):
-        if complex_step:
-            step = mp.mpc(0, h) if work.coeff_type.prec else complex(0, h)
-        else:
-            step = h
+    with _precision_context(g):
         for col, ref in enumerate(refs):
             c0 = base[col]
-            work.set_coeffs([ref], [c0 + step])
-            up = eval_graph(work, pts)
-            work.set_coeffs([ref], [c0 - step])
-            dn = eval_graph(work, pts)
-            work.set_coeffs([ref], [c0])
-            J[:, col] = (up - dn) / (2 * step)
+            g.set_coeffs([ref], [c0 + h])
+            up = eval_graph(g, pts)
+            g.set_coeffs([ref], [c0 - h])
+            dn = eval_graph(g, pts)
+            g.set_coeffs([ref], [c0])
+            J[:, col] = (up - dn) / (2 * h)
     return JacobianMatrix(J, pts, refs)

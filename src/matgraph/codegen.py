@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import heapq
 import os
+import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import ComputationGraph, GraphError, OpKind, get_topo_order
-from .numerics import scalar_to_float
+import mpmath
+
+from .graph import IDENTITY_ID, ComputationGraph, GraphError, OpKind, _live
 
 
 class Dialect(str, Enum):
@@ -36,7 +38,7 @@ class EmitTarget:
 
     def __post_init__(self):
         self.dialect = Dialect(self.dialect)
-        if not self.function_name.isidentifier():
+        if not self.function_name.isidentifier() or _reserved(self.function_name):
             raise GraphError(f"invalid function name {self.function_name!r}")
 
 
@@ -47,8 +49,7 @@ class Schedule:
     peak_buffers: int
 
 
-def _schedule_kary(node_parents: dict[str, tuple], inputs: set[str],
-                   outputs: list[str]) -> Schedule:
+def _schedule_kary(node_parents: dict[str, tuple], outputs: list[str]) -> Schedule:
     """Greedy list scheduling over nodes with arbitrary parent arity.
 
     Picks the ready node that frees the most buffers, the smallest id on a
@@ -109,9 +110,7 @@ def _schedule_kary(node_parents: dict[str, tuple], inputs: set[str],
 
 def plan_schedule(g: ComputationGraph) -> Schedule:
     """Memory-aware topological schedule of the nodes the outputs need."""
-    wanted = set(get_topo_order(g))
-    node_parents = {nid: g.parents[nid] for nid in wanted}
-    return _schedule_kary(node_parents, g.input_ids, g.outputs)
+    return _schedule_kary({nid: g.parents[nid] for nid in _live(g)}, g.outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +124,7 @@ def _emission_plan(g: ComputationGraph, fuse: bool):
     linear-combination node to its flattened [(coeff, operand), ...] list;
     chains of single-use linear combinations are inlined when fusing.
     """
-    wanted = set(get_topo_order(g))
+    wanted = _live(g)
     children: dict[str, list[str]] = {}
     for nid in wanted:
         for p in g.parents[nid]:
@@ -168,32 +167,63 @@ def _emission_plan(g: ComputationGraph, fuse: bool):
 
 
 def _fmt(c) -> str:
-    c = scalar_to_float(c)
-    if isinstance(c, complex):
+    if isinstance(c, (complex, mpmath.mpc)):
+        c = complex(c)
         re, im = repr(c.real), repr(c.imag)
         return f"({re} + {im}i)" if im[0] != "-" else f"({re} - {im[1:]}i)"
-    return repr(c)
+    return repr(float(c))
 
 
 _C_KEYWORDS = {
     "auto", "break", "case", "char", "const", "continue", "default", "do", "double",
-    "else", "enum", "extern", "float", "for", "goto", "if", "int", "long", "register",
-    "return", "short", "signed", "sizeof", "static", "struct", "switch", "typedef",
-    "union", "unsigned", "void", "volatile", "while",
+    "else", "enum", "extern", "float", "for", "goto", "if", "inline", "int", "long",
+    "register", "restrict", "return", "short", "signed", "sizeof", "static", "struct",
+    "switch", "typedef", "union", "unsigned", "void", "volatile", "while",
 }
 
+_MATLAB_KEYWORDS = {
+    "break", "case", "catch", "classdef", "continue", "else", "elseif", "end", "for",
+    "function", "global", "if", "otherwise", "parfor", "persistent", "return", "spmd",
+    "switch", "try", "while",
+}
 
-def _namer(g: ComputationGraph, target: EmitTarget, extra: set[str]):
-    """Map node ids to emission-safe variable names."""
-    reserved = {"n", "output", "work", "Ieye", "nn", "k", "i", target.function_name}
-    reserved |= _C_KEYWORDS | extra | g.input_ids
+#: the names the emitted code itself uses, besides ``coeffN``, ``outN`` and
+#: the function name and its header guard
+_EMITTED = {
+    "A", "I", "Ieye", "n", "nn", "k", "i", "work", "output", "size", "eye",
+    "calloc", "free", "size_t", "mgk_mult", "mgk_lincomb", "mgk_solve", "mgk_copy",
+}
+
+_RESERVED = _C_KEYWORDS | _MATLAB_KEYWORDS | _EMITTED
+_NUMBERED = re.compile(r"(coeff|out)[0-9]+")
+
+
+def _reserved(name: str) -> bool:
+    """A name no graph id may be emitted as; ``v_`` prefixes keep the map injective."""
+    return name in _RESERVED or name.startswith("v_") or bool(_NUMBERED.fullmatch(name))
+
+
+def _guard(fn: str) -> str:
+    return f"{fn.upper()}_H"
+
+
+def _namer(g: ComputationGraph, target: EmitTarget):
+    """Map node ids to emission-safe variable names, one to one.
+
+    An id that is reserved, the function name or its header guard, or that
+    starts with ``v_`` gets a ``v_`` prefix: no prefixed name is reserved,
+    and no unprefixed name starts with ``v_``, so no two ids meet.
+    """
+    fn = target.function_name
+    own = {fn, _guard(fn)}
+    identity = "I" if target.dialect == Dialect.MATLAB else "Ieye"
 
     def name(nid):
         if nid == g.input_id:
             return "A"
-        if nid == "I":
-            return "I" if target.dialect == Dialect.MATLAB else "Ieye"
-        return "v_" + nid if nid in reserved else nid
+        if nid == IDENTITY_ID:
+            return identity
+        return "v_" + nid if _reserved(nid) or nid in own else nid
 
     return name
 
@@ -204,9 +234,9 @@ def _namer(g: ComputationGraph, target: EmitTarget, extra: set[str]):
 
 def _gen_matlab(g: ComputationGraph, target: EmitTarget) -> str:
     node_terms, node_parents = _emission_plan(g, target.fuse_lincomb)
-    sched = _schedule_kary(node_parents, g.input_ids, g.outputs)
+    sched = _schedule_kary(node_parents, g.outputs)
     outs = [f"out{i + 1}" for i in range(len(g.outputs))] if len(g.outputs) > 1 else ["output"]
-    name = _namer(g, target, set(outs) | {f"coeff{i}" for i in range(1, 10)})
+    name = _namer(g, target)
     head = outs[0] if len(outs) == 1 else "[" + ", ".join(outs) + "]"
     lines = [f"function {head} = {target.function_name}(A)", "    n = size(A,1);"]
     uses_identity = any("I" in ps for ps in node_parents.values()) or "I" in g.outputs
@@ -262,12 +292,11 @@ def _gen_c(g: ComputationGraph, target: EmitTarget) -> tuple[str, str]:
     if g.coeff_type.is_complex:
         raise GraphError("the C target emits real binary64 code only")
     node_terms, node_parents = _emission_plan(g, target.fuse_lincomb)
-    sched = _schedule_kary(node_parents, g.input_ids, g.outputs)
+    sched = _schedule_kary(node_parents, g.outputs)
     uses_identity = any("I" in ps for ps in node_parents.values()) or "I" in g.outputs
     fn = target.function_name
-    name = _namer(g, target, set())
-    guard = f"{fn.upper()}_H"
-    header = _C_HEADER.format(guard=guard, fn=fn)
+    name = _namer(g, target)
+    header = _C_HEADER.format(guard=_guard(fn), fn=fn)
     nbuf = max(sched.peak_buffers, 1)
     lines = [
         f'#include "{fn}.h"',

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .evaluation import eval_graph_poly
 from .graph import IDENTITY_ID, CoeffRef, ComputationGraph, OpKind, get_topo_order
 from .numerics import CoeffType, convert_scalar, is_scalar, working_precision
 
@@ -162,24 +161,6 @@ def degopt_from_graph(g: ComputationGraph) -> Degopt:
     if not HA:
         raise DegoptError("graph has no product")
     return Degopt(HA, HB, row(g.outputs[0], len(HA) + 2), row_ops=row_ops)
-
-
-def degopt_degree(d: Degopt, prec: int = 256) -> int:
-    """Exact degree of the represented polynomial (mult variant only).
-
-    The polynomial is expanded at ``prec`` bits and coefficients smaller
-    than 2^(-prec/2) in magnitude are treated as zero.
-    """
-    if d.variant != "mult":
-        raise DegoptError("degree is defined for the polynomial (mult) variant only")
-    g, _ = graph_degopt(d)
-    coeffs = eval_graph_poly(g, prec=prec)
-    tol = 2.0 ** (-prec // 2)
-    deg = 0
-    for j, c in enumerate(coeffs):
-        if abs(c) > tol:
-            deg = j
-    return deg
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,8 @@ def _check_u_prec(u, prec: int):
         raise ValueError(f"need u in (0, 1) and prec >= 53, got u={u!r}, prec={prec!r}")
 
 
-def _graph_series(g: ComputationGraph, nterms: int):
-    s = eval_graph(g, TruncSeries.identity(nterms))
+def _graph_series(g: ComputationGraph, nterms: int, prec: int):
+    s = eval_graph(g, TruncSeries.identity(nterms), prec)
     if isinstance(s, list):
         raise GraphError("certification expects a single-output graph")
     return s
@@ -176,7 +176,7 @@ def compute_fwd_theta(g: ComputationGraph, f_series: TruncSeries, u=2.0 ** -53,
         u = mp.mpf(u)
         if f_series.nterms < graph_degree_bound(g):
             raise CertificationError("target series truncated below the graph degree")
-        gs = _graph_series(g, f_series.nterms)
+        gs = _graph_series(g, f_series.nterms, prec)
         E = _finite(gs - f_series).abs_coeffs()
         if E.coeffs[0] > u:
             return ThetaResult(mp.mpf(0), ThetaKind.FORWARD, E.nterms, u)
@@ -196,7 +196,7 @@ def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
     _check_u_prec(u, prec)
     with working_precision(prec):
         u = mp.mpf(u)
-        gs = _graph_series(g, nterms)
+        gs = _graph_series(g, nterms, prec)
         h = _finite(TruncSeries.exp_neg(nterms) * gs)
         if abs(h.coeffs[0] - 1) > u * nterms:
             raise CertificationError(
@@ -242,7 +242,7 @@ def eval_runerr(g: ComputationGraph, x, mode: RunErrMode = RunErrMode.BOUND,
         raise GraphError("running error analysis expects a single-output graph")
     mode = RunErrMode(mode)
     order = get_topo_order(g)
-    with _precision_context(g, None):
+    with _precision_context(g):
         slots = _eval_nodes(g, x, order, keep_all=True)
     out = g.outputs[0]
     rng = np.random.default_rng(seed)

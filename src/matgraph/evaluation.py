@@ -6,8 +6,9 @@ Supported argument kinds, selected by the type of ``x``:
   operations act as scalar +, *, and /;
 * 1-d numpy arrays: N independent scalar evaluations in one pass
   (object-dtype arrays carry extended-precision scalars);
-* 2-d numpy arrays: binary64 dense matrices, with the linear solve done
-  by LU with partial pivoting;
+* 2-d numpy arrays: dense matrices (object-dtype arrays carry
+  extended-precision scalars), with the linear solve done by LU with
+  partial pivoting;
 * ``mpmath.matrix``: extended-precision dense matrices;
 * :class:`~matgraph.series.TruncSeries`: truncated-series semantics, the
   route by which a graph's series expansion is extracted (a linear solve
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import mpmath
 import numpy as np
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .graph import ComputationGraph, GraphError, OpKind, get_topo_order
 from .numerics import (
@@ -44,18 +45,25 @@ class EvalError(ArithmeticError):
     pass
 
 
-def _precision_context(g: ComputationGraph, prec: int | None):
-    """Precision to evaluate under.
+def _precision_context(g: ComputationGraph, prec: int | None = None):
+    """Precision to evaluate under: ``prec`` if given, else the graph's own."""
+    return working_precision(g.coeff_type.prec if prec is None else prec)
 
-    An explicit ``prec`` wins; otherwise an already-raised ambient mpmath
-    precision is inherited, and failing that the graph's own coefficient
-    precision is used.
+
+def _exact_mp(x):
+    """A binary64 argument (scalar or ndarray) as mpmath numbers of the same value.
+
+    Any other argument is returned as it is.
     """
-    if prec is not None:
-        return working_precision(prec)
-    if mp.prec > 53:
-        return working_precision(None)
-    return working_precision(g.coeff_type.prec)
+    if isinstance(x, np.ndarray) and x.dtype.kind in "fc":
+        return np.array([_exact_mp(v) for v in x.ravel().tolist()], dtype=object).reshape(x.shape)
+    if isinstance(x, complex):
+        return mp.make_mpc((libmp.from_float(x.real), libmp.from_float(x.imag)))
+    if isinstance(x, float):
+        return mp.make_mpf(libmp.from_float(x))
+    if isinstance(x, int):
+        return mp.make_mpf(libmp.from_int(x))
+    return x
 
 
 def lincomb(c1, v1, c2, v2):
@@ -145,8 +153,11 @@ def _eval_nodes(g, x, order, keep_all=False):
     The map holds ``x`` under ``g.input_id``, the identity under ``"I"``,
     every output, and, with ``keep_all``, every node of ``order``.  Without
     ``keep_all``, other slots are freed after their last use; results are
-    unaffected.
+    unaffected.  An extended-precision graph reads a binary64 ``x`` as the
+    mpmath numbers of the same value, so that no operation runs in binary64.
     """
+    if g.coeff_type.prec is not None:
+        x = _exact_mp(x)
     ops = _ops_for(x)
     slots = {"I": ops.identity(x), g.input_id: x}
     last_use: dict[str, int] = {}
@@ -216,14 +227,11 @@ def eval_graph_poly(g: ComputationGraph, prec: int | None = None) -> list:
     run on a truncated series long enough to hold the full polynomial.
     Graphs containing a linear solve are rejected.
     """
-    if any(op == OpKind.LDIV for op in g.operations.values()):
-        raise EvalError("symbolic polynomial evaluation requires a solve-free graph")
     if len(g.outputs) != 1:
         raise GraphError("polynomial extraction expects a single output")
     with _precision_context(g, prec):
         n = max(graph_degree_bound(g), 1)
-        s = eval_graph(g, TruncSeries.identity(n))
-        coeffs = list(s.coeffs)
+        coeffs = list(eval_graph(g, TruncSeries.identity(n), prec).coeffs)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs

@@ -100,9 +100,6 @@ class CoeffType:
         with mp.workprec(self.prec):
             return mp.mpf(2) ** (-self.prec)
 
-    def complexified(self) -> "CoeffType":
-        return CoeffType(self.prec, True)
-
 
 FLOAT64 = CoeffType()
 COMPLEX128 = CoeffType(is_complex=True)
@@ -136,10 +133,6 @@ def is_scalar(x) -> bool:
     return isinstance(x, SCALAR_TYPES)
 
 
-def _imag_of(x):
-    return x.imag if isinstance(x, (complex, mpmath.mpc)) else 0
-
-
 def convert_scalar(x, ct: CoeffType):
     """Round a scalar to the given kind (exact rationals round to nearest).
 
@@ -154,7 +147,7 @@ def convert_scalar(x, ct: CoeffType):
             return mp.mpc(v) if ct.is_complex else v
     if not is_scalar(x):
         raise TypeError(f"not a scalar: {x!r}")
-    if not ct.is_complex and _imag_of(x) != 0:
+    if not ct.is_complex and isinstance(x, (complex, mpmath.mpc)) and x.imag != 0:
         raise ValueError("cannot convert complex value with nonzero imaginary part to real")
     if ct.prec is None:
         if ct.is_complex:
@@ -166,37 +159,12 @@ def convert_scalar(x, ct: CoeffType):
         return mp.mpf(x.real if isinstance(x, (complex, mpmath.mpc)) else x)
 
 
-def scalar_to_float(x):
-    """Round-to-nearest conversion to binary64 (complex allowed)."""
-    if isinstance(x, (complex, mpmath.mpc)):
-        return complex(x)
-    return float(x)
-
-
 # ---------------------------------------------------------------------------
 # dense matrices
 
 
-def is_np_matrix(x) -> bool:
-    return isinstance(x, np.ndarray) and x.ndim == 2
-
-
 def is_mp_matrix(x) -> bool:
     return isinstance(x, mpmath.matrix)
-
-
-def as_mp_matrix(data, prec: int) -> mpmath.matrix:
-    """Build an extended-precision matrix, rounding entries to ``prec`` bits."""
-    with mp.workprec(prec):
-        rows = np.asarray(data, dtype=object)
-        if rows.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        M = mp.matrix(rows.shape[0], rows.shape[1])
-        for i in range(rows.shape[0]):
-            for j in range(rows.shape[1]):
-                v = rows[i, j]
-                M[i, j] = mp.mpc(v) if _imag_of(v) != 0 else mp.mpf(v.real if isinstance(v, (complex, mpmath.mpc)) else v)
-        return M
 
 
 def mat_lu_solve(A, B):
@@ -206,7 +174,7 @@ def mat_lu_solve(A, B):
     Object arrays (mpmath entries) are solved as ``mpmath.matrix`` at the
     working precision, by :func:`_mp_lu_solve`.
     """
-    if is_np_matrix(A):
+    if isinstance(A, np.ndarray) and A.ndim == 2:
         if A.shape[0] != A.shape[1]:
             raise ValueError("coefficient matrix must be square")
         if A.dtype == object or B.dtype == object:
@@ -476,7 +444,7 @@ def _limb_products(mss):
 
 
 def _normal_equations(cols, b):
-    """``(A^T A, A^T b)`` as lists, each entry an exact integer sum rounded once.
+    """``(A^T A, A^T b)`` as lists of raw tuples, each an exact integer sum rounded once.
 
     A row that some vector set aside (see :func:`_fixed_point`) leaves the
     limb product: every vector's exact entry there is kept instead, and each
@@ -500,7 +468,7 @@ def _normal_equations(cols, b):
             low = min(exp, *(t for _, t in terms))
             man = (man << (exp - low)) + sum(m << (t - low) for m, t in terms)
             exp = low
-        return mp.make_mpf(libmp.from_man_exp(man, exp, mp.prec, RND))
+        return libmp.from_man_exp(man, exp, mp.prec, RND)
 
     K = len(cols)
     G = [[None] * K for _ in range(K)]
@@ -511,19 +479,19 @@ def _normal_equations(cols, b):
 
 
 def _tridiagonalize(A):
-    """Householder reduction of the symmetric ``A`` to ``(d, e, reflectors)``.
+    """Householder reduction of the symmetric ``A`` (raw tuples) to ``(d, e, reflectors)``.
 
     A port of mpmath 1.3's ``r_sy_tridiag`` (EISPACK tred2) to raw tuples
     that does not accumulate Q: the same operations in the same order, so the
-    diagonal ``d`` and off-diagonal ``e`` (``mpf`` lists) are bit-identical to
-    the ones mpmath's ``eigsy`` iterates on.  Only the upper triangle is read,
-    as columns ``a[j][k] = A[k][j]``, k <= j.  A reflector ``(i, u, H)``
-    (tuples) maps the leading ``i`` entries of a vector v to
+    diagonal ``d`` and off-diagonal ``e`` (tuple lists, ``e[-1]`` zero) are
+    bit-identical to the ones mpmath's ``eigsy`` iterates on.  Only the upper
+    triangle is read, as columns ``a[j][k] = A[k][j]``, k <= j.  A reflector
+    ``(i, u, H)`` (tuples) maps the leading ``i`` entries of a vector v to
     ``v - u (u.v) / H``; Q^T v applies them in list order.
     """
     p = mp.prec
     n = len(A)
-    a = [[A[k][j]._mpf_ for k in range(j + 1)] for j in range(n)]
+    a = [[A[k][j] for k in range(j + 1)] for j in range(n)]
     e = [fzero] * n
     reflectors = []
     for i in range(n - 1, 0, -1):
@@ -563,26 +531,25 @@ def _tridiagonalize(A):
                 aj[k] = mpf_sub(aj[k], mpf_add(mpf_mul(F, e[k], p, RND),
                                                mpf_mul(G, u[k], p, RND), p, RND), p, RND)
         reflectors.append((i, u, H))
-    d = [mp.make_mpf(a[i][i]) for i in range(n)]
-    return d, list(map(mp.make_mpf, e[1:] + [fzero])), reflectors
+    return [a[i][i] for i in range(n)], e[1:] + [fzero], reflectors
 
 
-def _tridiagonal_eigenvalues(d, e):
-    """Eigenvalues of the symmetric tridiagonal ``(d, e)``, ascending, into ``d``.
+def _tridiagonal_eigenvalues(D, E):
+    """Eigenvalues of the symmetric tridiagonal ``(D, E)`` (raw tuples), into ``D``.
 
     A port of mpmath 1.3's ``tridiag_eigen`` (EISPACK imtql2, implicit QL)
-    to raw tuples with the same arithmetic, so ``d`` ends bit-identical to
-    the eigenvalues of mpmath's ``eigsy``.  Instead of updating an
-    eigenvector matrix Z it returns the plane rotations ``(i, c, s)``
-    (tuples) in the order applied and the swaps ``(i, k)`` of the final
-    sort; replayed on a row vector z they give z Z.
+    to raw tuples with the same arithmetic, so ``D`` ends holding the
+    eigenvalues of mpmath's ``eigsy``, bit for bit, in the order the
+    iteration leaves them: ``eigsy`` sorts them after, which this port does
+    not.  Instead of updating an eigenvector matrix Z it returns the plane
+    rotations ``(i, c, s)`` (tuples) in the order applied; replayed on a row
+    vector z they give z Z.
     """
     p = mp.prec
-    n = len(d)
-    D, E = [x._mpf_ for x in d], [x._mpf_ for x in e[:n - 1]] + [fzero]
+    n = len(D)
     eps = (+mp.eps)._mpf_
     iterlim = 2 * mp.dps
-    rotations, swaps = [], []
+    rotations = []
     for l in range(n):
         j = 0
         while True:
@@ -626,13 +593,7 @@ def _tridiagonal_eigenvalues(d, e):
             D[l] = mpf_sub(D[l], q, p, RND)
             E[l] = g
             E[m] = fzero
-    d[:] = map(mp.make_mpf, D)
-    for i in range(n - 1):
-        k = min(range(i, n), key=d.__getitem__)  # the first smallest, as mpmath picks
-        if k != i:
-            d[i], d[k] = d[k], d[i]
-            swaps.append((i, k))
-    return rotations, swaps
+    return rotations
 
 
 def _reflect(v, reflectors):
@@ -670,29 +631,25 @@ def truncated_lstsq(cols, b, droptol):
     times the largest.  The Gram matrix and A^T b are exact integer sums
     rounded once (bit-equal to ``mp.fdot``), which one blocked float64
     product of 16-bit limbs computes for all of them at once; E is what
-    mpmath's ``eigsy`` returns for that Gram matrix, and Q is never formed:
-    Q^T A^T b and the map back go through the reflectors and rotations that
-    produced E.  Returns ``(x, kept)``.
+    mpmath's ``eigsy`` returns for that Gram matrix, though not sorted:
+    each component is divided by its own eigenvalue, so their order does not
+    change the result.  Q is never formed: Q^T A^T b and the map back go
+    through the reflectors and rotations that produced E.  Returns
+    ``(x, kept)``.
     """
     G, y = _normal_equations(cols, b)
-    K = len(y)
     E, e, reflectors = _tridiagonalize(G)
-    rotations, swaps = _tridiagonal_eigenvalues(E, e)
-    emax = max(map(abs, E), default=mp.mpf(0))
-    if emax == 0:
-        return [mp.mpf(0)] * K, 0
-    drop2 = (mp.mpf(droptol) ** 2) * emax
+    rotations = _tridiagonal_eigenvalues(E, e)
+    emax = functools.reduce(lambda m, x: x if mpf_gt(x, m) else m, map(mpf_abs, E), fzero)
+    if emax == fzero:
+        return [mp.mpf(0)] * len(y), 0
+    drop2 = ((mp.mpf(droptol) ** 2) * mp.make_mpf(emax))._mpf_
     # y <- Q^T y, replaying Z's updates on a row vector
-    y = [v._mpf_ for v in y]
     _reflect(y, reflectors)
     _rotate(y, rotations)
-    for i, k in swaps:
-        y[i], y[k] = y[k], y[i]
-    keep = [not (Ej <= 0 or Ej <= drop2) for Ej in E]
-    y = [mpf_div(yj, Ej._mpf_, mp.prec, RND) if kj else fzero for yj, Ej, kj in zip(y, E, keep)]
+    keep = [not (mpf_le(Ej, fzero) or mpf_le(Ej, drop2)) for Ej in E]
+    y = [mpf_div(yj, Ej, mp.prec, RND) if kj else fzero for yj, Ej, kj in zip(y, E, keep)]
     # x <- Q y
-    for i, k in reversed(swaps):
-        y[i], y[k] = y[k], y[i]
     _rotate(y, [(i, c, mpf_neg(s)) for i, c, s in reversed(rotations)])
     _reflect(y, reversed(reflectors))
     return list(map(mp.make_mpf, y)), sum(keep)

@@ -180,7 +180,7 @@ def residual(g: ComputationGraph, f, discr: Discretization,
     """
     pts = discr.points
     errtype = ErrType(errtype)
-    with _precision_context(g, g.coeff_type.prec):
+    with _precision_context(g):
         fv = _target_values(f, pts, errtype)
         return _residual(forward_pass(g, pts)[g.outputs[0]], fv, errtype)
 
@@ -201,9 +201,7 @@ def _parts(v):
     """``(Re v, Im v)`` of an extended-precision scalar as raw libmp tuples, unrounded."""
     if isinstance(v, mpmath.mpc):
         return v._mpc_
-    if isinstance(v, mpmath.mpf):
-        return v._mpf_, fzero
-    return mp.mpc(v)._mpc_
+    return v._mpf_, fzero
 
 
 def gn_step(J, r, config: GNConfig) -> np.ndarray:
@@ -273,9 +271,8 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
         raise GraphError(f"coefficient {tuple(repeated[0])} is selected more than once")
     errtype = ErrType(config.errtype)
     real_mode = LinLsqr(config.linlsqr) == LinLsqr.REAL_SVD
-    prec = g.coeff_type.prec
     report = GNReport(iterations=0)
-    with _precision_context(g, prec):
+    with _precision_context(g):
         pts = discr.points
         fv = _target_values(f, pts, errtype)
         if real_mode:

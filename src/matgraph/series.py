@@ -67,25 +67,16 @@ class TruncSeries:
         return isinstance(other, TruncSeries) and self.coeffs == other.coeffs
 
     def __add__(self, other):
-        if is_scalar(other):
-            out = list(self.coeffs)
-            out[0] = out[0] + other
-            return TruncSeries(out)
         n = max(self.nterms, other.nterms)
         a = self.coeffs + [0] * (n - self.nterms)
         b = other.coeffs + [0] * (n - other.nterms)
         return TruncSeries([x + y for x, y in zip(a, b)])
-
-    __radd__ = __add__
 
     def __neg__(self):
         return TruncSeries([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, c) -> "TruncSeries":
         return TruncSeries([c * x for x in self.coeffs])
@@ -104,11 +95,6 @@ class TruncSeries:
                     break
                 out[i + j] = out[i + j] + ai * bj
         return TruncSeries(out)
-
-    def __rmul__(self, other):
-        if is_scalar(other):
-            return self.scale(other)
-        return NotImplemented
 
     def divide(self, den: "TruncSeries") -> "TruncSeries":
         """self / den, requiring den to have a nonzero constant term."""

@@ -8,15 +8,29 @@ import re
 import subprocess
 import tempfile
 
+import mpmath
 import numpy as np
 from mpmath import libmp, mp
 
-from matgraph import CoeffRef, CoeffType, ComputationGraph, GraphError, OpKind, get_topo_order
+from matgraph import (CoeffRef, CoeffType, ComputationGraph, Degopt, DegoptError, GraphError,
+                      OpKind, eval_graph_poly, get_topo_order, graph_degopt)
 from matgraph.graph import IDENTITY_ID, _drop, _retarget
 from matgraph.autodiff import _zeros_like_points, as_point_array
 from matgraph.codegen import Schedule
 from matgraph.evaluation import _eval_nodes, _ops_for, _precision_context, lincomb
-from matgraph.numerics import _fixed_point, as_mp_matrix, convert_scalar
+from matgraph.numerics import _fixed_point, convert_scalar
+
+
+def as_mp_matrix(data, prec: int) -> mpmath.matrix:
+    """Build an extended-precision matrix, rounding entries to ``prec`` bits."""
+    with mp.workprec(prec):
+        rows = np.asarray(data, dtype=object)
+        if rows.ndim != 2:
+            raise ValueError("expected a 2-d array")
+        M = mp.matrix(*rows.shape)
+        for (i, j), v in np.ndenumerate(rows):
+            M[i, j] = mp.mpc(v) if getattr(v, "imag", 0) != 0 else mp.mpf(getattr(v, "real", v))
+        return M
 
 
 def taylor_exp_mp(A: np.ndarray, prec: int = 512) -> np.ndarray:
@@ -301,6 +315,24 @@ def random_messy_graph(rng: np.random.Generator) -> ComputationGraph:
     return g
 
 
+def degopt_degree(d: Degopt, prec: int = 256) -> int:
+    """Exact degree of the represented polynomial (mult variant only).
+
+    The polynomial is expanded at ``prec`` bits and coefficients smaller
+    than 2^(-prec/2) in magnitude are treated as zero.
+    """
+    if d.variant != "mult":
+        raise DegoptError("degree is defined for the polynomial (mult) variant only")
+    g, _ = graph_degopt(d)
+    coeffs = eval_graph_poly(g, prec=prec)
+    tol = 2.0 ** (-prec // 2)
+    deg = 0
+    for j, c in enumerate(coeffs):
+        if abs(c) > tol:
+            deg = j
+    return deg
+
+
 def yks_eval_direct(spec, x):
     """Reference evaluation of the y_ks recursion of a ``YksCoeffs`` bundle at ``x``."""
     w = x ** spec.s * sum(spec.c[j] * x ** (j + 1) for j in range(spec.s))
@@ -401,8 +433,7 @@ def min_peak_exhaustive(g: ComputationGraph) -> int:
     return best[0]
 
 
-def schedule_kary_scan(node_parents: dict[str, tuple], inputs: set[str],
-                       outputs: list[str]) -> Schedule:
+def schedule_kary_scan(node_parents: dict[str, tuple], outputs: list[str]) -> Schedule:
     """Reference list scheduler: rescans every node after each pick, O(n^2).
 
     Picks ``max(sorted(ready), key=frees)``: the ready node freeing the most
@@ -513,6 +544,8 @@ def run_matlab_like(src: str, A: np.ndarray):
             env[target] = A.shape[0]
         elif expr == "eye(n,n)":
             env[target] = np.eye(A.shape[0], dtype=A.dtype)
+        elif expr.startswith("("):  # a complex literal, (a + bi) or (a - bi)
+            env[target] = _ml_factor(expr, env)
         elif " \\ " in expr:
             lhs, rhs = expr.split(" \\ ")
             env[target] = np.linalg.solve(env[lhs.strip()], env[rhs.strip()])

@@ -17,8 +17,8 @@ PUBLIC_NAMES = [
     "OpKind", "OptimizeError", "RunErrMode", "Schedule", "SeriesError",
     "SingularMatrixError", "ThetaKind", "ThetaResult", "TruncSeries", "YksCoeffs",
     "autodiff", "bigfloat", "cgr", "codegen", "compress_graph", "compute_bwd_theta_exp",
-    "compute_fwd_theta", "convert_precision", "convert_scalar", "degopt", "degopt_degree",
-    "degopt_from_graph", "erroranalysis", "eval_graph", "eval_graph_poly", "eval_jac",
+    "compute_fwd_theta", "convert_precision", "convert_scalar", "degopt", "degopt_from_graph",
+    "erroranalysis", "eval_graph", "eval_graph_poly", "eval_jac",
     "eval_runerr", "evaluation", "exp_target", "export_compgraph", "finite_diff_jac",
     "gen_code", "generators", "get_target", "get_topo_order", "gn_step", "graph",
     "graph_degopt", "graph_degree_bound", "graph_denman_beavers", "graph_exp_pade_ss",
@@ -59,7 +59,6 @@ PARAMETERS = {
     "compute_fwd_theta": ["g", "f_series", "u", "prec"],
     "convert_precision": ["g", "ct"],
     "convert_scalar": ["x", "ct"],
-    "degopt_degree": ["d", "prec"],
     "degopt_from_graph": ["g"],
     "eval_graph": ["g", "x", "prec"],
     "eval_graph_poly": ["g", "prec"],
@@ -67,7 +66,7 @@ PARAMETERS = {
     "eval_runerr": ["g", "x", "mode", "u", "seed"],
     "exp_target": ["z"],
     "export_compgraph": ["g", "path"],
-    "finite_diff_jac": ["g", "points", "refs", "h", "complex_step"],
+    "finite_diff_jac": ["g", "points", "refs", "h"],
     "gen_code": ["g", "target", "path"],
     "get_target": ["name", "coeff_type"],
     "get_topo_order": ["g", "all_nodes"],

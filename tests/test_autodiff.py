@@ -105,14 +105,6 @@ class TestFiniteDifferenceAgreement:
             diff = max(abs(a - b) for a, b in zip(J1.reshape(-1), J2.reshape(-1)))
             assert diff <= scale * mp.mpf(2) ** -100
 
-    def test_complex_step(self):
-        c = [1.0 / math.factorial(j) for j in range(6)]
-        g, cref = graph_monomial(c)
-        pts = circle_discr(10)
-        J1 = eval_jac(g, pts, cref).entries
-        J2 = finite_diff_jac(g, pts, cref, h=1e-7, complex_step=True).entries
-        assert np.allclose(J1, J2, rtol=1e-6, atol=1e-10)
-
     def test_random_graphs_within_tolerance(self):
         # acceptance 8(a) scope lives in test_acceptance; spot-check here.
         # The difference quotient runs at 256 bits so its own noise cannot

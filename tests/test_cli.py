@@ -190,6 +190,19 @@ class TestOptimize:
         z = 0.25
         assert abs(eval_graph(g, z) - math.exp(z)) <= 5e-5 * math.exp(z)
 
+    def test_csv_report_has_one_row_per_step(self, tmp_path):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1,0.5", "--out", str(gfile)])
+        args = ["optimize", str(gfile), "--target", "exp", "--radius", "0.3", "--points", "20",
+                "--precision", "53", "--maxiter", "3", "--stoptol", "1e-30",
+                "--out", str(tmp_path / "o.cgr"), "--report"]
+        assert run(args + [str(tmp_path / "fit.csv")]) == 0
+        assert run(args + [str(tmp_path / "fit.json")]) == 0
+        history = json.loads((tmp_path / "fit.json").read_text())["residual_history"]
+        lines = (tmp_path / "fit.csv").read_text().splitlines()
+        assert len(history) == 3
+        assert lines == ["iteration,max_residual"] + [f"{i},{r!r}" for i, r in enumerate(history)]
+
     def test_verbose_logs_progress_to_stderr(self, tmp_path, capsys):
         gfile = tmp_path / "g.cgr"
         run(["generate", "--scheme", "monomial", "--coeffs", "1,1,0.5", "--out", str(gfile)])

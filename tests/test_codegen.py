@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from matgraph import (
+    CoeffType,
     ComputationGraph,
     EmitTarget,
     GraphError,
@@ -109,7 +110,7 @@ class TestSchedule:
         rng = np.random.default_rng(64)
         for trial in range(300):
             node_parents, outputs = random_kary_dag(rng, int(rng.integers(1, 40)))
-            args = (node_parents, {"I", "A"}, outputs)
+            args = (node_parents, outputs)
             assert _schedule_kary(*args) == schedule_kary_scan(*args), trial
 
     def test_heap_scheduler_matches_scan_on_emission_plans(self):
@@ -119,22 +120,22 @@ class TestSchedule:
         for g in graphs:
             for fuse in (False, True):
                 _, node_parents = _emission_plan(g, fuse)
-                args = (node_parents, g.input_ids, g.outputs)
+                args = (node_parents, g.outputs)
                 assert _schedule_kary(*args) == schedule_kary_scan(*args)
 
     def test_heap_scheduler_matches_scan_on_denman_beavers_400(self):
         g, _ = graph_denman_beavers(400)
         node_parents = {nid: g.parents[nid] for nid in get_topo_order(g)}
-        assert plan_schedule(g) == schedule_kary_scan(node_parents, g.input_ids, g.outputs)
+        assert plan_schedule(g) == schedule_kary_scan(node_parents, g.outputs)
         compress_graph(g)
         _, node_parents = _emission_plan(g, True)
-        args = (node_parents, g.input_ids, g.outputs)
+        args = (node_parents, g.outputs)
         assert _schedule_kary(*args) == schedule_kary_scan(*args)
 
     def test_cycle_raises(self):
         node_parents = {"X": ("A", "Y"), "Y": ("X", "I"), "Z": ("A", "A")}
         with pytest.raises(GraphError, match="cycle"):
-            _schedule_kary(node_parents, {"I", "A"}, ["Y"])
+            _schedule_kary(node_parents, ["Y"])
 
 
 class TestMatlab:
@@ -329,3 +330,84 @@ class TestC:
 def test_invalid_function_name():
     with pytest.raises(GraphError):
         EmitTarget("matlab", "bad name")
+
+
+@pytest.mark.parametrize("name", ["double", "end", "A", "n", "free", "coeff3", "out12", "v_f"])
+def test_reserved_function_name_refused(name):
+    with pytest.raises(GraphError, match="invalid function name"):
+        EmitTarget("c", name)
+
+
+def _chain(ids, input_id="A"):
+    """A single-output graph whose nodes carry the given ids, each used after it is made."""
+    g = ComputationGraph(input_id=input_id)
+    prev = input_id
+    for k, nid in enumerate(ids):
+        if k % 2:
+            g.add_lincomb(nid, 0.5, prev, 0.25 * k, input_id)
+        else:
+            g.add_mult(nid, prev, input_id)
+        prev = nid
+    g.add_mult("Y", prev, ids[0])
+    g.set_outputs(["Y"])
+    return g
+
+
+def _emitted_matches_evaluator(g, A, fn="f"):
+    want = eval_graph(g, A)
+    got = run_matlab_like(gen_code(g, EmitTarget("matlab", fn)), A)
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
+    if HAVE_CC:
+        from matgraph.codegen import _gen_c
+
+        src, header = _gen_c(g, EmitTarget("c", fn))
+        got = compile_and_run_c(src, header, fn, A)
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+class TestEmittedNames:
+    """Every node gets its own name, legal in C and MATLAB, that no emitted name shadows."""
+
+    def test_node_named_like_the_argument(self):
+        g = ComputationGraph(input_id="x")
+        g.add_mult("A", "x", "x")
+        g.add_mult("Y", "A", "x")
+        g.set_outputs(["Y"])
+        A = np.diag([2.0, 3.0])
+        assert np.array_equal(eval_graph(g, A), np.diag([8.0, 27.0]))
+        _emitted_matches_evaluator(g, A)
+
+    def test_prefixed_ids_stay_distinct(self):
+        g = _chain(["n", "v_n", "v_v_n"])
+        src = gen_code(g, EmitTarget("matlab", "f"))
+        assert "v_v_n = " in src and "v_v_v_n = " in src
+        _emitted_matches_evaluator(g, np.diag([0.5, 0.75]))
+
+    def test_numbered_node_survives_a_long_fused_lincomb(self):
+        g = ComputationGraph()
+        g.add_mult("coeff10", "A", "A")
+        prev = "coeff10"
+        for k in range(1, 11):
+            g.add_lincomb(f"S{k}", 0.5, prev, 0.125 * k, "A" if k % 2 else "I")
+            prev = f"S{k}"
+        g.add_mult("Y", prev, "coeff10")
+        g.set_outputs(["Y"])
+        src = gen_code(g, EmitTarget("matlab", "f"))
+        assert "coeff11 = " in src
+        _emitted_matches_evaluator(g, np.array([[0.5, 0.25], [-0.125, 0.75]]))
+
+    def test_reserved_ids_compile(self):
+        ids = ["free", "F_H", "int", "end", "size", "eye", "out2", "output", "Ieye", "i", "k",
+               "work", "nn", "f", "mgk_copy", "size_t", "calloc", "function"]
+        g = _chain(ids)
+        _emitted_matches_evaluator(g, np.array([[0.5, 0.25], [-0.125, 0.75]]))
+
+    def test_complex_coefficients_in_matlab(self):
+        g = ComputationGraph(CoeffType(is_complex=True))
+        g.add_mult("X2", "A", "A")
+        g.add_sum("S", [(1 + 2j, "I"), (-0.5j, "A"), (0.25 - 1j, "X2")])
+        g.set_outputs(["S"])
+        src = gen_code(g, EmitTarget("matlab", "f"))
+        assert "(1.0 + 2.0i)" in src and "(0.25 - 1.0i)" in src
+        A = np.array([[0.5, 0.25j], [-0.125, 0.75]])
+        assert np.allclose(run_matlab_like(src, A), eval_graph(g, A), rtol=1e-15, atol=0)

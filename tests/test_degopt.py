@@ -14,7 +14,6 @@ from matgraph import (
     YksCoeffs,
     bigfloat,
     convert_scalar,
-    degopt_degree,
     degopt_from_graph,
     eval_graph,
     graph_degopt,
@@ -30,7 +29,7 @@ from matgraph import (
 from matgraph.degopt import ps_block_size
 from matgraph.numerics import working_precision
 
-from support import yks_eval_direct
+from support import degopt_degree, yks_eval_direct
 
 
 def unit_circle(n, rng=None):

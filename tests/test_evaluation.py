@@ -20,9 +20,8 @@ from matgraph import (
 )
 from matgraph.evaluation import _eval_nodes, graph_degree_bound
 from matgraph.graph import get_topo_order
-from matgraph.numerics import as_mp_matrix
 
-from support import mp_bits, oracle_eval_mp_matrix, random_graph
+from support import as_mp_matrix, mp_bits, oracle_eval_mp_matrix, random_graph
 
 
 class TestScalarAndMatrix:
@@ -221,3 +220,55 @@ def test_eval_nodes_frees_intermediates():
     slots = _eval_nodes(g, 0.5, order, keep_all=False)
     assert set(g.outputs) <= set(slots)
     assert len(slots) < len(order) + 2
+
+
+class TestPrecisionRule:
+    """An extended-precision graph computes at its own precision, whatever the argument."""
+
+    @staticmethod
+    def quadratic():
+        g = ComputationGraph(bigfloat(256))
+        g.add_mult("X2", "A", "A")
+        g.add_lincomb("Y", 1, "I", 3, "X2")  # 1 + 3x^2
+        g.set_outputs(["Y"])
+        return g
+
+    def test_binary64_argument_read_exactly(self):
+        g = self.quadratic()
+        with mp.workprec(256):
+            want = eval_graph(g, mp.mpf(0.1))
+            assert want - (1 + 3 * mp.mpf(0.1) ** 2) == 0
+        assert eval_graph(g, 0.1) == want
+        assert eval_graph(g, 1) == 4 and isinstance(eval_graph(g, 1), mp.mpf)
+        points = eval_graph(g, np.array([0.1, 0.25]))
+        assert points.dtype == object and points[0] == want
+        assert eval_graph(g, 0.1 + 0.2j) == eval_graph(g, mp.mpc(0.1, 0.2))
+        assert eval_graph(g, np.array([0.1 + 0.2j]))[0] == eval_graph(g, mp.mpc(0.1, 0.2))
+
+    def test_binary64_matrix_computed_in_extended_precision(self):
+        g, _ = graph_exp_pade_ss(13, 0, bigfloat(256))
+        A = np.random.default_rng(9).standard_normal((5, 5)) / 4
+        got = eval_graph(g, A)
+        assert got.dtype == object
+        with mp.workprec(256):
+            want = eval_graph(g, mp.matrix(A.tolist()))
+            err = max(abs(got[i, j] - want[i, j]) for i in range(5) for j in range(5))
+            assert err <= mp.mpf(2) ** -240 * mp.mnorm(want, 1)
+
+    def test_ambient_precision_ignored(self):
+        g = self.quadratic()
+        with mp.workprec(256):
+            x = mp.mpf(1) / 3
+        want = eval_graph(g, x)
+        with mp.workprec(80):
+            got = eval_graph(g, x)
+        assert got._mpf_ == want._mpf_
+        with mp.workprec(80):
+            assert eval_graph(g, x, prec=80)._mpf_ != want._mpf_
+
+    def test_zero_denominator_at_extended_point_names_it(self):
+        g = ComputationGraph(bigfloat(256))
+        g.add_ldiv("X", "A", "I")
+        g.set_outputs(["X"])
+        with pytest.raises(SingularMatrixError, match="point index 1"):
+            eval_graph(g, np.array([mp.mpf(2), mp.mpf(0), mp.mpf(3)], dtype=object))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from mpmath import mp
 
 from matgraph import (
     CoeffRef,
@@ -317,6 +318,21 @@ class TestMerge:
         assert vals[0] == pytest.approx(1.03) and vals[1] == pytest.approx(1.03)
         # exact value preservation: no coefficient rewriting
         assert vals[0] == vals[1] == eval_graph(g, 0.1)
+
+    def test_mixed_precisions_merge_at_the_higher(self):
+        third = {}
+        graphs = []
+        for prec in (128, 256):
+            g = ComputationGraph(bigfloat(prec))
+            with mp.workprec(prec):
+                third[prec] = mp.mpf(1) / 3
+            g.add_lincomb("Y", third[prec], "A", 0, "I")
+            g.set_outputs(["Y"])
+            graphs.append(g)
+        merged = merge_graph(*graphs)
+        assert merged.coeff_type == bigfloat(256)
+        c1, c2 = merged.get_coeffs([CoeffRef("Y", 1), CoeffRef("Y_b", 1)])
+        assert c1 == third[128] and c2 == third[256] and c1 != c2
 
     def test_collision_renamed(self):
         g, _ = monomial_103()
