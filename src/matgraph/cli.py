@@ -469,7 +469,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config(args, parser)
-        return args.func(args)
+        # a non-finite result is reported by the command itself (exit 3);
+        # numpy's floating-point warnings would only repeat it on stderr
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return args.func(args)
     except CliError as exc:
         print(f"matgraph: {exc}", file=sys.stderr)
         return exc.code

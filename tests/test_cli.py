@@ -275,6 +275,22 @@ class TestOptimize:
         assert code == 3
         assert "not finite" in capsys.readouterr().err
 
+    def test_nan_coefficient_in_solve_graph_warns_nothing(self, tmp_path, capsys):
+        # numpy flags the NaN divisions of the points evaluation; the command
+        # reports the non-finite residual itself and numpy's warning is not
+        # raised (the test suite turns warnings into errors) nor printed
+        gfile = tmp_path / "db.cgr"
+        run(["generate", "--scheme", "denman-beavers", "--iters", "2", "--out", str(gfile)])
+        text = gfile.read_text()
+        gfile.write_text(text.replace("coeff1=0.5;", "coeff1=nan;", 1))
+        code = run(["optimize", str(gfile), "--target", "exp", "--radius", "0.5",
+                    "--points", "8", "--maxiter", "2", "--precision", "53",
+                    "--out", str(tmp_path / "o.cgr")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "not finite" in err
+        assert "RuntimeWarning" not in err
+
 
 class TestCertify:
     def test_pade13_theta_row(self, tmp_path, capsys):
