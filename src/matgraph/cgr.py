@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .graph import ComputationGraph, GraphError, get_topo_order, OpKind
 from .numerics import CoeffType, working_precision
@@ -61,11 +61,8 @@ def _hex_to_mpf(text: str, prec: int):
     if not mobj:
         raise ValueError(f"bad hex float {text!r}")
     sign, man, exp = mobj.groups()
-    man = int(man, 16)
-    with mp.workprec(max(prec, man.bit_length() + 4)):
-        v = mp.ldexp(mp.mpf(man), int(exp))
-    with mp.workprec(prec):
-        return +v if not sign else -v
+    man = -int(man, 16) if sign else int(man, 16)
+    return mp.make_mpf(libmp.from_man_exp(man, int(exp), prec, libmp.round_nearest))
 
 
 def _format_number(v, ct: CoeffType) -> str:

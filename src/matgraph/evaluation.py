@@ -51,18 +51,30 @@ def _precision_context(g: ComputationGraph, prec: int | None = None):
 
 
 def _exact_mp(x):
-    """A binary64 argument (scalar or ndarray) as mpmath numbers of the same value.
+    """A binary64 or integer argument (scalar or ndarray) as mpmath numbers of the same value.
 
     Any other argument is returned as it is.
     """
-    if isinstance(x, np.ndarray) and x.dtype.kind in "fc":
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iufc":
         return np.array([_exact_mp(v) for v in x.ravel().tolist()], dtype=object).reshape(x.shape)
     if isinstance(x, complex):
         return mp.make_mpc((libmp.from_float(x.real), libmp.from_float(x.imag)))
     if isinstance(x, float):
         return mp.make_mpf(libmp.from_float(x))
-    if isinstance(x, int):
-        return mp.make_mpf(libmp.from_int(x))
+    if isinstance(x, (int, np.integer)):
+        return mp.make_mpf(libmp.from_int(int(x)))
+    return x
+
+
+def _float64(x):
+    """An integer numpy argument (scalar or ndarray) in float64, never in wrapping int64.
+
+    Any other argument is returned as it is.
+    """
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
+        return x.astype(np.float64)
+    if isinstance(x, np.integer):
+        return float(x)
     return x
 
 
@@ -153,11 +165,11 @@ def _eval_nodes(g, x, order, keep_all=False):
     The map holds ``x`` under ``g.input_id``, the identity under ``"I"``,
     every output, and, with ``keep_all``, every node of ``order``.  Without
     ``keep_all``, other slots are freed after their last use; results are
-    unaffected.  An extended-precision graph reads a binary64 ``x`` as the
-    mpmath numbers of the same value, so that no operation runs in binary64.
+    unaffected.  An extended-precision graph reads a binary64 or integer
+    ``x`` as the mpmath numbers of the same value, so that no operation runs
+    in binary64, and a binary64 graph reads integer numpy values as float64.
     """
-    if g.coeff_type.prec is not None:
-        x = _exact_mp(x)
+    x = _exact_mp(x) if g.coeff_type.prec is not None else _float64(x)
     ops = _ops_for(x)
     slots = {"I": ops.identity(x), g.input_id: x}
     last_use: dict[str, int] = {}

@@ -17,20 +17,21 @@ object or a matrix index per operation, and give mpmath's own results bit
 for bit (:func:`mp_matmul`, :func:`mp_lincomb`, :func:`mat_lu_solve`).
 
 The extended-precision least-squares step (:func:`truncated_lstsq`) forms
-its Gram matrix from exact integer dot products rounded once, setting aside
-the few entries far below their column's largest so that they do not widen
-every integer.  The dot products are float64 BLAS products of 16-bit limbs
-of the integers, small enough that no sum rounds (the error-free splitting
-of Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  The Gram
-matrix is reduced with ports of mpmath's symmetric eigensolver that run on
-raw libmp tuples: the same roundings as ``mpmath.eigsy`` without an ``mpf``
-object per operation.
+its Gram matrix from exact integer dot products, setting aside the few
+entries far below their column's largest so that they do not widen every
+integer.  The dot products are float64 BLAS products of 16-bit limbs of the
+integers, small enough that no sum rounds (the error-free splitting of
+Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  The Gram matrix
+is then reduced in fixed point on Python integers, 2 prec + 64 bits below
+its largest entry, by Householder tridiagonalisation and implicit QL; the
+step is rounded to the working precision once, at the end.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,9 +40,9 @@ from typing import Callable, NamedTuple
 import mpmath
 import numpy as np
 from mpmath import libmp, mp
-from mpmath.libmp import (fone, fzero, mpc_abs, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_hypot,
-                          mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_rdiv_int, mpf_shift, mpf_sqrt,
-                          mpf_sub, mpf_sum, round_nearest as RND)
+from mpmath.libmp import (fone, fzero, mpc_abs, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le,
+                          mpf_mul, mpf_rdiv_int, mpf_shift, mpf_sub, mpf_sum,
+                          round_nearest as RND)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -361,11 +362,12 @@ def _mp_lu_solve(A, B):
 # ---------------------------------------------------------------------------
 # truncated least squares
 #
-# The kernels work on raw libmp tuples at (mp.prec, round nearest): they read
-# ``_mpf_`` once and call libmp's ``mpf_*`` in the order the ``mpf``
-# operators would, each rounding as its operator does, so the results are
-# bit-identical to object code.  2*x is written ``mpf_shift(x, 1)``, which is
-# exact, as ``2 * x`` is.
+# The kernels work on Python integers: the normal equations are exact, and
+# the eigen-decomposition runs in fixed point, a value v held as the integer
+# v 2^F for F fractional bits.  A product of two such integers is shifted
+# down by F (``>> F``), a quotient shifted up first (``(x << F) // y``), and
+# a square root of a sum of products, which has 2F fractional bits, is
+# ``math.isqrt`` of it.  Each rounds down, by at most 2^-F.
 
 #: an entry more than this many bits below its vector's largest is set aside
 OUTLIER_BITS = 64
@@ -444,7 +446,7 @@ def _limb_products(mss):
 
 
 def _normal_equations(cols, b):
-    """``(A^T A, A^T b)`` as lists of raw tuples, each an exact integer sum rounded once.
+    """``(A^T A, A^T b)`` as lists of exact ``(man, exp)`` sums, never rounded.
 
     A row that some vector set aside (see :func:`_fixed_point`) leaves the
     limb product: every vector's exact entry there is kept instead, and each
@@ -468,7 +470,7 @@ def _normal_equations(cols, b):
             low = min(exp, *(t for _, t in terms))
             man = (man << (exp - low)) + sum(m << (t - low) for m, t in terms)
             exp = low
-        return libmp.from_man_exp(man, exp, mp.prec, RND)
+        return man, exp
 
     K = len(cols)
     G = [[None] * K for _ in range(K)]
@@ -478,146 +480,95 @@ def _normal_equations(cols, b):
     return G, [dot(a, K) for a in range(K)]
 
 
-def _tridiagonalize(A):
-    """Householder reduction of the symmetric ``A`` (raw tuples) to ``(d, e, reflectors)``.
+def _to_fixed(sums, bits):
+    """``(ms, e)``: the exact ``(man, exp)`` pairs ``sums`` in fixed point, ``ms[i] * 2**e``.
 
-    A port of mpmath 1.3's ``r_sy_tridiag`` (EISPACK tred2) to raw tuples
-    that does not accumulate Q: the same operations in the same order, so the
-    diagonal ``d`` and off-diagonal ``e`` (tuple lists, ``e[-1]`` zero) are
-    bit-identical to the ones mpmath's ``eigsy`` iterates on.  Only the upper
-    triangle is read, as columns ``a[j][k] = A[k][j]``, k <= j.  A reflector
-    ``(i, u, H)`` (tuples) maps the leading ``i`` entries of a vector v to
-    ``v - u (u.v) / H``; Q^T v applies them in list order.
+    The largest entry is scaled to just below 2**bits and every entry keeps
+    the bits above 2**e, rounded down.
     """
-    p = mp.prec
-    n = len(A)
-    a = [[A[k][j] for k in range(j + 1)] for j in range(n)]
-    e = [fzero] * n
+    e = max((exp + man.bit_length() for man, exp in sums if man), default=bits) - bits
+    return [man << (exp - e) if exp >= e else man >> (e - exp) for man, exp in sums], e
+
+
+def _householder(a, F):
+    """Householder reduction of a symmetric fixed-point matrix to ``(d, e, reflectors)``.
+
+    ``a`` holds the lower triangle by rows, ``a[j][k]`` for k <= j, each an
+    integer with ``F`` fractional bits, and is overwritten (EISPACK tred2
+    without Q).  ``e[m]`` couples ``d[m]`` and ``d[m + 1]``, and ``e[-1]`` is
+    0.  A reflector ``(i, u, w)`` maps the leading ``i`` entries of a vector
+    v to ``v - 2 u (u.v) / w`` with ``w = |u|^2`` exactly, so it is exactly
+    orthogonal; Q^T v applies them in list order.
+    """
+    n = len(a)
+    e = [0] * n
     reflectors = []
     for i in range(n - 1, 0, -1):
         u = a[i][:i]
-        scale = fzero
-        for k in range(i):
-            scale = mpf_add(scale, mpf_abs(u[k], p, RND), p, RND)
-        if i == 1 or scale == fzero:  # mpmath also skips an infinite 1/scale, which mpf never gives
-            e[i] = u[i - 1]
+        sigma = sum(x * x for x in u)
+        if i == 1 or not sigma:
+            e[i - 1] = u[-1]
             continue
-        scale_inv = mpf_div(fone, scale, p, RND)
-        H = fzero
-        for k in range(i):
-            u[k] = uk = mpf_mul(u[k], scale_inv, p, RND)
-            H = mpf_add(H, mpf_mul(uk, uk, p, RND), p, RND)
-        F = u[i - 1]
-        G = mpf_sqrt(H, p, RND)
-        if mpf_gt(F, fzero):
-            G = mpf_neg(G)
-        e[i] = mpf_mul(scale, G, p, RND)
-        H = mpf_sub(H, mpf_mul(F, G, p, RND), p, RND)
-        u[i - 1] = mpf_sub(F, G, p, RND)
-        F = fzero
+        f = u[-1]
+        g = -math.isqrt(sigma) if f > 0 else math.isqrt(sigma)
+        e[i - 1] = g
+        u[-1] = f - g
+        w = sigma - f * f + u[-1] * u[-1]
+        # p = 2 A u / w, K = u.p / w, q = p - K u, A <- A - u q^T - q u^T
+        p = [((sum(map(operator.mul, a[j], u)) + sum(a[k][j] * u[k] for k in range(j + 1, i)))
+              << (F + 1)) // w for j in range(i)]
+        K = (sum(map(operator.mul, u, p)) << F) // w
+        q = [pj - (K * uj >> F) for pj, uj in zip(p, u)]
         for j in range(i):
-            aj, G = a[j], fzero
-            for k in range(j + 1):
-                G = mpf_add(G, mpf_mul(aj[k], u[k], p, RND), p, RND)
-            for k in range(j + 1, i):
-                G = mpf_add(G, mpf_mul(a[k][j], u[k], p, RND), p, RND)
-            e[j] = mpf_div(G, H, p, RND)
-            F = mpf_add(F, mpf_mul(e[j], u[j], p, RND), p, RND)
-        HH = mpf_div(F, mpf_shift(H, 1), p, RND)
-        for j in range(i):
-            F, aj = u[j], a[j]
-            e[j] = G = mpf_sub(e[j], mpf_mul(HH, F, p, RND), p, RND)
-            for k in range(j + 1):
-                aj[k] = mpf_sub(aj[k], mpf_add(mpf_mul(F, e[k], p, RND),
-                                               mpf_mul(G, u[k], p, RND), p, RND), p, RND)
-        reflectors.append((i, u, H))
-    return [a[i][i] for i in range(n)], e[1:] + [fzero], reflectors
+            uj, qj, aj = u[j], q[j], a[j]
+            aj[:] = [x - ((uj * qk + qj * uk) >> F) for x, uk, qk in zip(aj, u, q)]
+        reflectors.append((i, u, w))
+    return [a[i][i] for i in range(n)], e, reflectors
 
 
-def _tridiagonal_eigenvalues(D, E):
-    """Eigenvalues of the symmetric tridiagonal ``(D, E)`` (raw tuples), into ``D``.
+def _implicit_ql(d, e, F):
+    """Eigenvalues of the fixed-point symmetric tridiagonal ``(d, e)``, into ``d``.
 
-    A port of mpmath 1.3's ``tridiag_eigen`` (EISPACK imtql2, implicit QL)
-    to raw tuples with the same arithmetic, so ``D`` ends holding the
-    eigenvalues of mpmath's ``eigsy``, bit for bit, in the order the
-    iteration leaves them: ``eigsy`` sorts them after, which this port does
-    not.  Instead of updating an eigenvector matrix Z it returns the plane
-    rotations ``(i, c, s)`` (tuples) in the order applied; replayed on a row
-    vector z they give z Z.
+    Implicit QL with shifts (EISPACK imtql2, as in Numerical Recipes'
+    tqli) on integers with ``F`` fractional bits.  ``e[m]`` is deflated
+    once ``|e[m]| <= (|d[m]| + |d[m + 1]|) 2^-prec`` or ``|e[m]| <=
+    2^-(prec + 32)`` times the largest ``|d|`` or ``|e|``: the relative test
+    alone stalls on eigenvalues at the level of the fixed-point resolution.
+    Returns the plane rotations ``(i, c, s)`` in the order applied; replayed
+    on a row vector z they give z Z for the eigenvector matrix Z.
     """
-    p = mp.prec
-    n = len(D)
-    eps = (+mp.eps)._mpf_
+    prec, n, one = mp.prec, len(d), 1 << F
+    floor = max(map(abs, d + e), default=0) >> (prec + 32)
     iterlim = 2 * mp.dps
     rotations = []
     for l in range(n):
-        j = 0
-        while True:
+        for it in range(iterlim + 1):
             m = l
-            while m + 1 != n and not mpf_le(mpf_abs(E[m]), mpf_mul(
-                    eps, mpf_add(mpf_abs(D[m]), mpf_abs(D[m + 1]), p, RND), p, RND)):
+            while m + 1 < n and abs(e[m]) > floor and abs(e[m]) << prec > abs(d[m]) + abs(d[m + 1]):
                 m += 1
             if m == l:
                 break
-            if j >= iterlim:
+            if it == iterlim:
                 raise ArithmeticError(f"no convergence to an eigenvalue after {iterlim} iterations")
-            j += 1
-            q = D[l]
-            g = mpf_div(mpf_sub(D[l + 1], q, p, RND), mpf_shift(E[l], 1), p, RND)
-            r = mpf_hypot(g, fone, p, RND)
-            s = mpf_sub(g, r, p, RND) if mpf_lt(g, fzero) else mpf_add(g, r, p, RND)
-            g = mpf_add(mpf_sub(D[m], q, p, RND), mpf_div(E[l], s, p, RND), p, RND)
-            s, c, q = fone, fone, fzero
+            g = ((d[l + 1] - d[l]) << F) // (2 * e[l])
+            r = math.isqrt(g * g + one * one)
+            g = d[m] - d[l] + (e[l] << F) // (g - r if g < 0 else g + r)
+            s = c = one
+            p = 0
             for i in range(m - 1, l - 1, -1):
-                f = mpf_mul(s, E[i], p, RND)
-                b = mpf_mul(c, E[i], p, RND)
-                if mpf_gt(mpf_abs(f), mpf_abs(g)):
-                    c = mpf_div(g, f, p, RND)
-                    r = mpf_hypot(c, fone, p, RND)
-                    E[i + 1] = mpf_mul(f, r, p, RND)
-                    s = mpf_div(fone, r, p, RND)
-                    c = mpf_mul(c, s, p, RND)
-                else:
-                    s = mpf_div(f, g, p, RND)
-                    r = mpf_hypot(s, fone, p, RND)
-                    E[i + 1] = mpf_mul(g, r, p, RND)
-                    c = mpf_div(fone, r, p, RND)
-                    s = mpf_mul(s, c, p, RND)
-                g = mpf_sub(D[i + 1], q, p, RND)
-                r = mpf_add(mpf_mul(mpf_sub(D[i], g, p, RND), s, p, RND),
-                            mpf_mul(mpf_shift(c, 1), b, p, RND), p, RND)
-                q = mpf_mul(s, r, p, RND)
-                D[i + 1] = mpf_add(g, q, p, RND)
-                g = mpf_sub(mpf_mul(c, r, p, RND), b, p, RND)
+                f, b = s * e[i] >> F, c * e[i] >> F
+                e[i + 1] = r = math.isqrt(f * f + g * g)
+                c, s = ((g << F) // r, (f << F) // r) if r else (one, 0)
+                g = d[i + 1] - p
+                r = ((d[i] - g) * s + 2 * c * b) >> F
+                p = s * r >> F
+                d[i + 1] = g + p
+                g = (c * r >> F) - b
                 rotations.append((i, c, s))
-            D[l] = mpf_sub(D[l], q, p, RND)
-            E[l] = g
-            E[m] = fzero
+            d[l] -= p
+            e[l] = g
+            e[m] = 0
     return rotations
-
-
-def _reflect(v, reflectors):
-    """Apply each reflector ``(i, u, H)`` in turn: ``v[:i] -= u (u.v[:i]) / H``.
-
-    ``u.v`` is an exact sum rounded once, as ``mp.fdot`` forms it.
-    """
-    p = mp.prec
-    for i, u, H in reflectors:
-        t = mpf_div(mpf_sum(list(map(mpf_mul, u, v[:i])), p, RND), H, p, RND)
-        for k in range(i):
-            v[k] = mpf_sub(v[k], mpf_mul(t, u[k], p, RND), p, RND)
-
-
-def _rotate(v, rotations):
-    """Apply each rotation ``(i, c, s)`` in turn to the row vector ``v``.
-
-    Rounding is symmetric, so ``(i, c, -s)`` in reverse order undoes them.
-    """
-    p = mp.prec
-    for i, c, s in rotations:
-        a, b = v[i], v[i + 1]
-        v[i] = mpf_sub(mpf_mul(c, a, p, RND), mpf_mul(s, b, p, RND), p, RND)
-        v[i + 1] = mpf_add(mpf_mul(s, a, p, RND), mpf_mul(c, b, p, RND), p, RND)
 
 
 def truncated_lstsq(cols, b, droptol):
@@ -628,28 +579,44 @@ def truncated_lstsq(cols, b, droptol):
     (so a caller can produce the entries as they are read).  With A^T A = Q diag(E) Q^T,
     ``x = sum_j q_j (q_j^T A^T b) / E_j`` over the eigenvalues E_j > 0 with
     E_j > droptol^2 max|E|, i.e. the singular values of A above ``droptol``
-    times the largest.  The Gram matrix and A^T b are exact integer sums
-    rounded once (bit-equal to ``mp.fdot``), which one blocked float64
-    product of 16-bit limbs computes for all of them at once; E is what
-    mpmath's ``eigsy`` returns for that Gram matrix, though not sorted:
-    each component is divided by its own eigenvalue, so their order does not
-    change the result.  Q is never formed: Q^T A^T b and the map back go
-    through the reflectors and rotations that produced E.  Returns
-    ``(x, kept)``.
+    times the largest.  The Gram matrix and A^T b are exact integer sums,
+    which one blocked float64 product of 16-bit limbs computes for all of
+    them at once.  Everything after runs on Python integers in fixed point,
+    F = 2 prec + 64 fractional bits below the largest Gram entry (A^T b
+    below its own largest): Householder tridiagonalisation, implicit QL, and
+    Q^T A^T b and the map back through the reflectors and rotations, so Q is
+    never formed.  The rank rule compares each integer eigenvalue exactly
+    with droptol^2 max|E| at the working precision, and x is rounded to the
+    working precision once.  Returns ``(x, kept)``.
     """
     G, y = _normal_equations(cols, b)
-    E, e, reflectors = _tridiagonalize(G)
-    rotations = _tridiagonal_eigenvalues(E, e)
-    emax = functools.reduce(lambda m, x: x if mpf_gt(x, m) else m, map(mpf_abs, E), fzero)
-    if emax == fzero:
-        return [mp.mpf(0)] * len(y), 0
-    drop2 = ((mp.mpf(droptol) ** 2) * mp.make_mpf(emax))._mpf_
+    K, F = len(y), 2 * mp.prec + 64
+    flat, eg = _to_fixed([s for row in G for s in row], F)
+    y, ey = _to_fixed(y, F)
+    d, e, reflectors = _householder([flat[j * K:j * K + j + 1] for j in range(K)], F)
+    rotations = _implicit_ql(d, e, F)
+    emax = max(map(abs, d), default=0)
+    if not emax:
+        return [mp.mpf(0)] * K, 0
+
+    def reflect(reflectors):
+        for i, u, w in reflectors:
+            t = (sum(map(operator.mul, u, y)) << (F + 1)) // w
+            y[:i] = [v - (t * uk >> F) for v, uk in zip(y, u)]
+
+    def rotate(rotations, sign):
+        for i, c, s in rotations:
+            s *= sign
+            a, b = y[i], y[i + 1]
+            y[i], y[i + 1] = (c * a - s * b) >> F, (s * a + c * b) >> F
+
     # y <- Q^T y, replaying Z's updates on a row vector
-    _reflect(y, reflectors)
-    _rotate(y, rotations)
-    keep = [not (mpf_le(Ej, fzero) or mpf_le(Ej, drop2)) for Ej in E]
-    y = [mpf_div(yj, Ej, mp.prec, RND) if kj else fzero for yj, Ej, kj in zip(y, E, keep)]
+    reflect(reflectors)
+    rotate(rotations, 1)
+    threshold = mp.mpf(droptol) ** 2 * emax
+    keep = [Ej > 0 and Ej > threshold for Ej in d]
+    y[:] = [(yj << F) // Ej if kj else 0 for yj, Ej, kj in zip(y, d, keep)]
     # x <- Q y
-    _rotate(y, [(i, c, mpf_neg(s)) for i, c, s in reversed(rotations)])
-    _reflect(y, reversed(reflectors))
-    return list(map(mp.make_mpf, y)), sum(keep)
+    rotate(reversed(rotations), -1)
+    reflect(reversed(reflectors))
+    return [mp.make_mpf(libmp.from_man_exp(v, ey - eg - F, mp.prec, RND)) for v in y], sum(keep)

@@ -15,12 +15,15 @@ run, on the node values that pass kept.  Under relative error the adjoint
 is seeded with 1/f(z_i), which scales every Jacobian row by 1/f(z_i) for
 N reciprocals instead of N*K divisions.
 
-Extended-precision least squares goes through the Gram matrix J^T J and
-its eigenvalues (:func:`~matgraph.numerics.truncated_lstsq`): the squared
-conditioning is harmless at 256 bits, and this is far cheaper than a dense
-bidiagonalization at that precision.  A complex step solves the real
-embedding [[Re J, -Im J], [Im J, Re J]], whose singular values are those of
-J, each twice.  Progress (each iteration's max residual and the stop
+Extended-precision least squares goes through the exact Gram matrix J^T J
+and its eigenvalues, computed in fixed point on Python integers
+(:func:`~matgraph.numerics.truncated_lstsq`): the squared conditioning is
+harmless with 2 prec + 64 fractional bits, and this is far cheaper than a
+dense bidiagonalization in mpmath numbers.  The step is not bit-identical
+to one through ``mpmath.eigsy``, and need not be: steps perturbed by 1e-30
+relative take the same iterations to a radius within 1e-24.  A complex
+step solves the real embedding [[Re J, -Im J], [Im J, Re J]], whose
+singular values are those of J, each twice.  Progress (each iteration's max residual and the stop
 reason) goes to the ``logging`` logger of this module at INFO level, and
 :attr:`GNReport.stop_reason` keeps why the iteration ended.
 """

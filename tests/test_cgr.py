@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from mpmath import mp
+from mpmath import libmp, mp
 
 from matgraph import (
     CgrError,
@@ -174,6 +174,20 @@ class TestParse:
         g = parse_cgr(text)
         assert g.operations["Z"].value == "ldiv"
         assert eval_graph(g, 2.0) == pytest.approx((2 * 4 - 1) / 4)
+
+    def test_wide_hex_mantissa_rounds_once_to_nearest_even(self):
+        # mantissas of 257 and 258 bits read at 256: the ties 2^256 + 1 and
+        # 2^256 + 3 go to the even neighbour, 2^257 + 3 (above half) rounds
+        # up and 2^257 + 1 (below half) down
+        cases = [(2 ** 256 + 1, 2 ** 256), (2 ** 256 + 3, 2 ** 256 + 4),
+                 (2 ** 257 + 3, 2 ** 257 + 4), (2 ** 257 + 1, 2 ** 257)]
+        for sign in ("", "-"):
+            text = 'graph_coeff_type="BigFloat256";\n' + "".join(
+                f"coeff1={sign}0x{man:x}p-300;\ncoeff2=0x1p0;\nB{k}=coeff1*I+coeff2*A;\n"
+                for k, (man, _) in enumerate(cases))
+            g = parse_cgr(text)
+            for k, (_, want) in enumerate(cases):
+                assert g.coeffs[f"B{k}"][0]._mpf_ == libmp.from_man_exp(int(f"{sign}{want}"), -300)
 
     def test_undeclared_identifier(self):
         text = 'graph_coeff_type="Float64";\nX=Y*Z;\n'

@@ -245,6 +245,19 @@ class TestPrecisionRule:
         assert eval_graph(g, 0.1 + 0.2j) == eval_graph(g, mp.mpc(0.1, 0.2))
         assert eval_graph(g, np.array([0.1 + 0.2j]))[0] == eval_graph(g, mp.mpc(0.1, 0.2))
 
+    def test_integer_numpy_arguments_never_wrap(self):
+        # (2^40)^2 overflows int64: a binary64 graph reads integer numpy
+        # values as float64, an extended-precision one as exact mpmath numbers
+        g, _ = graph_monomial([1.0, 0.0, 3.0])
+        want = 1 + 3 * 2.0 ** 80
+        got = eval_graph(g, np.array([2 ** 40, 3]))
+        assert got.dtype == np.float64 and got.tolist() == [want, 28.0]
+        assert eval_graph(g, np.array([[2 ** 40]])).tolist() == [[want]]
+        assert eval_graph(g, np.int64(2 ** 40)) == want
+        gb = convert_precision(g, bigfloat(256))
+        assert eval_graph(gb, np.int64(2 ** 40)) == 1 + 3 * 2 ** 80
+        assert eval_graph(gb, np.array([2 ** 40, 3])).tolist() == [1 + 3 * 2 ** 80, 28]
+
     def test_binary64_matrix_computed_in_extended_precision(self):
         g, _ = graph_exp_pade_ss(13, 0, bigfloat(256))
         A = np.random.default_rng(9).standard_normal((5, 5)) / 4

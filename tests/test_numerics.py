@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import libmp, mp
 
 from matgraph.numerics import (
     CoeffType,
@@ -21,10 +21,11 @@ from matgraph import numerics
 from matgraph.numerics import (
     LIMB_BITS,
     _fixed_point,
+    _householder,
+    _implicit_ql,
     _limb_products,
     _normal_equations,
-    _tridiagonal_eigenvalues,
-    _tridiagonalize,
+    _to_fixed,
 )
 
 from support import (as_mp_matrix, gram_eig_lstsq, mp_bits, oracle_mp_lincomb,
@@ -298,9 +299,20 @@ def _bits(x):
     return x if type(x) is tuple else x._mpf_
 
 
+def _rounded(s):
+    """The exact ``(man, exp)`` sum ``s`` rounded once to the working precision, as raw bits."""
+    return libmp.from_man_exp(*s, mp.prec, libmp.round_nearest)
+
+
+def _exact(x):
+    """``x`` (an ``mpf``) as an exact ``(man, exp)`` pair."""
+    sign, man, exp, _ = x._mpf_
+    return -man if sign else man, exp
+
+
 class TestTruncatedLstsq:
     @pytest.mark.parametrize("n, zero_col", [(34, None), (12, 5), (2, None), (1, None)])
-    def test_eigenvalues_bit_identical_to_eigsy(self, n, zero_col):
+    def test_eigenvalues_match_eigsy_at_twice_prec(self, n, zero_col):
         rng = np.random.default_rng(71 + n)
         with mp.workprec(256):
             M = [[mp.mpf(v) * mp.mpf(2) ** int(e) for v, e in zip(row, rng.integers(-20, 20, n))]
@@ -310,11 +322,16 @@ class TestTruncatedLstsq:
                 for k in range(zero_col):
                     for j in range(zero_col, n):
                         A[k][j] = A[j][k] = mp.mpf(0)
-            E, _ = mp.eigsy(mp.matrix(A))
-            d, e, reflectors = _tridiagonalize([[x._mpf_ for x in row] for row in A])
+            F = 2 * mp.prec + 64
+            flat, e_fixed = _to_fixed([_exact(x) for row in A for x in row], F)
+            d, e, reflectors = _householder([flat[j * n:j * n + j + 1] for j in range(n)], F)
             assert zero_col not in [i for i, _, _ in reflectors]
-            _tridiagonal_eigenvalues(d, e)
-            assert sorted(d, key=mp.make_mpf) == [_bits(E[j]) for j in range(n)]
+            _implicit_ql(d, e, F)
+        with mp.workprec(512):
+            E, _ = mp.eigsy(mp.matrix(A))
+            got = sorted(mp.ldexp(x, e_fixed) for x in d)
+            emax = max(abs(E[j]) for j in range(n))
+            assert max(abs(got[j] - E[j]) for j in range(n)) <= mp.mpf(2) ** -200 * emax
 
     def test_integer_gram_equals_fdot(self):
         rng = np.random.default_rng(72)
@@ -328,8 +345,8 @@ class TestTruncatedLstsq:
             G0, _ = pairwise_normal_equations(cols, cols[0])
             for a in range(len(cols)):
                 for c in range(len(cols)):
-                    assert _bits(G[a][c]) == _bits(mp.fdot(cols[a], cols[c]))
-                    assert _bits(G[a][c]) == _bits(G0[a][c])
+                    assert _rounded(G[a][c]) == _bits(mp.fdot(cols[a], cols[c]))
+                    assert _rounded(G[a][c]) == _bits(G0[a][c])
 
     def test_normal_equations_with_outliers_equal_fdot(self):
         # entries far below their column's largest are set aside and added
@@ -362,9 +379,9 @@ class TestTruncatedLstsq:
             G, y = _normal_equations(cols, b)
             G0, y0 = pairwise_normal_equations(cols, b)
             for a in range(len(cols)):
-                assert _bits(y[a]) == _bits(mp.fdot(cols[a], b)) == _bits(y0[a])
+                assert _rounded(y[a]) == _bits(mp.fdot(cols[a], b)) == _bits(y0[a])
                 for c in range(len(cols)):
-                    assert _bits(G[a][c]) == _bits(mp.fdot(cols[a], cols[c])) == _bits(G0[a][c])
+                    assert _rounded(G[a][c]) == _bits(mp.fdot(cols[a], cols[c])) == _bits(G0[a][c])
 
     @staticmethod
     def gram_case(name, rng):
@@ -421,9 +438,9 @@ class TestTruncatedLstsq:
             G, y = _normal_equations(cols, b)
             G0, y0 = pairwise_normal_equations(cols, b)
             for a in range(len(cols)):
-                assert _bits(y[a]) == _bits(y0[a]) == _bits(mp.fdot(cols[a], b))
+                assert _rounded(y[a]) == _bits(y0[a]) == _bits(mp.fdot(cols[a], b))
                 for c in range(len(cols)):
-                    assert _bits(G[a][c]) == _bits(G0[a][c]) == _bits(mp.fdot(cols[a], cols[c]))
+                    assert _rounded(G[a][c]) == _bits(G0[a][c]) == _bits(mp.fdot(cols[a], cols[c]))
 
     def test_limb_products_exact_integers(self):
         # vectors of one integer each at every limb edge up to 20 limbs, and
@@ -459,7 +476,39 @@ class TestTruncatedLstsq:
             scale = max(abs(x) for x in want)
             assert max(abs(x - y) for x, y in zip(got, want)) <= mp.mpf(10) ** -70 * scale
 
+    def test_near_duplicate_columns_converge(self):
+        # four columns each equal to another plus 2^-250 noise: the Gram has
+        # four eigenvalues at round-off level (about 2^-500 of the largest).
+        # Implicit QL with only the test relative to the neighbouring
+        # eigenvalues stalls on them; the floor 2^-(prec + 32) max|d| ends it
+        rng = np.random.default_rng(2)
+        with mp.workprec(256):
+            J = [[mp.mpf(v) for v in row] for row in rng.standard_normal((30, 10))]
+            for row, noise in zip(J, rng.standard_normal((30, 4))):
+                for k in range(4):
+                    row[5 + k] = row[k] + mp.mpf(noise[k]) * mp.mpf(2) ** -250
+            b = [mp.mpf(v) for v in rng.standard_normal(30)]
+            want, want_kept, _ = gram_eig_lstsq(J, b, 1e-30, hermitian=False)
+            got, kept = truncated_lstsq([list(c) for c in zip(*J)], b, 1e-30)
+            assert kept == want_kept == 6
+            scale = max(abs(x) for x in want)
+            assert max(abs(x - y) for x, y in zip(got, want)) <= mp.mpf(10) ** -70 * scale
+
+    def test_droptol_of_every_accepted_kind(self):
+        # GNConfig takes any droptol >= 0: an mpf keeps what the float
+        # keeps, and infinity drops every singular value
+        rng = np.random.default_rng(77)
+        with mp.workprec(256):
+            cols = [[mp.mpf(v) for v in c] for c in rng.standard_normal((4, 12))]
+            b = [mp.mpf(v) for v in rng.standard_normal(12)]
+            assert truncated_lstsq(cols, b, mp.mpf(1e-3)) == truncated_lstsq(cols, b, 1e-3)
+            assert truncated_lstsq(cols, b, float("inf")) == ([0] * 4, 0)
+
     def test_zero_matrix_zero_step(self):
         with mp.workprec(128):
             x, kept = truncated_lstsq([[mp.mpf(0)] * 3] * 2, [mp.mpf(1)] * 3, 0.0)
         assert kept == 0 and x == [0, 0]
+
+    def test_no_columns_empty_step(self):
+        with mp.workprec(128):
+            assert truncated_lstsq([], [mp.mpf(1)] * 3, 0.0) == ([], 0)

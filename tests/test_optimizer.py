@@ -13,6 +13,7 @@ from matgraph import (
     LinLsqr,
     OptimizeError,
     bigfloat,
+    compute_bwd_theta_exp,
     convert_precision,
     gn_step,
     graph_monomial,
@@ -414,6 +415,36 @@ def test_relative_design_iterates_pinned():
     assert report.residual_history == [0.002443066629881052, 0.0001663980953458161,
                                        0.00016605966382012138, 0.00016605967344946642,
                                        0.00016605967344946636]
+
+
+def test_design_outcome_survives_round_off_sized_steps(monkeypatch):
+    # the tolerance contract of the 256-bit step: the design of
+    # test_workflow, with every step perturbed componentwise by 1e-30
+    # relative, takes the same number of iterations, and its certified
+    # radius agrees to 1e-24
+    def design():
+        g, cref = graph_monomial_degopt([1.0 / math.factorial(j) for j in range(6)])
+        g = convert_precision(g, bigfloat(256))
+        discr = Discretization.disk(0.0, 0.45, 200, prec=256)
+        config = GNConfig(errtype=ErrType.REL, stoptol=4e-15, droptol=1e-15,
+                          linlsqr=LinLsqr.REAL_SVD, maxiter=100)
+        report = opt_gauss_newton(g, exp_target, discr, cref, config)
+        assert report.converged
+        return report.iterations, compute_bwd_theta_exp(g).theta
+
+    iterations, theta = design()
+    step, rng = optimizer.gn_step, np.random.default_rng(18)
+
+    def perturbed(J, r, config):
+        delta = step(J, r, config)
+        noise = rng.standard_normal(len(delta))
+        return np.array([x * (1 + mp.mpf(1e-30) * float(v)) for x, v in zip(delta, noise)],
+                        dtype=object)
+
+    monkeypatch.setattr(optimizer, "gn_step", perturbed)
+    iterations_p, theta_p = design()
+    assert iterations_p == iterations
+    assert 0 < abs(theta_p - theta) <= 1e-24 * theta
 
 
 @pytest.mark.slow
