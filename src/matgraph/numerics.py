@@ -12,9 +12,11 @@ so all public entry points of this package wrap their numerical work in
 ``mpmath.matrix`` instances; binary64 matrices are numpy arrays and
 delegate to the optimized kernels numpy binds to.  The evaluator's three
 extended-precision matrix operations (product, linear combination and the
-partially pivoted LU solve) run on raw libmp tuples, without an ``mpf``
-object or a matrix index per operation, and give mpmath's own results bit
-for bit (:func:`mp_matmul`, :func:`mp_lincomb`, :func:`mat_lu_solve`).
+partially pivoted LU solve) run on raw libmp tuples when every operand is
+real, without an ``mpf`` object or a matrix index per operation, and give
+mpmath's own results bit for bit (:func:`mp_matmul`, :func:`mp_lincomb`,
+:func:`mat_lu_solve`).  Complex operands go to mpmath's own matrix
+routines.
 
 The extended-precision least-squares step (:func:`truncated_lstsq`) forms
 its Gram matrix from exact integer dot products, setting aside the few
@@ -35,12 +37,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 import mpmath
 import numpy as np
 from mpmath import libmp, mp
-from mpmath.libmp import (fone, fzero, mpc_abs, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le,
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le,
                           mpf_mul, mpf_rdiv_int, mpf_shift, mpf_sub, mpf_sum,
                           round_nearest as RND)
 
@@ -68,10 +69,6 @@ class CoeffType:
     def __post_init__(self):
         if self.prec is not None and self.prec < 53:
             raise ValueError("extended precision needs at least 53 bits")
-
-    @property
-    def bits(self) -> int:
-        return 53 if self.prec is None else self.prec
 
     @property
     def tag(self) -> str:
@@ -103,7 +100,6 @@ class CoeffType:
 
 
 FLOAT64 = CoeffType()
-COMPLEX128 = CoeffType(is_complex=True)
 
 
 def bigfloat(prec: int = 256, is_complex: bool = False) -> CoeffType:
@@ -198,80 +194,30 @@ def mat_lu_solve(A, B):
 # extended-precision dense kernels
 #
 # An ``mpmath.matrix`` keeps its nonzero entries in a dict keyed ``(i, j)``
-# and reads a missing one as ``mp.zero``.  The kernels read that dict once
-# into row lists, make the calls mpmath's matrix code makes, in its order and
+# and reads a missing one as ``mp.zero``.  When every entry and coefficient
+# is an ``mpf``, the kernels read that dict once into rows of ``_mpf_``
+# tuples, make the libmp calls mpmath's matrix code makes, in its order and
 # at its precision, and store the nonzero results the same way, so every
-# result is bit-identical to mpmath's.  Each kernel is written once against
-# an arithmetic table: ``_RAW`` acts on the ``_mpf_`` tuples of real operands
-# with the libmp call each ``mpf`` operator makes, ``_NUMBERS`` on mpmath
-# numbers (a complex entry, or a coefficient that is not an ``mpf``) with the
-# operators themselves.
+# result is bit-identical to mpmath's.  Any other operand (a complex entry,
+# or a coefficient that is not an ``mpf``) goes to mpmath's own routines.
 
 
-class _Arith(NamedTuple):
-    """Entry arithmetic of the dense kernels; every op takes ``(..., prec, rnd)``.
-
-    ``sub``, ``div`` and ``scale`` (``scale(x, c) = c*x``) return what a
-    matrix entry reads back once stored: a zero reads back as ``mp.zero``.
-    ``mul`` and ``add`` are used before any store.  ``absmin`` gives the raw
-    ``|x|`` of ``mp.absmin``, ``normabs`` the raw ``|x|`` that
-    ``mp.fsum(..., absolute=True)`` sums, and ``dot`` is ``mp.fdot``.
-    """
-
-    entry: Callable
-    number: Callable
-    mul: Callable
-    add: Callable
-    sub: Callable
-    div: Callable
-    scale: Callable
-    absmin: Callable
-    normabs: Callable
-    dot: Callable
-
-
-def _stored(x):
-    return x or mp.zero
-
-
-_RAW = _Arith(
-    entry=operator.attrgetter("_mpf_"), number=mp.make_mpf,
-    mul=mpf_mul, add=mpf_add, sub=mpf_sub, div=mpf_div,
-    scale=lambda x, c, p, rnd: mpf_mul(c, x, p, rnd), absmin=mpf_abs,
-    normabs=lambda x, p: mpf_abs(x),
-    dot=lambda xs, ys, p, rnd: mpf_sum(list(map(mpf_mul, xs, ys)), p, rnd))
-
-_NUMBERS = _Arith(
-    entry=lambda x: x, number=lambda x: x,
-    mul=lambda a, b, p, rnd: a * b,
-    add=lambda a, b, p, rnd: a + b,
-    sub=lambda a, b, p, rnd: _stored(a - b),
-    div=lambda a, b, p, rnd: _stored(a / b),
-    scale=lambda x, c, p, rnd: _stored(c * x),
-    absmin=lambda x, p, rnd: abs(x)._mpf_,
-    normabs=lambda x, p: mpc_abs(x._mpc_, p) if hasattr(x, "_mpc_") else mpf_abs(x._mpf_),
-    dot=lambda xs, ys, p, rnd: mp.fdot(xs, ys))
-
-
-def _arith_for(matrices, scalars=()) -> _Arith:
-    """``_RAW`` when every entry and scalar is an ``mpf``, else ``_NUMBERS``."""
+def _all_mpf(matrices, scalars=()) -> bool:
     mpf = mpmath.mpf
-    if all(isinstance(c, mpf) for c in scalars) and all(
-            isinstance(x, mpf) for M in matrices for x in M._matrix__data.values()):
-        return _RAW
-    return _NUMBERS
+    return all(isinstance(c, mpf) for c in scalars) and all(
+        isinstance(x, mpf) for M in matrices for x in M._matrix__data.values())
 
 
-def _rows(M, ar: _Arith) -> list:
+def _rows(M) -> list:
     get, zero = M._matrix__data.get, mp.zero
-    return [[ar.entry(get((i, j), zero)) for j in range(M.cols)] for i in range(M.rows)]
+    return [[get((i, j), zero)._mpf_ for j in range(M.cols)] for i in range(M.rows)]
 
 
-def _matrix(rows, cols: int, ar: _Arith):
+def _matrix(rows, cols: int):
     """A ``cols``-column ``mpmath.matrix`` holding the nonzero entries of ``rows``."""
     M = mp.matrix(len(rows), cols)
     M._matrix__data.update(((i, j), v) for i, row in enumerate(rows)
-                           for j, v in enumerate(map(ar.number, row)) if v)
+                           for j, v in enumerate(map(mp.make_mpf, row)) if v)
     return M
 
 
@@ -279,10 +225,12 @@ def mp_matmul(A, B):
     """``A * B``: each entry the exact dot product rounded once, as ``mp.fdot`` forms it."""
     if A.cols != B.rows:
         raise ValueError("dimensions not compatible for multiplication")
-    ar = _arith_for((A, B))
-    p, dot = mp.prec, ar.dot
-    cols = list(zip(*_rows(B, ar)))
-    return _matrix([[dot(row, col, p, RND) for col in cols] for row in _rows(A, ar)], B.cols, ar)
+    if not _all_mpf((A, B)):
+        return A * B
+    p = mp.prec
+    cols = list(zip(*_rows(B)))
+    return _matrix([[mpf_sum(list(map(mpf_mul, row, col)), p, RND) for col in cols]
+                    for row in _rows(A)], B.cols)
 
 
 def mp_lincomb(c1, A, c2, B):
@@ -293,43 +241,53 @@ def mp_lincomb(c1, A, c2, B):
     """
     if (A.rows, A.cols) != (B.rows, B.cols):
         raise ValueError("incompatible dimensions for addition")
-    ar = _arith_for((A, B), (c1, c2))
-    p, add, scale = mp.prec, ar.add, ar.scale
-    c1, c2 = ar.entry(c1), ar.entry(c2)
-    return _matrix([[add(scale(x, c1, p, RND), scale(y, c2, p, RND), p, RND)
-                     for x, y in zip(r, s)] for r, s in zip(_rows(A, ar), _rows(B, ar))],
-                   A.cols, ar)
+    if not _all_mpf((A, B), (c1, c2)):
+        return A * c1 + B * c2
+    p, c1, c2 = mp.prec, c1._mpf_, c2._mpf_
+    return _matrix([[mpf_add(mpf_mul(c1, x, p, RND), mpf_mul(c2, y, p, RND), p, RND)
+                     for x, y in zip(r, s)] for r, s in zip(_rows(A), _rows(B))], A.cols)
 
 
 def _mp_lu_solve(A, B):
     """``X`` with ``A X = B``, bit-identical to mpmath 1.3's ``lu_solve`` per column of B.
 
-    A port of ``LU_decomp``, ``L_solve`` and ``U_solve`` at ``mp.prec + 10``,
-    as ``lu_solve`` runs them, that factors A once for every column.  The
-    pivot of column j is the first row k maximising ``|a_kj| / s_k``, with
-    ``s_k`` the sum of ``|a_kl|``, l >= j.  ``SingularMatrixError`` is raised
-    where mpmath raises ``ZeroDivisionError`` (a row sum or pivot at most
-    ``tol = |mnorm(A, 1) eps|``) and where no row has a nonzero entry in
-    column j, on which mpmath's pivot index stays ``None``.
+    A is factored once, at ``mp.prec + 10`` as ``lu_solve`` runs it, for
+    every column.  Real operands run a port of ``LU_decomp``, ``L_solve``
+    and ``U_solve`` on raw tuples; any other runs those routines
+    themselves.  The pivot of column j is the first row k maximising
+    ``|a_kj| / s_k``, with ``s_k`` the sum of ``|a_kl|``, l >= j.
+    ``SingularMatrixError`` is raised where mpmath raises
+    ``ZeroDivisionError`` (a row sum or pivot at most ``tol = |mnorm(A, 1)
+    eps|``) and where no row has a nonzero entry in column j, on which
+    mpmath's pivot index stays ``None``.
     """
-    ar = _arith_for((A, B))
-    mul, sub, div, absmin = ar.mul, ar.sub, ar.div, ar.absmin
+    if not _all_mpf((A, B)):
+        cols = [mp.matrix([B[i, j] for i in range(B.rows)]) for j in range(B.cols)]
+        with mp.workprec(mp.prec + 10):
+            try:
+                LU, perm = mp.LU_decomp(A.copy(), overwrite=True)
+            except ZeroDivisionError as exc:
+                raise SingularMatrixError(str(exc)) from exc
+            except TypeError as exc:  # swap_row with the pivot index None
+                raise SingularMatrixError("a column has no nonzero pivot") from exc
+            sols = [mp.U_solve(LU, mp.L_solve(LU, col, perm)) for col in cols]
+        return mp.matrix([[sol[i] for sol in sols] for i in range(A.rows)])
     with mp.workprec(mp.prec + 10):
         p = mp.prec
-        a, b = _rows(A, ar), _rows(B, ar)
+        a, b = _rows(A), _rows(B)
         n = len(a)
         # tol = absmin(mnorm(A, 1) * eps), mnorm the largest column sum
-        sums = [mpf_sum([ar.normabs(row[j], p) for row in a], p, RND, True) for j in range(n)]
+        sums = [mpf_sum([mpf_abs(row[j]) for row in a], p, RND, True) for j in range(n)]
         norm = functools.reduce(lambda m, s: s if mpf_gt(s, m) else m, sums)
         tol = mpf_abs(mpf_mul(norm, mpf_shift(fone, 1 - p), p, RND), p, RND)
         perm = []
         for j in range(n - 1):
             biggest, pivot = fzero, None
             for k in range(j, n):
-                s = mpf_sum([absmin(x, p, RND) for x in a[k][j:]], p, RND)
+                s = mpf_sum([mpf_abs(x, p, RND) for x in a[k][j:]], p, RND)
                 if mpf_le(mpf_abs(s, p, RND), tol):
                     raise SingularMatrixError("matrix is numerically singular")
-                current = mpf_mul(mpf_rdiv_int(1, s, p, RND), absmin(a[k][j], p, RND), p, RND)
+                current = mpf_mul(mpf_rdiv_int(1, s, p, RND), mpf_abs(a[k][j], p, RND), p, RND)
                 if mpf_gt(current, biggest):
                     biggest, pivot = current, k
             if pivot is None:
@@ -337,26 +295,26 @@ def _mp_lu_solve(A, B):
             perm.append(pivot)
             a[j], a[pivot] = a[pivot], a[j]
             rj = a[j]
-            if mpf_le(absmin(rj[j], p, RND), tol):
+            if mpf_le(mpf_abs(rj[j], p, RND), tol):
                 raise SingularMatrixError("matrix is numerically singular")
             for ri in a[j + 1:]:
-                ri[j] = f = div(ri[j], rj[j], p, RND)
-                ri[j + 1:] = [sub(x, mul(f, y, p, RND), p, RND)
+                ri[j] = f = mpf_div(ri[j], rj[j], p, RND)
+                ri[j + 1:] = [mpf_sub(x, mpf_mul(f, y, p, RND), p, RND)
                               for x, y in zip(ri[j + 1:], rj[j + 1:])]
-        if mpf_le(absmin(a[-1][-1], p, RND), tol):
+        if mpf_le(mpf_abs(a[-1][-1], p, RND), tol):
             raise SingularMatrixError("matrix is numerically singular")
         for j, k in enumerate(perm):
             b[j], b[k] = b[k], b[j]
         for i in range(1, n):
             for j in range(i):
                 lij, bj = a[i][j], b[j]
-                b[i] = [sub(x, mul(lij, y, p, RND), p, RND) for x, y in zip(b[i], bj)]
+                b[i] = [mpf_sub(x, mpf_mul(lij, y, p, RND), p, RND) for x, y in zip(b[i], bj)]
         for i in range(n - 1, -1, -1):
             for j in range(i + 1, n):
                 uij, bj = a[i][j], b[j]
-                b[i] = [sub(x, mul(uij, y, p, RND), p, RND) for x, y in zip(b[i], bj)]
-            b[i] = [div(x, a[i][i], p, RND) for x in b[i]]
-    return _matrix(b, B.cols, ar)
+                b[i] = [mpf_sub(x, mpf_mul(uij, y, p, RND), p, RND) for x, y in zip(b[i], bj)]
+            b[i] = [mpf_div(x, a[i][i], p, RND) for x in b[i]]
+    return _matrix(b, B.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,8 @@ class GNConfig:
     the singular values of J above ``droptol`` times the largest.  At
     extended precision the step works on the Gram matrix J^T J, so it drops
     the Gram eigenvalues at or below ``droptol**2`` times the largest, and
-    any that are not positive.
+    any that are not positive.  It lies in [0, 1): at 1 or above no singular
+    value is kept, and every step would be zero.
     """
 
     errtype: ErrType = ErrType.ABS
@@ -134,8 +135,8 @@ class GNConfig:
             raise ValueError("step length must lie in [0, 1]")
         if not self.stoptol >= 0:
             raise ValueError("stop tolerance must be nonnegative")
-        if not self.droptol >= 0:
-            raise ValueError("drop tolerance must be nonnegative")
+        if not 0 <= self.droptol < 1:
+            raise ValueError("drop tolerance must lie in [0, 1)")
         if self.maxiter < 0:
             raise ValueError("iteration limit must be nonnegative")
         if self.perturbation is not None and not math.isfinite(self.perturbation):

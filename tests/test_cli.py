@@ -464,6 +464,8 @@ class TestUserInput:
         ("optimize", ["--gamma", "nan"]),
         ("optimize", ["--droptol", "-1"]),
         ("optimize", ["--droptol", "nan"]),
+        ("optimize", ["--droptol", "1"]),
+        ("optimize", ["--droptol", "inf"]),
         ("optimize", ["--maxiter", "-1"]),
         ("optimize", ["--points", "1"]),
         ("certify", ["--nterms", "0"]),

@@ -105,6 +105,18 @@ class TestAddNode:
         g.set_outputs(["X"])
         g.validate()
 
+    def test_graft_cycle_found_beyond_the_direct_parents(self):
+        g = ComputationGraph()
+        g.add_mult("P", "A", "A")
+        g.add_mult("Q", "P", "I")
+        g.add_lincomb("R", 1.0, "Q", 1.0, "I")
+        g.set_outputs(["R"])
+        g.rename_node("A", "X")  # P = X*X, X not yet defined
+        before = g.copy()
+        with pytest.raises(GraphError, match="would create a cycle"):
+            g.add_mult("X", "R", "I")  # R -> Q -> P -> X
+        assert g == before
+
 
 class TestAddSum:
     def test_three_terms_matches_scalar_arithmetic(self):

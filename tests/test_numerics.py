@@ -135,14 +135,22 @@ class TestLuSolve:
         A, B = as_mp_matrix(rand(), prec), as_mp_matrix(rand(), prec)
         with working_precision(prec):
             want = [mp.lu_solve(A, B.column(j)) for j in range(n)]
-            # the pivot search takes one reciprocal row sum per candidate row:
-            # n + (n - 1) + ... + 2 for the one factorisation of A
-            reciprocals = []
-            rdiv = numerics.mpf_rdiv_int
-            monkeypatch.setattr(numerics, "mpf_rdiv_int",
-                                lambda *a: reciprocals.append(1) or rdiv(*a))
-            X = mat_lu_solve(A, B)
-        assert len(reciprocals) == n * (n + 1) // 2 - 1
+            if is_complex:  # complex operands run mpmath's own LU_decomp
+                factorisations = []
+                decomp = mp.LU_decomp
+                monkeypatch.setattr(mp, "LU_decomp",
+                                    lambda *a, **k: factorisations.append(1) or decomp(*a, **k))
+                X = mat_lu_solve(A, B)
+                assert len(factorisations) == 1
+            else:
+                # the pivot search takes one reciprocal row sum per candidate row:
+                # n + (n - 1) + ... + 2 for the one factorisation of A
+                reciprocals = []
+                rdiv = numerics.mpf_rdiv_int
+                monkeypatch.setattr(numerics, "mpf_rdiv_int",
+                                    lambda *a: reciprocals.append(1) or rdiv(*a))
+                X = mat_lu_solve(A, B)
+                assert len(reciprocals) == n * (n + 1) // 2 - 1
         assert all(mp_bits(X.column(j)) == mp_bits(want[j]) for j in range(n))
 
     def test_residual_well_conditioned(self):
@@ -293,6 +301,25 @@ class TestDenseKernelsMatchMpmath:
                 oracle_mp_lu_solve(A, mp.eye(3))
             with pytest.raises(SingularMatrixError, match="column 0"):
                 mat_lu_solve(A, mp.eye(3))
+
+    @pytest.mark.parametrize("case,exc,message", [
+        ("zero-column", TypeError, "no nonzero pivot"),
+        ("rank-deficient", ZeroDivisionError, "numerically singular"),
+        ("zero", ZeroDivisionError, "numerically singular")])
+    def test_complex_singular_through_mpmath(self, case, exc, message):
+        # complex operands run mpmath's LU_decomp, whose failures become
+        # SingularMatrixError; the complex B routes A there even when A stores
+        # no entry (an mpc zero is not stored)
+        A = {"zero-column": mp.matrix([[0, 1, mp.mpc(2, 1)], [0, 3, 4], [0, 5, 7]]),
+             "rank-deficient": mp.matrix([[1, 2, mp.mpc(0, 1)], [2, 4, mp.mpc(0, 2)],
+                                          [0, 1, 1]]),
+             "zero": mp.zeros(3, 3)}[case]
+        B = mp.eye(3) * mp.mpc(1, 1)
+        with working_precision(256):
+            with pytest.raises(exc):
+                oracle_mp_lu_solve(A, B)
+            with pytest.raises(SingularMatrixError, match=message):
+                mat_lu_solve(A, B)
 
 
 def _bits(x):
@@ -495,8 +522,8 @@ class TestTruncatedLstsq:
             assert max(abs(x - y) for x, y in zip(got, want)) <= mp.mpf(10) ** -70 * scale
 
     def test_droptol_of_every_accepted_kind(self):
-        # GNConfig takes any droptol >= 0: an mpf keeps what the float
-        # keeps, and infinity drops every singular value
+        # GNConfig takes a droptol in [0, 1), the kernel any droptol >= 0: an
+        # mpf keeps what the float keeps, and infinity drops every singular value
         rng = np.random.default_rng(77)
         with mp.workprec(256):
             cols = [[mp.mpf(v) for v in c] for c in rng.standard_normal((4, 12))]

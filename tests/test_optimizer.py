@@ -120,10 +120,11 @@ class TestGnStep:
         assert np.allclose(delta, [single / 2, single / 2], rtol=1e-12)
 
     def test_droptol_infinite_zero_step(self):
-        J = np.eye(3)
+        # GNConfig refuses droptol >= 1; a zero J keeps no singular value at any droptol
+        J = np.zeros((3, 3))
         with warnings.catch_warnings(record=True) as w:
             warnings.simplefilter("always")
-            delta = gn_step(J, np.ones(3), GNConfig(droptol=np.inf))
+            delta = gn_step(J, np.ones(3), GNConfig(droptol=0.0))
             assert np.all(delta == 0)
             assert any("drop tolerance" in str(x.message) for x in w)
 
@@ -280,6 +281,12 @@ class TestOptGaussNewton:
             GNConfig(maxiter=-1)
         with pytest.raises(ValueError):
             GNConfig(droptol=math.nan)
+
+    @pytest.mark.parametrize("droptol", [1, 2.0, math.inf, mp.mpf(1)])
+    def test_config_refuses_droptol_of_one_or_more(self, droptol):
+        # no singular value survives, so every step would be zero until maxiter
+        with pytest.raises(ValueError, match="drop tolerance"):
+            GNConfig(droptol=droptol)
 
     @pytest.mark.parametrize("stoptol", [math.nan, -1e-12])
     def test_config_refuses_nan_or_negative_stoptol(self, stoptol):
