@@ -464,8 +464,6 @@ class TestUserInput:
         ("optimize", ["--gamma", "nan"]),
         ("optimize", ["--droptol", "-1"]),
         ("optimize", ["--droptol", "nan"]),
-        ("optimize", ["--droptol", "1"]),
-        ("optimize", ["--droptol", "inf"]),
         ("optimize", ["--maxiter", "-1"]),
         ("optimize", ["--points", "1"]),
         ("certify", ["--nterms", "0"]),
@@ -488,6 +486,8 @@ class TestUserInput:
         ("optimize", ["--precision", "0"]),
         ("optimize", ["--precision", "30"]),
         ("optimize", ["--precision", "-5"]),
+        ("optimize", ["--droptol", "1"]),
+        ("optimize", ["--droptol", "inf"]),
     ])
     def test_bad_numeric_option_usage_error(self, tmp_path, command, args):
         gfile = tmp_path / "g.cgr"
