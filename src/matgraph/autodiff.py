@@ -43,10 +43,11 @@ class JacobianMatrix:
 
 
 def as_point_array(points) -> np.ndarray:
-    """1-d array of evaluation points; extended-precision scalars stay objects."""
+    """1-d array of evaluation points (a scalar is one); extended-precision scalars stay objects."""
     arr = np.asarray(points)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
+    if arr.ndim > 1:
+        raise ValueError(f"points must be a scalar or a 1-d array, not {arr.ndim}-d")
+    arr = arr.reshape(-1)
     if arr.dtype == object:
         return arr
     if not np.iscomplexobj(arr):

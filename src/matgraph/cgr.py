@@ -164,6 +164,12 @@ _LINCOMB_RE = re.compile(
 )
 
 
+def _check_assigned_id(nid: str, lineno: int):
+    # the writer refuses these ids, so a file that assigns one cannot round-trip
+    if _RESERVED_WORDS_RE.match(nid):
+        raise CgrError(f"node id {nid!r} collides with a format keyword", lineno)
+
+
 def parse_cgr(text: str) -> ComputationGraph:
     pending: dict[int, object] = {}
     metadata: dict[str, str] = {}
@@ -211,6 +217,7 @@ def parse_cgr(text: str) -> ComputationGraph:
                 mobj = _LINCOMB_RE.match(line)
                 if mobj:
                     target, p1, p2 = mobj.groups()
+                    _check_assigned_id(target, lineno)
                     if 1 not in pending or 2 not in pending:
                         raise CgrError(
                             "linear combination without preceding coeff1/coeff2 bindings", lineno
@@ -223,6 +230,7 @@ def parse_cgr(text: str) -> ComputationGraph:
                 if not mobj:
                     raise CgrError(f"unrecognized statement {line!r}", lineno)
                 target, p1, op, p2 = mobj.groups()
+                _check_assigned_id(target, lineno)
                 (g.add_mult if op == "*" else g.add_ldiv)(target, p1, p2)
         if pending:
             raise CgrError("file ends with dangling coeff bindings", lineno)

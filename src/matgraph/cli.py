@@ -8,15 +8,17 @@
     matgraph codegen   g.cgr --lang c --funname expm13 --out expm13.c
     matgraph convert   g.cgr --type BigFloat256 --out big.cgr
 
-``eval`` binds its argument to the graph's input id: ``A``, or the one
-the file's ``# input:`` key names.
+``eval`` takes exactly one of ``--matrix`` and ``--point`` and binds it to
+the graph's input id: ``A``, or the one the file's ``# input:`` key names.
+``eval`` and ``certify`` write their CSV to ``--out``, or to stdout without
+it.  ``optimize --report`` writes a JSON record of the fit.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure or out of memory,
-4 I/O or format error.  A ``--config`` file of ``key=value`` lines
-overrides the corresponding flags; the MATGRAPH_PRECISION environment
-variable sets the default coefficient precision in bits of ``generate`` and
-``optimize``.  ``certify --precision`` does not read it: that flag is the
-certificate's working precision, 1024 bits by default.
+4 I/O or format error.  Every value is set by its own flag; the
+MATGRAPH_PRECISION environment variable sets the default coefficient
+precision in bits of ``generate`` and ``optimize``.  ``certify --precision``
+does not read it: that flag is the certificate's working precision, 1024
+bits by default.
 """
 
 from __future__ import annotations
@@ -66,8 +68,6 @@ IO_ERROR = 4
 
 # schemes built from --coeffs; "<name>-degopt" gives the same scheme in degree-optimal form
 POLY_SCHEMES = {"monomial": graph_monomial, "horner": graph_horner, "ps": graph_ps}
-CONFIG_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-                   "0": False, "false": False, "no": False, "off": False}
 
 
 class CliError(Exception):
@@ -119,6 +119,16 @@ def write_matrix_csv(M: np.ndarray, fh):
     M = np.atleast_2d(M)
     for row in M:
         fh.write(",".join(_format_entry(v) for v in row) + "\n")
+
+
+def _require_finite(arrays, what: str):
+    if not all(cmath.isfinite(complex(x)) for a in arrays for x in np.asarray(a).flat):
+        raise CliError(f"non-finite {what}", NUMERICAL_ERROR)
+
+
+def _sink(path: str | None):
+    """The file at ``path`` opened for writing, or stdout without one."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _load_graph(path: str) -> ComputationGraph:
@@ -179,32 +189,18 @@ def cmd_generate(args) -> int:
 def cmd_eval(args) -> int:
     g = _load_graph(args.graph)
     if args.point is not None:
-        z = _parse(_parse_complex, args.point, "point")
-        if not cmath.isfinite(z):
-            raise CliError(f"non-finite point {args.point}", NUMERICAL_ERROR)
-        value = eval_graph(g, z)
-        values = value if isinstance(value, list) else [value]
-        if not all(cmath.isfinite(complex(v)) for v in values):
-            raise CliError(f"non-finite value at {args.point}", NUMERICAL_ERROR)
-        for v in values:
-            print(_format_entry(v))
-        return 0
-    if not args.matrix:
-        raise CliError("provide --matrix FILE or --point VALUE", USAGE_ERROR)
-    A = read_matrix_csv(args.matrix)
-    value = eval_graph(g, A)
+        where, arg = args.point, _parse(_parse_complex, args.point, "point")
+    else:
+        where, arg = args.matrix, read_matrix_csv(args.matrix)
+    _require_finite([arg], f"argument {where}")
+    value = eval_graph(g, arg)
     values = value if isinstance(value, list) else [value]
-    if not all(cmath.isfinite(complex(x)) for v in values for x in np.asarray(v).flat):
-        raise CliError(f"non-finite value at {args.matrix}", NUMERICAL_ERROR)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for i, v in enumerate(values):
+    _require_finite(values, f"value at {where}")
+    with _sink(args.out) as out:
+        for name, v in zip(g.outputs, values):
             if len(values) > 1:
-                out.write(f"# output {g.outputs[i]}\n")
+                out.write(f"# output {name}\n")
             write_matrix_csv(np.asarray(v), out)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -272,13 +268,8 @@ def cmd_optimize(args) -> int:
             "residual_history": report.residual_history,
         }
         with open(args.report, "w", encoding="utf-8") as fh:
-            if args.report.endswith(".json"):
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            else:
-                fh.write("iteration,max_residual\n")
-                for i, rv in enumerate(report.residual_history):
-                    fh.write(f"{i},{rv!r}\n")
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
     status = "converged" if report.converged else "not converged"
     best = report.best_residual
     print(f"wrote {args.out} ({status}, {report.iterations} iterations"
@@ -304,11 +295,8 @@ def cmd_certify(args) -> int:
         raise CliError(f"bad certify option: {exc}", USAGE_ERROR) from exc
     mults = sum(1 for op in g.operations.values() if op != OpKind.LINCOMB)
     name = os.path.splitext(os.path.basename(args.graph))[0]
-    csv = theta_table_csv([(name, mults, theta, args.u, args.nterms)])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv)
-    sys.stdout.write(csv)
+    with _sink(args.out) as out:
+        out.write(theta_table_csv([(name, mults, theta, args.u, args.nterms)]))
     if flag:
         print(f"# warning: {flag}", file=sys.stderr)
     return 0
@@ -356,7 +344,6 @@ def cmd_convert(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="matgraph", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"matgraph {__version__}")
-    p.add_argument("--config", help="key=value file overriding flags", default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="construct a named graph and save it")
@@ -374,9 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate a graph at a matrix or scalar")
     ev.add_argument("graph")
-    ev.add_argument("--matrix", help="CSV file, complex entries as a+bi")
-    ev.add_argument("--point", help="scalar evaluation point")
-    ev.add_argument("--out", default=None)
+    ev_arg = ev.add_mutually_exclusive_group(required=True)
+    ev_arg.add_argument("--matrix", help="CSV file, complex entries as a+bi")
+    ev_arg.add_argument("--point", help="scalar evaluation point")
+    ev.add_argument("--out", default=None, help="CSV result file (default: stdout)")
     ev.set_defaults(func=cmd_eval)
 
     opt = sub.add_parser("optimize", help="fit coefficients to a target function")
@@ -396,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--verbose", action="store_true",
                      help="log each iteration's residual and the stop reason to stderr")
-    opt.add_argument("--report", default=None, help="JSON or CSV residual history")
+    opt.add_argument("--report", default=None, help="JSON record of the fit")
     opt.add_argument("--out", required=True)
     opt.set_defaults(func=cmd_optimize)
 
@@ -405,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--u", type=float, default=2.0 ** -53)
     cert.add_argument("--nterms", type=int, default=100)
     cert.add_argument("--precision", type=int, default=1024)
-    cert.add_argument("--out", default=None)
+    cert.add_argument("--out", default=None, help="CSV row file (default: stdout)")
     cert.set_defaults(func=cmd_certify)
 
     comp = sub.add_parser("compress", help="remove redundant operations")
@@ -429,46 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(args, parser):
-    """Override flags of the chosen command from ``key=value`` lines.
-
-    Each value goes through its flag's own ``type`` and ``choices``.
-    """
-    if not args.config:
-        return args
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        lines = [raw.strip() for raw in fh]
-    for line in lines:
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliError(f"bad config line {line!r}", USAGE_ERROR)
-        key, _, value = line.partition("=")
-        key, value = key.strip().replace("-", "_"), value.strip()
-        action = actions.get(key)
-        if action is None or not hasattr(args, key):
-            raise CliError(f"unknown config key {key!r}", USAGE_ERROR)
-        if action.nargs == 0:
-            if value.lower() not in CONFIG_BOOLEANS:
-                raise CliError(f"config value for {key} must be one of "
-                               f"{list(CONFIG_BOOLEANS)}", USAGE_ERROR)
-            setattr(args, key, CONFIG_BOOLEANS[value.lower()])
-            continue
-        v = _parse(action.type or str, value, f"config value for {key}")
-        if action.choices is not None and v not in action.choices:
-            raise CliError(f"config value for {key} must be one of {list(action.choices)}",
-                           USAGE_ERROR)
-        setattr(args, key, v)
-    return args
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args, parser)
         # a non-finite result is reported by the command itself (exit 3);
         # numpy's floating-point warnings would only repeat it on stderr
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -264,6 +264,13 @@ class TestErrors:
         with pytest.raises(SingularMatrixError, match="index 1"):
             eval_jac(g, pts, [CoeffRef("S", 1)])
 
+    def test_points_of_two_dimensions_rejected(self):
+        g, cref = graph_monomial([1.0, 1.0, 0.5])
+        with pytest.raises(ValueError, match="2-d"):
+            eval_jac(g, np.array([[0.1, 0.2], [0.3, 0.4]]), cref)
+        # a scalar is one point
+        assert eval_jac(g, 0.25, cref).shape == (1, 3)
+
     def test_multi_output_rejected(self):
         from matgraph import GraphError
 

@@ -215,8 +215,12 @@ class TestParse:
         ('graph_coeff_type="Float64";\nA=A*A;\n', 2),
         ('graph_coeff_type="Float64";\ncoeff1=1.0;\ncoeff2=2.0;\nI=coeff1*A+coeff2*A;\n', 4),
         ('graph_coeff_type="Float64";\nX=A*A;\ncoeff1=1.0;\n', 3),
+        ('graph_coeff_type="Float64";\nX=A*A;\ncoeff3=A*X;\n', 3),
+        ('graph_coeff_type="Float64";\ngraph_coeff_type=A*A;\n', 2),
+        ('graph_coeff_type="Float64";\ncoeff1=1.0;\ncoeff2=2.0;\ncoeff9=coeff1*A+coeff2*I;\n', 4),
     ], ids=["input-id", "unknown-output", "bad-target-id", "assign-input", "assign-identity",
-            "trailing-coeff"])
+            "trailing-coeff", "assign-coeff-keyword", "assign-header-keyword",
+            "lincomb-coeff-keyword"])
     def test_malformed_file_names_line(self, text, line):
         with pytest.raises(CgrError, match=f"^line {line}: ") as exc:
             parse_cgr(text)

@@ -122,6 +122,35 @@ class TestEval:
         out = capsys.readouterr().out
         assert "1.0+2.0i" in out and "1.0-2.0i" in out
 
+    @pytest.mark.parametrize("args", [["--point", "0.5", "--matrix", "A.csv"], []])
+    def test_point_and_matrix_are_one_of_usage_error(self, tmp_path, args):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,0,3", "--out", str(gfile)])
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", str(gfile), *args])
+        assert exc.value.code == 2
+
+    def test_point_out_writes_the_file_only(self, tmp_path, capsys):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "ps", "--coeffs", "1,1,0.5", "--out", str(gfile)])
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        assert run(["eval", str(gfile), "--point", "0.5", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == "1.625\n"
+
+    def test_two_output_graph_out_holds_both_blocks(self, tmp_path, capsys):
+        g, _ = graph_monomial([1.0, 0.0, 3.0])
+        g.add_output("A2")
+        gfile = tmp_path / "g.cgr"
+        export_compgraph(g, str(gfile))
+        out = tmp_path / "v.csv"
+        capsys.readouterr()
+        assert run(["eval", str(gfile), "--point", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = out.read_text().splitlines()
+        assert lines == [f"# output {g.outputs[0]}", "13.0", "# output A2", "4.0"]
+
     def test_missing_file_io_error(self, tmp_path):
         assert run(["eval", str(tmp_path / "nope.cgr"), "--point", "1"]) == 4
 
@@ -190,18 +219,15 @@ class TestOptimize:
         z = 0.25
         assert abs(eval_graph(g, z) - math.exp(z)) <= 5e-5 * math.exp(z)
 
-    def test_csv_report_has_one_row_per_step(self, tmp_path):
+    def test_report_is_json_whatever_its_name(self, tmp_path):
         gfile = tmp_path / "g.cgr"
         run(["generate", "--scheme", "monomial", "--coeffs", "1,1,0.5", "--out", str(gfile)])
-        args = ["optimize", str(gfile), "--target", "exp", "--radius", "0.3", "--points", "20",
-                "--precision", "53", "--maxiter", "3", "--stoptol", "1e-30",
-                "--out", str(tmp_path / "o.cgr"), "--report"]
-        assert run(args + [str(tmp_path / "fit.csv")]) == 0
-        assert run(args + [str(tmp_path / "fit.json")]) == 0
-        history = json.loads((tmp_path / "fit.json").read_text())["residual_history"]
-        lines = (tmp_path / "fit.csv").read_text().splitlines()
-        assert len(history) == 3
-        assert lines == ["iteration,max_residual"] + [f"{i},{r!r}" for i, r in enumerate(history)]
+        rep = tmp_path / "fit.csv"
+        assert run(["optimize", str(gfile), "--target", "exp", "--radius", "0.3",
+                    "--points", "20", "--precision", "53", "--maxiter", "3", "--stoptol", "1e-30",
+                    "--out", str(tmp_path / "o.cgr"), "--report", str(rep)]) == 0
+        payload = json.loads(rep.read_text())
+        assert payload["iterations"] == 3 and len(payload["residual_history"]) == 3
 
     def test_verbose_logs_progress_to_stderr(self, tmp_path, capsys):
         gfile = tmp_path / "g.cgr"
@@ -306,6 +332,18 @@ class TestCertify:
         assert abs(float(theta) - 5.371920351148152) <= 5e-2
         assert int(nterms) == 100
 
+    def test_out_writes_the_file_only(self, tmp_path, capsys):
+        gfile = tmp_path / "p3.cgr"
+        run(["generate", "--scheme", "exp-pade", "--degree", "3", "--precision", "128",
+             "--out", str(gfile)])
+        out = tmp_path / "theta.csv"
+        capsys.readouterr()
+        assert run(["certify", str(gfile), "--nterms", "20", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = out.read_text().splitlines()
+        assert lines[0] == "graph,multiplications,theta,u,nterms"
+        assert lines[1].startswith("p3,") and len(lines) == 2
+
     def test_non_exp_graph_reports_zero_radius(self, tmp_path, capsys):
         gfile = tmp_path / "g.cgr"
         run(["generate", "--scheme", "monomial", "--coeffs", "0", "--out", str(gfile)])
@@ -366,21 +404,12 @@ class TestCompressCodegenConvert:
 
 
 class TestConfigAndDeterminism:
-    def test_config_file_overrides(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("iters=2\n")
-        out = tmp_path / "db.cgr"
-        assert run(["--config", str(cfg), "generate", "--scheme", "denman-beavers",
-                    "--iters", "7", "--out", str(out)]) == 0
-        from matgraph import get_topo_order
-
-        assert len(get_topo_order(import_compgraph(str(out)))) == 9
-
-    def test_unknown_config_key(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus_key=1\n")
-        assert run(["--config", str(cfg), "generate", "--scheme", "monomial",
-                    "--coeffs", "1", "--out", str(tmp_path / "x.cgr")]) == 2
+    def test_config_flag_is_a_usage_error(self, tmp_path):
+        # every value is set by its own flag; there is no config file
+        with pytest.raises(SystemExit) as exc:
+            run(["--config", "run.cfg", "generate", "--scheme", "denman-beavers",
+                 "--out", str(tmp_path / "db.cgr")])
+        assert exc.value.code == 2
 
     def test_deterministic_given_seed(self, tmp_path):
         gfile = tmp_path / "g.cgr"
@@ -410,22 +439,6 @@ class TestConfigAndDeterminism:
 
 class TestUserInput:
     """Bad values typed by the user end in a usage error, not a traceback."""
-
-    def test_config_precision_takes_flag_type(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("precision=256\n")
-        out = tmp_path / "g.cgr"
-        assert run(["--config", str(cfg), "generate", "--scheme", "monomial",
-                    "--coeffs", "1,1", "--out", str(out)]) == 0
-        assert import_compgraph(str(out)).coeff_type.prec == 256
-
-    def test_config_bad_int_usage_error(self, tmp_path):
-        gfile = tmp_path / "g.cgr"
-        run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("maxiter=abc\n")
-        assert run(["--config", str(cfg), "optimize", str(gfile), "--target", "exp",
-                    "--radius", "0.1", "--out", str(tmp_path / "o.cgr")]) == 2
 
     def test_bad_coefficient_usage_error(self, tmp_path):
         assert run(["generate", "--scheme", "monomial", "--coeffs", "1,abc",
@@ -509,23 +522,6 @@ class TestUserInput:
         assert run(["generate", "--scheme", "monomial", "--coeffs", "1,0.1",
                     "--out", str(tmp_path / "g.cgr")]) == 2
 
-    @pytest.mark.parametrize("word, nodes", [
-        ("1", 2), ("TRUE", 2), ("Yes", 2), ("on", 2),
-        ("0", 3), ("false", 3), ("NO", 3), ("Off", 3),
-        ("ture", None), ("", None), ("2", None), ("y", None),
-    ])
-    def test_config_boolean_words(self, tmp_path, word, nodes):
-        # compress removes the pass-through node; an unknown word is a usage error
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"compress={word}\n")
-        out = tmp_path / "m.cgr"
-        code = run(["--config", str(cfg), "generate", "--scheme", "monomial",
-                    "--coeffs", "1,0,3", "--out", str(out)])
-        if nodes is None:
-            assert code == 2 and not out.exists()
-        else:
-            assert code == 0 and len(import_compgraph(str(out)).operations) == nodes
-
     def test_graph_rule_broken_in_file_format_error(self, tmp_path):
         gfile = tmp_path / "g.cgr"
         gfile.write_text('graph_coeff_type="Float64";\n# input: 2X\nY=A*A;\n')
@@ -540,7 +536,7 @@ class TestUserInput:
         assert run(["certify", str(gfile), "--nterms", "20"]) == 4
 
     def test_removed_adaptive_gamma_usage_error(self, tmp_path):
-        # the step-halving mode is gone: its flag and its config key are refused
+        # the step-halving mode is gone: its flag is refused
         gfile = tmp_path / "g.cgr"
         run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])
         argv = ["optimize", str(gfile), "--target", "exp", "--radius", "0.3",
@@ -548,9 +544,6 @@ class TestUserInput:
         with pytest.raises(SystemExit) as exc:
             run([*argv, "--adaptive-gamma"])
         assert exc.value.code == 2
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("adaptive_gamma=1\n")
-        assert run(["--config", str(cfg), *argv]) == 2
 
     def test_out_of_memory_numerical_error(self, tmp_path, capsys, monkeypatch):
         # a huge --points makes numpy refuse the point array; nothing is allocated here
@@ -614,10 +607,9 @@ class TestExactCoefficients:
         assert time.perf_counter() - t0 < 0.2
 
 
-# -- fuzzing: every argv, config line and CGR text ends in a documented exit code --
+# -- fuzzing: every argv and CGR text ends in a documented exit code --
 
 _TEXT = st.text(alphabet="0123456789.,-+eEij/ nafxI=#", max_size=10)
-_INT = st.one_of(st.integers(-2, 14).map(str), _TEXT)
 
 # CGR mutations, applied to one of the files the test writes: ("delete", i),
 # ("insert", i, token), ("coeff", i, value) and ("header", line)
@@ -706,12 +698,7 @@ def _argv(draw):
             ["optimize", "mut.cgr", "--target", "exp", "--radius", "0.5", "--points", "8",
              "--maxiter", "2", "--precision", "53", "--out", "out.cgr"],
         ]))
-    config = draw(st.one_of(st.none(), st.lists(st.one_of(
-        _TEXT,
-        st.tuples(st.sampled_from(["precision", "iters", "degree", "scheme", "point",
-                                   "compress", "type", "bogus", "config", "func"]),
-                  _INT).map("=".join)), max_size=3)))
-    return argv, config, mutation
+    return argv, mutation
 
 
 @settings(max_examples=200, deadline=None,
@@ -731,13 +718,10 @@ def test_fuzz_exit_codes(tmp_path, monkeypatch, capsys, case):
         (tmp_path / "A.csv").write_text("0.5,0.2\n0.3,0.5\n")
         (tmp_path / "Z.csv").write_text("0,0\n0,0\n")
         (tmp_path / "bad.csv").write_text("1,2\n3\n")
-    argv, config, mutation = case
+    argv, mutation = case
     if mutation is not None:
         base, mutations = mutation
         (tmp_path / "mut.cgr").write_text(_mutate_cgr((tmp_path / base).read_text(), mutations))
-    if config is not None:
-        (tmp_path / "run.cfg").write_text("\n".join(config) + "\n")
-        argv = ["--config", "run.cfg", *argv]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects the argv itself
