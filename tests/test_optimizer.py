@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -19,12 +21,15 @@ from matgraph import (
     graph_monomial,
     graph_monomial_degopt,
     opt_gauss_newton,
+    parse_cgr,
     residual,
 )
 from matgraph import optimizer
 from matgraph.targets import exp_target, sqrt1p_target
 
 from support import gram_eig_lstsq
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 class TestDiscretization:
@@ -428,7 +433,10 @@ def test_design_outcome_survives_round_off_sized_steps(monkeypatch):
     # the tolerance contract of the 256-bit step: the design of
     # test_workflow, with every step perturbed componentwise by 1e-30
     # relative, takes the same number of iterations, and its certified
-    # radius agrees to 1e-24
+    # radius agrees to 1e-24.  The unperturbed design also reproduces the
+    # recorded outcome (tests/data/exp_m4_design200.*): the same iteration
+    # count, the residual history to 1e-20, the radius to 1e-24 and every
+    # 256-bit coefficient to 1e-30, all relative
     def design():
         g, cref = graph_monomial_degopt([1.0 / math.factorial(j) for j in range(6)])
         g = convert_precision(g, bigfloat(256))
@@ -437,9 +445,23 @@ def test_design_outcome_survives_round_off_sized_steps(monkeypatch):
                           linlsqr=LinLsqr.REAL_SVD, maxiter=100)
         report = opt_gauss_newton(g, exp_target, discr, cref, config)
         assert report.converged
-        return report.iterations, compute_bwd_theta_exp(g).theta
+        return report, g
 
-    iterations, theta = design()
+    report, g = design()
+    with open(os.path.join(DATA, "exp_m4_design200.json"), encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    with open(os.path.join(DATA, "exp_m4_design200.cgr"), encoding="utf-8") as fh:
+        pinned_graph = parse_cgr(fh.read())
+    assert report.iterations == pinned["iterations"]
+    assert report.residual_history == pytest.approx(pinned["residual_history"], rel=1e-20, abs=0)
+    assert g.coeffs.keys() == pinned_graph.coeffs.keys()
+    for nid, pair in pinned_graph.coeffs.items():
+        for c, c_pinned in zip(g.coeffs[nid], pair):
+            assert abs(c - c_pinned) <= 1e-30 * abs(c_pinned), nid
+    theta = compute_bwd_theta_exp(g).theta
+    with mp.workprec(1024):
+        assert abs(theta - mp.mpf(pinned["theta"])) <= 1e-24 * theta
+
     step, rng = optimizer.gn_step, np.random.default_rng(18)
 
     def perturbed(J, r, config):
@@ -449,8 +471,9 @@ def test_design_outcome_survives_round_off_sized_steps(monkeypatch):
                         dtype=object)
 
     monkeypatch.setattr(optimizer, "gn_step", perturbed)
-    iterations_p, theta_p = design()
-    assert iterations_p == iterations
+    report_p, g_p = design()
+    assert report_p.iterations == report.iterations
+    theta_p = compute_bwd_theta_exp(g_p).theta
     assert 0 < abs(theta_p - theta) <= 1e-24 * theta
 
 
