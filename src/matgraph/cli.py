@@ -85,7 +85,9 @@ def _parse(conv, text, what: str):
 
 
 def _parse_complex(text: str) -> complex:
-    return complex(text.strip().replace(" ", "").replace("i", "j"))
+    """a+bi as a complex; only a trailing i is the imaginary unit, so inf and nan stay words."""
+    text = text.strip().replace(" ", "")
+    return complex(text[:-1] + "j" if text.endswith("i") else text)
 
 
 def _format_entry(v) -> str:

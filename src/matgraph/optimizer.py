@@ -26,6 +26,17 @@ step solves the real embedding [[Re J, -Im J], [Im J, Re J]], whose
 singular values are those of J, each twice.  Progress (each iteration's max residual and the stop
 reason) goes to the ``logging`` logger of this module at INFO level, and
 :attr:`GNReport.stop_reason` keeps why the iteration ended.
+
+At extended precision the real least-squares loop evaluates each conjugate
+pair of points once.  When every coefficient of the graph is real, every
+point's conjugate is among the points and f(conj z) = conj f(z) holds at
+each of them, a point's conjugate has the conjugate residual and Jacobian
+row, so it adds the same terms to the normal equations of [Re J; Im J].
+The forward pass and the adjoint sweep then run on one point of each
+conjugate class, the stop tests read the max residual over those points,
+and when the classes differ in size each row is repeated once per point of
+its class.  The fold has no option: it applies exactly when these checks
+pass, and otherwise every point is evaluated.
 """
 
 from __future__ import annotations
@@ -189,6 +200,41 @@ def residual(g: ComputationGraph, f, discr: Discretization,
         return _residual(forward_pass(g, pts)[g.outputs[0]], fv, errtype)
 
 
+def _conjugate_classes(pts: np.ndarray, fv: np.ndarray):
+    """The points' conjugate classes as (representatives, multiplicities), or None.
+
+    A class holds the points equal to its first point z or to conj(z) within
+    2^(8-prec) max|z_i|, found by a key quantised relative to max|z_i|
+    (exact binary64 keys would not pair 0.45 with 0.45 - 1e-77i).  Each
+    class must hold z's conjugate, and each point w of it must have
+    f(w) = f(z), or conj f(z) where w is conj(z), to 2^(8-prec) max|f(z_i)|;
+    a point on the real axis is its own conjugate, so f must be real there.
+    Any failure, or a point or target value that is not finite, gives None.
+    """
+    zmax = max(map(abs, pts), default=0)
+    quantum = float(zmax) * 2.0 ** -32 or 1.0
+    if not (math.isfinite(quantum) and all(map(mp.isfinite, chain(pts, fv)))):
+        return None
+    eps = mp.ldexp(1, 8 - mp.prec)
+    ztol, ftol = eps * zmax, eps * max(map(abs, fv), default=0)
+    classes = {}
+    for i, z in enumerate(pts):
+        key = (round(float(z.real) / quantum), round(abs(float(z.imag)) / quantum))
+        classes.setdefault(key, []).append(i)
+    for members in classes.values():
+        z, w = pts[members[0]], fv[members[0]]
+        paired = False
+        for i in members:
+            same, conj = abs(pts[i] - z) <= ztol, abs(pts[i] - mp.conj(z)) <= ztol
+            if (not (same or conj) or same and abs(fv[i] - w) > ftol
+                    or conj and abs(fv[i] - mp.conj(w)) > ftol):
+                return None
+            paired |= conj
+        if not paired:
+            return None
+    return [m[0] for m in classes.values()], [len(m) for m in classes.values()]
+
+
 def _svd_pinv_numpy(A: np.ndarray, b: np.ndarray, droptol: float):
     u, s, vh = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0:
@@ -265,6 +311,13 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
     :class:`OptimizeError` instead.  A ref listed twice is refused: the
     minimum-norm step would split its update between the copies, and only
     the last copy's share would be applied.
+
+    Under ``REAL_SVD`` with extended-precision points, a graph whose
+    coefficients are all real (selected or not), a point set closed under
+    conjugation within 2^(8-prec) max|z| and a target with f(conj z) =
+    conj f(z) to 2^(8-prec) max|f|, the loop evaluates one point of each
+    conjugate class: the normal equations are the same.  It logs one INFO
+    line when it does; there is no option for it.
     """
     config = config or GNConfig()
     refs = [CoeffRef(*ref) for ref in refs]
@@ -297,6 +350,21 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
                 noise = noise + 1j * rng.standard_normal(len(refs))
             g.set_coeffs(refs, [ci + config.perturbation * ni for ci, ni in zip(c, noise)])
 
+        # real coefficients, a conjugation-closed point set and a target with
+        # f(conj z) = conj f(z): a point's conjugate adds the same terms to the
+        # normal equations, so one point of each class stands for the class
+        rows = None
+        classes = real_mode and pts.dtype == object and all(
+            getattr(c, "imag", 0) == 0 for pair in g.coeffs.values() for c in pair
+        ) and _conjugate_classes(pts, fv)
+        if classes and len(classes[0]) < len(pts):
+            reps, counts = classes
+            if len(set(counts)) > 1:  # a uniform weight leaves the step as it is
+                rows = np.repeat(np.arange(len(reps)), counts)
+            log.info("gauss-newton: %d points fold into %d conjugate classes, rows %s",
+                     len(pts), len(reps), "unweighted" if rows is None else "expanded")
+            pts, fv = pts[reps], fv[reps]
+
         best_rmax = best_coeffs = None
         above_best = 0
         weights = 1 / fv if errtype == ErrType.REL else None
@@ -325,8 +393,10 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
                     stop, why = "stagnated", f"stagnated at residual {rmax:.3e}"
             if stop:
                 break
-            delta = gn_step(eval_jac(g, pts, refs, weights=weights, slots=slots).entries,
-                            r, config)
+            J = eval_jac(g, pts, refs, weights=weights, slots=slots).entries
+            if rows is not None:  # each class counts once per point it holds
+                J, r = J[rows], r[rows]
+            delta = gn_step(J, r, config)
             g.set_coeffs(refs, [ci - config.gamma * di
                                 for ci, di in zip(g.get_coeffs(refs), delta)])
             report.residual_history.append(rmax)

@@ -569,6 +569,22 @@ class TestUserInput:
         assert run(["eval", str(gfile), "--point", point]) == 3
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("point", ["inf", "infinity", "1+infi"])
+    def test_inf_point_numerical_error(self, tmp_path, capsys, point):
+        # inf is a non-finite point, as nan is, not a malformed one
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1,1", "--out", str(gfile)])
+        capsys.readouterr()
+        assert run(["eval", str(gfile), "--point", point]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_inf_matrix_entry_numerical_error(self, tmp_path):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1,1", "--out", str(gfile)])
+        mfile = tmp_path / "A.csv"
+        mfile.write_text("0.5,inf\n0,0.5+2i\n")
+        assert run(["eval", str(gfile), "--matrix", str(mfile)]) == 3
+
 
 class TestExactCoefficients:
     def test_coeffs_rounded_once_at_precision(self, tmp_path):

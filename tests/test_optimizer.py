@@ -429,6 +429,98 @@ def test_relative_design_iterates_pinned():
                                        0.00016605967344946636]
 
 
+def _points_per_pass(monkeypatch):
+    """The point count of each forward pass the optimizer makes from now on."""
+    seen, inner = [], optimizer.forward_pass
+
+    def counted(g, points):
+        seen.append(len(points))
+        return inner(g, points)
+
+    monkeypatch.setattr(optimizer, "forward_pass", counted)
+    return seen
+
+
+def _exp_design(prec, count, radius=0.45, ct=None):
+    g, cref = graph_monomial_degopt([1.0 / math.factorial(j) for j in range(4)])
+    if ct or prec:
+        g = convert_precision(g, ct or bigfloat(prec))
+    return g, cref, Discretization.disk(0.0, radius, count, prec=prec)
+
+
+class TestConjugateFold:
+    # at extended precision a point's conjugate adds the same terms to the
+    # real least-squares problem, so the loop evaluates one point of each
+    # conjugate class; each fallback case breaks one condition of that
+    def one_step(self, monkeypatch, g, cref, d, target=exp_target, **config):
+        seen = _points_per_pass(monkeypatch)
+        config = {"linlsqr": LinLsqr.REAL_SVD, "stoptol": 0.0, "maxiter": 1, **config}
+        report = opt_gauss_newton(g, target, d, cref, GNConfig(**config))
+        assert report.iterations == 1 and len(seen) == 2
+        return set(seen)
+
+    def test_even_disk_evaluates_half(self, monkeypatch, caplog):
+        g, cref, d = _exp_design(256, 20)
+        with caplog.at_level("INFO", logger="matgraph.optimizer"):
+            assert self.one_step(monkeypatch, g, cref, d, errtype=ErrType.REL) == {10}
+        assert "20 points fold into 10 conjugate classes, rows unweighted" in caplog.text
+
+    def test_unselected_complex_coefficient(self, monkeypatch):
+        g, cref, d = _exp_design(256, 20, ct=bigfloat(256, is_complex=True))
+        g.set_coeffs(cref[-1:], [g.get_coeffs(cref[-1:])[0] + 1e-3j])
+        assert self.one_step(monkeypatch, g, cref[:-1], d) == {20}
+
+    def test_unpaired_point(self, monkeypatch):
+        g, cref, d = _exp_design(256, 20)
+        d = Discretization.from_points(np.delete(d.points, 3))
+        assert self.one_step(monkeypatch, g, cref, d) == {19}
+
+    def test_complex_least_squares(self, monkeypatch):
+        g, cref, d = _exp_design(256, 20, ct=bigfloat(256, is_complex=True))
+        assert self.one_step(monkeypatch, g, cref, d, linlsqr=LinLsqr.COMPLEX_SVD) == {20}
+
+    def test_binary64_points(self, monkeypatch):
+        g, cref, d = _exp_design(None, 20)
+        assert self.one_step(monkeypatch, g, cref, d) == {20}
+
+    def test_target_not_real_on_the_real_axis(self, monkeypatch):
+        # sqrt(1 + z) at the self-conjugate point -1.5 lies on the branch cut
+        g, cref, d = _exp_design(256, 21, radius=1.5)
+        assert self.one_step(monkeypatch, g, cref, d, target=sqrt1p_target) == {21}
+
+    def test_target_differs_between_coinciding_points(self, monkeypatch):
+        # z and z + 2^-250 fall in one class, but a target with a jump
+        # between them gives them different residuals
+        g, cref, _ = _exp_design(256, 2)
+        with mp.workprec(256):
+            z = mp.mpc(0.3, 0.2)
+            d = Discretization.from_points([z, z + mp.ldexp(1, -250), mp.conj(z)])
+        target = lambda w: mp.exp(w) * (2 if w.real > 0.3 else 1)
+        assert self.one_step(monkeypatch, g, cref, d, target=target) == {3}
+
+
+def test_mixed_multiplicity_design_pinned(monkeypatch, caplog):
+    # 21 points: ten conjugate pairs and the self-conjugate point -0.2, so the
+    # loop evaluates 11 points and repeats each row by its class's size.  The
+    # history was recorded with every point evaluated
+    g, cref = graph_monomial_degopt([1.0 / math.factorial(j) for j in range(6)])
+    g = convert_precision(g, bigfloat(256))
+    d = Discretization.disk(0.0, 0.2, 21, prec=256)
+    config = GNConfig(errtype=ErrType.REL, stoptol=1e-16, droptol=1e-15,
+                      linlsqr=LinLsqr.REAL_SVD, maxiter=100)
+    seen = _points_per_pass(monkeypatch)
+    with caplog.at_level("INFO", logger="matgraph.optimizer"):
+        report = opt_gauss_newton(g, exp_target, d, cref, config)
+    assert set(seen) == {11}
+    assert "21 points fold into 11 conjugate classes, rows expanded" in caplog.text
+    assert report.iterations == 10 and report.stop_reason == "converged"
+    assert report.residual_history == pytest.approx(
+        [1.0554301871167469e-07, 6.088792256528057e-09, 6.078782084829297e-09,
+         1.345229659650025e-07, 1.590526915329179e-07, 1.6296647937189841e-07,
+         2.5504117138961424e-07, 1.619676976881863e-07, 1.192132231532599e-09,
+         3.956632559269345e-13], rel=1e-20, abs=0)
+
+
 def test_design_outcome_survives_round_off_sized_steps(monkeypatch):
     # the tolerance contract of the 256-bit step: the design of
     # test_workflow, with every step perturbed componentwise by 1e-30
