@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
-from .evaluation import _eval_nodes, _ops_for, _precision_context, eval_graph
+from .evaluation import (_argument, _eval_nodes, _ops_for, _points_full, _precision_context,
+                         eval_graph)
 from .graph import CoeffRef, ComputationGraph, GraphError, OpKind, get_topo_order
 
 
@@ -55,12 +55,6 @@ def as_point_array(points) -> np.ndarray:
     return arr
 
 
-def _zeros_like_points(pts):
-    if pts.dtype == object:
-        return np.array([mp.mpf(0)] * len(pts), dtype=object)
-    return np.zeros(len(pts), dtype=pts.dtype)
-
-
 def forward_pass(g: ComputationGraph, points) -> dict:
     """Every node value of ``g`` at the points, keyed by node id.
 
@@ -79,16 +73,17 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
 
     ``weights`` (one per point) seed the output adjoint, so row i comes out
     scaled by w_i.  ``slots``, the :func:`forward_pass` of ``g`` at these
-    points, spares the forward pass; the sweep consumes it.  Requires a
-    single-output graph; an evaluation singularity at some point aborts
-    with an error naming the point.
+    points, spares the forward pass; the sweep consumes it.  Points and
+    weights are read in the graph's arithmetic.  Requires a single-output
+    graph; an evaluation singularity at some point aborts with an error
+    naming the point.
     """
     if len(g.outputs) != 1:
         raise GraphError("Jacobian needs a single-output graph")
     refs = [CoeffRef(*r) for r in refs]
     for ref in refs:
         g._check_ref(ref)
-    pts = as_point_array(points)
+    pts = _argument(g, as_point_array(points))
     if weights is not None and np.shape(weights) != pts.shape:
         raise ValueError("need one weight per point")
     with _precision_context(g):
@@ -98,14 +93,15 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
             slots = forward_pass(g, pts)
         values = slots[g.outputs[0]]
         J = np.empty((len(pts), len(refs)), dtype=object if pts.dtype == object else np.complex128)
-        J[:] = _zeros_like_points(pts)[:, None]  # columns of coefficients the output does not use
+        J[:] = _points_full(pts, 0)[:, None]  # columns of coefficients the output does not use
         cols: dict[str, list] = {}
         for col, ref in enumerate(refs):
             cols.setdefault(ref.node, []).append((col, ref.slot))
         # adjoints d g / d v_n, summed over every use of n (both slots of a node
         # count when p1 == p2); points are scalars, so nothing is transposed.
         # A node's adjoint and value are dropped once the sweep has passed it.
-        bar = {g.outputs[0]: ops.identity(pts) if weights is None else np.asarray(weights)}
+        bar = {g.outputs[0]: ops.identity(pts) if weights is None
+               else _argument(g, np.asarray(weights))}
         nodes = g.operations  # the inputs need no adjoint
 
         def add(p, v):
@@ -143,7 +139,7 @@ def finite_diff_jac(g: ComputationGraph, points, refs, h=1e-7) -> JacobianMatrix
     if h <= 0:
         raise ValueError("step size must be positive")
     refs = [CoeffRef(*r) for r in refs]
-    pts = as_point_array(points)
+    pts = _argument(g, as_point_array(points))
     base = g.get_coeffs(refs)
     N, K = len(pts), len(refs)
     J = np.empty((N, K), dtype=object if pts.dtype == object else np.complex128)

@@ -421,6 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1):  # argparse reads a point such as -0.5+1i or -inf as an option
+        if argv[i] == "--point" and argv[i + 1].startswith("-"):
+            argv[i:i + 2] = [f"--point={argv[i + 1]}"]
+            break
     try:
         args = parser.parse_args(argv)
         # a non-finite result is reported by the command itself (exit 3);

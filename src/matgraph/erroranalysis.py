@@ -111,7 +111,7 @@ def _poly_bound(coeffs):
     return bound
 
 
-def _radius(coeffs, u, kind: ThetaKind, nterms: int, prec: int) -> ThetaResult:
+def _radius(coeffs, u, kind: ThetaKind, nterms: int, prec: int, why: str = "") -> ThetaResult:
     """Largest theta with sum_j coeffs[j] theta^j <= u, certified.
 
     The coefficients are finite and nonnegative, so the bound increases
@@ -119,16 +119,18 @@ def _radius(coeffs, u, kind: ThetaKind, nterms: int, prec: int) -> ThetaResult:
     u fails everywhere.  Otherwise halves from 2^-20 until the bound
     passes, doubles until it fails (or saturates past the search cap),
     bisects, and checks the bracketing pair: theta passes and
-    theta*(1+1e-6) fails.
+    theta*(1+1e-6) fails.  A refusal says what it saw, and ``why``.
     """
+    refusal = ("no sign change: bound above u on the whole bracket (bound "
+               f"{mp.nstr(coeffs[0], 3)} at t -> 0, u = {mp.nstr(u, 3)}{why}")
     if coeffs[0] > u:
-        raise CertificationError("no sign change: bound above u on the whole bracket")
+        raise CertificationError(refusal + ")")
     bound = _poly_bound(coeffs)
     lo = _BRACKET_LO
     while bound(lo) > u:
         lo /= 2
         if lo < mp.mpf(2) ** -(prec - 8):
-            raise CertificationError("no sign change: bound above u on the whole bracket")
+            raise CertificationError(f"{refusal}, smallest radius tried {mp.nstr(lo * 2, 3)})")
     hi = lo
     while bound(hi) <= u:
         hi *= 2
@@ -205,7 +207,8 @@ def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
         h.coeffs[0] = mp.mpf(1)
         F = h.log().abs_coeffs()
         # sum_j |delta_j| t^(j-1); the j=0 coefficient is exactly zero
-        return _radius(F.coeffs[1:], u, ThetaKind.BACKWARD, nterms, prec)
+        return _radius(F.coeffs[1:], u, ThetaKind.BACKWARD, nterms, prec,
+                       f", g(0) - 1 = {mp.nstr(gs.coeffs[0] - 1, 3)}")
 
 
 def theta_table_csv(rows) -> str:

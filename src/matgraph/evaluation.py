@@ -1,15 +1,17 @@
 """Evaluate the function underlying a graph.
 
-Supported argument kinds, selected by the type of ``x``:
+Supported argument kinds, selected by the type of ``x`` as the graph reads
+it (:func:`_argument`: exactly, in mpmath numbers, at extended precision):
 
 * scalars (``float``/``complex``/``mpf``/``mpc``): the three node
   operations act as scalar +, *, and /;
 * 1-d numpy arrays: N independent scalar evaluations in one pass
   (object-dtype arrays carry extended-precision scalars);
-* 2-d numpy arrays: dense matrices (object-dtype arrays carry
-  extended-precision scalars), with the linear solve done by LU with
-  partial pivoting;
-* ``mpmath.matrix``: extended-precision dense matrices;
+* 2-d numpy arrays: dense matrices, the linear solve done by LU with
+  partial pivoting.  An extended-precision graph runs one as the
+  ``mpmath.matrix`` of its entries and returns an object array;
+* ``mpmath.matrix``: extended-precision dense matrices, whose products,
+  linear combinations and solves run on the kernels of :mod:`.numerics`;
 * :class:`~matgraph.series.TruncSeries`: truncated-series semantics, the
   route by which a graph's series expansion is extracted (a linear solve
   becomes series division and needs a nonzero denominator constant term).
@@ -50,31 +52,30 @@ def _precision_context(g: ComputationGraph, prec: int | None = None):
     return working_precision(g.coeff_type.prec if prec is None else prec)
 
 
-def _exact_mp(x):
-    """A binary64 or integer argument (scalar or ndarray) as mpmath numbers of the same value.
+def _argument(g: ComputationGraph, x):
+    """``x`` in the arithmetic of ``g``; every entry point reads its argument through this.
 
-    Any other argument is returned as it is.
+    An extended-precision graph reads binary64 and integer numbers, alone or
+    in an ndarray, as the mpmath numbers of the same value, and a 2-d ndarray
+    as an ``mpmath.matrix``, so that nothing runs in binary64 or in numpy's
+    object matmul.  A binary64 graph reads integer numpy values as float64,
+    never in wrapping int64.  Any other argument is returned as it is.
     """
-    if isinstance(x, np.ndarray) and x.dtype.kind in "iufc":
-        return np.array([_exact_mp(v) for v in x.ravel().tolist()], dtype=object).reshape(x.shape)
+    if g.coeff_type.prec is None:
+        if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
+            return x.astype(np.float64)
+        return float(x) if isinstance(x, np.integer) else x
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind in "iufc":
+            x = np.array([_argument(g, v) for v in x.ravel().tolist()],
+                         dtype=object).reshape(x.shape)
+        return mp.matrix(x.tolist()) if x.ndim == 2 and x.size else x  # no empty mpmath literal
     if isinstance(x, complex):
         return mp.make_mpc((libmp.from_float(x.real), libmp.from_float(x.imag)))
     if isinstance(x, float):
         return mp.make_mpf(libmp.from_float(x))
     if isinstance(x, (int, np.integer)):
         return mp.make_mpf(libmp.from_int(int(x)))
-    return x
-
-
-def _float64(x):
-    """An integer numpy argument (scalar or ndarray) in float64, never in wrapping int64.
-
-    Any other argument is returned as it is.
-    """
-    if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
-        return x.astype(np.float64)
-    if isinstance(x, np.integer):
-        return float(x)
     return x
 
 
@@ -104,20 +105,14 @@ def _scalar_ldiv(v1, v2):
     return v2 / v1
 
 
-def _points_identity(x):
+def _points_full(x, v):
+    """``v`` at each of the points ``x``, as an ``mpf`` when they are extended precision."""
     if x.dtype == object:
-        return np.array([mp.mpf(1)] * len(x), dtype=object)
-    return np.ones(len(x), dtype=x.dtype)
+        return np.array([mp.mpf(v)] * len(x), dtype=object)
+    return np.full(len(x), v, dtype=x.dtype)
 
 
 def _points_ldiv(v1, v2):
-    if v1.dtype == object:
-        out = np.empty(len(v1), dtype=object)
-        for i in range(len(v1)):
-            if v1[i] == 0:
-                raise SingularMatrixError(f"left-division by zero at point index {i}")
-            out[i] = v2[i] / v1[i]
-        return out
     zero = np.flatnonzero(v1 == 0)
     if zero.size:
         raise SingularMatrixError(f"left-division by zero at point index {int(zero[0])}")
@@ -132,7 +127,7 @@ def _matrix_ldiv(v1, v2):
 # ``TruncSeries.__mul__``), so a wrapper installed on them is seen.
 _SCALAR = _Ops(lambda x: mp.mpf(1) if isinstance(x, (mpmath.mpf, mpmath.mpc)) else 1,
                operator.mul, _scalar_ldiv)
-_POINTS = _Ops(_points_identity, operator.mul, _points_ldiv)
+_POINTS = _Ops(lambda x: _points_full(x, 1), operator.mul, _points_ldiv)
 _NP_MATRIX = _Ops(lambda x: np.eye(x.shape[0], dtype=x.dtype), operator.matmul, _matrix_ldiv)
 _MP_MATRIX = _Ops(lambda x: mp.eye(x.rows), mp_matmul, _matrix_ldiv, mp_lincomb)
 _SERIES = _Ops(lambda x: TruncSeries.constant(1, x.nterms), operator.mul,
@@ -165,11 +160,9 @@ def _eval_nodes(g, x, order, keep_all=False):
     The map holds ``x`` under ``g.input_id``, the identity under ``"I"``,
     every output, and, with ``keep_all``, every node of ``order``.  Without
     ``keep_all``, other slots are freed after their last use; results are
-    unaffected.  An extended-precision graph reads a binary64 or integer
-    ``x`` as the mpmath numbers of the same value, so that no operation runs
-    in binary64, and a binary64 graph reads integer numpy values as float64.
+    unaffected.  ``x`` is read in the graph's arithmetic (:func:`_argument`).
     """
-    x = _exact_mp(x) if g.coeff_type.prec is not None else _float64(x)
+    x = _argument(g, x)
     ops = _ops_for(x)
     slots = {"I": ops.identity(x), g.input_id: x}
     last_use: dict[str, int] = {}
@@ -206,7 +199,7 @@ def eval_graph(g: ComputationGraph, x, prec: int | None = None):
     """Evaluate the graph at ``x``; returns one value per output node.
 
     ``x`` binds to the graph's input id, ``g.input_id``.  A single output
-    is returned bare, several as a list.
+    is returned bare, several as a list; an ndarray matrix gives ndarrays.
     """
     if not g.outputs:
         raise GraphError("graph has no output nodes")
@@ -216,6 +209,8 @@ def eval_graph(g: ComputationGraph, x, prec: int | None = None):
     if missing:
         raise GraphError(f"output {missing[0]!r} was not computed")
     results = [slots[o] for o in g.outputs]
+    if isinstance(x, np.ndarray):  # an extended-precision graph ran it as an mpmath.matrix
+        results = [np.array(r.tolist(), dtype=object) if is_mp_matrix(r) else r for r in results]
     return results[0] if len(results) == 1 else results
 
 

@@ -56,7 +56,7 @@ from mpmath import mp
 from mpmath.libmp import fzero, mpf_neg
 
 from .autodiff import as_point_array, eval_jac, forward_pass
-from .evaluation import _precision_context
+from .evaluation import _argument, _precision_context
 from .graph import CoeffRef, ComputationGraph, GraphError
 from .numerics import truncated_lstsq
 
@@ -191,9 +191,10 @@ def residual(g: ComputationGraph, f, discr: Discretization,
              errtype: ErrType = ErrType.ABS) -> np.ndarray:
     """r_i = g(z_i) - f(z_i), divided by f(z_i) under relative error.
 
-    The target is evaluated at the graph's coefficient precision.
+    The points are read in the graph's arithmetic, so the target is
+    evaluated at the graph's coefficient precision.
     """
-    pts = discr.points
+    pts = _argument(g, discr.points)
     errtype = ErrType(errtype)
     with _precision_context(g):
         fv = _target_values(f, pts, errtype)
@@ -312,12 +313,12 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
     minimum-norm step would split its update between the copies, and only
     the last copy's share would be applied.
 
-    Under ``REAL_SVD`` with extended-precision points, a graph whose
-    coefficients are all real (selected or not), a point set closed under
-    conjugation within 2^(8-prec) max|z| and a target with f(conj z) =
-    conj f(z) to 2^(8-prec) max|f|, the loop evaluates one point of each
-    conjugate class: the normal equations are the same.  It logs one INFO
-    line when it does; there is no option for it.
+    The points are read in the graph's arithmetic.  Under ``REAL_SVD``, an
+    extended-precision graph whose coefficients are all real (selected or
+    not), a point set closed under conjugation within 2^(8-prec) max|z| and
+    a target with f(conj z) = conj f(z) to 2^(8-prec) max|f|, the loop
+    evaluates one point of each conjugate class: the normal equations are
+    the same.  It logs one INFO line when it does; there is no option for it.
     """
     config = config or GNConfig()
     refs = [CoeffRef(*ref) for ref in refs]
@@ -330,7 +331,7 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
     real_mode = LinLsqr(config.linlsqr) == LinLsqr.REAL_SVD
     report = GNReport(iterations=0)
     with _precision_context(g):
-        pts = discr.points
+        pts = _argument(g, discr.points)
         fv = _target_values(f, pts, errtype)
         if real_mode:
             base = g.get_coeffs(refs)

@@ -15,9 +15,9 @@ from mpmath import libmp, mp
 from matgraph import (CoeffRef, CoeffType, ComputationGraph, Degopt, DegoptError, GraphError,
                       OpKind, eval_graph_poly, get_topo_order, graph_degopt)
 from matgraph.graph import IDENTITY_ID, _drop, _retarget
-from matgraph.autodiff import _zeros_like_points, as_point_array
+from matgraph.autodiff import as_point_array
 from matgraph.codegen import Schedule
-from matgraph.evaluation import _eval_nodes, _ops_for, _precision_context, lincomb
+from matgraph.evaluation import _eval_nodes, _ops_for, _points_full, _precision_context, lincomb
 from matgraph.numerics import _fixed_point, convert_scalar
 
 
@@ -75,7 +75,7 @@ def forward_jac(g: ComputationGraph, points, refs, prec: int | None = None) -> n
         ops = _ops_for(pts)
         slots = _eval_nodes(g, pts, order, keep_all=True)
         J = np.empty((len(pts), len(refs)), dtype=object if pts.dtype == object else np.complex128)
-        zero = _zeros_like_points(pts)
+        zero = _points_full(pts, 0)
         for col, ref in enumerate(refs):
             if ref.node not in pos:
                 J[:, col] = zero  # coefficient not reachable from the output

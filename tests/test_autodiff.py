@@ -251,6 +251,17 @@ class TestWeightsAndValues:
             eval_jac(g, circle_discr(5), cref, weights=np.ones(4))
 
 
+def test_extended_graph_reads_binary64_points_exactly():
+    # the adjoint and the differences run at 256 bits, not rounded to complex128
+    g, cref = graph_monomial_degopt([1.0 / math.factorial(j) for j in range(6)])
+    g = convert_precision(g, bigfloat(256))
+    pts = circle_discr(20)
+    lifted = np.array([mp.mpc(z) for z in pts], dtype=object)
+    for jac in (eval_jac, finite_diff_jac):
+        got = jac(g, pts, cref).entries
+        assert got.dtype == object and (got == jac(g, lifted, cref).entries).all()
+
+
 class TestErrors:
     def test_singularity_names_point(self):
         g = ComputationGraph()

@@ -282,6 +282,17 @@ class TestOptimize:
         assert out.read_text().startswith('graph_coeff_type="Float64";')
         assert import_compgraph(str(out)).coeff_type == CoeffType()
 
+    def test_graph_without_coefficients_numerical_error(self, tmp_path, capsys):
+        g = ComputationGraph()
+        g.add_mult("A2", "A", "A")
+        g.set_outputs(["A2"])
+        gfile, out = tmp_path / "g.cgr", tmp_path / "o.cgr"
+        export_compgraph(g, str(gfile))
+        assert run(["optimize", str(gfile), "--target", "exp", "--radius", "0.3",
+                    "--points", "8", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "matgraph: graph has no tunable coefficients\n"
+        assert not out.exists()
+
     def test_rel_with_root_in_domain_numerical_error(self, tmp_path, capsys):
         gfile = tmp_path / "g.cgr"
         run(["generate", "--scheme", "monomial", "--coeffs", "1,0.5", "--out", str(gfile)])
@@ -361,6 +372,16 @@ class TestCertify:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1].split(",")[2] == "0.0"
         assert "warning: non-finite series coefficient" in captured.err
+
+    def test_refusal_warning_names_the_bound_u_and_g0(self, tmp_path, capsys):
+        # g(0) = 1, but the log series starts at delta_1 = 1e-10 z, above u from t = 0
+        g, _ = graph_monomial([1, 1 + 1e-10, 0.5], bigfloat(256))
+        gfile = tmp_path / "g.cgr"
+        export_compgraph(g, str(gfile))
+        assert run(["certify", str(gfile), "--nterms", "20"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("# warning: no sign change: bound above u on the whole bracket")
+        assert "(bound 1.0e-10 at t -> 0, u = 1.11e-16, g(0) - 1 = 0.0)" in err
 
 
 class TestCompressCodegenConvert:
@@ -569,14 +590,23 @@ class TestUserInput:
         assert run(["eval", str(gfile), "--point", point]) == 3
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("point", ["inf", "infinity", "1+infi"])
+    @pytest.mark.parametrize("point", ["inf", "infinity", "1+infi", "-inf"])
     def test_inf_point_numerical_error(self, tmp_path, capsys, point):
-        # inf is a non-finite point, as nan is, not a malformed one
+        # inf is a non-finite point, as nan is, not a malformed one; -inf is
+        # no option, though argparse would read it as one
         gfile = tmp_path / "g.cgr"
         run(["generate", "--scheme", "monomial", "--coeffs", "1,1,1", "--out", str(gfile)])
         capsys.readouterr()
         assert run(["eval", str(gfile), "--point", point]) == 3
         assert capsys.readouterr().out == ""
+
+    def test_negative_complex_point_after_a_space(self, tmp_path, capsys):
+        # argparse would take -0.5+1i for an option; it binds as --point=-0.5+1i does
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1,0.5", "--out", str(gfile)])
+        capsys.readouterr()
+        assert run(["eval", str(gfile), "--point", "-0.5+1i"]) == 0
+        assert capsys.readouterr().out == "0.125+0.5i\n"
 
     def test_inf_matrix_entry_numerical_error(self, tmp_path):
         gfile = tmp_path / "g.cgr"

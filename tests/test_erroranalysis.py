@@ -263,6 +263,26 @@ class TestRadiusSearch:
             compute_bwd_theta_exp(g, nterms=100)
         assert bound_evals == []
 
+    def test_refusal_names_the_bound_at_zero_u_and_g0(self):
+        # g(0) = 1, but log(e^{-z} g(z)) starts at delta_1 = 1e-10 z: above u from t = 0
+        g, _ = graph_monomial([1, 1 + 1e-10, 0.5], bigfloat(256))
+        with pytest.raises(CertificationError) as exc:
+            compute_bwd_theta_exp(g)
+        assert str(exc.value) == ("no sign change: bound above u on the whole bracket "
+                                  "(bound 1.0e-10 at t -> 0, u = 1.11e-16, g(0) - 1 = 0.0)")
+
+    def test_halving_refusal_names_the_smallest_radius_tried(self):
+        # |g - 1| = 1e10 z vanishes at 0 but stays above u down to 2^-(64 - 8)
+        g, _ = graph_monomial([1, 1e10])
+        with pytest.raises(CertificationError, match=r"^no sign change: .*\(bound 0\.0 at t -> 0, "
+                                                     r"u = 1\.11e-16, smallest radius tried 1\.39e-17\)$"):
+            compute_fwd_theta(g, TruncSeries.constant(1, 2), prec=64)
+
+    def test_target_series_shorter_than_the_degree_refused(self):
+        g, _ = taylor_graph(5)
+        with pytest.raises(CertificationError, match="target series truncated below the graph degree"):
+            compute_fwd_theta(g, TruncSeries.exp(4))
+
     def test_search_evaluation_count(self, bound_evals):
         g, _ = graph_exp_pade_ss(5, 0, coeff_type=bigfloat(256))
         compute_bwd_theta_exp(g, nterms=40)

@@ -268,6 +268,17 @@ class TestPrecisionRule:
             err = max(abs(got[i, j] - want[i, j]) for i in range(5) for j in range(5))
             assert err <= mp.mpf(2) ** -240 * mp.mnorm(want, 1)
 
+    @pytest.mark.parametrize("kind", ["float64", "integer", "object"])
+    def test_ndarray_matrix_gives_the_mpmath_matrix_result(self, kind):
+        # an ndarray matrix runs the products and solves of an mpmath.matrix
+        g, _ = graph_exp_pade_ss(13, 3, bigfloat(256))
+        A = np.random.default_rng(4).integers(-4, 5, (6, 6))
+        arg = {"float64": A / 8, "integer": A, "object": (A / 8).astype(object)}[kind]
+        want = eval_graph(g, mp.matrix(arg.tolist()))
+        got = eval_graph(g, arg)
+        assert got.dtype == object and got.shape == (6, 6)
+        assert all(got[i, j] == want[i, j] for i in range(6) for j in range(6))
+
     def test_ambient_precision_ignored(self):
         g = self.quadratic()
         with mp.workprec(256):

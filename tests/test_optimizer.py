@@ -597,6 +597,38 @@ def test_sqrt1p_target_rel_error_guard():
                          GNConfig(errtype=ErrType.REL, maxiter=1, linlsqr=LinLsqr.REAL_SVD))
 
 
+def test_real_lsq_refuses_a_complex_selected_coefficient():
+    g, cref, d = _exp_design(256, 8, ct=bigfloat(256, is_complex=True))
+    g.set_coeffs(cref[:1], [g.get_coeffs(cref[:1])[0] + 1e-3j])
+    with pytest.raises(OptimizeError, match="real least squares requires real coefficients"):
+        opt_gauss_newton(g, exp_target, d, cref, GNConfig(linlsqr=LinLsqr.REAL_SVD, maxiter=1))
+
+
+class TestBinary64PointsOnAnExtendedGraph:
+    """Binary64 points are read as the mpmath numbers of the same value."""
+
+    @staticmethod
+    def lifted(d):
+        return Discretization(np.array([mp.mpc(z) for z in d.points], dtype=object))
+
+    def test_residual(self):
+        g, _, d = _exp_design(None, 20, ct=bigfloat(256))
+        got = residual(g, exp_target, d, ErrType.REL)
+        assert got.dtype == object and (got == residual(g, exp_target, self.lifted(d), "rel")).all()
+
+    @pytest.mark.parametrize("ct, linlsqr", [(bigfloat(256), LinLsqr.REAL_SVD),
+                                             (bigfloat(256, is_complex=True), LinLsqr.COMPLEX_SVD)])
+    def test_design(self, ct, linlsqr):
+        config = GNConfig(errtype=ErrType.REL, stoptol=0.0, droptol=1e-15, linlsqr=linlsqr,
+                          maxiter=3)
+        runs = []
+        for lift in (False, True):
+            g, cref, d = _exp_design(None, 20, ct=ct)
+            report = opt_gauss_newton(g, exp_target, self.lifted(d) if lift else d, cref, config)
+            runs.append((report, g.get_coeffs(cref)))
+        assert runs[0] == runs[1] and runs[0][0].iterations == 3
+
+
 def test_complex_lsq_on_real_graph_rejected():
     g, cref = graph_monomial([1.0, 0.5])
     d = Discretization.disk(0, 0.5, 16)
