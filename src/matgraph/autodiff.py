@@ -16,34 +16,50 @@ hands it to :func:`eval_jac` instead of paying for it twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from mpmath import mp
 
 from .evaluation import (_argument, _eval_nodes, _ops_for, _points_full, _precision_context,
                          eval_graph)
 from .graph import CoeffRef, ComputationGraph, GraphError, OpKind, get_topo_order
+from .numerics import FixedVector
 
 
-@dataclass
 class JacobianMatrix:
     """N x K matrix of derivatives d g(z_i) / d c_k (times w_i if weighted).
 
     ``values`` holds g(z_i) when the Jacobian came from a forward pass.
+    ``entries`` may be given as a list of K column
+    :class:`~matgraph.numerics.FixedVector`, kept as ``columns``: it is then
+    made an object array of mpmath numbers, at the working precision of the
+    construction, when it is first read.  Otherwise ``columns`` is None.
     """
 
-    entries: np.ndarray
-    points: np.ndarray
-    refs: list[CoeffRef]
-    values: np.ndarray | None = None
+    def __init__(self, entries, points, refs, values=None):
+        self.columns = entries if isinstance(entries, list) else None
+        self._entries, self.points, self.refs, self.values = entries, points, refs, values
+        self._prec = mp.prec
+
+    @property
+    def entries(self):
+        if self._entries is self.columns:
+            self._entries = np.empty(self.shape, dtype=object)
+            with mp.workprec(self._prec):
+                for k, col in enumerate(self.columns):
+                    self._entries[:, k] = col.numbers()
+        return self._entries
 
     @property
     def shape(self):
-        return self.entries.shape
+        if self.columns is not None:
+            return len(self.points), len(self.columns)
+        return self._entries.shape
 
 
 def as_point_array(points) -> np.ndarray:
     """1-d array of evaluation points (a scalar is one); extended-precision scalars stay objects."""
+    if isinstance(points, FixedVector):
+        return points
     arr = np.asarray(points)
     if arr.ndim > 1:
         raise ValueError(f"points must be a scalar or a 1-d array, not {arr.ndim}-d")
@@ -84,24 +100,24 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
     for ref in refs:
         g._check_ref(ref)
     pts = _argument(g, as_point_array(points))
-    if weights is not None and np.shape(weights) != pts.shape:
-        raise ValueError("need one weight per point")
+    if weights is not None:
+        weights = _argument(g, weights if isinstance(weights, FixedVector) else np.asarray(weights))
+        if np.shape(weights) != pts.shape:
+            raise ValueError("need one weight per point")
     with _precision_context(g):
         order = get_topo_order(g)
         ops = _ops_for(pts)
         if slots is None:
             slots = forward_pass(g, pts)
         values = slots[g.outputs[0]]
-        J = np.empty((len(pts), len(refs)), dtype=object if pts.dtype == object else np.complex128)
-        J[:] = _points_full(pts, 0)[:, None]  # columns of coefficients the output does not use
+        J = [None] * len(refs)
         cols: dict[str, list] = {}
         for col, ref in enumerate(refs):
             cols.setdefault(ref.node, []).append((col, ref.slot))
         # adjoints d g / d v_n, summed over every use of n (both slots of a node
         # count when p1 == p2); points are scalars, so nothing is transposed.
         # A node's adjoint and value are dropped once the sweep has passed it.
-        bar = {g.outputs[0]: ops.identity(pts) if weights is None
-               else _argument(g, np.asarray(weights))}
+        bar = {g.outputs[0]: ops.identity(pts) if weights is None else weights}
         nodes = g.operations  # the inputs need no adjoint
 
         def add(p, v):
@@ -112,7 +128,7 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
             p1, p2 = g.parents[nid]
             for col, slot in cols.get(nid, ()):
                 # d/dc of c1*v1 + c2*v2 is the parent value the slot multiplies
-                J[:, col] = ops.mult(vbar, slots[(p1, p2)[slot - 1]])
+                J[col] = ops.mult(vbar, slots[(p1, p2)[slot - 1]])
             kind = nodes[nid]
             if kind == OpKind.LINCOMB:
                 c1, c2 = g.coeffs[nid]
@@ -131,7 +147,16 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
                     add(p2, t)
                 if p1 in nodes:
                     add(p1, -ops.mult(t, v))
-    return JacobianMatrix(J, pts, refs, values)
+        # columns of coefficients the output does not use are zero
+        fixed = isinstance(pts, FixedVector)
+        zero = FixedVector.constant(len(pts), 0) if fixed else _points_full(pts, 0)
+        J = [zero if c is None else c for c in J]
+        if fixed:
+            return JacobianMatrix(J, pts.numbers(), refs, values.numbers())
+        entries = np.empty((len(pts), len(refs)), dtype=zero.dtype)
+        for k, c in enumerate(J):
+            entries[:, k] = c
+        return JacobianMatrix(entries, pts, refs, values)
 
 
 def finite_diff_jac(g: ComputationGraph, points, refs, h=1e-7) -> JacobianMatrix:
@@ -139,10 +164,10 @@ def finite_diff_jac(g: ComputationGraph, points, refs, h=1e-7) -> JacobianMatrix
     if h <= 0:
         raise ValueError("step size must be positive")
     refs = [CoeffRef(*r) for r in refs]
-    pts = _argument(g, as_point_array(points))
+    pts = as_point_array(points)
     base = g.get_coeffs(refs)
-    N, K = len(pts), len(refs)
-    J = np.empty((N, K), dtype=object if pts.dtype == object else np.complex128)
+    extended = g.coeff_type.prec is not None or pts.dtype == object
+    J = np.empty((len(pts), len(refs)), dtype=object if extended else np.complex128)
     with _precision_context(g):
         for col, ref in enumerate(refs):
             c0 = base[col]
@@ -152,4 +177,5 @@ def finite_diff_jac(g: ComputationGraph, points, refs, h=1e-7) -> JacobianMatrix
             dn = eval_graph(g, pts)
             g.set_coeffs([ref], [c0])
             J[:, col] = (up - dn) / (2 * h)
-    return JacobianMatrix(J, pts, refs)
+        pts = _argument(g, pts)
+        return JacobianMatrix(J, pts.numbers() if isinstance(pts, FixedVector) else pts, refs)

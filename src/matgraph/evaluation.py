@@ -1,12 +1,15 @@
 """Evaluate the function underlying a graph.
 
 Supported argument kinds, selected by the type of ``x`` as the graph reads
-it (:func:`_argument`: exactly, in mpmath numbers, at extended precision):
+it (:func:`_argument`: exactly, at extended precision):
 
 * scalars (``float``/``complex``/``mpf``/``mpc``): the three node
   operations act as scalar +, *, and /;
-* 1-d numpy arrays: N independent scalar evaluations in one pass
-  (object-dtype arrays carry extended-precision scalars);
+* 1-d numpy arrays: N independent scalar evaluations in one pass.  An
+  extended-precision graph reads one, of any dtype, as a
+  :class:`~matgraph.numerics.FixedVector` (Python integers at one shared
+  exponent, with prec + 64 bits in the smallest entry), runs every node on
+  integers and returns an object array of mpmath numbers;
 * 2-d numpy arrays: dense matrices, the linear solve done by LU with
   partial pivoting.  An extended-precision graph runs one as the
   ``mpmath.matrix`` of its entries and returns an object array;
@@ -32,9 +35,11 @@ from mpmath import libmp, mp
 
 from .graph import ComputationGraph, GraphError, OpKind, get_topo_order
 from .numerics import (
+    FixedVector,
     SingularMatrixError,
     is_mp_matrix,
     is_scalar,
+    lincomb_fixed,
     mat_lu_solve,
     mp_lincomb,
     mp_matmul,
@@ -55,17 +60,21 @@ def _precision_context(g: ComputationGraph, prec: int | None = None):
 def _argument(g: ComputationGraph, x):
     """``x`` in the arithmetic of ``g``; every entry point reads its argument through this.
 
-    An extended-precision graph reads binary64 and integer numbers, alone or
-    in an ndarray, as the mpmath numbers of the same value, and a 2-d ndarray
-    as an ``mpmath.matrix``, so that nothing runs in binary64 or in numpy's
-    object matmul.  A binary64 graph reads integer numpy values as float64,
-    never in wrapping int64.  Any other argument is returned as it is.
+    An extended-precision graph reads binary64 and integer numbers as the
+    mpmath numbers of the same value, a 1-d ndarray as the
+    :class:`~matgraph.numerics.FixedVector` of its exact values, and a 2-d
+    ndarray as an ``mpmath.matrix``, so that nothing runs in binary64 or in
+    numpy's object arithmetic.  A binary64 graph reads integer numpy values
+    as float64, never in wrapping int64.  Any other argument is returned as
+    it is.
     """
     if g.coeff_type.prec is None:
         if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
             return x.astype(np.float64)
         return float(x) if isinstance(x, np.integer) else x
     if isinstance(x, np.ndarray):
+        if x.ndim == 1:
+            return FixedVector.read(x.tolist())
         if x.dtype.kind in "iufc":
             x = np.array([_argument(g, v) for v in x.ravel().tolist()],
                          dtype=object).reshape(x.shape)
@@ -80,7 +89,7 @@ def _argument(g: ComputationGraph, x):
 
 
 def lincomb(c1, v1, c2, v2):
-    """``c1*v1 + c2*v2`` for every argument kind but ``mpmath.matrix``.
+    """``c1*v1 + c2*v2`` for the argument kinds with no fused form of their own.
 
     The coefficients go on the right: each kind scales by a scalar from
     the right, and an ``mpf`` on the left of an object array first tries
@@ -128,6 +137,8 @@ def _matrix_ldiv(v1, v2):
 _SCALAR = _Ops(lambda x: mp.mpf(1) if isinstance(x, (mpmath.mpf, mpmath.mpc)) else 1,
                operator.mul, _scalar_ldiv)
 _POINTS = _Ops(lambda x: _points_full(x, 1), operator.mul, _points_ldiv)
+_FIXED = _Ops(lambda x: FixedVector.constant(len(x), 1), operator.mul,
+              lambda v1, v2: v2 / v1, lincomb_fixed)
 _NP_MATRIX = _Ops(lambda x: np.eye(x.shape[0], dtype=x.dtype), operator.matmul, _matrix_ldiv)
 _MP_MATRIX = _Ops(lambda x: mp.eye(x.rows), mp_matmul, _matrix_ldiv, mp_lincomb)
 _SERIES = _Ops(lambda x: TruncSeries.constant(1, x.nterms), operator.mul,
@@ -137,6 +148,8 @@ _SERIES = _Ops(lambda x: TruncSeries.constant(1, x.nterms), operator.mul,
 def _ops_for(x) -> _Ops:
     if is_scalar(x) or isinstance(x, numbers.Number):
         return _SCALAR
+    if isinstance(x, FixedVector):
+        return _FIXED
     if isinstance(x, np.ndarray):
         if x.ndim == 1:
             return _POINTS
@@ -199,18 +212,20 @@ def eval_graph(g: ComputationGraph, x, prec: int | None = None):
     """Evaluate the graph at ``x``; returns one value per output node.
 
     ``x`` binds to the graph's input id, ``g.input_id``.  A single output
-    is returned bare, several as a list; an ndarray matrix gives ndarrays.
+    is returned bare, several as a list; an ndarray gives ndarrays.
     """
     if not g.outputs:
         raise GraphError("graph has no output nodes")
     with _precision_context(g, prec):
         slots = _eval_nodes(g, x, get_topo_order(g))
-    missing = [o for o in g.outputs if o not in slots]
-    if missing:
-        raise GraphError(f"output {missing[0]!r} was not computed")
-    results = [slots[o] for o in g.outputs]
-    if isinstance(x, np.ndarray):  # an extended-precision graph ran it as an mpmath.matrix
-        results = [np.array(r.tolist(), dtype=object) if is_mp_matrix(r) else r for r in results]
+        missing = [o for o in g.outputs if o not in slots]
+        if missing:
+            raise GraphError(f"output {missing[0]!r} was not computed")
+        results = [slots[o] for o in g.outputs]
+        if isinstance(x, (np.ndarray, FixedVector)):  # an extended-precision graph read it
+            results = [r.numbers() if isinstance(r, FixedVector) else
+                       np.array(r.tolist(), dtype=object) if is_mp_matrix(r) else r
+                       for r in results]
     return results[0] if len(results) == 1 else results
 
 

@@ -18,10 +18,12 @@ mpmath's own results bit for bit (:func:`mp_matmul`, :func:`mp_lincomb`,
 :func:`mat_lu_solve`).  Complex operands go to mpmath's own matrix
 routines.
 
-The extended-precision least-squares step (:func:`truncated_lstsq`) forms
-its Gram matrix from exact integer dot products, setting aside the few
-entries far below their column's largest so that they do not widen every
-integer.  The dot products are float64 BLAS products of 16-bit limbs of the
+A 1-d vector of extended-precision points is a :class:`FixedVector`:
+Python integers at one shared exponent, set after every operation by the
+smallest entry.  The extended-precision least-squares step
+(:func:`truncated_lstsq`) forms its Gram matrix from exact integer dot
+products of such integers, handed over as they are (:class:`IntVector`).
+The dot products are float64 BLAS products of 16-bit limbs of the
 integers, small enough that no sum rounds (the error-free splitting of
 Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  The Gram matrix
 is then reduced in fixed point on Python integers, 2 prec + 64 bits below
@@ -34,9 +36,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -318,6 +322,204 @@ def _mp_lu_solve(A, B):
 
 
 # ---------------------------------------------------------------------------
+# extended-precision point vectors
+#
+# N complex values held as two lists of Python integers and one exponent,
+# entry i being (re[i] + i im[i]) 2^exp.  Sums and scalings by an exactly
+# read coefficient are exact; products and quotients are formed exactly (a
+# quotient to a chosen number of bits) and then rounded down.  After every
+# operation the exponent is raised as far as the smallest nonzero entry, by
+# max(|re|, |im|), keeps prec + GUARD_BITS bits, so no entry is rounded more
+# coarsely than an ``mpc`` operation rounds it, and entries whose magnitudes
+# differ widely only make wider integers.
+
+#: bits a point vector keeps in its smallest entry beyond the working precision
+GUARD_BITS = 64
+
+
+def _exact(x):
+    """``(re, im, e)``: integers with ``x == (re + i im) 2**e``, or None if ``x`` is not finite."""
+    if isinstance(x, mpmath.mpc):
+        a, b = x._mpc_
+    elif isinstance(x, mpmath.mpf):
+        a, b = x._mpf_, fzero
+    elif isinstance(x, numbers.Integral):
+        a, b = libmp.from_int(int(x)), fzero
+    elif isinstance(x, numbers.Real):
+        a, b = libmp.from_float(float(x)), fzero
+    elif isinstance(x, numbers.Complex):
+        a, b = libmp.from_float(float(x.real)), libmp.from_float(float(x.imag))
+    else:
+        raise TypeError(f"cannot read a {type(x).__name__} as an extended-precision number")
+    (sa, ma, ea, _), (sb, mb, eb, _) = a, b
+    if ea and not ma or eb and not mb:
+        return None
+    e = min(ea if ma else eb, eb if mb else ea)
+    return ((-ma if sa else ma) << (ea - e) if ma else 0,
+            (-mb if sb else mb) << (eb - e) if mb else 0, e)
+
+
+def _is_complex(x) -> bool:
+    return isinstance(x, (mpmath.mpc, complex, np.complexfloating))
+
+
+def _normalized(re, im, exp, real):
+    """The vector of the exact ``re``, ``im`` at ``exp``, its exponent set by the rule above."""
+    bits = list(map(max, map(int.bit_length, re), map(int.bit_length, im)))
+    low = min(bits, default=0) or min(filter(None, bits), default=0)
+    shift = low - mp.prec - GUARD_BITS
+    if shift > 0:
+        re = [x >> shift for x in re]
+        im = [x >> shift for x in im]
+        exp += shift
+    return FixedVector(re, im, exp, real)
+
+
+class FixedVector:
+    """N complex numbers ``(re[i] + i im[i]) 2**exp`` on Python integers, one shared exponent.
+
+    The extended-precision kind of a 1-d point argument (see the rule
+    above).  ``real`` records that every value it was made from was real,
+    so that :meth:`numbers` gives ``mpf`` entries.  ``exp`` is None when a
+    value it was made from was not finite: every entry then reads NaN.
+    The operators are those of a numpy array: ``+``, ``-``, ``*`` by a
+    vector or a scalar, and elementwise ``/``, which raises
+    :class:`SingularMatrixError` naming the first point whose divisor is 0.
+    """
+
+    __slots__ = ("re", "im", "exp", "real")
+
+    def __init__(self, re, im, exp, real=False):
+        self.re, self.im, self.exp, self.real = re, im, exp, real
+
+    @classmethod
+    def read(cls, values):
+        """The exact values of a sequence of Python or mpmath numbers."""
+        parts = [_exact(v) for v in values]
+        real = not any(map(_is_complex, values))
+        if None in parts:
+            return cls([0] * len(parts), [0] * len(parts), None, real)
+        e = min((e for a, b, e in parts if a or b), default=0)
+        return cls([a << (pe - e) if a else 0 for a, _, pe in parts],
+                   [b << (pe - e) if b else 0 for _, b, pe in parts], e, real)
+
+    @classmethod
+    def constant(cls, n: int, v: int):
+        return cls([v] * n, [0] * n, 0, True)
+
+    def __len__(self):
+        return len(self.re)
+
+    @property
+    def shape(self):
+        return (len(self.re),)
+
+    def _nan(self):
+        return FixedVector(self.re, self.im, None, self.real)
+
+    def take(self, index):
+        """The entries at ``index`` (a sequence of positions, repeats allowed)."""
+        re, im = self.re, self.im
+        return FixedVector([re[i] for i in index], [im[i] for i in index], self.exp, self.real)
+
+    def numbers(self) -> np.ndarray:
+        """Object array of the entries (``mpf`` if real), each rounded to the working precision."""
+        p, e = mp.prec, self.exp
+        if e is None:
+            return np.array([mp.nan if self.real else mp.mpc(mp.nan, mp.nan)] * len(self),
+                            dtype=object)
+        if self.real:
+            return np.array([mp.make_mpf(libmp.from_man_exp(a, e, p, RND)) for a in self.re],
+                            dtype=object)
+        return np.array([mp.make_mpc((libmp.from_man_exp(a, e, p, RND),
+                                      libmp.from_man_exp(b, e, p, RND)))
+                         for a, b in zip(self.re, self.im)], dtype=object)
+
+    def magnitudes(self) -> list:
+        """``|v_i|`` as binary64 values, each correctly rounded from the exact sqrt(re^2 + im^2)."""
+        if self.exp is None:
+            return [math.nan] * len(self)
+        out, keep = [], 2 * (mp.prec + GUARD_BITS)
+        for a, b in zip(self.re, self.im):
+            s = a * a + b * b
+            k = max(0, keep - s.bit_length()) // 2
+            m = math.isqrt(s << 2 * k)
+            # the root is m or lies strictly between m and m + 1; m has far
+            # more bits than binary64 keeps, so m + 1/2 rounds as the root does
+            m = 2 * m + (m * m != s << 2 * k)
+            out.append(libmp.to_float(libmp.from_man_exp(m, self.exp - k - 1, 53, RND)))
+        return out
+
+    def __add__(self, other):
+        if self.exp is None or other.exp is None:
+            return self._nan()
+        x, y = (self, other) if self.exp <= other.exp else (other, self)
+        s = y.exp - x.exp
+        return _normalized([a + (b << s) for a, b in zip(x.re, y.re)],
+                           [a + (b << s) for a, b in zip(x.im, y.im)], x.exp,
+                           x.real and y.real)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return FixedVector([-v for v in self.re], [-v for v in self.im], self.exp, self.real)
+
+    def __mul__(self, other):
+        if not isinstance(other, FixedVector):
+            return lincomb_fixed(other, self, 0, self)
+        if self.exp is None or other.exp is None:
+            return self._nan()
+        # three products: (a + bi)(c + di) = ac - bd + ((a + b)(c + d) - ac - bd) i
+        xr, xi, yr, yi = self.re, self.im, other.re, other.im
+        ac = list(map(operator.mul, xr, yr))
+        bd = list(map(operator.mul, xi, yi))
+        s = map(operator.mul, map(operator.add, xr, xi), map(operator.add, yr, yi))
+        return _normalized(list(map(operator.sub, ac, bd)),
+                           [t - p - q for p, q, t in zip(ac, bd, s)],
+                           self.exp + other.exp, self.real and other.real)
+
+    def __truediv__(self, other):
+        """``self / other`` entry by entry; the quotients keep the bits the rule asks for."""
+        if self.exp is None or other.exp is None:
+            return self._nan()
+        xr, xi, yr, yi = self.re, self.im, other.re, other.im
+        den = [c * c + d * d for c, d in zip(yr, yi)]
+        if 0 in den:
+            raise SingularMatrixError(f"left-division by zero at point index {den.index(0)}")
+        mul = operator.mul
+        nr = list(map(operator.add, map(mul, xr, yr), map(mul, xi, yi)))
+        ni = list(map(operator.sub, map(mul, xi, yr), map(mul, xr, yi)))
+        # each nonzero quotient (n << k) / den has at least prec + GUARD_BITS + 1 bits
+        bl = int.bit_length
+        k = max(0, max((bl(q) - max(bl(a), bl(b)) for a, b, q in zip(nr, ni, den) if a or b),
+                       default=0) + mp.prec + GUARD_BITS + 1)
+        return _normalized([(a << k) // q for a, q in zip(nr, den)],
+                           [(b << k) // q for b, q in zip(ni, den)],
+                           self.exp - other.exp - k, self.real and other.real)
+
+
+def lincomb_fixed(c1, v1, c2, v2) -> FixedVector:
+    """``c1 v1 + c2 v2`` for point vectors and scalars, exact until the final rounding."""
+    p, q = _exact(c1), _exact(c2)
+    if p is None or q is None or v1.exp is None or v2.exp is None:
+        return v1._nan()
+    (r1, i1, e1), (r2, i2, e2) = p, q
+    # align the two terms through the coefficients, one shift each
+    E1, E2 = v1.exp + e1, v2.exp + e2
+    E = min(E1, E2)
+    r1, i1, r2, i2 = r1 << (E1 - E), i1 << (E1 - E), r2 << (E2 - E), i2 << (E2 - E)
+    real = v1.real and v2.real and not (_is_complex(c1) or _is_complex(c2))
+    if i1 or i2:
+        return _normalized([a * r1 - b * i1 + c * r2 - d * i2
+                            for a, b, c, d in zip(v1.re, v1.im, v2.re, v2.im)],
+                           [a * i1 + b * r1 + c * i2 + d * r2
+                            for a, b, c, d in zip(v1.re, v1.im, v2.re, v2.im)], E, real)
+    return _normalized([a * r1 + c * r2 for a, c in zip(v1.re, v2.re)],
+                       [b * r1 + d * r2 for b, d in zip(v1.im, v2.im)], E, real)
+
+
+# ---------------------------------------------------------------------------
 # truncated least squares
 #
 # The kernels work on Python integers: the normal equations are exact, and
@@ -326,9 +528,6 @@ def _mp_lu_solve(A, B):
 # down by F (``>> F``), a quotient shifted up first (``(x << F) // y``), and
 # a square root of a sum of products, which has 2F fractional bits, is
 # ``math.isqrt`` of it.  Each rounds down, by at most 2^-F.
-
-#: an entry more than this many bits below its vector's largest is set aside
-OUTLIER_BITS = 64
 
 #: the Gram product writes each integer in limbs of this many bits
 LIMB_BITS = 16
@@ -339,26 +538,24 @@ EXACT_TERMS = 2 ** 21
 BLOCK_TERMS = 2 ** 9
 
 
-def _fixed_point(xs):
-    """``(ms, e, outliers)`` with ``xs[i] == ms[i] * 2**e`` exactly, in Python integers.
+class IntVector(NamedTuple):
+    """A real vector given as integers at one exponent: entry i is ``ms[i] * 2**e``.
 
-    ``xs`` holds ``mpf`` values or raw libmp tuples.  An entry whose top bit
-    is more than :data:`OUTLIER_BITS` below the largest would widen every
-    integer of the vector; it is set aside instead: ``ms[i]`` is 0 and
-    ``outliers[i]`` holds its exact ``(man, exp)``.
+    ``e`` is None for a vector made from a non-finite value.
     """
-    raw = [x if type(x) is tuple else x._mpf_ if isinstance(x, mpmath.mpf) else mp.mpf(x)._mpf_
-           for x in xs]
-    if any(exp and not man for _, man, exp, _ in raw):
-        raise ArithmeticError("least-squares data is not finite")
-    cut = max((exp + bc for _, man, exp, bc in raw if man), default=0) - OUTLIER_BITS
-    e = min((exp for _, man, exp, bc in raw if man and exp + bc >= cut), default=0)
-    ms, outliers = [], {}
-    for i, (sign, man, exp, bc) in enumerate(raw):
-        if man and exp + bc < cut:
-            outliers[i], man = (-man if sign else man, exp), 0
-        ms.append((-man if sign else man) << (exp - e) if man else 0)
-    return ms, e, outliers
+
+    ms: list
+    e: int | None
+
+
+def _int_vector(c) -> IntVector:
+    """``c`` if an :class:`IntVector`, else the exact values of an iterable of real numbers."""
+    if isinstance(c, IntVector):
+        return c
+    v = FixedVector.read(list(c))
+    if not v.real:
+        raise TypeError("least-squares data must be real")
+    return IntVector(v.re, v.exp)
 
 
 def _limb_products(mss):
@@ -406,36 +603,19 @@ def _limb_products(mss):
 def _normal_equations(cols, b):
     """``(A^T A, A^T b)`` as lists of exact ``(man, exp)`` sums, never rounded.
 
-    A row that some vector set aside (see :func:`_fixed_point`) leaves the
-    limb product: every vector's exact entry there is kept instead, and each
-    sum adds those rows' products, shifted with the integer sum to the
-    lowest exponent among them.
+    Each of ``cols`` and ``b`` is read by :func:`_int_vector`; an exponent
+    of None (a non-finite value) is refused.
     """
-    fixed = [_fixed_point(c) for c in cols]
-    fixed.append(_fixed_point(b))
-    aside = sorted(set().union(*(outliers for _, _, outliers in fixed)))
-    exact = []
-    for ms, e, outliers in fixed:
-        exact.append([outliers.get(i) or (ms[i], e) for i in aside])
-        for i in aside:
-            ms[i] = 0
-    S = _limb_products([ms for ms, _, _ in fixed])
-
-    def dot(a, c):
-        man, exp = S[a][c], fixed[a][1] + fixed[c][1]
-        if aside:
-            terms = [(p * q, ep + eq) for (p, ep), (q, eq) in zip(exact[a], exact[c])]
-            low = min(exp, *(t for _, t in terms))
-            man = (man << (exp - low)) + sum(m << (t - low) for m, t in terms)
-            exp = low
-        return man, exp
-
-    K = len(cols)
+    vecs = [_int_vector(c) for c in (*cols, b)]
+    if any(v.e is None for v in vecs):
+        raise ArithmeticError("least-squares data is not finite")
+    S = _limb_products([v.ms for v in vecs])
+    K = len(vecs) - 1
     G = [[None] * K for _ in range(K)]
     for a in range(K):
         for c in range(a, K):
-            G[a][c] = G[c][a] = dot(a, c)
-    return G, [dot(a, K) for a in range(K)]
+            G[a][c] = G[c][a] = S[a][c], vecs[a].e + vecs[c].e
+    return G, [(S[a][K], vecs[a].e + vecs[K].e) for a in range(K)]
 
 
 def _to_fixed(sums, bits):
@@ -533,8 +713,9 @@ def truncated_lstsq(cols, b, droptol):
     """Minimum-norm least-squares solution of ``A x = b`` over the kept singular values.
 
     ``cols`` are the columns of the real ``A`` and ``b`` its right-hand
-    side, each an iterable of ``mpf`` values or raw libmp tuples read once
-    (so a caller can produce the entries as they are read).  With A^T A = Q diag(E) Q^T,
+    side, each an :class:`IntVector` (integers at an exponent, as the
+    Gauss-Newton loop hands over its point vectors) or an iterable of real
+    numbers, read exactly.  With A^T A = Q diag(E) Q^T,
     ``x = sum_j q_j (q_j^T A^T b) / E_j`` over the eigenvalues E_j > 0 with
     E_j > droptol^2 max|E|, i.e. the singular values of A above ``droptol``
     times the largest.  The Gram matrix and A^T b are exact integer sums,

@@ -15,6 +15,11 @@ run, on the node values that pass kept.  Under relative error the adjoint
 is seeded with 1/f(z_i), which scales every Jacobian row by 1/f(z_i) for
 N reciprocals instead of N*K divisions.
 
+At extended precision the points, the node values of both sweeps, the
+residual and the Jacobian columns are :class:`~matgraph.numerics.FixedVector`
+(Python integers at one exponent per vector), and the columns and the
+residual go to the least-squares step as those integers; mpmath numbers are
+made only for the target, which reads the points as Python numbers.
 Extended-precision least squares goes through the exact Gram matrix J^T J
 and its eigenvalues, computed in fixed point on Python integers
 (:func:`~matgraph.numerics.truncated_lstsq`): the squared conditioning is
@@ -36,7 +41,8 @@ The forward pass and the adjoint sweep then run on one point of each
 conjugate class, the stop tests read the max residual over those points,
 and when the classes differ in size each row is repeated once per point of
 its class.  The fold has no option: it applies exactly when these checks
-pass, and otherwise every point is evaluated.
+pass, and otherwise every point is evaluated and one INFO record says which
+check failed.
 """
 
 from __future__ import annotations
@@ -50,15 +56,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 
-import mpmath
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import fzero, mpf_neg
 
-from .autodiff import as_point_array, eval_jac, forward_pass
+from .autodiff import JacobianMatrix, as_point_array, eval_jac, forward_pass
 from .evaluation import _argument, _precision_context
 from .graph import CoeffRef, ComputationGraph, GraphError
-from .numerics import truncated_lstsq
+from .numerics import FixedVector, IntVector, truncated_lstsq
 
 
 log = logging.getLogger(__name__)
@@ -172,9 +176,9 @@ class GNReport:
     stop_reason: str | None = None
 
 
-def _target_values(f, pts: np.ndarray, errtype: ErrType) -> np.ndarray:
+def _target_values(f, zs: np.ndarray, errtype: ErrType) -> np.ndarray:
     """f(z_i) at every point; under relative error none may vanish."""
-    fv = np.array([f(z) for z in pts], dtype=object if pts.dtype == object else np.complex128)
+    fv = np.array([f(z) for z in zs], dtype=object if zs.dtype == object else np.complex128)
     bad = [i for i, v in enumerate(fv) if v == 0] if errtype == ErrType.REL else []
     if bad:
         raise OptimizeError(f"relative error undefined: target vanishes at point index {bad[0]}")
@@ -197,12 +201,14 @@ def residual(g: ComputationGraph, f, discr: Discretization,
     pts = _argument(g, discr.points)
     errtype = ErrType(errtype)
     with _precision_context(g):
-        fv = _target_values(f, pts, errtype)
-        return _residual(forward_pass(g, pts)[g.outputs[0]], fv, errtype)
+        zs = pts.numbers() if isinstance(pts, FixedVector) else pts
+        fv = _argument(g, _target_values(f, zs, errtype))
+        r = _residual(forward_pass(g, pts)[g.outputs[0]], fv, errtype)
+        return r.numbers() if isinstance(r, FixedVector) else r
 
 
 def _conjugate_classes(pts: np.ndarray, fv: np.ndarray):
-    """The points' conjugate classes as (representatives, multiplicities), or None.
+    """The points' conjugate classes as (representatives, multiplicities), or why there are none.
 
     A class holds the points equal to its first point z or to conj(z) within
     2^(8-prec) max|z_i|, found by a key quantised relative to max|z_i|
@@ -210,12 +216,13 @@ def _conjugate_classes(pts: np.ndarray, fv: np.ndarray):
     class must hold z's conjugate, and each point w of it must have
     f(w) = f(z), or conj f(z) where w is conj(z), to 2^(8-prec) max|f(z_i)|;
     a point on the real axis is its own conjugate, so f must be real there.
-    Any failure, or a point or target value that is not finite, gives None.
+    On a failure, or a point or target value that is not finite, the result
+    is a string saying which.
     """
     zmax = max(map(abs, pts), default=0)
     quantum = float(zmax) * 2.0 ** -32 or 1.0
     if not (math.isfinite(quantum) and all(map(mp.isfinite, chain(pts, fv)))):
-        return None
+        return "a point or target value is not finite"
     eps = mp.ldexp(1, 8 - mp.prec)
     ztol, ftol = eps * zmax, eps * max(map(abs, fv), default=0)
     classes = {}
@@ -227,12 +234,14 @@ def _conjugate_classes(pts: np.ndarray, fv: np.ndarray):
         paired = False
         for i in members:
             same, conj = abs(pts[i] - z) <= ztol, abs(pts[i] - mp.conj(z)) <= ztol
-            if (not (same or conj) or same and abs(fv[i] - w) > ftol
-                    or conj and abs(fv[i] - mp.conj(w)) > ftol):
-                return None
+            if not (same or conj):
+                return f"point index {i} has no conjugate within 2^(8-prec) max|z|"
+            if same and abs(fv[i] - w) > ftol or conj and abs(fv[i] - mp.conj(w)) > ftol:
+                return (f"the target at point index {i} breaks f(conj z) = conj f(z) "
+                        f"against point index {members[0]}")
             paired |= conj
         if not paired:
-            return None
+            return f"point index {members[0]} has no conjugate within 2^(8-prec) max|z|"
     return [m[0] for m in classes.values()], [len(m) for m in classes.values()]
 
 
@@ -248,47 +257,42 @@ def _svd_pinv_numpy(A: np.ndarray, b: np.ndarray, droptol: float):
     return vh[keep].conj().T @ coeff, kept
 
 
-def _parts(v):
-    """``(Re v, Im v)`` of an extended-precision scalar as raw libmp tuples, unrounded."""
-    if isinstance(v, mpmath.mpc):
-        return v._mpc_
-    return v._mpf_, fzero
-
-
 def gn_step(J, r, config: GNConfig) -> np.ndarray:
     """Least-squares update direction delta = pinv(J) r with drop tolerance.
 
-    Under ``REAL_SVD`` the real and imaginary parts are stacked so the
-    returned update is real.  If every singular value falls below the
-    tolerance the step is zero and a warning is emitted.
+    ``J`` is a :class:`~matgraph.autodiff.JacobianMatrix`, an N x K array
+    or, at extended precision, a list of K column
+    :class:`~matgraph.numerics.FixedVector`, and ``r`` an array or a
+    ``FixedVector``.  Under ``REAL_SVD`` the real and imaginary parts are
+    stacked so the returned update is real.  If every singular value falls
+    below the tolerance the step is zero and a warning is emitted.
     """
-    entries = getattr(J, "entries", J)
-    entries = np.asarray(entries)
-    r = np.asarray(r)
+    if isinstance(J, JacobianMatrix):
+        J = J.entries if J.columns is None else J.columns
+    if not isinstance(J, list):
+        J = np.asarray(J)
+        if J.dtype == object:
+            J = [FixedVector.read(col) for col in J.T]
     real_mode = LinLsqr(config.linlsqr) == LinLsqr.REAL_SVD
-    if entries.dtype == object:
-        # one real problem: [Re J; Im J], and for a complex step the real
-        # embedding [[Re J, -Im J], [Im J, Re J]] acting on [Re d; Im d];
-        # the columns are read lazily, so their entries are never all alive,
-        # and they hold the raw libmp parts, so no mpf object is made for them
-        K = entries.shape[1]
-
-        def part(col, k):
-            return (_parts(v)[k] for v in col)
-
-        cols = [chain(part(col, 0), part(col, 1)) for col in entries.T]
+    if isinstance(J, list):
+        # one real problem on integers: [Re J; Im J], and for a complex step
+        # the real embedding [[Re J, -Im J], [Im J, Re J]] acting on [Re d; Im d]
+        if not isinstance(r, FixedVector):
+            r = FixedVector.read(np.asarray(r).tolist())
+        cols = [IntVector(c.re + c.im, c.exp) for c in J]
         if not real_mode:
-            cols += [chain(map(mpf_neg, part(col, 1)), part(col, 0)) for col in entries.T]
-        x, kept = truncated_lstsq(cols, chain(part(r, 0), part(r, 1)), config.droptol)
+            cols += [IntVector([-v for v in c.im] + c.re, c.exp) for c in J]
+        x, kept = truncated_lstsq(cols, IntVector(r.re + r.im, r.exp), config.droptol)
+        K = len(J)
         out = np.array(x if real_mode else [mp.mpc(a, b) for a, b in zip(x[:K], x[K:])],
                        dtype=object)
     else:
         if real_mode:
-            A = np.vstack([entries.real, entries.imag])
+            A = np.vstack([J.real, J.imag])
             b = np.concatenate([np.asarray(r).real, np.asarray(r).imag])
         else:
-            A = entries
-            b = r
+            A = J
+            b = np.asarray(r)
         out, kept = _svd_pinv_numpy(A, b, config.droptol)
     if kept == 0:
         warnings.warn("all singular values below the drop tolerance; zero step")
@@ -318,7 +322,8 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
     not), a point set closed under conjugation within 2^(8-prec) max|z| and
     a target with f(conj z) = conj f(z) to 2^(8-prec) max|f|, the loop
     evaluates one point of each conjugate class: the normal equations are
-    the same.  It logs one INFO line when it does; there is no option for it.
+    the same.  It logs one INFO line saying whether it does, and if not why;
+    there is no option for it.
     """
     config = config or GNConfig()
     refs = [CoeffRef(*ref) for ref in refs]
@@ -332,7 +337,9 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
     report = GNReport(iterations=0)
     with _precision_context(g):
         pts = _argument(g, discr.points)
-        fv = _target_values(f, pts, errtype)
+        fixed = isinstance(pts, FixedVector)
+        zs = pts.numbers() if fixed else pts  # the target reads Python numbers
+        fv = _target_values(f, zs, errtype)
         if real_mode:
             base = g.get_coeffs(refs)
             if any(getattr(c, "imag", 0) != 0 for c in base):
@@ -355,25 +362,32 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
         # f(conj z) = conj f(z): a point's conjugate adds the same terms to the
         # normal equations, so one point of each class stands for the class
         rows = None
-        classes = real_mode and pts.dtype == object and all(
-            getattr(c, "imag", 0) == 0 for pair in g.coeffs.values() for c in pair
-        ) and _conjugate_classes(pts, fv)
-        if classes and len(classes[0]) < len(pts):
-            reps, counts = classes
-            if len(set(counts)) > 1:  # a uniform weight leaves the step as it is
-                rows = np.repeat(np.arange(len(reps)), counts)
-            log.info("gauss-newton: %d points fold into %d conjugate classes, rows %s",
-                     len(pts), len(reps), "unweighted" if rows is None else "expanded")
-            pts, fv = pts[reps], fv[reps]
+        if real_mode and fixed:
+            if any(getattr(c, "imag", 0) != 0 for pair in g.coeffs.values() for c in pair):
+                classes = "a coefficient of the graph is not real"
+            else:
+                classes = _conjugate_classes(zs, fv)
+                if not isinstance(classes, str) and len(classes[0]) == len(pts):
+                    classes = "every conjugate class holds one point"
+            if isinstance(classes, str):
+                log.info("gauss-newton: points do not fold: %s", classes)
+            else:
+                reps, counts = classes
+                if len(set(counts)) > 1:  # a uniform weight leaves the step as it is
+                    rows = np.repeat(np.arange(len(reps)), counts).tolist()
+                log.info("gauss-newton: %d points fold into %d conjugate classes, rows %s",
+                         len(pts), len(reps), "unweighted" if rows is None else "expanded")
+                pts, fv = pts.take(reps), fv[reps]
 
         best_rmax = best_coeffs = None
         above_best = 0
-        weights = 1 / fv if errtype == ErrType.REL else None
+        weights = _argument(g, 1 / fv) if errtype == ErrType.REL else None
+        fv = _argument(g, fv)
         while True:
             # one forward pass per trial point; a step's sweep reads its node values
             slots = forward_pass(g, pts)
             r = _residual(slots[g.outputs[0]], fv, errtype)
-            mags = [float(abs(x)) for x in r]
+            mags = r.magnitudes() if fixed else [float(abs(x)) for x in r]
             rmax = max(mags, default=0.0)
             stop = None
             if not all(map(math.isfinite, mags)):
@@ -394,9 +408,10 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
                     stop, why = "stagnated", f"stagnated at residual {rmax:.3e}"
             if stop:
                 break
-            J = eval_jac(g, pts, refs, weights=weights, slots=slots).entries
+            J = eval_jac(g, pts, refs, weights=weights, slots=slots)
+            J = J.entries if J.columns is None else J.columns
             if rows is not None:  # each class counts once per point it holds
-                J, r = J[rows], r[rows]
+                J, r = [c.take(rows) for c in J], r.take(rows)
             delta = gn_step(J, r, config)
             g.set_coeffs(refs, [ci - config.gamma * di
                                 for ci, di in zip(g.get_coeffs(refs), delta)])

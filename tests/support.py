@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import operator
 import os
 import re
 import subprocess
@@ -15,10 +14,9 @@ from mpmath import libmp, mp
 from matgraph import (CoeffRef, CoeffType, ComputationGraph, Degopt, DegoptError, GraphError,
                       OpKind, eval_graph_poly, get_topo_order, graph_degopt)
 from matgraph.graph import IDENTITY_ID, _drop, _retarget
-from matgraph.autodiff import as_point_array
 from matgraph.codegen import Schedule
-from matgraph.evaluation import _eval_nodes, _ops_for, _points_full, _precision_context, lincomb
-from matgraph.numerics import _fixed_point, convert_scalar
+from matgraph.evaluation import _precision_context
+from matgraph.numerics import convert_scalar, working_precision
 
 
 def as_mp_matrix(data, prec: int) -> mpmath.matrix:
@@ -62,39 +60,53 @@ def taylor_exp_scalar(z, prec: int = 256):
 def forward_jac(g: ComputationGraph, points, refs, prec: int | None = None) -> np.ndarray:
     """Forward-mode Jacobian of a single-output graph at points, one tangent sweep per column.
 
-    Oracle for the adjoint ``matgraph.eval_jac``: the column of a coefficient
-    is seeded at its node with the parent value the slot multiplies and
-    pushed along the topological order with the product and quotient rules.
+    Oracle for the adjoint ``matgraph.eval_jac``, sharing none of its
+    arithmetic: each point is lifted to an ``mpc`` at ``prec`` bits (the
+    graph's precision by default; Python ``complex`` for a binary64 graph),
+    the node values are formed by a scalar loop over the topological order,
+    and the column of a coefficient is seeded at its node with the parent
+    value the slot multiplies and pushed along with the product and quotient
+    rules.  Returns an N x K object array (complex128 for binary64).
     """
     refs = [CoeffRef(*r) for r in refs]
-    pts = as_point_array(points)
+    prec = prec or g.coeff_type.prec
     out = g.outputs[0]
-    with _precision_context(g, prec):
-        order = get_topo_order(g)
-        pos = {nid: i for i, nid in enumerate(order)}
-        ops = _ops_for(pts)
-        slots = _eval_nodes(g, pts, order, keep_all=True)
-        J = np.empty((len(pts), len(refs)), dtype=object if pts.dtype == object else np.complex128)
-        zero = _points_full(pts, 0)
-        for col, ref in enumerate(refs):
-            if ref.node not in pos:
-                J[:, col] = zero  # coefficient not reachable from the output
-                continue
-            deriv = {ref.node: slots[g.parents[ref.node][ref.slot - 1]]}
-            for nid in order[pos[ref.node] + 1:]:
+    order = get_topo_order(g)
+    pos = {nid: i for i, nid in enumerate(order)}
+    with working_precision(prec):
+        lift = mp.mpc if prec else complex
+        pts = [lift(z) for z in np.asarray(points, dtype=object).reshape(-1)]
+        J = np.empty((len(pts), len(refs)), dtype=object if prec else np.complex128)
+        for i, z in enumerate(pts):
+            val = {IDENTITY_ID: lift(1), g.input_id: z}
+            for nid in order:
                 p1, p2 = g.parents[nid]
-                d1, d2 = deriv.get(p1, zero), deriv.get(p2, zero)
-                if d1 is zero and d2 is zero:
-                    continue
+                v1, v2 = val[p1], val[p2]
                 kind = g.operations[nid]
                 if kind == OpKind.LINCOMB:
                     c1, c2 = g.coeffs[nid]
-                    deriv[nid] = lincomb(c1, d1, c2, d2)
+                    val[nid] = c1 * v1 + c2 * v2
                 elif kind == OpKind.MULT:
-                    deriv[nid] = ops.mult(d1, slots[p2]) + ops.mult(slots[p1], d2)
-                else:  # v = p1 \ p2, so dv = p1 \ (d2 - d1 v)
-                    deriv[nid] = ops.ldiv(slots[p1], d2 - ops.mult(d1, slots[nid]))
-            J[:, col] = deriv.get(out, zero)
+                    val[nid] = v1 * v2
+                else:
+                    val[nid] = v2 / v1
+            for col, ref in enumerate(refs):
+                if ref.node not in pos:
+                    J[i, col] = lift(0)  # coefficient not reachable from the output
+                    continue
+                deriv = {ref.node: val[g.parents[ref.node][ref.slot - 1]]}
+                for nid in order[pos[ref.node] + 1:]:
+                    p1, p2 = g.parents[nid]
+                    d1, d2 = deriv.get(p1, 0), deriv.get(p2, 0)
+                    kind = g.operations[nid]
+                    if kind == OpKind.LINCOMB:
+                        c1, c2 = g.coeffs[nid]
+                        deriv[nid] = c1 * d1 + c2 * d2
+                    elif kind == OpKind.MULT:
+                        deriv[nid] = d1 * val[p2] + val[p1] * d2
+                    else:  # v = p1 \ p2, so dv = p1 \ (d2 - d1 v)
+                        deriv[nid] = (d2 - d1 * val[nid]) / val[p1]
+                J[i, col] = lift(deriv.get(out, 0))
     return J
 
 
@@ -132,27 +144,24 @@ def gram_eig_lstsq(J, b, droptol, hermitian: bool):
 
 
 def pairwise_normal_equations(cols, b):
-    """``(A^T A, A^T b)`` with each entry's integer dot product summed pair by pair.
+    """``(A^T A, A^T b)`` with each entry's exact dot product summed pair by pair.
 
-    Oracle for ``matgraph.numerics._normal_equations``: the same fixed-point
-    integers (``_fixed_point``), each dot product a Python sum of integer
-    products plus the exact products of the rows set aside, rounded once.
+    Oracle for ``matgraph.numerics._normal_equations``: every ``mpf`` is read
+    as its own exact ``(man, exp)``, each product formed exactly and the
+    products summed at the lowest exponent among them, then rounded once.
     """
-    def dot(x, y):
-        (mx, ex, ox), (my, ey, oy) = x, y
-        man, exp = sum(map(operator.mul, mx, my)), ex + ey
-        if ox or oy:
-            rows = [(ox.get(i) or (mx[i], ex), oy.get(i) or (my[i], ey))
-                    for i in ox.keys() | oy.keys()]
-            terms = [(a * b, ea + eb) for (a, ea), (b, eb) in rows]
-            low = min(exp, *(t for _, t in terms))
-            man = (man << (exp - low)) + sum(m << (t - low) for m, t in terms)
-            exp = low
-        return mp.make_mpf(libmp.from_man_exp(man, exp, mp.prec, libmp.round_nearest))
+    def exact(x):
+        sign, man, exp, _ = x._mpf_
+        return -man if sign else man, exp
 
-    fixed = [_fixed_point(c) for c in cols]
-    rhs = _fixed_point(b)
-    return [[dot(fa, fc) for fc in fixed] for fa in fixed], [dot(fa, rhs) for fa in fixed]
+    def dot(x, y):
+        terms = [(p * q, ep + eq) for (p, ep), (q, eq) in zip(map(exact, x), map(exact, y))
+                 if p and q]
+        low = min((t for _, t in terms), default=0)
+        man = sum(m << (t - low) for m, t in terms)
+        return mp.make_mpf(libmp.from_man_exp(man, low, mp.prec, libmp.round_nearest))
+
+    return [[dot(a, c) for c in cols] for a in cols], [dot(a, b) for a in cols]
 
 
 def random_graph(rng: np.random.Generator, n_nodes: int = 8, allow_ldiv: bool = True,

@@ -262,6 +262,19 @@ def test_extended_graph_reads_binary64_points_exactly():
         assert got.dtype == object and (got == jac(g, lifted, cref).entries).all()
 
 
+def test_forward_mode_oracle_reads_binary64_points_at_the_graphs_precision():
+    # forward_jac lifts complex128 points to 256-bit mpc itself, so the two
+    # Jacobians agree to 256-bit round-off, not to binary64's
+    g, cref = graph_monomial_degopt([1.0 / math.factorial(j) for j in range(6)])
+    g = convert_precision(g, bigfloat(256))
+    pts = circle_discr(20)
+    J = eval_jac(g, pts, cref).entries
+    want = forward_jac(g, pts, cref)
+    assert want.dtype == object
+    with mp.workprec(256):
+        assert _rel_diff(J, want) <= mp.mpf(10) ** -70
+
+
 class TestErrors:
     def test_singularity_names_point(self):
         g = ComputationGraph()

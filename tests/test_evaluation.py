@@ -21,7 +21,7 @@ from matgraph import (
 from matgraph.evaluation import _eval_nodes, graph_degree_bound
 from matgraph.graph import get_topo_order
 
-from support import as_mp_matrix, mp_bits, oracle_eval_mp_matrix, random_graph
+from support import as_mp_matrix, forward_jac, mp_bits, oracle_eval_mp_matrix, random_graph
 
 
 class TestScalarAndMatrix:
@@ -296,3 +296,50 @@ class TestPrecisionRule:
         g.set_outputs(["X"])
         with pytest.raises(SingularMatrixError, match="point index 1"):
             eval_graph(g, np.array([mp.mpf(2), mp.mpf(0), mp.mpf(3)], dtype=object))
+
+
+class TestPointVectors:
+    """Extended-precision point vectors: integers at one exponent set by the smallest entry."""
+
+    # 2^-200 is 200 bits below the other points, and its powers up to z^5
+    # (a Jacobian column) 1000 bits below theirs
+    POINTS = np.array([2.0 ** -200, 0.5, 1 + 1j])
+
+    @staticmethod
+    def complex_graph():
+        """Complex coefficients on complex node values in both slots of a combination."""
+        g = ComputationGraph(bigfloat(256, is_complex=True))
+        g.add_lincomb("L", 0.5 + 0.25j, "A", -0.75j, "I")
+        g.add_mult("M", "L", "A")
+        g.add_lincomb("O", 1.5 - 0.5j, "M", 0.3 + 0.1j, "L")
+        g.set_outputs(["O"])
+        return g, g.all_coeff_refs()
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_every_entry_matches_a_scalar_evaluation(self, is_complex):
+        from matgraph import eval_jac
+
+        g, cref = self.complex_graph() if is_complex else graph_monomial(
+            [1.0 / math.factorial(j) for j in range(6)], bigfloat(256))
+        values = eval_graph(g, self.POINTS)
+        J = eval_jac(g, self.POINTS, cref)
+        with mp.workprec(256):
+            for i, z in enumerate(self.POINTS):
+                want = eval_graph(g, mp.mpc(z))
+                assert abs(values[i] - want) <= mp.ldexp(abs(want), -250)
+                assert abs(J.values[i] - want) <= mp.ldexp(abs(want), -250)
+                for got, w in zip(J.entries[i], forward_jac(g, [z], cref)[0]):
+                    assert abs(got - w) <= mp.ldexp(abs(w), -250)
+
+    def test_zero_divisor_names_its_point(self):
+        from matgraph import CoeffRef, eval_jac
+
+        g = ComputationGraph(bigfloat(256))
+        g.add_lincomb("D", 1.0, "A", 0.0, "I")
+        g.add_ldiv("X", "D", "A")  # z \ z, singular at z = 0
+        g.add_lincomb("S", 2.0, "X", 1.0, "I")
+        g.set_outputs(["S"])
+        pts = np.array([2.0 ** -200, 0.5, 0.0, 1 + 1j])
+        for run in (lambda: eval_graph(g, pts), lambda: eval_jac(g, pts, [CoeffRef("S", 1)])):
+            with pytest.raises(SingularMatrixError, match="point index 2"):
+                run()

@@ -20,8 +20,8 @@ from matgraph.numerics import (
 from matgraph import numerics
 from matgraph.numerics import (
     LIMB_BITS,
-    _fixed_point,
     _householder,
+    _int_vector,
     _implicit_ql,
     _limb_products,
     _normal_equations,
@@ -376,9 +376,9 @@ class TestTruncatedLstsq:
                     assert _rounded(G[a][c]) == _bits(G0[a][c])
 
     def test_normal_equations_with_outliers_equal_fdot(self):
-        # entries far below their column's largest are set aside and added
-        # back exactly; each column's outlier rows meet the large entries of
-        # another column, so a row left out changes the rounded sums
+        # entries far below their column's largest only widen its integers;
+        # each column's small rows meet the large entries of another column,
+        # so a row rounded away would change the rounded sums
         rng = np.random.default_rng(74)
         with mp.workprec(256):
             def col(scales):
@@ -390,18 +390,10 @@ class TestTruncatedLstsq:
                 col([0, -300, -2, -1, 0, -1, -5, 0]),          # one entry 2^-300 below
                 col([-300, 0, 0, -1, -2, 0, -1, 0]),
                 col([0, -3, -64, -65, 0, -1, 0, -2]),          # 64 and 65 bits below
-                col([-70, -80, 0, -90, -100, -200, -65, -66]),  # all but the top set aside
+                col([-70, -80, 0, -90, -100, -200, -65, -66]),  # all but the top far below
                 col([None] * 8),                                # all zeros
-                col([-400, -405, -410, -420, -430, -440, -450, -463]),  # small, none set aside
+                col([-400, -405, -410, -420, -430, -440, -450, -463]),  # small, within 64 bits
             ]
-            # the 64/65 boundary: exactly 64 bits below the top stays in
-            # the integers, 65 bits below is set aside
-            top = max(x._mpf_[2] + x._mpf_[3] for x in cols[2])
-            below = {i: top - (x._mpf_[2] + x._mpf_[3]) for i, x in enumerate(cols[2])}
-            assert {i for i in below if below[i] > 64} == set(_fixed_point(cols[2])[2])
-            assert 64 in below.values() and 65 in below.values()
-            assert len(_fixed_point(cols[3])[2]) == 7
-            assert not _fixed_point(cols[4])[2] and not _fixed_point(cols[5])[2]
             b = col([-2, -90, 0, -1, -300, 0, -1, -70])        # outliers in b
             G, y = _normal_equations(cols, b)
             G0, y0 = pairwise_normal_equations(cols, b)
@@ -419,8 +411,8 @@ class TestTruncatedLstsq:
                         for v, e in zip(rng.standard_normal(n), rng.integers(lo, hi, n))]
 
         if name == "short-outliers":
-            # set-aside entries 2^-70 and -3 * 2^-90 have short mantissas, so their
-            # products sit above the lowest bits of the full-width integers
+            # entries 2^-70 and -3 * 2^-90 have short mantissas, so their products
+            # sit above the lowest bits of the full-width integers
             cols = [rand(10, 256, 0, 2) for _ in range(3)]
             cols[0][4], cols[1][4], cols[2][7] = (mp.mpf(2) ** -70, -3 * mp.mpf(2) ** -90,
                                                   mp.mpf(2) ** -70)
@@ -430,7 +422,7 @@ class TestTruncatedLstsq:
             return prec, [rand(40, prec) for _ in range(8)], rand(40, prec)
         if name == "limb-edges":
             # integers +-2^16k, 2^16k - 1 and -2^(16k-1), k = k0..k0+3 in one
-            # column (within 64 bits, so none is set aside): limbs of 0, 0xffff
+            # column (within 64 bits of each other): limbs of 0, 0xffff
             # and 0x8000, and a full carry chain in the sums
             def col(k0):
                 vals = [v for k in range(k0, k0 + 4)
@@ -460,7 +452,7 @@ class TestTruncatedLstsq:
         prec, cols, b = self.gram_case(name, np.random.default_rng(75))
         with mp.workprec(prec):
             if name == "many-blocks":
-                width = max(m.bit_length() for c in cols + [b] for m in _fixed_point(c)[0])
+                width = max(m.bit_length() for c in cols + [b] for m in _int_vector(c).ms)
                 assert len(b) > numerics.BLOCK_TERMS // (width // LIMB_BITS + 1)
             G, y = _normal_equations(cols, b)
             G0, y0 = pairwise_normal_equations(cols, b)

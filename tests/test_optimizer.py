@@ -488,6 +488,30 @@ class TestConjugateFold:
         g, cref, d = _exp_design(256, 21, radius=1.5)
         assert self.one_step(monkeypatch, g, cref, d, target=sqrt1p_target) == {21}
 
+    def test_each_refusal_says_why(self):
+        with mp.workprec(256):
+            z = mp.mpc(0.3, 0.2)
+            pts = np.array([z, mp.conj(z)], dtype=object)
+            f = np.array([mp.exp(z), mp.exp(mp.conj(z))], dtype=object)
+            assert optimizer._conjugate_classes(pts, f) == ([0], [2])
+            assert optimizer._conjugate_classes(pts, np.array([mp.nan, f[1]], dtype=object)) \
+                == "a point or target value is not finite"
+            assert optimizer._conjugate_classes(pts[:1], f[:1]) \
+                == "point index 0 has no conjugate within 2^(8-prec) max|z|"
+            assert optimizer._conjugate_classes(pts, f[[0, 0]]) \
+                == "the target at point index 1 breaks f(conj z) = conj f(z) against point index 0"
+
+    def test_binary64_disk_on_an_extended_graph_says_why(self, monkeypatch, caplog):
+        # binary64 circle points read exactly are not conjugate pairs at 256
+        # bits; the run says so once, and evaluates every point
+        g, cref, _ = _exp_design(256, 20)
+        d = Discretization.disk(0, 0.45, 20)
+        with caplog.at_level("INFO", logger="matgraph.optimizer"):
+            assert self.one_step(monkeypatch, g, cref, d) == {20}
+        why = [r.getMessage() for r in caplog.records if "do not fold" in r.getMessage()]
+        assert why == ["gauss-newton: points do not fold: point index 19 has no conjugate "
+                       "within 2^(8-prec) max|z|"]
+
     def test_target_differs_between_coinciding_points(self, monkeypatch):
         # z and z + 2^-250 fall in one class, but a target with a jump
         # between them gives them different residuals
