@@ -244,6 +244,29 @@ class TestRadiusSearch:
         with mp.workprec(1024):
             assert res.bracket == (res.theta, res.theta * (1 + mp.mpf("1e-6")))
 
+    # the same five at nterms 100, as the theta-table benchmark computes them
+    PINNED_100 = {
+        (5, 0): (0x820466dbd3e565c1e0727e70f, -101),
+        (7, 0): (0xf34e9664628eb78230370b835, -100),
+        (9, 0): (0x10c864830ca291dd2f80e63aa7, -99),
+        (13, 0): (0x157cd8b04397b4a28929f83baf, -98),
+        (13, 1): (0x157cd8b04397b4a28929f83baf, -97),
+    }
+
+    @pytest.mark.parametrize("row", sorted(PINNED_100))
+    def test_theta_table_radii_pinned_at_nterms_100(self, row):
+        g, _ = graph_exp_pade_ss(*row, coeff_type=bigfloat(256))
+        res = compute_bwd_theta_exp(g, nterms=100)
+        assert (res.theta.man, res.theta.exp) == self.PINNED_100[row]
+
+    def test_real_graph_declared_complex_pinned(self):
+        # Pade (7, 1) with complex 256-bit coefficients whose imaginary parts are 0
+        g, _ = graph_exp_pade_ss(7, 1, coeff_type=bigfloat(256, True))
+        res = compute_bwd_theta_exp(g, nterms=100)
+        with mp.workprec(1024):
+            want = mp.mpf("1.900835799232586373579084815550126189118")
+            assert abs(res.theta - want) <= want * mp.mpf("1e-25")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("kind", list(ThetaKind))
     def test_non_finite_coefficient_refused(self, bad, kind, bound_evals):
