@@ -9,7 +9,11 @@ Two a priori certificates for a graph g approximating a target f:
   F(theta) = sum |delta_j| theta^{j-1}; theta^B is the largest radius
   keeping that below u.
 
-Both use truncated series arithmetic at high precision and certify the
+Both run the series on fixed-point integers with prec + 64 fractional bits
+(:class:`~matgraph.series.FixedSeries`), which carry an error radius for
+every coefficient; ``ThetaResult.rounding`` reports the largest radius of
+the coefficients the bound is built from.  The bound takes the exact
+magnitudes of the computed coefficients, and the search certifies its
 result by a bracketing pair (theta passes, theta*(1+1e-6) fails).  The
 bound polynomial is evaluated exactly at each dyadic trial radius, so
 every comparison with u in the search and the bracket check is decided
@@ -33,8 +37,8 @@ from mpmath.libmp import from_float, from_int, from_man_exp
 
 from .evaluation import _eval_nodes, _precision_context, eval_graph, graph_degree_bound
 from .graph import ComputationGraph, GraphError, OpKind, get_topo_order
-from .numerics import EPS64, is_scalar, working_precision
-from .series import TruncSeries
+from .numerics import EPS64, GUARD_BITS, is_scalar, working_precision
+from .series import FixedSeries, TruncSeries
 
 
 class ThetaKind(str, Enum):
@@ -59,6 +63,7 @@ class ThetaResult:
     u: object
     saturated: bool = False
     bracket: tuple | None = None
+    rounding: object = None
 
     def __float__(self):
         return float(self.theta)
@@ -143,12 +148,20 @@ def _radius(coeffs, u, kind: ThetaKind, nterms: int, prec: int, why: str = "") -
     return ThetaResult(theta, kind, nterms, u, bracket=(theta, margin))
 
 
-def _finite(s: TruncSeries) -> TruncSeries:
-    """s itself, refusing a NaN or infinite coefficient (an exact bound would read it as 0)."""
-    for j, c in enumerate(s.coeffs):
-        if not mp.isfinite(c):
-            raise CertificationError(f"non-finite series coefficient of z^{j}: {c}")
-    return s
+def _magnitudes(s: FixedSeries) -> list:
+    """The exact |coefficient| of s as mpf values (a complex one rounded up), refusing a non-finite series.
+
+    NaN and inf have mantissa 0, so an exact bound would read them as 0.
+    """
+    if s.re is None:
+        raise CertificationError("non-finite series coefficient: a graph or target coefficient "
+                                 "is NaN or infinite")
+    return [mp.make_mpf(from_man_exp(m, -s.frac)) for m in s.magnitudes()]
+
+
+def _rounding(s: FixedSeries):
+    """The largest carried radius of s, as an absolute mpf."""
+    return mp.make_mpf(from_man_exp(max(s.rad), -s.frac))
 
 
 def _check_u_prec(u, prec: int):
@@ -156,8 +169,8 @@ def _check_u_prec(u, prec: int):
         raise ValueError(f"need u in (0, 1) and prec >= 53, got u={u!r}, prec={prec!r}")
 
 
-def _graph_series(g: ComputationGraph, nterms: int, prec: int):
-    s = eval_graph(g, TruncSeries.identity(nterms), prec)
+def _graph_series(g: ComputationGraph, nterms: int, prec: int) -> FixedSeries:
+    s = eval_graph(g, FixedSeries.identity(nterms, prec + GUARD_BITS), prec)
     if isinstance(s, list):
         raise GraphError("certification expects a single-output graph")
     return s
@@ -168,8 +181,10 @@ def compute_fwd_theta(g: ComputationGraph, f_series: TruncSeries, u=2.0 ** -53,
     """Largest radius at which the absolute forward-error series stays below u.
 
     The graph must be solve-free and the target series must dominate the
-    graph's polynomial degree, so the coefficient differences are exact.
-    A ``u`` outside (0, 1) or a ``prec`` below 53 raises ``ValueError``.
+    graph's polynomial degree.  The target's coefficients are rounded down
+    to the graph series' fixed point, with that rounding added to their
+    radii, and the differences are then formed exactly.  A ``u`` outside
+    (0, 1) or a ``prec`` below 53 raises ``ValueError``.
     """
     _check_u_prec(u, prec)
     if any(op == OpKind.LDIV for op in g.operations.values()):
@@ -179,10 +194,14 @@ def compute_fwd_theta(g: ComputationGraph, f_series: TruncSeries, u=2.0 ** -53,
         if f_series.nterms < graph_degree_bound(g):
             raise CertificationError("target series truncated below the graph degree")
         gs = _graph_series(g, f_series.nterms, prec)
-        E = _finite(gs - f_series).abs_coeffs()
-        if E.coeffs[0] > u:
-            return ThetaResult(mp.mpf(0), ThetaKind.FORWARD, E.nterms, u)
-        return _radius(E.coeffs, u, ThetaKind.FORWARD, E.nterms, prec)
+        diff = gs - FixedSeries.read(f_series.coeffs, f_series.nterms, gs.frac)
+        E = _magnitudes(diff)
+        if E[0] > u:
+            res = ThetaResult(mp.mpf(0), ThetaKind.FORWARD, f_series.nterms, u)
+        else:
+            res = _radius(E, u, ThetaKind.FORWARD, f_series.nterms, prec)
+        res.rounding = _rounding(diff)
+        return res
 
 
 def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
@@ -199,16 +218,18 @@ def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
     with working_precision(prec):
         u = mp.mpf(u)
         gs = _graph_series(g, nterms, prec)
-        h = _finite(TruncSeries.exp_neg(nterms) * gs)
-        if abs(h.coeffs[0] - 1) > u * nterms:
+        h = FixedSeries.exp_neg(nterms, gs.frac) * gs
+        if _magnitudes(h - FixedSeries.constant(1, nterms, gs.frac))[0] > u * nterms:
             raise CertificationError(
                 "graph does not match exp at the origin; backward-error series undefined"
             )
-        h.coeffs[0] = mp.mpf(1)
-        F = h.log().abs_coeffs()
+        h.set_constant(1)
+        phi = h.log()
         # sum_j |delta_j| t^(j-1); the j=0 coefficient is exactly zero
-        return _radius(F.coeffs[1:], u, ThetaKind.BACKWARD, nterms, prec,
-                       f", g(0) - 1 = {mp.nstr(gs.coeffs[0] - 1, 3)}")
+        res = _radius(_magnitudes(phi)[1:], u, ThetaKind.BACKWARD, nterms, prec,
+                      f", g(0) - 1 = {mp.nstr(gs.value(0) - 1, 3)}")
+        res.rounding = _rounding(phi)
+        return res
 
 
 def theta_table_csv(rows) -> str:

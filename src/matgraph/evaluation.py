@@ -17,7 +17,9 @@ it (:func:`_argument`: exactly, at extended precision):
   linear combinations and solves run on the kernels of :mod:`.numerics`;
 * :class:`~matgraph.series.TruncSeries`: truncated-series semantics, the
   route by which a graph's series expansion is extracted (a linear solve
-  becomes series division and needs a nonzero denominator constant term).
+  becomes series division and needs a nonzero denominator constant term);
+* :class:`~matgraph.series.FixedSeries`: the same on fixed-point integers
+  with a carried error radius per coefficient, the certifier's kind.
 
 The identity input ``"I"`` binds to the multiplicative identity of the
 matching kind.
@@ -45,7 +47,7 @@ from .numerics import (
     mp_matmul,
     working_precision,
 )
-from .series import TruncSeries
+from .series import FixedSeries, TruncSeries
 
 
 class EvalError(ArithmeticError):
@@ -143,6 +145,8 @@ _NP_MATRIX = _Ops(lambda x: np.eye(x.shape[0], dtype=x.dtype), operator.matmul, 
 _MP_MATRIX = _Ops(lambda x: mp.eye(x.rows), mp_matmul, _matrix_ldiv, mp_lincomb)
 _SERIES = _Ops(lambda x: TruncSeries.constant(1, x.nterms), operator.mul,
                lambda v1, v2: v2.divide(v1))
+_FIXED_SERIES = _Ops(lambda x: FixedSeries.constant(1, x.nterms, x.frac), operator.mul,
+                     lambda v1, v2: v2.divide(v1), FixedSeries.lincomb)
 
 
 def _ops_for(x) -> _Ops:
@@ -164,6 +168,8 @@ def _ops_for(x) -> _Ops:
         return _MP_MATRIX
     if isinstance(x, TruncSeries):
         return _SERIES
+    if isinstance(x, FixedSeries):
+        return _FIXED_SERIES
     raise EvalError(f"cannot evaluate a graph at a {type(x).__name__}")
 
 

@@ -1,21 +1,43 @@
 """Truncated power series arithmetic.
 
-A :class:`TruncSeries` holds coefficients for z^0 .. z^nterms and supports
-the ring operations needed to extract the series expansion of the function
-underlying a graph: addition, Cauchy product, division by a series with
-nonzero constant term (the scalar shadow of a linear solve), and the
-logarithm of a series with constant term one.
+Both series kinds hold the coefficients of z^0 .. z^nterms and support the
+ring operations needed to extract the series expansion of the function
+underlying a graph: linear combination, Cauchy product, division by a
+series with nonzero constant term (the scalar shadow of a linear solve),
+and the logarithm of a series with constant term one.
 
-Coefficients follow the ambient mpmath precision; construct and combine
-series inside :func:`matgraph.numerics.working_precision` when extended
-precision is wanted.
+:class:`TruncSeries` is the public kind.  Its coefficients follow the
+ambient mpmath precision, each rounded relative to its own magnitude;
+construct and combine series inside
+:func:`matgraph.numerics.working_precision` when extended precision is
+wanted.  ``eval_graph`` on a series, ``eval_graph_poly`` and the
+``series:`` target use it.
+
+:class:`FixedSeries` is the certifier's kind.  Its coefficients are Python
+integers at one absolute exponent, F = prec + 64 fractional bits, and each
+carries an integer error radius in units of 2^-F that bounds its distance
+from the coefficient exact arithmetic would give: midpoint-radius
+arithmetic, as in Johansson, "Arb", IEEE Trans. Comput. 66(8), 2017.  A
+product is a truncated integer convolution with one shift per coefficient,
+a division and the logarithm are integer recurrences with one floor
+division per coefficient, and a linear combination reads each graph
+coefficient exactly.  Every truncation adds one unit to the radius of a
+real coefficient (two to a complex one, one per part), and products and
+quotients propagate the radii of their operands.  Those bounds are formed
+from magnitudes rounded up to ``_COARSE_BITS`` fractional bits, so they
+cost small-integer arithmetic only.
 """
 
 from __future__ import annotations
 
-from mpmath import mp
+import math
+import operator
 
-from .numerics import is_scalar
+from mpmath import mp
+from mpmath.libmp import from_man_exp
+
+from .numerics import _exact, is_scalar
+
 
 
 class SeriesError(ArithmeticError):
@@ -128,9 +150,6 @@ class TruncSeries:
             jphi[k] = k * phi[k]
         return TruncSeries(phi)
 
-    def abs_coeffs(self) -> "TruncSeries":
-        return TruncSeries([abs(c) for c in self.coeffs])
-
     def __call__(self, z):
         """Horner evaluation of the truncated polynomial.
 
@@ -142,3 +161,292 @@ class TruncSeries:
             acc = acc * z + c
         return acc
 
+
+
+# ---------------------------------------------------------------------------
+# fixed point with a carried radius
+
+#: fractional bits of the magnitudes from which radius bounds are formed
+_COARSE_BITS = 32
+
+
+def _dot(a, b):
+    return sum(map(operator.mul, a, b))
+
+
+def _conv(a, b, m):
+    """``[sum_{i+j=k} a_i b_j for k < m]``, exact."""
+    la, lb = len(a), len(b)
+    rb = b[::-1]
+    out = []
+    for k in range(m):
+        lo, hi = max(0, k - lb + 1), min(k + 1, la)
+        out.append(_dot(a[lo:hi], rb[lb - 1 - k + lo:lb - 1 - k + hi]))
+    return out
+
+
+def _padded(values, n):
+    return values[:n] + [0] * (n - len(values))
+
+
+def _ceil_shift(x, k):
+    """``ceil(x / 2**k)``."""
+    return -(-x >> k)
+
+
+def _bounds(re, im):
+    """Upper bounds of |re_j + i im_j| (im None: real)."""
+    if im is None:
+        return list(map(abs, re))
+    return [abs(a) + abs(b) for a, b in zip(re, im)]
+
+
+def _coarse(values, frac):
+    """Each nonnegative v 2^-frac, rounded up to a multiple of 2^-_COARSE_BITS, in those units."""
+    s = frac - _COARSE_BITS
+    return [-(-v >> s) for v in values]
+
+
+class FixedSeries:
+    """Coefficients ``(re[j] + i im[j]) 2**-frac`` of z^0 .. z^nterms, each within ``rad[j] 2**-frac``.
+
+    ``rad[j]`` bounds the distance of coefficient j from the one exact
+    arithmetic on the same inputs would give.  The three lists stop after
+    the last nonzero entry (keeping at least the constant term): the rest
+    are exact zeros.  ``im`` is None for a real series, and ``re`` is None
+    when a number the series was made from was not finite.
+    """
+
+    __slots__ = ("re", "im", "rad", "nterms", "frac")
+
+    def __init__(self, re, im, rad, nterms, frac):
+        if re is not None:
+            n = len(re)
+            while n > 1 and not (re[n - 1] or rad[n - 1] or im and im[n - 1]):
+                n -= 1
+            del re[n:], rad[n:]
+            if im is not None:
+                del im[n:]
+                im = im if any(im) else None
+        self.re, self.im, self.rad, self.nterms, self.frac = re, im, rad, nterms, frac
+
+    @classmethod
+    def constant(cls, v: int, nterms: int, frac: int) -> "FixedSeries":
+        return cls([v << frac], None, [0], nterms, frac)
+
+    @classmethod
+    def identity(cls, nterms: int, frac: int) -> "FixedSeries":
+        """The series of z itself."""
+        if nterms < 1:
+            raise ValueError("identity series needs nterms >= 1")
+        return cls([0, 1 << frac], None, [0, 0], nterms, frac)
+
+    @classmethod
+    def exp_neg(cls, nterms: int, frac: int) -> "FixedSeries":
+        """e^-z, each coefficient (-1)^j / j! rounded down."""
+        re, rad, f = [], [], 1
+        for j in range(nterms + 1):
+            f *= j or 1
+            q, r = divmod((-1) ** j << frac, f)
+            re.append(q)
+            rad.append(1 if r else 0)
+        return cls(re, None, rad, nterms, frac)
+
+    @classmethod
+    def read(cls, values, nterms: int, frac: int) -> "FixedSeries":
+        """The numbers ``values`` as coefficients, each rounded down to 2^-frac with that rounding as radius."""
+        re, im, rad = [], [], []
+        for v in values[: nterms + 1]:
+            p = _exact(v)
+            if p is None:
+                return cls(None, None, None, nterms, frac)
+            a, b, e = p
+            s = e + frac
+            if s >= 0:
+                re.append(a << s)
+                im.append(b << s)
+                rad.append(0)
+            else:
+                re.append(a >> -s)
+                im.append(b >> -s)
+                rad.append(2 if b else 1)
+        return cls(re, im, rad, nterms, frac)
+
+    def _nan(self, nterms):
+        return FixedSeries(None, None, None, nterms, self.frac)
+
+    def _parts(self, n):
+        """re and im as n-entry lists."""
+        return _padded(self.re, n), _padded(self.im or [], n)
+
+    def magnitudes(self) -> list:
+        """|coefficient| of z^0 .. z^nterms in units of 2^-frac: exact if real, rounded up if not."""
+        if self.im is None:
+            mags = list(map(abs, self.re))
+        else:
+            mags = []
+            for a, b in zip(self.re, self.im):
+                s = a * a + b * b
+                m = math.isqrt(s)
+                mags.append(m + (m * m != s))
+        return _padded(mags, self.nterms + 1)
+
+    def value(self, j: int):
+        """Coefficient j as its exact mpmath number (an ``mpf`` if the series is real)."""
+        def part(values):
+            return from_man_exp(values[j] if j < len(values) else 0, -self.frac)
+        if self.im is None:
+            return mp.make_mpf(part(self.re))
+        return mp.make_mpc((part(self.re), part(self.im)))
+
+    def set_constant(self, v: int):
+        """Make the constant term exactly the integer v."""
+        self.re[0], self.rad[0] = v << self.frac, 0
+        if self.im is not None:
+            self.im[0] = 0
+
+    @staticmethod
+    def lincomb(c1, v1, c2, v2) -> "FixedSeries":
+        """``c1 v1 + c2 v2`` for numbers c1, c2, read exactly; one truncation at the end."""
+        n = min(v1.nterms, v2.nterms)
+        p, q = _exact(c1), _exact(c2)
+        if p is None or q is None or v1.re is None or v2.re is None:
+            return v1._nan(n)
+        (r1, i1, e1), (r2, i2, e2) = p, q
+        # align the two terms through the coefficients, one shift each
+        e = min(e1, e2)
+        s1, s2 = e1 - e, e2 - e
+        m1, m2 = (abs(r1) + abs(i1)) << s1, (abs(r2) + abs(i2)) << s2
+        r1, i1, r2, i2 = r1 << s1, i1 << s1, r2 << s2, i2 << s2
+        L = min(n + 1, max(len(v1.re), len(v2.re)))
+        rad = [m1 * a + m2 * b for a, b in zip(_padded(v1.rad, L), _padded(v2.rad, L))]
+        if v1.im is None and v2.im is None and not (i1 or i2):
+            re = [a * r1 + b * r2 for a, b in zip(_padded(v1.re, L), _padded(v2.re, L))]
+            im, unit = None, 1
+        else:
+            (x1, y1), (x2, y2) = v1._parts(L), v2._parts(L)
+            re = [a * r1 - b * i1 + c * r2 - d * i2 for a, b, c, d in zip(x1, y1, x2, y2)]
+            im = [a * i1 + b * r1 + c * i2 + d * r2 for a, b, c, d in zip(x1, y1, x2, y2)]
+            unit = 2
+        if e >= 0:
+            return FixedSeries([x << e for x in re], im and [x << e for x in im],
+                               [r << e for r in rad], n, v1.frac)
+        return FixedSeries([x >> -e for x in re], im and [x >> -e for x in im],
+                           [_ceil_shift(r, -e) + unit for r in rad], n, v1.frac)
+
+    def __sub__(self, other):
+        return FixedSeries.lincomb(1, self, -1, other)
+
+    def __mul__(self, other):
+        n = min(self.nterms, other.nterms)
+        if self.re is None or other.re is None:
+            return self._nan(n)
+        F, G = self.frac, _COARSE_BITS
+        la, lb = len(self.re), len(other.re)
+        m = min(n + 1, la + lb - 1)
+        if self.im is None and other.im is None:
+            re, im, unit = _conv(self.re, other.re, m), None, 1
+        else:
+            (a, ai), (b, bi) = self._parts(la), other._parts(lb)
+            re = [p - q for p, q in zip(_conv(a, b, m), _conv(ai, bi, m))]
+            im = [p + q >> F for p, q in zip(_conv(a, bi, m), _conv(ai, b, m))]
+            unit = 2
+        # |ab - a'b'| <= |a'| |b - b'| + |b| |a - a'|, with |b| <= |b'| + rad
+        ra, rb = self.rad, other.rad
+        if any(ra) or any(rb):
+            ea = _conv(_coarse(_bounds(self.re, self.im), F), rb, m)
+            eb = _conv(ra, _coarse(list(map(operator.add, _bounds(other.re, other.im), rb)), F), m)
+            rad = [_ceil_shift(x + y, G) + unit for x, y in zip(ea, eb)]
+        else:
+            rad = [unit] * m
+        return FixedSeries([x >> F for x in re], im, rad, n, F)
+
+    def divide(self, den: "FixedSeries") -> "FixedSeries":
+        """self / den by c_k = (a_k - sum_{j>=1} d_j c_{k-j}) / d_0; den's constant term must be nonzero."""
+        n = min(self.nterms, den.nterms)
+        if self.re is None or den.re is None:
+            return self._nan(n)
+        F, G = self.frac, _COARSE_BITS
+        ld = len(den.re)
+        d0r, d0i = den.re[0], den.im[0] if den.im else 0
+        N = d0r * d0r + d0i * d0i
+        low = math.isqrt(N) - den.rad[0]  # |d_0| >= low
+        if low <= 0:
+            raise SeriesError("series division by a series with zero constant term")
+        real = self.im is None and den.im is None
+        a, ai = self._parts(n + 1)
+        dr, di = den._parts(ld)
+        dr, di = dr[::-1], di[::-1]
+        c, ci = [], []
+        for k in range(n + 1):
+            lo = max(0, k - ld + 1)
+            w = slice(ld - 1 - k + lo, ld - 1)
+            if real:
+                c.append(((a[k] << F) - _dot(c[lo:k], dr[w])) // d0r)
+                continue
+            x, y = c[lo:k], ci[lo:k]
+            sr = (a[k] << F) - _dot(x, dr[w]) + _dot(y, di[w])
+            si = (ai[k] << F) - _dot(x, di[w]) - _dot(y, dr[w])
+            c.append((sr * d0r + si * d0i) // N)
+            ci.append((si * d0r - sr * d0i) // N)
+        # the error of the numerator over |d_0|, |c_k| times the relative
+        # error of d_0, and one truncation
+        unit = 1 if real else 2
+        mags = _bounds(c, None if real else ci)
+        big = _coarse([v + unit for v in mags], F)
+        inv = -((-1 << F + G) // low)  # >= 2^(F+G) / |d_0|
+        dmag, drad = _coarse(_bounds(den.re, den.im), F)[::-1], den.rad[::-1]
+        ra = _padded(self.rad, n + 1)
+        rad, bound = [], []
+        for k in range(n + 1):
+            lo = max(0, k - ld + 1)
+            w = slice(ld - 1 - k + lo, ld - 1)
+            num = (ra[k] << G) + _dot(rad[lo:k], dmag[w]) + _dot(bound[lo:k], drad[w])
+            r = _ceil_shift((num + big[k] * den.rad[0]) * inv, 2 * G) + unit
+            rad.append(r)
+            bound.append(_ceil_shift(mags[k] + r, F - G))
+        return FixedSeries(c, None if real else ci, rad, n, F)
+
+    def log(self) -> "FixedSeries":
+        """log(self) for a constant term of exactly 1, from k phi_k = k h_k - sum_{j<k} j phi_j h_{k-j}."""
+        n, F, G = self.nterms, self.frac, _COARSE_BITS
+        if self.re is None:
+            return self._nan(n)
+        if self.re[0] != 1 << F or self.rad[0] or self.im and self.im[0]:
+            raise SeriesError("series logarithm requires constant term 1")
+        lh = len(self.re)
+        real = self.im is None
+        h, hi = self._parts(n + 1)
+        hr, hir = self.re[::-1], (self.im or [])[::-1]
+        phi, phii, jphi, jphii = [0], [0], [0], [0]
+        for k in range(1, n + 1):
+            lo = max(1, k - lh + 1)
+            w = slice(lh - 1 - k + lo, lh - 1)
+            if real:
+                p = ((k * h[k] << F) - _dot(jphi[lo:k], hr[w])) // k >> F
+                phi.append(p)
+                jphi.append(k * p)
+                continue
+            x, y = jphi[lo:k], jphii[lo:k]
+            sr = (k * h[k] << F) - _dot(x, hr[w]) + _dot(y, hir[w])
+            si = (k * hi[k] << F) - _dot(x, hir[w]) - _dot(y, hr[w])
+            p, q = sr // k >> F, si // k >> F
+            phi.append(p)
+            phii.append(q)
+            jphi.append(k * p)
+            jphii.append(k * q)
+        # phi_k = h_k - (1/k) sum_j j phi_j h_{k-j}: the radius of h_k, that
+        # of the sum, and one truncation
+        unit = 1 if real else 2
+        jmag = [j * v for j, v in enumerate(_coarse(_bounds(phi, None if real else phii), F))]
+        hbig = _coarse(list(map(operator.add, _bounds(self.re, self.im), self.rad)), F)[::-1]
+        hrad, hradr = _padded(self.rad, n + 1), self.rad[::-1]
+        rad, jrad = [0], [0]
+        for k in range(1, n + 1):
+            lo = max(1, k - lh + 1)
+            w = slice(lh - 1 - k + lo, lh - 1)
+            s = _dot(jmag[lo:k], hradr[w]) + _dot(jrad[lo:k], hbig[w])
+            r = hrad[k] - (-s // (k << G)) + unit
+            rad.append(r)
+            jrad.append(k * r)
+        return FixedSeries(phi, None if real else phii, rad, n, F)

@@ -50,7 +50,7 @@ PARAMETERS = {
     "GNReport": ["iterations", "residual_history", "converged", "best_residual", "stop_reason"],
     "JacobianMatrix": ["entries", "points", "refs", "values"],
     "Schedule": ["order", "slot_assignment", "peak_buffers"],
-    "ThetaResult": ["theta", "kind", "nterms", "u", "saturated", "bracket"],
+    "ThetaResult": ["theta", "kind", "nterms", "u", "saturated", "bracket", "rounding"],
     "TruncSeries": ["coeffs", "nterms"],
     "YksCoeffs": ["s", "c", "d", "e", "e0", "f"],
     "bigfloat": ["prec", "is_complex"],

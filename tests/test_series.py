@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from matgraph import ComputationGraph, bigfloat, erroranalysis, eval_graph, graph_exp_pade_ss
 from matgraph.numerics import working_precision
-from matgraph.series import SeriesError, TruncSeries
+from matgraph.series import FixedSeries, SeriesError, TruncSeries
 
 from support import series_divide_loop, series_log_loop, series_mul_loop
 
@@ -155,6 +156,55 @@ class TestAgainstPlainLoops:
             h = TruncSeries.exp_neg(60) * p
             h.coeffs[0] = mp.mpf(1)
             assert h.log().coeffs == series_log_loop(h)
+
+
+def complex_graph():
+    """(1 + c1 z)^2 / (1 + c2 z) with genuinely complex 256-bit c1, c2: a product and a solve."""
+    with mp.workprec(256):
+        c1, c2 = mp.mpc(1, 2) / 3, mp.mpc(-1, 1) / 7
+    g = ComputationGraph(bigfloat(256, True))
+    g.add_lincomb("B", c1, "A", 1, "I")
+    g.add_mult("B2", "B", "B")
+    g.add_lincomb("D", 1, "I", c2, "A")
+    g.add_ldiv("R", "D", "B2")
+    g.set_outputs(["R"])
+    return g
+
+
+class TestCarriedRadius:
+    """Every FixedSeries coefficient lies within its carried radius of a 4096-bit reference."""
+
+    N = 60
+
+    @staticmethod
+    def check_within(fixed, ref):
+        with mp.workprec(8192):
+            unit = mp.mpf(2) ** -fixed.frac
+            slack = mp.mpf(2) ** -3900  # the reference's own rounding, far below a unit
+            for j, r in enumerate(fixed.rad + [0] * (fixed.nterms + 1 - len(fixed.rad))):
+                err = abs(fixed.value(j) - ref.coeffs[j])
+                assert err <= r * unit + slack, (j, err / unit, r)
+
+    @pytest.mark.parametrize("make", [lambda: graph_exp_pade_ss(13, 1, bigfloat(256))[0],
+                                      complex_graph], ids=["pade(13,1)", "complex"])
+    def test_graph_series_h_and_log_within_radius(self, make):
+        g, n = make(), self.N
+        gs = erroranalysis._graph_series(g, n, 1024)
+        h = FixedSeries.exp_neg(n, gs.frac) * gs
+        with working_precision(4096):
+            ref_g = eval_graph(g, TruncSeries.identity(n), 4096)
+            ref_h = TruncSeries.exp_neg(n) * ref_g
+        self.check_within(gs, ref_g)
+        self.check_within(h, ref_h)
+        assert max(h.rad) > 0
+        h.set_constant(1)
+        with working_precision(4096):
+            ref_h.coeffs[0] = mp.mpf(1)
+            ref_phi = ref_h.log()
+        phi = h.log()
+        self.check_within(phi, ref_phi)
+        # sound, and small: below 2^-900 absolute
+        assert max(phi.rad) < 2 ** (phi.frac - 900)
 
 
 coeff_lists = st.lists(
