@@ -129,6 +129,13 @@ class TestBackwardTheta:
         t150 = compute_bwd_theta_exp(g, nterms=150)
         assert abs(float(t100.theta) - float(t150.theta)) <= 1e-8 * float(t100.theta)
 
+    def test_binary64_graph_certified_on_its_exact_coefficients(self):
+        # the graph series is formed from the coefficients read exactly, not in
+        # binary64 arithmetic, whose rounding alone would exceed u
+        g, _ = graph_exp_pade_ss(13, 1)
+        exact = convert_precision(g, bigfloat(1024))
+        assert compute_bwd_theta_exp(g, nterms=40).theta == compute_bwd_theta_exp(exact, nterms=40).theta
+
     def test_certificate_reverifies(self):
         g, _ = graph_exp_pade_ss(7, 0, coeff_type=bigfloat(256))
         res = compute_bwd_theta_exp(g)
