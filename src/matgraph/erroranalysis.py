@@ -9,10 +9,14 @@ Two a priori certificates for a graph g approximating a target f:
   F(theta) = sum |delta_j| theta^{j-1}; theta^B is the largest radius
   keeping that below u.
 
-Both run the series on fixed-point integers with prec + 64 fractional bits
-(:class:`~matgraph.series.FixedSeries`), which carry an error radius for
-every coefficient; ``ThetaResult.rounding`` reports the largest radius of
-the coefficients the bound is built from.  The bound takes the exact
+Both run the series on fixed-point integers (:class:`~matgraph.series.FixedSeries`),
+which carry an error radius for every coefficient; ``ThetaResult.rounding``
+reports the largest radius of the coefficients the bound is built from.
+The fixed point starts at prec + 64 fractional bits and widens until those
+radii move the bound by at most u 2^-min(prec, 128) at every radius the
+search can return: an absolute error of 2^-F in coefficient j weighs
+2^-F theta^j in the bound, which outgrows u for long series at large theta
+unless F grows with them.  The bound takes the exact
 magnitudes of the computed coefficients, and the search certifies its
 result by a bracketing pair (theta passes, theta*(1+1e-6) fails).  The
 bound polynomial is evaluated exactly at each dyadic trial radius, so
@@ -148,15 +152,48 @@ def _radius(coeffs, u, kind: ThetaKind, nterms: int, prec: int, why: str = "") -
     return ThetaResult(theta, kind, nterms, u, bracket=(theta, margin))
 
 
-def _magnitudes(s: FixedSeries) -> list:
-    """The exact |coefficient| of s as mpf values (a complex one rounded up), refusing a non-finite series.
-
-    NaN and inf have mantissa 0, so an exact bound would read them as 0.
-    """
+def _check_finite(s: FixedSeries):
+    """Refuse a series made from a NaN or an inf: they have mantissa 0, so an exact bound would read them as 0."""
     if s.re is None:
         raise CertificationError("non-finite series coefficient: a graph or target coefficient "
                                  "is NaN or infinite")
+
+
+def _magnitudes(s: FixedSeries) -> list:
+    """The exact |coefficient| of s as mpf values (a complex one rounded up), refusing a non-finite series."""
+    _check_finite(s)
     return [mp.make_mpf(from_man_exp(m, -s.frac)) for m in s.magnitudes()]
+
+
+# the search resolves theta to a relative 1e-30 (about 2^-100); rounding of
+# the bound below u 2^-128 moves theta by less than 2^-128 relative
+_ROUNDING_BITS = 128
+
+
+def _widening(s: FixedSeries, first: int, u, prec: int) -> int:
+    """Bits to add to the fixed point of s so that its radii move the bound on it by at most u 2^-min(prec, 128).
+
+    The bound is sum_k |s_(first+k)| t^k.  No radius the search returns or
+    tries near its result exceeds theta_up, the least (u / m_k)^(1/k) over
+    the lower bounds m_k = |s_(first+k)| - rad > 0 (k >= 1), which also
+    bound the exact coefficients; nor twice the search cap.  The radii move
+    the bound at theta_up by at most len(rad) max_k rad_k theta_up^k.  Sizing
+    runs on bit lengths, each rounded the safe way; 0 if no widening is needed.
+    A step at most doubles the fixed point: with few coefficients resolved,
+    theta_up can be far too large, and the next pass resolves more.
+    """
+    mags, rad = s.magnitudes()[first:], s.rad[first:]  # rad stops at the last nonzero entry
+    F, lu = s.frac, float(mp.log(u, 2))
+    # log2 theta_up: log2 m_k >= bit_length(m_k) - 1 - F
+    lt = min([(lu + F - (m - r).bit_length() + 1) / k
+              for k, (m, r) in enumerate(zip(mags, rad)) if k and m > r],
+             default=math.inf)
+    lt = min(lt, math.log2(_SEARCH_CAP) + 1)
+    spread = [r.bit_length() + k * lt for k, r in enumerate(rad) if r]
+    if not spread:
+        return 0
+    need = max(spread) + len(rad).bit_length() - F - (lu - min(prec, _ROUNDING_BITS))
+    return max(0, min(math.ceil(need), F))
 
 
 def _rounding(s: FixedSeries):
@@ -169,8 +206,8 @@ def _check_u_prec(u, prec: int):
         raise ValueError(f"need u in (0, 1) and prec >= 53, got u={u!r}, prec={prec!r}")
 
 
-def _graph_series(g: ComputationGraph, nterms: int, prec: int) -> FixedSeries:
-    s = eval_graph(g, FixedSeries.identity(nterms, prec + GUARD_BITS), prec)
+def _graph_series(g: ComputationGraph, nterms: int, prec: int, frac: int) -> FixedSeries:
+    s = eval_graph(g, FixedSeries.identity(nterms, frac), prec)
     if isinstance(s, list):
         raise GraphError("certification expects a single-output graph")
     return s
@@ -183,7 +220,8 @@ def compute_fwd_theta(g: ComputationGraph, f_series: TruncSeries, u=2.0 ** -53,
     The graph must be solve-free and the target series must dominate the
     graph's polynomial degree.  The target's coefficients are rounded down
     to the graph series' fixed point, with that rounding added to their
-    radii, and the differences are then formed exactly.  A ``u`` outside
+    radii, and the differences are then formed exactly.  The fixed point
+    widens as the module docstring says.  A ``u`` outside
     (0, 1) or a ``prec`` below 53 raises ``ValueError``.
     """
     _check_u_prec(u, prec)
@@ -193,8 +231,15 @@ def compute_fwd_theta(g: ComputationGraph, f_series: TruncSeries, u=2.0 ** -53,
         u = mp.mpf(u)
         if f_series.nterms < graph_degree_bound(g):
             raise CertificationError("target series truncated below the graph degree")
-        gs = _graph_series(g, f_series.nterms, prec)
-        diff = gs - FixedSeries.read(f_series.coeffs, f_series.nterms, gs.frac)
+        frac = prec + GUARD_BITS
+        while True:
+            gs = _graph_series(g, f_series.nterms, prec, frac)
+            diff = gs - FixedSeries.read(f_series.coeffs, f_series.nterms, frac)
+            _check_finite(diff)
+            widen = _widening(diff, 0, u, prec)
+            if not widen:
+                break
+            frac += widen
         E = _magnitudes(diff)
         if E[0] > u:
             res = ThetaResult(mp.mpf(0), ThetaKind.FORWARD, f_series.nterms, u)
@@ -209,7 +254,8 @@ def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
     """Largest radius with certified relative backward error below u, target exp.
 
     Builds the truncated series of log(e^{-z} g(z)), takes coefficient
-    magnitudes, and bisects sum |delta_j| theta^{j-1} = u at ``prec`` bits.
+    magnitudes, and bisects sum |delta_j| theta^{j-1} = u at ``prec`` bits;
+    the fixed point widens as the module docstring says.
     Graphs with linear solves are fine as long as every denominator series
     has a nonzero constant term.  A ``u`` outside (0, 1), a ``prec`` below 53
     or an ``nterms`` below 1 raises ``ValueError``.
@@ -217,14 +263,21 @@ def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
     _check_u_prec(u, prec)
     with working_precision(prec):
         u = mp.mpf(u)
-        gs = _graph_series(g, nterms, prec)
-        h = FixedSeries.exp_neg(nterms, gs.frac) * gs
-        if _magnitudes(h - FixedSeries.constant(1, nterms, gs.frac))[0] > u * nterms:
-            raise CertificationError(
-                "graph does not match exp at the origin; backward-error series undefined"
-            )
-        h.set_constant(1)
-        phi = h.log()
+        frac = prec + GUARD_BITS
+        while True:
+            gs = _graph_series(g, nterms, prec, frac)
+            h = FixedSeries.exp_neg(nterms, frac) * gs
+            _check_finite(h)
+            if abs(h.value(0) - 1) > u * nterms:
+                raise CertificationError(
+                    "graph does not match exp at the origin; backward-error series undefined"
+                )
+            h.set_constant(1)
+            phi = h.log()
+            widen = _widening(phi, 1, u, prec)
+            if not widen:
+                break
+            frac += widen
         # sum_j |delta_j| t^(j-1); the j=0 coefficient is exactly zero
         res = _radius(_magnitudes(phi)[1:], u, ThetaKind.BACKWARD, nterms, prec,
                       f", g(0) - 1 = {mp.nstr(gs.value(0) - 1, 3)}")

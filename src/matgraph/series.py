@@ -14,7 +14,8 @@ wanted.  ``eval_graph`` on a series, ``eval_graph_poly`` and the
 ``series:`` target use it.
 
 :class:`FixedSeries` is the certifier's kind.  Its coefficients are Python
-integers at one absolute exponent, F = prec + 64 fractional bits, and each
+integers at one absolute exponent of F fractional bits (the certifier
+starts at prec + 64 and widens F with the radius it certifies), and each
 carries an integer error radius in units of 2^-F that bounds its distance
 from the coefficient exact arithmetic would give: midpoint-radius
 arithmetic, as in Johansson, "Arb", IEEE Trans. Comput. 66(8), 2017.  A

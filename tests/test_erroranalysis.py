@@ -266,6 +266,25 @@ class TestRadiusSearch:
         res = compute_bwd_theta_exp(g, nterms=100)
         assert (res.theta.man, res.theta.exp) == self.PINNED_100[row]
 
+    # an absolute error of 2^-F in delta_100 weighs 2^-F theta^99, about
+    # 2^(339 - F) here: the fixed point widens with theta and nterms, and the
+    # 256-bit radius is the 1024-bit one bit for bit, as on mpf series
+    @pytest.mark.parametrize("nterms", [100, 150])
+    def test_long_series_at_256_bits_pinned(self, nterms):
+        g, _ = graph_exp_pade_ss(13, 1, coeff_type=bigfloat(256))
+        res = compute_bwd_theta_exp(g, nterms=nterms, prec=256)
+        assert (res.theta.man, res.theta.exp) == self.PINNED_100[(13, 1)]
+
+    def test_long_series_at_64_bits_is_not_rounding_bound(self):
+        # the search resolves 64 bits of the 1024-bit radius, not a radius
+        # that the rounding of delta_j for large j holds down
+        g, _ = graph_exp_pade_ss(13, 1, coeff_type=bigfloat(256))
+        res = compute_bwd_theta_exp(g, nterms=100, prec=64)
+        man, exp = self.PINNED_100[(13, 1)]
+        with mp.workprec(1024):
+            want = mp.mpf(man) * mp.mpf(2) ** exp
+            assert abs(res.theta - want) <= want * mp.mpf(2) ** -60
+
     def test_real_graph_declared_complex_pinned(self):
         # Pade (7, 1) with complex 256-bit coefficients whose imaginary parts are 0
         g, _ = graph_exp_pade_ss(7, 1, coeff_type=bigfloat(256, True))

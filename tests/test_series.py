@@ -189,7 +189,7 @@ class TestCarriedRadius:
                                       complex_graph], ids=["pade(13,1)", "complex"])
     def test_graph_series_h_and_log_within_radius(self, make):
         g, n = make(), self.N
-        gs = erroranalysis._graph_series(g, n, 1024)
+        gs = erroranalysis._graph_series(g, n, 1024, 1024 + 64)
         h = FixedSeries.exp_neg(n, gs.frac) * gs
         with working_precision(4096):
             ref_g = eval_graph(g, TruncSeries.identity(n), 4096)
