@@ -19,9 +19,15 @@ search can return: an absolute error of 2^-F in coefficient j weighs
 unless F grows with them.  The bound takes the exact
 magnitudes of the computed coefficients, and the search certifies its
 result by a bracketing pair (theta passes, theta*(1+1e-6) fails).  The
-bound polynomial is evaluated exactly at each dyadic trial radius, so
-every comparison with u in the search and the bracket check is decided
-without rounding.
+bound polynomial has nonnegative coefficients, so it increases in theta,
+and it is evaluated exactly at dyadic radii.  Once the root is bracketed
+by a power of two, Newton's method gives an untrusted root, and two exact
+evaluations check dyadics tl < th about 2^-198 theta apart around it with
+bound(tl) <= u < bound(th).  The bisection and the bracket check then
+decide a radius outside (tl, th) by comparison with tl and th, and any
+other radius, or every radius when the check fails, by an exact
+evaluation.  So every comparison with u is decided without rounding, and
+the radius and bracket are those of an exact evaluation at every step.
 
 The a posteriori running error propagates per-node first-order round-off
 through a scalar evaluation, either as a worst-case bound or as a
@@ -77,18 +83,25 @@ _SEARCH_CAP = mp.mpf(2) ** 60
 _BRACKET_LO = mp.mpf(2) ** -20
 
 
-def _bisect_max_below(bound, u, lo, hi, prec):
-    """Largest theta in [lo, hi] with bound(theta) <= u; bound is increasing."""
+def _bisect_max_below(passes, lo, hi, prec):
+    """Largest theta in [lo, hi] that ``passes``, a decision monotone in theta, accepts."""
     with mp.workprec(prec):
+        tol = mp.mpf("1e-30")
         for _ in range(prec):
             mid = (lo + hi) / 2
-            if bound(mid) <= u:
+            if passes(mid):
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= lo * mp.mpf("1e-30"):
+            if hi - lo <= lo * tol:
                 break
     return lo
+
+
+def _parts(coeffs) -> list:
+    """The coefficients as libmp (sign, mantissa, exponent, bits) tuples, read exactly."""
+    return [c._mpf_ if isinstance(c, mp.mpf) else
+            from_float(c) if isinstance(c, float) else from_int(c) for c in coeffs]
 
 
 def _poly_bound(coeffs):
@@ -98,8 +111,7 @@ def _poly_bound(coeffs):
     evaluation at t = m 2^e is then an integer Horner and returns the sum
     as an exact mpf, so a test bound(t) <= u is decided without rounding.
     """
-    parts = [c._mpf_ if isinstance(c, mp.mpf) else
-             from_float(c) if isinstance(c, float) else from_int(c) for c in coeffs]
+    parts = _parts(coeffs)
     nz = [k for k, (_, man, _, _) in enumerate(parts) if man]
     if not nz:
         return lambda t: mp.zero
@@ -120,15 +132,89 @@ def _poly_bound(coeffs):
     return bound
 
 
+#: bits of the enclosure's dyadic ends: they lie about 2^-(bits - 2) theta apart
+_ENCLOSURE_BITS = 200
+#: fractional bits of the fixed point in which Newton's method sharpens the root
+_NEWTON_BITS = 256
+
+
+def _approx_root(coeffs, u, k: int):
+    """An approximation to the root of sum_j coeffs[j] t^j = u in [2^(k-1), 2^k), which nothing trusts.
+
+    On s = t 2^-k the equation reads q(s) = 1, q(s) = sum_j a_j s^j with
+    a_j = coeffs[j] 2^(jk) / u in [0, 2^j], since the bound is at most u at
+    s = 1/2.  log q is increasing and convex in log s, so Newton's method on
+    log q = 0 moves monotonically down from s = 1; it runs in binary64.
+    Newton's method on q = 1 then sharpens s on integers at 256 fractional
+    bits.  NaN when a step breaks down (an overflow or a zero derivative).
+    """
+    W = _NEWTON_BITS
+    _, um, ue, _ = u._mpf_
+    A = []
+    for j, (_, man, exp, _) in enumerate(_parts(coeffs)):  # a_j at W fractional bits
+        sh = exp + j * k - ue + W
+        A.append((man << sh if sh >= 0 else man >> -sh) // um)
+    try:
+        a = [c / (1 << W) for c in A]
+        x = 0.0  # log s
+        for _ in range(100):
+            s, q, dq = math.exp(x), 0.0, 0.0
+            for j in range(len(a) - 1, -1, -1):  # dq = s q'(s)
+                q, dq = q * s + a[j], dq * s + j * a[j]
+            step = math.log(q) * q / dq
+            if not step > 2 ** -52:
+                break
+            x -= step
+        S, one = int(math.ldexp(math.exp(x), W)), 1 << W
+        for _ in range(4):
+            q, dq = A[-1], 0
+            for c in reversed(A[:-1]):  # dq = q'(s)
+                q, dq = (q * S >> W) + c, (dq * S >> W) + q
+            step = ((q - one) << W) // dq
+            S -= step
+            if abs(step) >> (W - _ENCLOSURE_BITS - 16) == 0:
+                break
+    except (ArithmeticError, ValueError):
+        return mp.nan
+    return mp.make_mpf(from_man_exp(S, k - W))
+
+
+def _enclosure(bound, u, approx, hi):
+    """Dyadics tl < approx < th about 2^-198 approx apart with bound(tl) <= u < bound(th), checked exactly; None if not."""
+    if not (mp.isfinite(approx) and hi / 2 < approx < hi):
+        return None
+    _, man, exp, bc = approx._mpf_
+    shift = bc - _ENCLOSURE_BITS
+    man, exp = (man >> shift, exp + shift) if shift > 0 else (man << -shift, exp + shift)
+    tl, th = (mp.make_mpf(from_man_exp(m, exp)) for m in (man - 1, man + 1))
+    return (tl, th) if bound(tl) <= u < bound(th) else None
+
+
+def _decider(bound, u, enclosure):
+    """The search's step function t -> bound(t) <= u for t > 0.
+
+    With an enclosure (tl, th) the bound, increasing on t > 0, is at most u
+    at every t <= tl and above it at every t >= th, so those decisions are
+    comparisons; only a t strictly between evaluates the bound, exactly.
+    """
+    tl, th = enclosure or (mp.zero, mp.inf)
+    return lambda t: t <= tl or (t < th and bound(t) <= u)
+
+
 def _radius(coeffs, u, kind: ThetaKind, nterms: int, prec: int, why: str = "") -> ThetaResult:
     """Largest theta with sum_j coeffs[j] theta^j <= u, certified.
 
     The coefficients are finite and nonnegative, so the bound increases
     and is evaluated exactly (:func:`_poly_bound`).  A constant term above
     u fails everywhere.  Otherwise halves from 2^-20 until the bound
-    passes, doubles until it fails (or saturates past the search cap),
-    bisects, and checks the bracketing pair: theta passes and
-    theta*(1+1e-6) fails.  A refusal says what it saw, and ``why``.
+    passes and doubles until it fails (or saturates past the search cap).
+    Newton's method then gives an untrusted root (:func:`_approx_root`),
+    and two exact evaluations check a short dyadic enclosure of it
+    (:func:`_enclosure`).  The bisection and the check of the bracketing
+    pair (theta passes, theta*(1+1e-6) fails) decide every t outside the
+    enclosure by comparison with its ends (:func:`_decider`), and every t
+    when the check fails by an exact evaluation, so their outcome is the
+    same either way.  A refusal says what it saw, and ``why``.
     """
     refusal = ("no sign change: bound above u on the whole bracket (bound "
                f"{mp.nstr(coeffs[0], 3)} at t -> 0, u = {mp.nstr(u, 3)}{why}")
@@ -145,9 +231,11 @@ def _radius(coeffs, u, kind: ThetaKind, nterms: int, prec: int, why: str = "") -
         hi *= 2
         if hi > _SEARCH_CAP:
             return ThetaResult(hi, kind, nterms, u, saturated=True)
-    theta = _bisect_max_below(bound, u, hi / 2, hi, prec)
+    k = mp.frexp(hi)[1] - 1  # hi = 2^k
+    passes = _decider(bound, u, _enclosure(bound, u, _approx_root(coeffs, u, k), hi))
+    theta = _bisect_max_below(passes, hi / 2, hi, prec)
     margin = theta * (1 + mp.mpf("1e-6"))
-    if not (bound(theta) <= u and bound(margin) > u):
+    if not (passes(theta) and not passes(margin)):
         raise CertificationError("bracketing certificate failed to verify")
     return ThetaResult(theta, kind, nterms, u, bracket=(theta, margin))
 

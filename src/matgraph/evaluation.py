@@ -35,8 +35,9 @@ import mpmath
 import numpy as np
 from mpmath import libmp, mp
 
-from .graph import ComputationGraph, GraphError, OpKind, get_topo_order
+from .graph import ComputationGraph, GraphError, OpKind, convert_precision, get_topo_order
 from .numerics import (
+    CoeffType,
     FixedVector,
     SingularMatrixError,
     is_mp_matrix,
@@ -218,10 +219,14 @@ def eval_graph(g: ComputationGraph, x, prec: int | None = None):
     """Evaluate the graph at ``x``; returns one value per output node.
 
     ``x`` binds to the graph's input id, ``g.input_id``.  A single output
-    is returned bare, several as a list; an ndarray gives ndarrays.
+    is returned bare, several as a list; an ndarray gives ndarrays.  A
+    binary64 graph runs a series under an explicit ``prec`` as its
+    extended-precision copy (its coefficients read exactly) does.
     """
     if not g.outputs:
         raise GraphError("graph has no output nodes")
+    if prec is not None and g.coeff_type.prec is None and isinstance(x, TruncSeries):
+        g = convert_precision(g, CoeffType(max(prec, 53), g.coeff_type.is_complex))
     with _precision_context(g, prec):
         slots = _eval_nodes(g, x, get_topo_order(g))
         missing = [o for o in g.outputs if o not in slots]

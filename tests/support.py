@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import tempfile
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 from mpmath import libmp, mp
 
-from matgraph import (CoeffRef, CoeffType, ComputationGraph, Degopt, DegoptError, GraphError,
+from matgraph import (CertificationError, CoeffRef, CoeffType, ComputationGraph, Degopt, DegoptError, GraphError,
                       OpKind, eval_graph_poly, get_topo_order, graph_degopt)
 from matgraph.graph import IDENTITY_ID, _drop, _retarget
 from matgraph.codegen import Schedule
@@ -327,8 +328,8 @@ def random_messy_graph(rng: np.random.Generator) -> ComputationGraph:
 def degopt_degree(d: Degopt, prec: int = 256) -> int:
     """Exact degree of the represented polynomial (mult variant only).
 
-    The polynomial is expanded at ``prec`` bits and coefficients smaller
-    than 2^(-prec/2) in magnitude are treated as zero.
+    The polynomial is expanded at ``prec`` bits, a binary64 ``d`` too, and
+    coefficients smaller than 2^(-prec/2) in magnitude are treated as zero.
     """
     if d.variant != "mult":
         raise DegoptError("degree is defined for the polynomial (mult) variant only")
@@ -340,6 +341,59 @@ def degopt_degree(d: Degopt, prec: int = 256) -> int:
         if abs(c) > tol:
             deg = j
     return deg
+
+
+def as_fraction(x) -> Fraction:
+    """The exact value of an ``mpf``, float or int."""
+    if isinstance(x, mp.mpf):
+        _, man, exp, _ = x._mpf_
+        return Fraction(man) * Fraction(2) ** exp
+    return Fraction(x)
+
+
+def radius_exact_only(coeffs, u, prec: int):
+    """The radius search of ``erroranalysis._radius``, every decision an exact Fraction Horner.
+
+    For finite nonnegative ``coeffs``: halves from 2^-20 until sum_j c_j t^j
+    <= u, doubles until it fails (saturated past 2^60), bisects at ``prec``
+    bits to a relative 1e-30 and checks that theta passes and theta
+    (1 + 1e-6) fails.  Returns ``(theta, bracket, saturated)``; raises
+    ``CertificationError`` where the search refuses.
+    """
+    cf, uf = [as_fraction(c) for c in coeffs], as_fraction(u)
+
+    def passes(t):
+        acc, tf = Fraction(0), as_fraction(t)
+        for c in reversed(cf):
+            acc = acc * tf + c
+        return acc <= uf
+
+    if cf[0] > uf:
+        raise CertificationError("bound above u at t -> 0")
+    with mp.workprec(prec):
+        lo = mp.mpf(2) ** -20
+        while not passes(lo):
+            lo /= 2
+            if lo < mp.mpf(2) ** -(prec - 8):
+                raise CertificationError("bound above u down to the smallest radius")
+        hi = lo
+        while passes(hi):
+            hi *= 2
+            if hi > mp.mpf(2) ** 60:
+                return hi, None, True
+        lo = hi / 2
+        for _ in range(prec):
+            mid = (lo + hi) / 2
+            if passes(mid):
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= lo * mp.mpf("1e-30"):
+                break
+        margin = lo * (1 + mp.mpf("1e-6"))
+        if not (passes(lo) and not passes(margin)):
+            raise CertificationError("bracketing certificate failed to verify")
+        return lo, (lo, margin), False
 
 
 def yks_eval_direct(spec, x):

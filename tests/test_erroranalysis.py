@@ -25,7 +25,7 @@ from matgraph import (
 )
 from matgraph import erroranalysis
 
-from support import random_graph
+from support import as_fraction, radius_exact_only, random_graph
 
 
 def taylor_graph(deg):
@@ -163,13 +163,6 @@ class TestBackwardTheta:
         assert lines[1].startswith("pade13,7,5.371920351148152,")
 
 
-def as_fraction(x):
-    if isinstance(x, mp.mpf):
-        _, man, exp, _ = x._mpf_
-        return Fraction(man) * Fraction(2) ** exp
-    return Fraction(x)
-
-
 @pytest.fixture
 def bound_evals(monkeypatch):
     """Counts the evaluations of every bound the radius search builds."""
@@ -186,6 +179,23 @@ def bound_evals(monkeypatch):
         return counted
 
     monkeypatch.setattr(erroranalysis, "_poly_bound", counting)
+    return calls
+
+
+@pytest.fixture
+def search_decisions(monkeypatch):
+    """Counts the decisions of the step function the bisection is handed, as bench/tracer.py does."""
+    calls = []
+    bisect = erroranalysis._bisect_max_below
+
+    def counting(passes, *args):
+        def counted(t):
+            calls.append(t)
+            return passes(t)
+
+        return bisect(counted, *args)
+
+    monkeypatch.setattr(erroranalysis, "_bisect_max_below", counting)
     return calls
 
 
@@ -332,10 +342,96 @@ class TestRadiusSearch:
         with pytest.raises(CertificationError, match="target series truncated below the graph degree"):
             compute_fwd_theta(g, TruncSeries.exp(4))
 
-    def test_search_evaluation_count(self, bound_evals):
+    def test_search_evaluation_count(self, bound_evals, search_decisions):
         g, _ = graph_exp_pade_ss(5, 0, coeff_type=bigfloat(256))
         compute_bwd_theta_exp(g, nterms=40)
-        assert 90 <= len(bound_evals) <= 140
+        assert 90 <= len(search_decisions) <= 140
+        # halving, doubling and the enclosure's two ends; outside the
+        # enclosure the bisection and the bracket check only compare
+        assert len(bound_evals) <= 30
+
+
+@pytest.fixture
+def enclosed(monkeypatch):
+    """Records, for each radius search, whether the approximate root's enclosure checked out."""
+    seen = []
+    enclosure = erroranalysis._enclosure
+
+    def recording(*args):
+        pair = enclosure(*args)
+        seen.append(pair is not None)
+        return pair
+
+    monkeypatch.setattr(erroranalysis, "_enclosure", recording)
+    return seen
+
+
+class TestExactOnlyEquivalence:
+    """_radius against the exact-only search of tests/support.py, bit for bit."""
+
+    U = mp.mpf(2) ** -53
+
+    def check(self, coeffs, prec=1024):
+        with mp.workprec(prec):
+            res = erroranalysis._radius(coeffs, self.U, ThetaKind.BACKWARD, len(coeffs), prec)
+        theta, bracket, saturated = radius_exact_only(coeffs, self.U, prec)
+        assert (res.theta._mpf_, res.saturated) == (theta._mpf_, saturated)
+        assert res.bracket is None if bracket is None else \
+            [t._mpf_ for t in res.bracket] == [t._mpf_ for t in bracket]
+        return res
+
+    def test_random_nonnegative_polynomials(self, enclosed):
+        rng = np.random.default_rng(25)
+        with mp.workprec(1024):
+            for _ in range(12):
+                n = int(rng.integers(2, 40))
+                coeffs = [mp.mpf(float(rng.random())) * mp.mpf(2) ** int(rng.integers(-80, 20))
+                          if rng.random() < 0.7 else mp.zero for _ in range(n)]
+                coeffs[0] = self.U * float(rng.random()) if rng.random() < 0.5 else mp.zero
+                coeffs[-1] = mp.mpf(1) / 3
+                self.check(coeffs)
+        assert all(enclosed)
+
+    @pytest.mark.parametrize("degree", [1, 7, 26])
+    def test_single_monomial(self, degree, enclosed):
+        with mp.workprec(1024):
+            self.check([mp.zero] * degree + [mp.mpf(1) / 7])
+        assert enclosed == [True]
+
+    def test_all_zero_saturates(self):
+        assert self.check([mp.zero] * 5).saturated
+
+    @pytest.mark.parametrize("exponent", [-1100, 1100])
+    def test_coefficients_beyond_binary64(self, exponent, enclosed):
+        # 2^-1100 t^20 = u near t = 2^52; 2^1100 t^5 = u near t = 2^-231
+        j = 20 if exponent < 0 else 5
+        with mp.workprec(1024):
+            coeffs = [mp.zero] * j + [mp.mpf(2) ** exponent, mp.mpf(2) ** (exponent - 3)]
+        assert not self.check(coeffs).saturated
+        assert enclosed == [True]
+
+    def test_coefficient_below_binary64_saturates(self):
+        with mp.workprec(1024):
+            self.check([mp.zero, mp.mpf(10) ** -400])
+
+    @pytest.mark.parametrize("wrong", ["nan", "double", "half", "hi", "just_above", "inside"])
+    def test_wrong_approximate_root(self, wrong, monkeypatch, enclosed):
+        approx = erroranalysis._approx_root
+
+        def patched(coeffs, u, k):
+            t = approx(coeffs, u, k)
+            with mp.workprec(1024):
+                return {"nan": mp.nan, "double": 2 * t, "half": t / 2, "hi": mp.mpf(2) ** k,
+                        "just_above": t * (1 + mp.mpf(2) ** -150),
+                        "inside": t * (1 + mp.mpf(2) ** -240)}[wrong]
+
+        monkeypatch.setattr(erroranalysis, "_approx_root", patched)
+        with mp.workprec(1024):
+            coeffs = [mp.zero, mp.zero, mp.mpf(1) / 3] + [mp.mpf(1) / mp.factorial(j) for j in range(3, 30)]
+        self.check(coeffs)
+        # a root off by more than the enclosure's width fails its check, and
+        # the search evaluates every decision
+        assert enclosed == [wrong == "inside"]
 
 
 def goldberg_graph():

@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp
 
 from matgraph import (
+    CoeffType,
     ComputationGraph,
     EvalError,
     SingularMatrixError,
@@ -22,6 +23,11 @@ from matgraph.evaluation import _eval_nodes, graph_degree_bound
 from matgraph.graph import get_topo_order
 
 from support import as_mp_matrix, forward_jac, mp_bits, oracle_eval_mp_matrix, random_graph
+
+
+def scalar_bits(x):
+    """Type and raw value of a number, so that equal values of different kinds or precisions differ."""
+    return type(x).__name__, getattr(x, "_mpc_", None) or getattr(x, "_mpf_", x)
 
 
 class TestScalarAndMatrix:
@@ -170,6 +176,26 @@ class TestPolynomialExtraction:
         with mp.workprec(256):
             for a, b in zip(got, c):
                 assert abs(a - mp.mpf(b)) <= mp.mpf(2) ** -200
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_binary64_graph_at_explicit_precision(self, is_complex):
+        # prec=256 runs a binary64 graph at 256 bits, as its 256-bit copy runs
+        c = [(1 + 0.5j if is_complex else 1.0) / math.factorial(j) for j in range(9)]
+        g, _ = graph_monomial(c, CoeffType(None, is_complex))
+        got = eval_graph_poly(g, prec=256)
+        want = eval_graph_poly(convert_precision(g, bigfloat(256, is_complex)), prec=256)
+        assert [scalar_bits(a) for a in got] == [scalar_bits(b) for b in want]
+        assert all(isinstance(a, (mp.mpf, mp.mpc)) for a in got)
+
+    def test_binary64_series_argument_at_explicit_precision(self):
+        rng = np.random.default_rng(25)
+        for _ in range(5):
+            g = random_graph(rng, n_nodes=7, allow_ldiv=False)
+            got = eval_graph(g, TruncSeries.identity(10), 1024)
+            want = eval_graph(convert_precision(g, bigfloat(1024)), TruncSeries.identity(10), 1024)
+            got, want = (r if isinstance(r, list) else [r] for r in (got, want))
+            assert [[scalar_bits(a) for a in s.coeffs] for s in got] == \
+                [[scalar_bits(b) for b in s.coeffs] for s in want]
 
     def test_ldiv_rejected(self):
         g = ComputationGraph()
