@@ -12,11 +12,17 @@ Two a priori certificates for a graph g approximating a target f:
 Both run the series on fixed-point integers (:class:`~matgraph.series.FixedSeries`),
 which carry an error radius for every coefficient; ``ThetaResult.rounding``
 reports the largest radius of the coefficients the bound is built from.
-The fixed point starts at prec + 64 fractional bits and widens until those
+The fixed point starts at 320 fractional bits and widens until those
 radii move the bound by at most u 2^-min(prec, 128) at every radius the
 search can return: an absolute error of 2^-F in coefficient j weighs
 2^-F theta^j in the bound, which outgrows u for long series at large theta
-unless F grows with them.  The bound takes the exact
+unless F grows with them.  A narrow start is sound: a radius that moves
+the bound by less than u 2^-128 cannot change a decision of the 1e-30
+bisection, except at a midpoint within about 2^-128 relative of the root.
+So ``prec`` sets only the bisection and the returned theta.  Both refuse a
+NaN or an inf coefficient before any series is formed, and a radius at
+which the last quarter of the bound's terms holds more than u 2^-20: the
+terms past the truncation then plausibly matter too.  The bound takes the exact
 magnitudes of the computed coefficients, and the search certifies its
 result by a bracketing pair (theta passes, theta*(1+1e-6) fails).  The
 bound polynomial has nonnegative coefficients, so it increases in theta,
@@ -43,11 +49,11 @@ from enum import Enum
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import from_float, from_int, from_man_exp
+from mpmath.libmp import from_float, from_int, from_man_exp, mpf_pos
 
 from .evaluation import _eval_nodes, _precision_context, eval_graph, graph_degree_bound
 from .graph import ComputationGraph, GraphError, OpKind, get_topo_order
-from .numerics import EPS64, GUARD_BITS, is_scalar, working_precision
+from .numerics import EPS64, _exact, is_scalar, working_precision
 from .series import FixedSeries, TruncSeries
 
 
@@ -240,19 +246,6 @@ def _radius(coeffs, u, kind: ThetaKind, nterms: int, prec: int, why: str = "") -
     return ThetaResult(theta, kind, nterms, u, bracket=(theta, margin))
 
 
-def _check_finite(s: FixedSeries):
-    """Refuse a series made from a NaN or an inf: they have mantissa 0, so an exact bound would read them as 0."""
-    if s.re is None:
-        raise CertificationError("non-finite series coefficient: a graph or target coefficient "
-                                 "is NaN or infinite")
-
-
-def _magnitudes(s: FixedSeries) -> list:
-    """The exact |coefficient| of s as mpf values (a complex one rounded up), refusing a non-finite series."""
-    _check_finite(s)
-    return [mp.make_mpf(from_man_exp(m, -s.frac)) for m in s.magnitudes()]
-
-
 # the search resolves theta to a relative 1e-30 (about 2^-100); rounding of
 # the bound below u 2^-128 moves theta by less than 2^-128 relative
 _ROUNDING_BITS = 128
@@ -284,11 +277,6 @@ def _widening(s: FixedSeries, first: int, u, prec: int) -> int:
     return max(0, min(math.ceil(need), F))
 
 
-def _rounding(s: FixedSeries):
-    """The largest carried radius of s, as an absolute mpf."""
-    return mp.make_mpf(from_man_exp(max(s.rad), -s.frac))
-
-
 def _check_u_prec(u, prec: int):
     if not (0 < u < 1 and prec >= 53):
         raise ValueError(f"need u in (0, 1) and prec >= 53, got u={u!r}, prec={prec!r}")
@@ -299,6 +287,64 @@ def _graph_series(g: ComputationGraph, nterms: int, prec: int, frac: int) -> Fix
     if isinstance(s, list):
         raise GraphError("certification expects a single-output graph")
     return s
+
+
+def _check_finite(g: ComputationGraph, target=()):
+    """Refuse a NaN or an inf among the coefficients the series are made from: the graph's live nodes and ``target``."""
+    live = (c for nid in get_topo_order(g) for c in g.coeffs.get(nid, ()))
+    if any(_exact(c) is None for c in (*live, *target)):
+        raise CertificationError("non-finite series coefficient: a graph or target coefficient "
+                                 "is NaN or infinite")
+
+
+#: fractional bits the fixed point starts at; _widening adds what the bound needs
+_START_BITS = 320
+#: largest share of u the last quarter of the bound's terms may hold at the bracket's upper end
+_TAIL_SHARE = mp.mpf(2) ** -20
+
+
+def _check_truncation(coeffs, res: ThetaResult):
+    """Refuse a radius at which the last quarter of the N bound terms, j >= N - N//4, adds more than u 2^-20.
+
+    The bound leaves out the terms past the truncation, which then plausibly
+    matter too.  It is evaluated at the bracket's upper end rounded up to 64 bits.
+    """
+    n = len(coeffs)
+    first = n - n // 4
+    t = mp.make_mpf(mpf_pos(res.bracket[1]._mpf_, 64, "u"))
+    tail = _poly_bound([0] * first + coeffs[first:])(t)
+    if tail > res.u * _TAIL_SHARE:
+        raise CertificationError(
+            f"series truncated too early: the last {n - first} of {n} bound terms hold "
+            f"{mp.nstr(tail / res.u, 3)} of u at theta {mp.nstr(t, 6)}; "
+            f"use a larger nterms than {res.nterms}")
+
+
+def _theta(g: ComputationGraph, kind: ThetaKind, nterms: int, u, prec: int, form) -> ThetaResult:
+    """The radius of the error series ``form(graph series)``, formed again wider until :func:`_widening` is content.
+
+    A forward error above u at the origin gives theta 0; a search result is
+    checked for truncation.
+    """
+    first = 1 if kind == ThetaKind.BACKWARD else 0  # sum_j |delta_j| t^(j-1); delta_0 is 0
+    frac = _START_BITS
+    while True:
+        gs = _graph_series(g, nterms, prec, frac)
+        s = form(gs)
+        widen = _widening(s, first, u, prec)
+        if not widen:
+            break
+        frac += widen
+    coeffs = [mp.make_mpf(from_man_exp(m, -s.frac)) for m in s.magnitudes()[first:]]
+    if kind == ThetaKind.FORWARD and coeffs[0] > u:
+        res = ThetaResult(mp.mpf(0), kind, nterms, u)
+    else:
+        why = f", g(0) - 1 = {mp.nstr(gs.value(0) - 1, 3)}" if kind == ThetaKind.BACKWARD else ""
+        res = _radius(coeffs, u, kind, nterms, prec, why)
+        if not res.saturated:
+            _check_truncation(coeffs, res)
+    res.rounding = mp.make_mpf(from_man_exp(max(s.rad), -s.frac))  # the largest carried radius
+    return res
 
 
 def compute_fwd_theta(g: ComputationGraph, f_series: TruncSeries, u=2.0 ** -53,
@@ -315,26 +361,12 @@ def compute_fwd_theta(g: ComputationGraph, f_series: TruncSeries, u=2.0 ** -53,
     _check_u_prec(u, prec)
     if any(op == OpKind.LDIV for op in g.operations.values()):
         raise CertificationError("forward certification requires a solve-free graph")
+    _check_finite(g, f_series.coeffs)
     with working_precision(prec):
-        u = mp.mpf(u)
         if f_series.nterms < graph_degree_bound(g):
             raise CertificationError("target series truncated below the graph degree")
-        frac = prec + GUARD_BITS
-        while True:
-            gs = _graph_series(g, f_series.nterms, prec, frac)
-            diff = gs - FixedSeries.read(f_series.coeffs, f_series.nterms, frac)
-            _check_finite(diff)
-            widen = _widening(diff, 0, u, prec)
-            if not widen:
-                break
-            frac += widen
-        E = _magnitudes(diff)
-        if E[0] > u:
-            res = ThetaResult(mp.mpf(0), ThetaKind.FORWARD, f_series.nterms, u)
-        else:
-            res = _radius(E, u, ThetaKind.FORWARD, f_series.nterms, prec)
-        res.rounding = _rounding(diff)
-        return res
+        return _theta(g, ThetaKind.FORWARD, f_series.nterms, mp.mpf(u), prec,
+                      lambda gs: gs - FixedSeries.read(f_series.coeffs, gs.nterms, gs.frac))
 
 
 def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
@@ -349,28 +381,20 @@ def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
     or an ``nterms`` below 1 raises ``ValueError``.
     """
     _check_u_prec(u, prec)
+    _check_finite(g)
     with working_precision(prec):
         u = mp.mpf(u)
-        frac = prec + GUARD_BITS
-        while True:
-            gs = _graph_series(g, nterms, prec, frac)
-            h = FixedSeries.exp_neg(nterms, frac) * gs
-            _check_finite(h)
+
+        def log_of_ratio(gs):
+            h = FixedSeries.exp_neg(nterms, gs.frac) * gs
             if abs(h.value(0) - 1) > u * nterms:
                 raise CertificationError(
                     "graph does not match exp at the origin; backward-error series undefined"
                 )
             h.set_constant(1)
-            phi = h.log()
-            widen = _widening(phi, 1, u, prec)
-            if not widen:
-                break
-            frac += widen
-        # sum_j |delta_j| t^(j-1); the j=0 coefficient is exactly zero
-        res = _radius(_magnitudes(phi)[1:], u, ThetaKind.BACKWARD, nterms, prec,
-                      f", g(0) - 1 = {mp.nstr(gs.value(0) - 1, 3)}")
-        res.rounding = _rounding(phi)
-        return res
+            return h.log()
+
+        return _theta(g, ThetaKind.BACKWARD, nterms, u, prec, log_of_ratio)
 
 
 def theta_table_csv(rows) -> str:

@@ -3,8 +3,9 @@
 Both series kinds hold the coefficients of z^0 .. z^nterms and support the
 ring operations needed to extract the series expansion of the function
 underlying a graph: linear combination, Cauchy product, division by a
-series with nonzero constant term (the scalar shadow of a linear solve),
-and the logarithm of a series with constant term one.
+series with nonzero constant term (the scalar shadow of a linear solve).
+The certifier's kind also takes the logarithm of a series with constant
+term one.
 
 :class:`TruncSeries` is the public kind.  Its coefficients follow the
 ambient mpmath precision, each rounded relative to its own magnitude;
@@ -15,7 +16,7 @@ wanted.  ``eval_graph`` on a series, ``eval_graph_poly`` and the
 
 :class:`FixedSeries` is the certifier's kind.  Its coefficients are Python
 integers at one absolute exponent of F fractional bits (the certifier
-starts at prec + 64 and widens F with the radius it certifies), and each
+starts at 320 bits and widens F with the radius it certifies), and each
 carries an integer error radius in units of 2^-F that bounds its distance
 from the coefficient exact arithmetic would give: midpoint-radius
 arithmetic, as in Johansson, "Arb", IEEE Trans. Comput. 66(8), 2017.  A
@@ -78,10 +79,6 @@ class TruncSeries:
     def exp(cls, nterms: int) -> "TruncSeries":
         return cls([1 / mp.factorial(j) for j in range(nterms + 1)])
 
-    @classmethod
-    def exp_neg(cls, nterms: int) -> "TruncSeries":
-        return cls([(-1) ** j / mp.factorial(j) for j in range(nterms + 1)])
-
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:4])
         return f"TruncSeries([{head}{', ...' if self.nterms > 3 else ''}], nterms={self.nterms})"
@@ -135,21 +132,6 @@ class TruncSeries:
                 s = s - dj * c[k - j]
             c[k] = s / den.coeffs[0]
         return TruncSeries(c)
-
-    def log(self) -> "TruncSeries":
-        """log(self) for a constant term of exactly 1, from phi' self = self'."""
-        h = self.coeffs
-        if h[0] != 1:
-            raise SeriesError("series logarithm requires constant term 1")
-        phi = [0] * len(h)
-        jphi = [0] * len(h)  # j * phi_j, rounded once
-        for k in range(1, len(h)):
-            s = k * h[k]
-            for j in range(1, k):
-                s = s - jphi[j] * h[k - j]
-            phi[k] = s / k
-            jphi[k] = k * phi[k]
-        return TruncSeries(phi)
 
     def __call__(self, z):
         """Horner evaluation of the truncated polynomial.
@@ -214,21 +196,20 @@ class FixedSeries:
     ``rad[j]`` bounds the distance of coefficient j from the one exact
     arithmetic on the same inputs would give.  The three lists stop after
     the last nonzero entry (keeping at least the constant term): the rest
-    are exact zeros.  ``im`` is None for a real series, and ``re`` is None
-    when a number the series was made from was not finite.
+    are exact zeros.  ``im`` is None for a real series.  Every number a
+    series is made from must be finite.
     """
 
     __slots__ = ("re", "im", "rad", "nterms", "frac")
 
     def __init__(self, re, im, rad, nterms, frac):
-        if re is not None:
-            n = len(re)
-            while n > 1 and not (re[n - 1] or rad[n - 1] or im and im[n - 1]):
-                n -= 1
-            del re[n:], rad[n:]
-            if im is not None:
-                del im[n:]
-                im = im if any(im) else None
+        n = len(re)
+        while n > 1 and not (re[n - 1] or rad[n - 1] or im and im[n - 1]):
+            n -= 1
+        del re[n:], rad[n:]
+        if im is not None:
+            del im[n:]
+            im = im if any(im) else None
         self.re, self.im, self.rad, self.nterms, self.frac = re, im, rad, nterms, frac
 
     @classmethod
@@ -258,10 +239,7 @@ class FixedSeries:
         """The numbers ``values`` as coefficients, each rounded down to 2^-frac with that rounding as radius."""
         re, im, rad = [], [], []
         for v in values[: nterms + 1]:
-            p = _exact(v)
-            if p is None:
-                return cls(None, None, None, nterms, frac)
-            a, b, e = p
+            a, b, e = _exact(v)
             s = e + frac
             if s >= 0:
                 re.append(a << s)
@@ -272,9 +250,6 @@ class FixedSeries:
                 im.append(b >> -s)
                 rad.append(2 if b else 1)
         return cls(re, im, rad, nterms, frac)
-
-    def _nan(self, nterms):
-        return FixedSeries(None, None, None, nterms, self.frac)
 
     def _parts(self, n):
         """re and im as n-entry lists."""
@@ -310,10 +285,7 @@ class FixedSeries:
     def lincomb(c1, v1, c2, v2) -> "FixedSeries":
         """``c1 v1 + c2 v2`` for numbers c1, c2, read exactly; one truncation at the end."""
         n = min(v1.nterms, v2.nterms)
-        p, q = _exact(c1), _exact(c2)
-        if p is None or q is None or v1.re is None or v2.re is None:
-            return v1._nan(n)
-        (r1, i1, e1), (r2, i2, e2) = p, q
+        (r1, i1, e1), (r2, i2, e2) = _exact(c1), _exact(c2)
         # align the two terms through the coefficients, one shift each
         e = min(e1, e2)
         s1, s2 = e1 - e, e2 - e
@@ -340,8 +312,6 @@ class FixedSeries:
 
     def __mul__(self, other):
         n = min(self.nterms, other.nterms)
-        if self.re is None or other.re is None:
-            return self._nan(n)
         F, G = self.frac, _COARSE_BITS
         la, lb = len(self.re), len(other.re)
         m = min(n + 1, la + lb - 1)
@@ -365,8 +335,6 @@ class FixedSeries:
     def divide(self, den: "FixedSeries") -> "FixedSeries":
         """self / den by c_k = (a_k - sum_{j>=1} d_j c_{k-j}) / d_0; den's constant term must be nonzero."""
         n = min(self.nterms, den.nterms)
-        if self.re is None or den.re is None:
-            return self._nan(n)
         F, G = self.frac, _COARSE_BITS
         ld = len(den.re)
         d0r, d0i = den.re[0], den.im[0] if den.im else 0
@@ -411,8 +379,6 @@ class FixedSeries:
     def log(self) -> "FixedSeries":
         """log(self) for a constant term of exactly 1, from k phi_k = k h_k - sum_{j<k} j phi_j h_{k-j}."""
         n, F, G = self.nterms, self.frac, _COARSE_BITS
-        if self.re is None:
-            return self._nan(n)
         if self.re[0] != 1 << F or self.rad[0] or self.im and self.im[0]:
             raise SeriesError("series logarithm requires constant term 1")
         lh = len(self.re)

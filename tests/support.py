@@ -13,7 +13,7 @@ import numpy as np
 from mpmath import libmp, mp
 
 from matgraph import (CertificationError, CoeffRef, CoeffType, ComputationGraph, Degopt, DegoptError, GraphError,
-                      OpKind, eval_graph_poly, get_topo_order, graph_degopt)
+                      OpKind, SeriesError, TruncSeries, eval_graph_poly, get_topo_order, graph_degopt)
 from matgraph.graph import IDENTITY_ID, _drop, _retarget
 from matgraph.codegen import Schedule
 from matgraph.evaluation import _precision_context
@@ -405,7 +405,30 @@ def yks_eval_direct(spec, x):
 
 
 # ---------------------------------------------------------------------------
-# truncated series: the plain loops, as bit-exact references
+# truncated series: e^-z and the logarithm at the ambient precision, the
+# references the certifier's fixed-point series are checked against, and
+# the plain loops, as bit-exact references
+
+
+def series_exp_neg(n: int) -> TruncSeries:
+    """The series of e^-z to z^n."""
+    return TruncSeries([(-1) ** j / mp.factorial(j) for j in range(n + 1)])
+
+
+def series_log(h: TruncSeries) -> TruncSeries:
+    """log(h) for a constant term of exactly 1, from phi' h = h'."""
+    h = h.coeffs
+    if h[0] != 1:
+        raise SeriesError("series logarithm requires constant term 1")
+    phi = [0] * len(h)
+    jphi = [0] * len(h)  # j * phi_j, rounded once
+    for k in range(1, len(h)):
+        s = k * h[k]
+        for j in range(1, k):
+            s = s - jphi[j] * h[k - j]
+        phi[k] = s / k
+        jphi[k] = k * phi[k]
+    return TruncSeries(phi)
 
 
 def series_mul_loop(a, b):

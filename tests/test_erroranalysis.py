@@ -244,20 +244,25 @@ class TestExactBound:
 
 
 class TestRadiusSearch:
-    # theta of the five theta-table Pade graphs at nterms 40, 1024 bits: (mantissa, exponent)
+    # theta of the five theta-table Pade graphs at 1024 bits: (nterms, mantissa, exponent).
+    # The (13, s) rows need 50 terms to pass the truncation check.  These pins
+    # are bit-exact although the fixed point starts narrow: a radius that moves
+    # the bound by less than u 2^-128 cannot change a decision of the 1e-30
+    # bisection, except at a midpoint within about 2^-128 relative of the root.
     PINNED = {
-        (5, 0): (0x820466dbd3e565c1e0727e70f, -101),
-        (7, 0): (0xf34e9664628eb78230370b863, -100),
-        (9, 0): (0x10c864830ca291dd66baee499f, -99),
-        (13, 0): (0xabe6c582e8f9c9c3709761d95, -97),
-        (13, 1): (0xabe6c582e8f9c9c3709761d95, -96),
+        (5, 0): (40, 0x820466dbd3e565c1e0727e70f, -101),
+        (7, 0): (40, 0xf34e9664628eb78230370b863, -100),
+        (9, 0): (40, 0x10c864830ca291dd66baee499f, -99),
+        (13, 0): (50, 0xabe6c5821cbda5e158b8a44e7, -97),
+        (13, 1): (50, 0xabe6c5821cbda5e158b8a44e7, -96),
     }
 
     @pytest.mark.parametrize("row", sorted(PINNED))
     def test_theta_table_radii_pinned(self, row):
         g, _ = graph_exp_pade_ss(*row, coeff_type=bigfloat(256))
-        res = compute_bwd_theta_exp(g, nterms=40)
-        assert (res.theta.man, res.theta.exp) == self.PINNED[row]
+        nterms, man, exp = self.PINNED[row]
+        res = compute_bwd_theta_exp(g, nterms=nterms)
+        assert (res.theta.man, res.theta.exp) == (man, exp)
         with mp.workprec(1024):
             assert res.bracket == (res.theta, res.theta * (1 + mp.mpf("1e-6")))
 
@@ -314,6 +319,35 @@ class TestRadiusSearch:
             else:
                 compute_bwd_theta_exp(g, nterms=20)
         assert bound_evals == []
+
+    def test_non_finite_target_coefficient_refused(self, bound_evals):
+        g, _ = taylor_graph(5)
+        target = TruncSeries.exp(20)
+        target.coeffs[7] = mp.nan
+        with pytest.raises(CertificationError, match="non-finite series coefficient"):
+            compute_fwd_theta(g, target)
+        assert bound_evals == []
+
+    @pytest.mark.parametrize("kind", list(ThetaKind))
+    def test_non_finite_coefficient_off_the_output_path_certifies(self, kind):
+        def theta(g):
+            if kind == ThetaKind.FORWARD:
+                return compute_fwd_theta(g, TruncSeries.exp(20)).theta
+            return compute_bwd_theta_exp(g, nterms=20).theta
+
+        g, _ = graph_monomial([1, 1, 0.5])
+        want = theta(g)
+        g.add_lincomb("dead", math.nan, g.input_id, 1, "I")
+        assert theta(g) == want
+
+    @pytest.mark.parametrize("nterms", [20, 30, 40])
+    def test_truncated_series_refused(self, nterms):
+        # on Pade (13, 0) the truncated series alone give 24239.7, 5.3779 and
+        # 5.37192035263 at these lengths; from 50 terms on, 5.371920351148153
+        g, _ = graph_exp_pade_ss(13, 0, coeff_type=bigfloat(256))
+        with pytest.raises(CertificationError, match=rf"truncated too early: .* of {nterms} bound terms"
+                                                     rf".*larger nterms than {nterms}$"):
+            compute_bwd_theta_exp(g, nterms=nterms)
 
     def test_constant_term_above_u_refused_at_once(self, bound_evals):
         # e^{-z}(1 + 1.5z + z^2/2) = 1 + z/2 + ...: the bound starts at 1/2 > u
