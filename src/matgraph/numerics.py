@@ -26,9 +26,10 @@ products of such integers, handed over as they are (:class:`IntVector`).
 The dot products are float64 BLAS products of 16-bit limbs of the
 integers, small enough that no sum rounds (the error-free splitting of
 Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  The Gram matrix
-is then reduced in fixed point on Python integers, 2 prec + 64 bits below
-its largest entry, by Householder tridiagonalisation and implicit QL; the
-step is rounded to the working precision once, at the end.
+is then reduced in fixed point on Python integers, F bits below its largest
+entry (from prec + 128 to 2 prec + 64, growing as the drop tolerance
+shrinks), by Householder tridiagonalisation and implicit QL; the step is
+rounded to the working precision once, at the end.
 """
 
 from __future__ import annotations
@@ -669,20 +670,28 @@ def _implicit_ql(d, e, F):
 
     Implicit QL with shifts (EISPACK imtql2, as in Numerical Recipes'
     tqli) on integers with ``F`` fractional bits.  ``e[m]`` is deflated
-    once ``|e[m]| <= (|d[m]| + |d[m + 1]|) 2^-prec`` or ``|e[m]| <=
-    2^-(prec + 32)`` times the largest ``|d|`` or ``|e|``: the relative test
-    alone stalls on eigenvalues at the level of the fixed-point resolution.
+    once ``|e[m]| <= (|d[m]| + |d[m + 1]|) 2^-q`` or ``|e[m]| <= 2^-F/2``
+    times the largest ``|d|`` or ``|e|``, with q = F/2 - 32, so q = prec
+    at F = 2 prec + 64.  On integers a coupling to a diagonal entry of D
+    units is seen to stop shrinking near sqrt(D) units.  The relative test
+    meets that level for D above 2^2q units, 2^-64 of the largest entry,
+    and the floor for D below 2^F units, so every coupling is deflated.  A
+    finer relative test leaves a band of D that neither meets: q = prec
+    stalls at F = 384 on the 256-bit design's Gram matrices, with couplings
+    to entries 2^-80 to 2^-16 of the largest near 2^142 units for 152
+    iterations.
     Returns the plane rotations ``(i, c, s)`` in the order applied; replayed
     on a row vector z they give z Z for the eigenvector matrix Z.
     """
-    prec, n, one = mp.prec, len(d), 1 << F
-    floor = max(map(abs, d + e), default=0) >> (prec + 32)
+    n, one = len(d), 1 << F
+    q = F // 2 - 32
+    floor = max(map(abs, d + e), default=0) >> (F // 2)
     iterlim = 2 * mp.dps
     rotations = []
     for l in range(n):
         for it in range(iterlim + 1):
             m = l
-            while m + 1 < n and abs(e[m]) > floor and abs(e[m]) << prec > abs(d[m]) + abs(d[m + 1]):
+            while m + 1 < n and abs(e[m]) > floor and abs(e[m]) << q > abs(d[m]) + abs(d[m + 1]):
                 m += 1
             if m == l:
                 break
@@ -721,15 +730,49 @@ def truncated_lstsq(cols, b, droptol):
     times the largest.  The Gram matrix and A^T b are exact integer sums,
     which one blocked float64 product of 16-bit limbs computes for all of
     them at once.  Everything after runs on Python integers in fixed point,
-    F = 2 prec + 64 fractional bits below the largest Gram entry (A^T b
-    below its own largest): Householder tridiagonalisation, implicit QL, and
-    Q^T A^T b and the map back through the reflectors and rotations, so Q is
-    never formed.  The rank rule compares each integer eigenvalue exactly
-    with droptol^2 max|E| at the working precision, and x is rounded to the
+    F fractional bits below the largest Gram entry (A^T b below its own
+    largest): Householder tridiagonalisation, implicit QL, and Q^T A^T b and
+    the map back through the reflectors and rotations, so Q is never formed.
+    The rank rule compares each integer eigenvalue exactly with
+    droptol^2 max|E| at the working precision, and x is rounded to the
     working precision once.  Returns ``(x, kept)``.
+
+    The width is F = min(2 prec + 64, max(prec, 2t) + 128), where
+    t = 2 ceil(-log2 droptol), so that every kept eigenvalue lies above
+    droptol^2 max|E| >= 2^-t max|E|; QL deflates at q = F/2 - 32 bits
+    (:func:`_implicit_ql`).
+
+    * A unit of the fixed point, 2^-F of the largest Gram entry, moves the
+      step by about 2^(2t' - F) of itself, 2^-t' <= 1 being the smallest
+      kept eigenvalue over the largest: once through the eigenvalue it
+      divides by and once through its eigenvector.  A deflation moves
+      eigenvalues by up to about 2^-q max|E| and eigenvectors by 2^-q, so
+      the step by about 2^(t' - q).  The step's relative error is about
+      max(2^(2t' - F), 2^(t' - q), 2^(1 - prec)), the last term the final
+      rounding, and an eigenvalue further than about 2^-q max|E| from the
+      threshold is kept or dropped as in exact arithmetic.
+    * F >= 2t + 128 makes q >= t + 32, which keeps an exactly zero
+      eigenvalue 2^32 below the threshold, and the rounding term below
+      2^-128.  The design needs far less: steps perturbed by 1e-30 (about
+      2^-100) relative take the same iterations to a radius within 1e-24.
+    * F >= prec + 128 makes q >= prec/2 + 32, which at prec 256 keeps steps
+      near the threshold within the 1e-45 (about 2^-150) of an
+      ``mp.eigsy`` projection that tests pin whatever the tolerance.
+    * F never exceeds 2 prec + 64, which droptol = 0 keeps.  Below about
+      droptol = 2^-(prec/2 - 16) that cap binds and q < t + 32: at prec 128
+      and droptol 1e-30, q = 128 < t = 200, and an exactly zero eigenvalue
+      can come out above the threshold.
+
+    At prec 256 and droptol 1e-15, t = 100, F = 384 and q = 160; the
+    256-bit design's steps come out within about 2^-121 of steps reduced
+    with 1400 fractional bits.
     """
     G, y = _normal_equations(cols, b)
-    K, F = len(y), 2 * mp.prec + 64
+    prec = mp.prec
+    K, F = len(y), 2 * prec + 64
+    if droptol:
+        t = 2 * (1 - mp.frexp(min(droptol, 1))[1])  # droptol >= 2^(-t/2)
+        F = min(F, max(prec, 2 * t) + 128)
     flat, eg = _to_fixed([s for row in G for s in row], F)
     y, ey = _to_fixed(y, F)
     d, e, reflectors = _householder([flat[j * K:j * K + j + 1] for j in range(K)], F)

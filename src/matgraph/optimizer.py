@@ -23,8 +23,9 @@ made only for the target, which reads the points as Python numbers.
 Extended-precision least squares goes through the exact Gram matrix J^T J
 and its eigenvalues, computed in fixed point on Python integers
 (:func:`~matgraph.numerics.truncated_lstsq`): the squared conditioning is
-harmless with 2 prec + 64 fractional bits, and this is far cheaper than a
-dense bidiagonalization in mpmath numbers.  The step is not bit-identical
+harmless with 128 fractional bits beyond droptol^-4 (384 at 256 bits and
+droptol 1e-15, at most 2 prec + 64), and this is far cheaper than a dense
+bidiagonalization in mpmath numbers.  The step is not bit-identical
 to one through ``mpmath.eigsy``, and need not be: steps perturbed by 1e-30
 relative take the same iterations to a radius within 1e-24.  A complex
 step solves the real embedding [[Re J, -Im J], [Im J, Re J]], whose
@@ -313,7 +314,10 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
     :data:`DIVERGENCE_PATIENCE` points in a row) and at a residual with a
     non-finite entry.  Every end leaves the best coefficients seen in the
     graph; a non-finite residual at the starting coefficients raises
-    :class:`OptimizeError` instead.  A ref listed twice is refused: the
+    :class:`OptimizeError` instead, and so does a step that fails with an
+    ``ArithmeticError`` (a least-squares solve that does not converge, or
+    non-finite least-squares data), after restoring the best coefficients
+    seen and naming the iteration.  A ref listed twice is refused: the
     minimum-norm step would split its update between the copies, and only
     the last copy's share would be applied.
 
@@ -412,7 +416,12 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
             J = J.entries if J.columns is None else J.columns
             if rows is not None:  # each class counts once per point it holds
                 J, r = [c.take(rows) for c in J], r.take(rows)
-            delta = gn_step(J, r, config)
+            try:
+                delta = gn_step(J, r, config)
+            except ArithmeticError as exc:
+                g.set_coeffs(refs, best_coeffs)
+                raise OptimizeError(f"gauss-newton step failed at iteration {report.iterations}: "
+                                    f"{exc}; the best coefficients seen are kept") from exc
             g.set_coeffs(refs, [ci - config.gamma * di
                                 for ci, di in zip(g.get_coeffs(refs), delta)])
             report.residual_history.append(rmax)

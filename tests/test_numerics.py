@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mp
 
@@ -360,6 +360,29 @@ class TestTruncatedLstsq:
             emax = max(abs(E[j]) for j in range(n))
             assert max(abs(got[j] - E[j]) for j in range(n)) <= mp.mpf(2) ** -200 * emax
 
+    @pytest.mark.parametrize("spread, duplicates", [(40, 0), (40, 2), (60, 2)])
+    def test_graded_eigenvalues_at_a_narrow_width(self, spread, duplicates):
+        # the Gram matrix of 34 columns scaled by 2^0 down to 2^-spread, the
+        # last `duplicates` of them copies of the first: eigenvalues graded
+        # over 2 spread bits, and exact zeros.  At F = 384, below 2 prec + 64,
+        # QL deflating at 2^-prec stalls on each of these; deflating at
+        # 2^-(F/2 - 32) meets eigsy to that much of the largest eigenvalue
+        n, F = 34, 384
+        rng = np.random.default_rng(78)
+        with mp.workprec(256):
+            cols = [[mp.mpf(v) * mp.mpf(2) ** -float(s) for v in col]
+                    for col, s in zip(rng.standard_normal((n, 2 * n)), np.linspace(0, spread, n))]
+            cols[n - duplicates:] = cols[:duplicates]
+            A = [[mp.fdot(a, c) for c in cols] for a in cols]
+            flat, e_fixed = _to_fixed([_exact(x) for row in A for x in row], F)
+            d, e, _ = _householder([flat[j * n:j * n + j + 1] for j in range(n)], F)
+            _implicit_ql(d, e, F)
+        with mp.workprec(512):
+            E, _ = mp.eigsy(mp.matrix(A))
+            got = sorted(mp.ldexp(x, e_fixed) for x in d)
+            emax = max(abs(E[j]) for j in range(n))
+            assert max(abs(got[j] - E[j]) for j in range(n)) <= mp.mpf(2) ** (32 - F // 2) * emax
+
     def test_integer_gram_equals_fdot(self):
         rng = np.random.default_rng(72)
         with mp.workprec(256):
@@ -512,6 +535,51 @@ class TestTruncatedLstsq:
             assert kept == want_kept == 6
             scale = max(abs(x) for x in want)
             assert max(abs(x - y) for x, y in zip(got, want)) <= mp.mpf(10) ** -70 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), prec=st.sampled_from([128, 256]),
+           droptol=st.sampled_from([1e-8, 1e-15, 1e-30]), complex_=st.booleans(),
+           K=st.integers(2, 6), duplicates=st.integers(0, 2))
+    def test_rank_and_step_within_the_stated_accuracy(self, seed, prec, droptol, complex_, K,
+                                                      duplicates):
+        # graded columns 2^-s, s up to 16 bits past sqrt of the drop threshold,
+        # the last `duplicates` copies of the first, in the real embedding
+        # [[Re J, -Im J], [Im J, Re J]] when complex: the kept rank and the step
+        # against an mp.eigsy projection, wherever the docstring of
+        # truncated_lstsq says the rank is exact, and to within 2^8 of the
+        # accuracy it states
+        rng = np.random.default_rng(seed)
+        t = 2 * (1 - mp.frexp(droptol)[1])
+        F = min(2 * prec + 64, max(prec, 2 * t) + 128)
+        q = F // 2 - 32
+        N = int(rng.integers(K + 1, 3 * K + 4))
+        scales = rng.integers(0, t // 2 + 16, K)
+        with mp.workprec(prec):
+            def block():
+                cols = [[mp.mpf(v) * mp.mpf(2) ** -int(s) for v in col]
+                        for col, s in zip(rng.standard_normal((K, N)), scales)]
+                cols[K - duplicates:] = cols[:duplicates]
+                return cols
+
+            re, b = block(), [mp.mpf(v) for v in rng.standard_normal(2 * N if complex_ else N)]
+            if complex_:
+                im = block()
+                cols = ([r + i for r, i in zip(re, im)]
+                        + [[-v for v in i] + r for r, i in zip(re, im)])
+            else:
+                cols = re
+            got, kept = truncated_lstsq(cols, b, droptol)
+        with mp.workprec(prec + 2 * t + 128):
+            want, want_kept, E = gram_eig_lstsq([list(row) for row in zip(*cols)], b, droptol,
+                                                hermitian=False)
+            emax = max(map(abs, E))
+            threshold = mp.mpf(droptol) ** 2 * emax
+            assume(all(abs(x - threshold) > mp.ldexp(emax, -q) for x in E))
+            assert kept == want_kept
+            t_kept = -mp.log(min(x for x in E if x > threshold) / emax, 2)
+            bound = 2 ** 8 * max(mp.mpf(2) ** (2 * t_kept - F), mp.mpf(2) ** (t_kept - q),
+                                 mp.mpf(2) ** (1 - prec))
+            assert max(abs(x - y) for x, y in zip(got, want)) <= bound * max(map(abs, want))
 
     def test_droptol_of_every_accepted_kind(self):
         # GNConfig takes a droptol in [0, 1), the kernel any droptol >= 0: an

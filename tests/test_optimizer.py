@@ -256,6 +256,35 @@ class TestOptGaussNewton:
         assert report.iterations == 2
         assert g.get_coeffs(cref) == start
 
+    def test_failed_step_keeps_the_best_coefficients(self, monkeypatch):
+        # the 4th step raises, as QL does when it does not converge: the run
+        # ends with the best of the four points seen in the graph, exactly as
+        # a maxiter=3 run leaves it (the 4th point's residual is about 1e6
+        # times the best), and the error names the iteration
+        def design(maxiter):
+            g, cref = graph_monomial_degopt([1.0 / math.factorial(j) for j in range(6)])
+            g = convert_precision(g, bigfloat(256))
+            config = GNConfig(errtype=ErrType.REL, stoptol=4e-15, droptol=1e-15,
+                              linlsqr=LinLsqr.REAL_SVD, maxiter=maxiter)
+            return g, cref, Discretization.disk(0.0, 0.45, 40, prec=256), config
+
+        g, cref, d, config = design(3)
+        opt_gauss_newton(g, exp_target, d, cref, config)
+        g_failed, cref, d, config = design(100)
+        step, calls = optimizer.gn_step, []
+
+        def failing(J, r, config):
+            calls.append(1)
+            if len(calls) == 4:
+                raise ArithmeticError("no convergence to an eigenvalue after 152 iterations")
+            return step(J, r, config)
+
+        monkeypatch.setattr(optimizer, "gn_step", failing)
+        with pytest.raises(OptimizeError, match="failed at iteration 3: no convergence") as info:
+            opt_gauss_newton(g_failed, exp_target, d, cref, config)
+        assert type(info.value.__cause__) is ArithmeticError
+        assert g_failed.coeffs == g.coeffs
+
     @pytest.mark.parametrize("stoptol, maxiter, steps, reason",
                              [(1e-13, 50, 4, "converged"), (0.0, 3, 3, "maxiter")])
     def test_one_forward_pass_per_point(self, monkeypatch, stoptol, maxiter, steps, reason):
@@ -543,6 +572,27 @@ def test_mixed_multiplicity_design_pinned(monkeypatch, caplog):
          1.345229659650025e-07, 1.590526915329179e-07, 1.6296647937189841e-07,
          2.5504117138961424e-07, 1.619676976881863e-07, 1.192132231532599e-09,
          3.956632559269345e-13], rel=1e-20, abs=0)
+
+
+def test_benchmark_design_kept_ranks_pinned(monkeypatch):
+    # the 100-point, 256-bit design of the benchmark: the rank each step
+    # keeps, which no eigenvalue within 2.3% of the drop threshold can move
+    kept, kernel = [], optimizer.truncated_lstsq
+
+    def spy(cols, b, droptol):
+        x, k = kernel(cols, b, droptol)
+        kept.append(k)
+        return x, k
+
+    monkeypatch.setattr(optimizer, "truncated_lstsq", spy)
+    g, cref = graph_monomial_degopt([1.0 / math.factorial(j) for j in range(6)])
+    g = convert_precision(g, bigfloat(256))
+    config = GNConfig(errtype=ErrType.REL, stoptol=4e-15, droptol=1e-15,
+                      linlsqr=LinLsqr.REAL_SVD, maxiter=100)
+    report = opt_gauss_newton(g, exp_target, Discretization.disk(0.0, 0.45, 100, prec=256),
+                              cref, config)
+    assert report.iterations == 20 and report.converged
+    assert kept == [9, 13, 14, 12, 14, 13, 13, 13, 12, 12, 13, 12, 13, 12, 13, 13, 13, 13, 13, 13]
 
 
 def test_design_outcome_survives_round_off_sized_steps(monkeypatch):
