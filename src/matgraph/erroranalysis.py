@@ -49,7 +49,7 @@ from enum import Enum
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import from_float, from_int, from_man_exp, mpf_pos
+from mpmath.libmp import from_man_exp, mpf_pos
 
 from .evaluation import _eval_nodes, _precision_context, eval_graph, graph_degree_bound
 from .graph import ComputationGraph, GraphError, OpKind, get_topo_order
@@ -104,12 +104,6 @@ def _bisect_max_below(passes, lo, hi, prec):
     return lo
 
 
-def _parts(coeffs) -> list:
-    """The coefficients as libmp (sign, mantissa, exponent, bits) tuples, read exactly."""
-    return [c._mpf_ if isinstance(c, mp.mpf) else
-            from_float(c) if isinstance(c, float) else from_int(c) for c in coeffs]
-
-
 def _poly_bound(coeffs):
     """Exact evaluator t -> sum_j c_j t^j for finite nonnegative c_j at a dyadic mpf t.
 
@@ -117,13 +111,13 @@ def _poly_bound(coeffs):
     evaluation at t = m 2^e is then an integer Horner and returns the sum
     as an exact mpf, so a test bound(t) <= u is decided without rounding.
     """
-    parts = _parts(coeffs)
-    nz = [k for k, (_, man, _, _) in enumerate(parts) if man]
+    parts = list(map(_exact, coeffs))  # (man, 0, exp) with c_j = man 2^exp
+    nz = [k for k, (man, _, _) in enumerate(parts) if man]
     if not nz:
         return lambda t: mp.zero
     n = nz[-1]
     e0 = min(parts[k][2] for k in nz)
-    C = [man << (exp - e0) if man else 0 for _, man, exp, _ in parts[: n + 1]]
+    C = [man << (exp - e0) if man else 0 for man, _, exp in parts[: n + 1]]
 
     def bound(t):
         _, m, e, _ = t._mpf_
@@ -157,7 +151,7 @@ def _approx_root(coeffs, u, k: int):
     W = _NEWTON_BITS
     _, um, ue, _ = u._mpf_
     A = []
-    for j, (_, man, exp, _) in enumerate(_parts(coeffs)):  # a_j at W fractional bits
+    for j, (man, _, exp) in enumerate(map(_exact, coeffs)):  # a_j at W fractional bits
         sh = exp + j * k - ue + W
         A.append((man << sh if sh >= 0 else man >> -sh) // um)
     try:

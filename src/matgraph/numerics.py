@@ -27,9 +27,9 @@ The dot products are float64 BLAS products of 16-bit limbs of the
 integers, small enough that no sum rounds (the error-free splitting of
 Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  The Gram matrix
 is then reduced in fixed point on Python integers, F bits below its largest
-entry (from prec + 128 to 2 prec + 64, growing as the drop tolerance
-shrinks), by Householder tridiagonalisation and implicit QL; the step is
-rounded to the working precision once, at the end.
+entry (from prec + 128 up, growing as the drop tolerance shrinks, and
+2 prec + 64 for droptol 0), by Householder tridiagonalisation and implicit
+QL; the step is rounded to the working precision once, at the end.
 """
 
 from __future__ import annotations
@@ -737,9 +737,9 @@ def truncated_lstsq(cols, b, droptol):
     droptol^2 max|E| at the working precision, and x is rounded to the
     working precision once.  Returns ``(x, kept)``.
 
-    The width is F = min(2 prec + 64, max(prec, 2t) + 128), where
-    t = 2 ceil(-log2 droptol), so that every kept eigenvalue lies above
-    droptol^2 max|E| >= 2^-t max|E|; QL deflates at q = F/2 - 32 bits
+    The width is F = max(prec, 2t) + 128, where t = 2 ceil(-log2 droptol),
+    so that every kept eigenvalue lies above droptol^2 max|E| >= 2^-t max|E|,
+    and F = 2 prec + 64 for droptol = 0; QL deflates at q = F/2 - 32 bits
     (:func:`_implicit_ql`).
 
     * A unit of the fixed point, 2^-F of the largest Gram entry, moves the
@@ -758,10 +758,6 @@ def truncated_lstsq(cols, b, droptol):
     * F >= prec + 128 makes q >= prec/2 + 32, which at prec 256 keeps steps
       near the threshold within the 1e-45 (about 2^-150) of an
       ``mp.eigsy`` projection that tests pin whatever the tolerance.
-    * F never exceeds 2 prec + 64, which droptol = 0 keeps.  Below about
-      droptol = 2^-(prec/2 - 16) that cap binds and q < t + 32: at prec 128
-      and droptol 1e-30, q = 128 < t = 200, and an exactly zero eigenvalue
-      can come out above the threshold.
 
     At prec 256 and droptol 1e-15, t = 100, F = 384 and q = 160; the
     256-bit design's steps come out within about 2^-121 of steps reduced
@@ -772,7 +768,7 @@ def truncated_lstsq(cols, b, droptol):
     K, F = len(y), 2 * prec + 64
     if droptol:
         t = 2 * (1 - mp.frexp(min(droptol, 1))[1])  # droptol >= 2^(-t/2)
-        F = min(F, max(prec, 2 * t) + 128)
+        F = max(prec, 2 * t) + 128
     flat, eg = _to_fixed([s for row in G for s in row], F)
     y, ey = _to_fixed(y, F)
     d, e, reflectors = _householder([flat[j * K:j * K + j + 1] for j in range(K)], F)

@@ -24,8 +24,8 @@ Extended-precision least squares goes through the exact Gram matrix J^T J
 and its eigenvalues, computed in fixed point on Python integers
 (:func:`~matgraph.numerics.truncated_lstsq`): the squared conditioning is
 harmless with 128 fractional bits beyond droptol^-4 (384 at 256 bits and
-droptol 1e-15, at most 2 prec + 64), and this is far cheaper than a dense
-bidiagonalization in mpmath numbers.  The step is not bit-identical
+droptol 1e-15, 2 prec + 64 for droptol 0), and this is far cheaper than a
+dense bidiagonalization in mpmath numbers.  The step is not bit-identical
 to one through ``mpmath.eigsy``, and need not be: steps perturbed by 1e-30
 relative take the same iterations to a radius within 1e-24.  A complex
 step solves the real embedding [[Re J, -Im J], [Im J, Re J]], whose

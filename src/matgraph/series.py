@@ -5,7 +5,7 @@ ring operations needed to extract the series expansion of the function
 underlying a graph: linear combination, Cauchy product, division by a
 series with nonzero constant term (the scalar shadow of a linear solve).
 The certifier's kind also takes the logarithm of a series with constant
-term one.
+term one, as the integral of the quotient h'/h.
 
 :class:`TruncSeries` is the public kind.  Its coefficients follow the
 ambient mpmath precision, each rounded relative to its own magnitude;
@@ -21,8 +21,9 @@ carries an integer error radius in units of 2^-F that bounds its distance
 from the coefficient exact arithmetic would give: midpoint-radius
 arithmetic, as in Johansson, "Arb", IEEE Trans. Comput. 66(8), 2017.  A
 product is a truncated integer convolution with one shift per coefficient,
-a division and the logarithm are integer recurrences with one floor
-division per coefficient, and a linear combination reads each graph
+a division is an integer recurrence with one floor division per
+coefficient, the logarithm is the division h'/h with one more floor
+division (by k) per coefficient, and a linear combination reads each graph
 coefficient exactly.  Every truncation adds one unit to the radius of a
 real coefficient (two to a complex one, one per part), and products and
 quotients propagate the radii of their operands.  Those bounds are formed
@@ -377,43 +378,23 @@ class FixedSeries:
         return FixedSeries(c, None if real else ci, rad, n, F)
 
     def log(self) -> "FixedSeries":
-        """log(self) for a constant term of exactly 1, from k phi_k = k h_k - sum_{j<k} j phi_j h_{k-j}."""
-        n, F, G = self.nterms, self.frac, _COARSE_BITS
+        """log(self) for a constant term of exactly 1, as the integral of h'/h.
+
+        The quotient q = h'/h is one :meth:`divide` (Brent & Kung, J. ACM
+        25(4), 1978); phi_k = q_{k-1} / k, each part rounded down, within
+        the radius of q_{k-1} over k and one truncation.
+        """
+        n, F = self.nterms, self.frac
         if self.re[0] != 1 << F or self.rad[0] or self.im and self.im[0]:
             raise SeriesError("series logarithm requires constant term 1")
-        lh = len(self.re)
-        real = self.im is None
-        h, hi = self._parts(n + 1)
-        hr, hir = self.re[::-1], (self.im or [])[::-1]
-        phi, phii, jphi, jphii = [0], [0], [0], [0]
-        for k in range(1, n + 1):
-            lo = max(1, k - lh + 1)
-            w = slice(lh - 1 - k + lo, lh - 1)
-            if real:
-                p = ((k * h[k] << F) - _dot(jphi[lo:k], hr[w])) // k >> F
-                phi.append(p)
-                jphi.append(k * p)
-                continue
-            x, y = jphi[lo:k], jphii[lo:k]
-            sr = (k * h[k] << F) - _dot(x, hr[w]) + _dot(y, hir[w])
-            si = (k * hi[k] << F) - _dot(x, hir[w]) - _dot(y, hr[w])
-            p, q = sr // k >> F, si // k >> F
-            phi.append(p)
-            phii.append(q)
-            jphi.append(k * p)
-            jphii.append(k * q)
-        # phi_k = h_k - (1/k) sum_j j phi_j h_{k-j}: the radius of h_k, that
-        # of the sum, and one truncation
-        unit = 1 if real else 2
-        jmag = [j * v for j, v in enumerate(_coarse(_bounds(phi, None if real else phii), F))]
-        hbig = _coarse(list(map(operator.add, _bounds(self.re, self.im), self.rad)), F)[::-1]
-        hrad, hradr = _padded(self.rad, n + 1), self.rad[::-1]
-        rad, jrad = [0], [0]
-        for k in range(1, n + 1):
-            lo = max(1, k - lh + 1)
-            w = slice(lh - 1 - k + lo, lh - 1)
-            s = _dot(jmag[lo:k], hradr[w]) + _dot(jrad[lo:k], hbig[w])
-            r = hrad[k] - (-s // (k << G)) + unit
-            rad.append(r)
-            jrad.append(k * r)
-        return FixedSeries(phi, None if real else phii, rad, n, F)
+
+        def deriv(values):
+            return [k * v for k, v in enumerate(values[1:], 1)] or [0]
+
+        dh = FixedSeries(deriv(self.re), self.im and deriv(self.im), deriv(self.rad), n - 1, F)
+        q = dh.divide(self)
+        unit = 1 if self.im is None else 2
+        re = [0] + [v // k for k, v in enumerate(q.re, 1)]
+        im = q.im and [0] + [v // k for k, v in enumerate(q.im, 1)]
+        rad = [0] + [-(-r // k) + unit for k, r in enumerate(q.rad, 1)]
+        return FixedSeries(re, im, rad, n, F)

@@ -22,10 +22,11 @@ from matgraph import (
     graph_exp_pade_ss,
     graph_monomial,
     theta_table_csv,
+    working_precision,
 )
 from matgraph import erroranalysis
 
-from support import as_fraction, radius_exact_only, random_graph
+from support import as_fraction, radius_exact_only, random_graph, series_exp_neg, series_log
 
 
 def taylor_graph(deg):
@@ -281,6 +282,22 @@ class TestRadiusSearch:
         res = compute_bwd_theta_exp(g, nterms=100)
         assert (res.theta.man, res.theta.exp) == self.PINNED_100[row]
 
+    # the largest carried radius of each row's log series at nterms 100, in
+    # units of its final fixed point: a looser radius recurrence shows here
+    ROUNDING_100 = {
+        (5, 0): (157, -320),
+        (7, 0): (119, -319),
+        (9, 0): (41, -317),
+        (13, 0): (189, -436),
+        (13, 1): (407, -536),
+    }
+
+    @pytest.mark.parametrize("row", sorted(ROUNDING_100))
+    def test_theta_table_rounding_pinned_at_nterms_100(self, row):
+        g, _ = graph_exp_pade_ss(*row, coeff_type=bigfloat(256))
+        res = compute_bwd_theta_exp(g, nterms=100)
+        assert (res.rounding.man, res.rounding.exp) == self.ROUNDING_100[row]
+
     # an absolute error of 2^-F in delta_100 weighs 2^-F theta^99, about
     # 2^(339 - F) here: the fixed point widens with theta and nterms, and the
     # 256-bit radius is the 1024-bit one bit for bit, as on mpf series
@@ -307,6 +324,25 @@ class TestRadiusSearch:
         with mp.workprec(1024):
             want = mp.mpf("1.900835799232586373579084815550126189118")
             assert abs(res.theta - want) <= want * mp.mpf("1e-25")
+
+    def test_complex_graph_equals_a_4096_bit_reference(self):
+        # Pade (7, 1) with one coefficient times 1 + 2^-60 i: the log series is
+        # genuinely complex.  Its theta is the exact-only search on |delta_j|
+        # of the same log series formed with 4096-bit TruncSeries
+        g, _ = graph_exp_pade_ss(7, 1, coeff_type=bigfloat(256, True))
+        c0, c1 = g.coeffs["Us_sum2"]
+        with mp.workprec(256):
+            g.coeffs["Us_sum2"] = (c0 * (1 + mp.mpc(0, mp.mpf(2) ** -60)), c1)
+        res = compute_bwd_theta_exp(g, nterms=100)
+        with working_precision(4096):
+            h = series_exp_neg(100) * eval_graph(g, TruncSeries.identity(100), 4096)
+            h.coeffs[0] = mp.mpf(1)
+            delta = [abs(d) for d in series_log(h).coeffs[1:]]
+        theta, bracket, _ = radius_exact_only(delta, mp.mpf(2) ** -53, 1024)
+        assert res.theta == theta and res.bracket == bracket
+        with mp.workprec(1024):
+            want = mp.mpf("1.899605904035107314491114508")
+            assert abs(res.theta - want) <= want * mp.mpf("1e-27")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("kind", list(ThetaKind))
@@ -506,6 +542,19 @@ class TestRunningError:
         g.set_outputs(["X"])
         u = 2.0 ** -52
         assert eval_runerr(g, 1.5, u=u) == u
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_solve_rand_and_bound(self, seed):
+        # X = (A A) \ I: the product draws eta_1, the solve eta_2 and
+        # subtracts its divisor's error, so RAND is |eta_2 - eta_1|
+        g = ComputationGraph()
+        g.add_mult("Y", "A", "A")
+        g.add_ldiv("X", "Y", "I")
+        g.set_outputs(["X"])
+        u = 2.0 ** -52
+        eta = np.random.default_rng(seed).uniform(-u / 2, u / 2, 2)
+        assert eval_runerr(g, 1.5, mode=RunErrMode.RAND, u=u, seed=seed) == abs(eta[1] - eta[0])
+        assert eval_runerr(g, 1.5, u=u) == 2 * u
 
     def test_vanishing_lincomb_reports_infinity(self):
         g = ComputationGraph()

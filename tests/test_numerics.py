@@ -550,7 +550,7 @@ class TestTruncatedLstsq:
         # accuracy it states
         rng = np.random.default_rng(seed)
         t = 2 * (1 - mp.frexp(droptol)[1])
-        F = min(2 * prec + 64, max(prec, 2 * t) + 128)
+        F = max(prec, 2 * t) + 128
         q = F // 2 - 32
         N = int(rng.integers(K + 1, 3 * K + 4))
         scales = rng.integers(0, t // 2 + 16, K)
@@ -578,6 +578,39 @@ class TestTruncatedLstsq:
             assert kept == want_kept
             t_kept = -mp.log(min(x for x in E if x > threshold) / emax, 2)
             bound = 2 ** 8 * max(mp.mpf(2) ** (2 * t_kept - F), mp.mpf(2) ** (t_kept - q),
+                                 mp.mpf(2) ** (1 - prec))
+            assert max(abs(x - y) for x, y in zip(got, want)) <= bound * max(map(abs, want))
+
+    @pytest.mark.parametrize("seed", [5, 10, 11])
+    def test_exact_duplicate_dropped_at_a_tiny_droptol(self, seed):
+        # prec 128 and droptol 1e-30 (t = 200): five graded complex columns,
+        # the last a copy of the first, in the real embedding.  The exactly
+        # zero Gram eigenvalues of the duplicate must be dropped, which needs
+        # QL to deflate at q >= t + 32, so F >= 2t + 128 = 528 > 2 prec + 64
+        prec, droptol, K = 128, 1e-30, 5
+        rng = np.random.default_rng(seed)
+        N = int(rng.integers(K + 1, 3 * K + 4))
+        scales = rng.integers(0, 116, K)
+        with mp.workprec(prec):
+            def block():
+                cols = [[mp.mpf(v) * mp.mpf(2) ** -int(s) for v in col]
+                        for col, s in zip(rng.standard_normal((K, N)), scales)]
+                return cols[:K - 1] + cols[:1]
+
+            re, b = block(), [mp.mpf(v) for v in rng.standard_normal(2 * N)]
+            im = block()
+            cols = ([r + i for r, i in zip(re, im)]
+                    + [[-v for v in i] + r for r, i in zip(re, im)])
+            got, kept = truncated_lstsq(cols, b, droptol)
+        with mp.workprec(656):
+            want, want_kept, E = gram_eig_lstsq([list(row) for row in zip(*cols)], b, droptol,
+                                                hermitian=False)
+            assert kept == want_kept == 8
+            # the step within 2^8 of the accuracy the docstring states at
+            # F = 528, q = 232
+            emax = max(map(abs, E))
+            t_kept = -mp.log(min(x for x in E if x > droptol ** 2 * emax) / emax, 2)
+            bound = 2 ** 8 * max(mp.mpf(2) ** (2 * t_kept - 528), mp.mpf(2) ** (t_kept - 232),
                                  mp.mpf(2) ** (1 - prec))
             assert max(abs(x - y) for x, y in zip(got, want)) <= bound * max(map(abs, want))
 

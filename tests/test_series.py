@@ -92,6 +92,16 @@ class TestLog:
         with pytest.raises(SeriesError):
             series_log(TruncSeries([c0, 1], 3))
 
+    @pytest.mark.parametrize("offset, im0, rad0", [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                             ids=["not-one", "imaginary-part", "radius"])
+    def test_fixed_constant_term_not_exactly_one_rejected(self, offset, im0, rad0):
+        # the certifier's log needs h_0 = 1 exactly: one unit off, an
+        # imaginary unit, or a radius of one unit is refused
+        F = 64
+        h = FixedSeries([(1 << F) + offset, 1 << F], [im0, 1], [rad0, 0], 3, F)
+        with pytest.raises(SeriesError, match="constant term 1"):
+            h.log()
+
 
 class TestDivide:
     def test_inverse_of_exp(self):
