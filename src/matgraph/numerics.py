@@ -12,11 +12,12 @@ so all public entry points of this package wrap their numerical work in
 ``mpmath.matrix`` instances; binary64 matrices are numpy arrays and
 delegate to the optimized kernels numpy binds to.  The evaluator's three
 extended-precision matrix operations (product, linear combination and the
-partially pivoted LU solve) run on raw libmp tuples when every operand is
-real, without an ``mpf`` object or a matrix index per operation, and give
+partially pivoted LU solve) run on the integer mantissas of raw libmp
+tuples when every operand is real, rounded by one helper, and give
 mpmath's own results bit for bit (:func:`mp_matmul`, :func:`mp_lincomb`,
-:func:`mat_lu_solve`).  Complex operands go to mpmath's own matrix
-routines.
+:func:`mat_lu_solve`); an entry with a non-finite operand, or whose terms
+lie too far apart for libmp to sum them exactly, keeps libmp's calls.
+Complex operands go to mpmath's own matrix routines.
 
 A 1-d vector of extended-precision points is a :class:`FixedVector`:
 Python integers at one shared exponent, set after every operation by the
@@ -46,8 +47,8 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 from mpmath import libmp, mp
-from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le,
-                          mpf_mul, mpf_rdiv_int, mpf_shift, mpf_sub, mpf_sum,
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_le,
+                          mpf_mul, mpf_neg, mpf_rdiv_int, mpf_shift, mpf_sub, mpf_sum,
                           round_nearest as RND)
 
 
@@ -172,11 +173,11 @@ def is_mp_matrix(x) -> bool:
 def mat_lu_solve(A, B):
     """Solve A X = B by partially pivoted LU; raise on a singular pivot.
 
-    Accepts either two numpy 2-d arrays or two ``mpmath.matrix`` operands.
+    Accepts two numpy arrays, A 2-d, or two ``mpmath.matrix`` operands.
     Object arrays (mpmath entries) are solved as ``mpmath.matrix`` at the
     working precision, by :func:`_mp_lu_solve`.
     """
-    if isinstance(A, np.ndarray) and A.ndim == 2:
+    if isinstance(A, np.ndarray) and A.ndim == 2 and isinstance(B, np.ndarray):
         if A.shape[0] != A.shape[1]:
             raise ValueError("coefficient matrix must be square")
         if A.dtype == object or B.dtype == object:
@@ -186,13 +187,17 @@ def mat_lu_solve(A, B):
             return np.linalg.solve(A, B)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(str(exc)) from exc
-    if is_mp_matrix(A):
+    if is_mp_matrix(A) and is_mp_matrix(B):
         if A.rows != A.cols:
             raise ValueError("coefficient matrix must be square")
         if B.rows != A.rows:
             raise ValueError("dimension mismatch in linear solve")
-        return _mp_lu_solve(A, B)
-    raise TypeError(f"unsupported matrix type {type(A).__name__}")
+        try:
+            return _mp_lu_solve(A, B)
+        except ZeroDivisionError as exc:  # as mpmath's, e.g. a zero row sum under a NaN tol
+            raise SingularMatrixError(str(exc) or "matrix is numerically singular") from exc
+    raise TypeError(f"cannot solve with A a {type(A).__name__} and B a {type(B).__name__}: "
+                    "give two numpy arrays (A 2-d) or two mpmath.matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +206,16 @@ def mat_lu_solve(A, B):
 # An ``mpmath.matrix`` keeps its nonzero entries in a dict keyed ``(i, j)``
 # and reads a missing one as ``mp.zero``.  When every entry and coefficient
 # is an ``mpf``, the kernels read that dict once into rows of ``_mpf_``
-# tuples, make the libmp calls mpmath's matrix code makes, in its order and
-# at its precision, and store the nonzero results the same way, so every
-# result is bit-identical to mpmath's.  Any other operand (a complex entry,
-# or a coefficient that is not an ``mpf``) goes to mpmath's own routines.
+# tuples, form what mpmath's matrix code forms, in its order and at its
+# precision, and store the nonzero results the same way, so every result is
+# bit-identical to mpmath's.  Products and sums run on the integer mantissas,
+# each rounded by :func:`_round`; the LU's pivot search and divisions make
+# libmp's calls, and so does an entry with an operand that is not finite (a
+# zero mantissa), a dot product whose terms may span more than 2p bits
+# (``mpf_sum`` drops terms), or a sum of terms more than p + 4 bits apart
+# (``mpf_add`` stands a sticky bit in for the smaller).  Any other operand
+# (a complex entry, or a coefficient that is not an ``mpf``) goes to
+# mpmath's own routines.
 
 
 def _all_mpf(matrices, scalars=()) -> bool:
@@ -226,31 +237,101 @@ def _matrix(rows, cols: int):
     return M
 
 
+def _round(m: int, e: int, p: int) -> tuple:
+    """``from_man_exp(m, e, p, round_nearest)``: ``m 2**e`` rounded to ``p`` bits, ties to even."""
+    if m > 0:
+        s = 0
+    elif m:
+        s, m = 1, -m
+    else:
+        return fzero
+    n = m.bit_length() - p
+    if n > 0:
+        t = m >> (n - 1)
+        m = (t >> 1) + 1 if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)) else t >> 1
+        e += n
+    if not m & 1:
+        z = (m & -m).bit_length() - 1
+        m >>= z
+        e += z
+    return s, m, e, m.bit_length()
+
+
+def _shared(xs, p):
+    """``(ms, e, span)`` for a row of libmp tuples: ``xs[k] == ms[k] * 2**e``, and the
+    spread of the nonzero exponents; ``(None, e, inf)`` past ``2 p`` or if one is not finite."""
+    es = [e for _, m, e, _ in xs if m] or [0]
+    lo, span = min(es), max(es) - min(es)
+    if span > 2 * p or any(not m and e for _, m, e, _ in xs):
+        return None, lo, math.inf
+    return [(-m if s else m) << (e - lo) if m else 0 for s, m, e, _ in xs], lo, span
+
+
+def _submul(xs, f, ys, p):
+    """``[x - f y for x, y in zip(xs, ys)]`` on libmp tuples, each rounded on integers as
+    ``mpf_sub(x, mpf_mul(f, y, p), p)`` rounds it; a non-finite operand, or a rounded
+    product more than ``p + 4`` bits from ``x`` in magnitude, takes those calls."""
+    fs, fm, fe, _ = f
+    if not fm:
+        return [mpf_sub(x, mpf_mul(f, y, p, RND), p, RND) for x, y in zip(xs, ys)]
+    g, lim = fm if fs else -fm, p + 4  # g: the mantissa of -f
+    out = []
+    for x, y in zip(xs, ys):
+        xs_, xm, xe, xb = x
+        ys_, ym, ye, _ = y
+        if ym:
+            r = _round(-g * ym if ys_ else g * ym, fe + ye, p)  # -f y, rounded
+            if xm:
+                rs, rm, re, rb = r
+                if -lim <= xe + xb - re - rb <= lim:
+                    xm, rm, d = -xm if xs_ else xm, -rm if rs else rm, xe - re
+                    out.append(_round((xm << d) + rm, re, p) if d >= 0
+                               else _round(xm + (rm << -d), xe, p))
+                    continue
+            elif not xe:
+                out.append(r)
+                continue
+        elif not ye and xb <= p:
+            out.append(x)
+            continue
+        out.append(mpf_sub(x, mpf_mul(f, y, p, RND), p, RND))
+    return out
+
+
 def mp_matmul(A, B):
-    """``A * B``: each entry the exact dot product rounded once, as ``mp.fdot`` forms it."""
+    """``A * B``: each entry the exact dot product rounded once, as ``mp.fdot`` forms it.
+
+    Rows of A and columns of B are read once as integers at one exponent
+    each.  An entry whose row or column holds a non-finite value, or whose
+    row and column spans add up to more than 2p bits, takes the libmp calls.
+    """
     if A.cols != B.rows:
         raise ValueError("dimensions not compatible for multiplication")
     if not _all_mpf((A, B)):
         return A * B
     p = mp.prec
-    cols = list(zip(*_rows(B)))
-    return _matrix([[mpf_sum(list(map(mpf_mul, row, col)), p, RND) for col in cols]
-                    for row in _rows(A)], B.cols)
+    a, b = _rows(A), list(zip(*_rows(B)))
+    ra, rb = [_shared(x, p) for x in a], [_shared(y, p) for y in b]
+    return _matrix([[_round(sum(map(operator.mul, r, c)), er + ec, p) if sr + sc <= 2 * p
+                     else mpf_sum(list(map(mpf_mul, x, y)), p, RND)
+                     for (c, ec, sc), y in zip(rb, b)]
+                    for (r, er, sr), x in zip(ra, a)], B.cols)
 
 
 def mp_lincomb(c1, A, c2, B):
     """``A * c1 + B * c2``: each entry ``c1 a + c2 b``, each product rounded.
 
     The coefficients are read as they are, never rounded to the working
-    precision first, as the ``mpf`` operators read them.
+    precision first, as the ``mpf`` operators read them.  Each entry is
+    ``(0 - (-c1) a) - (-c2) b`` by :func:`_submul`, on integers.
     """
     if (A.rows, A.cols) != (B.rows, B.cols):
         raise ValueError("incompatible dimensions for addition")
     if not _all_mpf((A, B), (c1, c2)):
         return A * c1 + B * c2
-    p, c1, c2 = mp.prec, c1._mpf_, c2._mpf_
-    return _matrix([[mpf_add(mpf_mul(c1, x, p, RND), mpf_mul(c2, y, p, RND), p, RND)
-                     for x, y in zip(r, s)] for r, s in zip(_rows(A), _rows(B))], A.cols)
+    p, zero, c1, c2 = mp.prec, [fzero] * A.cols, mpf_neg(c1._mpf_), mpf_neg(c2._mpf_)
+    return _matrix([_submul(_submul(zero, c1, r, p), c2, s, p)
+                    for r, s in zip(_rows(A), _rows(B))], A.cols)
 
 
 def _mp_lu_solve(A, B):
@@ -258,21 +339,20 @@ def _mp_lu_solve(A, B):
 
     A is factored once, at ``mp.prec + 10`` as ``lu_solve`` runs it, for
     every column.  Real operands run a port of ``LU_decomp``, ``L_solve``
-    and ``U_solve`` on raw tuples; any other runs those routines
-    themselves.  The pivot of column j is the first row k maximising
-    ``|a_kj| / s_k``, with ``s_k`` the sum of ``|a_kl|``, l >= j.
-    ``SingularMatrixError`` is raised where mpmath raises
-    ``ZeroDivisionError`` (a row sum or pivot at most ``tol = |mnorm(A, 1)
-    eps|``) and where no row has a nonzero entry in column j, on which
-    mpmath's pivot index stays ``None``.
+    and ``U_solve`` on raw tuples, each ``x - f y`` by :func:`_submul`; any
+    other runs those routines themselves.  The pivot of column j is the
+    first row k maximising ``|a_kj| / s_k``, with ``s_k`` the sum of
+    ``|a_kl|``, l >= j.  :func:`mat_lu_solve` raises ``SingularMatrixError``
+    where mpmath raises ``ZeroDivisionError`` (a row sum or pivot at most
+    ``tol = |mnorm(A, 1) eps|``, or a zero one under a NaN ``tol``) and
+    where no row has a nonzero entry in column j, on which mpmath's pivot
+    index stays ``None``.
     """
     if not _all_mpf((A, B)):
         cols = [mp.matrix([B[i, j] for i in range(B.rows)]) for j in range(B.cols)]
         with mp.workprec(mp.prec + 10):
             try:
                 LU, perm = mp.LU_decomp(A.copy(), overwrite=True)
-            except ZeroDivisionError as exc:
-                raise SingularMatrixError(str(exc)) from exc
             except TypeError as exc:  # swap_row with the pivot index None
                 raise SingularMatrixError("a column has no nonzero pivot") from exc
             sols = [mp.U_solve(LU, mp.L_solve(LU, col, perm)) for col in cols]
@@ -304,20 +384,17 @@ def _mp_lu_solve(A, B):
                 raise SingularMatrixError("matrix is numerically singular")
             for ri in a[j + 1:]:
                 ri[j] = f = mpf_div(ri[j], rj[j], p, RND)
-                ri[j + 1:] = [mpf_sub(x, mpf_mul(f, y, p, RND), p, RND)
-                              for x, y in zip(ri[j + 1:], rj[j + 1:])]
+                ri[j + 1:] = _submul(ri[j + 1:], f, rj[j + 1:], p)
         if mpf_le(mpf_abs(a[-1][-1], p, RND), tol):
             raise SingularMatrixError("matrix is numerically singular")
         for j, k in enumerate(perm):
             b[j], b[k] = b[k], b[j]
         for i in range(1, n):
             for j in range(i):
-                lij, bj = a[i][j], b[j]
-                b[i] = [mpf_sub(x, mpf_mul(lij, y, p, RND), p, RND) for x, y in zip(b[i], bj)]
+                b[i] = _submul(b[i], a[i][j], b[j], p)
         for i in range(n - 1, -1, -1):
             for j in range(i + 1, n):
-                uij, bj = a[i][j], b[j]
-                b[i] = [mpf_sub(x, mpf_mul(uij, y, p, RND), p, RND) for x, y in zip(b[i], bj)]
+                b[i] = _submul(b[i], a[i][j], b[j], p)
             b[i] = [mpf_div(x, a[i][i], p, RND) for x in b[i]]
     return _matrix(b, B.cols)
 

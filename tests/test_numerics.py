@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -122,6 +123,15 @@ class TestLuSolve:
         A = as_mp_matrix(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]), 256)
         with working_precision(256), pytest.raises(SingularMatrixError):
             mat_lu_solve(A, as_mp_matrix(np.eye(3), 256))
+
+    @pytest.mark.parametrize("A,B,kinds", [
+        (mp.eye(2), np.eye(2), "A a matrix and B a ndarray"),
+        (mp.eye(2), [[1, 0], [0, 1]], "A a matrix and B a list"),
+        (np.eye(2), mp.eye(2), "A a ndarray and B a matrix"),
+        (np.eye(2), [[1.0, 0.0], [0.0, 1.0]], "A a ndarray and B a list")])
+    def test_mixed_operand_kinds_name_both(self, A, B, kinds):
+        with pytest.raises(TypeError, match=kinds):
+            mat_lu_solve(A, B)
 
     @pytest.mark.parametrize("prec,n,is_complex", [(256, 12, False), (113, 5, True)])
     def test_mp_factors_once_and_matches_per_column_lu_solve(self, monkeypatch, prec, n,
@@ -320,6 +330,155 @@ class TestDenseKernelsMatchMpmath:
                 oracle_mp_lu_solve(A, B)
             with pytest.raises(SingularMatrixError, match=message):
                 mat_lu_solve(A, B)
+
+
+    @staticmethod
+    def assert_all_three_match(A, B, C, c1, c2):
+        """``A B``, ``c1 B + c2 C`` and ``A \\ B`` give the oracles' bits, or both raise."""
+        assert mp_bits(mp_matmul(A, B)) == mp_bits(oracle_mp_matmul(A, B))
+        assert mp_bits(mp_lincomb(c1, B, c2, C)) == mp_bits(oracle_mp_lincomb(c1, B, c2, C))
+        try:
+            want = oracle_mp_lu_solve(A, B)
+        except (ZeroDivisionError, TypeError):
+            with pytest.raises(SingularMatrixError):
+                mat_lu_solve(A, B)
+        else:
+            assert mp_bits(mat_lu_solve(A, B)) == mp_bits(want)
+
+    @pytest.mark.parametrize("prec", [113, 256])
+    def test_entries_spanning_2_to_the_700(self, monkeypatch, prec):
+        # products 2^700 apart are more than 2p apart: mpf_sum drops the 1 of
+        # 2^700 + 1 - 2^700, and so must the product
+        rng = np.random.default_rng(prec)
+        with mp.workprec(prec + 20):
+            A = mp.matrix([[mp.mpf(2) ** 700, 1, -mp.mpf(2) ** 700], [1, 1, 1], [3, 0, 1]])
+            A += mp.matrix([[0] * 3, [mp.mpf(2) ** int(rng.integers(-700, 700)) / 3
+                                      for _ in range(3)], [0] * 3])
+            B = mp.matrix([[1, mp.mpf(2) ** -700], [1, 1], [1, mp.mpf(2) ** 700 / 7]])
+            C = mp.matrix([[mp.mpf(2) ** -700, 1], [2, mp.mpf(2) ** 650], [5, 1]])
+            c1, c2 = mp.mpf(2) ** 600 / 3, mp.mpf(2) ** -600 / 5
+        sums = []
+        monkeypatch.setattr(numerics, "mpf_sum", lambda *a: sums.append(1) or libmp.mpf_sum(*a))
+        with working_precision(prec):
+            assert mp_matmul(A, B)[0, 0] == 0 == oracle_mp_matmul(A, B)[0, 0]
+            assert sums
+            self.assert_all_three_match(A, B, C, c1, c2)
+
+    def test_exponent_gaps_of_a_million_bits_stay_small(self):
+        # 1 - 2^-1000000 and 2^1000000 + 1 round as mpf_add's sticky bit rounds
+        # them; the integers never grow to a million bits
+        big, tiny = mp.mpf(2) ** 1000000, mp.mpf(2) ** -1000000
+        A = mp.matrix([[1, 1, tiny], [tiny, 1, 1], [big, tiny, 1]])
+        B = mp.matrix([[1, tiny], [big, 1], [1, -big]])
+        start = time.perf_counter()
+        with working_precision(256):
+            self.assert_all_three_match(A, B, B * 3, mp.mpf(1), big)
+            self.assert_all_three_match(A, B, B, tiny, mp.mpf(-1) / 3)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("prec", [113, 256])
+    def test_sticky_bit_for_a_far_smaller_term(self, prec):
+        # x has P + 20 bits at the LU's P = prec + 10, its low 20 bits 4 units
+        # below half an ulp; x - y with y = -(8 + 2^-101) units lies above the
+        # half, but mpf_add stands a sticky bit in for y, which lies more than
+        # P + 4 bits below x and ends more than 100 bits below it: x rounds down
+        P = prec + 10
+        x = mp.make_mpf(libmp.from_man_exp(((1 << (P - 1)) + 1) << 20 | (1 << 19) - 4, -P))
+        y = mp.make_mpf(libmp.from_man_exp(-((8 << 101) + 1), -P - 101))
+        with working_precision(prec):
+            # x - y in the elimination, then in the forward substitution
+            for A, B in ((mp.matrix([[1, y], [1, x]]), mp.matrix([[0], [1]])),
+                         (mp.matrix([[1, 0], [1, 1]]), mp.matrix([[y], [x]]))):
+                assert mp_bits(mat_lu_solve(A, B)) == mp_bits(oracle_mp_lu_solve(A, B))
+            X = mat_lu_solve(A, B)
+        with mp.workprec(2 * P):  # exactly, x - y rounds up to P bits
+            assert X[1, 0] < x - y < mp.mpf(libmp.from_man_exp(X[1, 0].man + 1, X[1, 0].exp))
+
+    @pytest.mark.parametrize("prec", [113, 256])
+    def test_half_ulp_ties_round_to_even(self, prec):
+        # 2^q + 1 and 2^q + 3 lie halfway between q-bit numbers: the first
+        # rounds down to 2^q, the second up to 2^q + 4
+        top = mp.mpf(2) ** prec
+        with mp.workprec(2 * prec):
+            A = mp.matrix([[top, 1], [top + 2, 1]])
+            C = mp.matrix([[1, top + 1], [top + 3, 1]])
+        with working_precision(prec):
+            P = mp_matmul(A, mp.ones(2, 1))
+            assert (P[0, 0], P[1, 0]) == (top, top + 4)
+            L = mp_lincomb(mp.mpf(1), A, mp.mpf(1), mp.ones(2, 2))
+            assert (L[0, 0], L[1, 0]) == (top, top + 4)
+            S = mp_lincomb(mp.mpf(1), C, mp.mpf(0), C)  # the products round too
+            assert (S[0, 1], S[1, 0]) == (top, top + 4)
+            self.assert_all_three_match(A, mp.ones(2, 1), mp.ones(2, 1), mp.mpf(1), mp.mpf(1))
+        # the LU runs at prec + 10: x - f y = 2^q + 1 in the elimination, with
+        # f = 1 and y = -1, and in the forward substitution
+        lu = mp.mpf(2) ** (prec + 10)
+        with mp.workprec(2 * prec + 20):
+            for x in (lu, lu + 2):
+                A = mp.matrix([[1, -1], [1, x]])
+                B = mp.matrix([[-1, 0], [x, 1]])
+                with working_precision(prec):
+                    self.assert_all_three_match(A, B, B, mp.mpf(1), mp.mpf(1))
+
+    @pytest.mark.parametrize("special", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 1)])
+    def test_inf_and_nan_entries_are_never_read_as_zero(self, special, where):
+        rng = np.random.default_rng(len(special) + 3 * where[0] + where[1])
+        A, B, C = (_mp_rand(rng, 3, cols, 256, False) for cols in (3, 2, 2))
+        with working_precision(256):
+            A += mp.eye(3)
+            A[where] = mp.mpf(special)
+            self.assert_all_three_match(A, B, C, mp.mpf(1) / 3, mp.mpf(-2))
+            A[where] = 1
+            B[where[0], where[1] % 2] = mp.mpf(special)
+            self.assert_all_three_match(A, B, C, mp.mpf(1) / 3, mp.mpf(-2))
+            C[where[0], where[1] % 2] = mp.mpf(special)
+            self.assert_all_three_match(A, B, C, mp.mpf(special), mp.mpf(0))
+
+    def test_exact_cancellation_is_stored_as_nothing(self):
+        # each kernel reaches an exact 0, which mpmath stores as no entry
+        A = mp.matrix([[1, 0], [1, 1]])
+        B = mp.matrix([[1, 3], [1, mp.mpf(1) / 3]])
+        with working_precision(256):
+            P = mp_matmul(mp.matrix([[1, -1]]), B)
+            L = mp_lincomb(mp.mpf(3), B, mp.mpf(-3), B)
+            X = mat_lu_solve(A, B)
+            assert mp_bits(P) == mp_bits(oracle_mp_matmul(mp.matrix([[1, -1]]), B))
+            assert (0, 0) not in P._matrix__data
+            assert mp_bits(L) == (2, 2, {}) == mp_bits(oracle_mp_lincomb(3, B, -3, B))
+            assert (1, 0) not in X._matrix__data
+            self.assert_all_three_match(A, B, B, mp.mpf(3), mp.mpf(-3))
+
+
+@st.composite
+def _dense_operands(draw):
+    """``(prec, A, B, C, c1, c2)``: A n x n, B and C n x m; entries have up to
+    ``prec + 20`` bits, a fifth of them 0, and magnitudes within 2^±4, 2^±64
+    or 2^±900, the last past the 2p of ``mpf_sum``."""
+    prec = draw(st.integers(53, 300))
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    spread = draw(st.sampled_from([4, 64, 900]))
+
+    def entry():
+        if draw(st.integers(0, 4)) == 0:
+            return mp.mpf(0)
+        bits = draw(st.integers(1, prec + 20))
+        man = draw(st.integers(1, (1 << bits) - 1)) * draw(st.sampled_from([-1, 1]))
+        return mp.make_mpf(libmp.from_man_exp(man, draw(st.integers(-spread, spread)) - bits))
+
+    def matrix(cols):
+        return mp.matrix([[entry() for _ in range(cols)] for _ in range(n)])
+
+    return prec, matrix(n), matrix(m), matrix(m), entry(), entry()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dense_operands())
+def test_dense_kernels_match_mpmath_bit_for_bit(operands):
+    """Random real operands with exponents far apart: every kernel gives the oracle's bits."""
+    prec, A, B, C, c1, c2 = operands
+    with working_precision(prec):
+        TestDenseKernelsMatchMpmath.assert_all_three_match(A, B, C, c1, c2)
 
 
 def _bits(x):
