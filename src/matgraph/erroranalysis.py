@@ -22,8 +22,9 @@ bisection, except at a midpoint within about 2^-128 relative of the root.
 So ``prec`` sets only the bisection and the returned theta.  Both refuse a
 NaN or an inf coefficient before any series is formed, and a radius at
 which the last quarter of the bound's terms holds more than u 2^-20: the
-terms past the truncation then plausibly matter too.  The bound takes the exact
-magnitudes of the computed coefficients, and the search certifies its
+terms past the truncation then plausibly matter too.  The bound takes the
+exact magnitudes of the computed coefficients as the series holds them,
+integers at its fixed point's one exponent, and the search certifies its
 result by a bracketing pair (theta passes, theta*(1+1e-6) fails).  The
 bound polynomial has nonnegative coefficients, so it increases in theta,
 and it is evaluated exactly at dyadic radii.  Once the root is bracketed
@@ -104,20 +105,13 @@ def _bisect_max_below(passes, lo, hi, prec):
     return lo
 
 
-def _poly_bound(coeffs):
-    """Exact evaluator t -> sum_j c_j t^j for finite nonnegative c_j at a dyadic mpf t.
+def _poly_bound(C, e0):
+    """Exact evaluator t -> 2^e0 sum_j C_j t^j for nonnegative integers C_j at a dyadic mpf t.
 
-    The coefficients become integers C_j at a common exponent once; an
-    evaluation at t = m 2^e is then an integer Horner and returns the sum
-    as an exact mpf, so a test bound(t) <= u is decided without rounding.
+    An evaluation at t = m 2^e is an integer Horner and returns the sum as
+    an exact mpf, so a test bound(t) <= u is decided without rounding.
     """
-    parts = list(map(_exact, coeffs))  # (man, 0, exp) with c_j = man 2^exp
-    nz = [k for k, (man, _, _) in enumerate(parts) if man]
-    if not nz:
-        return lambda t: mp.zero
-    n = nz[-1]
-    e0 = min(parts[k][2] for k in nz)
-    C = [man << (exp - e0) if man else 0 for man, _, exp in parts[: n + 1]]
+    n = len(C) - 1
 
     def bound(t):
         _, m, e, _ = t._mpf_
@@ -138,11 +132,11 @@ _ENCLOSURE_BITS = 200
 _NEWTON_BITS = 256
 
 
-def _approx_root(coeffs, u, k: int):
-    """An approximation to the root of sum_j coeffs[j] t^j = u in [2^(k-1), 2^k), which nothing trusts.
+def _approx_root(C, e0, u, k: int):
+    """An approximation to the root of 2^e0 sum_j C_j t^j = u in [2^(k-1), 2^k), which nothing trusts.
 
     On s = t 2^-k the equation reads q(s) = 1, q(s) = sum_j a_j s^j with
-    a_j = coeffs[j] 2^(jk) / u in [0, 2^j], since the bound is at most u at
+    a_j = C_j 2^(e0 + jk) / u in [0, 2^j], since the bound is at most u at
     s = 1/2.  log q is increasing and convex in log s, so Newton's method on
     log q = 0 moves monotonically down from s = 1; it runs in binary64.
     Newton's method on q = 1 then sharpens s on integers at 256 fractional
@@ -151,9 +145,9 @@ def _approx_root(coeffs, u, k: int):
     W = _NEWTON_BITS
     _, um, ue, _ = u._mpf_
     A = []
-    for j, (man, _, exp) in enumerate(map(_exact, coeffs)):  # a_j at W fractional bits
-        sh = exp + j * k - ue + W
-        A.append((man << sh if sh >= 0 else man >> -sh) // um)
+    for j, c in enumerate(C):  # a_j at W fractional bits
+        sh = e0 + j * k - ue + W
+        A.append((c << sh if sh >= 0 else c >> -sh) // um)
     try:
         a = [c / (1 << W) for c in A]
         x = 0.0  # log s
@@ -201,14 +195,14 @@ def _decider(bound, u, enclosure):
     return lambda t: t <= tl or (t < th and bound(t) <= u)
 
 
-def _radius(coeffs, u, kind: ThetaKind, nterms: int, prec: int, why: str = "") -> ThetaResult:
-    """Largest theta with sum_j coeffs[j] theta^j <= u, certified.
+def _radius(C, e0, u, kind: ThetaKind, nterms: int, prec: int, why: str = "") -> ThetaResult:
+    """Largest theta with 2^e0 sum_j C_j theta^j <= u, certified.
 
-    The coefficients are finite and nonnegative, so the bound increases
-    and is evaluated exactly (:func:`_poly_bound`).  A constant term above
-    u fails everywhere.  Otherwise halves from 2^-20 until the bound
-    passes and doubles until it fails (or saturates past the search cap).
-    Newton's method then gives an untrusted root (:func:`_approx_root`),
+    The coefficients are nonnegative integers C_j at one exponent e0, so
+    the bound increases and is evaluated exactly (:func:`_poly_bound`).  A
+    constant term above u fails everywhere.  Otherwise halves from 2^-20
+    until the bound passes and doubles until it fails (or saturates past
+    the search cap).  Newton's method then gives an untrusted root (:func:`_approx_root`),
     and two exact evaluations check a short dyadic enclosure of it
     (:func:`_enclosure`).  The bisection and the check of the bracketing
     pair (theta passes, theta*(1+1e-6) fails) decide every t outside the
@@ -216,23 +210,27 @@ def _radius(coeffs, u, kind: ThetaKind, nterms: int, prec: int, why: str = "") -
     when the check fails by an exact evaluation, so their outcome is the
     same either way.  A refusal says what it saw, and ``why``.
     """
-    refusal = ("no sign change: bound above u on the whole bracket (bound "
-               f"{mp.nstr(coeffs[0], 3)} at t -> 0, u = {mp.nstr(u, 3)}{why}")
-    if coeffs[0] > u:
-        raise CertificationError(refusal + ")")
-    bound = _poly_bound(coeffs)
+    c0 = mp.make_mpf(from_man_exp(C[0], e0))
+
+    def refusal(tried=""):
+        return CertificationError("no sign change: bound above u on the whole bracket (bound "
+                                  f"{mp.nstr(c0, 3)} at t -> 0, u = {mp.nstr(u, 3)}{why}{tried})")
+
+    if c0 > u:
+        raise refusal()
+    bound = _poly_bound(C, e0)
     lo = _BRACKET_LO
     while bound(lo) > u:
         lo /= 2
         if lo < mp.mpf(2) ** -(prec - 8):
-            raise CertificationError(f"{refusal}, smallest radius tried {mp.nstr(lo * 2, 3)})")
+            raise refusal(f", smallest radius tried {mp.nstr(lo * 2, 3)}")
     hi = lo
     while bound(hi) <= u:
         hi *= 2
         if hi > _SEARCH_CAP:
             return ThetaResult(hi, kind, nterms, u, saturated=True)
     k = mp.frexp(hi)[1] - 1  # hi = 2^k
-    passes = _decider(bound, u, _enclosure(bound, u, _approx_root(coeffs, u, k), hi))
+    passes = _decider(bound, u, _enclosure(bound, u, _approx_root(C, e0, u, k), hi))
     theta = _bisect_max_below(passes, hi / 2, hi, prec)
     margin = theta * (1 + mp.mpf("1e-6"))
     if not (passes(theta) and not passes(margin)):
@@ -245,20 +243,19 @@ def _radius(coeffs, u, kind: ThetaKind, nterms: int, prec: int, why: str = "") -
 _ROUNDING_BITS = 128
 
 
-def _widening(s: FixedSeries, first: int, u, prec: int) -> int:
-    """Bits to add to the fixed point of s so that its radii move the bound on it by at most u 2^-min(prec, 128).
+def _widening(mags, rad, F: int, u, prec: int) -> int:
+    """Bits to add to the fixed point 2^-F so that radii ``rad`` move the bound by at most u 2^-min(prec, 128).
 
-    The bound is sum_k |s_(first+k)| t^k.  No radius the search returns or
+    The bound is 2^-F sum_k mags_k t^k.  No radius the search returns or
     tries near its result exceeds theta_up, the least (u / m_k)^(1/k) over
-    the lower bounds m_k = |s_(first+k)| - rad > 0 (k >= 1), which also
+    the lower bounds m_k = 2^-F (mags_k - rad_k) > 0 (k >= 1), which also
     bound the exact coefficients; nor twice the search cap.  The radii move
     the bound at theta_up by at most len(rad) max_k rad_k theta_up^k.  Sizing
     runs on bit lengths, each rounded the safe way; 0 if no widening is needed.
     A step at most doubles the fixed point: with few coefficients resolved,
     theta_up can be far too large, and the next pass resolves more.
     """
-    mags, rad = s.magnitudes()[first:], s.rad[first:]  # rad stops at the last nonzero entry
-    F, lu = s.frac, float(mp.log(u, 2))
+    lu = float(mp.log(u, 2))
     # log2 theta_up: log2 m_k >= bit_length(m_k) - 1 - F
     lt = min([(lu + F - (m - r).bit_length() + 1) / k
               for k, (m, r) in enumerate(zip(mags, rad)) if k and m > r],
@@ -297,16 +294,16 @@ _START_BITS = 320
 _TAIL_SHARE = mp.mpf(2) ** -20
 
 
-def _check_truncation(coeffs, res: ThetaResult):
+def _check_truncation(C, e0, res: ThetaResult):
     """Refuse a radius at which the last quarter of the N bound terms, j >= N - N//4, adds more than u 2^-20.
 
     The bound leaves out the terms past the truncation, which then plausibly
     matter too.  It is evaluated at the bracket's upper end rounded up to 64 bits.
     """
-    n = len(coeffs)
+    n = len(C)
     first = n - n // 4
     t = mp.make_mpf(mpf_pos(res.bracket[1]._mpf_, 64, "u"))
-    tail = _poly_bound([0] * first + coeffs[first:])(t)
+    tail = _poly_bound([0] * first + C[first:], e0)(t)
     if tail > res.u * _TAIL_SHARE:
         raise CertificationError(
             f"series truncated too early: the last {n - first} of {n} bound terms hold "
@@ -325,19 +322,20 @@ def _theta(g: ComputationGraph, kind: ThetaKind, nterms: int, u, prec: int, form
     while True:
         gs = _graph_series(g, nterms, prec, frac)
         s = form(gs)
-        widen = _widening(s, first, u, prec)
+        C = s.magnitudes()[first:]
+        widen = _widening(C, s.rad[first:], s.frac, u, prec)  # rad stops at the last nonzero entry
         if not widen:
             break
         frac += widen
-    coeffs = [mp.make_mpf(from_man_exp(m, -s.frac)) for m in s.magnitudes()[first:]]
-    if kind == ThetaKind.FORWARD and coeffs[0] > u:
+    e0 = -s.frac
+    if kind == ThetaKind.FORWARD and mp.make_mpf(from_man_exp(C[0], e0)) > u:
         res = ThetaResult(mp.mpf(0), kind, nterms, u)
     else:
         why = f", g(0) - 1 = {mp.nstr(gs.value(0) - 1, 3)}" if kind == ThetaKind.BACKWARD else ""
-        res = _radius(coeffs, u, kind, nterms, prec, why)
+        res = _radius(C, e0, u, kind, nterms, prec, why)
         if not res.saturated:
-            _check_truncation(coeffs, res)
-    res.rounding = mp.make_mpf(from_man_exp(max(s.rad), -s.frac))  # the largest carried radius
+            _check_truncation(C, e0, res)
+    res.rounding = mp.make_mpf(from_man_exp(max(s.rad), e0))  # the largest carried radius
     return res
 
 

@@ -175,14 +175,15 @@ def mat_lu_solve(A, B):
 
     Accepts two numpy arrays, A 2-d, or two ``mpmath.matrix`` operands.
     Object arrays (mpmath entries) are solved as ``mpmath.matrix`` at the
-    working precision, by :func:`_mp_lu_solve`.
+    working precision, by :func:`_mp_lu_solve`; the solution of an ndarray
+    B has B's shape, as numpy's ``solve`` gives it.
     """
     if isinstance(A, np.ndarray) and A.ndim == 2 and isinstance(B, np.ndarray):
         if A.shape[0] != A.shape[1]:
             raise ValueError("coefficient matrix must be square")
         if A.dtype == object or B.dtype == object:
             X = mat_lu_solve(mp.matrix(A.tolist()), mp.matrix(B.tolist()))
-            return np.array(X.tolist(), dtype=object)
+            return np.array(X.tolist(), dtype=object).reshape(B.shape)
         try:
             return np.linalg.solve(A, B)
         except np.linalg.LinAlgError as exc:
@@ -416,13 +417,20 @@ GUARD_BITS = 64
 
 
 def _exact(x):
-    """``(re, im, e)``: integers with ``x == (re + i im) 2**e``, or None if ``x`` is not finite."""
+    """``(re, im, e)``: integers with ``x == (re + i im) 2**e``, or None if ``x`` is not finite.
+
+    A rational whose denominator is not a power of two has no such form: it
+    is rounded to nearest at ``mp.prec + GUARD_BITS`` bits.
+    """
     if isinstance(x, mpmath.mpc):
         a, b = x._mpc_
     elif isinstance(x, mpmath.mpf):
         a, b = x._mpf_, fzero
-    elif isinstance(x, numbers.Integral):
-        a, b = libmp.from_int(int(x)), fzero
+    elif isinstance(x, numbers.Rational):  # an integer too, with denominator 1
+        p, q = int(x.numerator), int(x.denominator)
+        a = (libmp.from_rational(p, q, mp.prec + GUARD_BITS, libmp.round_nearest) if q & (q - 1)
+             else libmp.from_man_exp(p, 1 - q.bit_length()))
+        b = fzero
     elif isinstance(x, numbers.Real):
         a, b = libmp.from_float(float(x)), fzero
     elif isinstance(x, numbers.Complex):

@@ -34,6 +34,7 @@ cost small-integer arithmetic only.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 from mpmath import mp
@@ -237,9 +238,18 @@ class FixedSeries:
 
     @classmethod
     def read(cls, values, nterms: int, frac: int) -> "FixedSeries":
-        """The numbers ``values`` as coefficients, each rounded down to 2^-frac with that rounding as radius."""
+        """The numbers ``values`` as coefficients, each rounded down to 2^-frac with that rounding as radius.
+
+        A rational is floored at 2^-frac directly, not through a rounded binary value.
+        """
         re, im, rad = [], [], []
         for v in values[: nterms + 1]:
+            if isinstance(v, numbers.Rational):  # an integer too, with denominator 1
+                q, r = divmod(int(v.numerator) << frac, int(v.denominator))
+                re.append(q)
+                im.append(0)
+                rad.append(1 if r else 0)
+                continue
             a, b, e = _exact(v)
             s = e + frac
             if s >= 0:

@@ -351,6 +351,14 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def as_integers(coeffs) -> tuple[list[int], int]:
+    """``(C, e0)`` with c_j = C_j 2^e0 exactly for dyadic ``coeffs``: the radius search's reading of them."""
+    cf = [as_fraction(c) for c in coeffs]
+    assert all(c.denominator & (c.denominator - 1) == 0 for c in cf), "coefficients must be dyadic"
+    e0 = -max(c.denominator.bit_length() - 1 for c in cf)
+    return [int(c * 2 ** -e0) for c in cf], e0
+
+
 def radius_exact_only(coeffs, u, prec: int):
     """The radius search of ``erroranalysis._radius``, every decision an exact Fraction Horner.
 

@@ -26,7 +26,7 @@ from matgraph import (
 )
 from matgraph import erroranalysis
 
-from support import as_fraction, radius_exact_only, random_graph, series_exp_neg, series_log
+from support import as_fraction, as_integers, radius_exact_only, random_graph, series_exp_neg, series_log
 
 
 def taylor_graph(deg):
@@ -52,6 +52,18 @@ class TestForwardTheta:
                     hi = mid
             oracle = lo
             assert abs(res.theta - oracle) <= oracle * mp.mpf("1e-12")
+
+    # theta (mantissa, exponent) and the largest carried radius of the
+    # degree-5 Taylor graph against exp, at 1024 bits: the same at 60 and
+    # 100 terms, as the target's terms past degree 60 are far below u there
+    @pytest.mark.parametrize("nterms", [60, 100])
+    def test_degree5_pinned(self, nterms):
+        g, _ = taylor_graph(5)
+        res = compute_fwd_theta(g, TruncSeries.exp(nterms))
+        assert (res.theta.man, res.theta.exp) == (0x6b8445299592318ce7f4dc44b, -106)
+        with mp.workprec(1024):
+            assert res.bracket == (res.theta, res.theta * (1 + mp.mpf("1e-6")))
+        assert (res.rounding.man, res.rounding.exp) == (1, -317)
 
     def test_self_comparison_saturates(self):
         g, _ = taylor_graph(8)
@@ -170,8 +182,8 @@ def bound_evals(monkeypatch):
     calls = []
     build = erroranalysis._poly_bound
 
-    def counting(coeffs):
-        bound = build(coeffs)
+    def counting(*args):
+        bound = build(*args)
 
         def counted(t):
             calls.append(t)
@@ -205,7 +217,7 @@ class TestExactBound:
 
     @staticmethod
     def check(coeffs, ts):
-        bound = erroranalysis._poly_bound(coeffs)
+        bound = erroranalysis._poly_bound(*as_integers(coeffs))
         cf = [as_fraction(c) for c in coeffs]
         for t in ts:
             want = Fraction(0)
@@ -236,11 +248,12 @@ class TestExactBound:
         self.check([0, 0, 0.25], self.long_ts())
 
     def test_all_zero_is_zero(self):
-        bound = erroranalysis._poly_bound([0, mp.mpf(0), 0.0])
+        bound = erroranalysis._poly_bound(*as_integers([0, mp.mpf(0), 0.0]))
         assert all(bound(t) == 0 for t in self.long_ts())
 
     def test_all_zero_series_saturates(self):
-        res = erroranalysis._radius([mp.mpf(0)] * 5, mp.mpf(2) ** -53, ThetaKind.FORWARD, 4, 1024)
+        res = erroranalysis._radius(*as_integers([mp.mpf(0)] * 5), mp.mpf(2) ** -53,
+                                    ThetaKind.FORWARD, 4, 1024)
         assert res.saturated and res.theta > erroranalysis._SEARCH_CAP
 
 
@@ -443,7 +456,8 @@ class TestExactOnlyEquivalence:
 
     def check(self, coeffs, prec=1024):
         with mp.workprec(prec):
-            res = erroranalysis._radius(coeffs, self.U, ThetaKind.BACKWARD, len(coeffs), prec)
+            res = erroranalysis._radius(*as_integers(coeffs), self.U, ThetaKind.BACKWARD,
+                                        len(coeffs), prec)
         theta, bracket, saturated = radius_exact_only(coeffs, self.U, prec)
         assert (res.theta._mpf_, res.saturated) == (theta._mpf_, saturated)
         assert res.bracket is None if bracket is None else \
@@ -488,8 +502,8 @@ class TestExactOnlyEquivalence:
     def test_wrong_approximate_root(self, wrong, monkeypatch, enclosed):
         approx = erroranalysis._approx_root
 
-        def patched(coeffs, u, k):
-            t = approx(coeffs, u, k)
+        def patched(C, e0, u, k):
+            t = approx(C, e0, u, k)
             with mp.workprec(1024):
                 return {"nan": mp.nan, "double": 2 * t, "half": t / 2, "hi": mp.mpf(2) ** k,
                         "just_above": t * (1 + mp.mpf(2) ** -150),

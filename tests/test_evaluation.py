@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -356,6 +357,14 @@ class TestPointVectors:
                 assert abs(J.values[i] - want) <= mp.ldexp(abs(want), -250)
                 for got, w in zip(J.entries[i], forward_jac(g, [z], cref)[0]):
                     assert abs(got - w) <= mp.ldexp(abs(w), -250)
+
+    def test_rational_point_read_at_the_working_precision(self):
+        # Fraction(1, 3) has no binary form: read through float, 1 + 3 z^2
+        # would be 2.8e-17 from 4/3 at 256 bits
+        g, _ = graph_monomial([1, 0, 3], bigfloat(256))
+        value = eval_graph(g, np.array([Fraction(1, 3)], dtype=object))[0]
+        with mp.workprec(300):
+            assert abs(value - mp.mpf(4) / 3) <= mp.ldexp(mp.mpf(4) / 3, -250)
 
     def test_zero_divisor_names_its_point(self):
         from matgraph import CoeffRef, eval_jac

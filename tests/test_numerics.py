@@ -133,6 +133,15 @@ class TestLuSolve:
         with pytest.raises(TypeError, match=kinds):
             mat_lu_solve(A, B)
 
+    @pytest.mark.parametrize("dtypes", [(float, float), (object, object), (float, object)])
+    def test_vector_right_hand_side_keeps_its_shape(self, dtypes):
+        # numpy's solve gives a 1-d b a 1-d x; the mpmath path must too
+        A = np.diag([2.0, 4.0]).astype(dtypes[0])
+        b = np.array([1.0, 1.0]).astype(dtypes[1])
+        x = mat_lu_solve(A, b)
+        assert x.shape == (2,)
+        assert list(x) == [0.5, 0.25]
+
     @pytest.mark.parametrize("prec,n,is_complex", [(256, 12, False), (113, 5, True)])
     def test_mp_factors_once_and_matches_per_column_lu_solve(self, monkeypatch, prec, n,
                                                              is_complex):

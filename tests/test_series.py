@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,6 +181,13 @@ def complex_graph():
     g.add_ldiv("R", "D", "B2")
     g.set_outputs(["R"])
     return g
+
+
+def test_read_floors_a_rational_with_a_unit_radius():
+    # not through float(1/3), which is about 2^146 units of 2^-200 off
+    s = FixedSeries.read([Fraction(1, 3)], 0, 200)
+    assert s.re == [2 ** 200 // 3]
+    assert s.rad == [1]
 
 
 class TestCarriedRadius:
