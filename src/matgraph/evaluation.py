@@ -11,10 +11,18 @@ it (:func:`_argument`: exactly, at extended precision):
   exponent, with prec + 64 bits in the smallest entry), runs every node on
   integers and returns an object array of mpmath numbers;
 * 2-d numpy arrays: dense matrices, the linear solve done by LU with
-  partial pivoting.  An extended-precision graph runs one as the
-  ``mpmath.matrix`` of its entries and returns an object array;
-* ``mpmath.matrix``: extended-precision dense matrices, whose products,
-  linear combinations and solves run on the kernels of :mod:`.numerics`;
+  partial pivoting.  An extended-precision graph runs one, an empty one
+  too, as the ``mpmath.matrix`` of its entries and returns an object array;
+* ``mpmath.matrix``: extended-precision dense matrices.  A real one of
+  finite entries, in a graph whose coefficients are all finite reals, is
+  read once into a :class:`~matgraph.numerics.PairMatrix` (rows of integer
+  mantissa and exponent pairs); every node runs on pairs, and each output
+  is written back once as an ``mpmath.matrix``.  Any other runs node by
+  node through :mod:`.numerics`' ``mpmath.matrix`` kernels, which read and
+  write pairs per call, or call mpmath's own matrix code for complex and
+  non-finite operands.  All give mpmath's results bit for bit, except that
+  a solve whose coefficient matrix has a NaN entry gives NaN entries, and
+  one with an infinite entry raises ``SingularMatrixError`` naming it;
 * :class:`~matgraph.series.TruncSeries`: truncated-series semantics, the
   route by which a graph's series expansion is extracted (a linear solve
   becomes series division and needs a nonzero denominator constant term);
@@ -39,6 +47,7 @@ from .graph import ComputationGraph, GraphError, OpKind, convert_precision, get_
 from .numerics import (
     CoeffType,
     FixedVector,
+    PairMatrix,
     SingularMatrixError,
     is_mp_matrix,
     is_scalar,
@@ -81,7 +90,9 @@ def _argument(g: ComputationGraph, x):
         if x.dtype.kind in "iufc":
             x = np.array([_argument(g, v) for v in x.ravel().tolist()],
                          dtype=object).reshape(x.shape)
-        return mp.matrix(x.tolist()) if x.ndim == 2 and x.size else x  # no empty mpmath literal
+        if x.ndim == 2:  # no empty mpmath literal
+            return mp.matrix(x.tolist()) if x.size else mp.matrix(*x.shape)
+        return x
     if isinstance(x, complex):
         return mp.make_mpc((libmp.from_float(x.real), libmp.from_float(x.imag)))
     if isinstance(x, float):
@@ -144,6 +155,8 @@ _FIXED = _Ops(lambda x: FixedVector.constant(len(x), 1), operator.mul,
               lambda v1, v2: v2 / v1, lincomb_fixed)
 _NP_MATRIX = _Ops(lambda x: np.eye(x.shape[0], dtype=x.dtype), operator.matmul, _matrix_ldiv)
 _MP_MATRIX = _Ops(lambda x: mp.eye(x.rows), mp_matmul, _matrix_ldiv, mp_lincomb)
+_PAIRS = _Ops(lambda x: PairMatrix.read(mp.eye(x.rows)), operator.mul, _matrix_ldiv,
+               PairMatrix.lincomb)
 _SERIES = _Ops(lambda x: TruncSeries.constant(1, x.nterms), operator.mul,
                lambda v1, v2: v2.divide(v1))
 _FIXED_SERIES = _Ops(lambda x: FixedSeries.constant(1, x.nterms, x.frac), operator.mul,
@@ -184,6 +197,10 @@ def _eval_nodes(g, x, order, keep_all=False):
     """
     x = _argument(g, x)
     ops = _ops_for(x)
+    if ops is _MP_MATRIX:  # read once into pairs if real and finite, coefficients too
+        pairs = PairMatrix.read(x, [c for cs in g.coeffs.values() for c in cs])
+        if pairs is not None:
+            x, ops = pairs, _PAIRS
     slots = {"I": ops.identity(x), g.input_id: x}
     last_use: dict[str, int] = {}
     if not keep_all:
@@ -232,11 +249,12 @@ def eval_graph(g: ComputationGraph, x, prec: int | None = None):
         missing = [o for o in g.outputs if o not in slots]
         if missing:
             raise GraphError(f"output {missing[0]!r} was not computed")
-        results = [slots[o] for o in g.outputs]
+        results = [slots[o].matrix() if isinstance(slots[o], PairMatrix) else slots[o]
+                   for o in g.outputs]
         if isinstance(x, (np.ndarray, FixedVector)):  # an extended-precision graph read it
             results = [r.numbers() if isinstance(r, FixedVector) else
-                       np.array(r.tolist(), dtype=object) if is_mp_matrix(r) else r
-                       for r in results]
+                       np.array(r.tolist(), dtype=object).reshape(r.rows, r.cols)
+                       if is_mp_matrix(r) else r for r in results]
     return results[0] if len(results) == 1 else results
 
 

@@ -12,12 +12,12 @@ so all public entry points of this package wrap their numerical work in
 ``mpmath.matrix`` instances; binary64 matrices are numpy arrays and
 delegate to the optimized kernels numpy binds to.  The evaluator's three
 extended-precision matrix operations (product, linear combination and the
-partially pivoted LU solve) run on the integer mantissas of raw libmp
-tuples when every operand is real, rounded by one helper, and give
-mpmath's own results bit for bit (:func:`mp_matmul`, :func:`mp_lincomb`,
-:func:`mat_lu_solve`); an entry with a non-finite operand, or whose terms
-lie too far apart for libmp to sum them exactly, keeps libmp's calls.
-Complex operands go to mpmath's own matrix routines.
+partially pivoted LU solve) run on a :class:`PairMatrix`, rows of integer
+(mantissa, exponent) pairs read once from a real ``mpmath.matrix`` of
+finite entries, each rounded by one helper, and give mpmath's results bit
+for bit (:func:`mp_matmul`, :func:`mp_lincomb` and :func:`mat_lu_solve`
+read, run and write back one operation); terms too far apart to add
+exactly go to libmp, complex and non-finite operands to mpmath's routines.
 
 A 1-d vector of extended-precision points is a :class:`FixedVector`:
 Python integers at one shared exponent, set after every operation by the
@@ -47,9 +47,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 from mpmath import libmp, mp
-from mpmath.libmp import (fone, fzero, mpf_abs, mpf_div, mpf_gt, mpf_le,
-                          mpf_mul, mpf_neg, mpf_rdiv_int, mpf_shift, mpf_sub, mpf_sum,
-                          round_nearest as RND)
+from mpmath.libmp import fzero, mpf_sub, mpf_sum, round_nearest as RND
 
 
 class SingularMatrixError(ArithmeticError):
@@ -173,231 +171,270 @@ def is_mp_matrix(x) -> bool:
 def mat_lu_solve(A, B):
     """Solve A X = B by partially pivoted LU; raise on a singular pivot.
 
-    Accepts two numpy arrays, A 2-d, or two ``mpmath.matrix`` operands.
-    Object arrays (mpmath entries) are solved as ``mpmath.matrix`` at the
-    working precision, by :func:`_mp_lu_solve`; the solution of an ndarray
-    B has B's shape, as numpy's ``solve`` gives it.
+    Accepts two numpy arrays, A 2-d, two ``mpmath.matrix`` operands, or two
+    :class:`PairMatrix`.  Object arrays (mpmath entries) are solved as
+    ``mpmath.matrix`` at the working precision; the solution of an ndarray
+    B has B's shape, as numpy's ``solve`` gives it, and an empty A gives an
+    empty X.  Real ``mpmath.matrix`` operands of finite entries are solved on
+    their pairs (:func:`_lu_solve`), any other by mpmath 1.3's ``LU_decomp``,
+    ``L_solve`` and ``U_solve`` at ``mp.prec + 10``, A factored once; there a
+    NaN entry of A makes every entry of X NaN, and an infinite one, which
+    makes mpmath's tolerance infinite, raises SingularMatrixError naming it.
     """
     if isinstance(A, np.ndarray) and A.ndim == 2 and isinstance(B, np.ndarray):
         if A.shape[0] != A.shape[1]:
             raise ValueError("coefficient matrix must be square")
         if A.dtype == object or B.dtype == object:
-            X = mat_lu_solve(mp.matrix(A.tolist()), mp.matrix(B.tolist()))
+            X = (mat_lu_solve(mp.matrix(A.tolist()), mp.matrix(B.tolist())) if A.size
+                 else mp.matrix(0, 0))
             return np.array(X.tolist(), dtype=object).reshape(B.shape)
         try:
             return np.linalg.solve(A, B)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(str(exc)) from exc
-    if is_mp_matrix(A) and is_mp_matrix(B):
-        if A.rows != A.cols:
-            raise ValueError("coefficient matrix must be square")
-        if B.rows != A.rows:
-            raise ValueError("dimension mismatch in linear solve")
+    if not (is_mp_matrix(A) and is_mp_matrix(B) or
+            isinstance(A, PairMatrix) and isinstance(B, PairMatrix)):
+        raise TypeError(f"cannot solve with A a {type(A).__name__} and B a {type(B).__name__}: "
+                        "give two numpy arrays (A 2-d) or two mpmath.matrix")
+    if A.rows != A.cols:
+        raise ValueError("coefficient matrix must be square")
+    if B.rows != A.rows:
+        raise ValueError("dimension mismatch in linear solve")
+    a, b = (A, B) if isinstance(A, PairMatrix) else (PairMatrix.read(A), PairMatrix.read(B))
+    if a is not None and b is not None:
+        X = PairMatrix(_lu_solve(a.data, b.data, mp.prec + 10), B.cols)
+        return X if a is A else X.matrix()
+    bad = [(k, x) for k, x in A._matrix__data.items() if not mp.isfinite(x)]
+    if any(mp.isnan(x) for _, x in bad):
+        return mp.ones(A.rows, B.cols) * mp.nan
+    if bad:
+        raise SingularMatrixError(f"entry {bad[0][0]} of the coefficient matrix is not finite")
+    cols = [mp.matrix([B[i, j] for i in range(B.rows)]) for j in range(B.cols)]
+    with mp.workprec(mp.prec + 10):
         try:
-            return _mp_lu_solve(A, B)
-        except ZeroDivisionError as exc:  # as mpmath's, e.g. a zero row sum under a NaN tol
-            raise SingularMatrixError(str(exc) or "matrix is numerically singular") from exc
-    raise TypeError(f"cannot solve with A a {type(A).__name__} and B a {type(B).__name__}: "
-                    "give two numpy arrays (A 2-d) or two mpmath.matrix")
+            LU, perm = mp.LU_decomp(A.copy(), overwrite=True)
+            sols = [mp.U_solve(LU, mp.L_solve(LU, col, perm)) for col in cols]
+        except TypeError as exc:  # swap_row with the pivot index None
+            raise SingularMatrixError("a column has no nonzero pivot") from exc
+        except ZeroDivisionError as exc:  # a pivot at most tol
+            raise SingularMatrixError(str(exc)) from exc
+    return mp.matrix([[sol[i] for sol in sols] for i in range(A.rows)])
 
 
 # ---------------------------------------------------------------------------
 # extended-precision dense kernels
 #
-# An ``mpmath.matrix`` keeps its nonzero entries in a dict keyed ``(i, j)``
-# and reads a missing one as ``mp.zero``.  When every entry and coefficient
-# is an ``mpf``, the kernels read that dict once into rows of ``_mpf_``
-# tuples, form what mpmath's matrix code forms, in its order and at its
-# precision, and store the nonzero results the same way, so every result is
-# bit-identical to mpmath's.  Products and sums run on the integer mantissas,
-# each rounded by :func:`_round`; the LU's pivot search and divisions make
-# libmp's calls, and so does an entry with an operand that is not finite (a
-# zero mantissa), a dot product whose terms may span more than 2p bits
-# (``mpf_sum`` drops terms), or a sum of terms more than p + 4 bits apart
-# (``mpf_add`` stands a sticky bit in for the smaller).  Any other operand
-# (a complex entry, or a coefficient that is not an ``mpf``) goes to
-# mpmath's own routines.
+# A real ``mpmath.matrix`` of finite ``mpf`` is read once into a
+# :class:`PairMatrix`, rows of pairs ``(m, e)`` for the entries ``m 2^e``.
+# Products, linear combinations and LU solves form what mpmath's matrix code
+# forms, in its order and precision, each rounding to a pair (:func:`_rounded`);
+# only the write-back makes pairs canonical and drops zeros, so every result is
+# mpmath's bit for bit.  libmp's shortcuts key on canonical exponents, so the
+# guards use lowest and top set bits, and send libmp a signed sum whose lowest
+# bits span over 2p (``mpf_sum`` drops terms) and terms over p + 4 apart
+# (``mpf_add``'s sticky bit).
 
 
-def _all_mpf(matrices, scalars=()) -> bool:
-    mpf = mpmath.mpf
-    return all(isinstance(c, mpf) for c in scalars) and all(
-        isinstance(x, mpf) for M in matrices for x in M._matrix__data.values())
+def _pair(t):
+    """``(m, e)`` of a libmp tuple, ``m`` signed; None if it is not finite."""
+    s, m, e, _ = t
+    return None if e and not m else (-m if s else m, e)
 
 
-def _rows(M) -> list:
-    get, zero = M._matrix__data.get, mp.zero
-    return [[get((i, j), zero)._mpf_ for j in range(M.cols)] for i in range(M.rows)]
-
-
-def _matrix(rows, cols: int):
-    """A ``cols``-column ``mpmath.matrix`` holding the nonzero entries of ``rows``."""
-    M = mp.matrix(len(rows), cols)
-    M._matrix__data.update(((i, j), v) for i, row in enumerate(rows)
-                           for j, v in enumerate(map(mp.make_mpf, row)) if v)
-    return M
-
-
-def _round(m: int, e: int, p: int) -> tuple:
-    """``from_man_exp(m, e, p, round_nearest)``: ``m 2**e`` rounded to ``p`` bits, ties to even."""
-    if m > 0:
-        s = 0
-    elif m:
-        s, m = 1, -m
-    else:
-        return fzero
+def _rounded(m, e, p):
+    """``m 2**e`` rounded to ``p`` bits, ties to even, as a pair."""
     n = m.bit_length() - p
-    if n > 0:
-        t = m >> (n - 1)
-        m = (t >> 1) + 1 if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)) else t >> 1
-        e += n
-    if not m & 1:
-        z = (m & -m).bit_length() - 1
-        m >>= z
-        e += z
-    return s, m, e, m.bit_length()
+    if n <= 0:
+        return m, e
+    q = m >> (n - 1)  # the floor, one bit past p: signs need no case
+    return (q >> 1) + 1 if q & 1 and (q & 2 or m & ((1 << (n - 1)) - 1)) else q >> 1, e + n
 
 
-def _shared(xs, p):
-    """``(ms, e, span)`` for a row of libmp tuples: ``xs[k] == ms[k] * 2**e``, and the
-    spread of the nonzero exponents; ``(None, e, inf)`` past ``2 p`` or if one is not finite."""
-    es = [e for _, m, e, _ in xs if m] or [0]
-    lo, span = min(es), max(es) - min(es)
-    if span > 2 * p or any(not m and e for _, m, e, _ in xs):
-        return None, lo, math.inf
-    return [(-m if s else m) << (e - lo) if m else 0 for s, m, e, _ in xs], lo, span
+def _aligned(xs, p):
+    """``(ms, e, span)``: pairs as integers ``ms`` at one exponent ``e``, and the span of
+    their lowest set bits; past ``2 p`` no integer is made and ``ms`` is None."""
+    los = [e + (m & -m).bit_length() for m, e in xs if m]
+    span = max(los) - min(los) if los else 0
+    lo = min((e for m, e in xs if m), default=0)
+    return ([m << (e - lo) if m else 0 for m, e in xs] if span <= 2 * p else None), lo, span
 
 
-def _submul(xs, f, ys, p):
-    """``[x - f y for x, y in zip(xs, ys)]`` on libmp tuples, each rounded on integers as
-    ``mpf_sub(x, mpf_mul(f, y, p), p)`` rounds it; a non-finite operand, or a rounded
-    product more than ``p + 4`` bits from ``x`` in magnitude, takes those calls."""
-    fs, fm, fe, _ = f
-    if not fm:
-        return [mpf_sub(x, mpf_mul(f, y, p, RND), p, RND) for x, y in zip(xs, ys)]
-    g, lim = fm if fs else -fm, p + 4  # g: the mantissa of -f
+def _abs_sum(xs, p, each):
+    """``mpf_sum`` of the ``|x|`` at ``p`` bits, each ``|x|`` first rounded if ``each``;
+    terms of one sign add exactly while their top bits span at most ``2 p``."""
+    ts = [_rounded(abs(m), e, p) if each else (abs(m), e) for m, e in xs if m]
+    tops = [e + m.bit_length() for m, e in ts]
+    if tops and max(tops) - min(tops) > 2 * p:
+        return _pair(mpf_sum([libmp.from_man_exp(*t) for t in ts], p, RND))
+    lo = min((e for _, e in ts), default=0)
+    return _rounded(sum(m << (e - lo) for m, e in ts), lo, p)
+
+
+def _fms(xs, f, ys, p):
+    """``[x - f y for x, y in zip(xs, ys)]`` as ``mpf_sub(x, mpf_mul(f, y, p), p)`` rounds it:
+    f y rounded, then the exact difference, as ``mpf_add`` forms it while the top bits of x
+    and f y are at most ``p + 4`` apart; libmp takes terms further apart."""
+    fm, fe = f
     out = []
-    for x, y in zip(xs, ys):
-        xs_, xm, xe, xb = x
-        ys_, ym, ye, _ = y
-        if ym:
-            r = _round(-g * ym if ys_ else g * ym, fe + ye, p)  # -f y, rounded
-            if xm:
-                rs, rm, re, rb = r
-                if -lim <= xe + xb - re - rb <= lim:
-                    xm, rm, d = -xm if xs_ else xm, -rm if rs else rm, xe - re
-                    out.append(_round((xm << d) + rm, re, p) if d >= 0
-                               else _round(xm + (rm << -d), xe, p))
-                    continue
-            elif not xe:
-                out.append(r)
-                continue
-        elif not ye and xb <= p:
-            out.append(x)
+    append = out.append
+    for (xm, xe), (ym, ye) in zip(xs, ys):
+        if not (fm and ym):
+            append(_rounded(xm, xe, p))
             continue
-        out.append(mpf_sub(x, mpf_mul(f, y, p, RND), p, RND))
+        tm, te = _rounded(fm * ym, fe + ye, p)
+        d = xe - te
+        if not xm:
+            append((-tm, te))
+        elif abs(d + xm.bit_length() - tm.bit_length()) > p + 4:
+            append(_pair(mpf_sub(libmp.from_man_exp(xm, xe), libmp.from_man_exp(tm, te), p, RND)))
+        else:
+            append(_rounded((xm << d) - tm, te, p) if d >= 0 else _rounded(xm - (tm << -d), xe, p))
     return out
 
 
-def mp_matmul(A, B):
-    """``A * B``: each entry the exact dot product rounded once, as ``mp.fdot`` forms it.
+def _below(x, y) -> bool:
+    """``x < y`` for two pairs of values at least 0."""
+    (xm, xe), (ym, ye) = x, y
+    if not (xm and ym):  # 0 < y, or y = 0
+        return bool(ym)
+    d = xe + xm.bit_length() - ye - ym.bit_length()
+    return d < 0 if d else xm << max(xe - ye, 0) < ym << max(ye - xe, 0)
 
-    Rows of A and columns of B are read once as integers at one exponent
-    each.  An entry whose row or column holds a non-finite value, or whose
-    row and column spans add up to more than 2p bits, takes the libmp calls.
-    """
-    if A.cols != B.rows:
-        raise ValueError("dimensions not compatible for multiplication")
-    if not _all_mpf((A, B)):
-        return A * B
-    p = mp.prec
-    a, b = _rows(A), list(zip(*_rows(B)))
-    ra, rb = [_shared(x, p) for x in a], [_shared(y, p) for y in b]
-    return _matrix([[_round(sum(map(operator.mul, r, c)), er + ec, p) if sr + sc <= 2 * p
-                     else mpf_sum(list(map(mpf_mul, x, y)), p, RND)
-                     for (c, ec, sc), y in zip(rb, b)]
-                    for (r, er, sr), x in zip(ra, a)], B.cols)
+
+def _quotient(x, y, p):
+    """``x / y`` as ``mpf_div`` rounds it: over ``p`` bits, plus half a unit for a remainder."""
+    (xm, xe), (ym, ye) = x, y
+    k = max(0, p + 1 + ym.bit_length() - xm.bit_length())
+    q, r = divmod(xm << k, ym)
+    return _rounded(2 * q + (r != 0), xe - ye - k - 1, p)
+
+
+def _reciprocal(s, a, p):
+    """``1/s * |a|`` as the pivot search rounds it: ``1/s``, then the product, each to ``p`` bits."""
+    rm, re = _quotient((1, 0), s, p)
+    am, ae = _rounded(abs(a[0]), a[1], p)
+    return _rounded(rm * am, re + ae, p)
+
+
+def _scalar(c):
+    """The pair of a finite ``mpf``, ``int`` or ``float``, read exactly as mpmath's operators
+    read it; None for any other scalar."""
+    if isinstance(c, (int, float)):
+        c = mp.make_mpf(libmp.from_int(c) if isinstance(c, int) else libmp.from_float(c))
+    return _pair(c._mpf_) if isinstance(c, mpmath.mpf) else None
+
+
+class PairMatrix:
+    """The evaluator's kind of a real ``mpmath.matrix`` of finite entries, ``data`` its rows
+    of pairs: ``*`` is the product, :meth:`lincomb` the combination, :func:`mat_lu_solve` the solve."""
+
+    __slots__ = ("data", "rows", "cols")
+
+    def __init__(self, data, cols: int):
+        self.data, self.rows, self.cols = data, len(data), cols
+
+    @classmethod
+    def read(cls, M, scalars=()):
+        """The pairs of an ``mpmath.matrix``; None unless its entries are finite ``mpf`` and
+        ``scalars`` finite real (:func:`_scalar`)."""
+        if None in map(_scalar, scalars):
+            return None
+        data = [[(0, 0)] * M.cols for _ in range(M.rows)]
+        for (i, j), x in M._matrix__data.items():
+            data[i][j] = v = _pair(x._mpf_) if isinstance(x, mpmath.mpf) else None
+            if v is None:
+                return None
+        return cls(data, M.cols)
+
+    def matrix(self):
+        """The ``mpmath.matrix`` of the entries, each canonical, a zero stored as nothing."""
+        M = mp.matrix(self.rows, self.cols)
+        M._matrix__data.update(((i, j), mp.make_mpf(libmp.from_man_exp(m, e)))
+                               for i, row in enumerate(self.data) for j, (m, e) in enumerate(row) if m)
+        return M
+
+    def __mul__(self, other):
+        """Each entry the exact dot product rounded once, as ``mp.fdot`` rounds it."""
+        if self.cols != other.rows:
+            raise ValueError("dimensions not compatible for multiplication")
+        p = mp.prec
+        cols = [[row[j] for row in other.data] for j in range(other.cols)]
+        ra, rb = [_aligned(x, p) for x in self.data], [_aligned(y, p) for y in cols]
+        return PairMatrix([[_rounded(sum(map(operator.mul, r, c)), er + ec, p) if sr + sc <= 2 * p
+                            else _pair(mpf_sum([libmp.from_man_exp(a * b, ea + eb)
+                                                for (a, ea), (b, eb) in zip(x, y)], p, RND))
+                            for (c, ec, sc), y in zip(rb, cols)]
+                           for (r, er, sr), x in zip(ra, self.data)], other.cols)
+
+    @staticmethod
+    def lincomb(c1, A, c2, B):
+        """``A c1 + B c2`` for finite real coefficients: each product rounded, then the sum."""
+        if (A.rows, A.cols) != (B.rows, B.cols):
+            raise ValueError("incompatible dimensions for addition")
+        p, zero = mp.prec, [(0, 0)] * A.cols
+        (m1, e1), (m2, e2) = _scalar(c1), _scalar(c2)
+        return PairMatrix([_fms(_fms(zero, (-m1, e1), a, p), (-m2, e2), b, p)
+                           for a, b in zip(A.data, B.data)], A.cols)
+
+
+def mp_matmul(A, B):
+    """``A * B`` for ``mpmath.matrix`` operands, bit-identical to mpmath's."""
+    a, b = PairMatrix.read(A), PairMatrix.read(B)
+    return A * B if a is None or b is None else (a * b).matrix()
 
 
 def mp_lincomb(c1, A, c2, B):
-    """``A * c1 + B * c2``: each entry ``c1 a + c2 b``, each product rounded.
-
-    The coefficients are read as they are, never rounded to the working
-    precision first, as the ``mpf`` operators read them.  Each entry is
-    ``(0 - (-c1) a) - (-c2) b`` by :func:`_submul`, on integers.
-    """
-    if (A.rows, A.cols) != (B.rows, B.cols):
-        raise ValueError("incompatible dimensions for addition")
-    if not _all_mpf((A, B), (c1, c2)):
-        return A * c1 + B * c2
-    p, zero, c1, c2 = mp.prec, [fzero] * A.cols, mpf_neg(c1._mpf_), mpf_neg(c2._mpf_)
-    return _matrix([_submul(_submul(zero, c1, r, p), c2, s, p)
-                    for r, s in zip(_rows(A), _rows(B))], A.cols)
+    """``A * c1 + B * c2`` for ``mpmath.matrix`` operands, bit-identical to mpmath's; the
+    coefficients are read as they are, never rounded first, as ``mpf`` operators read them."""
+    a, b = PairMatrix.read(A, (c1, c2)), PairMatrix.read(B)
+    return A * c1 + B * c2 if a is None or b is None else PairMatrix.lincomb(c1, a, c2, b).matrix()
 
 
-def _mp_lu_solve(A, B):
-    """``X`` with ``A X = B``, bit-identical to mpmath 1.3's ``lu_solve`` per column of B.
+def _lu_solve(a, b, p):
+    """The rows of X with A X = B, for the rows of pairs ``a`` and ``b``: mpmath 1.3's
+    ``LU_decomp``, ``L_solve`` and ``U_solve`` at ``p`` bits, the pivot of column j the first
+    row k maximising ``|a_kj| / sum_(l>=j) |a_kl|``; SingularMatrixError where mpmath divides
+    by zero (a row sum or pivot at most ``tol = |mnorm(A, 1) eps|``) or finds no pivot row."""
+    n, a, b = len(a), [r[:] for r in a], [r[:] for r in b]
+    # tol = |mnorm(A, 1) eps|, mnorm the first largest column sum
+    norm = functools.reduce(lambda m, s: s if _below(m, s) else m,
+                            (_abs_sum(col, p, False) for col in zip(*a)), (0, 0))
+    tol = norm[0], norm[1] + 1 - p
 
-    A is factored once, at ``mp.prec + 10`` as ``lu_solve`` runs it, for
-    every column.  Real operands run a port of ``LU_decomp``, ``L_solve``
-    and ``U_solve`` on raw tuples, each ``x - f y`` by :func:`_submul`; any
-    other runs those routines themselves.  The pivot of column j is the
-    first row k maximising ``|a_kj| / s_k``, with ``s_k`` the sum of
-    ``|a_kl|``, l >= j.  :func:`mat_lu_solve` raises ``SingularMatrixError``
-    where mpmath raises ``ZeroDivisionError`` (a row sum or pivot at most
-    ``tol = |mnorm(A, 1) eps|``, or a zero one under a NaN ``tol``) and
-    where no row has a nonzero entry in column j, on which mpmath's pivot
-    index stays ``None``.
-    """
-    if not _all_mpf((A, B)):
-        cols = [mp.matrix([B[i, j] for i in range(B.rows)]) for j in range(B.cols)]
-        with mp.workprec(mp.prec + 10):
-            try:
-                LU, perm = mp.LU_decomp(A.copy(), overwrite=True)
-            except TypeError as exc:  # swap_row with the pivot index None
-                raise SingularMatrixError("a column has no nonzero pivot") from exc
-            sols = [mp.U_solve(LU, mp.L_solve(LU, col, perm)) for col in cols]
-        return mp.matrix([[sol[i] for sol in sols] for i in range(A.rows)])
-    with mp.workprec(mp.prec + 10):
-        p = mp.prec
-        a, b = _rows(A), _rows(B)
-        n = len(a)
-        # tol = absmin(mnorm(A, 1) * eps), mnorm the largest column sum
-        sums = [mpf_sum([mpf_abs(row[j]) for row in a], p, RND, True) for j in range(n)]
-        norm = functools.reduce(lambda m, s: s if mpf_gt(s, m) else m, sums)
-        tol = mpf_abs(mpf_mul(norm, mpf_shift(fone, 1 - p), p, RND), p, RND)
-        perm = []
-        for j in range(n - 1):
-            biggest, pivot = fzero, None
-            for k in range(j, n):
-                s = mpf_sum([mpf_abs(x, p, RND) for x in a[k][j:]], p, RND)
-                if mpf_le(mpf_abs(s, p, RND), tol):
-                    raise SingularMatrixError("matrix is numerically singular")
-                current = mpf_mul(mpf_rdiv_int(1, s, p, RND), mpf_abs(a[k][j], p, RND), p, RND)
-                if mpf_gt(current, biggest):
-                    biggest, pivot = current, k
-            if pivot is None:
-                raise SingularMatrixError(f"column {j} has no nonzero pivot")
-            perm.append(pivot)
-            a[j], a[pivot] = a[pivot], a[j]
-            rj = a[j]
-            if mpf_le(mpf_abs(rj[j], p, RND), tol):
-                raise SingularMatrixError("matrix is numerically singular")
-            for ri in a[j + 1:]:
-                ri[j] = f = mpf_div(ri[j], rj[j], p, RND)
-                ri[j + 1:] = _submul(ri[j + 1:], f, rj[j + 1:], p)
-        if mpf_le(mpf_abs(a[-1][-1], p, RND), tol):
+    def check(x):  # mpmath's absmin(x) <= tol, |x| rounded first
+        if not _below(tol, _rounded(abs(x[0]), x[1], p)):
             raise SingularMatrixError("matrix is numerically singular")
-        for j, k in enumerate(perm):
-            b[j], b[k] = b[k], b[j]
-        for i in range(1, n):
-            for j in range(i):
-                b[i] = _submul(b[i], a[i][j], b[j], p)
-        for i in range(n - 1, -1, -1):
-            for j in range(i + 1, n):
-                b[i] = _submul(b[i], a[i][j], b[j], p)
-            b[i] = [mpf_div(x, a[i][i], p, RND) for x in b[i]]
-    return _matrix(b, B.cols)
+
+    perm = []
+    for j in range(n - 1):
+        biggest, pivot = (0, 0), None
+        for k in range(j, n):
+            s = _abs_sum(a[k][j:], p, not j)  # later steps' entries are rounded
+            check(s)
+            current = _reciprocal(s, a[k][j], p)
+            if _below(biggest, current):
+                biggest, pivot = current, k
+        if pivot is None:
+            raise SingularMatrixError(f"column {j} has no nonzero pivot")
+        perm.append(pivot)
+        a[j], a[pivot] = a[pivot], a[j]
+        rj = a[j]
+        check(rj[j])
+        for ri in a[j + 1:]:
+            ri[j] = f = _quotient(ri[j], rj[j], p)
+            ri[j + 1:] = _fms(ri[j + 1:], f, rj[j + 1:], p)
+    if n:
+        check(a[-1][-1])
+    for j, k in enumerate(perm):
+        b[j], b[k] = b[k], b[j]
+    for i in range(1, n):  # L_solve, then U_solve
+        for j in range(i):
+            b[i] = _fms(b[i], a[i][j], b[j], p)
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            b[i] = _fms(b[i], a[i][j], b[j], p)
+        b[i] = [_quotient(x, a[i][i], p) for x in b[i]]
+    return b
 
 
 # ---------------------------------------------------------------------------

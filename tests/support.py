@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 import subprocess
@@ -850,3 +851,28 @@ def mp_bits(M):
     """
     return M.rows, M.cols, {k: (type(x).__name__, x._mpc_ if hasattr(x, "_mpc_") else x._mpf_)
                             for k, x in M._matrix__data.items()}
+
+
+def mp_eval_inputs(seed: int):
+    """``(A, B)``, the 16 x 16 256-bit matrices of the benchmark's ``mp-eval`` workload.
+
+    A = Q diag(lam) Q, with Q the Householder reflector of a seeded Gaussian
+    v and lam seeded uniform on [1/4, 4]; B a seeded Gaussian matrix scaled
+    to unit 1-norm.
+    """
+    rng = np.random.default_rng(seed)
+    n = 16
+    with mp.workprec(256):
+        v = mp.matrix(rng.standard_normal(n).tolist())
+        Q = mp.eye(n) - v * v.T * (2 / (v.T * v)[0])
+        lam = [mp.mpf(x) for x in rng.uniform(0.25, 4.0, n)]
+        A = Q * mp.diag(lam) * Q
+        B = mp.matrix(rng.standard_normal((n, n)).tolist())
+        B = B / mp.mnorm(B, 1)
+    return A, B
+
+
+def mp_digest(*matrices) -> str:
+    """sha256 of the raw ``_mpf_`` tuples of every entry, row by row, of real ``mpmath.matrix``."""
+    return hashlib.sha256(repr([[M[i, j]._mpf_ for i in range(M.rows) for j in range(M.cols)]
+                                for M in matrices]).encode()).hexdigest()

@@ -23,7 +23,8 @@ from matgraph import (
 from matgraph.evaluation import _eval_nodes, graph_degree_bound
 from matgraph.graph import get_topo_order
 
-from support import as_mp_matrix, forward_jac, mp_bits, oracle_eval_mp_matrix, random_graph
+from support import (as_mp_matrix, forward_jac, mp_bits, mp_digest, mp_eval_inputs,
+                     oracle_eval_mp_matrix, random_graph)
 
 
 def scalar_bits(x):
@@ -99,6 +100,36 @@ class TestScalarAndMatrix:
         g = graph_exp_pade_ss(13, 1, bigfloat(256))[0]
         A = as_mp_matrix(rng.standard_normal((6, 6)) / 4, 256)
         assert mp_bits(eval_graph(g, A, prec=128)) == mp_bits(oracle_eval_mp_matrix(g, A, 128))
+
+    @pytest.mark.parametrize("prec", [113, 256])
+    def test_one_by_one_mp_matrix_bits_equal_mpmath_operators(self, prec):
+        # a 1 x 1 solve divides the raw entries, wider than the working precision
+        with mp.workprec(prec + 40):
+            A = mp.matrix([[mp.mpf(7) / 3]])
+        ct = bigfloat(prec)
+        for g, _ in (graph_denman_beavers(3, ct), graph_exp_pade_ss(13, 2, ct)):
+            assert mp_bits(eval_graph(g, A)) == mp_bits(oracle_eval_mp_matrix(g, A))
+
+    @pytest.mark.parametrize("ct", [bigfloat(256), None])
+    def test_mp_matrix_read_once_and_each_output_written_once(self, monkeypatch, ct):
+        # a binary64 graph's float coefficients are read exactly, as mpmath's
+        # operators read them, so it takes the pairs too
+        from matgraph.numerics import PairMatrix
+
+        reads, writes = [], []
+        read, write = PairMatrix.read.__func__, PairMatrix.matrix
+        monkeypatch.setattr(PairMatrix, "read", classmethod(
+            lambda cls, M, *a: reads.append(M) or read(cls, M, *a)))
+        monkeypatch.setattr(PairMatrix, "matrix", lambda self: writes.append(1) or write(self))
+        g, _ = graph_denman_beavers(4, ct) if ct else graph_denman_beavers(4)
+        g.add_output(g.parents[g.outputs[0]][0])
+        A = as_mp_matrix(np.eye(5) + 0.1 * np.random.default_rng(3).standard_normal((5, 5)), 256)
+        with mp.workprec(256):
+            out = eval_graph(g, A)
+            want = oracle_eval_mp_matrix(g, A)
+        assert [M is A for M in reads].count(True) == 1 and len(reads) == 2
+        assert len(writes) == len(out) == 2
+        assert [mp_bits(X) for X in out] == [mp_bits(Y) for Y in want]
 
     def test_square_output_node_workflow(self):
         g, _ = graph_monomial([1.0, 0.0, 3.0])
@@ -378,3 +409,43 @@ class TestPointVectors:
         for run in (lambda: eval_graph(g, pts), lambda: eval_jac(g, pts, [CoeffRef("S", 1)])):
             with pytest.raises(SingularMatrixError, match="point index 2"):
                 run()
+
+
+class TestMpMatrixEdges:
+    """The benchmark's mp-eval outputs, and empty and non-finite extended-precision matrices."""
+
+    # sha256 (support.mp_digest) of X and E of the mp-eval workload at seeds 1-3,
+    # as the kernels on canonical libmp tuples computed them before the pair kernels
+    MP_EVAL = {1: "4643af4bed94ee6802c4a529a0025b39ce3dd64a89b39c42da9edb8f18b0afaa",
+               2: "3763b3ce726933f8e9d46f9aafb09a5be15da04fa09ed11a7d6131569dbdcceb",
+               3: "605c3337fc21d3ddeb82bd9c106e7f34427530681c0cb078042ad60c30179dfb"}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mp_eval_outputs_pinned(self, seed):
+        A, B = mp_eval_inputs(seed)
+        X = eval_graph(graph_denman_beavers(4, bigfloat(256))[0], A)
+        E = eval_graph(graph_exp_pade_ss(13, 3, bigfloat(256))[0], B)
+        assert mp_digest(X, E) == self.MP_EVAL[seed]
+
+    def test_empty_matrix_gives_an_empty_result(self):
+        g64, _ = graph_denman_beavers(2)
+        g = convert_precision(g64, bigfloat(256))
+        assert eval_graph(g64, np.zeros((0, 0))).shape == (0, 0)
+        out = eval_graph(g, np.zeros((0, 0)))
+        assert out.shape == (0, 0) and out.dtype == object
+        X = eval_graph(g, mp.matrix(0, 0))
+        assert (X.rows, X.cols) == (0, 0)
+
+    @pytest.mark.parametrize("kind", ["ndarray", "mpmath"])
+    def test_nan_entry_gives_nan_and_an_infinite_one_is_named(self, kind):
+        # binary64 gives NaN for both; mpmath's own LU finds no pivot in the first
+        # and calls the second numerically singular
+        g, _ = graph_denman_beavers(2, bigfloat(256))
+        A = np.array([[4.0, np.nan], [1.0, 9.0]])
+        arg = A if kind == "ndarray" else mp.matrix(A.tolist())
+        out = eval_graph(g, arg)
+        assert all(mp.isnan(out[i, j]) for i in range(2) for j in range(2))
+        A[0, 1] = np.inf
+        arg = A if kind == "ndarray" else mp.matrix(A.tolist())
+        with pytest.raises(SingularMatrixError, match=r"entry \(0, 1\) .* not finite"):
+            eval_graph(g, arg)

@@ -1,3 +1,4 @@
+import contextlib
 import time
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from matgraph.numerics import (
 from matgraph import numerics
 from matgraph.numerics import (
     LIMB_BITS,
+    PairMatrix,
     _householder,
     _int_vector,
     _implicit_ql,
@@ -165,12 +167,29 @@ class TestLuSolve:
                 # the pivot search takes one reciprocal row sum per candidate row:
                 # n + (n - 1) + ... + 2 for the one factorisation of A
                 reciprocals = []
-                rdiv = numerics.mpf_rdiv_int
-                monkeypatch.setattr(numerics, "mpf_rdiv_int",
-                                    lambda *a: reciprocals.append(1) or rdiv(*a))
+                reciprocal = numerics._reciprocal
+                monkeypatch.setattr(numerics, "_reciprocal",
+                                    lambda *a: reciprocals.append(1) or reciprocal(*a))
                 X = mat_lu_solve(A, B)
                 assert len(reciprocals) == n * (n + 1) // 2 - 1
         assert all(mp_bits(X.column(j)) == mp_bits(want[j]) for j in range(n))
+
+    def test_empty_mp_matrices_solve_to_an_empty_one(self):
+        X = mat_lu_solve(mp.matrix(0, 0), mp.matrix(0, 0))
+        assert (X.rows, X.cols) == (0, 0)
+        empty = np.zeros((0, 0), dtype=object)
+        assert mat_lu_solve(empty, empty).shape == (0, 0)
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_mp_non_finite_coefficient_matrix(self, is_complex):
+        # a NaN entry of A makes every entry of X NaN; an infinite one is named
+        B = mp.eye(2) * (mp.mpc(1, 1) if is_complex else 1)
+        with working_precision(256):
+            X = mat_lu_solve(mp.matrix([[4, mp.nan], [1, 9]]), B)
+            assert (X.rows, X.cols) == (2, 2)
+            assert all(mp.isnan(X[i, j]) for i in range(2) for j in range(2))
+            with pytest.raises(SingularMatrixError, match=r"entry \(1, 0\) .* not finite"):
+                mat_lu_solve(mp.matrix([[4, 2], [-mp.inf, 9]]), B)
 
     def test_residual_well_conditioned(self):
         rng = np.random.default_rng(5)
@@ -227,6 +246,24 @@ class TestDenseKernelsMatchMpmath:
             assert mp_bits(mp_lincomb(c1, A, c2, B)) == mp_bits(oracle_mp_lincomb(c1, A, c2, B))
             I = mp.eye(n)
             assert mp_bits(mp_lincomb(c1, I, c2, A)) == mp_bits(oracle_mp_lincomb(c1, I, c2, A))
+
+    @pytest.mark.parametrize("prec", [113, 256])
+    @pytest.mark.parametrize("c1,c2", [(0.1, -3), (np.float64(1 / 3), 3 ** 200),
+                                       (0.0, -(2.0 ** -1000)), (1.5, float("nan")),
+                                       (float("inf"), 2)])
+    def test_lincomb_reads_float_and_int_coefficients_exactly(self, prec, c1, c2):
+        # mpmath's operators read a float or an int exactly, never rounded to
+        # the working precision first; a non-finite one takes mpmath's route
+        rng = np.random.default_rng(prec)
+        A, B = (_mp_rand(rng, 4, 4, prec, False) for _ in range(2))
+        with working_precision(prec):
+            want = oracle_mp_lincomb(c1, A, c2, B)
+            assert mp_bits(mp_lincomb(c1, A, c2, B)) == mp_bits(want)
+            if all(map(mp.isfinite, (c1, c2))):
+                a, b = PairMatrix.read(A, (c1, c2)), PairMatrix.read(B)
+                assert mp_bits(PairMatrix.lincomb(c1, a, c2, b).matrix()) == mp_bits(want)
+            else:
+                assert PairMatrix.read(A, (c1, c2)) is None
 
     @pytest.mark.parametrize("prec", [113, 256])
     @pytest.mark.parametrize("is_complex", [False, True])
@@ -457,6 +494,117 @@ class TestDenseKernelsMatchMpmath:
             assert mp_bits(L) == (2, 2, {}) == mp_bits(oracle_mp_lincomb(3, B, -3, B))
             assert (1, 0) not in X._matrix__data
             self.assert_all_three_match(A, B, B, mp.mpf(3), mp.mpf(-3))
+
+    @pytest.mark.parametrize("prec", [113, 256])
+    def test_wide_entry_minus_a_zero_product_is_rounded(self, prec):
+        # x of P + 20 bits, P = prec + 10, meets a zero multiplier in the
+        # elimination and a zero L or U entry in each substitution; x - 0 is x
+        # rounded to P bits, and dividing by 3 then shows the rounding
+        P = prec + 10
+        x = mp.make_mpf(libmp.from_man_exp((1 << (P + 19)) + (1 << 19) + 1, -P))
+        with working_precision(prec):
+            for A, B in ((mp.matrix([[2, 1], [0, x]]), mp.matrix([[1], [1]])),
+                         (mp.matrix([[3, 0], [0, 3]]), mp.matrix([[x, 1], [x, x]]))):
+                assert mp_bits(mat_lu_solve(A, B)) == mp_bits(oracle_mp_lu_solve(A, B))
+
+    def test_exact_cancellation_inside_the_elimination(self, monkeypatch):
+        # 3 - (1/2) 6 cancels in the first elimination step, and entries of B
+        # cancel in the forward substitution: each a zero pair whose exponent
+        # is not 0, which the pivot search, the substitutions and the
+        # write-back read as 0
+        zeros, fms = [], numerics._fms
+
+        def spy(*args):
+            out = fms(*args)
+            zeros.extend(e for m, e in out if not m and e)
+            return out
+
+        monkeypatch.setattr(numerics, "_fms", spy)
+        scale = mp.mpf(2) ** -50
+        A = mp.matrix([[1, 3, 1], [2, 6, 1], [1, 1, 4]]) * scale
+        B = mp.matrix([[1, 2], [2, 2], [3, 1]]) * scale
+        with working_precision(256):
+            X = mat_lu_solve(A, B)
+            assert mp_bits(X) == mp_bits(oracle_mp_lu_solve(A, B))
+        assert zeros
+
+    @pytest.mark.parametrize("prec", [113, 256])
+    def test_equal_pivot_weights_take_the_first_row(self, prec):
+        # rows 0 and 1 both have |a_k0| / s_k = 3/6: mpmath keeps the first
+        A = mp.matrix([[3, 1, 2], [3, 2, 1], [1, 1, 5]])
+        with mp.workprec(prec + 20):
+            B = mp.matrix([[1, 2], [5, 1], [2, 7]]) / 3
+        with working_precision(prec):
+            assert mp_bits(mat_lu_solve(A, B)) == mp_bits(oracle_mp_lu_solve(A, B))
+            assert mp_bits(mat_lu_solve(A.T, B)) == mp_bits(oracle_mp_lu_solve(A.T, B))
+
+    @pytest.mark.parametrize("prec", [113, 256])
+    @pytest.mark.parametrize("case", ["dropped-term", "wide-term"])
+    def test_pivot_row_sums_as_mpmath_forms_them(self, prec, case):
+        # rows 0 and 1 tie at |a_k0| / s_k = 1/2, and row 0 wins, only because
+        # s_0 = 2 + h + t rounds to 2 at P = prec + 10 bits, h = 2^(1 - P) being
+        # half an ulp of 2: mpf_sum drops t = 2^(-3P - 5), more than 2P bits
+        # below the rest, and the pivot search rounds a wide h (1 + 2^(-P - 20))
+        # to h before adding
+        P = prec + 10
+        with mp.workprec(4 * P):
+            h, t = mp.mpf(2) ** (1 - P), mp.mpf(2) ** (-3 * P - 5)
+            if case == "wide-term":
+                h, t = h * (1 + mp.mpf(2) ** (-P - 20)), 0
+            A = mp.matrix([[1, h, t, 1], [1, 1, mp.mpf(2) ** (1 - P), 0],
+                           [0, 1, 1, 3], [1, 0, 2, 1]])
+            B = mp.matrix([[1, 2], [5, 1], [2, 7], [4, 4]]) / 3
+        with working_precision(prec):
+            assert mp_bits(mat_lu_solve(A, B)) == mp_bits(oracle_mp_lu_solve(A, B))
+
+    @pytest.mark.parametrize("prec", [113, 256])
+    def test_pairs_with_trailing_zeros_decide_as_canonical_ones(self, prec):
+        # the kernels keep trailing zeros in their pairs, so pair exponents are
+        # not libmp's: here 2^K, 1 and -2^K all sit at pair exponent 0, while
+        # their lowest set bits span K > 2p and mpf_sum drops the 1
+        K = 2 * prec + 40
+        rng = np.random.default_rng(prec)
+        big, one = (1 << K, 0), (1, 0)
+        A = PairMatrix([[big, one, (-big[0], 0)], [one, big, one], [big, big, one]], 3)
+        pad = [(m << z, e - z) for (m, e), z in zip(((5, -3), (1, 0), (-7, 2)),
+                                                    rng.integers(0, 2 * prec, 3).tolist())]
+        B = PairMatrix([[one, pad[0], pad[1]], [one, pad[2], pad[0]], [one, pad[1], one]], 3)
+        with working_precision(prec):
+            MA, MB = A.matrix(), B.matrix()
+            assert mp_bits((A * B).matrix()) == mp_bits(oracle_mp_matmul(MA, MB))
+            assert (A * B).matrix()[0, 0] == 0
+            c1, c2 = mp.mpf(1) / 3, mp.mpf(-2) ** -K
+            assert (mp_bits(PairMatrix.lincomb(c1, A, c2, B).matrix())
+                    == mp_bits(oracle_mp_lincomb(c1, MA, c2, MB)))
+            for S in (B, PairMatrix([[(m << 9, e - 9) for m, e in r] for r in B.data], 3)):
+                assert (mp_bits(mat_lu_solve(S, A).matrix())
+                        == mp_bits(oracle_mp_lu_solve(S.matrix(), MA)))
+
+    @pytest.mark.parametrize("prec", [113, 256])
+    @pytest.mark.parametrize("d,singular", [(-1, True), (0, True), (1, False)])
+    def test_last_pivot_at_the_tolerance(self, prec, d, singular):
+        # the last pivot is d' = 2^(3 + d - P) against tol = (4 + d') 2^(1 - P),
+        # 4 + d' rounded to P = prec + 10 bits: d' lies below tol for d = -1
+        # (4 + d' rounds to 4) and d = 0, and above it for d = 1
+        P = prec + 10
+        with mp.workprec(2 * P):
+            A = mp.matrix([[1, 0, 1], [0, 1, 1], [1, 1, 2 + mp.mpf(2) ** (3 + d - P)]])
+        with working_precision(prec):
+            self.assert_all_three_match(A, mp.eye(3), mp.eye(3), mp.mpf(1), mp.mpf(1))
+            with pytest.raises(SingularMatrixError) if singular else contextlib.nullcontext():
+                mat_lu_solve(A, mp.eye(3))
+
+    @pytest.mark.parametrize("prec", [113, 256])
+    def test_one_by_one(self, prec):
+        # a 1 x 1 solve is one correctly rounded division of the raw entries,
+        # and singular only at 0
+        with mp.workprec(prec + 60):
+            a, b = mp.mpf(7) / 3, mp.mpf(-5) / 9
+        with working_precision(prec):
+            for A, B in ((mp.matrix([[a]]), mp.matrix([[b, 1, 0]])),
+                         (mp.matrix([[2 ** -900]]), mp.matrix([[b]])),
+                         (mp.matrix([[0]]), mp.matrix([[b]]))):
+                self.assert_all_three_match(A, B, B, a, b)
 
 
 @st.composite
