@@ -13,16 +13,16 @@ it (:func:`_argument`: exactly, at extended precision):
 * 2-d numpy arrays: dense matrices, the linear solve done by LU with
   partial pivoting.  An extended-precision graph runs one, an empty one
   too, as the ``mpmath.matrix`` of its entries and returns an object array;
-* ``mpmath.matrix``: extended-precision dense matrices.  A real one of
-  finite entries, in a graph whose coefficients are all finite reals, is
-  read once into a :class:`~matgraph.numerics.PairMatrix` (rows of integer
-  mantissa and exponent pairs); every node runs on pairs, and each output
-  is written back once as an ``mpmath.matrix``.  Any other runs node by
-  node through :mod:`.numerics`' ``mpmath.matrix`` kernels, which read and
-  write pairs per call, or call mpmath's own matrix code for complex and
-  non-finite operands.  All give mpmath's results bit for bit, except that
-  a solve whose coefficient matrix has a NaN entry gives NaN entries, and
-  one with an infinite entry raises ``SingularMatrixError`` naming it;
+* ``mpmath.matrix``: extended-precision dense matrices, by one of two
+  routes.  A real one of finite entries, in a graph whose coefficients are
+  all finite reals, is read once into a
+  :class:`~matgraph.numerics.PairMatrix` (rows of integer mantissa and
+  exponent pairs); every node runs on pairs, and each output is written
+  back once as an ``mpmath.matrix``.  Any other runs on mpmath's own
+  matrix operators, its solves through ``mat_lu_solve``.  Both give
+  mpmath's results bit for bit, except that a solve whose coefficient
+  matrix has a NaN entry gives NaN entries, and one with an infinite entry
+  raises ``SingularMatrixError`` naming it;
 * :class:`~matgraph.series.TruncSeries`: truncated-series semantics, the
   route by which a graph's series expansion is extracted (a linear solve
   becomes series division and needs a nonzero denominator constant term);
@@ -49,12 +49,9 @@ from .numerics import (
     FixedVector,
     PairMatrix,
     SingularMatrixError,
-    is_mp_matrix,
     is_scalar,
     lincomb_fixed,
     mat_lu_solve,
-    mp_lincomb,
-    mp_matmul,
     working_precision,
 )
 from .series import FixedSeries, TruncSeries
@@ -154,7 +151,7 @@ _POINTS = _Ops(lambda x: _points_full(x, 1), operator.mul, _points_ldiv)
 _FIXED = _Ops(lambda x: FixedVector.constant(len(x), 1), operator.mul,
               lambda v1, v2: v2 / v1, lincomb_fixed)
 _NP_MATRIX = _Ops(lambda x: np.eye(x.shape[0], dtype=x.dtype), operator.matmul, _matrix_ldiv)
-_MP_MATRIX = _Ops(lambda x: mp.eye(x.rows), mp_matmul, _matrix_ldiv, mp_lincomb)
+_MP_MATRIX = _Ops(lambda x: mp.eye(x.rows), operator.mul, _matrix_ldiv)
 _PAIRS = _Ops(lambda x: PairMatrix.read(mp.eye(x.rows)), operator.mul, _matrix_ldiv,
                PairMatrix.lincomb)
 _SERIES = _Ops(lambda x: TruncSeries.constant(1, x.nterms), operator.mul,
@@ -176,7 +173,7 @@ def _ops_for(x) -> _Ops:
                 raise EvalError("matrix argument must be square")
             return _NP_MATRIX
         raise EvalError(f"unsupported array rank {x.ndim}")
-    if is_mp_matrix(x):
+    if isinstance(x, mpmath.matrix):
         if x.rows != x.cols:
             raise EvalError("matrix argument must be square")
         return _MP_MATRIX
@@ -254,7 +251,7 @@ def eval_graph(g: ComputationGraph, x, prec: int | None = None):
         if isinstance(x, (np.ndarray, FixedVector)):  # an extended-precision graph read it
             results = [r.numbers() if isinstance(r, FixedVector) else
                        np.array(r.tolist(), dtype=object).reshape(r.rows, r.cols)
-                       if is_mp_matrix(r) else r for r in results]
+                       if isinstance(r, mpmath.matrix) else r for r in results]
     return results[0] if len(results) == 1 else results
 
 

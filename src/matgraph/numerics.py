@@ -15,9 +15,9 @@ extended-precision matrix operations (product, linear combination and the
 partially pivoted LU solve) run on a :class:`PairMatrix`, rows of integer
 (mantissa, exponent) pairs read once from a real ``mpmath.matrix`` of
 finite entries, each rounded by one helper, and give mpmath's results bit
-for bit (:func:`mp_matmul`, :func:`mp_lincomb` and :func:`mat_lu_solve`
-read, run and write back one operation); terms too far apart to add
-exactly go to libmp, complex and non-finite operands to mpmath's routines.
+for bit; terms too far apart to add exactly go to libmp.
+:func:`mat_lu_solve` reads two ``mpmath.matrix`` the same way and writes
+X back, and solves complex and non-finite operands by mpmath's routines.
 
 A 1-d vector of extended-precision points is a :class:`FixedVector`:
 Python integers at one shared exponent, set after every operation by the
@@ -164,10 +164,6 @@ def convert_scalar(x, ct: CoeffType):
 # dense matrices
 
 
-def is_mp_matrix(x) -> bool:
-    return isinstance(x, mpmath.matrix)
-
-
 def mat_lu_solve(A, B):
     """Solve A X = B by partially pivoted LU; raise on a singular pivot.
 
@@ -192,7 +188,7 @@ def mat_lu_solve(A, B):
             return np.linalg.solve(A, B)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(str(exc)) from exc
-    if not (is_mp_matrix(A) and is_mp_matrix(B) or
+    if not (isinstance(A, mpmath.matrix) and isinstance(B, mpmath.matrix) or
             isinstance(A, PairMatrix) and isinstance(B, PairMatrix)):
         raise TypeError(f"cannot solve with A a {type(A).__name__} and B a {type(B).__name__}: "
                         "give two numpy arrays (A 2-d) or two mpmath.matrix")
@@ -375,19 +371,6 @@ class PairMatrix:
         (m1, e1), (m2, e2) = _scalar(c1), _scalar(c2)
         return PairMatrix([_fms(_fms(zero, (-m1, e1), a, p), (-m2, e2), b, p)
                            for a, b in zip(A.data, B.data)], A.cols)
-
-
-def mp_matmul(A, B):
-    """``A * B`` for ``mpmath.matrix`` operands, bit-identical to mpmath's."""
-    a, b = PairMatrix.read(A), PairMatrix.read(B)
-    return A * B if a is None or b is None else (a * b).matrix()
-
-
-def mp_lincomb(c1, A, c2, B):
-    """``A * c1 + B * c2`` for ``mpmath.matrix`` operands, bit-identical to mpmath's; the
-    coefficients are read as they are, never rounded first, as ``mpf`` operators read them."""
-    a, b = PairMatrix.read(A, (c1, c2)), PairMatrix.read(B)
-    return A * c1 + B * c2 if a is None or b is None else PairMatrix.lincomb(c1, a, c2, b).matrix()
 
 
 def _lu_solve(a, b, p):
@@ -826,8 +809,9 @@ def _implicit_ql(d, e, F):
             p = 0
             for i in range(m - 1, l - 1, -1):
                 f, b = s * e[i] >> F, c * e[i] >> F
-                e[i + 1] = r = math.isqrt(f * f + g * g)
-                c, s = ((g << F) // r, (f << F) // r) if r else (one, 0)
+                R = math.isqrt((f * f + g * g) << 2 * F)  # c^2 + s^2 = 1 to 2^-F, not 1/r
+                e[i + 1] = R >> F
+                c, s = ((g << 2 * F) // R, (f << 2 * F) // R) if R else (one, 0)
                 g = d[i + 1] - p
                 r = ((d[i] - g) * s + 2 * c * b) >> F
                 p = s * r >> F

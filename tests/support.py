@@ -18,7 +18,7 @@ from matgraph import (CertificationError, CoeffRef, CoeffType, ComputationGraph,
 from matgraph.graph import IDENTITY_ID, _drop, _retarget
 from matgraph.codegen import Schedule
 from matgraph.evaluation import _precision_context
-from matgraph.numerics import convert_scalar, working_precision
+from matgraph.numerics import PairMatrix, convert_scalar, working_precision
 
 
 def as_mp_matrix(data, prec: int) -> mpmath.matrix:
@@ -798,8 +798,9 @@ def compile_and_run_c(src: str, header: str, fn: str, A: np.ndarray) -> np.ndarr
 
 # ---------------------------------------------------------------------------
 # mpmath.matrix oracles: the dense extended-precision path through mpmath's
-# own matrix operators, which the raw-tuple kernels of matgraph.numerics
-# must reproduce bit for bit
+# own matrix operators, which the pair kernels of matgraph.numerics must
+# reproduce bit for bit; mp_matmul and mp_lincomb run one kernel as an
+# mpmath.matrix operation (read into pairs, run, write back)
 
 
 def oracle_mp_matmul(A, B):
@@ -810,6 +811,19 @@ def oracle_mp_matmul(A, B):
 def oracle_mp_lincomb(c1, A, c2, B):
     """``A * c1 + B * c2`` by mpmath's scalar product and matrix sum."""
     return A * c1 + B * c2
+
+
+def mp_matmul(A, B):
+    """``A * B`` for ``mpmath.matrix`` operands, bit-identical to mpmath's."""
+    a, b = PairMatrix.read(A), PairMatrix.read(B)
+    return A * B if a is None or b is None else (a * b).matrix()
+
+
+def mp_lincomb(c1, A, c2, B):
+    """``A * c1 + B * c2`` for ``mpmath.matrix`` operands, bit-identical to mpmath's; the
+    coefficients are read as they are, never rounded first, as ``mpf`` operators read them."""
+    a, b = PairMatrix.read(A, (c1, c2)), PairMatrix.read(B)
+    return A * c1 + B * c2 if a is None or b is None else PairMatrix.lincomb(c1, a, c2, b).matrix()
 
 
 def oracle_mp_lu_solve(A, B):

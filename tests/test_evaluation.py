@@ -77,15 +77,17 @@ class TestScalarAndMatrix:
             M = eval_graph(g, A)
             assert M[0, 0] == 88 and M[1, 1] == 169
 
-    @pytest.mark.parametrize("is_complex", [False, True])
+    # "graph": a complex-kind graph at the real matrix of the False case, which
+    # runs on mpmath's operators since its coefficients are not read as pairs
+    @pytest.mark.parametrize("is_complex", [False, True, "graph"])
     @pytest.mark.parametrize("graph", ["denman-beavers-4", "pade-13-3"])
     def test_mp_matrix_bits_equal_mpmath_operators(self, graph, is_complex):
-        rng = np.random.default_rng(7 + is_complex)
+        rng = np.random.default_rng(7 + (is_complex is True))
         n = 16
         M = np.eye(n) + 0.2 * rng.standard_normal((n, n))
-        if is_complex:
+        if is_complex is True:
             M = M + 0.2j * rng.standard_normal((n, n))
-        ct = bigfloat(256, is_complex)
+        ct = bigfloat(256, bool(is_complex))
         g = (graph_denman_beavers(4, ct) if graph == "denman-beavers-4"
              else graph_exp_pade_ss(13, 3, ct))[0]
         A = as_mp_matrix(M, 256)
@@ -130,6 +132,23 @@ class TestScalarAndMatrix:
         assert [M is A for M in reads].count(True) == 1 and len(reads) == 2
         assert len(writes) == len(out) == 2
         assert [mp_bits(X) for X in out] == [mp_bits(Y) for Y in want]
+
+    def test_complex_graph_at_real_mp_matrix_runs_on_mpmath_operators(self, monkeypatch):
+        # complex coefficients cannot be read as pairs: the one read in
+        # _eval_nodes is refused, and no node reads or writes pairs after it
+        from matgraph.numerics import PairMatrix
+
+        reads, writes = [], []
+        read, write = PairMatrix.read.__func__, PairMatrix.matrix
+        monkeypatch.setattr(PairMatrix, "read", classmethod(
+            lambda cls, M, *a: reads.append(M) or read(cls, M, *a)))
+        monkeypatch.setattr(PairMatrix, "matrix", lambda self: writes.append(1) or write(self))
+        coeffs = [1 / mp.factorial(j) for j in range(9)]
+        g = graph_ps(coeffs, bigfloat(256, is_complex=True))[0]
+        A = as_mp_matrix(np.random.default_rng(4).standard_normal((6, 6)) / 4, 256)
+        out = eval_graph(g, A)
+        assert len(reads) == 1 and reads[0] is A and writes == []
+        assert mp_bits(out) == mp_bits(oracle_eval_mp_matrix(g, A))
 
     def test_square_output_node_workflow(self):
         g, _ = graph_monomial([1.0, 0.0, 3.0])
@@ -302,6 +321,19 @@ class TestPrecisionRule:
         assert points.dtype == object and points[0] == want
         assert eval_graph(g, 0.1 + 0.2j) == eval_graph(g, mp.mpc(0.1, 0.2))
         assert eval_graph(g, np.array([0.1 + 0.2j]))[0] == eval_graph(g, mp.mpc(0.1, 0.2))
+
+    def test_binary64_graph_at_mpc_points(self):
+        # an object array of mpmath points runs entry by entry in mpmath, as
+        # the scalar evaluation at each point does
+        g, _ = graph_monomial([1.0, 0.5, 0.25])
+        g.add_ldiv("Q", "A", g.outputs[0])
+        g.set_outputs(["Q"])
+        with mp.workprec(128):
+            zs = [mp.mpc(1, 2) / 3, mp.mpc(-0.5, 0.25), mp.mpc(2)]
+            got = eval_graph(g, np.array(zs, dtype=object))
+            assert got.dtype == object and len(got) == 3
+            for value, z in zip(got, zs):
+                assert scalar_bits(value) == scalar_bits(eval_graph(g, z))
 
     def test_integer_numpy_arguments_never_wrap(self):
         # (2^40)^2 overflows int64: a binary64 graph reads integer numpy

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mp
 
@@ -14,8 +14,6 @@ from matgraph.numerics import (
     bigfloat,
     convert_scalar,
     mat_lu_solve,
-    mp_lincomb,
-    mp_matmul,
     truncated_lstsq,
     working_precision,
 )
@@ -31,8 +29,9 @@ from matgraph.numerics import (
     _to_fixed,
 )
 
-from support import (as_mp_matrix, gram_eig_lstsq, mp_bits, oracle_mp_lincomb,
-                     oracle_mp_lu_solve, oracle_mp_matmul, pairwise_normal_equations)
+from support import (as_mp_matrix, gram_eig_lstsq, mp_bits, mp_lincomb, mp_matmul,
+                     oracle_mp_lincomb, oracle_mp_lu_solve, oracle_mp_matmul,
+                     pairwise_normal_equations)
 
 
 class TestCoeffType:
@@ -856,6 +855,7 @@ class TestTruncatedLstsq:
     @given(seed=st.integers(0, 2 ** 32 - 1), prec=st.sampled_from([128, 256]),
            droptol=st.sampled_from([1e-8, 1e-15, 1e-30]), complex_=st.booleans(),
            K=st.integers(2, 6), duplicates=st.integers(0, 2))
+    @example(seed=1, prec=128, droptol=1e-30, complex_=True, K=4, duplicates=0)
     def test_rank_and_step_within_the_stated_accuracy(self, seed, prec, droptol, complex_, K,
                                                       duplicates):
         # graded columns 2^-s, s up to 16 bits past sqrt of the drop threshold,

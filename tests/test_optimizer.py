@@ -17,6 +17,7 @@ from matgraph import (
     bigfloat,
     compute_bwd_theta_exp,
     convert_precision,
+    eval_jac,
     gn_step,
     graph_monomial,
     graph_monomial_degopt,
@@ -25,6 +26,7 @@ from matgraph import (
     residual,
 )
 from matgraph import optimizer
+from matgraph.autodiff import JacobianMatrix
 from matgraph.targets import exp_target, sqrt1p_target
 
 from support import gram_eig_lstsq
@@ -169,6 +171,18 @@ class TestGnStep:
             delta = gn_step(Aob, bob, GNConfig(droptol=1e-20))
         got = np.array([complex(x) for x in delta])
         assert np.allclose(got, want, rtol=1e-9)
+
+    @pytest.mark.parametrize("ct", [None, bigfloat(256)])
+    def test_jacobian_matrix_gives_the_step_of_its_entries(self, ct):
+        coeffs = [1.0 / math.factorial(j) for j in range(6)]
+        g, cref = graph_monomial(coeffs, ct) if ct else graph_monomial(coeffs)
+        z = 0.45 * np.exp(2j * np.pi * np.arange(12) / 12)
+        J, r, config = eval_jac(g, z, cref), np.exp(z), GNConfig(droptol=1e-20)
+        with mp.workprec(256):
+            if J.columns is not None:  # kept as FixedVector columns, read as they are
+                assert list(gn_step(J, r, config)) == list(gn_step(J.columns, r, config))
+                J = JacobianMatrix(J.entries, J.points, J.refs)
+            assert list(gn_step(J, r, config)) == list(gn_step(J.entries, r, config))
 
 
 class TestGnStepAgainstEigsy:
