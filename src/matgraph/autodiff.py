@@ -57,18 +57,15 @@ class JacobianMatrix:
 
 
 def as_point_array(points) -> np.ndarray:
-    """1-d array of evaluation points (a scalar is one); extended-precision scalars stay objects."""
+    """1-d array of points (a scalar is one): objects as they are, others at least complex128."""
     if isinstance(points, FixedVector):
         return points
     arr = np.asarray(points)
     if arr.ndim > 1:
         raise ValueError(f"points must be a scalar or a 1-d array, not {arr.ndim}-d")
-    arr = arr.reshape(-1)
-    if arr.dtype == object:
-        return arr
-    if not np.iscomplexobj(arr):
-        arr = arr.astype(np.complex128)
-    return arr
+    if arr.dtype != object:
+        arr = arr.astype(np.result_type(arr.dtype, np.complex128), copy=False)
+    return arr.reshape(-1)
 
 
 def forward_pass(g: ComputationGraph, points) -> dict:

@@ -73,14 +73,15 @@ def _argument(g: ComputationGraph, x):
     mpmath numbers of the same value, a 1-d ndarray as the
     :class:`~matgraph.numerics.FixedVector` of its exact values, and a 2-d
     ndarray as an ``mpmath.matrix``, so that nothing runs in binary64 or in
-    numpy's object arithmetic.  A binary64 graph reads integer numpy values
-    as float64, never in wrapping int64.  Any other argument is returned as
-    it is.
+    numpy's object arithmetic.  A binary64 graph reads numpy numbers and
+    arrays as ``np.result_type(dtype, float64)``: integers never wrap in
+    int64, and float16, float32 and complex64 never run in their own dtype.
+    Any other argument is returned as it is.
     """
     if g.coeff_type.prec is None:
-        if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
-            return x.astype(np.float64)
-        return float(x) if isinstance(x, np.integer) else x
+        if isinstance(x, (np.ndarray, np.number)) and x.dtype.kind in "iufc":
+            return x.astype(np.result_type(x.dtype, np.float64), copy=False)
+        return x
     if isinstance(x, np.ndarray):
         if x.ndim == 1:
             return FixedVector.read(x.tolist())

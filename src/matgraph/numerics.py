@@ -23,7 +23,7 @@ A 1-d vector of extended-precision points is a :class:`FixedVector`:
 Python integers at one shared exponent, set after every operation by the
 smallest entry.  The extended-precision least-squares step
 (:func:`truncated_lstsq`) forms its Gram matrix from exact integer dot
-products of such integers, handed over as they are (:class:`IntVector`).
+products of such integers, each vector read as the real [Re v; Im v].
 The dot products are float64 BLAS products of 16-bit limbs of the
 integers, small enough that no sum rounds (the error-free splitting of
 Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  The Gram matrix
@@ -42,7 +42,6 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -644,26 +643,6 @@ EXACT_TERMS = 2 ** 21
 BLOCK_TERMS = 2 ** 9
 
 
-class IntVector(NamedTuple):
-    """A real vector given as integers at one exponent: entry i is ``ms[i] * 2**e``.
-
-    ``e`` is None for a vector made from a non-finite value.
-    """
-
-    ms: list
-    e: int | None
-
-
-def _int_vector(c) -> IntVector:
-    """``c`` if an :class:`IntVector`, else the exact values of an iterable of real numbers."""
-    if isinstance(c, IntVector):
-        return c
-    v = FixedVector.read(list(c))
-    if not v.real:
-        raise TypeError("least-squares data must be real")
-    return IntVector(v.re, v.exp)
-
-
 def _limb_products(mss):
     """``S[a][c]``, the exact dot product of the integer vectors ``mss[a]`` and ``mss[c]``.
 
@@ -709,19 +688,21 @@ def _limb_products(mss):
 def _normal_equations(cols, b):
     """``(A^T A, A^T b)`` as lists of exact ``(man, exp)`` sums, never rounded.
 
-    Each of ``cols`` and ``b`` is read by :func:`_int_vector`; an exponent
-    of None (a non-finite value) is refused.
+    Each of ``cols`` and ``b`` is read as :func:`truncated_lstsq` says; an
+    exponent of None (a non-finite value) is refused.
     """
-    vecs = [_int_vector(c) for c in (*cols, b)]
-    if any(v.e is None for v in vecs):
+    vecs = [v if isinstance(v, FixedVector) else FixedVector.read(list(v)) for v in (*cols, b)]
+    if len(set(map(len, vecs))) > 1:
+        raise ValueError(f"least-squares operands of unequal lengths {list(map(len, vecs))}")
+    if any(v.exp is None for v in vecs):
         raise ArithmeticError("least-squares data is not finite")
-    S = _limb_products([v.ms for v in vecs])
+    S = _limb_products([v.re + v.im for v in vecs])
     K = len(vecs) - 1
     G = [[None] * K for _ in range(K)]
     for a in range(K):
         for c in range(a, K):
-            G[a][c] = G[c][a] = S[a][c], vecs[a].e + vecs[c].e
-    return G, [(S[a][K], vecs[a].e + vecs[K].e) for a in range(K)]
+            G[a][c] = G[c][a] = S[a][c], vecs[a].exp + vecs[c].exp
+    return G, [(S[a][K], vecs[a].exp + vecs[K].exp) for a in range(K)]
 
 
 def _to_fixed(sums, bits):
@@ -827,10 +808,10 @@ def _implicit_ql(d, e, F):
 def truncated_lstsq(cols, b, droptol):
     """Minimum-norm least-squares solution of ``A x = b`` over the kept singular values.
 
-    ``cols`` are the columns of the real ``A`` and ``b`` its right-hand
-    side, each an :class:`IntVector` (integers at an exponent, as the
-    Gauss-Newton loop hands over its point vectors) or an iterable of real
-    numbers, read exactly.  With A^T A = Q diag(E) Q^T,
+    ``cols`` are the columns of ``A`` and ``b`` its right-hand side, each a
+    :class:`FixedVector` or a sequence of numbers, read exactly; a vector v
+    stands for the real column [Re v; Im v], and operands of unequal length
+    raise ``ValueError``.  With A^T A = Q diag(E) Q^T,
     ``x = sum_j q_j (q_j^T A^T b) / E_j`` over the eigenvalues E_j > 0 with
     E_j > droptol^2 max|E|, i.e. the singular values of A above ``droptol``
     times the largest.  The Gram matrix and A^T b are exact integer sums,

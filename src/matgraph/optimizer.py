@@ -63,7 +63,7 @@ from mpmath import mp
 from .autodiff import JacobianMatrix, as_point_array, eval_jac, forward_pass
 from .evaluation import _argument, _precision_context
 from .graph import CoeffRef, ComputationGraph, GraphError
-from .numerics import FixedVector, IntVector, truncated_lstsq
+from .numerics import FixedVector, truncated_lstsq
 
 
 log = logging.getLogger(__name__)
@@ -265,8 +265,10 @@ def gn_step(J, r, config: GNConfig) -> np.ndarray:
     or, at extended precision, a list of K column
     :class:`~matgraph.numerics.FixedVector`, and ``r`` an array or a
     ``FixedVector``.  Under ``REAL_SVD`` the real and imaginary parts are
-    stacked so the returned update is real.  If every singular value falls
-    below the tolerance the step is zero and a warning is emitted.
+    stacked so the returned update is real (at extended precision by
+    :func:`~matgraph.numerics.truncated_lstsq`, which refuses operands of
+    unequal length as numpy does).  If every singular value falls below the
+    tolerance the step is zero and a warning is emitted.
     """
     if isinstance(J, JacobianMatrix):
         J = J.entries if J.columns is None else J.columns
@@ -276,14 +278,10 @@ def gn_step(J, r, config: GNConfig) -> np.ndarray:
             J = [FixedVector.read(col) for col in J.T]
     real_mode = LinLsqr(config.linlsqr) == LinLsqr.REAL_SVD
     if isinstance(J, list):
-        # one real problem on integers: [Re J; Im J], and for a complex step
-        # the real embedding [[Re J, -Im J], [Im J, Re J]] acting on [Re d; Im d]
-        if not isinstance(r, FixedVector):
-            r = FixedVector.read(np.asarray(r).tolist())
-        cols = [IntVector(c.re + c.im, c.exp) for c in J]
-        if not real_mode:
-            cols += [IntVector([-v for v in c.im] + c.re, c.exp) for c in J]
-        x, kept = truncated_lstsq(cols, IntVector(r.re + r.im, r.exp), config.droptol)
+        # [Re J; Im J] on integers; a complex step adds the columns of iJ: the
+        # real embedding [[Re J, -Im J], [Im J, Re J]] acting on [Re d; Im d]
+        cols = J if real_mode else J + [FixedVector([-v for v in c.im], c.re, c.exp) for c in J]
+        x, kept = truncated_lstsq(cols, r, config.droptol)
         K = len(J)
         out = np.array(x if real_mode else [mp.mpc(a, b) for a, b in zip(x[:K], x[K:])],
                        dtype=object)

@@ -262,6 +262,19 @@ def test_extended_graph_reads_binary64_points_exactly():
         assert got.dtype == object and (got == jac(g, lifted, cref).entries).all()
 
 
+def test_binary64_graph_reads_complex64_points_at_complex128():
+    # the Jacobian and the values of complex64 points are those of the same
+    # points in complex128, and so are a discretization's points
+    g, cref = graph_monomial_degopt([1.0 / math.factorial(j) for j in range(6)])
+    pts = circle_discr(20).astype(np.complex64)
+    wide = pts.astype(np.complex128)
+    got, want = eval_jac(g, pts, cref), eval_jac(g, wide, cref)
+    assert got.entries.dtype == got.values.dtype == np.complex128
+    assert (got.entries == want.entries).all() and (got.values == want.values).all()
+    points = Discretization.from_points(pts).points
+    assert points.dtype == np.complex128 and (points == wide).all()
+
+
 def test_forward_mode_oracle_reads_binary64_points_at_the_graphs_precision():
     # forward_jac lifts complex128 points to 256-bit mpc itself, so the two
     # Jacobians agree to 256-bit round-off, not to binary64's

@@ -348,6 +348,25 @@ class TestPrecisionRule:
         assert eval_graph(gb, np.int64(2 ** 40)) == 1 + 3 * 2 ** 80
         assert eval_graph(gb, np.array([2 ** 40, 3])).tolist() == [1 + 3 * 2 ** 80, 28]
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.complex64])
+    def test_binary64_graph_computes_narrow_arguments_at_binary64(self, dtype):
+        # a float16, float32 or complex64 number or array runs in float64 or
+        # complex128, not in its own dtype (float16 was off by 1.3e-3)
+        g, _ = graph_ps([1, 1, 0.5, 1 / 6])
+        x = (np.array([0.3, -0.7, 0.45]) + (0.2j if dtype == np.complex64 else 0)).astype(dtype)
+        wide = x.astype(np.result_type(dtype, np.float64))
+        got, want = eval_graph(g, x), eval_graph(g, wide)
+        assert got.dtype == want.dtype == wide.dtype and got.tolist() == want.tolist()
+        got = eval_graph(g, x[0])
+        assert got.dtype == wide.dtype and got == eval_graph(g, wide[0]) == want[0]
+
+    def test_binary64_graph_computes_a_float32_matrix_at_binary64(self):
+        # Denman-Beavers(2) at a float32 matrix was off by 1.7e-7
+        g, _ = graph_denman_beavers(2)
+        A = np.array([[2.0, 0.3], [0.3, 1.5]], dtype=np.float32)
+        got, want = eval_graph(g, A), eval_graph(g, A.astype(np.float64))
+        assert got.dtype == np.float64 and got.tolist() == want.tolist()
+
     def test_binary64_matrix_computed_in_extended_precision(self):
         g, _ = graph_exp_pade_ss(13, 0, bigfloat(256))
         A = np.random.default_rng(9).standard_normal((5, 5)) / 4

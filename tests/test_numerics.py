@@ -10,6 +10,7 @@ from mpmath import libmp, mp
 
 from matgraph.numerics import (
     CoeffType,
+    FixedVector,
     SingularMatrixError,
     bigfloat,
     convert_scalar,
@@ -22,7 +23,6 @@ from matgraph.numerics import (
     LIMB_BITS,
     PairMatrix,
     _householder,
-    _int_vector,
     _implicit_ql,
     _limb_products,
     _normal_equations,
@@ -790,7 +790,8 @@ class TestTruncatedLstsq:
         prec, cols, b = self.gram_case(name, np.random.default_rng(75))
         with mp.workprec(prec):
             if name == "many-blocks":
-                width = max(m.bit_length() for c in cols + [b] for m in _int_vector(c).ms)
+                width = max(m.bit_length()
+                            for c in cols + [b] for m in FixedVector.read(list(c)).re)
                 assert len(b) > numerics.BLOCK_TERMS // (width // LIMB_BITS + 1)
             G, y = _normal_equations(cols, b)
             G0, y0 = pairwise_normal_equations(cols, b)
@@ -948,3 +949,12 @@ class TestTruncatedLstsq:
     def test_no_columns_empty_step(self):
         with mp.workprec(128):
             assert truncated_lstsq([], [mp.mpf(1)] * 3, 0.0) == ([], 0)
+
+    @pytest.mark.parametrize("cols, b", [([[1, 2, 3]], [1, 1]), ([[1, 2, 3], [1]], [1, 1, 1])],
+                             ids=["short-rhs", "short-column"])
+    def test_operands_of_unequal_length_refused(self, cols, b):
+        # the Gram product zips rows: a short operand would cut the others to
+        # its length (x = 0.6 and [0.5, 0.5] here) instead of raising
+        with mp.workprec(256):
+            with pytest.raises(ValueError, match="unequal lengths"):
+                truncated_lstsq(cols, b, 0.0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from matgraph import (
 )
 from matgraph import optimizer
 from matgraph.autodiff import JacobianMatrix
+from matgraph.numerics import FixedVector, truncated_lstsq
 from matgraph.targets import exp_target, sqrt1p_target
 
 from support import gram_eig_lstsq
@@ -171,6 +173,35 @@ class TestGnStep:
             delta = gn_step(Aob, bob, GNConfig(droptol=1e-20))
         got = np.array([complex(x) for x in delta])
         assert np.allclose(got, want, rtol=1e-9)
+
+    @pytest.mark.parametrize("prec", [None, 256])
+    def test_residual_of_another_length_refused(self, prec):
+        # both precisions raise; at 256 bits a 1-entry r would otherwise meet
+        # the first two stacked rows of J and give the step 0.2
+        J, r = np.array([[1.0], [2.0], [3.0]]), np.array([1.0])
+        if prec:
+            J = np.array([[mp.mpf(v) for v in row] for row in J], dtype=object)
+        with mp.workprec(prec or 53), pytest.raises(ValueError):
+            gn_step(J, r, GNConfig(droptol=0.0, linlsqr=LinLsqr.REAL_SVD))
+
+    def test_complex_step_is_the_real_step_on_the_embedding(self):
+        # a complex step solves [[Re J, -Im J], [Im J, Re J]] [Re d; Im d] =
+        # [Re r; Im r]: bit for bit the real step on those columns as mpf lists
+        rng = np.random.default_rng(33)
+        K, N = 3, 7
+        with mp.workprec(256):
+            def vec():
+                return [mp.mpc(mp.mpf(a) / 3, mp.mpf(b) / 5)
+                        for a, b in rng.standard_normal((N, 2))]
+
+            cs, rs = [vec() for _ in range(K)], vec()
+            got = gn_step([FixedVector.read(c) for c in cs], FixedVector.read(rs),
+                          GNConfig(droptol=1e-30, linlsqr=LinLsqr.COMPLEX_SVD))
+            cols = ([[z.real for z in c] + [z.imag for z in c] for c in cs]
+                    + [[-z.imag for z in c] + [z.real for z in c] for c in cs])
+            x, kept = truncated_lstsq(cols, [z.real for z in rs] + [z.imag for z in rs], 1e-30)
+            assert kept == 2 * K
+            assert [v._mpc_ for v in got] == [mp.mpc(a, b)._mpc_ for a, b in zip(x[:K], x[K:])]
 
     @pytest.mark.parametrize("ct", [None, bigfloat(256)])
     def test_jacobian_matrix_gives_the_step_of_its_entries(self, ct):
@@ -590,7 +621,9 @@ def test_mixed_multiplicity_design_pinned(monkeypatch, caplog):
 
 def test_benchmark_design_kept_ranks_pinned(monkeypatch):
     # the 100-point, 256-bit design of the benchmark: the rank each step
-    # keeps, which no eigenvalue within 2.3% of the drop threshold can move
+    # keeps, which no eigenvalue within 2.3% of the drop threshold can move,
+    # and, bit for bit, the 34 coefficients, the residual history and the
+    # certified radius with its rounding
     kept, kernel = [], optimizer.truncated_lstsq
 
     def spy(cols, b, droptol):
@@ -607,6 +640,20 @@ def test_benchmark_design_kept_ranks_pinned(monkeypatch):
                               cref, config)
     assert report.iterations == 20 and report.converged
     assert kept == [9, 13, 14, 12, 14, 13, 13, 13, 12, 12, 13, 12, 13, 12, 13, 13, 13, 13, 13, 13]
+    coeffs = repr([c._mpf_ for c in g.get_coeffs(cref)]).encode()
+    assert (hashlib.sha256(coeffs).hexdigest()
+            == "0e36b7abcd690b06bad62ee9db3faa1e8ff6f274e0066fd9aab5a82ef25261ae")
+    assert report.residual_history == [
+        1.6983525702297313e-05, 4.7425210187991095e-07, 0.08933774706968352, 0.4519586133885101,
+        0.015086525352324489, 0.09324726348558875, 0.010072629754861253, 0.15498972890995294,
+        0.04877915339295702, 0.0023424656254125596, 0.002543537747678433, 0.006408757315459341,
+        0.0001790253182771305, 0.0025873677065162554, 0.00012962351228366418,
+        0.001457186825242399, 0.0001942710433983406, 5.8713355225413226e-06,
+        2.6253491470237826e-08, 1.8681912652911407e-13]
+    theta = compute_bwd_theta_exp(g, nterms=100, prec=1024)
+    assert float(theta.theta) == 0.3660546499543931
+    assert theta.theta._mpf_ == (0, 232014698365510378581883739635, -99, 98)
+    assert theta.rounding._mpf_ == (0, 17, -319, 5)
 
 
 def test_design_outcome_survives_round_off_sized_steps(monkeypatch):
@@ -715,6 +762,19 @@ class TestBinary64PointsOnAnExtendedGraph:
             report = opt_gauss_newton(g, exp_target, self.lifted(d) if lift else d, cref, config)
             runs.append((report, g.get_coeffs(cref)))
         assert runs[0] == runs[1] and runs[0][0].iterations == 3
+
+
+def test_binary64_design_reads_complex64_points_at_complex128():
+    # the forward passes run in complex128: the run is that at the widened points
+    runs = []
+    for dtype in (np.complex64, np.complex128):
+        g, cref = graph_monomial_degopt([1.0 / math.factorial(j) for j in range(6)])
+        pts = (0.45 * np.exp(2j * np.pi * np.arange(20) / 20)).astype(np.complex64).astype(dtype)
+        config = GNConfig(errtype=ErrType.REL, stoptol=0.0, droptol=1e-15,
+                          linlsqr=LinLsqr.REAL_SVD, maxiter=3)
+        report = opt_gauss_newton(g, exp_target, Discretization.from_points(pts), cref, config)
+        runs.append((report.residual_history, g.get_coeffs(cref)))
+    assert runs[0] == runs[1]
 
 
 def test_complex_lsq_on_real_graph_rejected():
