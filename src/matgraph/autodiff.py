@@ -30,14 +30,15 @@ class JacobianMatrix:
 
     ``values`` holds g(z_i) when the Jacobian came from a forward pass.
     ``entries`` may be given as a list of K column
-    :class:`~matgraph.numerics.FixedVector`, kept as ``columns``: it is then
-    made an object array of mpmath numbers, at the working precision of the
+    :class:`~matgraph.numerics.FixedVector`, kept as ``columns``, and
+    ``points`` and ``values`` as a ``FixedVector`` each: each is then made
+    an object array of mpmath numbers, at the working precision of the
     construction, when it is first read.  Otherwise ``columns`` is None.
     """
 
     def __init__(self, entries, points, refs, values=None):
         self.columns = entries if isinstance(entries, list) else None
-        self._entries, self.points, self.refs, self.values = entries, points, refs, values
+        self._entries, self._points, self.refs, self._values = entries, points, refs, values
         self._prec = mp.prec
 
     @property
@@ -49,10 +50,26 @@ class JacobianMatrix:
                     self._entries[:, k] = col.numbers()
         return self._entries
 
+    def _numbers(self, v):
+        if not isinstance(v, FixedVector):
+            return v
+        with mp.workprec(self._prec):
+            return v.numbers()
+
+    @property
+    def points(self):
+        self._points = self._numbers(self._points)
+        return self._points
+
+    @property
+    def values(self):
+        self._values = self._numbers(self._values)
+        return self._values
+
     @property
     def shape(self):
         if self.columns is not None:
-            return len(self.points), len(self.columns)
+            return len(self._points), len(self.columns)
         return self._entries.shape
 
 
@@ -149,7 +166,7 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
         zero = FixedVector.constant(len(pts), 0) if fixed else _points_full(pts, 0)
         J = [zero if c is None else c for c in J]
         if fixed:
-            return JacobianMatrix(J, pts.numbers(), refs, values.numbers())
+            return JacobianMatrix(J, pts, refs, values)
         entries = np.empty((len(pts), len(refs)), dtype=zero.dtype)
         for k, c in enumerate(J):
             entries[:, k] = c

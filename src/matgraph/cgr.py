@@ -32,7 +32,7 @@ import mpmath
 from mpmath import libmp, mp
 
 from .graph import ComputationGraph, GraphError, get_topo_order, OpKind
-from .numerics import CoeffType, working_precision
+from .numerics import CoeffType, convert_scalar
 
 
 class CgrError(ValueError):
@@ -56,13 +56,13 @@ def _mpf_to_hex(x) -> str:
 _HEX_RE = re.compile(r"^(-?)0x([0-9a-fA-F]+)p(-?\d+)$")
 
 
-def _hex_to_mpf(text: str, prec: int):
+def _hex_to_raw(text: str, prec: int):
     mobj = _HEX_RE.match(text)
     if not mobj:
         raise ValueError(f"bad hex float {text!r}")
     sign, man, exp = mobj.groups()
     man = -int(man, 16) if sign else int(man, 16)
-    return mp.make_mpf(libmp.from_man_exp(man, int(exp), prec, libmp.round_nearest))
+    return libmp.from_man_exp(man, int(exp), prec, libmp.round_nearest)
 
 
 def _format_number(v, ct: CoeffType) -> str:
@@ -72,8 +72,7 @@ def _format_number(v, ct: CoeffType) -> str:
             re_s, im_s = repr(v.real), repr(v.imag)
         else:
             if not isinstance(v, mpmath.mpc):
-                with mp.workprec(ct.prec):
-                    v = mp.mpc(v)
+                v = convert_scalar(v, ct)
             re_s, im_s = _mpf_to_hex(v.real), _mpf_to_hex(v.imag)
         return f"{re_s}{'+' if not im_s.startswith('-') else ''}{im_s}i"
     if ct.prec is None:
@@ -101,11 +100,10 @@ def _parse_number(text: str, ct: CoeffType, line: int):
                 im_s = im_s[1:]
             if ct.prec is None:
                 return complex(float(re_s), float(im_s))
-            with mp.workprec(ct.prec):
-                return mp.mpc(_hex_to_mpf(re_s, ct.prec), _hex_to_mpf(im_s, ct.prec))
+            return mp.make_mpc((_hex_to_raw(re_s, ct.prec), _hex_to_raw(im_s, ct.prec)))
         if ct.prec is None:
             return float(text)
-        return _hex_to_mpf(text, ct.prec)
+        return mp.make_mpf(_hex_to_raw(text, ct.prec))
     except ValueError as exc:
         raise CgrError(f"cannot parse number {text!r}: {exc}", line) from exc
 
@@ -205,33 +203,33 @@ def parse_cgr(text: str) -> ComputationGraph:
     lineno = input_line
     try:
         g = ComputationGraph(ct, input_id)
-        with working_precision(ct.prec):
-            for lineno, line in statements[1:]:
-                mobj = _COEFF_RE.match(line)
-                if mobj:
-                    slot = int(mobj.group(1))
-                    if slot in pending:
-                        raise CgrError(f"coeff{slot} bound twice before use", lineno)
-                    pending[slot] = _parse_number(mobj.group(2), ct, lineno)
-                    continue
-                mobj = _LINCOMB_RE.match(line)
-                if mobj:
-                    target, p1, p2 = mobj.groups()
-                    _check_assigned_id(target, lineno)
-                    if 1 not in pending or 2 not in pending:
-                        raise CgrError(
-                            "linear combination without preceding coeff1/coeff2 bindings", lineno
-                        )
-                    g.add_lincomb(target, pending.pop(1), p1, pending.pop(2), p2)
-                    continue
-                if pending:
-                    raise CgrError("dangling coeff bindings before a non-lincomb statement", lineno)
-                mobj = _PRODUCT_RE.match(line)
-                if not mobj:
-                    raise CgrError(f"unrecognized statement {line!r}", lineno)
-                target, p1, op, p2 = mobj.groups()
+        for lineno, line in statements[1:]:
+            # each regex runs only on the lines it can match
+            mobj = _COEFF_RE.match(line) if line.startswith("coeff") else None
+            if mobj:
+                slot = int(mobj.group(1))
+                if slot in pending:
+                    raise CgrError(f"coeff{slot} bound twice before use", lineno)
+                pending[slot] = _parse_number(mobj.group(2), ct, lineno)
+                continue
+            mobj = _LINCOMB_RE.match(line) if "coeff1" in line else None
+            if mobj:
+                target, p1, p2 = mobj.groups()
                 _check_assigned_id(target, lineno)
-                (g.add_mult if op == "*" else g.add_ldiv)(target, p1, p2)
+                if 1 not in pending or 2 not in pending:
+                    raise CgrError(
+                        "linear combination without preceding coeff1/coeff2 bindings", lineno
+                    )
+                g.add_lincomb(target, pending.pop(1), p1, pending.pop(2), p2)
+                continue
+            if pending:
+                raise CgrError("dangling coeff bindings before a non-lincomb statement", lineno)
+            mobj = _PRODUCT_RE.match(line)
+            if not mobj:
+                raise CgrError(f"unrecognized statement {line!r}", lineno)
+            target, p1, op, p2 = mobj.groups()
+            _check_assigned_id(target, lineno)
+            (g.add_mult if op == "*" else g.add_ldiv)(target, p1, p2)
         if pending:
             raise CgrError("file ends with dangling coeff bindings", lineno)
         g.metadata = metadata

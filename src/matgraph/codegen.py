@@ -208,7 +208,7 @@ def _guard(fn: str) -> str:
 
 
 def _namer(g: ComputationGraph, target: EmitTarget):
-    """Map node ids to emission-safe variable names, one to one.
+    """Map node ids to emission-safe variable names, one to one, each named once.
 
     An id that is reserved, the function name or its header guard, or that
     starts with ``v_`` gets a ``v_`` prefix: no prefixed name is reserved,
@@ -217,15 +217,11 @@ def _namer(g: ComputationGraph, target: EmitTarget):
     fn = target.function_name
     own = {fn, _guard(fn)}
     identity = "I" if target.dialect == Dialect.MATLAB else "Ieye"
-
-    def name(nid):
-        if nid == g.input_id:
-            return "A"
-        if nid == IDENTITY_ID:
-            return identity
-        return "v_" + nid if _reserved(nid) or nid in own else nid
-
-    return name
+    ids = {p for ps in g.parents.values() for p in ps}.union(g.operations, g.outputs)
+    names = {nid: "v_" + nid if _reserved(nid) or nid in own else nid for nid in ids}
+    names[IDENTITY_ID] = identity
+    names[g.input_id] = "A"
+    return names.__getitem__
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ Scalars come in two families:
 
 mpmath performs every operation at the precision of the *ambient* context,
 so all public entry points of this package wrap their numerical work in
-:func:`working_precision`.  Dense extended-precision matrices are
-``mpmath.matrix`` instances; binary64 matrices are numpy arrays and
+:func:`working_precision`.  Coefficient rounding (:func:`convert_scalar`)
+needs no context: it calls libmp at the target precision, bit for bit as
+mpmath's constructors under that precision.  Dense extended-precision
+matrices are ``mpmath.matrix`` instances; binary64 matrices are numpy arrays and
 delegate to the optimized kernels numpy binds to.  The evaluator's three
 extended-precision matrix operations (product, linear combination and the
 partially pivoted LU solve) run on a :class:`PairMatrix`, rows of integer
@@ -133,30 +135,40 @@ def is_scalar(x) -> bool:
     return isinstance(x, SCALAR_TYPES)
 
 
+def _round(x, prec: int):
+    """The raw mpf of the real ``x`` (a bool, int, float, Fraction or mpf) rounded to nearest."""
+    if isinstance(x, float):
+        return libmp.from_float(x, prec, RND)
+    if isinstance(x, int):
+        return libmp.from_int(x, prec, RND)
+    if isinstance(x, Fraction):
+        return libmp.from_rational(x.numerator, x.denominator, prec, RND)
+    return libmp.mpf_pos(x._mpf_, prec, RND)
+
+
 def convert_scalar(x, ct: CoeffType):
     """Round a scalar to the given kind (exact rationals round to nearest).
 
-    Complex-to-real conversion requires an exactly zero imaginary part.
+    Complex-to-real conversion requires an exactly zero imaginary part.  At
+    extended precision each part is rounded by one libmp call at ``ct.prec``,
+    with no precision context, bit for bit as ``mp.mpf(x)`` or ``mp.mpc(x)``
+    under ``mp.workprec(ct.prec)``.
     """
     if isinstance(x, Fraction):
         if ct.prec is None:
             return complex(x) if ct.is_complex else float(x)
-        with mp.workprec(ct.prec):
-            v = mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, ct.prec,
-                                                libmp.round_nearest))
-            return mp.mpc(v) if ct.is_complex else v
-    if not is_scalar(x):
-        raise TypeError(f"not a scalar: {x!r}")
-    if not ct.is_complex and isinstance(x, (complex, mpmath.mpc)) and x.imag != 0:
-        raise ValueError("cannot convert complex value with nonzero imaginary part to real")
-    if ct.prec is None:
-        if ct.is_complex:
-            return complex(x)
-        return float(x.real if isinstance(x, (complex, mpmath.mpc)) else x)
-    with mp.workprec(ct.prec):
-        if ct.is_complex:
-            return mp.mpc(x)
-        return mp.mpf(x.real if isinstance(x, (complex, mpmath.mpc)) else x)
+    else:
+        if not is_scalar(x):
+            raise TypeError(f"not a scalar: {x!r}")
+        if not ct.is_complex and isinstance(x, (complex, mpmath.mpc)) and x.imag != 0:
+            raise ValueError("cannot convert complex value with nonzero imaginary part to real")
+        if ct.prec is None:
+            if ct.is_complex:
+                return complex(x)
+            return float(x.real if isinstance(x, (complex, mpmath.mpc)) else x)
+    if ct.is_complex:
+        return mp.make_mpc((_round(x.real, ct.prec), _round(x.imag, ct.prec)))
+    return mp.make_mpf(_round(x.real, ct.prec))
 
 
 # ---------------------------------------------------------------------------

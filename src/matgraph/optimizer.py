@@ -276,6 +276,10 @@ def gn_step(J, r, config: GNConfig) -> np.ndarray:
         J = np.asarray(J)
         if J.dtype == object:
             J = [FixedVector.read(col) for col in J.T]
+        else:  # float32 or complex64 operands never run in their own dtype
+            J = J.astype(np.result_type(J.dtype, np.float64), copy=False)
+            r = np.asarray(r)
+            r = r.astype(np.result_type(r.dtype, np.float64), copy=False)
     real_mode = LinLsqr(config.linlsqr) == LinLsqr.REAL_SVD
     if isinstance(J, list):
         # [Re J; Im J] on integers; a complex step adds the columns of iJ: the
@@ -287,11 +291,9 @@ def gn_step(J, r, config: GNConfig) -> np.ndarray:
                        dtype=object)
     else:
         if real_mode:
-            A = np.vstack([J.real, J.imag])
-            b = np.concatenate([np.asarray(r).real, np.asarray(r).imag])
+            A, b = np.vstack([J.real, J.imag]), np.concatenate([r.real, r.imag])
         else:
-            A = J
-            b = np.asarray(r)
+            A, b = J, r
         out, kept = _svd_pinv_numpy(A, b, config.droptol)
     if kept == 0:
         warnings.warn("all singular values below the drop tolerance; zero step")

@@ -245,6 +245,23 @@ class TestWeightsAndValues:
             assert np.array_equal(got.entries, want.entries)
             assert np.array_equal(got.values, want.values)
 
+    def test_lazy_points_and_values_read_at_the_construction_precision(self):
+        from matgraph import eval_graph
+
+        g = convert_precision(random_graph(np.random.default_rng(37), n_nodes=12), bigfloat(256))
+        with mp.workprec(1024):  # wider than the graph: reading them rounds
+            pts = np.array([mp.exp(mp.mpc(0, 2) * mp.pi * k / 9) * mp.mpf(3) / 5
+                            for k in range(9)], dtype=object)
+        jac = eval_jac(g, pts, g.all_coeff_refs())
+        with mp.workprec(256):
+            want_points = [mp.mpc(z)._mpc_ for z in pts]
+        want_values = [v._mpc_ for v in eval_graph(g, pts)]
+        with mp.workprec(60):
+            assert [z._mpc_ for z in jac.points] == want_points
+            assert [v._mpc_ for v in jac.values] == want_values
+        assert jac.points is jac.points and jac.values is jac.values
+        assert jac.shape == (9, len(g.all_coeff_refs()))
+
     def test_weights_need_one_per_point(self):
         g, cref = graph_monomial([1.0, 2.0])
         with pytest.raises(ValueError, match="one weight per point"):

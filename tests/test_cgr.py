@@ -226,6 +226,47 @@ class TestParse:
             parse_cgr(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("tag, one, half", [
+        ("Float64", "1.5", "-0.5"),
+        ("BigFloat256", "0x3p-1", "-0x1p-1"),
+        ("ComplexBigFloat113", "0x3p-1+0x0p0i", "-0x1p-1+0x1p-2i"),
+    ])
+    def test_ids_starting_with_coeff_parse_and_round_trip(self, tag, one, half):
+        # ids a keyword line's prefix matches: product and linear-combination
+        # targets, and parents of both kinds of statement
+        text = (
+            f'graph_coeff_type="{tag}";\n\n'
+            "coeffs=A*A;\n"
+            f"coeff1={one};\n"
+            f"coeff2={half};\n"
+            "coefficient=coeff1*coeffs+coeff2*I;\n"
+            "coeff1x=coefficient\\coeffs;\n"
+            f"coeff1={half};\n"
+            f"coeff2={one};\n"
+            "coeffsum=coeff1*coeff1x+coeff2*coefficient;\n"
+            "# outputs: coeffsum\n"
+        )
+        g = parse_cgr(text)
+        assert g.parents == {"coeffs": ("A", "A"), "coefficient": ("coeffs", "I"),
+                             "coeff1x": ("coefficient", "coeffs"),
+                             "coeffsum": ("coeff1x", "coefficient")}
+        assert [op.value for op in g.operations.values()] == ["mult", "lincomb", "ldiv", "lincomb"]
+        assert g.outputs == ["coeffsum"]
+        assert render_cgr(g) == text
+        assert render_cgr(parse_cgr(render_cgr(g))) == text
+
+    @pytest.mark.parametrize("text, message", [
+        ('graph_coeff_type="Float64";\nX=A*A;\ncoeff3=1.0;\n',
+         "line 3: unrecognized statement 'coeff3=1.0;'"),
+        ('graph_coeff_type="Float64";\ncoeff1=1.0;\ncoeff3=1.0;\n',
+         "line 3: dangling coeff bindings before a non-lincomb statement"),
+    ])
+    def test_unknown_coeff_slot_is_refused(self, text, message):
+        with pytest.raises(CgrError) as exc:
+            parse_cgr(text)
+        assert str(exc.value) == message
+        assert exc.value.line == 3
+
     def test_lincomb_without_coeffs(self):
         text = 'graph_coeff_type="Float64";\nX=coeff1*I+coeff2*A;\n'
         with pytest.raises(CgrError, match="coeff"):

@@ -1,7 +1,10 @@
 import contextlib
+import math
+import re
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -75,6 +78,65 @@ class TestConvertScalar:
         sign, man, exp, bc = convert_scalar(frac, bigfloat(prec))._mpf_
         ulp = Fraction(2) ** (exp + bc - prec)
         assert abs((-1) ** sign * man * Fraction(2) ** exp - frac) <= ulp / 2
+
+
+def _convert_inputs(prec):
+    with mp.workprec(1024):
+        third = mp.mpf(1) / 3
+        z = mp.mpc(third, -mp.mpf(2) / 7)
+    # 2^(p+1) + 2 is a tie to the even 2^(p+1), 2^(p+1) + 6 one up to 2^(p+1) + 8
+    wide = [2 ** (prec + 1) + 1, 2 ** (prec + 1) + 2, -(2 ** (prec + 1) + 6)]
+    return [True, False, 0, -3, *wide, 0.0, -0.0, 5e-324, 0.1, math.inf, -math.inf, math.nan,
+            third, z, mp.mpc(2, 0), complex(0.1, -0.0), complex(-2.5, 1e-300),
+            Fraction(1, 3), Fraction(-7, 10)]
+
+
+def _reference(x, ct):
+    """``mp.mpf(x)`` or ``mp.mpc(x)`` under ``mp.workprec(ct.prec)``."""
+    with mp.workprec(ct.prec):
+        if isinstance(x, Fraction):  # mpmath reads no Fraction: two exact operands, one rounding
+            x = mp.mpf(x.numerator) / x.denominator
+        if ct.is_complex:
+            return mp.mpc(x)
+        return mp.mpf(x.real if isinstance(x, (complex, mpmath.mpc)) else x)
+
+
+class TestConvertScalarBitForBit:
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("prec", [53, 64, 113, 256, 1024])
+    def test_matches_mpmath_constructors(self, prec, is_complex):
+        ct = bigfloat(prec, is_complex)
+        for x in _convert_inputs(prec):
+            if not is_complex and isinstance(x, (complex, mpmath.mpc)) and x.imag != 0:
+                continue
+            with mp.workprec(77):
+                got = convert_scalar(x, ct)
+                assert mp.prec == 77
+            want = _reference(x, ct)
+            assert type(got) is type(want), x
+            if is_complex:
+                assert got._mpc_ == want._mpc_, x
+            else:
+                assert got._mpf_ == want._mpf_, x
+
+    def test_wide_int_ties_round_to_even(self):
+        ct = bigfloat(64)
+        assert convert_scalar(2 ** 65 + 2, ct) == 2 ** 65
+        assert convert_scalar(-(2 ** 65 + 6), ct) == -(2 ** 65 + 8)
+
+    @pytest.mark.parametrize("x, ct, exc, message", [
+        ("1.5", bigfloat(256), TypeError, "not a scalar: '1.5'"),
+        (np.int64(3), bigfloat(256, True), TypeError, "not a scalar: "),
+        (None, CoeffType(), TypeError, "not a scalar: None"),
+        (2 + 1j, bigfloat(256), ValueError, "nonzero imaginary part"),
+        (mp.mpc(0, 1), bigfloat(113), ValueError, "nonzero imaginary part"),
+        (complex(0, -0.5), CoeffType(), ValueError, "nonzero imaginary part"),
+    ])
+    def test_refusals(self, x, ct, exc, message):
+        with mp.workprec(77):
+            with pytest.raises(exc, match=re.escape(message)):
+                convert_scalar(x, ct)
+            assert mp.prec == 77
 
 
 @settings(max_examples=60, deadline=None)

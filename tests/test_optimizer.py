@@ -137,6 +137,19 @@ class TestGnStep:
             assert np.all(delta == 0)
             assert any("drop tolerance" in str(x.message) for x in w)
 
+    @pytest.mark.parametrize("linlsqr", list(LinLsqr))
+    def test_narrow_operands_give_the_float64_step(self, linlsqr):
+        rng = np.random.default_rng(43)
+        J = (rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))).astype(np.complex64)
+        r = (rng.standard_normal(12) + 1j * rng.standard_normal(12)).astype(np.complex64)
+        config = GNConfig(droptol=1e-12, linlsqr=linlsqr)
+        for Jn, rn in ((J, r), (J.real, r.real)):
+            got = gn_step(Jn, rn, config)
+            want = gn_step(Jn.astype(np.result_type(Jn.dtype, np.float64)),
+                           rn.astype(np.result_type(rn.dtype, np.float64)), config)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
     def test_real_stacking_returns_real(self):
         rng = np.random.default_rng(42)
         J = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
