@@ -2,9 +2,10 @@
 
 The emission order comes from a greedy list scheduler that tries to keep
 the number of simultaneously live n-by-n temporaries small: among ready
-nodes it prefers one whose scheduling frees the most dead buffers, with
-lexicographic tie-breaks for determinism.  Buffers are reused out of
-place; in-place updates are not exploited.
+nodes it prefers one whose scheduling frees the most dead buffers, the
+smallest id on a tie.  It ranks the V nodes by id and keys each ready
+node by the int ``rank - frees * V``, so the least key is that pick.
+Buffers are reused out of place; in-place updates are not exploited.
 
 The C target binds to four shim kernels (multiply, two-term scaled add,
 solve, copy) declared in an emitted header, so the file links against any
@@ -22,7 +23,7 @@ from enum import Enum
 
 import mpmath
 
-from .graph import IDENTITY_ID, ComputationGraph, GraphError, OpKind, _live
+from .graph import _ID_RE, IDENTITY_ID, ComputationGraph, GraphError, OpKind, _live
 
 
 class Dialect(str, Enum):
@@ -38,7 +39,7 @@ class EmitTarget:
 
     def __post_init__(self):
         self.dialect = Dialect(self.dialect)
-        if not self.function_name.isidentifier() or _reserved(self.function_name):
+        if not _ID_RE.fullmatch(self.function_name) or _reserved(self.function_name):
             raise GraphError(f"invalid function name {self.function_name!r}")
 
 
@@ -53,64 +54,94 @@ def _schedule_kary(node_parents: dict[str, tuple], outputs: list[str]) -> Schedu
     """Greedy list scheduling over nodes with arbitrary parent arity.
 
     Picks the ready node that frees the most buffers, the smallest id on a
-    tie.  A ready node's count only grows (when a parent gets down to its
-    last use), so a heap on ``(-frees, id)`` that skips stale entries makes
-    the same picks as rescanning the ready set, in O(E log V).
+    tie.  Nodes are ranked by id, so the pick is the ready node of least
+    ``rank - frees * n``: ``0 <= rank < n`` makes a larger count win and
+    the rank break ties.  A ready node's count only grows (when a parent
+    gets down to its last use), so a heap of these ints that skips stale
+    entries makes the same picks as rescanning the ready set, in
+    O(E log V).
     """
+    ids = sorted(node_parents)
+    n = len(ids)
+    rank = {nid: r for r, nid in enumerate(ids)}
     keep = set(outputs)
-    frees: dict[str, int] = {}  # ready node -> its parents' buffers that die with it
-    heap: list[tuple[int, str]] = []
-
-    def push(nid, n):
-        frees[nid] = n
-        heapq.heappush(heap, (-n, nid))
-
-    uses: dict[str, int] = {}  # unscheduled distinct children
-    pending: dict[str, int] = {}  # unscheduled distinct parents in the graph
-    children: dict[str, list[str]] = {}
-    for nid, ps in node_parents.items():
-        deps = {p for p in ps if p in node_parents}
-        pending[nid] = len(deps)
-        for p in deps:
-            uses[p] = uses.get(p, 0) + 1
-            children.setdefault(p, []).append(nid)
-        if not deps:
-            push(nid, 0)
+    kept = [nid in keep for nid in ids]
+    # distinct parents in the graph, in first-use order: the last slot
+    # released is the first reused, so this order fixes the emitted code
+    parents = [[rank[p] for p in dict.fromkeys(node_parents[nid]) if p in rank] for nid in ids]
+    children: list[list[int]] = [[] for _ in ids]
+    uses = [0] * n  # unscheduled distinct children
+    pending = [len(ps) for ps in parents]  # unscheduled distinct parents
+    for r, ps in enumerate(parents):
+        for p in ps:
+            uses[p] += 1
+            children[p].append(r)
+    key: list[int | None] = [None] * n  # a ready node's current heap entry
+    heap = [r for r in range(n) if not pending[r]]  # ascending, so a heap
+    for r in heap:
+        key[r] = r
     # every slot handed out is either held by a live node or free
-    live: dict[str, int] = {}
+    slot = [0] * n
     free: list[int] = []
-    order: list[str] = []
-    slots: dict[str, int] = {}
+    nslots = 0
+    order: list[int] = []
     while heap:
-        neg, nid = heapq.heappop(heap)
-        if frees.get(nid) != -neg:
+        k = heapq.heappop(heap)
+        r = k % n
+        if key[r] != k:
             continue  # scheduled already, or pushed again with a larger count
-        del frees[nid]
-        slots[nid] = live[nid] = free.pop() if free else len(live)
-        order.append(nid)
-        # release in parent order (a repeated parent once): the last slot
-        # released is the first reused, so the order fixes the emitted code
-        for p in dict.fromkeys(node_parents[nid]):
-            if p in uses:
-                uses[p] -= 1
-                if p not in keep and uses[p] == 0:
-                    free.append(live.pop(p))
-                elif p not in keep and uses[p] == 1:
-                    for c in children[p]:
-                        if c in frees:
-                            push(c, frees[c] + 1)
-        for c in children.get(nid, ()):
+        key[r] = None
+        if free:
+            slot[r] = free.pop()
+        else:
+            slot[r] = nslots
+            nslots += 1
+        order.append(r)
+        for p in parents[r]:
+            uses[p] -= 1
+            if kept[p]:
+                continue
+            if uses[p] == 0:
+                free.append(slot[p])
+            elif uses[p] == 1:
+                for c in children[p]:
+                    if key[c] is not None:
+                        key[c] -= n
+                        heapq.heappush(heap, key[c])
+        for c in children[r]:
             pending[c] -= 1
-            if pending[c] == 0:
-                push(c, sum(p not in keep and uses.get(p) == 1 for p in set(node_parents[c])))
-    if len(order) != len(node_parents):
+            if not pending[c]:
+                k = c
+                for p in parents[c]:
+                    if uses[p] == 1 and not kept[p]:
+                        k -= n
+                key[c] = k
+                heapq.heappush(heap, k)
+    if len(order) != n:
         raise GraphError("cycle detected while scheduling")
-    return Schedule(order, slots, len(live) + len(free))
+    return Schedule([ids[r] for r in order], {ids[r]: slot[r] for r in order}, nslots)
 
 
 def plan_schedule(g: ComputationGraph) -> Schedule:
-    """Memory-aware topological schedule of the nodes the outputs need."""
-    return _schedule_kary({nid: g.parents[nid] for nid in _live(g)}, g.outputs)
+    """Memory-aware topological schedule of the nodes the outputs need.
+
+    Raises GraphError when one of them reads an id still to be grafted.
+    """
+    return _schedule_kary({nid: g.parents[nid] for nid in _live_resolved(g)}, g.outputs)
+
+
+def _live_resolved(g: ComputationGraph) -> set[str]:
+    """The nodes the outputs need; a parent or output still to be grafted is refused."""
+    wanted = _live(g)
+    inputs = g.input_ids
+    unresolved = sorted((p, nid) for nid in wanted for p in g.parents[nid]
+                        if p not in wanted and p not in inputs)
+    if unresolved:
+        raise GraphError("unresolved parent {!r} of node {!r}".format(*unresolved[0]))
+    for o in g.outputs:
+        if o not in wanted and o not in inputs:
+            raise GraphError(f"unresolved output {o!r}")
+    return wanted
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +155,20 @@ def _emission_plan(g: ComputationGraph, fuse: bool):
     linear-combination node to its flattened [(coeff, operand), ...] list;
     chains of single-use linear combinations are inlined when fusing.
     """
-    wanted = _live(g)
-    children: dict[str, list[str]] = {}
-    for nid in wanted:
-        for p in g.parents[nid]:
-            if p in wanted:
-                children.setdefault(p, []).append(nid)
+    wanted = _live_resolved(g)
     inlined: set[str] = set()
     if fuse:
+        ops = g.operations
+        uses: dict[str, int] = {}  # parent occurrences among the live nodes
+        user: dict[str, str] = {}  # a parent used once -> its one user
         for nid in wanted:
-            if (
-                g.operations[nid] == OpKind.LINCOMB
-                and nid not in g.outputs
-                and len(children.get(nid, [])) == 1
-                and g.operations[children[nid][0]] == OpKind.LINCOMB
-            ):
-                inlined.add(nid)
+            for p in g.parents[nid]:
+                uses[p] = uses.get(p, 0) + 1
+                user[p] = nid
+        keep = set(g.outputs)
+        inlined = {nid for nid in wanted
+                   if ops[nid] == OpKind.LINCOMB and nid not in keep
+                   and uses.get(nid) == 1 and ops[user[nid]] == OpKind.LINCOMB}
 
     def expand(nid, scale):
         c1, c2 = g.coeffs[nid]
@@ -199,8 +228,12 @@ _NUMBERED = re.compile(r"(coeff|out)[0-9]+")
 
 
 def _reserved(name: str) -> bool:
-    """A name no graph id may be emitted as; ``v_`` prefixes keep the map injective."""
-    return name in _RESERVED or name.startswith("v_") or bool(_NUMBERED.fullmatch(name))
+    """A name no graph id may be emitted as; ``v_`` prefixes keep the map injective.
+
+    A leading underscore is refused too: MATLAB names start with a letter,
+    and C reserves ``_T`` and ``__x``.
+    """
+    return name in _RESERVED or name.startswith(("v_", "_")) or bool(_NUMBERED.fullmatch(name))
 
 
 def _guard(fn: str) -> str:
@@ -211,8 +244,9 @@ def _namer(g: ComputationGraph, target: EmitTarget):
     """Map node ids to emission-safe variable names, one to one, each named once.
 
     An id that is reserved, the function name or its header guard, or that
-    starts with ``v_`` gets a ``v_`` prefix: no prefixed name is reserved,
-    and no unprefixed name starts with ``v_``, so no two ids meet.
+    starts with ``v_`` or ``_`` gets a ``v_`` prefix: no prefixed name is
+    one the emitted code uses, and no unprefixed name starts with ``v_``,
+    so no two ids meet.
     """
     fn = target.function_name
     own = {fn, _guard(fn)}
@@ -343,7 +377,8 @@ def gen_code(g: ComputationGraph, target: EmitTarget, path: str | None = None) -
 
     Returns the main source text.  The MATLAB dialect mirrors the node
     structure directly; the C dialect allocates a workspace of
-    peak-buffer n-by-n arrays and calls the shim kernels.
+    peak-buffer n-by-n arrays and calls the shim kernels.  A graph whose
+    needed nodes read an id still to be grafted raises GraphError.
     """
     if not g.outputs:
         raise GraphError("graph has no output nodes")

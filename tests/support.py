@@ -585,18 +585,19 @@ def schedule_kary_scan(node_parents: dict[str, tuple], outputs: list[str]) -> Sc
     return Schedule(order, slots, peak)
 
 
-def random_kary_dag(rng: np.random.Generator, n_nodes: int) -> tuple[dict, list[str]]:
+def random_kary_dag(rng: np.random.Generator, n_nodes: int,
+                    max_parents: int = 4) -> tuple[dict, list[str]]:
     """Random ``(node_parents, outputs)`` for a k-ary list scheduler.
 
-    Parents are drawn from "I", "A" and earlier nodes, 1 to 4 per node with
-    repeats; ids are shuffled so that id order and insertion order differ,
-    and 1 to 3 random nodes are outputs.
+    Parents are drawn from "I", "A" and earlier nodes, 1 to ``max_parents``
+    per node with repeats; ids are shuffled so that id order and insertion
+    order differ, and 1 to 3 random nodes are outputs.
     """
     ids = [f"n{k}" for k in rng.permutation(n_nodes)]
     avail = ["I", "A"]
     node_parents: dict[str, tuple] = {}
     for nid in ids:
-        k = int(rng.integers(1, 5))
+        k = int(rng.integers(1, max_parents + 1))
         node_parents[nid] = tuple(avail[int(rng.integers(len(avail)))] for _ in range(k))
         avail.append(nid)
     outputs = [ids[int(i)] for i in rng.choice(n_nodes, size=min(n_nodes, int(rng.integers(1, 4))),

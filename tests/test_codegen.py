@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from matgraph import (
     ComputationGraph,
     EmitTarget,
     GraphError,
+    bigfloat,
     compress_graph,
     eval_graph,
     gen_code,
@@ -131,6 +133,43 @@ class TestSchedule:
         _, node_parents = _emission_plan(g, True)
         args = (node_parents, g.outputs)
         assert _schedule_kary(*args) == schedule_kary_scan(*args)
+
+    def test_heap_scheduler_matches_scan_on_wide_random_dags(self):
+        # up to 12 parents per node, as a fused Pade-13 linear combination has;
+        # the outputs name both inputs and one node twice
+        rng = np.random.default_rng(69)
+        for trial in range(200):
+            node_parents, outputs = random_kary_dag(rng, int(rng.integers(1, 40)), max_parents=12)
+            args = (node_parents, outputs + ["A", "I", outputs[0]])
+            assert _schedule_kary(*args) == schedule_kary_scan(*args), trial
+
+    @pytest.mark.parametrize("build, want", [
+        (lambda: graph_denman_beavers(400)[0],
+         ("ea88f93a68adfa251027c13dad138ea7e24b1971fc2e60c206ee557d31cdd25e",
+          "38d14c1bff4c18e363f81190952c57c9a442a4b397dc47595d7e841ead4513ce", 4)),
+        (lambda: graph_exp_pade_ss(5, 0, bigfloat(256))[0],
+         ("b0d2d17e3d3e80e442202969df79f0c7fc24de4e542bb06253725f56b8dae555",
+          "729b084f1989a99848b2e6b45c921a007fc7ed4736c9d0fd56327f8e9d8e337e", 4)),
+        (lambda: graph_exp_pade_ss(7, 0, bigfloat(256))[0],
+         ("b22020620ffc6f73eb1e12ec793414e8f1f7a9e1a7e1ffe6ac3ec9fd69944810",
+          "25cd0176775f574fb201a5a1a87db543dbd6e674a7be6fc3d16b38b930a97970", 5)),
+        (lambda: graph_exp_pade_ss(9, 0, bigfloat(256))[0],
+         ("dfe84bd782d8553719c1015fe4c15f4ff3a163b219deba42eca1cc2b1ab02d63",
+          "415bb55723ad2af44650e3da40587e31311b018fce34ad86163701fdba2e111c", 6)),
+        (lambda: graph_exp_pade_ss(13, 0, bigfloat(256))[0],
+         ("f48b5e263d8164b61a8b4df8d8f9e8fdc234ca03e06e6539e166815936abe92b",
+          "0136a52b1254a50673b7c29e6e0d364256b242aa971e4d2dee7637144fe4e067", 7)),
+        (lambda: graph_exp_pade_ss(13, 1, bigfloat(256))[0],
+         ("14dd1e74ff93b97c3397255b0e9cf4f5f49770ce897fd0ab01efb5f9b4924f74",
+          "cae2eca7d07c24980929e158e1244a1f38626bf2845b5b0309351001a596c67f", 8)),
+    ], ids=["db400", "pade5", "pade7", "pade9", "pade13", "pade13s1"])
+    def test_frozen_plan_schedule(self, build, want):
+        # sha256 of the order, of the slots in that order, and the peak
+        s = plan_schedule(build())
+        assert set(s.slot_assignment) == set(s.order)
+        digest = lambda xs: hashlib.sha256("\n".join(map(str, xs)).encode()).hexdigest()
+        assert (digest(s.order), digest(s.slot_assignment[n] for n in s.order),
+                s.peak_buffers) == want
 
     def test_cycle_raises(self):
         node_parents = {"X": ("A", "Y"), "Y": ("X", "I"), "Z": ("A", "A")}
@@ -338,6 +377,51 @@ def test_reserved_function_name_refused(name):
         EmitTarget("c", name)
 
 
+@pytest.mark.parametrize("name", ["_f", "f\u00e9"])
+def test_function_name_outside_the_id_grammar_refused(name):
+    # MATLAB names start with a letter, and node ids are ASCII
+    for dialect in ("c", "matlab"):
+        with pytest.raises(GraphError, match="invalid function name"):
+            EmitTarget(dialect, name)
+
+
+def _pending_graft():
+    """``B = A*A; Y = B*A`` with the input renamed to X: B and Y read X, not yet grafted."""
+    g = ComputationGraph()
+    g.add_mult("B", "A", "A")
+    g.add_mult("Y", "B", "A")
+    g.set_outputs(["Y"])
+    g.rename_node("A", "X")
+    return g
+
+
+class TestUnresolvedParent:
+    """A graph with a pending graft is refused, as eval_graph and render_cgr refuse it."""
+
+    @pytest.mark.parametrize("dialect", ["c", "matlab"])
+    def test_gen_code_refuses(self, dialect):
+        with pytest.raises(GraphError, match="unresolved parent 'X' of node 'B'"):
+            gen_code(_pending_graft(), EmitTarget(dialect))
+
+    def test_plan_schedule_refuses(self):
+        with pytest.raises(GraphError, match="unresolved parent 'X' of node 'B'"):
+            plan_schedule(_pending_graft())
+
+    def test_unresolved_output_refused(self):
+        g = ComputationGraph()
+        g.set_outputs(["A"])
+        g.rename_node("A", "X")
+        for emit in (lambda: plan_schedule(g), lambda: gen_code(g, EmitTarget("matlab"))):
+            with pytest.raises(GraphError, match="unresolved output 'X'"):
+                emit()
+
+    def test_emitted_once_grafted(self):
+        g = _pending_graft()
+        g.add_lincomb("X", 1.0, "A", 0.5, "I")
+        assert plan_schedule(g).order == ["X", "B", "Y"]
+        _emitted_matches_evaluator(g, np.diag([0.5, 2.0]))
+
+
 def _chain(ids, input_id="A"):
     """A single-output graph whose nodes carry the given ids, each used after it is made."""
     g = ComputationGraph(input_id=input_id)
@@ -411,3 +495,15 @@ class TestEmittedNames:
         assert "(1.0 + 2.0i)" in src and "(0.25 - 1.0i)" in src
         A = np.array([[0.5, 0.25j], [-0.125, 0.75]])
         assert np.allclose(run_matlab_like(src, A), eval_graph(g, A), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("ids", [["_t"], ["_T"], ["__x"], ["_t", "v__t", "_T", "__x"]])
+    def test_leading_underscore_ids_get_a_letter_first(self, ids):
+        g = _chain(ids)
+        _emitted_matches_evaluator(g, np.array([[0.5, 0.25], [-0.125, 0.75]]))
+        src = gen_code(g, EmitTarget("matlab", "f"))
+        assigned = re.findall(r"^ +(\w+) = ", src, flags=re.M)
+        assert len(assigned) > len(ids)
+        for var in assigned:
+            assert re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", var), var
+        nodes = [var for var in assigned if not re.fullmatch(r"coeff[0-9]+", var)]
+        assert len(set(nodes)) == len(nodes)  # one name per node and output
