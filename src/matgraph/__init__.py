@@ -10,7 +10,7 @@ bounds; and emit MATLAB/C code or a portable text file for any graph.
 
 __version__ = "0.1.0"
 
-from .autodiff import JacobianMatrix, eval_jac, finite_diff_jac
+from .autodiff import JacobianMatrix, eval_jac
 from .cgr import CgrError, export_compgraph, import_compgraph, parse_cgr, render_cgr
 from .codegen import Dialect, EmitTarget, Schedule, gen_code, plan_schedule
 from .degopt import (
@@ -34,7 +34,6 @@ from .erroranalysis import (
     compute_bwd_theta_exp,
     compute_fwd_theta,
     eval_runerr,
-    theta_table_csv,
 )
 from .evaluation import EvalError, eval_graph, eval_graph_poly, graph_degree_bound
 from .generators import (

@@ -11,7 +11,6 @@ adjoint times the parent value the slot multiplies.  All evaluation points
 are processed in one vectorized pass (:func:`forward_pass`), whose output
 values are returned with the Jacobian; a caller that already made that pass
 hands it to :func:`eval_jac` instead of paying for it twice.
-:func:`finite_diff_jac` is the independent check.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 from mpmath import mp
 
-from .evaluation import (_argument, _eval_nodes, _ops_for, _points_full, _precision_context,
-                         eval_graph)
+from .evaluation import _argument, _eval_nodes, _ops_for, _points_full, _precision_context
 from .graph import CoeffRef, ComputationGraph, GraphError, OpKind, get_topo_order
 from .numerics import FixedVector
 
@@ -163,7 +161,7 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
                     add(p1, -ops.mult(t, v))
         # columns of coefficients the output does not use are zero
         fixed = isinstance(pts, FixedVector)
-        zero = FixedVector.constant(len(pts), 0) if fixed else _points_full(pts, 0)
+        zero = FixedVector.constant(pts, 0) if fixed else _points_full(pts, 0)
         J = [zero if c is None else c for c in J]
         if fixed:
             return JacobianMatrix(J, pts, refs, values)
@@ -171,25 +169,3 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
         for k, c in enumerate(J):
             entries[:, k] = c
         return JacobianMatrix(entries, pts, refs, values)
-
-
-def finite_diff_jac(g: ComputationGraph, points, refs, h=1e-7) -> JacobianMatrix:
-    """Central-difference Jacobian, the independent check for :func:`eval_jac`."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    refs = [CoeffRef(*r) for r in refs]
-    pts = as_point_array(points)
-    base = g.get_coeffs(refs)
-    extended = g.coeff_type.prec is not None or pts.dtype == object
-    J = np.empty((len(pts), len(refs)), dtype=object if extended else np.complex128)
-    with _precision_context(g):
-        for col, ref in enumerate(refs):
-            c0 = base[col]
-            g.set_coeffs([ref], [c0 + h])
-            up = eval_graph(g, pts)
-            g.set_coeffs([ref], [c0 - h])
-            dn = eval_graph(g, pts)
-            g.set_coeffs([ref], [c0])
-            J[:, col] = (up - dn) / (2 * h)
-        pts = _argument(g, pts)
-        return JacobianMatrix(J, pts.numbers() if isinstance(pts, FixedVector) else pts, refs)

@@ -44,7 +44,7 @@ from .degopt import (
     graph_monomial_degopt,
     graph_ps,
 )
-from .erroranalysis import CertificationError, compute_bwd_theta_exp, theta_table_csv
+from .erroranalysis import CertificationError, compute_bwd_theta_exp
 from .evaluation import eval_graph
 from .generators import (
     graph_denman_beavers,
@@ -232,7 +232,7 @@ def cmd_optimize(args) -> int:
     g = convert_precision(g, CoeffType(ct.prec, g.coeff_type.is_complex))
     try:
         f = get_target(args.target, CoeffType(g.coeff_type.prec))
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc), USAGE_ERROR) from exc
     if args.target == "sqrt1p" and args.errtype == "rel" and abs(args.center + 1.0) <= args.radius:
         raise CliError(
@@ -298,7 +298,8 @@ def cmd_certify(args) -> int:
     mults = sum(1 for op in g.operations.values() if op != OpKind.LINCOMB)
     name = os.path.splitext(os.path.basename(args.graph))[0]
     with _sink(args.out) as out:
-        out.write(theta_table_csv([(name, mults, theta, args.u, args.nterms)]))
+        out.write("graph,multiplications,theta,u,nterms\n"
+                  f"{name},{mults},{float(theta)!r},{float(args.u)!r},{args.nterms}\n")
     if flag:
         print(f"# warning: {flag}", file=sys.stderr)
     return 0
@@ -315,12 +316,12 @@ def cmd_compress(args) -> int:
 
 def cmd_codegen(args) -> int:
     g = _load_graph(args.graph)
-    target = EmitTarget(
-        dialect="matlab" if args.lang == "matlab" else "c",
-        function_name=args.funname,
-        fuse_lincomb=not args.no_fuse,
-    )
     try:
+        target = EmitTarget(
+            dialect="matlab" if args.lang == "matlab" else "c",
+            function_name=args.funname,
+            fuse_lincomb=not args.no_fuse,
+        )
         gen_code(g, target, args.out)
     except GraphError as exc:
         raise CliError(str(exc), USAGE_ERROR) from exc

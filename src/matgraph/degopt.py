@@ -73,19 +73,6 @@ class Degopt:
     def m(self) -> int:
         return len(self.HA)
 
-    @property
-    def variant(self) -> str:
-        kinds = set(self.row_ops)
-        if kinds == {OpKind.MULT}:
-            return "mult"
-        if kinds == {OpKind.LDIV}:
-            return "ldiv"
-        return "mixed"
-
-    @property
-    def n_free(self) -> int:
-        return (self.m + 2) ** 2 - 2
-
     def __eq__(self, other):
         return (
             isinstance(other, Degopt)

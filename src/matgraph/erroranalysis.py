@@ -389,14 +389,6 @@ def compute_bwd_theta_exp(g: ComputationGraph, u=2.0 ** -53, nterms: int = 100,
         return _theta(g, ThetaKind.BACKWARD, nterms, u, prec, log_of_ratio)
 
 
-def theta_table_csv(rows) -> str:
-    """CSV rows (graph name, multiplication count, theta, u, nterms)."""
-    lines = ["graph,multiplications,theta,u,nterms"]
-    for name, m, theta, u, nterms in rows:
-        lines.append(f"{name},{m},{float(theta)!r},{float(u)!r},{nterms}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # running round-off error
 

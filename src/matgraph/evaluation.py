@@ -149,7 +149,7 @@ def _matrix_ldiv(v1, v2):
 _SCALAR = _Ops(lambda x: mp.mpf(1) if isinstance(x, (mpmath.mpf, mpmath.mpc)) else 1,
                operator.mul, _scalar_ldiv)
 _POINTS = _Ops(lambda x: _points_full(x, 1), operator.mul, _points_ldiv)
-_FIXED = _Ops(lambda x: FixedVector.constant(len(x), 1), operator.mul,
+_FIXED = _Ops(lambda x: FixedVector.constant(x, 1), operator.mul,
               lambda v1, v2: v2 / v1, lincomb_fixed)
 _NP_MATRIX = _Ops(lambda x: np.eye(x.shape[0], dtype=x.dtype), operator.matmul, _matrix_ldiv)
 _MP_MATRIX = _Ops(lambda x: mp.eye(x.rows), operator.mul, _matrix_ldiv)

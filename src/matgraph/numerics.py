@@ -96,13 +96,6 @@ class CoeffType:
             return cls(int(t[len("BigFloat"):]), is_complex)
         raise ValueError(f"unknown coefficient type tag {tag!r}")
 
-    def unit_roundoff(self):
-        """2^-p for p mantissa bits (an ``mpf`` for extended precision)."""
-        if self.prec is None:
-            return 2.0 ** -53
-        with mp.workprec(self.prec):
-            return mp.mpf(2) ** (-self.prec)
-
 
 FLOAT64 = CoeffType()
 
@@ -521,8 +514,10 @@ class FixedVector:
                    [b << (pe - e) if b else 0 for _, b, pe in parts], e, real)
 
     @classmethod
-    def constant(cls, n: int, v: int):
-        return cls([v] * n, [0] * n, 0, True)
+    def constant(cls, like: "FixedVector", v: int):
+        """The integer ``v`` at every point of ``like``, real if ``like`` is."""
+        n = len(like)
+        return cls([v] * n, [0] * n, 0, like.real)
 
     def __len__(self):
         return len(self.re)

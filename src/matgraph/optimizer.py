@@ -94,6 +94,9 @@ class Discretization:
 
     points: np.ndarray
 
+    def __post_init__(self):
+        self.points = as_point_array(self.points)
+
     @classmethod
     def disk(cls, center, radius, count: int = 200, prec: int | None = None):
         """Closed uniform sampling of a circle: center + r*exp(2*pi*i*k/(count-1)).
@@ -115,11 +118,7 @@ class Discretization:
                      for k in range(count)],
                     dtype=object,
                 )
-        return cls(as_point_array(pts))
-
-    @classmethod
-    def from_points(cls, pts):
-        return cls(as_point_array(pts))
+        return cls(pts)
 
     def __len__(self):
         return len(self.points)

@@ -77,10 +77,6 @@ class TruncSeries:
             raise ValueError("identity series needs nterms >= 1")
         return cls([0, 1], nterms)
 
-    @classmethod
-    def exp(cls, nterms: int) -> "TruncSeries":
-        return cls([1 / mp.factorial(j) for j in range(nterms + 1)])
-
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:4])
         return f"TruncSeries([{head}{', ...' if self.nterms > 3 else ''}], nterms={self.nterms})"

@@ -14,11 +14,13 @@ import numpy as np
 from mpmath import libmp, mp
 
 from matgraph import (CertificationError, CoeffRef, CoeffType, ComputationGraph, Degopt, DegoptError, GraphError,
-                      OpKind, SeriesError, TruncSeries, eval_graph_poly, get_topo_order, graph_degopt)
+                      JacobianMatrix, OpKind, SeriesError, TruncSeries, eval_graph, eval_graph_poly,
+                      get_topo_order, graph_degopt)
+from matgraph.autodiff import as_point_array
 from matgraph.graph import IDENTITY_ID, _drop, _retarget
 from matgraph.codegen import Schedule
-from matgraph.evaluation import _precision_context
-from matgraph.numerics import PairMatrix, convert_scalar, working_precision
+from matgraph.evaluation import _argument, _precision_context
+from matgraph.numerics import FixedVector, PairMatrix, convert_scalar, working_precision
 
 
 def as_mp_matrix(data, prec: int) -> mpmath.matrix:
@@ -110,6 +112,28 @@ def forward_jac(g: ComputationGraph, points, refs, prec: int | None = None) -> n
                         deriv[nid] = (d2 - d1 * val[nid]) / val[p1]
                 J[i, col] = lift(deriv.get(out, 0))
     return J
+
+
+def finite_diff_jac(g: ComputationGraph, points, refs, h=1e-7) -> JacobianMatrix:
+    """Central-difference Jacobian, the independent check for :func:`eval_jac`."""
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    refs = [CoeffRef(*r) for r in refs]
+    pts = as_point_array(points)
+    base = g.get_coeffs(refs)
+    extended = g.coeff_type.prec is not None or pts.dtype == object
+    J = np.empty((len(pts), len(refs)), dtype=object if extended else np.complex128)
+    with _precision_context(g):
+        for col, ref in enumerate(refs):
+            c0 = base[col]
+            g.set_coeffs([ref], [c0 + h])
+            up = eval_graph(g, pts)
+            g.set_coeffs([ref], [c0 - h])
+            dn = eval_graph(g, pts)
+            g.set_coeffs([ref], [c0])
+            J[:, col] = (up - dn) / (2 * h)
+        pts = _argument(g, pts)
+        return JacobianMatrix(J, pts.numbers() if isinstance(pts, FixedVector) else pts, refs)
 
 
 def gram_eig_lstsq(J, b, droptol, hermitian: bool):
@@ -332,7 +356,7 @@ def degopt_degree(d: Degopt, prec: int = 256) -> int:
     The polynomial is expanded at ``prec`` bits, a binary64 ``d`` too, and
     coefficients smaller than 2^(-prec/2) in magnitude are treated as zero.
     """
-    if d.variant != "mult":
+    if set(d.row_ops) != {OpKind.MULT}:
         raise DegoptError("degree is defined for the polynomial (mult) variant only")
     g, _ = graph_degopt(d)
     coeffs = eval_graph_poly(g, prec=prec)
@@ -417,6 +441,11 @@ def yks_eval_direct(spec, x):
 # truncated series: e^-z and the logarithm at the ambient precision, the
 # references the certifier's fixed-point series are checked against, and
 # the plain loops, as bit-exact references
+
+
+def series_exp(nterms: int) -> TruncSeries:
+    """The series of e^z to z^nterms."""
+    return TruncSeries([1 / mp.factorial(j) for j in range(nterms + 1)])
 
 
 def series_exp_neg(n: int) -> TruncSeries:

@@ -19,7 +19,7 @@ from mpmath import mp
 
 import matgraph as mg
 
-from support import compile_and_run_c, random_graph, taylor_exp_mp
+from support import compile_and_run_c, finite_diff_jac, random_graph, taylor_exp_mp
 
 
 def report(num, ok, detail):
@@ -203,7 +203,7 @@ def test_08a_jacobian_vs_finite_differences():
             J1 = mg.eval_jac(g, pts, refs).entries
             gb = mg.convert_precision(g, mg.bigfloat(256))
             with mp.workprec(256):
-                J2 = mg.finite_diff_jac(
+                J2 = finite_diff_jac(
                     gb, np.array([mp.mpc(z) for z in pts], dtype=object),
                     refs, h=mp.mpf(2) ** -40).entries
             J2 = np.array([[complex(v) for v in row] for row in J2])

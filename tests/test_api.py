@@ -19,14 +19,14 @@ PUBLIC_NAMES = [
     "autodiff", "bigfloat", "cgr", "codegen", "compress_graph", "compute_bwd_theta_exp",
     "compute_fwd_theta", "convert_precision", "convert_scalar", "degopt", "degopt_from_graph",
     "erroranalysis", "eval_graph", "eval_graph_poly", "eval_jac",
-    "eval_runerr", "evaluation", "exp_target", "export_compgraph", "finite_diff_jac",
+    "eval_runerr", "evaluation", "exp_target", "export_compgraph",
     "gen_code", "generators", "get_target", "get_topo_order", "gn_step", "graph",
     "graph_degopt", "graph_degree_bound", "graph_denman_beavers", "graph_exp_pade_ss",
     "graph_horner", "graph_monomial", "graph_monomial_degopt", "graph_newton_schulz",
     "graph_ps", "graph_rational", "import_compgraph", "mat_lu_solve", "merge_graph",
     "numerics", "opt_gauss_newton", "optimizer", "pade_exp_coeffs",
     "pade_squarings_for_norm", "parse_cgr", "plan_schedule", "ps_block_size", "render_cgr",
-    "residual", "series", "sqrt1p_target", "targets", "theta_table_csv",
+    "residual", "series", "sqrt1p_target", "targets",
     "working_precision", "yks_to_degopt",
 ]
 
@@ -66,7 +66,6 @@ PARAMETERS = {
     "eval_runerr": ["g", "x", "mode", "u", "seed"],
     "exp_target": ["z"],
     "export_compgraph": ["g", "path"],
-    "finite_diff_jac": ["g", "points", "refs", "h"],
     "gen_code": ["g", "target", "path"],
     "get_target": ["name", "coeff_type"],
     "get_topo_order": ["g", "all_nodes"],
@@ -93,7 +92,6 @@ PARAMETERS = {
     "render_cgr": ["g"],
     "residual": ["g", "f", "discr", "errtype"],
     "sqrt1p_target": ["z"],
-    "theta_table_csv": ["rows"],
     "working_precision": ["prec"],
     "yks_to_degopt": ["spec"],
 }

@@ -10,13 +10,12 @@ from matgraph import (
     bigfloat,
     convert_precision,
     eval_jac,
-    finite_diff_jac,
     graph_monomial,
     graph_monomial_degopt,
 )
 from matgraph.optimizer import Discretization
 
-from support import forward_jac, random_graph
+from support import finite_diff_jac, forward_jac, random_graph
 
 
 def circle_discr(n=200, r=0.45):
@@ -288,7 +287,7 @@ def test_binary64_graph_reads_complex64_points_at_complex128():
     got, want = eval_jac(g, pts, cref), eval_jac(g, wide, cref)
     assert got.entries.dtype == got.values.dtype == np.complex128
     assert (got.entries == want.entries).all() and (got.values == want.values).all()
-    points = Discretization.from_points(pts).points
+    points = Discretization(pts).points
     assert points.dtype == np.complex128 and (points == wide).all()
 
 

@@ -414,6 +414,15 @@ class TestCompressCodegenConvert:
                     "--out", str(cfile)]) == 0
         assert cfile.exists() and (tmp_path / "ev.h").exists()
 
+    @pytest.mark.parametrize("name", ["bad name", "_f"])
+    def test_codegen_bad_funname_usage_error(self, tmp_path, capsys, name):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "exp-pade", "--degree", "5", "--out", str(gfile)])
+        cfile = tmp_path / "x.c"
+        assert run(["codegen", str(gfile), "--lang", "c", "--funname", name,
+                    "--out", str(cfile)]) == 2
+        assert "invalid function name" in capsys.readouterr().err and not cfile.exists()
+
     def test_convert_precision(self, tmp_path):
         gfile = tmp_path / "g.cgr"
         run(["generate", "--scheme", "monomial", "--coeffs", "0.333333333333,1",
@@ -641,6 +650,12 @@ class TestExactCoefficients:
         assert isinstance(f, TruncSeries) and f.coeffs == [1, tenth]
         with working_precision(256):
             assert f(mp.mpf(2)) == 1 + 2 * tenth
+
+    def test_missing_series_target_file_io_error(self, tmp_path):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])
+        assert run(["optimize", str(gfile), "--target", f"series:{tmp_path / 'missing.txt'}",
+                    "--radius", "0.3", "--out", str(tmp_path / "o.cgr")]) == 4
 
     def test_series_target_huge_exponent_usage_error(self, tmp_path):
         sfile = tmp_path / "t.txt"

@@ -14,16 +14,23 @@ from matgraph import (
     ComputationGraph,
     EmitTarget,
     GraphError,
+    OpKind,
     bigfloat,
     compress_graph,
+    degopt_from_graph,
     eval_graph,
+    eval_graph_poly,
     gen_code,
     get_topo_order,
+    graph_degopt,
     graph_denman_beavers,
     graph_exp_pade_ss,
+    graph_horner,
     graph_monomial,
+    graph_monomial_degopt,
     graph_newton_schulz,
     graph_ps,
+    graph_rational,
     plan_schedule,
 )
 from matgraph.codegen import _emission_plan, _schedule_kary
@@ -507,3 +514,100 @@ class TestEmittedNames:
             assert re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", var), var
         nodes = [var for var in assigned if not re.fullmatch(r"coeff[0-9]+", var)]
         assert len(set(nodes)) == len(nodes)  # one name per node and output
+
+
+# the ten graphs of TestC.test_every_generator_graph_at_n20
+GENERATOR_GRAPHS = {
+    "monomial": lambda: graph_monomial([1.0 / math.factorial(j) for j in range(7)])[0],
+    "horner": lambda: graph_horner([1.0, -0.5, 0.25, 0.125])[0],
+    "ps": lambda: graph_ps([1.0 / math.factorial(j) for j in range(10)])[0],
+    "monomial_degopt": lambda: graph_monomial_degopt([1.0, 1.0, 0.5, 1 / 6])[0],
+    "ps_degopt": lambda: graph_degopt(degopt_from_graph(
+        graph_ps([1.0 / math.factorial(j) for j in range(10)])[0]))[0],
+    "denman_beavers": lambda: graph_denman_beavers(3)[0],
+    "newton_schulz": lambda: graph_newton_schulz(3)[0],
+    "newton_schulz_degopt": lambda: graph_degopt(degopt_from_graph(graph_newton_schulz(2)[0]))[0],
+    "pade9": lambda: graph_exp_pade_ss(9, 1)[0],
+    "rational": lambda: graph_rational(graph_ps([1.0, 0.5, 1 / 12])[0],
+                                       graph_ps([1.0, -0.5, 1 / 12])[0]),
+}
+
+# sha256 of the emitted C and MATLAB, fused and unfused, and of the _mpf_
+# tuples of the 256-bit polynomial coefficients (an exact int as itself;
+# None for a graph with a solve): a change to the emitter or to the series
+# arithmetic shows up here
+GENERATOR_DIGESTS = {
+    "monomial": (
+        "aff0c51fffd7c81ea8a2183e0507a7d33023b84498499205d7ae4824df97f9b9",
+        "852c02e41557bebf556656bc2d22613b61b476c13bdfe7afa0176c87fb3636dd",
+        "241bb94bc33d0397d8ea00e85b9eab1e9b6ed2438eba8fda09374632902331a0",
+        "8ca5410dcf094c6d2e15e5461f2001fd9d0e40fc006efa7b3c562e3cfa2c6617",
+        "26f8f4d15a5680b9630c5f776ce28f6a9a013f5eef529412bf9ccc01e7b7bafe"),
+    "horner": (
+        "19dbe320fb034e1795427ccd778792d68e425725512185b1bcc7d3985853cadb",
+        "19dbe320fb034e1795427ccd778792d68e425725512185b1bcc7d3985853cadb",
+        "3b8373771588248a20936e69577bc6e1372de0db38e7bc15bbd2d3974bd6ba4c",
+        "3b8373771588248a20936e69577bc6e1372de0db38e7bc15bbd2d3974bd6ba4c",
+        "9f078c83985a22710e6085f954dc2099f2eb0113a3b696f51e8c8b9ee859b3ea"),
+    "ps": (
+        "b0f4c83728f55cf47a9afbdd2fc6e03600bc429cd450f0869203152c2df956bc",
+        "8e90ced46a9f073c8c1ec6a6569b10393d4ce2458e5fa740c6b187be07305ff2",
+        "e5ad3ee56d67796675575261df893d13f15b6832516af00d5ca609cf13e5c220",
+        "3d193d5dce5a0583184c22ab8ed2474b37a12e3901ba00c3ef991b013720dde4",
+        "262ece5f483ad03f0ba052f100884cb5524d44aad1dfcf57d01aba26490fe5bf"),
+    "monomial_degopt": (
+        "5767e13a4992727b27fd1ab2b2917c31e5fd05f28ef125d6da0ae3994fb69f90",
+        "f3f90a0b5f57af97abe5b8156c532490a9f7b2e3de004706a10db57325d5d93b",
+        "00b6c96dd35d8b9df8098348ff03ef70c043fd8c8d96a00e3244c8a7693199d7",
+        "3a6cf6345e0b1ca5ff6fdf322997d1a64d32dc7aa6d25f2a608282c96a639cdc",
+        "99f5f6834f31cde9bf28cb8cdcd18e5d3d4b12fa869d704097933d78523054f0"),
+    "ps_degopt": (
+        "85e24afc009f4367a5c126db65987809b56b0444175ca3820f94aea7f0e4591e",
+        "5179c5494c3638f2b1a8f5d28a54d57b64b21ec793b1aca30081094a9d47782f",
+        "5d891ad60863c401536abef2559eba4683711cc1b10f15915cc7121f0e81c651",
+        "979992eaff0a30c454540a8955c8a45df7de7db730de48db8a2a5503ed864801",
+        "262ece5f483ad03f0ba052f100884cb5524d44aad1dfcf57d01aba26490fe5bf"),
+    "denman_beavers": (
+        "d005c4f64b508739372bd87954c15c39f3c3328695511d64b419d88bff36ad2f",
+        "e88ef26c99826d645dd58cab560f41c0ae7d2fcb99bc2c6ac93d510b34dbd1e6",
+        "d9bdad2ca81adc9eb19933bcf78eff0a217818a78f53de43655d72f092d2679e",
+        "c6aa55a294ea72b8d89cec4ddd45c5638f6ea013750855bbba12dcddaea126c7",
+        None),
+    "newton_schulz": (
+        "a91864fff7d10437d1bb800aee1def3609d9fe828f78b91ab5219c35cf7b9d8e",
+        "a91864fff7d10437d1bb800aee1def3609d9fe828f78b91ab5219c35cf7b9d8e",
+        "8efac09d584f46394f1aa4d7c7e6c748a885294d7358cd1a75a591bc5fd4f48d",
+        "8efac09d584f46394f1aa4d7c7e6c748a885294d7358cd1a75a591bc5fd4f48d",
+        "3c4114d7633356fa75dbccf24e3b324c8c0018a026c3ef9449d70cc7881b3c55"),
+    "newton_schulz_degopt": (
+        "82c18bcdf5ad4a671343531724f7b81720e35a46f923fbefa1ecc3c28fc96b19",
+        "d909277f3c8ae5574b6359bbcc17b321676f04e86f38b700b84d9dc78443aca9",
+        "3ec33692d2ba02d960be18f4dc89e5121df40c7fd0e79011f1130e4235ce3f2a",
+        "3815493c8c36e3c4fe9b2229122656607e0342b149444549b46deece2a4191ec",
+        "457e5b72f8965adca4754448ff35fb011a438a1c72b12191883fc13409e0d743"),
+    "pade9": (
+        "a4aa4210ef2589992f734b062be40206736f90ce533bd1e11156366566fe42c0",
+        "cf762320442a817413eb1fd425b987ed67e6de07eb47f9c4bb80163f238ca550",
+        "01e48154333c74c132b168ebd87b8ded25178f96145e63dfd83a6ffaf757cb8e",
+        "f5bf150944b47fd689bff19825e11e05b5075d8283009b4b8a76c9f2cd0e8c5e",
+        None),
+    "rational": (
+        "89f2c8c2083dbd6944fcaeb90fddb68955dc817be0ea04194ebd12ad4177217a",
+        "cd24cc96635a79eb1eb7a0ff5788ac5337717010bde2725d71d8c35c97cd9a76",
+        "406a03d3952554b257f54124594a78ee054dcf608b094ad059703b89f3ddf632",
+        "81a1fd500b38791bf74145d42c7e978a4863e8934cb4b6b0f43ab16caf686d2d",
+        None),
+}
+
+
+@pytest.mark.parametrize("name", GENERATOR_GRAPHS)
+def test_frozen_generator_graph_digests(name):
+    g = GENERATOR_GRAPHS[name]()
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    got = [sha(gen_code(g, EmitTarget(dialect, "f", fuse))) for dialect in ("c", "matlab")
+           for fuse in (True, False)]
+    if any(op == OpKind.LDIV for op in g.operations.values()):
+        got.append(None)
+    else:
+        got.append(sha(repr([getattr(c, "_mpf_", c) for c in eval_graph_poly(g, prec=256)])))
+    assert tuple(got) == GENERATOR_DIGESTS[name]

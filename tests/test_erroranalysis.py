@@ -21,12 +21,12 @@ from matgraph import (
     eval_runerr,
     graph_exp_pade_ss,
     graph_monomial,
-    theta_table_csv,
     working_precision,
 )
 from matgraph import erroranalysis
 
-from support import as_fraction, as_integers, radius_exact_only, random_graph, series_exp_neg, series_log
+from support import (as_fraction, as_integers, radius_exact_only, random_graph, series_exp,
+                     series_exp_neg, series_log)
 
 
 def taylor_graph(deg):
@@ -38,7 +38,7 @@ class TestForwardTheta:
         # independent oracle: bisection on the tail sum_{j>=6} z^j/j! = u
         g, _ = taylor_graph(5)
         u = 2.0 ** -53
-        res = compute_fwd_theta(g, TruncSeries.exp(60), u=u)
+        res = compute_fwd_theta(g, series_exp(60), u=u)
         with mp.workprec(200):
             def tail(t):
                 return mp.fsum(t ** j / mp.factorial(j) for j in range(6, 80))
@@ -59,7 +59,7 @@ class TestForwardTheta:
     @pytest.mark.parametrize("nterms", [60, 100])
     def test_degree5_pinned(self, nterms):
         g, _ = taylor_graph(5)
-        res = compute_fwd_theta(g, TruncSeries.exp(nterms))
+        res = compute_fwd_theta(g, series_exp(nterms))
         assert (res.theta.man, res.theta.exp) == (0x6b8445299592318ce7f4dc44b, -106)
         with mp.workprec(1024):
             assert res.bracket == (res.theta, res.theta * (1 + mp.mpf("1e-6")))
@@ -76,7 +76,7 @@ class TestForwardTheta:
         g, _ = taylor_graph(4)
         coeffs = [1.0 + u / 2] + [1.0 / math.factorial(j) for j in range(1, 5)]
         g2, _ = graph_monomial(coeffs)
-        res = compute_fwd_theta(g2, TruncSeries.exp(40), u=u)
+        res = compute_fwd_theta(g2, series_exp(40), u=u)
         assert float(res.theta) > 0
         assert res.bracket is not None
 
@@ -92,12 +92,12 @@ class TestForwardTheta:
         # a bad argument, not an uncertifiable graph
         g, _ = taylor_graph(5)
         with pytest.raises(ValueError):
-            compute_fwd_theta(g, TruncSeries.exp(20), **kwargs)
+            compute_fwd_theta(g, series_exp(20), **kwargs)
 
     def test_ldiv_rejected(self):
         g, _ = graph_exp_pade_ss(5, 0)
         with pytest.raises(CertificationError):
-            compute_fwd_theta(g, TruncSeries.exp(40))
+            compute_fwd_theta(g, series_exp(40))
 
 
 class TestBackwardTheta:
@@ -168,12 +168,6 @@ class TestBackwardTheta:
         g, _ = graph_exp_pade_ss(5, 0)
         with pytest.raises(ValueError):
             compute_bwd_theta_exp(g, **{"nterms": 20, **kwargs})
-
-    def test_csv_export(self):
-        text = theta_table_csv([("pade13", 7, 5.371920351148152, 2.0 ** -53, 100)])
-        lines = text.strip().splitlines()
-        assert lines[0] == "graph,multiplications,theta,u,nterms"
-        assert lines[1].startswith("pade13,7,5.371920351148152,")
 
 
 @pytest.fixture
@@ -364,14 +358,14 @@ class TestRadiusSearch:
         g, _ = graph_monomial([1, 1, 0.5, bad])
         with pytest.raises(CertificationError, match="non-finite series coefficient"):
             if kind == ThetaKind.FORWARD:
-                compute_fwd_theta(g, TruncSeries.exp(20))
+                compute_fwd_theta(g, series_exp(20))
             else:
                 compute_bwd_theta_exp(g, nterms=20)
         assert bound_evals == []
 
     def test_non_finite_target_coefficient_refused(self, bound_evals):
         g, _ = taylor_graph(5)
-        target = TruncSeries.exp(20)
+        target = series_exp(20)
         target.coeffs[7] = mp.nan
         with pytest.raises(CertificationError, match="non-finite series coefficient"):
             compute_fwd_theta(g, target)
@@ -381,7 +375,7 @@ class TestRadiusSearch:
     def test_non_finite_coefficient_off_the_output_path_certifies(self, kind):
         def theta(g):
             if kind == ThetaKind.FORWARD:
-                return compute_fwd_theta(g, TruncSeries.exp(20)).theta
+                return compute_fwd_theta(g, series_exp(20)).theta
             return compute_bwd_theta_exp(g, nterms=20).theta
 
         g, _ = graph_monomial([1, 1, 0.5])
@@ -423,7 +417,7 @@ class TestRadiusSearch:
     def test_target_series_shorter_than_the_degree_refused(self):
         g, _ = taylor_graph(5)
         with pytest.raises(CertificationError, match="target series truncated below the graph degree"):
-            compute_fwd_theta(g, TruncSeries.exp(4))
+            compute_fwd_theta(g, series_exp(4))
 
     def test_search_evaluation_count(self, bound_evals, search_decisions):
         g, _ = graph_exp_pade_ss(5, 0, coeff_type=bigfloat(256))

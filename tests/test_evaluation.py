@@ -440,6 +440,25 @@ class TestPointVectors:
                 for got, w in zip(J.entries[i], forward_jac(g, [z], cref)[0]):
                     assert abs(got - w) <= mp.ldexp(abs(w), -250)
 
+    @pytest.mark.parametrize("points, kind", [
+        (np.array([0.3, 0.2 + 0.1j]), "mpc"),
+        (np.array([mp.mpf(0.3), mp.mpf(0.2)], dtype=object), "mpf"),
+    ])
+    def test_entries_take_their_kind_from_the_points(self, points, kind):
+        # the identity and the zero columns too: P = 2 I + 0 I reads no
+        # point, and the output does not use U's coefficients
+        from matgraph import eval_jac, graph_monomial_degopt
+
+        g = ComputationGraph(bigfloat(256))
+        g.add_lincomb("P", 2, "I", 0, "I")
+        g.add_lincomb("U", 1, "A", 1, "I")
+        g.set_outputs(["P"])
+        h, href = graph_monomial_degopt([1, 1, 0.5, 1 / 6])
+        h = convert_precision(h, bigfloat(256))
+        J, K = eval_jac(g, points, g.all_coeff_refs()), eval_jac(h, points, href)
+        for values in (eval_graph(g, points), J.values, J.entries.ravel(), K.entries.ravel()):
+            assert {type(v).__name__ for v in values} == {kind}
+
     def test_rational_point_read_at_the_working_precision(self):
         # Fraction(1, 3) has no binary form: read through float, 1 + 3 z^2
         # would be 2.8e-17 from 4/3 at 256 bits

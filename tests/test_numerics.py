@@ -47,10 +47,6 @@ class TestCoeffType:
         with pytest.raises(ValueError):
             CoeffType(prec=24)
 
-    def test_unit_roundoff(self):
-        assert CoeffType().unit_roundoff() == 2.0 ** -53
-        assert bigfloat(256).unit_roundoff() == mp.mpf(2) ** -256
-
 
 class TestConvertScalar:
     def test_round_trip_through_float64(self):

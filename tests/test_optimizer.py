@@ -97,7 +97,7 @@ class TestResidual:
 
     def test_rel_with_vanishing_target(self):
         g, _ = graph_monomial([1.0])
-        d = Discretization.from_points([0.0, 1.0, -1.0])
+        d = Discretization([0.0, 1.0, -1.0])
         with pytest.raises(OptimizeError):
             residual(g, lambda z: z, d, errtype=ErrType.REL)
 
@@ -559,7 +559,7 @@ class TestConjugateFold:
 
     def test_unpaired_point(self, monkeypatch):
         g, cref, d = _exp_design(256, 20)
-        d = Discretization.from_points(np.delete(d.points, 3))
+        d = Discretization(np.delete(d.points, 3))
         assert self.one_step(monkeypatch, g, cref, d) == {19}
 
     def test_complex_least_squares(self, monkeypatch):
@@ -605,7 +605,7 @@ class TestConjugateFold:
         g, cref, _ = _exp_design(256, 2)
         with mp.workprec(256):
             z = mp.mpc(0.3, 0.2)
-            d = Discretization.from_points([z, z + mp.ldexp(1, -250), mp.conj(z)])
+            d = Discretization([z, z + mp.ldexp(1, -250), mp.conj(z)])
         target = lambda w: mp.exp(w) * (2 if w.real > 0.3 else 1)
         assert self.one_step(monkeypatch, g, cref, d, target=target) == {3}
 
@@ -739,7 +739,7 @@ class TestHighPrecisionRun:
 def test_sqrt1p_target_rel_error_guard():
     # relative error is undefined when the target vanishes on the domain
     g, cref = graph_monomial([1.0, 0.5])
-    d = Discretization.from_points([0.5, -1.0, 0.5j])
+    d = Discretization([0.5, -1.0, 0.5j])
     with pytest.raises(OptimizeError):
         opt_gauss_newton(g, sqrt1p_target, d, cref,
                          GNConfig(errtype=ErrType.REL, maxiter=1, linlsqr=LinLsqr.REAL_SVD))
@@ -785,7 +785,7 @@ def test_binary64_design_reads_complex64_points_at_complex128():
         pts = (0.45 * np.exp(2j * np.pi * np.arange(20) / 20)).astype(np.complex64).astype(dtype)
         config = GNConfig(errtype=ErrType.REL, stoptol=0.0, droptol=1e-15,
                           linlsqr=LinLsqr.REAL_SVD, maxiter=3)
-        report = opt_gauss_newton(g, exp_target, Discretization.from_points(pts), cref, config)
+        report = opt_gauss_newton(g, exp_target, Discretization(pts), cref, config)
         runs.append((report.residual_history, g.get_coeffs(cref)))
     assert runs[0] == runs[1]
 
