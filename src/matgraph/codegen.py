@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import mpmath
+from mpmath import mp
 
 from .graph import _ID_RE, IDENTITY_ID, ComputationGraph, GraphError, OpKind, _live
 
@@ -156,13 +157,13 @@ def _emission_plan(g: ComputationGraph, fuse: bool):
     chains of single-use linear combinations are inlined when fusing.
     """
     wanted = _live_resolved(g)
+    ops, parents, coeffs = g.operations, g.parents, g.coeffs
     inlined: set[str] = set()
     if fuse:
-        ops = g.operations
         uses: dict[str, int] = {}  # parent occurrences among the live nodes
         user: dict[str, str] = {}  # a parent used once -> its one user
         for nid in wanted:
-            for p in g.parents[nid]:
+            for p in parents[nid]:
                 uses[p] = uses.get(p, 0) + 1
                 user[p] = nid
         keep = set(g.outputs)
@@ -170,28 +171,29 @@ def _emission_plan(g: ComputationGraph, fuse: bool):
                    if ops[nid] == OpKind.LINCOMB and nid not in keep
                    and uses.get(nid) == 1 and ops[user[nid]] == OpKind.LINCOMB}
 
-    def expand(nid, scale):
-        c1, c2 = g.coeffs[nid]
-        out = []
-        for c, p in ((scale * c1, g.parents[nid][0]), (scale * c2, g.parents[nid][1])):
+    def expand(nid, scale, out):
+        (c1, c2), (p1, p2) = coeffs[nid], parents[nid]
+        for c, p in ((scale * c1, p1), (scale * c2, p2)):
             if p in inlined:
-                out.extend(expand(p, c))
+                expand(p, c, out)
             else:
                 out.append((c, p))
         return out
 
     node_terms = {}
     node_parents = {}
-    for nid in wanted:
-        if nid in inlined:
-            continue
-        if g.operations[nid] == OpKind.LINCOMB:
-            terms = expand(nid, 1.0) if fuse else \
-                [(g.coeffs[nid][0], g.parents[nid][0]), (g.coeffs[nid][1], g.parents[nid][1])]
-            node_terms[nid] = terms
-            node_parents[nid] = tuple(p for _, p in terms)
-        else:
-            node_parents[nid] = g.parents[nid]
+    # fused products are formed at the 53 bits they are printed at, so the
+    # emitted text does not follow the caller's mp.prec
+    with mp.workprec(53):
+        for nid in wanted:
+            if nid in inlined:
+                continue
+            if ops[nid] == OpKind.LINCOMB:
+                terms = expand(nid, 1.0, []) if fuse else list(zip(coeffs[nid], parents[nid]))
+                node_terms[nid] = terms
+                node_parents[nid] = tuple([p for _, p in terms])
+            else:
+                node_parents[nid] = parents[nid]
     return node_terms, node_parents
 
 

@@ -343,17 +343,18 @@ def compress_graph(g: ComputationGraph):
     Output nodes are never removed.  Pass-through elimination is
     conservative: a linear combination is bypassed only when it is exactly
     ``1*p + 0*q`` or ``0*p + 1*q``, so evaluation is unchanged in exact
-    arithmetic.
+    arithmetic.  Each sweep removes the dangling nodes first; they are
+    never parents of live nodes, so the fixpoint ends after the first sweep
+    in which the other three scans remove nothing.
     """
     one = convert_scalar(1, g.coeff_type)
     zero = convert_scalar(0, g.coeff_type)
     changed = True
     while changed:
         # dangling: nodes no output depends on
-        dead = set(g.operations) - _live(g)
-        for n in dead:
+        for n in set(g.operations) - _live(g):
             _drop(g, n)
-        changed = bool(dead)
+        changed = False
         # trivial: identity operand of mult/ldiv
         for nid in sorted(g.operations):
             op = g.operations[nid]

@@ -145,8 +145,22 @@ def convert_scalar(x, ct: CoeffType):
     Complex-to-real conversion requires an exactly zero imaginary part.  At
     extended precision each part is rounded by one libmp call at ``ct.prec``,
     with no precision context, bit for bit as ``mp.mpf(x)`` or ``mp.mpc(x)``
-    under ``mp.workprec(ct.prec)``.
+    under ``mp.workprec(ct.prec)``.  A value already of the kind (a
+    ``float`` or ``complex`` at binary64, an ``mpf`` or ``mpc`` whose
+    mantissas fit in ``ct.prec`` bits) is returned as it is, since rounding
+    it would give the same number.
     """
+    t, prec = type(x), ct.prec
+    if prec is None:
+        if t is (complex if ct.is_complex else float):
+            return x
+    elif ct.is_complex:
+        if t is mp.mpc and x._mpc_[0][3] <= prec and x._mpc_[1][3] <= prec:
+            return x
+    elif t is mp.mpf:
+        return x if x._mpf_[3] <= prec else mp.make_mpf(libmp.mpf_pos(x._mpf_, prec, RND))
+    elif t is float:
+        return mp.make_mpf(libmp.from_float(x, prec, RND))
     if isinstance(x, Fraction):
         if ct.prec is None:
             return complex(x) if ct.is_complex else float(x)

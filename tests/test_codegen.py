@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from matgraph import (
     CoeffType,
@@ -611,3 +612,17 @@ def test_frozen_generator_graph_digests(name):
     else:
         got.append(sha(repr([getattr(c, "_mpf_", c) for c in eval_graph_poly(g, prec=256)])))
     assert tuple(got) == GENERATOR_DIGESTS[name]
+
+
+@pytest.mark.parametrize("prec", [20, 53, 2000])
+def test_emitted_code_ignores_ambient_precision(prec):
+    """Fused coefficient products are formed at 53 bits, whatever mp.prec is."""
+    g, _ = graph_exp_pade_ss(13, 0, bigfloat(256))
+    targets = [EmitTarget(dialect, "f", fuse) for dialect in ("c", "matlab")
+               for fuse in (True, False)]
+    want = [gen_code(g, t) for t in targets]
+    assert "    coeff1 = 6.306022705717595e-10;" in want[2].splitlines()
+    with mp.workprec(prec):
+        got = [gen_code(g, t) for t in targets]
+        assert mp.prec == prec
+    assert got == want

@@ -82,7 +82,10 @@ def _convert_inputs(prec):
         z = mp.mpc(third, -mp.mpf(2) / 7)
     # 2^(p+1) + 2 is a tie to the even 2^(p+1), 2^(p+1) + 6 one up to 2^(p+1) + 8
     wide = [2 ** (prec + 1) + 1, 2 ** (prec + 1) + 2, -(2 ** (prec + 1) + 6)]
+    # mantissas of 300 and 40 bits: kept as they are where they fit, else rounded
+    m300, m40 = (0, 2 ** 300 - 1, -300, 300), (1, 2 ** 40 - 3, -20, 40)
     return [True, False, 0, -3, *wide, 0.0, -0.0, 5e-324, 0.1, math.inf, -math.inf, math.nan,
+            np.float64(0.1), mp.make_mpf(m300), mp.make_mpf(m40), mp.make_mpc((m300, m40)),
             third, z, mp.mpc(2, 0), complex(0.1, -0.0), complex(-2.5, 1e-300),
             Fraction(1, 3), Fraction(-7, 10)]
 
@@ -114,6 +117,13 @@ class TestConvertScalarBitForBit:
                 assert got._mpc_ == want._mpc_, x
             else:
                 assert got._mpf_ == want._mpf_, x
+
+    def test_binary64_gives_python_floats(self):
+        for x in (np.float64(0.5), True, 1):
+            got = convert_scalar(x, CoeffType())
+            assert type(got) is float and got == x
+        x = 0.1
+        assert convert_scalar(x, CoeffType()) is x
 
     def test_wide_int_ties_round_to_even(self):
         ct = bigfloat(64)
