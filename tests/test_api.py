@@ -1,12 +1,20 @@
 """The package's public surface, recorded: adding or removing a name, or a
 parameter of a public callable, shows up in this file.
 
-``matgraph.__all__`` is every name in the package namespace without a
-leading underscore, so the submodules are part of it.
+``matgraph.__all__`` is every submodule the package exports (all but the
+``cli`` entry point) and every public name those submodules export through
+it. The package loads a submodule when it or one of its names is first
+looked up, so the names are looked up, not read from the namespace.
 """
 
 import enum
 import inspect
+import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 import matgraph
 
@@ -118,3 +126,61 @@ def test_only_the_graph_constructor_chooses_an_input_id():
     # every evaluation binds its argument to g.input_id
     assert [name for name, params in _parameters().items()
             if {"input", "input_id"} & set(params)] == ["ComputationGraph"]
+
+
+def _run(script: str, *args: str) -> str:
+    """Run ``script`` in a fresh interpreter that imports this matgraph."""
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(matgraph.__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          check=True, capture_output=True, text=True, timeout=120).stdout
+
+
+def test_import_loads_only_graph_and_numerics():
+    loaded = _run("import sys, matgraph\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('matgraph')))\n")
+    assert loaded.strip() == "['matgraph', 'matgraph.graph', 'matgraph.numerics']"
+
+
+# looks every public name up on the package, after importing each submodule
+# itself when argv[1] is "submodule"; prints the submodule count and the
+# names that are not the object every submodule holding that name holds
+SAME_OBJECTS = """
+import importlib, json, pkgutil, sys
+import matgraph
+subs = [m.name for m in pkgutil.iter_modules(matgraph.__path__) if m.name in matgraph.__all__]
+if sys.argv[1] == "submodule":
+    for m in subs:
+        importlib.import_module("matgraph." + m)
+seen = {name: getattr(matgraph, name) for name in matgraph.__all__}
+modules = [sys.modules["matgraph." + m] for m in subs]
+bad = [m for m, mod in zip(subs, modules) if seen[m] is not mod]
+for name, obj in seen.items():
+    homes = [mod for mod in modules if hasattr(mod, name)]
+    if name not in subs and (not homes or any(getattr(mod, name) is not obj for mod in homes)):
+        bad.append(name)
+print(json.dumps([len(subs), bad]))
+"""
+
+
+@pytest.mark.parametrize("first", ["package", "submodule"])
+def test_public_names_are_their_modules_objects(first):
+    assert json.loads(_run(SAME_OBJECTS, first)) == [12, []]
+
+
+def test_dir_lists_every_public_name():
+    assert set(matgraph.__all__) <= set(dir(matgraph))
+
+
+def test_star_import_binds_every_public_name():
+    ns = {}
+    exec("from matgraph import *", ns)
+    assert all(ns[name] is getattr(matgraph, name) for name in matgraph.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError) as info:
+        matgraph.no_such_name
+    assert str(info.value) == "module 'matgraph' has no attribute 'no_such_name'"
+    assert not hasattr(matgraph, "no_such_name")
