@@ -15,7 +15,8 @@ pseudo-variables ``coeff1``/``coeff2`` immediately before use:
     # outputs: P0
 
 Binary64 coefficients are written as shortest round-trip decimals,
-extended-precision ones as exact hex-float literals, so parsing an
+extended-precision ones as exact hex-float literals, and a non-finite
+one as ``nan``, ``inf`` or ``-inf`` at every precision, so parsing an
 exported file reproduces the graph coefficient-exactly.  Comment lines of
 the form ``# key: value`` are preserved as opaque metadata; the
 ``outputs`` (and, for non-standard graphs, ``input``) keys are written by
@@ -48,8 +49,8 @@ def _mpf_to_hex(x) -> str:
     if not isinstance(x, mpmath.mpf):
         x = mp.mpf(x)  # exact for binary64 inputs
     sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return "0x0p0"
+    if man == 0:  # zero, or nan, inf or -inf, which binary64 writes as words
+        return repr(float(x)) if exp else "0x0p0"
     return f"{'-' if sign else ''}0x{man:x}p{exp}"
 
 
@@ -59,6 +60,8 @@ _HEX_RE = re.compile(r"^(-?)0x([0-9a-fA-F]+)p(-?\d+)$")
 def _hex_to_raw(text: str, prec: int):
     mobj = _HEX_RE.match(text)
     if not mobj:
+        if text in ("nan", "inf", "-inf"):
+            return libmp.from_str(text, prec)
         raise ValueError(f"bad hex float {text!r}")
     sign, man, exp = mobj.groups()
     man = -int(man, 16) if sign else int(man, 16)

@@ -11,7 +11,8 @@
 ``eval`` takes exactly one of ``--matrix`` and ``--point`` and binds it to
 the graph's input id: ``A``, or the one the file's ``# input:`` key names.
 ``eval`` and ``certify`` write their CSV to ``--out``, or to stdout without
-it.  ``optimize --report`` writes a JSON record of the fit.
+it.  ``optimize --report`` writes the fit's ``GNReport`` fields as JSON.
+Each command loads only the submodules it runs, reaching them as ``mg.X``.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure or out of memory,
 4 I/O or format error.  Every value is set by its own flag; the
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import dataclasses
 import json
 import logging
 import os
@@ -33,41 +35,16 @@ import sys
 
 import numpy as np
 
-from . import __version__
-from .cgr import CgrError, export_compgraph, import_compgraph
-from .codegen import EmitTarget, gen_code
-from .degopt import (
-    degopt_from_graph,
-    graph_degopt,
-    graph_horner,
-    graph_monomial,
-    graph_monomial_degopt,
-    graph_ps,
-)
-from .erroranalysis import CertificationError, compute_bwd_theta_exp
-from .evaluation import eval_graph
-from .generators import (
-    graph_denman_beavers,
-    graph_exp_pade_ss,
-    graph_newton_schulz,
-)
+import matgraph as mg  # every other submodule, on first use
 from .graph import ComputationGraph, GraphError, OpKind, compress_graph, convert_precision
 from .numerics import CoeffType, convert_scalar, exact_decimal
-from .optimizer import (
-    Discretization,
-    ErrType,
-    GNConfig,
-    LinLsqr,
-    opt_gauss_newton,
-)
-from .targets import get_target
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 IO_ERROR = 4
 
-# schemes built from --coeffs; "<name>-degopt" gives the same scheme in degree-optimal form
-POLY_SCHEMES = {"monomial": graph_monomial, "horner": graph_horner, "ps": graph_ps}
+# schemes built from --coeffs by graph_<name>; "<name>-degopt" is their degree-optimal form
+POLY_SCHEMES = ("monomial", "horner", "ps")
 
 
 class CliError(Exception):
@@ -135,8 +112,8 @@ def _sink(path: str | None):
 
 def _load_graph(path: str) -> ComputationGraph:
     try:
-        return import_compgraph(path)
-    except CgrError as exc:
+        return mg.import_compgraph(path)
+    except mg.CgrError as exc:
         raise CliError(f"{path}: {exc}", IO_ERROR) from exc
 
 
@@ -157,7 +134,8 @@ def _coeff_type(bits: int | None) -> CoeffType:
 def cmd_generate(args) -> int:
     scheme = args.scheme
     ct = _coeff_type(args.precision if args.precision is not None else _default_prec())
-    build = POLY_SCHEMES.get(scheme.removesuffix("-degopt"))
+    base = scheme.removesuffix("-degopt")
+    build = getattr(mg, f"graph_{base}") if base in POLY_SCHEMES else None
     if build and not args.coeffs:
         raise CliError(f"--coeffs is required for scheme {scheme}", USAGE_ERROR)
     try:
@@ -169,21 +147,21 @@ def cmd_generate(args) -> int:
                 g, _ = build(coeffs, ct)
             elif len(coeffs) < 3:
                 # below degree 2 every scheme has the same form, one A*A row
-                g, _ = graph_monomial_degopt(coeffs, ct)
+                g, _ = mg.graph_monomial_degopt(coeffs, ct)
             else:
-                g, _ = graph_degopt(degopt_from_graph(build(coeffs, ct)[0]), ct)
+                g, _ = mg.graph_degopt(mg.degopt_from_graph(build(coeffs, ct)[0]), ct)
         elif scheme == "denman-beavers":
-            g, _ = graph_denman_beavers(args.iters, ct)
+            g, _ = mg.graph_denman_beavers(args.iters, ct)
         elif scheme == "newton-schulz":
-            g, _ = graph_newton_schulz(args.iters, ct)
+            g, _ = mg.graph_newton_schulz(args.iters, ct)
         else:
-            g, _ = graph_exp_pade_ss(args.degree, args.squarings, ct)
+            g, _ = mg.graph_exp_pade_ss(args.degree, args.squarings, ct)
     except GraphError as exc:
         # the generators refuse degrees, squarings and iteration counts they lack
         raise CliError(str(exc), USAGE_ERROR) from exc
     if args.compress:
         compress_graph(g)
-    export_compgraph(g, args.out)
+    mg.export_compgraph(g, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -195,7 +173,7 @@ def cmd_eval(args) -> int:
     else:
         where, arg = args.matrix, read_matrix_csv(args.matrix)
     _require_finite([arg], f"argument {where}")
-    value = eval_graph(g, arg)
+    value = mg.eval_graph(g, arg)
     values = value if isinstance(value, list) else [value]
     _require_finite(values, f"value at {where}")
     with _sink(args.out) as out:
@@ -207,11 +185,8 @@ def cmd_eval(args) -> int:
 
 
 @contextlib.contextmanager
-def _progress_to_stderr(enabled: bool):
+def _progress_to_stderr():
     """Send the package's INFO log records (Gauss-Newton progress) to stderr."""
-    if not enabled:
-        yield
-        return
     logger = logging.getLogger("matgraph")
     handler = logging.StreamHandler(sys.stderr)
     level = logger.level
@@ -231,7 +206,7 @@ def cmd_optimize(args) -> int:
     ct = _coeff_type(256 if bits is None else bits)
     g = convert_precision(g, CoeffType(ct.prec, g.coeff_type.is_complex))
     try:
-        f = get_target(args.target, CoeffType(g.coeff_type.prec))
+        f = mg.get_target(args.target, CoeffType(g.coeff_type.prec))
     except ValueError as exc:
         raise CliError(str(exc), USAGE_ERROR) from exc
     if args.target == "sqrt1p" and args.errtype == "rel" and abs(args.center + 1.0) <= args.radius:
@@ -241,15 +216,15 @@ def cmd_optimize(args) -> int:
             NUMERICAL_ERROR,
         )
     try:
-        discr = Discretization.disk(args.center, args.radius, args.points,
-                                    prec=g.coeff_type.prec)
-        config = GNConfig(
-            errtype=ErrType.REL if args.errtype == "rel" else ErrType.ABS,
+        discr = mg.Discretization.disk(args.center, args.radius, args.points,
+                                       prec=g.coeff_type.prec)
+        config = mg.GNConfig(
+            errtype=args.errtype,
             stoptol=args.stoptol,
             maxiter=args.maxiter,
             gamma=args.gamma,
             droptol=args.droptol,
-            linlsqr=LinLsqr.REAL_SVD if args.linlsqr == "real" else LinLsqr.COMPLEX_SVD,
+            linlsqr=mg.LinLsqr.REAL_SVD if args.linlsqr == "real" else mg.LinLsqr.COMPLEX_SVD,
             perturbation=args.perturb,
             seed=args.seed,
         )
@@ -258,19 +233,12 @@ def cmd_optimize(args) -> int:
     refs = g.all_coeff_refs()
     if not refs:
         raise CliError("graph has no tunable coefficients", NUMERICAL_ERROR)
-    with _progress_to_stderr(args.verbose):
-        report = opt_gauss_newton(g, f, discr, refs, config)
-    export_compgraph(g, args.out)
+    with _progress_to_stderr() if args.verbose else contextlib.nullcontext():
+        report = mg.opt_gauss_newton(g, f, discr, refs, config)
+    mg.export_compgraph(g, args.out)
     if args.report:
-        payload = {
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "stop_reason": report.stop_reason,
-            "best_residual": report.best_residual,
-            "residual_history": report.residual_history,
-        }
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(dataclasses.asdict(report), fh, indent=2)
             fh.write("\n")
     status = "converged" if report.converged else "not converged"
     best = report.best_residual
@@ -283,11 +251,11 @@ def cmd_certify(args) -> int:
     g = _load_graph(args.graph)
     flag = None
     try:
-        result = compute_bwd_theta_exp(g, u=args.u, nterms=args.nterms, prec=args.precision)
+        result = mg.compute_bwd_theta_exp(g, u=args.u, nterms=args.nterms, prec=args.precision)
         theta = result.theta
         if result.saturated:
             flag = "bound never crossed u inside the search interval"
-    except CertificationError as exc:
+    except mg.CertificationError as exc:
         # no certifiable radius: report zero and say why
         theta = 0.0
         flag = str(exc)
@@ -309,7 +277,7 @@ def cmd_compress(args) -> int:
     g = _load_graph(args.graph)
     before = len(g.operations)
     compress_graph(g)
-    export_compgraph(g, args.out)
+    mg.export_compgraph(g, args.out)
     print(f"wrote {args.out} ({before} -> {len(g.operations)} nodes)")
     return 0
 
@@ -317,12 +285,9 @@ def cmd_compress(args) -> int:
 def cmd_codegen(args) -> int:
     g = _load_graph(args.graph)
     try:
-        target = EmitTarget(
-            dialect="matlab" if args.lang == "matlab" else "c",
-            function_name=args.funname,
-            fuse_lincomb=not args.no_fuse,
-        )
-        gen_code(g, target, args.out)
+        target = mg.EmitTarget(args.lang, function_name=args.funname,
+                               fuse_lincomb=not args.no_fuse)
+        mg.gen_code(g, target, args.out)
     except GraphError as exc:
         raise CliError(str(exc), USAGE_ERROR) from exc
     print(f"wrote {args.out}")
@@ -336,7 +301,7 @@ def cmd_convert(args) -> int:
         g2 = convert_precision(g, ct)
     except ValueError as exc:
         raise CliError(str(exc), NUMERICAL_ERROR) from exc
-    export_compgraph(g2, args.out)
+    mg.export_compgraph(g2, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -346,7 +311,7 @@ def cmd_convert(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="matgraph", description=__doc__.splitlines()[0])
-    p.add_argument("--version", action="version", version=f"matgraph {__version__}")
+    p.add_argument("--version", action="version", version=f"matgraph {mg.__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="construct a named graph and save it")
@@ -427,8 +392,8 @@ def main(argv=None) -> int:
         if argv[i] == "--point" and argv[i + 1].startswith("-"):
             argv[i:i + 2] = [f"--point={argv[i + 1]}"]
             break
+    args = parser.parse_args(argv)  # argparse exits by itself on a usage error
     try:
-        args = parser.parse_args(argv)
         # a non-finite result is reported by the command itself (exit 3);
         # numpy's floating-point warnings would only repeat it on stderr
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -436,7 +401,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"matgraph: {exc}", file=sys.stderr)
         return exc.code
-    except (GraphError, CgrError, OSError) as exc:
+    except (GraphError, mg.CgrError, OSError) as exc:
         print(f"matgraph: {exc}", file=sys.stderr)
         return IO_ERROR
     except ArithmeticError as exc:

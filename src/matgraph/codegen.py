@@ -15,6 +15,7 @@ combinations are emitted as plain loops.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import os
 import re
@@ -155,6 +156,8 @@ def _emission_plan(g: ComputationGraph, fuse: bool):
     Returns (node_terms, node_parents) where node_terms maps a
     linear-combination node to its flattened [(coeff, operand), ...] list;
     chains of single-use linear combinations are inlined when fusing.
+    Neither dialect has a literal for NaN or infinity, so a coeff that is
+    not finite in binary64 raises GraphError.
     """
     wanted = _live_resolved(g)
     ops, parents, coeffs = g.operations, g.parents, g.coeffs
@@ -190,6 +193,9 @@ def _emission_plan(g: ComputationGraph, fuse: bool):
                 continue
             if ops[nid] == OpKind.LINCOMB:
                 terms = expand(nid, 1.0, []) if fuse else list(zip(coeffs[nid], parents[nid]))
+                bad = [c for c, _ in terms if not cmath.isfinite(c)]
+                if bad:
+                    raise GraphError(f"node {nid!r}: coefficient {bad[0]} is not finite in binary64")
                 node_terms[nid] = terms
                 node_parents[nid] = tuple([p for _, p in terms])
             else:

@@ -122,6 +122,20 @@ class TestRoundTrip:
         export_compgraph(g, str(path))
         assert import_compgraph(str(path)) == g
 
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+    def test_non_finite_extended_coefficients(self, word, is_complex):
+        """Written as nan, inf or -inf, as binary64 writes them, and read back exactly."""
+        v = mp.mpf(word)
+        g = ComputationGraph(bigfloat(113, True) if is_complex else bigfloat(256))
+        g.add_lincomb("X", *((mp.mpc(v, 1), "I", mp.mpc(1, v), "A") if is_complex
+                             else (v, "I", mp.mpf(1), "A")))
+        g.set_outputs(["X"])
+        text = render_cgr(g)
+        assert f"coeff1={word}" in text
+        raw = lambda c: c._mpc_ if is_complex else c._mpf_
+        assert [raw(c) for c in parse_cgr(text).coeffs["X"]] == [raw(c) for c in g.coeffs["X"]]
+
     def test_custom_input_id(self, tmp_path):
         g = ComputationGraph(input_id="x")
         g.add_lincomb("y", 1.0, "I", 1.0, "x")

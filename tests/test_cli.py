@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import matgraph
 from matgraph import (
     CoeffType,
     ComputationGraph,
@@ -423,6 +427,16 @@ class TestCompressCodegenConvert:
                     "--out", str(cfile)]) == 2
         assert "invalid function name" in capsys.readouterr().err and not cfile.exists()
 
+    @pytest.mark.parametrize("lang", ["c", "matlab"])
+    def test_codegen_non_finite_coefficient_usage_error(self, tmp_path, capsys, lang):
+        gfile = tmp_path / "g.cgr"
+        gfile.write_text('graph_coeff_type="Float64";\n'
+                         "coeff1=inf;\ncoeff2=1.0;\nB=coeff1*A+coeff2*I;\n")
+        assert run(["codegen", str(gfile), "--lang", lang, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == "matgraph: node 'B': coefficient inf is not finite in binary64\n"
+        assert os.listdir(tmp_path) == ["g.cgr"]
+
     def test_convert_precision(self, tmp_path):
         gfile = tmp_path / "g.cgr"
         run(["generate", "--scheme", "monomial", "--coeffs", "0.333333333333,1",
@@ -666,6 +680,45 @@ class TestExactCoefficients:
         assert run(["optimize", str(gfile), "--target", f"series:{sfile}", "--radius", "0.5",
                     "--precision", "53", "--out", str(tmp_path / "o.cgr")]) == 2
         assert time.perf_counter() - t0 < 0.2
+
+
+# -- each command loads only the modules it runs --
+
+# runs main(argv) in a fresh interpreter, then prints its exit code and the
+# matgraph modules loaded
+FOOTPRINT = """
+import sys
+from matgraph.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --version and argparse usage errors
+    code = exc.code
+print(code, *sorted(m for m in sys.modules if m.startswith("matgraph")))
+"""
+
+
+@pytest.mark.parametrize("argv, code, modules", [
+    (["--version"], 0, []),
+    (["generate", "--out", "q.cgr"], 2, []),
+    (["codegen", "p.cgr", "--lang", "c", "--out", "p.c"], 0, ["cgr", "codegen"]),
+    (["convert", "p.cgr", "--type", "BigFloat256", "--out", "q.cgr"], 0, ["cgr"]),
+    (["compress", "p.cgr", "--out", "q.cgr"], 0, ["cgr"]),
+    (["eval", "p.cgr", "--point", "0.5"], 0, ["cgr", "evaluation", "series"]),
+    (["certify", "p.cgr", "--nterms", "30"], 0, ["cgr", "erroranalysis", "evaluation", "series"]),
+    (["generate", "--scheme", "ps", "--coeffs", "1,1,0.5,0.25", "--out", "q.cgr"], 0,
+     ["cgr", "degopt"]),
+])
+def test_command_loads_only_the_modules_it_runs(tmp_path, argv, code, modules):
+    assert run(["generate", "--scheme", "exp-pade", "--degree", "5",
+                "--out", str(tmp_path / "p.cgr")]) == 0
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(matgraph.__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    core = ["matgraph", "matgraph.cli", "matgraph.graph", "matgraph.numerics"]
+    want = [str(code), *sorted(core + [f"matgraph.{m}" for m in modules])]
+    assert proc.stdout.splitlines()[-1].split() == want, proc.stderr
 
 
 # -- fuzzing: every argv and CGR text ends in a documented exit code --

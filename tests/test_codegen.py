@@ -18,6 +18,7 @@ from matgraph import (
     OpKind,
     bigfloat,
     compress_graph,
+    convert_scalar,
     degopt_from_graph,
     eval_graph,
     eval_graph_poly,
@@ -428,6 +429,43 @@ class TestUnresolvedParent:
         g.add_lincomb("X", 1.0, "A", 0.5, "I")
         assert plan_schedule(g).order == ["X", "B", "Y"]
         _emitted_matches_evaluator(g, np.diag([0.5, 2.0]))
+
+
+def _product_chain(ct, c_b, c_c):
+    """``B = c_b*A^2 + I; C = c_c*B + A``: fused, C's terms carry c_c*c_b."""
+    g = ComputationGraph(ct)
+    g.add_mult("A2", "A", "A")
+    g.add_lincomb("B", c_b, "A2", convert_scalar(1, ct), "I")
+    g.add_lincomb("C", c_c, "B", convert_scalar(1, ct), "A")
+    g.set_outputs(["C"])
+    return g
+
+
+class TestNonFiniteCoefficients:
+    """Neither dialect can print NaN or infinity, so a coefficient not finite in binary64 is refused."""
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize("ct, c, dialect", [
+        *((ct, c, dialect) for dialect in ("c", "matlab")
+          for ct, c in ((CoeffType(), math.inf), (CoeffType(), -math.inf),
+                        (CoeffType(), math.nan), (bigfloat(256), mp.mpf("1e400")))),
+        # the C target refuses every complex graph
+        (CoeffType(is_complex=True), complex(1, math.inf), "matlab"),
+        (CoeffType(is_complex=True), complex(math.nan, math.nan), "matlab"),
+    ])
+    def test_non_finite_coefficient_refused(self, ct, c, dialect, fuse):
+        g = _product_chain(ct, convert_scalar(2, ct), c)
+        with pytest.raises(GraphError, match="node 'C': coefficient .* is not finite in binary64"):
+            gen_code(g, EmitTarget(dialect, "f", fuse))
+
+    @pytest.mark.parametrize("dialect", ["c", "matlab"])
+    @pytest.mark.parametrize("ct", [CoeffType(), bigfloat(256)])
+    def test_overflowing_fused_product_refused(self, ct, dialect):
+        g = _product_chain(ct, convert_scalar(1e308, ct), convert_scalar(10, ct))
+        with pytest.raises(GraphError, match="node 'C': coefficient .* is not finite in binary64"):
+            gen_code(g, EmitTarget(dialect, "f", True))
+        # unfused, each coefficient prints as it is
+        assert "1e+308" in gen_code(g, EmitTarget(dialect, "f", False))
 
 
 def _chain(ids, input_id="A"):
