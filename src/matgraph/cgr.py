@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import re
 
-import mpmath
 from mpmath import libmp, mp
 
 from .graph import ComputationGraph, GraphError, get_topo_order, OpKind
-from .numerics import CoeffType, convert_scalar
+from .numerics import CoeffType
 
 
 class CgrError(ValueError):
@@ -45,68 +44,55 @@ class CgrError(ValueError):
 # -- number formatting -------------------------------------------------------
 
 
-def _mpf_to_hex(x) -> str:
-    if not isinstance(x, mpmath.mpf):
-        x = mp.mpf(x)  # exact for binary64 inputs
-    sign, man, exp, _ = x._mpf_
-    if man == 0:  # zero, or nan, inf or -inf, which binary64 writes as words
-        return repr(float(x)) if exp else "0x0p0"
-    return f"{'-' if sign else ''}0x{man:x}p{exp}"
-
-
 _HEX_RE = re.compile(r"^(-?)0x([0-9a-fA-F]+)p(-?\d+)$")
 
 
-def _hex_to_raw(text: str, prec: int):
+def _word(x, prec: int | None) -> str:
+    """One real part of a coefficient, as the module docstring states."""
+    if prec is None:
+        return repr(float(x))
+    sign, man, exp, _ = x._mpf_
+    if man:
+        return f"{'-' if sign else ''}0x{man:x}p{exp}"
+    return repr(float(x)) if exp else "0x0p0"
+
+
+def _read_word(text: str, prec: int | None):
+    """The real part that :func:`_word` wrote as ``text``, rounded to ``prec``."""
+    if prec is None:
+        return float(text)
     mobj = _HEX_RE.match(text)
-    if not mobj:
-        if text in ("nan", "inf", "-inf"):
-            return libmp.from_str(text, prec)
-        raise ValueError(f"bad hex float {text!r}")
-    sign, man, exp = mobj.groups()
-    man = -int(man, 16) if sign else int(man, 16)
-    return libmp.from_man_exp(man, int(exp), prec, libmp.round_nearest)
+    if mobj:
+        sign, man, exp = mobj.groups()
+        man = -int(man, 16) if sign else int(man, 16)
+        return mp.make_mpf(libmp.from_man_exp(man, int(exp), prec, libmp.round_nearest))
+    if text in ("nan", "inf", "-inf"):
+        return mp.make_mpf(libmp.from_str(text, prec))
+    raise ValueError(f"bad hex float {text!r}")
 
 
 def _format_number(v, ct: CoeffType) -> str:
-    if ct.is_complex:
-        if ct.prec is None:
-            v = complex(v)
-            re_s, im_s = repr(v.real), repr(v.imag)
-        else:
-            if not isinstance(v, mpmath.mpc):
-                v = convert_scalar(v, ct)
-            re_s, im_s = _mpf_to_hex(v.real), _mpf_to_hex(v.imag)
-        return f"{re_s}{'+' if not im_s.startswith('-') else ''}{im_s}i"
-    if ct.prec is None:
-        return repr(float(v))
-    return _mpf_to_hex(v)
+    if not ct.is_complex:
+        return _word(v, ct.prec)
+    re_s, im_s = _word(v.real, ct.prec), _word(v.imag, ct.prec)
+    return f"{re_s}{'' if im_s.startswith('-') else '+'}{im_s}i"
+
+
+# a complex literal splits at its last sign that follows neither a sign
+# nor an exponent or hex marker
+_COMPLEX_RE = re.compile(r"(.*[^eEpx+-])([+-].*)i")
 
 
 def _parse_number(text: str, ct: CoeffType, line: int):
     text = text.strip()
     try:
-        if ct.is_complex:
-            if not text.endswith("i"):
-                raise ValueError("complex literal must end in 'i'")
-            body = text[:-1]
-            # split at the sign separating real and imaginary parts
-            idx = None
-            for i in range(len(body) - 1, 0, -1):
-                if body[i] in "+-" and body[i - 1] not in "eEpx+-":
-                    idx = i
-                    break
-            if idx is None:
-                raise ValueError("missing real/imaginary separator")
-            re_s, im_s = body[:idx], body[idx:]
-            if im_s[0] == "+":
-                im_s = im_s[1:]
-            if ct.prec is None:
-                return complex(float(re_s), float(im_s))
-            return mp.make_mpc((_hex_to_raw(re_s, ct.prec), _hex_to_raw(im_s, ct.prec)))
-        if ct.prec is None:
-            return float(text)
-        return mp.make_mpf(_hex_to_raw(text, ct.prec))
+        if not ct.is_complex:
+            return _read_word(text, ct.prec)
+        mobj = _COMPLEX_RE.fullmatch(text)
+        if not mobj:
+            raise ValueError("complex literal must read <real>+<imag>i or <real>-<imag>i")
+        re_x, im_x = (_read_word(w.removeprefix("+"), ct.prec) for w in mobj.groups())
+        return complex(re_x, im_x) if ct.prec is None else mp.make_mpc((re_x._mpf_, im_x._mpf_))
     except ValueError as exc:
         raise CgrError(f"cannot parse number {text!r}: {exc}", line) from exc
 

@@ -12,7 +12,8 @@ it (:func:`_argument`: exactly, at extended precision):
   integers and returns an object array of mpmath numbers;
 * 2-d numpy arrays: dense matrices, the linear solve done by LU with
   partial pivoting.  An extended-precision graph runs one, an empty one
-  too, as the ``mpmath.matrix`` of its entries and returns an object array;
+  too, as the ``mpmath.matrix`` of its entries and returns an object array,
+  and so does a binary64 graph an object one;
 * ``mpmath.matrix``: extended-precision dense matrices, by one of two
   routes.  A real one of finite entries, in a graph whose coefficients are
   all finite reals, is read once into a
@@ -69,32 +70,32 @@ def _precision_context(g: ComputationGraph, prec: int | None = None):
 def _argument(g: ComputationGraph, x):
     """``x`` in the arithmetic of ``g``; every entry point reads its argument through this.
 
-    An extended-precision graph reads binary64 and integer numbers as the
-    mpmath numbers of the same value, a 1-d ndarray as the
-    :class:`~matgraph.numerics.FixedVector` of its exact values, and a 2-d
-    ndarray as an ``mpmath.matrix``, so that nothing runs in binary64 or in
-    numpy's object arithmetic.  A binary64 graph reads numpy numbers and
-    arrays as ``np.result_type(dtype, float64)``: integers never wrap in
-    int64, and float16, float32 and complex64 never run in their own dtype.
-    Any other argument is returned as it is.
+    An extended-precision graph reads Python and numpy numbers, of any
+    width, as the mpmath numbers of the same value, a 1-d
+    ndarray as the :class:`~matgraph.numerics.FixedVector` of its exact
+    values, and a 2-d ndarray as an ``mpmath.matrix``, so that nothing runs
+    in binary64, in a numpy dtype or in numpy's object arithmetic.  A
+    binary64 graph reads a 2-d object ndarray as an ``mpmath.matrix`` too,
+    and numpy numbers and arrays as ``np.result_type(dtype, float64)``:
+    integers never wrap in int64, and float16, float32 and complex64 never
+    run in their own dtype.  Any other argument is returned as it is.
     """
-    if g.coeff_type.prec is None:
+    extended = g.coeff_type.prec is not None
+    if isinstance(x, np.ndarray) and x.ndim == 2 and (extended or x.dtype == object):
+        if x.dtype.kind in "iufc":
+            x = np.array([_argument(g, v) for v in x.ravel().tolist()],
+                         dtype=object).reshape(x.shape)
+        return mp.matrix(x.tolist()) if x.size else mp.matrix(*x.shape)  # no empty literal
+    if not extended:
         if isinstance(x, (np.ndarray, np.number)) and x.dtype.kind in "iufc":
             return x.astype(np.result_type(x.dtype, np.float64), copy=False)
         return x
     if isinstance(x, np.ndarray):
-        if x.ndim == 1:
-            return FixedVector.read(x.tolist())
-        if x.dtype.kind in "iufc":
-            x = np.array([_argument(g, v) for v in x.ravel().tolist()],
-                         dtype=object).reshape(x.shape)
-        if x.ndim == 2:  # no empty mpmath literal
-            return mp.matrix(x.tolist()) if x.size else mp.matrix(*x.shape)
-        return x
-    if isinstance(x, complex):
-        return mp.make_mpc((libmp.from_float(x.real), libmp.from_float(x.imag)))
-    if isinstance(x, float):
-        return mp.make_mpf(libmp.from_float(x))
+        return FixedVector.read(x.tolist()) if x.ndim == 1 else x
+    if isinstance(x, (complex, np.complexfloating)):
+        return mp.make_mpc((libmp.from_npfloat(x.real), libmp.from_npfloat(x.imag)))
+    if isinstance(x, (float, np.floating)):  # exact for a numpy float of any width
+        return mp.make_mpf(libmp.from_npfloat(x))
     if isinstance(x, (int, np.integer)):
         return mp.make_mpf(libmp.from_int(int(x)))
     return x

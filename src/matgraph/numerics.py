@@ -470,9 +470,9 @@ def _exact(x):
              else libmp.from_man_exp(p, 1 - q.bit_length()))
         b = fzero
     elif isinstance(x, numbers.Real):
-        a, b = libmp.from_float(float(x)), fzero
+        a, b = libmp.from_npfloat(x), fzero  # exact for a numpy float of any width
     elif isinstance(x, numbers.Complex):
-        a, b = libmp.from_float(float(x.real)), libmp.from_float(float(x.imag))
+        a, b = libmp.from_npfloat(x.real), libmp.from_npfloat(x.imag)
     else:
         raise TypeError(f"cannot read a {type(x).__name__} as an extended-precision number")
     (sa, ma, ea, _), (sb, mb, eb, _) = a, b

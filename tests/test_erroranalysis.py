@@ -571,6 +571,16 @@ class TestRunningError:
         with pytest.warns(UserWarning):
             assert math.isinf(eval_runerr(g, 0.7))
 
+    def test_infinite_parent_error_times_zero_coefficient_stays_infinite(self):
+        # L1 = A - I vanishes at x = 1, so its error is infinite; L2 = 0*L1 + A
+        # must carry that on as inf, not as the NaN of 0 * inf
+        g = ComputationGraph()
+        g.add_lincomb("L1", 1.0, "A", -1.0, "I")
+        g.add_lincomb("L2", 0.0, "L1", 1.0, "A")
+        g.set_outputs(["L2"])
+        with pytest.warns(UserWarning, match="vanishing linear combination"):
+            assert eval_runerr(g, 1.0, mode=RunErrMode.BOUND) == math.inf
+
     def test_extended_graph_evaluated_at_its_precision(self):
         # X = 1*I - 1*A at x = 1 + 2^-80 vanishes at 53 bits, not at 256
         g = ComputationGraph(bigfloat(256))

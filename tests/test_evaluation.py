@@ -360,6 +360,35 @@ class TestPrecisionRule:
         got = eval_graph(g, x[0])
         assert got.dtype == wide.dtype and got == eval_graph(g, wide[0]) == want[0]
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.complex64,
+                                       np.longdouble, np.clongdouble])
+    def test_extended_graph_reads_numpy_scalars_by_value(self, dtype):
+        # a 256-bit graph ran a float16, float32 or complex64 scalar in its
+        # own dtype (off by 2e-9 at float32), a longdouble one in longdouble,
+        # and rounded the entries of a longdouble point vector to binary64
+        g, _ = graph_ps([1, 1, 0.5, 1 / 6], bigfloat(256))
+        third = dtype(1) / 3
+        x = third + (0.25j * third if np.iscomplexobj(third) else 0)
+        with mp.workprec(256):  # each part p/2**k exactly
+            parts = [mp.mpf(p) / q for p, q in (v.as_integer_ratio() for v in (x.real, x.imag))]
+            exact = mp.mpc(*parts) if np.iscomplexobj(x) else parts[0]
+        want = scalar_bits(eval_graph(g, exact))
+        assert scalar_bits(eval_graph(g, x)) == want
+        assert scalar_bits(eval_graph(g, np.array([x]))[0]) == want
+
+    def test_binary64_graph_runs_an_object_matrix_as_an_mpmath_matrix(self):
+        # numpy's object @ gave results up to 1.9e-34 away from the
+        # mpmath.matrix route, under 113 bits
+        g, _ = graph_exp_pade_ss(13, 1)
+        with mp.workprec(113):
+            A = [[mp.mpf(v) / 7 for v in row]
+                 for row in np.random.default_rng(3).standard_normal((5, 5))]
+            got = eval_graph(g, np.array(A, dtype=object))
+            want = eval_graph(g, mp.matrix(A))
+        assert got.dtype == object and got.shape == (5, 5)
+        cells = [(i, j) for i in range(5) for j in range(5)]
+        assert [scalar_bits(got[c]) for c in cells] == [scalar_bits(want[c]) for c in cells]
+
     def test_binary64_graph_computes_a_float32_matrix_at_binary64(self):
         # Denman-Beavers(2) at a float32 matrix was off by 1.7e-7
         g, _ = graph_denman_beavers(2)

@@ -9,6 +9,7 @@ import pytest
 from mpmath import mp
 
 from matgraph import (
+    CoeffType,
     Discretization,
     ErrType,
     GNConfig,
@@ -490,6 +491,19 @@ class TestOptGaussNewton:
         assert a != clean
         assert max(abs(x - y) for x, y in zip(a, clean)) < 1e-2
 
+    def test_complex_perturbation_draws_imaginary_parts(self):
+        # a complex graph in complex least squares perturbs each coefficient
+        # by the seed's first draw plus i times its second
+        g, cref = graph_monomial([1.0, 1.0, 0.5])
+        g = convert_precision(g, CoeffType(None, is_complex=True))
+        start = g.get_coeffs(cref)
+        opt_gauss_newton(g, lambda z: np.exp(z), Discretization.disk(0, 0.4, 24), cref,
+                         GNConfig(perturbation=1e-3, maxiter=0))
+        rng = np.random.default_rng(0)
+        re, im = rng.standard_normal(len(cref)), rng.standard_normal(len(cref))
+        assert g.get_coeffs(cref) == [c + 1e-3 * (a + 1j * b) for c, a, b in zip(start, re, im)]
+        assert [c.imag for c in g.get_coeffs(cref)] == (1e-3 * im).tolist()
+
     def test_residual_history_matches_iterations(self):
         g, cref = graph_monomial([1.0, 1.0, 0.4])
         d = Discretization.disk(0, 0.5, 30)
@@ -598,6 +612,15 @@ class TestConjugateFold:
         why = [r.getMessage() for r in caplog.records if "do not fold" in r.getMessage()]
         assert why == ["gauss-newton: points do not fold: point index 19 has no conjugate "
                        "within 2^(8-prec) max|z|"]
+
+    def test_conjugate_free_points_say_why(self, monkeypatch, caplog):
+        # real points on the real axis: each is its own conjugate class
+        g, cref, _ = _exp_design(256, 3)
+        d = Discretization([0.1, 0.2, 0.3])
+        with caplog.at_level("INFO", logger="matgraph.optimizer"):
+            assert self.one_step(monkeypatch, g, cref, d) == {3}
+        why = [r.getMessage() for r in caplog.records if "do not fold" in r.getMessage()]
+        assert why == ["gauss-newton: points do not fold: every conjugate class holds one point"]
 
     def test_target_differs_between_coinciding_points(self, monkeypatch):
         # z and z + 2^-250 fall in one class, but a target with a jump
