@@ -239,7 +239,8 @@ def ps_block_size(degree: int) -> int:
 
 
 def _ps_blocks(c, s):
-    """Split coefficients into blocks; the top block may reach degree s."""
+    """Split coefficients into blocks; the top block may reach degree s.  Each block holds at
+    least two, since s >= 2 past degree 1 and the top block starts at K s <= d - 1."""
     d = len(c) - 1
     K = (d - 1) // s
     blocks = []
@@ -274,13 +275,9 @@ def graph_ps(coeffs,
     block_tail = {}
     for k, blk in enumerate(blocks):
         nid = f"B_{k}_1"
-        if len(blk) == 1:
-            g.add_lincomb(nid, blk[0], "I", 0.0, "A")
-            refs.append(CoeffRef(nid, 1))
-        else:
-            g.add_lincomb(nid, blk[0], "I", blk[1], "A")
-            refs.append(CoeffRef(nid, 1))
-            refs.append(CoeffRef(nid, 2))
+        g.add_lincomb(nid, blk[0], "I", blk[1], "A")
+        refs.append(CoeffRef(nid, 1))
+        refs.append(CoeffRef(nid, 2))
         prev = nid
         for j in range(2, len(blk)):
             nid = f"B_{k}_{j}"

@@ -82,9 +82,6 @@ class ThetaResult:
     bracket: tuple | None = None
     rounding: object = None
 
-    def __float__(self):
-        return float(self.theta)
-
 
 _SEARCH_CAP = mp.mpf(2) ** 60
 _BRACKET_LO = mp.mpf(2) ** -20

@@ -214,16 +214,13 @@ def _eval_nodes(g, x, order, keep_all=False):
         except KeyError as exc:
             raise GraphError(f"unresolved parent {exc.args[0]!r} during evaluation") from None
         kind = g.operations[nid]
-        try:
-            if kind == OpKind.LINCOMB:
-                c1, c2 = g.coeffs[nid]
-                slots[nid] = ops.lincomb(c1, v1, c2, v2)
-            elif kind == OpKind.MULT:
-                slots[nid] = ops.mult(v1, v2)
-            else:
-                slots[nid] = ops.ldiv(v1, v2)
-        except ZeroDivisionError as exc:
-            raise SingularMatrixError(str(exc)) from exc
+        if kind == OpKind.LINCOMB:
+            c1, c2 = g.coeffs[nid]
+            slots[nid] = ops.lincomb(c1, v1, c2, v2)
+        elif kind == OpKind.MULT:
+            slots[nid] = ops.mult(v1, v2)
+        else:
+            slots[nid] = ops.ldiv(v1, v2)
         if not keep_all:
             for p in (p1, p2):
                 if last_use.get(p) == idx and p not in needed:

@@ -247,9 +247,7 @@ def _conjugate_classes(pts: np.ndarray, fv: np.ndarray):
 
 def _svd_pinv_numpy(A: np.ndarray, b: np.ndarray, droptol: float):
     u, s, vh = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return np.zeros(A.shape[1], dtype=A.dtype), 0
-    keep = s > droptol * s[0]
+    keep = s > droptol * s[:1]  # none when there is no singular value or the largest is 0
     kept = int(np.count_nonzero(keep))
     if kept == 0:
         return np.zeros(A.shape[1], dtype=A.dtype), 0

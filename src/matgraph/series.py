@@ -90,12 +90,6 @@ class TruncSeries:
         b = other.coeffs + [0] * (n - other.nterms)
         return TruncSeries([x + y for x, y in zip(a, b)])
 
-    def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c) -> "TruncSeries":
         return TruncSeries([c * x for x in self.coeffs])
 

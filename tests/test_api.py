@@ -184,3 +184,12 @@ def test_unknown_name_is_an_attribute_error():
         matgraph.no_such_name
     assert str(info.value) == "module 'matgraph' has no attribute 'no_such_name'"
     assert not hasattr(matgraph, "no_such_name")
+
+
+def test_a_submodule_looked_up_first_by_its_name_loads():
+    # a fresh interpreter reaches the submodule through the package's __getattr__
+    assert _run("import sys, matgraph\n"
+                "print(matgraph.autodiff is sys.modules['matgraph.autodiff'])\n").strip() == "True"
+    # here every submodule is loaded already, and the lookup returns it
+    for name in matgraph._EXPORTS:
+        assert matgraph.__getattr__(name) is sys.modules.get(f"matgraph.{name}")

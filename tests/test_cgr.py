@@ -297,3 +297,28 @@ class TestReplay:
             env = replay_cgr_scalar(text, 0.37)
             want = eval_graph(g, 0.37)
             assert env[g.outputs[0]] == pytest.approx(want, rel=1e-13)
+
+
+class TestRefused:
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file: missing graph_coeff_type header"),
+        ("# only a comment\n\n", "empty file: missing graph_coeff_type header"),
+        ('graph_coeff_type="Float64";\ncoeff1=1.0;\ncoeff1=2.0;\n',
+         "line 3: coeff1 bound twice before use"),
+        ('graph_coeff_type="Decimal32";\n', "line 1: unknown coefficient type tag 'Decimal32'"),
+        ('graph_coeff_type="BigFloat256";\ncoeff1=1.5;\n',
+         "line 2: cannot parse number '1.5': bad hex float '1.5'"),
+        ('graph_coeff_type="ComplexF64";\ncoeff1=1.5;\n',
+         "line 2: cannot parse number '1.5': complex literal must read "
+         r"<real>\+<imag>i or <real>-<imag>i"),
+    ])
+    def test_malformed_file(self, text, message):
+        with pytest.raises(CgrError, match=f"^{message}$"):
+            parse_cgr(text)
+
+    def test_node_id_that_is_a_format_keyword_is_not_rendered(self):
+        g = ComputationGraph()
+        g.add_mult("coeff1", "A", "A")
+        g.set_outputs(["coeff1"])
+        with pytest.raises(CgrError, match="^node id 'coeff1' collides with a format keyword$"):
+            render_cgr(g)

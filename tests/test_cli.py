@@ -2,9 +2,11 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,7 @@ from matgraph import (
     export_compgraph,
     get_target,
     graph_exp_pade_ss,
+    graph_horner,
     graph_monomial,
     import_compgraph,
     working_precision,
@@ -842,3 +845,55 @@ def test_fuzz_exit_codes(tmp_path, monkeypatch, capsys, case):
         code = exc.code
     capsys.readouterr()
     assert code in (0, 2, 3, 4), argv
+
+
+class TestEdgeCases:
+    def test_matrix_csv_skips_comments_and_blank_lines(self, tmp_path, capsys):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,0,3", "--out", str(gfile)])
+        mfile = tmp_path / "A.csv"
+        mfile.write_text("# A, by rows\n\n3,4\n   \n5,6\n")
+        capsys.readouterr()
+        assert run(["eval", str(gfile), "--matrix", str(mfile)]) == 0
+        assert capsys.readouterr().out == "88.0,108.0\n135.0,169.0\n"
+
+    def test_bad_matrix_entry_io_error(self, tmp_path, capsys):
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,0,3", "--out", str(gfile)])
+        mfile = tmp_path / "A.csv"
+        mfile.write_text("3,4\n5,x\n")
+        capsys.readouterr()
+        assert run(["eval", str(gfile), "--matrix", str(mfile)]) == 4
+        assert capsys.readouterr().err.startswith(f"matgraph: bad matrix entry in {mfile}: ")
+
+    def test_certify_flags_a_saturated_radius(self, tmp_path, capsys):
+        # 1 + z at one term: the bound never reaches u below the search cap
+        g, _ = graph_horner([1, 1])
+        gfile = tmp_path / "h.cgr"
+        export_compgraph(g, str(gfile))
+        assert run(["certify", str(gfile), "--nterms", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == "h,0,2.305843009213694e+18,1.1102230246251565e-16,1"
+        assert captured.err == "# warning: bound never crossed u inside the search interval\n"
+
+    def test_module_run_as_a_script_exits_with_mains_code(self, tmp_path, monkeypatch, capsys):
+        # python -m matgraph.cli, in this process: runpy warns that the
+        # module is already imported, which changes nothing here
+        monkeypatch.setattr(sys, "argv", ["matgraph", "eval", str(tmp_path / "nope.cgr"), "--point", "1"])
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "'matgraph.cli' found in sys.modules", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("matgraph.cli", run_name="__main__")
+        assert exc.value.code == 4
+        assert capsys.readouterr().err.startswith("matgraph: ")
+
+    def test_convert_dropping_an_imaginary_part_numerical_error(self, tmp_path, capsys):
+        g = ComputationGraph(CoeffType(None, True))
+        g.add_lincomb("B", 1 + 2j, "A", 1.0, "I")
+        g.set_outputs(["B"])
+        gfile, out = tmp_path / "c.cgr", tmp_path / "r.cgr"
+        export_compgraph(g, str(gfile))
+        assert run(["convert", str(gfile), "--type", "Float64", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "matgraph: cannot convert complex value with nonzero imaginary part to real\n")
+        assert not out.exists()

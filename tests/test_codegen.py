@@ -664,3 +664,13 @@ def test_emitted_code_ignores_ambient_precision(prec):
         got = [gen_code(g, t) for t in targets]
         assert mp.prec == prec
     assert got == want
+
+
+@pytest.mark.parametrize("graph, target, message", [
+    (lambda: ComputationGraph(), EmitTarget("matlab"), "graph has no output nodes"),
+    (lambda: graph_horner([1.0, 2.0], CoeffType(None, True))[0], EmitTarget("c"),
+     "the C target emits real binary64 code only"),
+])
+def test_graph_the_target_cannot_emit_refused(graph, target, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        gen_code(graph(), target)

@@ -406,3 +406,50 @@ class TestYks:
     def test_malformed_bundle(self):
         with pytest.raises(DegoptError):
             YksCoeffs(2, c=[1.0], d=[1.0, 2.0], e=[1.0], e0=0.0, f=[1.0, 2.0, 3.0])
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Degopt([], [], [0.0, 1.0]), "need at least one product row"),
+        (lambda: Degopt([[0.0, 1.0]], [], [0.0, 0.0, 1.0]),
+         "HA and HB must have the same number of rows"),
+        (lambda: Degopt([[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0, 1.0]], [0.0] * 4),
+         "row 2 must provide at least 3 entries"),
+        (lambda: Degopt([[0.0, 1.0, 5.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]], [0.0] * 4),
+         "row 1 entry 3 must be zero"),
+        (lambda: Degopt([[0.0, 1.0]], [[0.0, 1.0]], [0.0, 0.0, 1.0], row_ops=[]),
+         "row_ops must have one entry per row"),
+        (lambda: Degopt([[0.0, 1.0]], [[0.0, 1.0]], [0.0, 0.0, 1.0], row_ops=[OpKind.LINCOMB]),
+         "row operations must be mult or ldiv"),
+        (lambda: graph_horner([]), "need at least one coefficient"),
+        (lambda: graph_ps([1.0, "x"]), "coefficients must be scalars"),
+        (lambda: YksCoeffs(1, c=[1.0], d=[1.0], e=[], e0=0.0, f=[1.0, 2.0]), r"the scheme needs s >= 2"),
+        (lambda: YksCoeffs(2, c=[1.0, 2.0], d=[1.0, 2.0], e=[], e0=0.0, f=[1.0, 2.0, 3.0]),
+         r"e must have length s-1 = 1"),
+        (lambda: YksCoeffs(2, c=[1.0, 2.0], d=[1.0, 2.0], e=[1.0], e0=0.0, f=[1.0, 2.0]),
+         r"f must have length s\+1 = 3"),
+    ])
+    def test_refused_with_its_reason(self, make, message):
+        with pytest.raises(DegoptError, match=message):
+            make()
+
+
+class TestLowDegrees:
+    @pytest.mark.parametrize("scheme", [graph_horner, graph_ps])
+    def test_a_constant_is_a_graph_of_its_one_coefficient(self, scheme):
+        g, refs = scheme([2.5])
+        assert g.get_coeffs(refs) == [2.5]
+        assert eval_graph(g, 0.75) == 2.5
+
+    def test_block_size_below_degree_one_is_one(self):
+        assert [ps_block_size(d) for d in (-1, 0, 1, 2)] == [1, 1, 1, 2]
+
+    def test_ps_refs_address_every_coefficient_in_order(self):
+        # every block holds at least two coefficients, so each block's first
+        # node carries two of them
+        for d in range(1, 65):
+            c = [float(k + 1) for k in range(d + 1)]
+            g, refs = graph_ps(c)
+            assert g.get_coeffs(refs) == c
+            assert eval_graph(g, 0.5) == pytest.approx(sum(ck * 0.5 ** k for k, ck in enumerate(c)),
+                                                       rel=1e-15)

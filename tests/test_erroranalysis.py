@@ -10,6 +10,7 @@ from matgraph import (
     EPS64,
     CertificationError,
     ComputationGraph,
+    GraphError,
     RunErrMode,
     ThetaKind,
     TruncSeries,
@@ -631,3 +632,16 @@ class TestRunningError:
             if math.isinf(bnd) or true_rel <= 5 * bnd:
                 ok += 1
         assert ok >= 0.95 * total
+
+
+def test_running_error_of_a_two_output_graph_refused():
+    g, _ = graph_monomial([1.0, 2.0])
+    g.add_output("A")
+    with pytest.raises(GraphError, match="^running error analysis expects a single-output graph$"):
+        eval_runerr(g, 0.5)
+
+
+def test_approximate_root_is_nan_where_newton_breaks_down():
+    # a bound of all-zero terms never reaches u: log q = log 0 gives no step;
+    # _enclosure refuses a NaN, and the search decides by exact bounds alone
+    assert mp.isnan(erroranalysis._approx_root([0, 0, 0], 0, mp.mpf(2) ** -53, 0))

@@ -9,6 +9,7 @@ from matgraph import (
     CoeffType,
     ComputationGraph,
     EvalError,
+    GraphError,
     SingularMatrixError,
     TruncSeries,
     bigfloat,
@@ -548,3 +549,64 @@ class TestMpMatrixEdges:
         arg = A if kind == "ndarray" else mp.matrix(A.tolist())
         with pytest.raises(SingularMatrixError, match=r"entry \(0, 1\) .* not finite"):
             eval_graph(g, arg)
+
+
+def _solve_graph():
+    g = ComputationGraph()
+    g.add_ldiv("X", "A", "I")
+    g.set_outputs(["X"])
+    return g
+
+
+def _two_outputs():
+    g = ComputationGraph()
+    g.add_mult("M", "A", "A")
+    g.set_outputs(["M", "A"])
+    return g
+
+
+def _output_renamed_away():
+    g = ComputationGraph()
+    g.set_outputs(["A"])
+    g.rename_node("A", "X")  # the output is now the pending graft X
+    return g
+
+
+class TestRefused:
+    @pytest.mark.parametrize("x, error, message", [
+        (0.0, SingularMatrixError, "scalar left-division by zero"),
+        (0j, SingularMatrixError, "scalar left-division by zero"),
+        (np.ones((2, 3)), EvalError, "matrix argument must be square"),
+        (mp.matrix(2, 3), EvalError, "matrix argument must be square"),
+        (np.ones((2, 2, 2)), EvalError, "unsupported array rank 3"),
+        ("A", EvalError, "cannot evaluate a graph at a str"),
+    ])
+    def test_argument(self, x, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            eval_graph(_solve_graph(), x)
+
+    @pytest.mark.parametrize("run, message", [
+        (lambda: eval_graph(ComputationGraph(), 1.0), "graph has no output nodes"),
+        (lambda: eval_graph(_output_renamed_away(), 1.0), "output 'X' was not computed"),
+        (lambda: eval_graph_poly(_two_outputs()), "polynomial extraction expects a single output"),
+    ])
+    def test_graph(self, run, message):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            run()
+
+
+def _identity_times_input():
+    g = ComputationGraph(bigfloat(256))
+    g.add_mult("M", "I", "A")  # only the right factor is NaN
+    g.set_outputs(["M"])
+    return g
+
+
+@pytest.mark.parametrize("graph", [lambda: graph_monomial([1, 1, 1], bigfloat(256))[0],
+                                   _identity_times_input], ids=["monomial", "identity-times-input"])
+@pytest.mark.parametrize("points", [[math.nan, 0.5], [complex(math.nan, 0), 0.5j]])
+def test_extended_graph_at_a_nan_point_is_nan_at_every_point(graph, points):
+    # a point vector shares one exponent, which a NaN entry leaves undefined
+    got = eval_graph(graph(), np.array(points))
+    kind = mp.mpc if isinstance(points[0], complex) else mp.mpf
+    assert len(got) == 2 and all(type(v) is kind and mp.isnan(v) for v in got)

@@ -233,3 +233,12 @@ class TestRational:
         q, _ = graph_monomial([1.0, 1.0])
         with pytest.raises(GraphError):
             graph_rational(p, q)
+
+    def test_solve_id_avoids_a_node_named_rat(self):
+        p, _ = graph_monomial([1.0, 2.0])
+        p.add_lincomb("Rat", 3.0, p.outputs[0], 0.0, "I")
+        p.set_outputs(["Rat"])
+        q, _ = graph_monomial([4.0, 1.0])
+        r = graph_rational(p, q)
+        assert r.outputs == ["Rat_b"] and r.operations["Rat_b"] == OpKind.LDIV
+        assert eval_graph(r, 0.5) == 3 * (1 + 2 * 0.5) / (4 + 0.5)

@@ -492,3 +492,52 @@ def test_invariants_after_random_mutations():
             except GraphError:
                 pass
         g.validate()
+
+
+def _small_graph():
+    """B = 2 A + I, C = B B, output C."""
+    g = ComputationGraph()
+    g.add_lincomb("B", 2.0, "A", 1.0, "I")
+    g.add_mult("C", "B", "B")
+    g.set_outputs(["C"])
+    return g
+
+
+def _renamed_input():
+    g = _small_graph()
+    g.rename_node("A", "X")  # B now reads the pending graft X
+    return g
+
+
+def _with(**changes):
+    """The small graph with its structure maps edited behind its back."""
+    g = _small_graph()
+    for name, edit in changes.items():
+        edit(getattr(g, name))
+    return g
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("act, message", [
+        (lambda: _small_graph().del_node("Z"), "unknown node 'Z'"),
+        (lambda: _small_graph().rename_node("Z", "Y"), "unknown node 'Z'"),
+        (lambda: _renamed_input().rename_node("C", "X"), "id 'X' already referenced in the graph"),
+        (lambda: _small_graph().get_coeffs([("B", 3)]), "invalid coefficient slot 3"),
+        (lambda: _small_graph().set_coeffs([("B", 1)], [1.0, 2.0]),
+         "refs and values must have equal length"),
+        (lambda: _with(parents=lambda p: p.pop("C")).validate(),
+         "operations and parents key sets differ"),
+        (lambda: _with(coeffs=lambda c: c.update(C=(1.0, 1.0))).validate(),
+         "coeffs keys must be exactly the linear-combination nodes"),
+        (lambda: _with(parents=lambda p: p.update(B=("C", "I"))).validate(), "graph contains a cycle"),
+        (lambda: merge_graph(_small_graph(), ComputationGraph(input_id="X")),
+         "cannot merge graphs with different input ids"),
+    ])
+    def test_refused_with_its_reason(self, act, message):
+        with pytest.raises(GraphError, match=message):
+            act()
+
+    def test_a_graph_is_never_equal_to_another_kind(self):
+        g = _small_graph()
+        assert g.__eq__(g.coeffs) is NotImplemented
+        assert g != "C" and g == _small_graph()

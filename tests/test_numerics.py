@@ -1,5 +1,6 @@
 import contextlib
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -1026,3 +1027,98 @@ class TestTruncatedLstsq:
         with mp.workprec(256):
             with pytest.raises(ValueError, match="unequal lengths"):
                 truncated_lstsq(cols, b, 0.0)
+
+
+class TestRefused:
+    @pytest.mark.parametrize("A, B, message", [
+        (np.ones((2, 3)), np.ones((2, 1)), "coefficient matrix must be square"),
+        (mp.matrix(2, 3), mp.matrix(2, 1), "coefficient matrix must be square"),
+        (mp.eye(2), mp.matrix(3, 1), "dimension mismatch in linear solve"),
+    ])
+    def test_solve_shapes(self, A, B, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mat_lu_solve(A, B)
+
+    def test_pair_matrix_shapes(self):
+        a, b = PairMatrix.read(mp.eye(2)), PairMatrix.read(mp.matrix(3, 2))
+        with pytest.raises(ValueError, match="^dimensions not compatible for multiplication$"):
+            a * b
+        with pytest.raises(ValueError, match="^incompatible dimensions for addition$"):
+            PairMatrix.lincomb(1, a, 1, b)
+
+    def test_point_that_is_not_a_number(self):
+        with working_precision(256):
+            with pytest.raises(TypeError, match="^cannot read a NoneType as an extended-precision number$"):
+                FixedVector.read([1.0, None])
+
+    def test_eigenvalues_not_converged_within_the_iteration_limit(self):
+        # the limit is 2 mp.dps sweeps per eigenvalue: 2 at one digit
+        F = 200
+        d, e = [k << F for k in (1, 2, 3)], [1 << F, 1 << F, 0]
+        with mp.workdps(1):
+            with pytest.raises(ArithmeticError, match="^no convergence to an eigenvalue after 2 iterations$"):
+                _implicit_ql(list(d), list(e), F)
+        _implicit_ql(d, e, F)
+        root3 = math.sqrt(3)
+        assert sorted(x / 2.0 ** F for x in d) == pytest.approx([2 - root3, 2, 2 + root3], rel=1e-15)
+
+
+def _top(m, e):
+    return e + abs(m).bit_length()
+
+
+class TestRouteThresholds:
+    """The kernels that add on integers hand wide terms to libmp; on each side of
+    each threshold the result is libmp's, bit for bit."""
+
+    @staticmethod
+    def _man(rng, bits):
+        """A mantissa of exactly ``bits`` bits and a random sign."""
+        return (rng.getrandbits(bits - 1) | 1 << (bits - 1)) * rng.choice((-1, 1))
+
+    @pytest.mark.parametrize("p", [53, 113])
+    def test_product_of_a_row_whose_low_bits_span_2p(self, p):
+        # _aligned still makes integers at a span of exactly 2p, and the
+        # product takes the integer route: the column's span is 0
+        A = mp.matrix([[1, mp.mpf(2) ** (2 * p)], [0, 1]])
+        B = mp.matrix([[3, 0], [mp.mpf(2) ** -5, 1]])
+        with working_precision(p):
+            assert mp_bits((PairMatrix.read(A) * PairMatrix.read(B)).matrix()) == mp_bits(A * B)
+
+    @pytest.mark.parametrize("p", [53, 113])
+    @pytest.mark.parametrize("span", [-1, 0, 1])
+    def test_abs_sum_at_top_bit_spans_next_to_2p(self, p, span):
+        # _abs_sum adds on integers up to a span of 2p, mpf_sum past it
+        rng = random.Random(10 * p + span)
+        for each in (False, True):
+            width = p if each else p + 20  # rounding each term first moves no top bit
+            for _ in range(40):
+                big = self._man(rng, rng.randint(1, width)), rng.randint(-80, 80)
+                m = self._man(rng, rng.randint(1, width))
+                small = m, _top(*big) - (2 * p + span) - abs(m).bit_length()
+                m = self._man(rng, rng.randint(1, width))
+                mid = m, rng.randint(_top(*small), _top(*big)) - abs(m).bit_length()
+                xs = [big, small, mid, (0, rng.randint(-5, 5))]
+                rng.shuffle(xs)
+                tops = [_top(*x) for x in xs if x[0]]
+                assert max(tops) - min(tops) == 2 * p + span
+                want = libmp.mpf_sum([libmp.from_man_exp(abs(m), e, p if each else 0, libmp.round_nearest)
+                                      for m, e in xs], p, libmp.round_nearest)
+                assert libmp.from_man_exp(*numerics._abs_sum(xs, p, each)) == want
+
+    @pytest.mark.parametrize("p", [53, 113])
+    @pytest.mark.parametrize("offset", [3, 4, 5])
+    def test_fms_at_top_bit_offsets_next_to_p_plus_4(self, p, offset):
+        # _fms subtracts on integers while x and f y are at most p + 4 top bits apart
+        rng = random.Random(10 * p + offset)
+        f = self._man(rng, p), rng.randint(-40, 40)
+        xs, ys, want = [], [], []
+        for _ in range(80):
+            y = self._man(rng, rng.randint(1, p)), rng.randint(-40, 40)
+            t = libmp.mpf_mul(libmp.from_man_exp(*f), libmp.from_man_exp(*y), p, libmp.round_nearest)
+            m = self._man(rng, rng.randint(1, p))
+            x = m, t[2] + t[3] + rng.choice((-1, 1)) * (p + offset) - abs(m).bit_length()
+            xs.append(x)
+            ys.append(y)
+            want.append(libmp.mpf_sub(libmp.from_man_exp(*x), t, p, libmp.round_nearest))
+        assert [libmp.from_man_exp(*z) for z in numerics._fms(xs, f, ys, p)] == want

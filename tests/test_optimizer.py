@@ -30,7 +30,7 @@ from matgraph import (
 from matgraph import optimizer
 from matgraph.autodiff import JacobianMatrix
 from matgraph.numerics import FixedVector, truncated_lstsq
-from matgraph.targets import exp_target, sqrt1p_target
+from matgraph.targets import exp_target, get_target, sqrt1p_target
 
 from support import gram_eig_lstsq
 
@@ -819,3 +819,39 @@ def test_complex_lsq_on_real_graph_rejected():
     with pytest.raises(OptimizeError):
         opt_gauss_newton(g, lambda z: np.exp(z), d, cref,
                          GNConfig(linlsqr=LinLsqr.COMPLEX_SVD, maxiter=1))
+
+
+def test_empty_coefficient_selection_refused():
+    g, _ = graph_monomial([1.0, 0.9, 0.4])
+    with pytest.raises(GraphError, match="^need a nonempty coefficient selection$"):
+        opt_gauss_newton(g, exp_target, Discretization.disk(0, 0.5, 12), [])
+
+
+def test_two_output_graph_refused():
+    g, cref = graph_monomial([1.0, 0.9, 0.4])
+    g.add_output("A")
+    with pytest.raises(GraphError, match="^forward pass needs a single-output graph$"):
+        opt_gauss_newton(g, exp_target, Discretization.disk(0, 0.5, 12), cref,
+                         GNConfig(linlsqr=LinLsqr.REAL_SVD))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_empty_jacobian_gives_a_zero_step(shape):
+    # no singular value at all, as a zero J keeps none
+    with pytest.warns(UserWarning, match="all singular values below the drop tolerance; zero step"):
+        delta = gn_step(np.zeros(shape), np.ones(shape[0]), GNConfig())
+    assert delta.shape == (shape[1],) and not delta.any()
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_series_target_without_coefficients_refused(tmp_path, text):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        get_target(f"series:{path}")
+    assert str(info.value) == f"no coefficients found in {path}"
+
+
+def test_unknown_target_refused():
+    with pytest.raises(ValueError, match="^unknown target 'cos'; use exp, sqrt1p, or series:<file>$"):
+        get_target("cos")

@@ -257,3 +257,29 @@ def test_mul_associative_exact(a, b, c):
 def test_horner_evaluation():
     s = TruncSeries([1, 2, 3])
     assert s(2.0) == 1 + 4 + 12
+
+
+class TestTruncSeriesConstruction:
+    def test_nterms_truncates_or_pads(self):
+        assert TruncSeries([1, 2, 3, 4], 2).coeffs == [1, 2, 3]
+        assert TruncSeries([1, 2], 3).coeffs == [1, 2, 0, 0]
+
+    def test_repr_shows_the_first_four_coefficients(self):
+        assert repr(TruncSeries([1, 2], 1)) == "TruncSeries([1, 2], nterms=1)"
+        assert repr(TruncSeries(range(6))) == "TruncSeries([0, 1, 2, 3, ...], nterms=5)"
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: TruncSeries([]), "a series needs at least the constant coefficient"),
+        (lambda: TruncSeries.identity(0), "identity series needs nterms >= 1"),
+    ])
+    def test_refused(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+
+@pytest.mark.parametrize("den", [FixedSeries.identity(3, 64),
+                                 FixedSeries.read([Fraction(1, 2 ** 80), 1], 3, 64)],
+                         ids=["zero", "within-its-radius"])
+def test_fixed_division_by_a_constant_term_that_may_be_zero_refused(den):
+    with pytest.raises(SeriesError, match="^series division by a series with zero constant term$"):
+        FixedSeries.constant(1, 3, 64).divide(den)
