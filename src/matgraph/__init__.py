@@ -26,7 +26,7 @@ _EXPORTS = {
     "codegen": ["Dialect", "EmitTarget", "Schedule", "gen_code", "plan_schedule"],
     "degopt": ["Degopt", "DegoptError", "YksCoeffs", "degopt_from_graph", "graph_degopt",
                "graph_horner", "graph_monomial", "graph_monomial_degopt", "graph_ps",
-               "ps_block_size", "yks_to_degopt"],
+               "graph_yks", "ps_block_size"],
     "erroranalysis": ["CertificationError", "RunErrMode", "ThetaKind", "ThetaResult",
                       "compute_bwd_theta_exp", "compute_fwd_theta", "eval_runerr"],
     "evaluation": ["EvalError", "eval_graph", "eval_graph_poly", "graph_degree_bound"],

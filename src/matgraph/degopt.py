@@ -15,7 +15,8 @@ final combination vector y of length m+2 this gives (m+2)^2 - 2 free
 parameters.
 
 Every scheme reaches this form one way: :func:`degopt_from_graph` reads the
-scheme's own graph, and :func:`graph_degopt` builds the form's graph, e.g.
+scheme's own graph (:func:`graph_ps`, :func:`graph_yks`, a generator's, ...),
+and :func:`graph_degopt` builds the form's graph, e.g.
 ``graph_degopt(degopt_from_graph(graph_ps(c, ct)[0]), ct)``.
 """
 
@@ -306,7 +307,7 @@ def graph_monomial_degopt(coeffs, coeff_type: CoeffType = CoeffType()):
 
 
 # ---------------------------------------------------------------------------
-# y_ks-form conversion
+# the y_ks scheme
 
 
 class YksCoeffs:
@@ -317,6 +318,8 @@ class YksCoeffs:
         w(x)  = x^s * (c[0] x + c[1] x^2 + ... + c[s-1] x^s)
         p(x)  = (d[0] x + ... + d[s-1] x^s + w) * (e[0] x^2 + ... + e[s-2] x^s + w)
                 + e0 * w + f[0] + f[1] x + ... + f[s] x^s
+
+    (Sastre, Linear Algebra Appl. 539, 2018); :func:`graph_yks` builds its graph.
     """
 
     def __init__(self, s: int, c, d, e, e0, f):
@@ -336,40 +339,24 @@ class YksCoeffs:
             raise DegoptError(f"f must have length s+1 = {s + 1}")
 
 
-def yks_to_degopt(spec: YksCoeffs) -> Degopt:
-    """Convert a y_ks coefficient bundle to degree-optimal form."""
+def graph_yks(spec: YksCoeffs,
+              coeff_type: CoeffType = CoeffType()) -> tuple[ComputationGraph, list[CoeffRef]]:
+    """The graph of the y_ks scheme, with s + 1 products: A2..As, w = As * Wc and L * R.
+
+    Returns refs for c, d, e, e0 and f, in that order; the three couplings
+    fixed at 1 (w in L and in R, the product in P) have none.
+    """
     s = spec.s
-    HA, HB = [], []
-    for k in range(1, s):
-        ra = [0.0] * (k + 1)
-        ra[k] = 1.0
-        rb = [0.0] * (k + 1)
-        rb[1] = 1.0
-        HA.append(ra)
-        HB.append(rb)
-    # row s: w = x^s * (c[0] x + ... + c[s-1] x^s); B_{j+1} holds x^j
-    ra = [0.0] * (s + 1)
-    ra[s] = 1.0
-    rb = [0.0] * (s + 1)
-    for j in range(s):
-        rb[j + 1] = spec.c[j]
-    HA.append(ra)
-    HB.append(rb)
-    # row s+1: (d-part + w) * (e-part + w)
-    ra = [0.0] * (s + 2)
-    for j in range(s):
-        ra[j + 1] = spec.d[j]
-    ra[s + 1] = 1.0
-    rb = [0.0] * (s + 2)
-    for j in range(s - 1):
-        rb[j + 2] = spec.e[j]
-    rb[s + 1] = 1.0
-    HA.append(ra)
-    HB.append(rb)
-    m = s + 1
-    y = [0.0] * (m + 2)
-    for j in range(s + 1):
-        y[j] = spec.f[j]
-    y[s + 1] = spec.e0
-    y[s + 2] = 1.0
-    return Degopt(HA, HB, y)
+    g = ComputationGraph(coeff_type)
+    powers = ["I", "A"]
+    for j in range(2, s + 1):
+        g.add_mult(f"A{j}", powers[-1], "A")
+        powers.append(f"A{j}")
+    refs_c = g.add_sum("Wc", list(zip(spec.c, powers[1:])))
+    g.add_mult("W", powers[s], "Wc")
+    refs_d = g.add_sum("L", [*zip(spec.d, powers[1:]), (1.0, "W")])
+    refs_e = g.add_sum("R", [*zip(spec.e, powers[2:]), (1.0, "W")])
+    g.add_mult("LR", "L", "R")
+    refs_f = g.add_sum("P", [*zip(spec.f, powers), (spec.e0, "W"), (1.0, "LR")])
+    g.set_outputs(["P"])
+    return g, refs_c + refs_d[:-1] + refs_e[:-1] + [refs_f[-2]] + refs_f[:-2]

@@ -50,6 +50,7 @@ from .numerics import (
     FixedVector,
     PairMatrix,
     SingularMatrixError,
+    convert_scalar,
     is_scalar,
     lincomb_fixed,
     mat_lu_solve,
@@ -272,6 +273,7 @@ def eval_graph_poly(g: ComputationGraph, prec: int | None = None) -> list:
 
     Exact up to arithmetic rounding at the working precision: the graph is
     run on a truncated series long enough to hold the full polynomial.
+    Each coefficient, zeros too, is of the graph's kind at that precision.
     Graphs containing a linear solve are rejected.
     """
     if len(g.outputs) != 1:
@@ -281,4 +283,5 @@ def eval_graph_poly(g: ComputationGraph, prec: int | None = None) -> list:
         coeffs = list(eval_graph(g, TruncSeries.identity(n), prec).coeffs)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return coeffs
+    ct = CoeffType(g.coeff_type.prec if prec is None else max(prec, 53), g.coeff_type.is_complex)
+    return [convert_scalar(c, ct) for c in coeffs]

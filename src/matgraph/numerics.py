@@ -121,7 +121,10 @@ def exact_decimal(text: str) -> Fraction:
     _, e, exponent = text.lower().partition("e")
     if e and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def is_scalar(x) -> bool:

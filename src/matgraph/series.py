@@ -96,17 +96,8 @@ class TruncSeries:
     def __mul__(self, other):
         if is_scalar(other):
             return self.scale(other)
-        n = min(self.nterms, other.nterms)
-        out = [0] * (n + 1)
-        b = [(j, bj) for j, bj in enumerate(other.coeffs[: n + 1]) if bj != 0]
-        for i, ai in enumerate(self.coeffs[: n + 1]):
-            if ai == 0:
-                continue
-            for j, bj in b:
-                if j > n - i:
-                    break
-                out[i + j] = out[i + j] + ai * bj
-        return TruncSeries(out)
+        n = min(self.nterms, other.nterms) + 1
+        return TruncSeries(_conv(self.coeffs[:n], other.coeffs[:n], n))
 
     def divide(self, den: "TruncSeries") -> "TruncSeries":
         """self / den, requiring den to have a nonzero constant term."""

@@ -31,11 +31,11 @@ PUBLIC_NAMES = [
     "gen_code", "generators", "get_target", "get_topo_order", "gn_step", "graph",
     "graph_degopt", "graph_degree_bound", "graph_denman_beavers", "graph_exp_pade_ss",
     "graph_horner", "graph_monomial", "graph_monomial_degopt", "graph_newton_schulz",
-    "graph_ps", "graph_rational", "import_compgraph", "mat_lu_solve", "merge_graph",
+    "graph_ps", "graph_rational", "graph_yks", "import_compgraph", "mat_lu_solve", "merge_graph",
     "numerics", "opt_gauss_newton", "optimizer", "pade_exp_coeffs",
     "pade_squarings_for_norm", "parse_cgr", "plan_schedule", "ps_block_size", "render_cgr",
     "residual", "series", "sqrt1p_target", "targets",
-    "working_precision", "yks_to_degopt",
+    "working_precision",
 ]
 
 
@@ -88,6 +88,7 @@ PARAMETERS = {
     "graph_newton_schulz": ["iters", "coeff_type"],
     "graph_ps": ["coeffs", "coeff_type"],
     "graph_rational": ["p_graph", "q_graph"],
+    "graph_yks": ["spec", "coeff_type"],
     "import_compgraph": ["path"],
     "mat_lu_solve": ["A", "B"],
     "merge_graph": ["g1", "g2"],
@@ -101,7 +102,6 @@ PARAMETERS = {
     "residual": ["g", "f", "discr", "errtype"],
     "sqrt1p_target": ["z"],
     "working_precision": ["prec"],
-    "yks_to_degopt": ["spec"],
 }
 
 

@@ -674,6 +674,14 @@ class TestExactCoefficients:
         assert run(["optimize", str(gfile), "--target", f"series:{tmp_path / 'missing.txt'}",
                     "--radius", "0.3", "--out", str(tmp_path / "o.cgr")]) == 4
 
+    def test_series_target_zero_denominator_usage_error(self, tmp_path):
+        sfile = tmp_path / "t.txt"
+        sfile.write_text("1/0\n")
+        gfile = tmp_path / "g.cgr"
+        run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])
+        assert run(["optimize", str(gfile), "--target", f"series:{sfile}", "--radius", "0.3",
+                    "--out", str(tmp_path / "o.cgr")]) == 2
+
     def test_series_target_huge_exponent_usage_error(self, tmp_path):
         sfile = tmp_path / "t.txt"
         sfile.write_text("1\n1e-3000000\n")

@@ -617,7 +617,7 @@ GENERATOR_DIGESTS = {
         "a91864fff7d10437d1bb800aee1def3609d9fe828f78b91ab5219c35cf7b9d8e",
         "8efac09d584f46394f1aa4d7c7e6c748a885294d7358cd1a75a591bc5fd4f48d",
         "8efac09d584f46394f1aa4d7c7e6c748a885294d7358cd1a75a591bc5fd4f48d",
-        "3c4114d7633356fa75dbccf24e3b324c8c0018a026c3ef9449d70cc7881b3c55"),
+        "42ab018bef7e7a338ecf7329feccabef31902ef674e523934fe6ff7d8d0747c6"),
     "newton_schulz_degopt": (
         "82c18bcdf5ad4a671343531724f7b81720e35a46f923fbefa1ecc3c28fc96b19",
         "d909277f3c8ae5574b6359bbcc17b321676f04e86f38b700b84d9dc78443aca9",

@@ -22,9 +22,9 @@ from matgraph import (
     graph_monomial,
     graph_newton_schulz,
     graph_ps,
+    graph_yks,
     pade_exp_coeffs,
     render_cgr,
-    yks_to_degopt,
 )
 from matgraph.degopt import ps_block_size
 from matgraph.numerics import working_precision
@@ -365,7 +365,36 @@ class TestDegree:
             degopt_degree(d)
 
 
+def _random_yks(rng, s):
+    return YksCoeffs(s, c=list(rng.uniform(-1, 1, s)), d=list(rng.uniform(-1, 1, s)),
+                     e=list(rng.uniform(-1, 1, s - 1)), e0=float(rng.uniform(-1, 1)),
+                     f=list(rng.uniform(-1, 1, s + 1)))
+
+
 class TestYks:
+    @pytest.mark.parametrize("s", range(2, 7))
+    def test_graph_matches_direct_recursion(self, s):
+        rng = np.random.default_rng(160 + s)
+        spec = _random_yks(rng, s)
+        zs = [complex(z) for z in rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20)]
+        g, _ = graph_yks(spec)
+        for z in zs:
+            b = yks_eval_direct(spec, z)
+            assert abs(eval_graph(g, z) - b) <= 100 * 2.0 ** -53 * (1 + abs(b))
+        g, _ = graph_yks(spec, bigfloat(256))
+        with working_precision(256):
+            for z in map(mp.mpc, zs):
+                b = yks_eval_direct(spec, z)
+                got = eval_graph(g, z)
+                assert isinstance(got, mp.mpc)
+                assert abs(got - b) <= 2 ** -230 * (1 + abs(b))
+
+    @pytest.mark.parametrize("s", range(2, 7))
+    def test_refs_address_c_d_e_e0_f(self, s):
+        spec = _random_yks(np.random.default_rng(170 + s), s)
+        g, refs = graph_yks(spec)
+        assert g.get_coeffs(refs) == spec.c + spec.d + spec.e + [spec.e0] + spec.f
+
     def test_matches_direct_recursion(self):
         rng = np.random.default_rng(16)
         for s in (2, 3):
@@ -377,7 +406,7 @@ class TestYks:
                 e0=float(rng.uniform(-1, 1)),
                 f=list(rng.uniform(-1, 1, s + 1)),
             )
-            g, _ = graph_degopt(yks_to_degopt(spec))
+            g, _ = graph_degopt(degopt_from_graph(graph_yks(spec)[0]))
             u = 2.0 ** -53
             for z in rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50):
                 a = eval_graph(g, complex(z))
@@ -387,7 +416,7 @@ class TestYks:
     def test_s3_layout_mask(self):
         spec = YksCoeffs(3, c=[4.0, 5.0, 6.0], d=[1.0, 2.0, 3.0], e=[7.0, 8.0],
                          e0=9.0, f=[10.0, 11.0, 12.0, 13.0])
-        d = yks_to_degopt(spec)
+        d = degopt_from_graph(graph_yks(spec)[0])
         assert d.m == 4
         assert d.HA[0][:2] == [0.0, 1.0]
         assert d.HA[1][:3] == [0.0, 0.0, 1.0]
@@ -400,7 +429,7 @@ class TestYks:
     def test_zero_coefficients_constant(self):
         spec = YksCoeffs(2, c=[0.0, 0.0], d=[0.0, 0.0], e=[0.0], e0=0.0,
                          f=[5.0, 0.0, 0.0])
-        g, _ = graph_degopt(yks_to_degopt(spec))
+        g, _ = graph_degopt(degopt_from_graph(graph_yks(spec)[0]))
         assert eval_graph(g, 1.7) == 5.0
 
     def test_malformed_bundle(self):

@@ -19,6 +19,7 @@ from matgraph import (
     graph_denman_beavers,
     graph_exp_pade_ss,
     graph_monomial,
+    graph_newton_schulz,
     graph_ps,
 )
 from matgraph.evaluation import _eval_nodes, graph_degree_bound
@@ -238,6 +239,17 @@ class TestPolynomialExtraction:
         want = eval_graph_poly(convert_precision(g, bigfloat(256, is_complex)), prec=256)
         assert [scalar_bits(a) for a in got] == [scalar_bits(b) for b in want]
         assert all(isinstance(a, (mp.mpf, mp.mpc)) for a in got)
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("prec", [None, 256])
+    def test_every_coefficient_of_the_graph_kind(self, prec, is_complex):
+        # Newton-Schulz has exact zero coefficients, which a series product
+        # once left as the int 0 of the series' padding
+        got = eval_graph_poly(graph_newton_schulz(3, CoeffType(None, is_complex))[0], prec=prec)
+        assert 0 in got
+        kind = {(None, False): float, (None, True): complex,
+                (256, False): mp.mpf, (256, True): mp.mpc}[prec, is_complex]
+        assert {type(c) for c in got} == {kind}
 
     def test_binary64_series_argument_at_explicit_precision(self):
         rng = np.random.default_rng(25)

@@ -1051,6 +1051,10 @@ class TestRefused:
             with pytest.raises(TypeError, match="^cannot read a NoneType as an extended-precision number$"):
                 FixedVector.read([1.0, None])
 
+    def test_zero_denominator_is_a_malformed_literal(self):
+        with pytest.raises(ValueError, match="^zero denominator in '1/0'$"):
+            numerics.exact_decimal("1/0")
+
     def test_eigenvalues_not_converged_within_the_iteration_limit(self):
         # the limit is 2 mp.dps sweeps per eigenvalue: 2 at one digit
         F = 200
