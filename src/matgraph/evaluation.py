@@ -3,7 +3,7 @@
 Supported argument kinds, selected by the type of ``x`` as the graph reads
 it (:func:`_argument`: exactly, at extended precision):
 
-* scalars (``float``/``complex``/``mpf``/``mpc``): the three node
+* numbers (Python, numpy, ``Fraction`` or mpmath): the three node
   operations act as scalar +, *, and /;
 * 1-d numpy arrays: N independent scalar evaluations in one pass.  An
   extended-precision graph reads one, of any dtype, as a
@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 
 import mpmath
 import numpy as np
-from mpmath import libmp, mp
+from mpmath import mp
 
 from .graph import ComputationGraph, GraphError, OpKind, convert_precision, get_topo_order
 from .numerics import (
@@ -50,6 +50,7 @@ from .numerics import (
     FixedVector,
     PairMatrix,
     SingularMatrixError,
+    _raw,
     convert_scalar,
     is_scalar,
     lincomb_fixed,
@@ -71,10 +72,12 @@ def _precision_context(g: ComputationGraph, prec: int | None = None):
 def _argument(g: ComputationGraph, x):
     """``x`` in the arithmetic of ``g``; every entry point reads its argument through this.
 
-    An extended-precision graph reads Python and numpy numbers, of any
-    width, as the mpmath numbers of the same value, a 1-d
-    ndarray as the :class:`~matgraph.numerics.FixedVector` of its exact
-    values, and a 2-d ndarray as an ``mpmath.matrix``, so that nothing runs
+    An extended-precision graph reads a number (Python, numpy of any width,
+    ``Fraction`` or mpmath) as the mpmath number of its exact value
+    (:func:`~matgraph.numerics._raw`, a rational that is not dyadic rounded
+    once at the working precision), a 1-d ndarray as the
+    :class:`~matgraph.numerics.FixedVector` of its exact values, and a 2-d
+    ndarray as an ``mpmath.matrix``, so that nothing runs
     in binary64, in a numpy dtype or in numpy's object arithmetic.  A
     binary64 graph reads a 2-d object ndarray as an ``mpmath.matrix`` too,
     and numpy numbers and arrays as ``np.result_type(dtype, float64)``:
@@ -93,13 +96,10 @@ def _argument(g: ComputationGraph, x):
         return x
     if isinstance(x, np.ndarray):
         return FixedVector.read(x.tolist()) if x.ndim == 1 else x
-    if isinstance(x, (complex, np.complexfloating)):
-        return mp.make_mpc((libmp.from_npfloat(x.real), libmp.from_npfloat(x.imag)))
-    if isinstance(x, (float, np.floating)):  # exact for a numpy float of any width
-        return mp.make_mpf(libmp.from_npfloat(x))
-    if isinstance(x, (int, np.integer)):
-        return mp.make_mpf(libmp.from_int(int(x)))
-    return x
+    if not is_scalar(x):
+        return x
+    re, im = _raw(x, mp.prec)
+    return mp.make_mpf(re) if isinstance(x, numbers.Real) else mp.make_mpc((re, im))
 
 
 def lincomb(c1, v1, c2, v2):
@@ -164,7 +164,7 @@ _FIXED_SERIES = _Ops(lambda x: FixedSeries.constant(1, x.nterms, x.frac), operat
 
 
 def _ops_for(x) -> _Ops:
-    if is_scalar(x) or isinstance(x, numbers.Number):
+    if is_scalar(x):
         return _SCALAR
     if isinstance(x, FixedVector):
         return _FIXED

@@ -6,11 +6,14 @@ Scalars come in two families:
 * extended-precision values, represented by ``mpmath`` ``mpf``/``mpc``
   numbers with a configurable number of mantissa bits.
 
-mpmath performs every operation at the precision of the *ambient* context,
-so all public entry points of this package wrap their numerical work in
-:func:`working_precision`.  Coefficient rounding (:func:`convert_scalar`)
-needs no context: it calls libmp at the target precision, bit for bit as
-mpmath's constructors under that precision.  Dense extended-precision
+A number is what ``numbers.Complex`` admits (:func:`is_scalar`): a Python,
+numpy, ``Fraction`` or mpmath one, never a ``Decimal``.  Every reader takes
+its exact value from :func:`_raw`.  mpmath performs every operation at the
+precision of the *ambient* context, so all public entry points of this
+package wrap their numerical work in :func:`working_precision`.
+Coefficient rounding (:func:`convert_scalar`) needs no context: it calls
+libmp at the target precision, bit for bit as mpmath's constructors under
+that precision.  Dense extended-precision
 matrices are ``mpmath.matrix`` instances; binary64 matrices are numpy arrays and
 delegate to the optimized kernels numpy binds to.  The evaluator's three
 extended-precision matrix operations (product, linear combination and the
@@ -58,9 +61,6 @@ class SingularMatrixError(ArithmeticError):
 #: binary64 machine epsilon, 2^-52
 EPS64 = 2.0 ** -52
 
-SCALAR_TYPES = (int, float, complex, mpmath.mpf, mpmath.mpc)
-
-
 @dataclass(frozen=True)
 class CoeffType:
     """Scalar kind tag: mantissa width in bits plus real/complex flag.
@@ -72,8 +72,9 @@ class CoeffType:
     is_complex: bool = False
 
     def __post_init__(self):
-        if self.prec is not None and self.prec < 53:
-            raise ValueError("extended precision needs at least 53 bits")
+        p = self.prec
+        if p is not None and not (isinstance(p, numbers.Integral) and p >= 53):
+            raise ValueError(f"extended precision needs an integer of at least 53 bits, got {p!r}")
 
     @property
     def tag(self) -> str:
@@ -128,30 +129,43 @@ def exact_decimal(text: str) -> Fraction:
 
 
 def is_scalar(x) -> bool:
-    return isinstance(x, SCALAR_TYPES)
+    """Whether ``x`` is a number (``numbers.Complex``): a Python, numpy, ``Fraction`` or mpmath one."""
+    return isinstance(x, numbers.Complex)
 
 
-def _round(x, prec: int):
-    """The raw mpf of the real ``x`` (a bool, int, float, Fraction or mpf) rounded to nearest."""
-    if isinstance(x, float):
-        return libmp.from_float(x, prec, RND)
-    if isinstance(x, int):
-        return libmp.from_int(x, prec, RND)
-    if isinstance(x, Fraction):
-        return libmp.from_rational(x.numerator, x.denominator, prec, RND)
-    return libmp.mpf_pos(x._mpf_, prec, RND)
+def _raw(x, prec: int):
+    """The raw libmp parts ``(re, im)`` of the number ``x``, exactly.
+
+    Reads a Python, numpy (of any width), ``Fraction`` or mpmath number.  A
+    rational whose denominator is not a power of two has no exact binary
+    value: it is rounded to nearest at ``prec`` bits.  ``TypeError`` for a
+    value that is not a number.
+    """
+    if isinstance(x, mpmath.mpf):
+        return x._mpf_, fzero
+    if isinstance(x, mpmath.mpc):
+        return x._mpc_
+    if isinstance(x, numbers.Rational):  # an integer too, with denominator 1
+        p, q = int(x.numerator), int(x.denominator)
+        return (libmp.from_rational(p, q, prec, RND) if q & (q - 1)
+                else libmp.from_man_exp(p, 1 - q.bit_length())), fzero
+    if isinstance(x, numbers.Real):
+        return libmp.from_npfloat(x), fzero  # exact for a numpy float of any width
+    if isinstance(x, numbers.Complex):
+        return libmp.from_npfloat(x.real), libmp.from_npfloat(x.imag)
+    raise TypeError(f"cannot read a {type(x).__name__} as an extended-precision number")
 
 
 def convert_scalar(x, ct: CoeffType):
-    """Round a scalar to the given kind (exact rationals round to nearest).
+    """Round a number to the given kind, its exact value (:func:`_raw`) rounded once to nearest.
 
     Complex-to-real conversion requires an exactly zero imaginary part.  At
     extended precision each part is rounded by one libmp call at ``ct.prec``,
     with no precision context, bit for bit as ``mp.mpf(x)`` or ``mp.mpc(x)``
-    under ``mp.workprec(ct.prec)``.  A value already of the kind (a
-    ``float`` or ``complex`` at binary64, an ``mpf`` or ``mpc`` whose
-    mantissas fit in ``ct.prec`` bits) is returned as it is, since rounding
-    it would give the same number.
+    under ``mp.workprec(ct.prec)``; at binary64 by ``float`` or ``complex``.
+    A value already of the kind (a ``float`` or ``complex`` at binary64, an
+    ``mpf`` or ``mpc`` whose mantissas fit in ``ct.prec`` bits) is returned
+    as it is, since rounding it would give the same number.
     """
     t, prec = type(x), ct.prec
     if prec is None:
@@ -164,21 +178,16 @@ def convert_scalar(x, ct: CoeffType):
         return x if x._mpf_[3] <= prec else mp.make_mpf(libmp.mpf_pos(x._mpf_, prec, RND))
     elif t is float:
         return mp.make_mpf(libmp.from_float(x, prec, RND))
-    if isinstance(x, Fraction):
-        if ct.prec is None:
-            return complex(x) if ct.is_complex else float(x)
-    else:
-        if not is_scalar(x):
-            raise TypeError(f"not a scalar: {x!r}")
-        if not ct.is_complex and isinstance(x, (complex, mpmath.mpc)) and x.imag != 0:
-            raise ValueError("cannot convert complex value with nonzero imaginary part to real")
-        if ct.prec is None:
-            if ct.is_complex:
-                return complex(x)
-            return float(x.real if isinstance(x, (complex, mpmath.mpc)) else x)
+    if not is_scalar(x):
+        raise TypeError(f"not a scalar: {x!r}")
+    if not ct.is_complex and x.imag != 0:
+        raise ValueError("cannot convert complex value with nonzero imaginary part to real")
+    if prec is None:
+        return complex(x) if ct.is_complex else float(x.real)
+    re, im = _raw(x, prec)
     if ct.is_complex:
-        return mp.make_mpc((_round(x.real, ct.prec), _round(x.imag, ct.prec)))
-    return mp.make_mpf(_round(x.real, ct.prec))
+        return mp.make_mpc((libmp.mpf_pos(re, prec, RND), libmp.mpf_pos(im, prec, RND)))
+    return mp.make_mpf(libmp.mpf_pos(re, prec, RND))
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +343,9 @@ def _reciprocal(s, a, p):
 
 
 def _scalar(c):
-    """The pair of a finite ``mpf``, ``int`` or ``float``, read exactly as mpmath's operators
-    read it; None for any other scalar."""
-    if isinstance(c, (int, float)):
-        c = mp.make_mpf(libmp.from_int(c) if isinstance(c, int) else libmp.from_float(c))
-    return _pair(c._mpf_) if isinstance(c, mpmath.mpf) else None
+    """The pair of a finite real number, read exactly (:func:`_raw`) as mpmath's operators
+    read an ``mpf``, ``int`` or ``float``; None for a complex or non-finite one."""
+    return _pair(_raw(c, mp.prec)[0]) if isinstance(c, numbers.Real) else None
 
 
 class PairMatrix:
@@ -463,22 +470,7 @@ def _exact(x):
     A rational whose denominator is not a power of two has no such form: it
     is rounded to nearest at ``mp.prec + GUARD_BITS`` bits.
     """
-    if isinstance(x, mpmath.mpc):
-        a, b = x._mpc_
-    elif isinstance(x, mpmath.mpf):
-        a, b = x._mpf_, fzero
-    elif isinstance(x, numbers.Rational):  # an integer too, with denominator 1
-        p, q = int(x.numerator), int(x.denominator)
-        a = (libmp.from_rational(p, q, mp.prec + GUARD_BITS, libmp.round_nearest) if q & (q - 1)
-             else libmp.from_man_exp(p, 1 - q.bit_length()))
-        b = fzero
-    elif isinstance(x, numbers.Real):
-        a, b = libmp.from_npfloat(x), fzero  # exact for a numpy float of any width
-    elif isinstance(x, numbers.Complex):
-        a, b = libmp.from_npfloat(x.real), libmp.from_npfloat(x.imag)
-    else:
-        raise TypeError(f"cannot read a {type(x).__name__} as an extended-precision number")
-    (sa, ma, ea, _), (sb, mb, eb, _) = a, b
+    (sa, ma, ea, _), (sb, mb, eb, _) = _raw(x, mp.prec + GUARD_BITS)
     if ea and not ma or eb and not mb:
         return None
     e = min(ea if ma else eb, eb if mb else ea)

@@ -51,6 +51,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
+import numbers
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -104,6 +105,8 @@ class Discretization:
         The first and last points coincide, matching the reference
         discretizations used for the frozen fixtures.
         """
+        if not isinstance(count, numbers.Integral):
+            raise ValueError(f"the number of points must be an integer, got {count!r}")
         if count < 2:
             raise ValueError("need at least two points")
         if not (cmath.isfinite(center) and math.isfinite(radius)):

@@ -158,6 +158,18 @@ class TestSchemes:
         g, _ = graph_monomial([1.0] * 8)
         assert sum(1 for op in g.operations.values() if op == OpKind.MULT) == 6
 
+    def test_numpy_coefficients(self):
+        g, _ = graph_ps(np.array([1, 1, 2]))
+        assert g == graph_ps([1.0, 1.0, 2.0])[0]
+        assert eval_graph(g, 0.5) == 2.0
+
+    def test_exact_coefficients_round_once(self):
+        c = pade_exp_coeffs(5, exact=True)
+        g, refs = graph_ps(c, bigfloat(256))
+        with mp.workprec(256):  # two exact operands, one rounding
+            want = [mp.mpf(v.numerator) / v.denominator for v in c]
+        assert [v._mpf_ for v in g.get_coeffs(refs)] == [v._mpf_ for v in want]
+
 
 class TestSchemeAccuracyVsCompensated:
     def test_against_high_precision_horner(self):

@@ -545,6 +545,14 @@ class TestRunningError:
         med = vals[50]
         assert 1e-9 <= med <= 5e-8
 
+    @pytest.mark.parametrize("mode", [RunErrMode.BOUND, RunErrMode.RAND])
+    def test_numpy_argument_reads_as_its_value(self, mode):
+        # the values are those eval_graph computes, and it reads a float32 exactly
+        g = goldberg_graph()
+        assert (eval_runerr(g, np.float32(2.0 ** -27), mode=mode, seed=3)
+                == eval_runerr(g, 2.0 ** -27, mode=mode, seed=3))
+        assert eval_runerr(g, np.float32(0.5), mode=mode, seed=3) == eval_runerr(g, 0.5, mode=mode, seed=3)
+
     def test_single_mult_is_one_epsilon(self):
         g = ComputationGraph()
         g.add_mult("X", "A", "A")

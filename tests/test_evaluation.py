@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -335,6 +336,15 @@ class TestPrecisionRule:
         assert eval_graph(g, 0.1 + 0.2j) == eval_graph(g, mp.mpc(0.1, 0.2))
         assert eval_graph(g, np.array([0.1 + 0.2j]))[0] == eval_graph(g, mp.mpc(0.1, 0.2))
 
+    def test_fraction_argument_rounds_once_at_the_working_precision(self):
+        g = self.quadratic()
+        for prec in (None, 300):
+            with mp.workprec(prec or 256):
+                third = mp.mpf(1) / 3
+                want = eval_graph(g, third, prec)
+            assert eval_graph(g, Fraction(1, 3), prec)._mpf_ == want._mpf_
+        assert eval_graph(g, Fraction(1, 4))._mpf_ == mp.mpf(1.1875)._mpf_
+
     def test_binary64_graph_at_mpc_points(self):
         # an object array of mpmath points runs entry by entry in mpmath, as
         # the scalar evaluation at each point does
@@ -596,6 +606,12 @@ class TestRefused:
     def test_argument(self, x, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             eval_graph(_solve_graph(), x)
+
+    @pytest.mark.parametrize("ct", [CoeffType(), bigfloat(256)], ids=lambda ct: ct.tag)
+    def test_decimal_is_not_a_number(self, ct):
+        # numbers.Complex does not admit a Decimal, whose value no reader takes
+        with pytest.raises(EvalError, match="^cannot evaluate a graph at a Decimal$"):
+            eval_graph(convert_precision(_solve_graph(), ct), Decimal("0.5"))
 
     @pytest.mark.parametrize("run, message", [
         (lambda: eval_graph(ComputationGraph(), 1.0), "graph has no output nodes"),

@@ -421,6 +421,13 @@ class TestCoeffAccess:
         g.set_coeffs(cref, [4.0, 5.0, 6.0])
         assert g.get_coeffs(cref) == [4.0, 5.0, 6.0]
 
+    def test_set_numpy_numbers(self):
+        g, cref = monomial_103()
+        g.set_coeffs(cref, [np.int64(4), np.float32(0.1), np.float16(6)])
+        got = g.get_coeffs(cref)
+        assert all(type(v) is float for v in got)
+        assert got == [4.0, float(np.float32(0.1)), 6.0]
+
     def test_ref_into_mult_rejected(self):
         g, _ = monomial_103()
         with pytest.raises(GraphError):

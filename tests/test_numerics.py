@@ -3,6 +3,7 @@ import math
 import random
 import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -47,6 +48,15 @@ class TestCoeffType:
     def test_rejects_narrow_precision(self):
         with pytest.raises(ValueError):
             CoeffType(prec=24)
+
+    @pytest.mark.parametrize("prec", [256.5, 256.0, "256", Fraction(512, 2)])
+    def test_precision_is_an_integer(self, prec):
+        # a kind that cannot round-trip through its tag is never built
+        with pytest.raises(ValueError, match=f"^extended precision needs an integer of at least 53 bits, "
+                                             f"got {re.escape(repr(prec))}$"):
+            bigfloat(prec)
+        ct = bigfloat(np.int64(256))
+        assert CoeffType.from_tag(ct.tag) == ct == bigfloat(256)
 
 
 class TestConvertScalar:
@@ -131,9 +141,36 @@ class TestConvertScalarBitForBit:
         assert convert_scalar(2 ** 65 + 2, ct) == 2 ** 65
         assert convert_scalar(-(2 ** 65 + 6), ct) == -(2 ** 65 + 8)
 
+    @pytest.mark.parametrize("ct", [CoeffType(), CoeffType(is_complex=True), bigfloat(113),
+                                    bigfloat(113, True), bigfloat(256), bigfloat(256, True)],
+                             ids=lambda ct: ct.tag)
+    def test_numpy_numbers_round_their_exact_value_once(self, ct):
+        tiny = np.longdouble(2) ** -16400  # a subnormal long double where it is wider than binary64
+        xs = [np.int64(-3), np.int64(2 ** 62 + 1), np.uint8(255), np.float16(0.1), np.float16(-65504),
+              np.float32(0.1), np.float32(1e-45), np.longdouble(1) / 3, tiny, np.longdouble(0.1) * 7,
+              np.float64(0.1), np.complex64(0.1 - 0.3j), np.complex64(2.5)]
+        for x in xs:
+            parts = [Fraction(int(v)) if isinstance(v, np.integer) else Fraction(*v.as_integer_ratio())
+                     for v in (x.real, x.imag)]
+            if not ct.is_complex and parts[1]:
+                with pytest.raises(ValueError, match="nonzero imaginary part"):
+                    convert_scalar(x, ct)
+                continue
+            got = convert_scalar(x, ct)
+            if ct.prec is None:
+                want = complex(*map(float, parts)) if ct.is_complex else float(parts[0])
+                assert type(got) is type(want) and got == want, x
+                continue
+            with mp.workprec(ct.prec):  # two exact operands, one rounding
+                re_, im_ = (mp.mpf(v.numerator) / v.denominator for v in parts)
+            if ct.is_complex:
+                assert got._mpc_ == (re_._mpf_, im_._mpf_), x
+            else:
+                assert got._mpf_ == re_._mpf_, x
+
     @pytest.mark.parametrize("x, ct, exc, message", [
         ("1.5", bigfloat(256), TypeError, "not a scalar: '1.5'"),
-        (np.int64(3), bigfloat(256, True), TypeError, "not a scalar: "),
+        (Decimal("3"), bigfloat(256, True), TypeError, "not a scalar: "),
         (None, CoeffType(), TypeError, "not a scalar: None"),
         (2 + 1j, bigfloat(256), ValueError, "nonzero imaginary part"),
         (mp.mpc(0, 1), bigfloat(113), ValueError, "nonzero imaginary part"),

@@ -57,6 +57,14 @@ class TestDiscretization:
         with pytest.raises(ValueError):
             Discretization.disk(0, 1, 1)
 
+    @pytest.mark.parametrize("count", [10.5, 10.0, "10"])
+    def test_count_is_an_integer(self, count):
+        # 10.5 would give 11 points whose last is not the first
+        with pytest.raises(ValueError, match=f"^the number of points must be an integer, got {count!r}$"):
+            Discretization.disk(0, 0.5, count)
+        d = Discretization.disk(0, 0.5, np.int64(10))
+        assert len(d) == 10 and d.points[-1] == pytest.approx(d.points[0])
+
     @pytest.mark.parametrize("center, radius", [(0, math.nan), (0, math.inf), (math.nan, 1),
                                                 (complex(0, math.inf), 1)])
     def test_non_finite_center_or_radius_refused(self, center, radius):
