@@ -102,7 +102,7 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
     ``weights`` (one per point) seed the output adjoint, so row i comes out
     scaled by w_i.  ``slots``, the :func:`forward_pass` of ``g`` at these
     points, spares the forward pass; the sweep consumes it.  Points and
-    weights are read in the graph's arithmetic.  Requires a single-output
+    finite weights are read in the graph's arithmetic.  Requires a single-output
     graph; an evaluation singularity at some point aborts with an error
     naming the point.
     """
@@ -116,7 +116,12 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
         weights = _argument(g, weights if isinstance(weights, FixedVector) else np.asarray(weights))
         if np.shape(weights) != pts.shape:
             raise ValueError("need one weight per point")
+        if not (isinstance(weights, FixedVector) or all(map(mp.isfinite, weights))):
+            raise ValueError("weights must be finite")
     with _precision_context(g):
+        fixed = isinstance(pts, FixedVector)
+        if isinstance(weights, FixedVector) and not fixed:  # the points run on mpmath numbers
+            weights = weights.numbers()
         order = get_topo_order(g)
         ops = _ops_for(pts)
         if slots is None:
@@ -160,7 +165,6 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
                 if p1 in nodes:
                     add(p1, -ops.mult(t, v))
         # columns of coefficients the output does not use are zero
-        fixed = isinstance(pts, FixedVector)
         zero = FixedVector.constant(pts, 0) if fixed else _points_full(pts, 0)
         J = [zero if c is None else c for c in J]
         if fixed:

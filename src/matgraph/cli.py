@@ -61,6 +61,14 @@ def _parse(conv, text, what: str):
         raise CliError(f"bad {what} {text!r}: {exc}", USAGE_ERROR) from exc
 
 
+def _coefficient(text: str, ct: CoeffType):
+    """A ``--coeffs`` literal's exact value rounded once to ``ct``, which must keep it finite."""
+    c = convert_scalar(exact_decimal(text), ct)
+    if ct.prec is None and not cmath.isfinite(c):
+        raise ValueError("not finite in binary64")
+    return c
+
+
 def _parse_complex(text: str) -> complex:
     """a+bi as a complex; only a trailing i is the imaginary unit, so inf and nan stay words."""
     text = text.strip().replace(" ", "")
@@ -140,8 +148,7 @@ def cmd_generate(args) -> int:
         raise CliError(f"--coeffs is required for scheme {scheme}", USAGE_ERROR)
     try:
         if build:
-            # exact decimal parse, then one rounding to the coefficient kind
-            coeffs = [_parse(lambda t: convert_scalar(exact_decimal(t), ct), tok, "coefficient")
+            coeffs = [_parse(lambda t: _coefficient(t, ct), tok, "coefficient")
                       for tok in args.coeffs.split(",")]
             if not scheme.endswith("-degopt"):
                 g, _ = build(coeffs, ct)

@@ -6,10 +6,9 @@ it (:func:`_argument`: exactly, at extended precision):
 * numbers (Python, numpy, ``Fraction`` or mpmath): the three node
   operations act as scalar +, *, and /;
 * 1-d numpy arrays: N independent scalar evaluations in one pass.  An
-  extended-precision graph reads one, of any dtype, as a
-  :class:`~matgraph.numerics.FixedVector` (Python integers at one shared
-  exponent, with prec + 64 bits in the smallest entry), runs every node on
-  integers and returns an object array of mpmath numbers;
+  extended-precision graph runs one of finite values, at finite
+  coefficients, on the integers of a :class:`~matgraph.numerics.FixedVector`,
+  any other point by point on mpmath numbers, and returns mpmath numbers;
 * 2-d numpy arrays: dense matrices, the linear solve done by LU with
   partial pivoting.  An extended-precision graph runs one, an empty one
   too, as the ``mpmath.matrix`` of its entries and returns an object array,
@@ -50,6 +49,7 @@ from .numerics import (
     FixedVector,
     PairMatrix,
     SingularMatrixError,
+    _is_complex,
     _raw,
     convert_scalar,
     is_scalar,
@@ -72,30 +72,39 @@ def _precision_context(g: ComputationGraph, prec: int | None = None):
 def _argument(g: ComputationGraph, x):
     """``x`` in the arithmetic of ``g``; every entry point reads its argument through this.
 
-    An extended-precision graph reads a number (Python, numpy of any width,
-    ``Fraction`` or mpmath) as the mpmath number of its exact value
-    (:func:`~matgraph.numerics._raw`, a rational that is not dyadic rounded
-    once at the working precision), a 1-d ndarray as the
-    :class:`~matgraph.numerics.FixedVector` of its exact values, and a 2-d
-    ndarray as an ``mpmath.matrix``, so that nothing runs
-    in binary64, in a numpy dtype or in numpy's object arithmetic.  A
-    binary64 graph reads a 2-d object ndarray as an ``mpmath.matrix`` too,
-    and numpy numbers and arrays as ``np.result_type(dtype, float64)``:
-    integers never wrap in int64, and float16, float32 and complex64 never
-    run in their own dtype.  Any other argument is returned as it is.
+    One rule picks the route: only finite numbers, at finite coefficients,
+    enter the integer kinds.  An extended-precision graph reads a number
+    (Python, numpy of any width, ``Fraction`` or mpmath) as the mpmath
+    number of its exact value (:func:`~matgraph.numerics._raw`), a 1-d
+    ndarray as a :class:`~matgraph.numerics.FixedVector` or else as an
+    object array of those numbers (``mpc`` throughout if one is complex),
+    and a 2-d ndarray as an ``mpmath.matrix``, which runs as a
+    :class:`~matgraph.numerics.PairMatrix` where it can.  A binary64 graph
+    reads a 2-d object ndarray as an ``mpmath.matrix`` too, an ``int`` or
+    ``Fraction`` by ``convert_scalar``, and numpy numbers and arrays as
+    ``np.result_type(dtype, float64)``, so that none runs in exact or narrow
+    arithmetic.  Any other argument is returned as it is.
     """
     extended = g.coeff_type.prec is not None
+    coeffs = (c for cs in g.coeffs.values() for c in cs)
     if isinstance(x, np.ndarray) and x.ndim == 2 and (extended or x.dtype == object):
         if x.dtype.kind in "iufc":
             x = np.array([_argument(g, v) for v in x.ravel().tolist()],
                          dtype=object).reshape(x.shape)
-        return mp.matrix(x.tolist()) if x.size else mp.matrix(*x.shape)  # no empty literal
+        x = mp.matrix(x.tolist()) if x.size else mp.matrix(*x.shape)  # no empty literal
+    if isinstance(x, mpmath.matrix):
+        return PairMatrix.read(x, coeffs) or x
+    if isinstance(x, FixedVector):  # read already: it stays one while the coefficients are finite
+        return x if all(map(mp.isfinite, coeffs)) else x.numbers()
     if not extended:
         if isinstance(x, (np.ndarray, np.number)) and x.dtype.kind in "iufc":
             return x.astype(np.result_type(x.dtype, np.float64), copy=False)
-        return x
-    if isinstance(x, np.ndarray):
-        return FixedVector.read(x.tolist()) if x.ndim == 1 else x
+        return convert_scalar(x, g.coeff_type) if isinstance(x, numbers.Rational) else x
+    if isinstance(x, np.ndarray) and x.ndim == 1:
+        if all(map(mp.isfinite, coeffs)) and (vector := FixedVector.read(x)) is not None:
+            return vector
+        make = mp.make_mpc if any(map(_is_complex, x)) else lambda p: mp.make_mpf(p[0])
+        return np.array([make(_raw(v, mp.prec)) for v in x], dtype=object)
     if not is_scalar(x):
         return x
     re, im = _raw(x, mp.prec)
@@ -129,9 +138,10 @@ def _scalar_ldiv(v1, v2):
 
 
 def _points_full(x, v):
-    """``v`` at each of the points ``x``, as an ``mpf`` when they are extended precision."""
+    """``v`` at each of the points ``x``; at mpmath points an ``mpf``, or an ``mpc`` if one is."""
     if x.dtype == object:
-        return np.array([mp.mpf(v)] * len(x), dtype=object)
+        kind = mp.mpc if any(isinstance(z, mpmath.mpc) for z in x) else mp.mpf
+        return np.array([kind(v)] * len(x), dtype=object)
     return np.full(len(x), v, dtype=x.dtype)
 
 
@@ -176,10 +186,10 @@ def _ops_for(x) -> _Ops:
                 raise EvalError("matrix argument must be square")
             return _NP_MATRIX
         raise EvalError(f"unsupported array rank {x.ndim}")
-    if isinstance(x, mpmath.matrix):
+    if isinstance(x, (mpmath.matrix, PairMatrix)):
         if x.rows != x.cols:
             raise EvalError("matrix argument must be square")
-        return _MP_MATRIX
+        return _PAIRS if isinstance(x, PairMatrix) else _MP_MATRIX
     if isinstance(x, TruncSeries):
         return _SERIES
     if isinstance(x, FixedSeries):
@@ -197,10 +207,6 @@ def _eval_nodes(g, x, order, keep_all=False):
     """
     x = _argument(g, x)
     ops = _ops_for(x)
-    if ops is _MP_MATRIX:  # read once into pairs if real and finite, coefficients too
-        pairs = PairMatrix.read(x, [c for cs in g.coeffs.values() for c in cs])
-        if pairs is not None:
-            x, ops = pairs, _PAIRS
     slots = {"I": ops.identity(x), g.input_id: x}
     last_use: dict[str, int] = {}
     if not keep_all:

@@ -24,7 +24,7 @@ for bit; terms too far apart to add exactly go to libmp.
 :func:`mat_lu_solve` reads two ``mpmath.matrix`` the same way and writes
 X back, and solves complex and non-finite operands by mpmath's routines.
 
-A 1-d vector of extended-precision points is a :class:`FixedVector`:
+A 1-d vector of finite extended-precision points is a :class:`FixedVector`:
 Python integers at one shared exponent, set after every operation by the
 smallest entry.  The extended-precision least-squares step
 (:func:`truncated_lstsq`) forms its Gram matrix from exact integer dot
@@ -162,7 +162,8 @@ def convert_scalar(x, ct: CoeffType):
     Complex-to-real conversion requires an exactly zero imaginary part.  At
     extended precision each part is rounded by one libmp call at ``ct.prec``,
     with no precision context, bit for bit as ``mp.mpf(x)`` or ``mp.mpc(x)``
-    under ``mp.workprec(ct.prec)``; at binary64 by ``float`` or ``complex``.
+    under ``mp.workprec(ct.prec)``; at binary64 by ``float`` or ``complex``,
+    so that an integer or ``Fraction`` beyond binary64's range is infinite.
     A value already of the kind (a ``float`` or ``complex`` at binary64, an
     ``mpf`` or ``mpc`` whose mantissas fit in ``ct.prec`` bits) is returned
     as it is, since rounding it would give the same number.
@@ -183,7 +184,11 @@ def convert_scalar(x, ct: CoeffType):
     if not ct.is_complex and x.imag != 0:
         raise ValueError("cannot convert complex value with nonzero imaginary part to real")
     if prec is None:
-        return complex(x) if ct.is_complex else float(x.real)
+        try:
+            return complex(x) if ct.is_complex else float(x.real)
+        except OverflowError:  # a rational whose nearest binary64 value is infinite
+            inf = math.inf if x > 0 else -math.inf
+            return complex(inf) if ct.is_complex else inf
     re, im = _raw(x, prec)
     if ct.is_complex:
         return mp.make_mpc((libmp.mpf_pos(re, prec, RND), libmp.mpf_pos(im, prec, RND)))
@@ -497,10 +502,9 @@ def _normalized(re, im, exp, real):
 class FixedVector:
     """N complex numbers ``(re[i] + i im[i]) 2**exp`` on Python integers, one shared exponent.
 
-    The extended-precision kind of a 1-d point argument (see the rule
-    above).  ``real`` records that every value it was made from was real,
-    so that :meth:`numbers` gives ``mpf`` entries.  ``exp`` is None when a
-    value it was made from was not finite: every entry then reads NaN.
+    The extended-precision kind of a 1-d point argument of finite values
+    (see the rule above).  ``real`` records that every value it was made
+    from was real, so that :meth:`numbers` gives ``mpf`` entries.
     The operators are those of a numpy array: ``+``, ``-``, ``*`` by a
     vector or a scalar, and elementwise ``/``, which raises
     :class:`SingularMatrixError` naming the first point whose divisor is 0.
@@ -513,14 +517,14 @@ class FixedVector:
 
     @classmethod
     def read(cls, values):
-        """The exact values of a sequence of Python or mpmath numbers."""
+        """The exact values of a sequence of numbers; None if one is not finite."""
         parts = [_exact(v) for v in values]
-        real = not any(map(_is_complex, values))
         if None in parts:
-            return cls([0] * len(parts), [0] * len(parts), None, real)
+            return None
         e = min((e for a, b, e in parts if a or b), default=0)
         return cls([a << (pe - e) if a else 0 for a, _, pe in parts],
-                   [b << (pe - e) if b else 0 for _, b, pe in parts], e, real)
+                   [b << (pe - e) if b else 0 for _, b, pe in parts], e,
+                   not any(map(_is_complex, values)))
 
     @classmethod
     def constant(cls, like: "FixedVector", v: int):
@@ -535,9 +539,6 @@ class FixedVector:
     def shape(self):
         return (len(self.re),)
 
-    def _nan(self):
-        return FixedVector(self.re, self.im, None, self.real)
-
     def take(self, index):
         """The entries at ``index`` (a sequence of positions, repeats allowed)."""
         re, im = self.re, self.im
@@ -546,9 +547,6 @@ class FixedVector:
     def numbers(self) -> np.ndarray:
         """Object array of the entries (``mpf`` if real), each rounded to the working precision."""
         p, e = mp.prec, self.exp
-        if e is None:
-            return np.array([mp.nan if self.real else mp.mpc(mp.nan, mp.nan)] * len(self),
-                            dtype=object)
         if self.real:
             return np.array([mp.make_mpf(libmp.from_man_exp(a, e, p, RND)) for a in self.re],
                             dtype=object)
@@ -558,8 +556,6 @@ class FixedVector:
 
     def magnitudes(self) -> list:
         """``|v_i|`` as binary64 values, each correctly rounded from the exact sqrt(re^2 + im^2)."""
-        if self.exp is None:
-            return [math.nan] * len(self)
         out, keep = [], 2 * (mp.prec + GUARD_BITS)
         for a, b in zip(self.re, self.im):
             s = a * a + b * b
@@ -572,8 +568,6 @@ class FixedVector:
         return out
 
     def __add__(self, other):
-        if self.exp is None or other.exp is None:
-            return self._nan()
         x, y = (self, other) if self.exp <= other.exp else (other, self)
         s = y.exp - x.exp
         return _normalized([a + (b << s) for a, b in zip(x.re, y.re)],
@@ -589,8 +583,6 @@ class FixedVector:
     def __mul__(self, other):
         if not isinstance(other, FixedVector):
             return lincomb_fixed(other, self, 0, self)
-        if self.exp is None or other.exp is None:
-            return self._nan()
         # three products: (a + bi)(c + di) = ac - bd + ((a + b)(c + d) - ac - bd) i
         xr, xi, yr, yi = self.re, self.im, other.re, other.im
         ac = list(map(operator.mul, xr, yr))
@@ -602,8 +594,6 @@ class FixedVector:
 
     def __truediv__(self, other):
         """``self / other`` entry by entry; the quotients keep the bits the rule asks for."""
-        if self.exp is None or other.exp is None:
-            return self._nan()
         xr, xi, yr, yi = self.re, self.im, other.re, other.im
         den = [c * c + d * d for c, d in zip(yr, yi)]
         if 0 in den:
@@ -621,11 +611,8 @@ class FixedVector:
 
 
 def lincomb_fixed(c1, v1, c2, v2) -> FixedVector:
-    """``c1 v1 + c2 v2`` for point vectors and scalars, exact until the final rounding."""
-    p, q = _exact(c1), _exact(c2)
-    if p is None or q is None or v1.exp is None or v2.exp is None:
-        return v1._nan()
-    (r1, i1, e1), (r2, i2, e2) = p, q
+    """``c1 v1 + c2 v2`` for point vectors and finite scalars, exact until the final rounding."""
+    (r1, i1, e1), (r2, i2, e2) = _exact(c1), _exact(c2)
     # align the two terms through the coefficients, one shift each
     E1, E2 = v1.exp + e1, v2.exp + e2
     E = min(E1, E2)
@@ -704,14 +691,14 @@ def _limb_products(mss):
 def _normal_equations(cols, b):
     """``(A^T A, A^T b)`` as lists of exact ``(man, exp)`` sums, never rounded.
 
-    Each of ``cols`` and ``b`` is read as :func:`truncated_lstsq` says; an
-    exponent of None (a non-finite value) is refused.
+    Each of ``cols`` and ``b`` is read as :func:`truncated_lstsq` says; a
+    sequence with a value that is not finite is refused.
     """
     vecs = [v if isinstance(v, FixedVector) else FixedVector.read(list(v)) for v in (*cols, b)]
+    if None in vecs:
+        raise ArithmeticError("least-squares data is not finite")
     if len(set(map(len, vecs))) > 1:
         raise ValueError(f"least-squares operands of unequal lengths {list(map(len, vecs))}")
-    if any(v.exp is None for v in vecs):
-        raise ArithmeticError("least-squares data is not finite")
     S = _limb_products([v.re + v.im for v in vecs])
     K = len(vecs) - 1
     G = [[None] * K for _ in range(K)]

@@ -190,6 +190,8 @@ def _target_values(f, zs: np.ndarray, errtype: ErrType) -> np.ndarray:
 
 def _residual(gv, fv, errtype: ErrType):
     """g(z_i) - f(z_i), divided by f(z_i) under relative error."""
+    if isinstance(gv, FixedVector) != isinstance(fv, FixedVector):  # a non-finite value or coefficient
+        gv, fv = (v.numbers() if isinstance(v, FixedVector) else v for v in (gv, fv))
     r = gv - fv
     return r / fv if errtype == ErrType.REL else r
 
@@ -276,6 +278,8 @@ def gn_step(J, r, config: GNConfig) -> np.ndarray:
         J = np.asarray(J)
         if J.dtype == object:
             J = [FixedVector.read(col) for col in J.T]
+            if None in J:
+                raise ArithmeticError("least-squares data is not finite")
         else:  # float32 or complex64 operands never run in their own dtype
             J = J.astype(np.result_type(J.dtype, np.float64), copy=False)
             r = np.asarray(r)
@@ -391,7 +395,7 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
             # one forward pass per trial point; a step's sweep reads its node values
             slots = forward_pass(g, pts)
             r = _residual(slots[g.outputs[0]], fv, errtype)
-            mags = r.magnitudes() if fixed else [float(abs(x)) for x in r]
+            mags = r.magnitudes() if isinstance(r, FixedVector) else [float(abs(x)) for x in r]
             rmax = max(mags, default=0.0)
             stop = None
             if not all(map(math.isfinite, mags)):

@@ -261,6 +261,16 @@ class TestWeightsAndValues:
         assert jac.points is jac.points and jac.values is jac.values
         assert jac.shape == (9, len(g.all_coeff_refs()))
 
+    @pytest.mark.parametrize("prec", [None, 256])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_weights_must_be_finite(self, prec, bad):
+        # binary64 gave a row of NaN, 256 bits a Jacobian of NaN in every entry
+        g, cref = graph_monomial([1.0, 2.0])
+        if prec:
+            g = convert_precision(g, bigfloat(prec))
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            eval_jac(g, circle_discr(5), cref, weights=[1.0, bad, 1.0, 1.0, 1.0])
+
     def test_weights_need_one_per_point(self):
         g, cref = graph_monomial([1.0, 2.0])
         with pytest.raises(ValueError, match="one weight per point"):
@@ -302,6 +312,28 @@ def test_forward_mode_oracle_reads_binary64_points_at_the_graphs_precision():
     assert want.dtype == object
     with mp.workprec(256):
         assert _rel_diff(J, want) <= mp.mpf(10) ** -70
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_extended_jacobian_at_a_nan_point_is_nan_in_its_row_only(weighted):
+    # the points run on mpmath numbers, as a binary64 graph runs them on floats;
+    # the column of a coefficient the output does not read is mpc zeros too
+    g64, cref = graph_monomial([1.0, 0.5, 0.25])
+    g64.add_lincomb("dead", 2.0, "A", 1.0, "I")
+    cref = cref + [CoeffRef("dead", 1)]
+    g = convert_precision(g64, bigfloat(256))
+    pts = circle_discr(6, 0.5)
+    pts[2] = complex(math.nan, 0)
+    w = np.linspace(1, 2, 6) if weighted else None
+    with np.errstate(invalid="ignore"):
+        want = eval_jac(g64, pts, cref, weights=w).entries
+    jac = eval_jac(g, pts, cref, weights=w)
+    assert [not all(map(mp.isfinite, row)) for row in jac.entries] == \
+        [not np.all(np.isfinite(row)) for row in want] == [k == 2 for k in range(6)]
+    assert all(type(x) is mp.mpc for x in jac.entries.flat)
+    finite = np.delete(np.arange(6), 2)
+    exact = eval_jac(g, pts[finite], cref, weights=None if w is None else w[finite]).entries
+    assert max(abs(x - y) for x, y in zip(jac.entries[finite].flat, exact.flat)) < mp.mpf(10) ** -70
 
 
 class TestErrors:

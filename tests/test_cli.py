@@ -491,6 +491,15 @@ class TestUserInput:
         assert run(["generate", "--scheme", "monomial", "--coeffs", "1,abc",
                     "--out", str(tmp_path / "g.cgr")]) == 2
 
+    def test_coefficient_beyond_binary64_usage_error(self, tmp_path, capsys):
+        # finite at 256 bits; binary64 reads it as inf, which no graph file should hold
+        out = str(tmp_path / "g.cgr")
+        assert run(["generate", "--scheme", "ps", "--coeffs", "1,1e400", "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            "matgraph: bad coefficient '1e400': not finite in binary64\n"
+        assert run(["generate", "--scheme", "ps", "--coeffs", "1,1e400", "--precision", "256",
+                    "--out", out]) == 0
+
     def test_bad_point_usage_error(self, tmp_path):
         gfile = tmp_path / "g.cgr"
         run(["generate", "--scheme", "monomial", "--coeffs", "1,1", "--out", str(gfile)])

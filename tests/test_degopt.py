@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,6 +163,12 @@ class TestSchemes:
         g, _ = graph_ps(np.array([1, 1, 2]))
         assert g == graph_ps([1.0, 1.0, 2.0])[0]
         assert eval_graph(g, 0.5) == 2.0
+
+    def test_binary64_coefficient_beyond_the_range_is_infinite(self):
+        g, refs = graph_ps([1, 10 ** 400])
+        assert g.get_coeffs(refs) == [1.0, math.inf]
+        g.add_lincomb("B", -(10 ** 400), "A", Fraction(10 ** 400, 3), "I")
+        assert g.coeffs["B"] == (-math.inf, math.inf)
 
     def test_exact_coefficients_round_once(self):
         c = pade_exp_coeffs(5, exact=True)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from matgraph import (
@@ -633,8 +635,92 @@ def _identity_times_input():
 @pytest.mark.parametrize("graph", [lambda: graph_monomial([1, 1, 1], bigfloat(256))[0],
                                    _identity_times_input], ids=["monomial", "identity-times-input"])
 @pytest.mark.parametrize("points", [[math.nan, 0.5], [complex(math.nan, 0), 0.5j]])
-def test_extended_graph_at_a_nan_point_is_nan_at_every_point(graph, points):
-    # a point vector shares one exponent, which a NaN entry leaves undefined
-    got = eval_graph(graph(), np.array(points))
+def test_extended_graph_at_a_nan_point_is_nan_there_only(graph, points):
+    # a vector with a NaN point runs point by point on mpmath numbers, as the
+    # binary64 graph runs on floats: NaN at that point, the scalar value elsewhere
+    g = graph()
+    got = eval_graph(g, np.array(points))
     kind = mp.mpc if isinstance(points[0], complex) else mp.mpf
-    assert len(got) == 2 and all(type(v) is kind and mp.isnan(v) for v in got)
+    assert len(got) == 2 and all(type(v) is kind for v in got)
+    assert mp.isnan(got[0]) and mp.isfinite(got[1])
+    assert scalar_bits(got[1]) == scalar_bits(eval_graph(g, points[1]))
+
+
+@pytest.mark.parametrize("points", [[0.1, 0.7, -0.3], [0.1j, 0.7, -0.3 + 0.2j]])
+def test_extended_graph_with_a_nan_coefficient_runs_point_by_point(points):
+    # a NaN coefficient no output reads leaves the output finite; the points
+    # then run on mpmath numbers, each as the scalar evaluation at it
+    g, _ = graph_monomial([1 / math.factorial(k) for k in range(8)], bigfloat(256))
+    g.add_lincomb("dead", math.nan, g.input_id, 1, "I")
+    got = eval_graph(g, np.array(points))
+    kind = mp.mpc if any(isinstance(z, complex) for z in points) else mp.mpf
+    assert all(type(v) is kind for v in got)
+    with mp.workprec(256):  # an mpf read as an mpc is exact at its own precision
+        want = [scalar_bits(kind(eval_graph(g, z))) for z in points]
+    assert [scalar_bits(v) for v in got] == want
+
+
+def test_extended_graph_with_an_infinite_coefficient_keeps_the_binary64_pattern():
+    # inf * 0 is NaN at the zero point only, and inf elsewhere, in both arithmetics
+    g = ComputationGraph()
+    g.add_lincomb("Y", math.inf, "A", 0.0, "I")
+    g.set_outputs(["Y"])
+    with np.errstate(invalid="ignore"):
+        want = eval_graph(g, np.array([0.0, 2.0, -1.0]))
+    got = eval_graph(convert_precision(g, bigfloat(256)), np.array([0.0, 2.0, -1.0]))
+    assert np.isnan(want[0]) and want[1:].tolist() == [math.inf, -math.inf]
+    assert mp.isnan(got[0]) and got[1:].tolist() == [mp.inf, -mp.inf]
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_nodes=st.integers(1, 6), allow_ldiv=st.booleans(),
+       points=st.lists(st.one_of(st.floats(-1, 1), _NON_FINITE), min_size=1, max_size=6)
+       .filter(lambda xs: not all(map(math.isfinite, xs))))
+def test_non_finite_points_give_the_binary64_pattern(seed, n_nodes, allow_ldiv, points):
+    # moderate graphs and finite points, so that binary64 neither overflows nor
+    # underflows: its non-finite entries are those of the exact arithmetic
+    g64 = random_graph(np.random.default_rng(seed), n_nodes, allow_ldiv)
+    g = convert_precision(g64, bigfloat(256))
+    outcomes = []
+    for graph in (g64, g):
+        try:
+            with np.errstate(all="ignore"):
+                got = eval_graph(graph, np.array(points))
+        except SingularMatrixError:
+            outcomes.append(None)
+        else:
+            outcomes.append((got.shape, [not mp.isfinite(v) for v in got]))
+    assert outcomes[0] == outcomes[1]
+
+
+class TestBinary64ReadsExactNumbers:
+    """A binary64 graph reads a Python int, bool or Fraction as a float, never exactly."""
+
+    @staticmethod
+    def cube(ct=CoeffType()):
+        g = ComputationGraph(ct)
+        g.add_mult("X", "A", "A")
+        g.add_mult("Y", "X", "A")
+        g.set_outputs(["Y"])
+        return g
+
+    def test_fraction_and_int_run_in_binary64(self):
+        got = eval_graph(self.cube(), Fraction(1, 3))
+        third = 1 / 3
+        assert type(got) is float and got == third * third * third
+        assert eval_graph(self.cube(), 2 ** 400) == math.inf  # 2^1200 overflows binary64
+        assert eval_graph(self.cube(), 10 ** 400) == math.inf  # read as inf
+        assert type(eval_graph(self.cube(), True)) is float
+
+    def test_complex_graph_reads_them_as_complex(self):
+        got = eval_graph(self.cube(CoeffType(None, True)), Fraction(-1, 2))
+        assert type(got) is complex and got == -0.125
+
+    def test_mpmath_arguments_keep_the_ambient_precision(self):
+        with mp.workprec(200):
+            third = mp.mpf(1) / 3
+            got = eval_graph(self.cube(), third)
+            assert scalar_bits(got) == scalar_bits(third * third * third)

@@ -136,6 +136,17 @@ class TestConvertScalarBitForBit:
         x = 0.1
         assert convert_scalar(x, CoeffType()) is x
 
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_binary64_beyond_the_range_is_infinite(self, is_complex):
+        # float() raised OverflowError for an int or Fraction past binary64's range;
+        # to nearest, everything from 2^1024 - 2^970 (the tie, to even) up is inf
+        ct = CoeffType(None, is_complex)
+        top = 2 ** 1024 - 2 ** 970
+        for x, want in ((10 ** 400, math.inf), (-Fraction(10 ** 400, 3), -math.inf),
+                        (top, math.inf), (top - 1, float(top - 1)), (-top, -math.inf)):
+            got = convert_scalar(x, ct)
+            assert type(got) is (complex if is_complex else float) and got == want, x
+
     def test_wide_int_ties_round_to_even(self):
         ct = bigfloat(64)
         assert convert_scalar(2 ** 65 + 2, ct) == 2 ** 65

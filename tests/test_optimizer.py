@@ -119,6 +119,20 @@ class TestResidual:
         assert max(abs(x) for x in r) < mp.mpf("1e-70")
 
 
+    @pytest.mark.parametrize("prec", [None, 256])
+    def test_nan_target_is_nan_at_its_points_only(self, prec):
+        # the 256-bit residual was NaN at every point; it is NaN where f is, as at binary64
+        g, _ = graph_monomial([1.0, 1.0, 0.5])
+        if prec:
+            g = convert_precision(g, bigfloat(prec))
+        d = Discretization.disk(0, 0.5, 12, prec=prec)
+        r = residual(g, lambda z: math.nan if z.imag > 0 else exp_target(z), d)
+        upper = [z.imag > 0 for z in d.points]
+        assert [not mp.isfinite(x) for x in r] == upper and 0 < sum(upper) < len(r)
+        if prec:
+            assert r.dtype == object and all(type(x) is mp.mpc for x in r)
+
+
 class TestGnStep:
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(41)
@@ -205,6 +219,13 @@ class TestGnStep:
             J = np.array([[mp.mpf(v) for v in row] for row in J], dtype=object)
         with mp.workprec(prec or 53), pytest.raises(ValueError):
             gn_step(J, r, GNConfig(droptol=0.0, linlsqr=LinLsqr.REAL_SVD))
+
+    @pytest.mark.parametrize("linlsqr", list(LinLsqr))
+    def test_non_finite_object_jacobian_refused(self, linlsqr):
+        J = np.array([[mp.mpf(1), mp.mpf(2)], [mp.nan, mp.mpf(1)], [mp.mpf(0), mp.mpf(3)]],
+                     dtype=object)
+        with pytest.raises(ArithmeticError, match="^least-squares data is not finite$"):
+            gn_step(J, np.array([mp.mpf(1)] * 3, dtype=object), GNConfig(linlsqr=linlsqr))
 
     def test_complex_step_is_the_real_step_on_the_embedding(self):
         # a complex step solves [[Re J, -Im J], [Im J, Re J]] [Re d; Im d] =
