@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from mpmath import mp
 
-from .evaluation import _argument, _eval_nodes, _ops_for, _points_full, _precision_context
+from .evaluation import _argument, _eval_nodes, _points_full, _precision_context
 from .graph import CoeffRef, ComputationGraph, GraphError, OpKind, get_topo_order
 from .numerics import FixedVector
 
@@ -72,13 +72,13 @@ class JacobianMatrix:
 
 
 def as_point_array(points) -> np.ndarray:
-    """1-d array of points (a scalar is one): objects as they are, others at least complex128."""
+    """1-d array of points (a scalar is one): numbers at least complex128, other dtypes as given."""
     if isinstance(points, FixedVector):
         return points
     arr = np.asarray(points)
     if arr.ndim > 1:
         raise ValueError(f"points must be a scalar or a 1-d array, not {arr.ndim}-d")
-    if arr.dtype != object:
+    if arr.dtype.kind in "biufc":
         arr = arr.astype(np.result_type(arr.dtype, np.complex128), copy=False)
     return arr.reshape(-1)
 
@@ -111,19 +111,19 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
     refs = [CoeffRef(*r) for r in refs]
     for ref in refs:
         g._check_ref(ref)
-    pts = _argument(g, as_point_array(points))
-    if weights is not None:
-        weights = _argument(g, weights if isinstance(weights, FixedVector) else np.asarray(weights))
-        if np.shape(weights) != pts.shape:
-            raise ValueError("need one weight per point")
-        if not (isinstance(weights, FixedVector) or all(map(mp.isfinite, weights))):
-            raise ValueError("weights must be finite")
     with _precision_context(g):
+        pts, ops = _argument(g, as_point_array(points))
+        if weights is not None:
+            weights = _argument(g, weights if isinstance(weights, FixedVector)
+                                else np.asarray(weights))[0]
+            if np.shape(weights) != pts.shape:
+                raise ValueError("need one weight per point")
+            if not (isinstance(weights, FixedVector) or all(map(mp.isfinite, weights))):
+                raise ValueError("weights must be finite")
         fixed = isinstance(pts, FixedVector)
         if isinstance(weights, FixedVector) and not fixed:  # the points run on mpmath numbers
             weights = weights.numbers()
         order = get_topo_order(g)
-        ops = _ops_for(pts)
         if slots is None:
             slots = forward_pass(g, pts)
         values = slots[g.outputs[0]]

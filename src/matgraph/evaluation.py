@@ -1,10 +1,10 @@
 """Evaluate the function underlying a graph.
 
-Supported argument kinds, selected by the type of ``x`` as the graph reads
-it (:func:`_argument`: exactly, at extended precision):
+One function, :func:`_argument`, reads every argument (exactly, at extended
+precision), picks its route and refuses what no route takes.  The kinds:
 
-* numbers (Python, numpy, ``Fraction`` or mpmath): the three node
-  operations act as scalar +, *, and /;
+* numbers (Python, numpy, ``Fraction`` or mpmath; a numpy bool is 0 or 1):
+  the three node operations act as scalar +, *, and /;
 * 1-d numpy arrays: N independent scalar evaluations in one pass.  An
   extended-precision graph runs one of finite values, at finite
   coefficients, on the integers of a :class:`~matgraph.numerics.FixedVector`,
@@ -28,6 +28,11 @@ it (:func:`_argument`: exactly, at extended precision):
   becomes series division and needs a nonzero denominator constant term);
 * :class:`~matgraph.series.FixedSeries`: the same on fixed-point integers
   with a carried error radius per coefficient, the certifier's kind.
+
+numpy arrays are those of a bool, integer, float, complex or object dtype,
+an object one holding numbers only.  Any other argument, an array of
+another rank and a non-square matrix raise :class:`EvalError`, with one
+message at every precision.
 
 The identity input ``"I"`` binds to the multiplicative identity of the
 matching kind.
@@ -67,48 +72,6 @@ class EvalError(ArithmeticError):
 def _precision_context(g: ComputationGraph, prec: int | None = None):
     """Precision to evaluate under: ``prec`` if given, else the graph's own."""
     return working_precision(g.coeff_type.prec if prec is None else prec)
-
-
-def _argument(g: ComputationGraph, x):
-    """``x`` in the arithmetic of ``g``; every entry point reads its argument through this.
-
-    One rule picks the route: only finite numbers, at finite coefficients,
-    enter the integer kinds.  An extended-precision graph reads a number
-    (Python, numpy of any width, ``Fraction`` or mpmath) as the mpmath
-    number of its exact value (:func:`~matgraph.numerics._raw`), a 1-d
-    ndarray as a :class:`~matgraph.numerics.FixedVector` or else as an
-    object array of those numbers (``mpc`` throughout if one is complex),
-    and a 2-d ndarray as an ``mpmath.matrix``, which runs as a
-    :class:`~matgraph.numerics.PairMatrix` where it can.  A binary64 graph
-    reads a 2-d object ndarray as an ``mpmath.matrix`` too, an ``int`` or
-    ``Fraction`` by ``convert_scalar``, and numpy numbers and arrays as
-    ``np.result_type(dtype, float64)``, so that none runs in exact or narrow
-    arithmetic.  Any other argument is returned as it is.
-    """
-    extended = g.coeff_type.prec is not None
-    coeffs = (c for cs in g.coeffs.values() for c in cs)
-    if isinstance(x, np.ndarray) and x.ndim == 2 and (extended or x.dtype == object):
-        if x.dtype.kind in "iufc":
-            x = np.array([_argument(g, v) for v in x.ravel().tolist()],
-                         dtype=object).reshape(x.shape)
-        x = mp.matrix(x.tolist()) if x.size else mp.matrix(*x.shape)  # no empty literal
-    if isinstance(x, mpmath.matrix):
-        return PairMatrix.read(x, coeffs) or x
-    if isinstance(x, FixedVector):  # read already: it stays one while the coefficients are finite
-        return x if all(map(mp.isfinite, coeffs)) else x.numbers()
-    if not extended:
-        if isinstance(x, (np.ndarray, np.number)) and x.dtype.kind in "iufc":
-            return x.astype(np.result_type(x.dtype, np.float64), copy=False)
-        return convert_scalar(x, g.coeff_type) if isinstance(x, numbers.Rational) else x
-    if isinstance(x, np.ndarray) and x.ndim == 1:
-        if all(map(mp.isfinite, coeffs)) and (vector := FixedVector.read(x)) is not None:
-            return vector
-        make = mp.make_mpc if any(map(_is_complex, x)) else lambda p: mp.make_mpf(p[0])
-        return np.array([make(_raw(v, mp.prec)) for v in x], dtype=object)
-    if not is_scalar(x):
-        return x
-    re, im = _raw(x, mp.prec)
-    return mp.make_mpf(re) if isinstance(x, numbers.Real) else mp.make_mpc((re, im))
 
 
 def lincomb(c1, v1, c2, v2):
@@ -173,28 +136,63 @@ _FIXED_SERIES = _Ops(lambda x: FixedSeries.constant(1, x.nterms, x.frac), operat
                      lambda v1, v2: v2.divide(v1), FixedSeries.lincomb)
 
 
-def _ops_for(x) -> _Ops:
-    if is_scalar(x):
-        return _SCALAR
-    if isinstance(x, FixedVector):
-        return _FIXED
+def _argument(g: ComputationGraph, x):
+    """``(x, ops)``: ``x`` in the arithmetic of ``g``, and the :class:`_Ops` it runs on.
+
+    The one reader of an argument: every type and dtype test that picks a
+    route or refuses one is here (see the module docstring).  Only finite
+    numbers, at finite coefficients, enter the integer kinds.  An
+    extended-precision graph reads each number by its exact value
+    (:func:`~matgraph.numerics._raw`) as an mpmath number.  A binary64
+    graph reads a 2-d object ndarray as an ``mpmath.matrix``, an ``int`` or
+    ``Fraction`` by ``convert_scalar``, and numpy numbers and arrays, bools
+    too, as ``np.result_type(dtype, float64)``, so that none runs in exact
+    or narrow arithmetic; its other numbers and 1-d object arrays run as
+    they are.
+    """
+    extended = g.coeff_type.prec is not None
+    coeffs = (c for cs in g.coeffs.values() for c in cs)
+    if isinstance(x, (np.ndarray, np.bool_)) and x.dtype.kind == "b":
+        x = x.astype(np.float64)  # np.result_type(bool, float64): 0 and 1
     if isinstance(x, np.ndarray):
-        if x.ndim == 1:
-            return _POINTS
-        if x.ndim == 2:
-            if x.shape[0] != x.shape[1]:
-                raise EvalError("matrix argument must be square")
-            return _NP_MATRIX
-        raise EvalError(f"unsupported array rank {x.ndim}")
-    if isinstance(x, (mpmath.matrix, PairMatrix)):
+        if x.ndim not in (1, 2):
+            raise EvalError(f"unsupported array rank {x.ndim}")
+        if x.dtype.kind not in "iufcO":
+            raise EvalError(f"cannot evaluate a graph at an array of dtype {x.dtype}")
+        for v in x.flat if x.dtype == object else ():
+            if not is_scalar(v):
+                raise EvalError(f"cannot evaluate a graph at an array holding a {type(v).__name__}")
+        if x.ndim == 2 and x.shape[0] != x.shape[1]:
+            raise EvalError("matrix argument must be square")
+        if x.ndim == 2 and (extended or x.dtype == object):
+            if x.dtype != object:
+                x = np.array([_argument(g, v)[0] for v in x.ravel().tolist()],
+                             dtype=object).reshape(x.shape)
+            x = mp.matrix(x.tolist()) if x.size else mp.matrix(*x.shape)  # no empty literal
+    if isinstance(x, mpmath.matrix):
         if x.rows != x.cols:
             raise EvalError("matrix argument must be square")
-        return _PAIRS if isinstance(x, PairMatrix) else _MP_MATRIX
-    if isinstance(x, TruncSeries):
-        return _SERIES
-    if isinstance(x, FixedSeries):
-        return _FIXED_SERIES
-    raise EvalError(f"cannot evaluate a graph at a {type(x).__name__}")
+        pairs = PairMatrix.read(x, coeffs)
+        return (x, _MP_MATRIX) if pairs is None else (pairs, _PAIRS)
+    if isinstance(x, FixedVector):  # read already: it stays one while the coefficients are finite
+        return (x, _FIXED) if all(map(mp.isfinite, coeffs)) else (x.numbers(), _POINTS)
+    if isinstance(x, (TruncSeries, FixedSeries)):
+        return x, _SERIES if isinstance(x, TruncSeries) else _FIXED_SERIES
+    if not (isinstance(x, np.ndarray) or is_scalar(x)):
+        raise EvalError(f"cannot evaluate a graph at a {type(x).__name__}")
+    if not extended:
+        if isinstance(x, (np.ndarray, np.number)) and x.dtype != object:
+            x = x.astype(np.result_type(x.dtype, np.float64), copy=False)
+        elif isinstance(x, numbers.Rational):
+            x = convert_scalar(x, g.coeff_type)
+        return x, _SCALAR if is_scalar(x) else _POINTS if x.ndim == 1 else _NP_MATRIX
+    if is_scalar(x):
+        re, im = _raw(x, mp.prec)
+        return mp.make_mpf(re) if isinstance(x, numbers.Real) else mp.make_mpc((re, im)), _SCALAR
+    if all(map(mp.isfinite, coeffs)) and (vector := FixedVector.read(x)) is not None:
+        return vector, _FIXED
+    make = mp.make_mpc if any(map(_is_complex, x)) else lambda p: mp.make_mpf(p[0])
+    return np.array([make(_raw(v, mp.prec)) for v in x], dtype=object), _POINTS
 
 
 def _eval_nodes(g, x, order, keep_all=False):
@@ -205,8 +203,7 @@ def _eval_nodes(g, x, order, keep_all=False):
     ``keep_all``, other slots are freed after their last use; results are
     unaffected.  ``x`` is read in the graph's arithmetic (:func:`_argument`).
     """
-    x = _argument(g, x)
-    ops = _ops_for(x)
+    x, ops = _argument(g, x)
     slots = {"I": ops.identity(x), g.input_id: x}
     last_use: dict[str, int] = {}
     if not keep_all:

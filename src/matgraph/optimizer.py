@@ -203,11 +203,11 @@ def residual(g: ComputationGraph, f, discr: Discretization,
     The points are read in the graph's arithmetic, so the target is
     evaluated at the graph's coefficient precision.
     """
-    pts = _argument(g, discr.points)
     errtype = ErrType(errtype)
     with _precision_context(g):
+        pts = _argument(g, discr.points)[0]
         zs = pts.numbers() if isinstance(pts, FixedVector) else pts
-        fv = _argument(g, _target_values(f, zs, errtype))
+        fv = _argument(g, _target_values(f, zs, errtype))[0]
         r = _residual(forward_pass(g, pts)[g.outputs[0]], fv, errtype)
         return r.numbers() if isinstance(r, FixedVector) else r
 
@@ -344,7 +344,7 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
     real_mode = LinLsqr(config.linlsqr) == LinLsqr.REAL_SVD
     report = GNReport(iterations=0)
     with _precision_context(g):
-        pts = _argument(g, discr.points)
+        pts = _argument(g, discr.points)[0]
         fixed = isinstance(pts, FixedVector)
         zs = pts.numbers() if fixed else pts  # the target reads Python numbers
         fv = _target_values(f, zs, errtype)
@@ -389,8 +389,8 @@ def opt_gauss_newton(g: ComputationGraph, f, discr: Discretization, refs,
 
         best_rmax = best_coeffs = None
         above_best = 0
-        weights = _argument(g, 1 / fv) if errtype == ErrType.REL else None
-        fv = _argument(g, fv)
+        weights = _argument(g, 1 / fv)[0] if errtype == ErrType.REL else None
+        fv = _argument(g, fv)[0]
         while True:
             # one forward pass per trial point; a step's sweep reads its node values
             slots = forward_pass(g, pts)

@@ -132,7 +132,7 @@ def finite_diff_jac(g: ComputationGraph, points, refs, h=1e-7) -> JacobianMatrix
             dn = eval_graph(g, pts)
             g.set_coeffs([ref], [c0])
             J[:, col] = (up - dn) / (2 * h)
-        pts = _argument(g, pts)
+        pts = _argument(g, pts)[0]
         return JacobianMatrix(J, pts.numbers() if isinstance(pts, FixedVector) else pts, refs)
 
 
