@@ -92,7 +92,8 @@ def forward_pass(g: ComputationGraph, points) -> dict:
     if len(g.outputs) != 1:
         raise GraphError("forward pass needs a single-output graph")
     with _precision_context(g):
-        return _eval_nodes(g, as_point_array(points), get_topo_order(g), keep_all=True)
+        pts = as_point_array(_argument(g, as_point_array(points))[0])  # numbers widen once read
+        return _eval_nodes(g, pts, get_topo_order(g), keep_all=True)
 
 
 def eval_jac(g: ComputationGraph, points, refs, weights=None,
@@ -101,10 +102,10 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
 
     ``weights`` (one per point) seed the output adjoint, so row i comes out
     scaled by w_i.  ``slots``, the :func:`forward_pass` of ``g`` at these
-    points, spares the forward pass; the sweep consumes it.  Points and
-    finite weights are read in the graph's arithmetic.  Requires a single-output
-    graph; an evaluation singularity at some point aborts with an error
-    naming the point.
+    points, spares the forward pass, and its points are read no more; the
+    sweep consumes it.  Points and finite weights are read in the graph's
+    arithmetic.  Requires a single-output graph; an evaluation singularity
+    at some point aborts with an error naming the point.
     """
     if len(g.outputs) != 1:
         raise GraphError("Jacobian needs a single-output graph")
@@ -112,7 +113,9 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
     for ref in refs:
         g._check_ref(ref)
     with _precision_context(g):
-        pts, ops = _argument(g, as_point_array(points))
+        if slots is None:
+            slots = forward_pass(g, points)
+        pts, ops = _argument(g, slots[g.input_id])  # as the pass read them
         if weights is not None:
             weights = _argument(g, weights if isinstance(weights, FixedVector)
                                 else np.asarray(weights))[0]
@@ -123,9 +126,6 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
         fixed = isinstance(pts, FixedVector)
         if isinstance(weights, FixedVector) and not fixed:  # the points run on mpmath numbers
             weights = weights.numbers()
-        order = get_topo_order(g)
-        if slots is None:
-            slots = forward_pass(g, pts)
         values = slots[g.outputs[0]]
         J = [None] * len(refs)
         cols: dict[str, list] = {}
@@ -140,7 +140,7 @@ def eval_jac(g: ComputationGraph, points, refs, weights=None,
         def add(p, v):
             bar[p] = bar[p] + v if p in bar else v
 
-        for nid in reversed(order):
+        for nid in reversed(get_topo_order(g)):
             vbar, v = bar.pop(nid), slots.pop(nid)
             p1, p2 = g.parents[nid]
             for col, slot in cols.get(nid, ()):

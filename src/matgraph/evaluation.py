@@ -6,13 +6,14 @@ precision), picks its route and refuses what no route takes.  The kinds:
 * numbers (Python, numpy, ``Fraction`` or mpmath; a numpy bool is 0 or 1):
   the three node operations act as scalar +, *, and /;
 * 1-d numpy arrays: N independent scalar evaluations in one pass.  An
-  extended-precision graph runs one of finite values, at finite
-  coefficients, on the integers of a :class:`~matgraph.numerics.FixedVector`,
-  any other point by point on mpmath numbers, and returns mpmath numbers;
+  extended-precision graph runs one of finite values, at finite coefficients,
+  on the integers of a :class:`~matgraph.numerics.FixedVector`, any other
+  point by point on mpmath numbers, and returns mpmath numbers; a binary64
+  graph reads each entry of an object one as that scalar;
 * 2-d numpy arrays: dense matrices, the linear solve done by LU with
   partial pivoting.  An extended-precision graph runs one, an empty one
-  too, as the ``mpmath.matrix`` of its entries and returns an object array,
-  and so does a binary64 graph an object one;
+  too, as the ``mpmath.matrix`` of its entries, each read as a scalar, and
+  returns an object array, and so does a binary64 graph an object one;
 * ``mpmath.matrix``: extended-precision dense matrices, by one of two
   routes.  A real one of finite entries, in a graph whose coefficients are
   all finite reals, is read once into a
@@ -144,11 +145,11 @@ def _argument(g: ComputationGraph, x):
     numbers, at finite coefficients, enter the integer kinds.  An
     extended-precision graph reads each number by its exact value
     (:func:`~matgraph.numerics._raw`) as an mpmath number.  A binary64
-    graph reads a 2-d object ndarray as an ``mpmath.matrix``, an ``int`` or
-    ``Fraction`` by ``convert_scalar``, and numpy numbers and arrays, bools
-    too, as ``np.result_type(dtype, float64)``, so that none runs in exact
-    or narrow arithmetic; its other numbers and 1-d object arrays run as
-    they are.
+    graph reads an ``int`` or ``Fraction`` by ``convert_scalar``, numpy
+    numbers and arrays, bools too, as ``np.result_type(dtype, float64)``, and
+    each entry of an object array as that scalar, so that none runs in exact
+    or narrow arithmetic.  A 2-d array it runs as an ``mpmath.matrix`` is
+    read entry by entry the same way.
     """
     extended = g.coeff_type.prec is not None
     coeffs = (c for cs in g.coeffs.values() for c in cs)
@@ -165,10 +166,8 @@ def _argument(g: ComputationGraph, x):
         if x.ndim == 2 and x.shape[0] != x.shape[1]:
             raise EvalError("matrix argument must be square")
         if x.ndim == 2 and (extended or x.dtype == object):
-            if x.dtype != object:
-                x = np.array([_argument(g, v)[0] for v in x.ravel().tolist()],
-                             dtype=object).reshape(x.shape)
-            x = mp.matrix(x.tolist()) if x.size else mp.matrix(*x.shape)  # no empty literal
+            x = (mp.matrix([[_argument(g, v)[0] for v in row] for row in x.tolist()]) if x.size
+                 else mp.matrix(*x.shape))  # mpmath has no empty literal
     if isinstance(x, mpmath.matrix):
         if x.rows != x.cols:
             raise EvalError("matrix argument must be square")
@@ -183,6 +182,8 @@ def _argument(g: ComputationGraph, x):
     if not extended:
         if isinstance(x, (np.ndarray, np.number)) and x.dtype != object:
             x = x.astype(np.result_type(x.dtype, np.float64), copy=False)
+        elif isinstance(x, np.ndarray):  # 1-d, of objects: numpy infers the kind of the entries read
+            x = np.array([_argument(g, v)[0] for v in x.tolist()])
         elif isinstance(x, numbers.Rational):
             x = convert_scalar(x, g.coeff_type)
         return x, _SCALAR if is_scalar(x) else _POINTS if x.ndim == 1 else _NP_MATRIX

@@ -6,11 +6,11 @@ Scalars come in two families:
 * extended-precision values, represented by ``mpmath`` ``mpf``/``mpc``
   numbers with a configurable number of mantissa bits.
 
-A number is what ``numbers.Complex`` admits (:func:`is_scalar`): a Python,
-numpy, ``Fraction`` or mpmath one, never a ``Decimal``.  Every reader takes
-its exact value from :func:`_raw`.  mpmath performs every operation at the
-precision of the *ambient* context, so all public entry points of this
-package wrap their numerical work in :func:`working_precision`.
+A number is what ``numbers.Complex`` admits, or a numpy bool (:func:`is_scalar`):
+a Python, numpy, ``Fraction`` or mpmath one, never a ``Decimal``.  Every
+reader takes its exact value from :func:`_raw`.  mpmath performs every
+operation at the precision of the *ambient* context, so all public entry
+points of this package wrap their numerical work in :func:`working_precision`.
 Coefficient rounding (:func:`convert_scalar`) needs no context: it calls
 libmp at the target precision, bit for bit as mpmath's constructors under
 that precision.  Dense extended-precision
@@ -28,13 +28,13 @@ A 1-d vector of finite extended-precision points is a :class:`FixedVector`:
 Python integers at one shared exponent, set after every operation by the
 smallest entry.  The extended-precision least-squares step
 (:func:`truncated_lstsq`) forms its Gram matrix from exact integer dot
-products of such integers, each vector read as the real [Re v; Im v].
-The dot products are float64 BLAS products of 16-bit limbs of the
-integers, small enough that no sum rounds (the error-free splitting of
-Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  The Gram matrix
-is then reduced in fixed point on Python integers, F bits below its largest
-entry (from prec + 128 up, growing as the drop tolerance shrinks, and
-2 prec + 64 for droptol 0), by Householder tridiagonalisation and implicit
+products of such integers, each vector read as the real [Re v; Im v].  The dot
+products are float64 BLAS products of their 16-bit limbs, each pair of limbs
+formed once, small enough that no sum rounds (the error-free splitting of
+Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  The Gram matrix's
+lower triangle is then reduced in fixed point on Python integers, F bits below
+its largest entry (from prec + 128 up, growing as the drop tolerance shrinks,
+and 2 prec + 64 for droptol 0), by Householder tridiagonalisation and implicit
 QL; the step is rounded to the working precision once, at the end.
 """
 
@@ -129,17 +129,17 @@ def exact_decimal(text: str) -> Fraction:
 
 
 def is_scalar(x) -> bool:
-    """Whether ``x`` is a number (``numbers.Complex``): a Python, numpy, ``Fraction`` or mpmath one."""
-    return isinstance(x, numbers.Complex)
+    """Whether ``x`` is a number: a Python, numpy (a bool too), ``Fraction`` or mpmath one."""
+    return isinstance(x, (numbers.Complex, np.bool_))
 
 
 def _raw(x, prec: int):
     """The raw libmp parts ``(re, im)`` of the number ``x``, exactly.
 
-    Reads a Python, numpy (of any width), ``Fraction`` or mpmath number.  A
-    rational whose denominator is not a power of two has no exact binary
-    value: it is rounded to nearest at ``prec`` bits.  ``TypeError`` for a
-    value that is not a number.
+    Reads a Python, numpy (of any width), ``Fraction`` or mpmath number, a
+    numpy bool as 0 or 1.  A rational whose denominator is not a power of
+    two has no exact binary value: it is rounded to nearest at ``prec``
+    bits.  ``TypeError`` for a value that is not a number.
     """
     if isinstance(x, mpmath.mpf):
         return x._mpf_, fzero
@@ -153,6 +153,8 @@ def _raw(x, prec: int):
         return libmp.from_npfloat(x), fzero  # exact for a numpy float of any width
     if isinstance(x, numbers.Complex):
         return libmp.from_npfloat(x.real), libmp.from_npfloat(x.imag)
+    if isinstance(x, np.bool_):
+        return _raw(int(x), prec)
     raise TypeError(f"cannot read a {type(x).__name__} as an extended-precision number")
 
 
@@ -489,13 +491,11 @@ def _is_complex(x) -> bool:
 
 def _normalized(re, im, exp, real):
     """The vector of the exact ``re``, ``im`` at ``exp``, its exponent set by the rule above."""
-    bits = list(map(max, map(int.bit_length, re), map(int.bit_length, im)))
-    low = min(bits, default=0) or min(filter(None, bits), default=0)
+    tops = list(map(operator.or_, map(abs, re), map(abs, im)))  # as wide as max(|a|, |b|)
+    low = (min(tops, default=0) or min(filter(None, tops), default=0)).bit_length()
     shift = low - mp.prec - GUARD_BITS
     if shift > 0:
-        re = [x >> shift for x in re]
-        im = [x >> shift for x in im]
-        exp += shift
+        re, im, exp = [x >> shift for x in re], [x >> shift for x in im], exp + shift
     return FixedVector(re, im, exp, real)
 
 
@@ -642,50 +642,53 @@ LIMB_BITS = 16
 #: a product of two limbs is below 2**32 in magnitude, so a float64 sum of
 #: fewer than this many of them is exact: rows times limbs of one chunk
 EXACT_TERMS = 2 ** 21
-#: rows times limbs of one block of the float64 limb array, 4 KiB a column
-BLOCK_TERMS = 2 ** 9
+#: rows times limbs times vectors of one chunk's float64 limb array, 4 MiB
+ARRAY_TERMS = 2 ** 19
 
 
 def _limb_products(mss):
     """``S[a][c]``, the exact dot product of the integer vectors ``mss[a]`` and ``mss[c]``.
 
     Each integer is written as L limbs of :data:`LIMB_BITS` bits with
-    ``int.to_bytes``, the top one signed, and read into a float64 block
-    ``A`` of rows by (limb, vector).  For each limb i, the BLAS product of
-    ``A`` with the K columns of limb i holds the products of limb i with
-    every limb j, summed over the block's rows, and float64 adds them into
-    the sums of limb diagonal i + j.  Those stay exact integers while the
-    rows times limbs stay below :data:`EXACT_TERMS`; longer vectors are
-    split into chunks that do.  Propagating the carries in int64 gives each
-    sum as base-2**16 digits, which ``int.from_bytes`` reads back.  Nothing
-    is rounded.
+    ``int.to_bytes``, the top one signed, into a float64 array ``A`` of one
+    row per (limb, vector).  For each limb i, one BLAS product of limb i's
+    K rows with the rows of limbs j >= i sums the products of limb i with
+    limb j over the entries; each block (i, j), and its transpose for
+    j > i, is added to the sum of limb diagonal i + j, so each pair of
+    limbs is formed once.  float64 adds them exactly while entries times
+    limbs stay below :data:`EXACT_TERMS`; longer vectors are split into
+    chunks that do and that hold at most :data:`ARRAY_TERMS` limbs.  Carries
+    in int64 give each sum on and above the diagonal as base-2**16 digits,
+    which ``int.from_bytes`` reads back: nothing is rounded.
     """
     K, N = len(mss), len(mss[0])
     L = max((m.bit_length() for ms in mss for m in ms), default=0) // LIMB_BITS + 1
-    chunk = max(1, (EXACT_TERMS - 1) // L)
+    chunk = max(1, min((EXACT_TERMS - 1) // L, ARRAY_TERMS // (L * K)))
     if N > chunk:
         parts = [_limb_products([ms[s:s + chunk] for ms in mss]) for s in range(0, N, chunk)]
         return [[sum(p[a][c] for p in parts) for c in range(K)] for a in range(K)]
-    size = LIMB_BITS // 8 * L
+    buf = b"".join([m.to_bytes(LIMB_BITS // 8 * L, "little", signed=True) for ms in mss for m in ms])
+    A = np.frombuffer(buf, "<u2").reshape(K, N, L).transpose(2, 0, 1).astype(np.float64, order="C")
+    A[-1] = np.frombuffer(buf, "<i2").reshape(K, N, L)[:, :, -1]
     diag = np.zeros((2 * L - 1, K, K))
-    block = max(1, BLOCK_TERMS // L)
-    for start in range(0, N, block):
-        buf = b"".join(m.to_bytes(size, "little", signed=True)
-                       for row in zip(*(ms[start:start + block] for ms in mss)) for m in row)
-        limbs = np.frombuffer(buf, "<u2").reshape(-1, K, L).transpose(0, 2, 1)
-        A = limbs.astype(np.float64, order="C")
-        A[:, -1] = np.frombuffer(buf, "<i2").reshape(-1, K, L)[:, :, -1]
-        A = A.reshape(-1, L * K)
-        for i in range(L):
-            diag[i:i + L] += (A.T @ A[:, i * K:(i + 1) * K]).reshape(L, K, K)
-    diag = diag.astype(np.int64)
+    P = np.empty(L * K * K)  # one output for the L products: a new one each costs page faults
+    for i in range(L):
+        B = np.matmul(A[i], A[i:].reshape(-1, N).T, out=P[:(L - i) * K * K].reshape(K, -1))
+        B = B.reshape(K, L - i, K).transpose(1, 0, 2)  # block (i, j) at j - i
+        diag[2 * i:i + L] += B
+        diag[2 * i + 1:i + L] += B[1:].transpose(0, 2, 1)
+    del A, B, P, buf  # before the carries, whose copies of the sums would raise the peak
+    a, c = np.triu_indices(K)
+    diag = diag[:, a, c].astype(np.int64)
     for d in range(2 * L - 2):
         diag[d + 1] += diag[d] >> LIMB_BITS
         diag[d] &= (1 << LIMB_BITS) - 1
-    low, top = diag[:-1].transpose(1, 2, 0).astype("<u2").tobytes(), diag[-1].tolist()
-    width, shift = 2 * (2 * L - 2), LIMB_BITS * (2 * L - 2)
-    return [[int.from_bytes(low[(a * K + c) * width:(a * K + c + 1) * width], "little")
-             + (top[a][c] << shift) for c in range(K)] for a in range(K)]
+    low, top = diag[:-1].T.astype("<u2").tobytes(), diag[-1].tolist()
+    w, shift = 2 * (2 * L - 2), LIMB_BITS * (2 * L - 2)
+    S = [[0] * K for _ in range(K)]
+    for k, (x, z) in enumerate(zip(a.tolist(), c.tolist())):
+        S[x][z] = S[z][x] = int.from_bytes(low[k * w:(k + 1) * w], "little") + (top[k] << shift)
+    return S
 
 
 def _normal_equations(cols, b):
@@ -699,13 +702,10 @@ def _normal_equations(cols, b):
         raise ArithmeticError("least-squares data is not finite")
     if len(set(map(len, vecs))) > 1:
         raise ValueError(f"least-squares operands of unequal lengths {list(map(len, vecs))}")
-    S = _limb_products([v.re + v.im for v in vecs])
+    S, es = _limb_products([v.re + v.im for v in vecs]), [v.exp for v in vecs]
     K = len(vecs) - 1
-    G = [[None] * K for _ in range(K)]
-    for a in range(K):
-        for c in range(a, K):
-            G[a][c] = G[c][a] = S[a][c], vecs[a].exp + vecs[c].exp
-    return G, [(S[a][K], vecs[a].exp + vecs[K].exp) for a in range(K)]
+    return ([[(S[a][c], es[a] + es[c]) for c in range(K)] for a in range(K)],
+            [(S[a][K], es[a] + es[K]) for a in range(K)])
 
 
 def _to_fixed(sums, bits):
@@ -818,10 +818,11 @@ def truncated_lstsq(cols, b, droptol):
     ``x = sum_j q_j (q_j^T A^T b) / E_j`` over the eigenvalues E_j > 0 with
     E_j > droptol^2 max|E|, i.e. the singular values of A above ``droptol``
     times the largest.  The Gram matrix and A^T b are exact integer sums,
-    which one blocked float64 product of 16-bit limbs computes for all of
-    them at once.  Everything after runs on Python integers in fixed point,
-    F fractional bits below the largest Gram entry (A^T b below its own
-    largest): Householder tridiagonalisation, implicit QL, and Q^T A^T b and
+    which one float64 product per 16-bit limb computes for all of them at
+    once (:func:`_limb_products`).  Everything after runs on Python integers
+    in fixed point, F fractional bits below the largest Gram entry (A^T b
+    below its own largest), on the Gram matrix's lower triangle:
+    Householder tridiagonalisation, implicit QL, and Q^T A^T b and
     the map back through the reflectors and rotations, so Q is never formed.
     The rank rule compares each integer eigenvalue exactly with
     droptol^2 max|E| at the working precision, and x is rounded to the
@@ -859,9 +860,10 @@ def truncated_lstsq(cols, b, droptol):
     if droptol:
         t = 2 * (1 - mp.frexp(min(droptol, 1))[1])  # droptol >= 2^(-t/2)
         F = max(prec, 2 * t) + 128
-    flat, eg = _to_fixed([s for row in G for s in row], F)
+    lower, eg = _to_fixed([s for j, row in enumerate(G) for s in row[:j + 1]], F)
     y, ey = _to_fixed(y, F)
-    d, e, reflectors = _householder([flat[j * K:j * K + j + 1] for j in range(K)], F)
+    d, e, reflectors = _householder([lower[j * (j + 1) // 2:(j + 1) * (j + 2) // 2]
+                                     for j in range(K)], F)
     rotations = _implicit_ql(d, e, F)
     emax = max(map(abs, d), default=0)
     if not emax:

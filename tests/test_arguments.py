@@ -23,6 +23,7 @@ from matgraph import (
     convert_precision,
     eval_graph,
     eval_jac,
+    eval_runerr,
     graph_monomial,
     residual,
 )
@@ -164,6 +165,47 @@ class TestNumpyBools:
         for g in self.graphs:
             got, want = eval_graph(g, np.True_), eval_graph(g, True)
             assert got == want == 1 and isinstance(got, type(want))
+
+    def test_running_error_at_a_bool_is_like_true(self):
+        # is_scalar admits a numpy bool, as eval_graph reads one
+        for g in self.graphs:
+            assert eval_runerr(g, np.True_) == eval_runerr(g, True) == 2 ** -52
+
+    def test_object_arrays_holding_a_bool(self):
+        for g in self.graphs:
+            got = eval_graph(g, np.array([np.True_, 2], dtype=object))
+            assert [complex(v) for v in got] == [1, 4]
+            got = eval_graph(g, np.array([[np.True_, 0], [0, np.False_]], dtype=object))
+            assert [complex(v) for v in got.flat] == [1, 0, 0, 0]
+
+
+def test_object_points_run_in_binary64():
+    # each entry is read as the scalar argument it is, so the array gives
+    # the scalar evaluations bit for bit, not a float32 or exact cube
+    g, _ = graph_monomial([0, 0, 0, 1.0])
+    x = np.array([np.float32(0.1), Fraction(1, 3)], dtype=object)
+    got, want = eval_graph(g, x), [eval_graph(g, v) for v in x]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+    assert want[0] == 0.0010000000447034842
+
+
+@pytest.mark.parametrize("points", [[0.5, -0.25], [Fraction(1, 2), np.float32(-0.25)]],
+                         ids=["floats", "Fraction-and-float32"])
+def test_object_points_give_the_numeric_points_jacobian(points):
+    # real object points, read to float64, keep the imaginary parts of the
+    # columns of X = B*B, B = A + 0.5i I, as numeric points widened to complex do
+    g = ComputationGraph(CoeffType(None, True))
+    g.add_lincomb("B", 1.0, "A", 0.5j, "I")
+    g.add_mult("X", "B", "B")
+    g.set_outputs(["X"])
+    refs = [("B", 1), ("B", 2)]
+    x = np.array(points, dtype=object)
+    got, want = eval_jac(g, x, refs), eval_jac(g, np.array([0.5, -0.25]), refs)
+    for a, b in [(got.entries, want.entries), (got.values, want.values),
+                 (forward_pass(g, x)["X"], want.values)]:
+        assert a.dtype == b.dtype == np.complex128 and a.tolist() == b.tolist()
+    assert want.entries.tolist() == [[0.5 + 0.5j, 1 + 1j], [0.125 - 0.25j, -0.5 + 1j]]
+    assert want.values.tolist() == [0.5j, -0.1875 - 0.25j]
 
 
 class TestPointsReadAtTheGraphsPrecision:

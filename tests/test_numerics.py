@@ -1,5 +1,6 @@
 import contextlib
 import math
+import operator
 import random
 import re
 import time
@@ -886,7 +887,7 @@ class TestTruncatedLstsq:
 
             with mp.workprec(256):
                 return 256, [col(k0) for k0 in (1, 2, 4, 10, 13) for _ in range(2)], col(3)
-        if name == "many-blocks":  # far more rows than one block holds
+        if name == "many-blocks":  # 300 rows: one exactness chunk, or many under a small bound
             return 256, [rand(300, 256) for _ in range(5)], rand(300, 256)
         assert name == "zeros"
         with mp.workprec(128):
@@ -895,13 +896,14 @@ class TestTruncatedLstsq:
             part[::3] = zero[::3]
             return 128, [zero, part, zero, rand(12, 128)], zero
 
-    @pytest.mark.parametrize("bound", [None, ("BLOCK_TERMS", 1), ("EXACT_TERMS", 64)],
-                             ids=["default", "row-blocks", "row-chunks"])
+    @pytest.mark.parametrize("bound", [None, ("EXACT_TERMS", 1), ("EXACT_TERMS", 64), ("ARRAY_TERMS", 2000)],
+                             ids=["default", "one-row-chunks", "row-chunks", "memory-chunks"])
     @pytest.mark.parametrize("name", ["short-outliers", "random-256", "random-1024",
                                       "limb-edges", "many-blocks", "zeros"])
     def test_limb_gram_equals_pairwise_and_fdot(self, monkeypatch, name, bound):
-        # row-blocks: one row a block; row-chunks: a few rows an exactness
-        # chunk, as vectors longer than 2**21 / L rows are split
+        # one-row-chunks and row-chunks: one row and a few rows an exactness
+        # chunk, as vectors longer than 2**21 / L rows are split;
+        # memory-chunks: a few rows a chunk by the bound on the limb array
         if bound is not None:
             monkeypatch.setattr(numerics, *bound)
         prec, cols, b = self.gram_case(name, np.random.default_rng(75))
@@ -909,7 +911,9 @@ class TestTruncatedLstsq:
             if name == "many-blocks":
                 width = max(m.bit_length()
                             for c in cols + [b] for m in FixedVector.read(list(c)).re)
-                assert len(b) > numerics.BLOCK_TERMS // (width // LIMB_BITS + 1)
+                L, K = width // LIMB_BITS + 1, len(cols) + 1
+                chunk = max(1, min((numerics.EXACT_TERMS - 1) // L, numerics.ARRAY_TERMS // (L * K)))
+                assert (len(b) <= chunk) == (bound is None)
             G, y = _normal_equations(cols, b)
             G0, y0 = pairwise_normal_equations(cols, b)
             for a in range(len(cols)):
@@ -931,6 +935,34 @@ class TestTruncatedLstsq:
         for a, x in enumerate(mss):
             for c, z in enumerate(mss):
                 assert S[a][c] == sum(p * q for p, q in zip(x, z))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 40), N=st.integers(1, 300),
+           bound=st.sampled_from([None, ("EXACT_TERMS", 1), ("EXACT_TERMS", 100),
+                                  ("EXACT_TERMS", 4096), ("ARRAY_TERMS", 5000)]))
+    def test_limb_products_equal_exact_dot_products(self, seed, K, N, bound):
+        # vectors of 1 to 25 limbs in one call, the widest and the narrowest
+        # always among them; entries on limb edges, zeros and random
+        # integers; a small EXACT_TERMS or ARRAY_TERMS splits the vectors
+        # into chunks
+        rng = random.Random(seed)
+
+        def entry(limbs):
+            k, r = rng.randint(1, limbs), rng.random()
+            if r < 0.2:
+                return 0
+            if r < 0.6:
+                return rng.choice([2 ** (16 * k), -2 ** (16 * k), 2 ** (16 * k) - 1, -2 ** (16 * k - 1)])
+            return rng.randint(-2 ** (16 * limbs - 1), 2 ** (16 * limbs - 1) - 1)
+
+        widths = ([1, 25] + [rng.randint(1, 25) for _ in range(K)])[:K]
+        rng.shuffle(widths)
+        mss = [[entry(w) for _ in range(N)] for w in widths]
+        with pytest.MonkeyPatch.context() as patch:
+            if bound is not None:
+                patch.setattr(numerics, *bound)
+            S = _limb_products(mss)
+        assert S == [[sum(map(operator.mul, x, z)) for z in mss] for x in mss]
 
     def test_non_finite_data_raises(self):
         with mp.workprec(256):
