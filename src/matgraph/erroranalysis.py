@@ -35,6 +35,10 @@ decide a radius outside (tl, th) by comparison with tl and th, and any
 other radius, or every radius when the check fails, by an exact
 evaluation.  So every comparison with u is decided without rounding, and
 the radius and bracket are those of an exact evaluation at every step.
+The bisection holds its radii as integers m 2^e at one exponent, each mid
+rounded to prec bits as mpf arithmetic rounds (lo + hi) / 2, so it tries
+the radii an mpf bisection would; comparisons with tl and th are integer
+comparisons, and only an exact evaluation makes an mpf.
 
 The a posteriori running error propagates per-node first-order round-off
 through a scalar evaluation, either as a worst-case bound or as a
@@ -87,19 +91,31 @@ _SEARCH_CAP = mp.mpf(2) ** 60
 _BRACKET_LO = mp.mpf(2) ** -20
 
 
-def _bisect_max_below(passes, lo, hi, prec):
-    """Largest theta in [lo, hi] that ``passes``, a decision monotone in theta, accepts."""
+def _bisect_max_below(passes, k, prec):
+    """Largest theta in [2^(k-1), 2^k] that ``passes``, a decision monotone in theta, accepts.
+
+    The radii are integer dyadics (m, e) at the one exponent e = k - prec, on
+    which that interval holds prec bits, and the result is one.  Each mid is
+    the sum lo + hi rounded to prec bits, ties to even, then halved, as mpf
+    arithmetic at prec bits forms (lo + hi) / 2; the search stops once
+    hi - lo, exact, is at most lo 1e-30 rounded at prec bits as mpmath rounds it.
+    """
     with mp.workprec(prec):
-        tol = mp.mpf("1e-30")
-        for _ in range(prec):
-            mid = (lo + hi) / 2
-            if passes(mid):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= lo * tol:
-                break
-    return lo
+        _, tm, te, _ = mp.mpf("1e-30")._mpf_
+    e, lo, hi = k - prec, 1 << prec - 1, 1 << prec
+    for _ in range(prec):
+        s = lo + hi
+        mid = s >> 1
+        mid += s & mid & 1  # a tie (s odd) goes to the even mantissa
+        if passes((mid, e)):
+            lo = mid
+        else:
+            hi = mid
+        _, rm, re, _ = from_man_exp(lo * tm, te, prec, "n")  # lo 1e-30 / 2^e
+        x = min(re, 0)
+        if hi - lo << -x <= rm << re - x:
+            break
+    return lo, e
 
 
 def _poly_bound(C, e0):
@@ -171,25 +187,41 @@ def _approx_root(C, e0, u, k: int):
 
 
 def _enclosure(bound, u, approx, hi):
-    """Dyadics tl < approx < th about 2^-198 approx apart with bound(tl) <= u < bound(th), checked exactly; None if not."""
+    """Dyadics tl < approx < th about 2^-198 approx apart with bound(tl) <= u < bound(th), checked exactly; None if not.
+
+    They are returned as ((ml, mh), x) for tl = ml 2^x and th = mh 2^x.
+    """
     if not (mp.isfinite(approx) and hi / 2 < approx < hi):
         return None
     _, man, exp, bc = approx._mpf_
     shift = bc - _ENCLOSURE_BITS
     man, exp = (man >> shift, exp + shift) if shift > 0 else (man << -shift, exp + shift)
     tl, th = (mp.make_mpf(from_man_exp(m, exp)) for m in (man - 1, man + 1))
-    return (tl, th) if bound(tl) <= u < bound(th) else None
+    return ((man - 1, man + 1), exp) if bound(tl) <= u < bound(th) else None
 
 
 def _decider(bound, u, enclosure):
-    """The search's step function t -> bound(t) <= u for t > 0.
+    """The search's step function (m, e) -> bound(m 2^e) <= u for integers m > 0.
 
-    With an enclosure (tl, th) the bound, increasing on t > 0, is at most u
-    at every t <= tl and above it at every t >= th, so those decisions are
-    comparisons; only a t strictly between evaluates the bound, exactly.
+    With an enclosure ((ml, mh), x) the bound, increasing on t > 0, is at
+    most u at every t <= ml 2^x and above it at every t >= mh 2^x, so those
+    decisions compare integers; only a t strictly between evaluates the
+    bound, exactly, on the mpf m 2^e.
     """
-    tl, th = enclosure or (mp.zero, mp.inf)
-    return lambda t: t <= tl or (t < th and bound(t) <= u)
+    def exact(m, e):
+        return bound(mp.make_mpf(from_man_exp(m, e))) <= u
+
+    if enclosure is None:
+        return lambda t: exact(*t)
+    (ml, mh), x = enclosure
+
+    def passes(t):
+        m, e = t
+        s = e - x  # t and the ends as integers at the lower of 2^e and 2^x
+        a, lo, hi = (m << s, ml, mh) if s >= 0 else (m, ml << -s, mh << -s)
+        return a <= lo or (a < hi and exact(m, e))
+
+    return passes
 
 
 def _radius(C, e0, u, kind: ThetaKind, nterms: int, prec: int, why: str = "") -> ThetaResult:
@@ -228,9 +260,9 @@ def _radius(C, e0, u, kind: ThetaKind, nterms: int, prec: int, why: str = "") ->
             return ThetaResult(hi, kind, nterms, u, saturated=True)
     k = mp.frexp(hi)[1] - 1  # hi = 2^k
     passes = _decider(bound, u, _enclosure(bound, u, _approx_root(C, e0, u, k), hi))
-    theta = _bisect_max_below(passes, hi / 2, hi, prec)
+    theta = mp.make_mpf(from_man_exp(*_bisect_max_below(passes, k, prec)))
     margin = theta * (1 + mp.mpf("1e-6"))
-    if not (passes(theta) and not passes(margin)):
+    if not (passes(theta._mpf_[1:3]) and not passes(margin._mpf_[1:3])):
         raise CertificationError("bracketing certificate failed to verify")
     return ThetaResult(theta, kind, nterms, u, bracket=(theta, margin))
 

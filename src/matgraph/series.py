@@ -28,7 +28,9 @@ coefficient exactly.  Every truncation adds one unit to the radius of a
 real coefficient (two to a complex one, one per part), and products and
 quotients propagate the radii of their operands.  Those bounds are formed
 from magnitudes rounded up to ``_COARSE_BITS`` fractional bits, so they
-cost small-integer arithmetic only.
+cost small-integer arithmetic only: the two radius convolutions of a
+product, on nonnegative integers, are one big-integer product each by
+Kronecker substitution (:func:`_kron`).
 """
 
 from __future__ import annotations
@@ -149,6 +151,27 @@ def _conv(a, b, m):
         lo, hi = max(0, k - lb + 1), min(k + 1, la)
         out.append(_dot(a[lo:hi], rb[lb - 1 - k + lo:lb - 1 - k + hi]))
     return out
+
+
+def _kron(a, b, m):
+    """``_conv(a, b, m)`` for nonnegative integers, as one big-integer product.
+
+    Kronecker substitution (Harvey, J. Symbolic Comput. 44(10), 2009): each
+    list is packed into one integer, an entry per digit of w bytes, wide
+    enough that no sum of the convolution carries into the next digit; the
+    digits of the one product are the sums.
+    """
+    a, b = a[:m], b[:m]
+    top = min(len(a), len(b)) * max(a) * max(b)  # bounds every sum
+    if not top:
+        return [0] * m
+    w = (top.bit_length() + 7) // 8
+
+    def pack(values):
+        return int.from_bytes(b"".join([v.to_bytes(w, "little") for v in values]), "little")
+
+    p = (pack(a) * pack(b)).to_bytes(w * (len(a) + len(b)), "little")
+    return [int.from_bytes(p[i:i + w], "little") for i in range(0, w * m, w)]
 
 
 def _padded(values, n):
@@ -317,8 +340,8 @@ class FixedSeries:
         # |ab - a'b'| <= |a'| |b - b'| + |b| |a - a'|, with |b| <= |b'| + rad
         ra, rb = self.rad, other.rad
         if any(ra) or any(rb):
-            ea = _conv(_coarse(_bounds(self.re, self.im), F), rb, m)
-            eb = _conv(ra, _coarse(list(map(operator.add, _bounds(other.re, other.im), rb)), F), m)
+            ea = _kron(_coarse(_bounds(self.re, self.im), F), rb, m)
+            eb = _kron(ra, _coarse(list(map(operator.add, _bounds(other.re, other.im), rb)), F), m)
             rad = [_ceil_shift(x + y, G) + unit for x, y in zip(ea, eb)]
         else:
             rad = [unit] * m

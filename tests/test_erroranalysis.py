@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -511,6 +512,84 @@ class TestExactOnlyEquivalence:
         # a root off by more than the enclosure's width fails its check, and
         # the search evaluates every decision
         assert enclosed == [wrong == "inside"]
+
+
+THETA_TABLE_ROWS = [(5, 0), (7, 0), (9, 0), (13, 0), (13, 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def pade_bound(row):
+    """``(C, e0)``: the bound coefficients the radius search reads for the row's backward theta at nterms 100."""
+    seen = []
+    radius = erroranalysis._radius
+
+    def recording(C, e0, *args):
+        seen.append((tuple(C), e0))
+        return radius(C, e0, *args)
+
+    g, _ = graph_exp_pade_ss(*row, coeff_type=bigfloat(256))
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(erroranalysis, "_radius", recording)
+        compute_bwd_theta_exp(g, nterms=100)
+    return seen[-1]
+
+
+class TestIntegerSearch:
+    """The bisection on integer dyadics against the exact-only search of tests/support.py, at low precision too."""
+
+    U = mp.mpf(2) ** -53
+
+    def check(self, C, e0, prec):
+        try:
+            theta, bracket, saturated = radius_exact_only([Fraction(c) * Fraction(2) ** e0 for c in C],
+                                                          self.U, prec)
+        except CertificationError:
+            with pytest.raises(CertificationError, match="^no sign change"), mp.workprec(prec):
+                erroranalysis._radius(list(C), e0, self.U, ThetaKind.BACKWARD, len(C), prec)
+            return None
+        with mp.workprec(prec):
+            res = erroranalysis._radius(list(C), e0, self.U, ThetaKind.BACKWARD, len(C), prec)
+        assert (res.theta._mpf_, res.saturated) == (theta._mpf_, saturated)
+        assert res.bracket is None if bracket is None else \
+            [t._mpf_ for t in res.bracket] == [t._mpf_ for t in bracket]
+        return res
+
+    @pytest.mark.parametrize("prec", [53, 64, 113, 1024])
+    @pytest.mark.parametrize("row", THETA_TABLE_ROWS)
+    def test_pade_rows(self, row, prec):
+        self.check(*pade_bound(row), prec)
+
+    @pytest.mark.parametrize("prec", [53, 64, 113, 1024])
+    def test_random_nonnegative_polynomials(self, prec):
+        # coefficients from 2^-202 to 2^-40, at one exponent
+        rng = np.random.default_rng(47 + prec)
+        results = []
+        for _ in range(10):
+            n = int(rng.integers(2, 40))
+            C = [int(rng.integers(1, 2 ** 62)) << int(rng.integers(0, 100))
+                 if rng.random() < 0.7 else 0 for _ in range(n)]
+            C[0] = int(rng.integers(0, 2 ** 40)) if rng.random() < 0.5 else 0
+            C[-1] = int(rng.integers(1, 2 ** 62))
+            results.append(self.check(C, -202, prec))
+        assert sum(res is not None for res in results) >= 8
+
+    def test_rounded_mids_at_53_bits(self):
+        # at 53 bits the 1e-30 stop never holds: the bisection runs all its
+        # 53 steps on 53-bit mids; mids of unbounded length give
+        # 9149146698414425 2^-55 here
+        res = self.check(*pade_bound((5, 0)), 53)
+        assert (res.theta.man, res.theta.exp) == (1143643337301803, -52)
+
+    def test_theta_table_decision_counts(self, bound_evals, search_decisions):
+        # the theta-table workload's five rows at nterms 100 and 1024 bits
+        counts = []
+        for row in THETA_TABLE_ROWS:
+            g, _ = graph_exp_pade_ss(*row, coeff_type=bigfloat(256))
+            before = len(search_decisions)
+            compute_bwd_theta_exp(g, nterms=100)
+            counts.append(len(search_decisions) - before)
+        assert counts == [100, 99, 100, 100, 100]
+        assert len(bound_evals) <= 133
 
 
 def goldberg_graph():

@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from matgraph import ComputationGraph, bigfloat, erroranalysis, eval_graph, graph_exp_pade_ss
 from matgraph.numerics import working_precision
-from matgraph.series import FixedSeries, SeriesError, TruncSeries
+from matgraph.series import FixedSeries, SeriesError, TruncSeries, _conv, _kron
 
 from support import series_divide_loop, series_exp, series_exp_neg, series_log, series_log_loop, series_mul_loop
 
@@ -239,6 +239,28 @@ def test_mul_commutative_exact(a, b):
     sa = TruncSeries([int(x * 8) / 8 for x in a], n)
     sb = TruncSeries([int(x * 8) / 8 for x in b], n)
     assert sa * sb == sb * sa
+
+
+radius_lists = st.lists(st.one_of(st.just(0), st.integers(0, 2 ** 30), st.integers(0, 2 ** 300)),
+                        min_size=1, max_size=101)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=radius_lists, b=radius_lists, cut=st.integers(0, 200))
+@example(a=[0] * 7, b=[5, 0, 2], cut=0)
+@example(a=[2 ** 300] * 101, b=[2 ** 300] * 101, cut=0)
+def test_kronecker_convolution_is_the_plain_one(a, b, cut):
+    # m from la + lb - 1 (the whole product) down to 1
+    m = max(1, len(a) + len(b) - 1 - cut)
+    assert _kron(a, b, m) == _conv(a, b, m)
+
+
+@pytest.mark.parametrize("a, b, m", [
+    ([0], [0], 1), ([7], [9], 1), ([0, 0, 0], [1, 2], 4), ([1, 2], [0, 0, 0], 2),
+    ([3, 0, 1], [2 ** 300, 1], 4), ([2 ** 300] * 101, [2 ** 300 - 1] * 101, 201),
+    (list(range(101)), list(range(101, 0, -1)), 101)])
+def test_kronecker_convolution_edge_cases(a, b, m):
+    assert _kron(a, b, m) == _conv(a, b, m)
 
 
 @settings(max_examples=60, deadline=None)
